@@ -137,6 +137,10 @@ class ReplicationState:
             self._m_duplicates.inc()
             return 0
         if status == "pending":
+            # Known wart, deliberately left: the log object is shared by
+            # every replica of the group, so a later hold overwrites an
+            # earlier replica's age.  Fixing it moves virtual time on
+            # lossy chains and belongs in its own change.
             log._held_at = now
             self.pending.append(log)
             return 0
@@ -210,14 +214,17 @@ class ReplicationState:
         commit.merge_into(self.commit_floor)
         floor = self.commit_floor
         before = len(self.retained)
-        self.retained = [
-            log for log in self.retained
-            if not all(seq + 1 <= floor.get(partition, 0)
-                       for partition, seq in log.depvec.items())
-        ]
-        if before != len(self.retained):
-            self._m_pruned.inc(before - len(self.retained))
-        self._m_commit_lag.set(len(self.retained))
+        kept = []
+        for log in self.retained:
+            # Retained until every entry is under the floor.
+            for partition, seq in log.depvec.items():
+                if seq + 1 > floor.get(partition, 0):
+                    kept.append(log)
+                    break
+        self.retained = kept
+        if before != len(kept):
+            self._m_pruned.inc(before - len(kept))
+        self._m_commit_lag.set(len(kept))
 
     def unpruned_logs(self) -> List[PiggybackLog]:
         """Retained logs a successor might be missing (retransmission)."""

@@ -16,7 +16,7 @@ from ..net.packet import FlowKey, Packet
 from ..sim import Simulator
 from ..telemetry import NULL_PROFILER, NULL_TELEMETRY
 from .costs import CostModel, DEFAULT_COSTS
-from .piggyback import CommitVector, PiggybackLog, PiggybackMessage, value_bytes
+from .piggyback import CommitVector, PiggybackLog, PiggybackMessage
 
 __all__ = ["Forwarder"]
 
@@ -85,8 +85,7 @@ class Forwarder:
             for log in self.pending_logs:
                 cycles += (self.costs.piggyback_attach_cycles +
                            self.costs.per_state_byte_cycles *
-                           sum(value_bytes(v, self.costs)
-                               for v in log.updates.values()))
+                           log.state_bytes(self.costs))
                 message.add_log(log)
             self.pending_logs = []
         self._m_pending.set(0)

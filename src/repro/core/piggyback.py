@@ -10,6 +10,11 @@ the latest commit vector per middlebox.
 Byte sizes are estimated from the cost model's serialization constants
 so wire and copy costs reflect what a real implementation would pay
 (FTC appends the message after the payload and adjusts the IP length).
+
+Sizes are paid for once (PROTOCOL.md §13.4): a log is immutable once
+constructed and the same object rides every hop, so it sizes itself on
+first use; a message keeps running totals that its four mutators
+(``add_log``/``add_logs``/``take_logs``/``set_commit``) maintain.
 """
 
 from __future__ import annotations
@@ -63,17 +68,32 @@ class PiggybackLog:
     updates: Dict[Hashable, Any] = field(default_factory=dict)
     packet_id: int = 0
     log_id: int = field(default_factory=lambda: next(_log_ids))
+    #: ``(costs, wire bytes, state bytes)`` from the first sizing; the
+    #: log never changes after construction, so neither do they.
+    _sized: Optional[Tuple[CostModel, int, int]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def is_noop(self) -> bool:
         return not self.depvec and not self.updates
 
+    def _sizes(self, costs: CostModel) -> Tuple[CostModel, int, int]:
+        sized = self._sized
+        if sized is None or sized[0] is not costs:
+            state = sum(value_bytes(value, costs)
+                        for value in self.updates.values())
+            wire = (costs.log_header_bytes +
+                    len(self.depvec) * costs.depvec_entry_bytes +
+                    len(self.updates) * costs.key_bytes + state)
+            self._sized = sized = (costs, wire, state)
+        return sized
+
     def byte_size(self, costs: CostModel = DEFAULT_COSTS) -> int:
-        size = costs.log_header_bytes
-        size += len(self.depvec) * costs.depvec_entry_bytes
-        for key, value in self.updates.items():
-            size += costs.key_bytes + value_bytes(value, costs)
-        return size
+        return self._sizes(costs)[1]
+
+    def state_bytes(self, costs: CostModel = DEFAULT_COSTS) -> int:
+        """Bytes of raw state values carried (for copy-cost accounting)."""
+        return self._sizes(costs)[2]
 
     def __repr__(self):
         return (f"<PBLog {self.mbox} vec={self.depvec} "
@@ -118,11 +138,18 @@ class PiggybackMessage:
 
     def __init__(self, costs: CostModel = DEFAULT_COSTS):
         self.costs = costs
+        #: Read freely; mutate only through the four methods below --
+        #: they keep the running size totals in step.
         self.logs: Dict[str, List[PiggybackLog]] = {}
         self.commits: Dict[str, CommitVector] = {}
+        self._bytes = costs.message_header_bytes
+        self._state_bytes = 0
 
     def add_log(self, log: PiggybackLog) -> None:
         self.logs.setdefault(log.mbox, []).append(log)
+        _, wire, state = log._sizes(self.costs)
+        self._bytes += wire
+        self._state_bytes += state
 
     def add_logs(self, logs: List[PiggybackLog]) -> None:
         for log in logs:
@@ -130,13 +157,24 @@ class PiggybackMessage:
 
     def take_logs(self, mbox: str) -> List[PiggybackLog]:
         """Remove and return all logs for ``mbox`` (done by its tail)."""
-        return self.logs.pop(mbox, [])
+        logs = self.logs.pop(mbox, [])
+        for log in logs:
+            _, wire, state = log._sizes(self.costs)
+            self._bytes -= wire
+            self._state_bytes -= state
+        return logs
 
     def logs_for(self, mbox: str) -> List[PiggybackLog]:
         return self.logs.get(mbox, [])
 
     def set_commit(self, commit: CommitVector) -> None:
+        """Attach ``commit`` (replacing the mbox's previous one); its
+        entries must not change while it is aboard."""
+        previous = self.commits.get(commit.mbox)
+        if previous is not None:
+            self._bytes -= previous.byte_size(self.costs)
         self.commits[commit.mbox] = commit
+        self._bytes += commit.byte_size(self.costs)
 
     def commit_for(self, mbox: str) -> Optional[CommitVector]:
         return self.commits.get(mbox)
@@ -146,21 +184,11 @@ class PiggybackMessage:
         return sum(len(logs) for logs in self.logs.values())
 
     def byte_size(self) -> int:
-        size = self.costs.message_header_bytes
-        for logs in self.logs.values():
-            size += sum(log.byte_size(self.costs) for log in logs)
-        for commit in self.commits.values():
-            size += commit.byte_size(self.costs)
-        return size
+        return self._bytes
 
     def state_bytes(self) -> int:
         """Bytes of raw state values carried (for copy-cost accounting)."""
-        total = 0
-        for logs in self.logs.values():
-            for log in logs:
-                total += sum(value_bytes(v, self.costs)
-                             for v in log.updates.values())
-        return total
+        return self._state_bytes
 
     def __repr__(self):
         return (f"<PBMsg logs={{{', '.join(f'{m}:{len(l)}' for m, l in self.logs.items())}}} "

@@ -30,7 +30,8 @@ from ..sim import CancelledError, Interrupt, Process, RandomStreams, Simulator
 from ..telemetry import NULL_PROFILER, NULL_TELEMETRY
 from .costs import CostModel, DEFAULT_COSTS
 from .depvec import ReplicationState
-from .piggyback import PiggybackMessage, value_bytes
+from .forwarder import _PROPAGATING_FLOW, _PROPAGATING_SIZE
+from .piggyback import PiggybackMessage
 from .runtime import MiddleboxRuntime
 
 __all__ = ["Replica"]
@@ -191,8 +192,6 @@ class Replica:
             if isinstance(verdict, Packet):
                 out_packet = verdict
 
-        # byte_size walks every log and commit aboard; compute it once
-        # for both the histogram and the tailroom check.
         pb_bytes = message.byte_size()
         if self.telemetry.enabled:
             self._m_pb_bytes.observe(float(pb_bytes), t=self.sim.now)
@@ -231,8 +230,7 @@ class Replica:
                 for log in logs:
                     cycles += (self.costs.piggyback_apply_cycles +
                                self.costs.per_state_byte_cycles *
-                               sum(value_bytes(v, self.costs)
-                                   for v in log.updates.values()))
+                               log.state_bytes(self.costs))
                     state.offer(log, now=self.sim.now)
                     if (trace_enabled and log.packet_id is not None
                             and tracer.wants(log.packet_id)):
@@ -279,7 +277,6 @@ class Replica:
         """Carry a filtered packet's piggyback message onward (§5.1)."""
         if message.n_logs == 0 and not message.commits:
             return
-        from .forwarder import _PROPAGATING_FLOW, _PROPAGATING_SIZE
         packet = Packet(flow=_PROPAGATING_FLOW, size=_PROPAGATING_SIZE,
                         kind="propagating", created_at=self.sim.now)
         packet.attach("ftc", message)

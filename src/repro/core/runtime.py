@@ -9,6 +9,7 @@ back out.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Tuple
 
 from ..middlebox.base import DROP, Middlebox, PASS
@@ -77,6 +78,9 @@ class MiddleboxRuntime:
         self.depvec = DependencyVector(costs.n_partitions)
         self.counters = CycleCounters()
         self.transactions = 0
+        #: This middlebox's cycle-jitter stream, looked up once (streams
+        #: are seeded by name, so when it is first touched is immaterial).
+        self._gauss = self.streams.stream(f"cycles/{middlebox.name}").gauss
 
     # -- cost helpers ----------------------------------------------------------
 
@@ -84,9 +88,7 @@ class MiddleboxRuntime:
         frac = self.costs.cycle_jitter_frac
         if frac <= 0:
             return cycles
-        return self.streams.gauss_clamped(
-            f"cycles/{self.middlebox.name}", cycles, cycles * frac,
-            minimum=cycles * 0.5)
+        return max(cycles * 0.5, self._gauss(cycles, cycles * frac))
 
     def _processing_cycles(self) -> float:
         base = self.middlebox.processing_cycles
@@ -126,48 +128,16 @@ class MiddleboxRuntime:
             processing + self.extra_critical_cycles)
         self.counters.processing += processing
 
-        def body(ctx: TransactionContext):
-            return self.middlebox.process(packet, ctx)
-
-        def commit_hold_fn(ctx: TransactionContext) -> float:
-            if not self.replicate or not ctx.writes:
-                return 0.0
-            copy_cycles = self._jittered(
-                self.costs.piggyback_copy_cycles +
-                self.costs.per_state_byte_cycles *
-                sum(value_bytes(v, self.costs) for v in ctx.writes.values()))
-            self.counters.piggyback_copy += copy_cycles
-            return self.costs.cycles_to_seconds(copy_cycles)
-
-        flight = self.telemetry.flight
-
-        def on_commit(ctx: TransactionContext, touched) -> Optional[PiggybackLog]:
-            if not self.replicate:
-                return None
-            if not ctx.writes:
-                return PiggybackLog(self.middlebox.name, packet_id=packet.pid)
-            vec = self.depvec.stamp(sorted(touched))
-            log = PiggybackLog(self.middlebox.name, depvec=vec,
-                               updates=dict(ctx.writes), packet_id=packet.pid)
-            # The head is also the first of the f+1 replicas: account the
-            # log locally so pruning/recovery see it.
-            self.state.record_local(log)
-            if flight.enabled:
-                flight.record(
-                    "piggyback", "append", t=self.sim.now, pid=packet.pid,
-                    depvec=dict(vec),
-                    detail=f"{self.middlebox.name} "
-                           f"{len(ctx.writes)} update(s)",
-                    chain=f"pid:{packet.pid}")
-            return log
-
         trace_pid = (packet.pid
                      if self.telemetry.tracer.wants(packet.pid) else None)
         result = yield from self.manager.run(
-            body, hold_time=hold, flow=packet.flow, thread_id=thread_id,
+            partial(self.middlebox.process, packet),
+            hold_time=hold, flow=packet.flow, thread_id=thread_id,
             trace_pid=trace_pid,
-            flight_pid=packet.pid if flight.enabled else None,
-            on_commit=on_commit, commit_hold_fn=commit_hold_fn,
+            flight_pid=(packet.pid if self.telemetry.flight.enabled
+                        else None),
+            on_commit=partial(self._on_commit, packet.pid),
+            commit_hold_fn=self._commit_hold,
             lock_overhead_s=self.costs.cycles_to_seconds(locking),
             htm_overhead_s=self.costs.cycles_to_seconds(
                 self.costs.htm_commit_cycles))
@@ -178,3 +148,37 @@ class MiddleboxRuntime:
         if want_result:
             return result.value, log, result
         return result.value, log
+
+    def _commit_hold(self, ctx: TransactionContext) -> float:
+        """Seconds spent building the piggyback log under the locks."""
+        if not self.replicate or not ctx.writes:
+            return 0.0
+        copy_cycles = self._jittered(
+            self.costs.piggyback_copy_cycles +
+            self.costs.per_state_byte_cycles *
+            sum(value_bytes(v, self.costs) for v in ctx.writes.values()))
+        self.counters.piggyback_copy += copy_cycles
+        return self.costs.cycles_to_seconds(copy_cycles)
+
+    def _on_commit(self, pid: int, ctx: TransactionContext,
+                   touched) -> Optional[PiggybackLog]:
+        """Stamp the dependency vector and emit packet ``pid``'s log."""
+        if not self.replicate:
+            return None
+        if not ctx.writes:
+            return PiggybackLog(self.middlebox.name, packet_id=pid)
+        vec = self.depvec.stamp(sorted(touched))
+        log = PiggybackLog(self.middlebox.name, depvec=vec,
+                           updates=dict(ctx.writes), packet_id=pid)
+        # The head is also the first of the f+1 replicas: account the
+        # log locally so pruning/recovery see it.
+        self.state.record_local(log)
+        flight = self.telemetry.flight
+        if flight.enabled:
+            flight.record(
+                "piggyback", "append", t=self.sim.now, pid=pid,
+                depvec=dict(vec),
+                detail=f"{self.middlebox.name} "
+                       f"{len(ctx.writes)} update(s)",
+                chain=f"pid:{pid}")
+        return log

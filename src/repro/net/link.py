@@ -51,12 +51,13 @@ class Link:
         self.impair_duplicated = 0
         self.impair_reordered = 0
         self.impair_corrupted = 0
+        # Its items are wire sizes: send() reads a packet's once.
         self._serializer = RateLimiter(
             sim, rate=1e12,  # negligible base slot; cost_fn dominates
             cost_fn=self._serialization_time, name=f"{name}/serializer")
 
-    def _serialization_time(self, packet) -> float:
-        return packet.wire_size * 8.0 / self.bandwidth_bps
+    def _serialization_time(self, wire_bytes: int) -> float:
+        return wire_bytes * 8.0 / self.bandwidth_bps
 
     def send(self, packet) -> None:
         """Enqueue a packet; it arrives after serialization + delay."""
@@ -64,9 +65,10 @@ class Link:
         if spec is not None and spec.active(self.sim.now):
             self._send_impaired(packet, spec)
             return
+        wire_bytes = packet.wire_size
         self.tx_packets += 1
-        self.tx_bytes += packet.wire_size
-        serialization = self._serializer.admission_delay(packet)
+        self.tx_bytes += wire_bytes
+        serialization = self._serializer.admission_delay(wire_bytes)
         self.sim.schedule_callback(serialization + self.delay_s,
                                    lambda: self.sink(packet))
 
@@ -90,8 +92,9 @@ class Link:
         sender pushed into the link, as on the unimpaired path).
         """
         rng = self._impair_rng
+        wire_bytes = packet.wire_size  # a corrupted copy weighs the same
         self.tx_packets += 1
-        self.tx_bytes += packet.wire_size
+        self.tx_bytes += wire_bytes
         if spec.drop_rate and rng.random() < spec.drop_rate:
             self.impair_dropped += 1
             self._m_impair_drop.inc()
@@ -106,7 +109,7 @@ class Link:
             copies = 2
             self.impair_duplicated += 1
             self.tx_packets += 1
-            self.tx_bytes += packet.wire_size
+            self.tx_bytes += wire_bytes
         for _ in range(copies):
             deliver = packet
             if spec.corrupt_rate and rng.random() < spec.corrupt_rate:
@@ -116,7 +119,7 @@ class Link:
             if spec.reorder_rate and rng.random() < spec.reorder_rate:
                 self.impair_reordered += 1
                 extra = spec.reorder_delay_s * (1.0 + rng.random())
-            serialization = self._serializer.admission_delay(deliver)
+            serialization = self._serializer.admission_delay(wire_bytes)
             self.sim.schedule_callback(
                 serialization + self.delay_s + extra,
                 lambda p=deliver: self.sink(p))

@@ -112,9 +112,17 @@ class Packet:
 
     @property
     def wire_size(self) -> int:
-        """Total bytes on the wire, including attachments."""
-        extra = sum(value.byte_size() for value in self.attachments.values())
-        return self.size + extra
+        """Total bytes on the wire, including attachments.
+
+        Recomputed on every read, never cached: a receiver detaches the
+        piggyback message from a packet object that a duplicate or a
+        retransmitted frame still references, and the retransmission
+        must cost what the packet weighs *then* (PROTOCOL.md §13.4).
+        """
+        size = self.size
+        for value in self.attachments.values():
+            size += value.byte_size()
+        return size
 
     @property
     def is_data(self) -> bool:

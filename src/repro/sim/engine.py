@@ -109,7 +109,7 @@ class Event:
             # A late completion of a withdrawn event (e.g. a control-call
             # response arriving after its caller timed out and retried).
             return self
-        if self.triggered:
+        if self._value is not Event._PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
@@ -167,11 +167,19 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
-        super().__init__(sim)
-        self.delay = delay
-        self._ok = True
+        # The most-constructed event: Event.__init__ and
+        # Simulator._schedule written out, same fields and heap entry.
+        self.sim = sim
+        self.callbacks = []
         self._value = value
-        sim._schedule(self, delay=delay)
+        self._ok = True
+        self._scheduled = True
+        self._defused = False
+        self._cancelled = False
+        self.delay = delay
+        sim._eid += 1
+        heapq.heappush(sim._queue,
+                       (sim._now + delay, PRIORITY_NORMAL, sim._eid, self))
 
 
 class Initialize(Event):
@@ -226,7 +234,8 @@ class Process(Event):
         """Advance the generator with the triggered event's outcome."""
         # A stale wakeup: the process was already resumed by another
         # event (e.g. interrupted while waiting), then this one fired.
-        if self.triggered:
+        # (The hot path reads the slots behind triggered/processed.)
+        if self._value is not Event._PENDING:
             if not event._ok and not event._defused:
                 event._defused = True
             return
@@ -260,7 +269,7 @@ class Process(Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {next_target!r}, "
                 "which is not an Event")
-        if next_target.processed:
+        if next_target.callbacks is None:
             # Already-processed event: resume immediately (next step).
             immediate = Event(self.sim)
             immediate._ok = next_target._ok
@@ -409,7 +418,11 @@ class Simulator:
         event._ok = True
         event._value = None
         event.callbacks.append(lambda _evt: callback())
-        self._schedule(event, delay=delay)
+        # _schedule written out (a fresh event is never already queued).
+        event._scheduled = True
+        self._eid += 1
+        heapq.heappush(self._queue,
+                       (self._now + delay, PRIORITY_NORMAL, self._eid, event))
         return event
 
     # -- execution -----------------------------------------------------------

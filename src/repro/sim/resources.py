@@ -177,6 +177,7 @@ class RateLimiter:
             raise SimulationError("rate must be positive")
         self.sim = sim
         self.rate = rate
+        self._slot_s = 1.0 / rate
         self.cost_fn = cost_fn
         self.name = name
         self._next_free = 0.0
@@ -184,7 +185,7 @@ class RateLimiter:
 
     def admission_delay(self, item: Any = None) -> float:
         """Reserve a service slot; returns the delay until admission."""
-        service = 1.0 / self.rate
+        service = self._slot_s
         if self.cost_fn is not None:
             service += self.cost_fn(item)
         start = max(self.sim.now, self._next_free)

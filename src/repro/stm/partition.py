@@ -14,7 +14,7 @@ encoding of the key rather than Python's salted ``hash``.
 from __future__ import annotations
 
 import zlib
-from typing import Hashable
+from typing import Dict, Hashable
 
 __all__ = ["PartitionSpace", "DEFAULT_PARTITIONS"]
 
@@ -48,6 +48,12 @@ def _canonical(key: Hashable) -> bytes:
     return repr(key).encode()
 
 
+#: Leaf types whose encoding is a function of the value alone and
+#: that never compare equal to a key encoded differently (``True``
+#: encodes as ``1``).  Not ``float``: ``1.0 == 1`` but encodes by repr.
+_MEMOISABLE = frozenset((str, bytes, int, bool))
+
+
 class PartitionSpace:
     """Maps state keys to a fixed number of lock partitions."""
 
@@ -55,8 +61,23 @@ class PartitionSpace:
         if n_partitions < 1:
             raise ValueError("need at least one partition")
         self.n_partitions = n_partitions
+        #: key -> partition, for the keys a dict lookup cannot conflate
+        #: with a differently-encoded equal (flat tuples of, or bare,
+        #: ``_MEMOISABLE`` leaves -- which is what middleboxes use).
+        #: Bounded by the key population of the store it partitions.
+        self._memo: Dict[Hashable, int] = {}
 
     def partition_of(self, key: Hashable) -> int:
+        kind = type(key)
+        if (_MEMOISABLE.issuperset(map(type, key)) if kind is tuple
+                else kind in _MEMOISABLE):
+            partition = self._memo.get(key)
+            if partition is None:
+                partition = self._memo[key] = self._hash(key)
+            return partition
+        return self._hash(key)
+
+    def _hash(self, key: Hashable) -> int:
         return zlib.crc32(_canonical(key)) % self.n_partitions
 
     def partitions_of(self, keys) -> frozenset:

@@ -1,6 +1,9 @@
 """Tests for piggyback logs, commit vectors, and messages."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.costs import DEFAULT_COSTS
 from repro.core.piggyback import (
@@ -9,6 +12,7 @@ from repro.core.piggyback import (
     PiggybackMessage,
     value_bytes,
 )
+from repro.net.packet import FlowKey, Packet
 
 
 class TestValueBytes:
@@ -111,3 +115,85 @@ class TestPiggybackMessage:
         msg = PiggybackMessage()
         msg.add_log(PiggybackLog("m", depvec={0: 1}, updates={"k": b"12345678"}))
         assert msg.state_bytes() == 8
+
+
+# -- cached sizes vs a from-scratch walk (PROTOCOL.md §13.4) -----------------
+
+def _walk_log_bytes(log, costs):
+    """The uncached reference: what ``PiggybackLog.byte_size`` walked."""
+    size = costs.log_header_bytes + len(log.depvec) * costs.depvec_entry_bytes
+    for value in log.updates.values():
+        size += costs.key_bytes + value_bytes(value, costs)
+    return size
+
+
+def _walk_message(message):
+    """(byte_size, state_bytes) recomputed from ``logs``/``commits``."""
+    costs = message.costs
+    size, state = costs.message_header_bytes, 0
+    for logs in message.logs.values():
+        for log in logs:
+            size += _walk_log_bytes(log, costs)
+            state += sum(value_bytes(v, costs) for v in log.updates.values())
+    for commit in message.commits.values():
+        size += (costs.commit_header_bytes +
+                 len(commit.entries) * costs.depvec_entry_bytes)
+    return size, state
+
+
+_MBOXES = st.sampled_from(["a", "b", "c"])
+_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                    st.binary(max_size=40), st.text(max_size=10),
+                    st.tuples(st.integers(), st.binary(max_size=8)))
+_LOGS = st.builds(
+    PiggybackLog, _MBOXES,
+    depvec=st.dictionaries(st.integers(0, 7), st.integers(0, 50), max_size=4),
+    updates=st.dictionaries(st.text(max_size=4), _VALUES, max_size=4))
+_COMMITS = st.builds(
+    CommitVector, _MBOXES,
+    st.dictionaries(st.integers(0, 7), st.integers(0, 50), max_size=4))
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("add_log"), _LOGS),
+    st.tuples(st.just("add_logs"), st.lists(_LOGS, max_size=3)),
+    st.tuples(st.just("take_logs"), _MBOXES),
+    st.tuples(st.just("set_commit"), _COMMITS),
+    st.tuples(st.just("attach"), st.none()),
+    st.tuples(st.just("detach"), st.none()),
+), max_size=25)
+
+
+class TestSizeCacheCoherence:
+    @given(_OPS)
+    def test_running_totals_equal_a_reference_walk(self, ops):
+        message = PiggybackMessage()
+        packet = Packet(flow=FlowKey(1, 2, 3, 4), size=256)
+        for name, arg in ops:
+            if name == "attach":
+                packet.attach("ftc", message)
+            elif name == "detach":
+                packet.detach("ftc")
+            else:
+                getattr(message, name)(arg)
+            size, state = _walk_message(message)
+            assert message.byte_size() == size
+            assert message.state_bytes() == state
+            aboard = size if packet.attachment("ftc") is message else 0
+            assert packet.wire_size == 256 + aboard
+
+    @given(_LOGS, _LOGS)
+    def test_a_log_shared_by_two_messages_is_sized_for_both(self, log, other):
+        first, second = PiggybackMessage(), PiggybackMessage()
+        first.add_logs([log, other])
+        second.add_log(log)
+        first.take_logs(other.mbox)
+        assert first.byte_size() == _walk_message(first)[0]
+        assert second.byte_size() == _walk_message(second)[0]
+
+    @given(_LOGS)
+    def test_log_sizes_follow_the_cost_model_asked_about(self, log):
+        fat = dataclasses.replace(DEFAULT_COSTS, key_bytes=40,
+                                  log_header_bytes=9)
+        for costs in (DEFAULT_COSTS, fat, DEFAULT_COSTS):
+            assert log.byte_size(costs) == _walk_log_bytes(log, costs)
+            assert log.state_bytes(costs) == sum(
+                value_bytes(v, costs) for v in log.updates.values())

@@ -1,9 +1,13 @@
 """Tests for state stores and partitioning."""
 
+import zlib
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.net.packet import FlowKey
 from repro.stm import PartitionSpace, StateStore, TOMBSTONE
+from repro.stm.partition import _canonical
 
 
 class TestStateStore:
@@ -124,6 +128,28 @@ class TestPartitionSpace:
         for key in (2 ** 127, -(2 ** 127) - 1, 2 ** 400):
             assert 0 <= space.partition_of(key) < 32
             assert space.partition_of(key) == space.partition_of(key)
+
+    #: Keys that compare (and hash) equal yet encode differently sit
+    #: next to each other, so a memo keyed on equality alone would
+    #: hand one the other's partition.
+    MIXED_KEYS = [
+        1, 1.0, True, 0, 0.0, False, -1, 2 ** 127, -(2 ** 127) - 1, 2 ** 400,
+        "1", b"1", "", b"", None,
+        (1,), (1.0,), (True,), (), ("count", 0), ("count", 0.0),
+        ("count", False), ("a", b"a"), ((1,), 2), ((1.0,), 2), ((True,), 2),
+        (1, (1, (1.0,))), (1, (1, (1,))), (2 ** 127,), (None,),
+        FlowKey(1, 2, 3, 4), FlowKey(1.0, 2, 3, 4), FlowKey(4, 3, 2, 1),
+        ("fwd", FlowKey(1, 2, 3, 4)), ("fwd", FlowKey(1.0, 2, 3, 4)),
+        frozenset({1}), frozenset({1.0}),
+    ]
+
+    @given(st.lists(st.sampled_from(MIXED_KEYS), max_size=60),
+           st.sampled_from([1, 7, 64, 1 << 30]))
+    def test_memo_equals_uncached_hash_in_any_call_order(self, keys, n):
+        space = PartitionSpace(n)
+        for key in keys:
+            assert space.partition_of(key) == \
+                zlib.crc32(_canonical(key)) % n, key
 
     def test_equality(self):
         assert PartitionSpace(8) == PartitionSpace(8)
