@@ -211,20 +211,23 @@ class ReplicationState:
         if commit.mbox != self.mbox:
             raise ProtocolError(
                 f"commit for {commit.mbox} offered to {self.mbox}")
-        commit.merge_into(self.commit_floor)
         floor = self.commit_floor
-        before = len(self.retained)
-        kept = []
-        for log in self.retained:
-            # Retained until every entry is under the floor.
-            for partition, seq in log.depvec.items():
-                if seq + 1 > floor.get(partition, 0):
-                    kept.append(log)
-                    break
-        self.retained = kept
-        if before != len(kept):
-            self._m_pruned.inc(before - len(kept))
-        self._m_commit_lag.set(len(kept))
+        retained = self.retained
+        # Only a floor that rose can put a retained log under it.
+        if commit.merge_into(floor) and retained:
+            current = floor.get
+            kept = []
+            keep = kept.append
+            for log in retained:
+                # Retained until every entry is under the floor.
+                for partition, seq in log.depvec.items():
+                    if seq + 1 > current(partition, 0):
+                        keep(log)
+                        break
+            if len(kept) != len(retained):
+                self._m_pruned.inc(len(retained) - len(kept))
+                self.retained = retained = kept
+        self._m_commit_lag.set(len(retained))
 
     def unpruned_logs(self) -> List[PiggybackLog]:
         """Retained logs a successor might be missing (retransmission)."""

@@ -10,7 +10,7 @@ state keeps flowing (§5.1).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional
 
 from ..net.packet import FlowKey, Packet
 from ..sim import Simulator
@@ -45,7 +45,9 @@ class Forwarder:
         self._m_propagating = registry.counter(f"{name}/propagating_sent")
         self.pending_logs: List[PiggybackLog] = []
         self.pending_commits: Dict[str, Dict[int, int]] = {}
-        self._dirty_commits: Set[str] = set()
+        #: mboxes whose floor rose since the last attach, in the order
+        #: they rose (a set would iterate in PYTHONHASHSEED order).
+        self._dirty_commits: Dict[str, None] = {}
         self.last_rx = 0.0
         self.packets_seen = 0
         self.cycles_spent = 0.0
@@ -65,11 +67,8 @@ class Forwarder:
             self.pending_logs.extend(logs)
         self._m_pending.set(len(self.pending_logs))
         for mbox, commit in message.commits.items():
-            floor = self.pending_commits.setdefault(mbox, {})
-            before = dict(floor)
-            commit.merge_into(floor)
-            if floor != before:
-                self._dirty_commits.add(mbox)
+            if commit.merge_into(self.pending_commits.setdefault(mbox, {})):
+                self._dirty_commits[mbox] = None
 
     # -- per-packet attach (called by replica 0's worker) ----------------------
 

@@ -53,7 +53,6 @@ def value_bytes(value: Any, costs: CostModel = DEFAULT_COSTS) -> int:
     return costs.key_bytes
 
 
-@dataclass
 class PiggybackLog:
     """State updates of one packet transaction at one middlebox.
 
@@ -61,21 +60,37 @@ class PiggybackLog:
     number; partitions absent from it are "don't care" (§4.3).  A
     read-only transaction produces a no-op log (empty depvec, no
     updates) which replicas skip over.
+
+    Frozen at construction: nothing rebinds ``depvec``/``updates`` or
+    changes their contents afterwards, so ``is_noop`` is a field.
     """
 
-    mbox: str
-    depvec: Dict[int, int] = field(default_factory=dict)
-    updates: Dict[Hashable, Any] = field(default_factory=dict)
-    packet_id: int = 0
-    log_id: int = field(default_factory=lambda: next(_log_ids))
-    #: ``(costs, wire bytes, state bytes)`` from the first sizing; the
-    #: log never changes after construction, so neither do they.
-    _sized: Optional[Tuple[CostModel, int, int]] = field(
-        default=None, init=False, repr=False, compare=False)
+    __slots__ = ("mbox", "depvec", "updates", "packet_id", "log_id",
+                 "is_noop", "_sized", "_held_at")
 
-    @property
-    def is_noop(self) -> bool:
-        return not self.depvec and not self.updates
+    def __init__(self, mbox: str, depvec: Optional[Dict[int, int]] = None,
+                 updates: Optional[Dict[Hashable, Any]] = None,
+                 packet_id: int = 0, log_id: Optional[int] = None):
+        self.mbox = mbox
+        self.depvec = depvec if depvec is not None else {}
+        self.updates = updates if updates is not None else {}
+        self.packet_id = packet_id
+        self.log_id = log_id if log_id is not None else next(_log_ids)
+        self.is_noop = not self.depvec and not self.updates
+        #: ``(costs, wire bytes, state bytes)`` from the first sizing.
+        self._sized: Optional[Tuple[CostModel, int, int]] = None
+        #: When a replica last held this log back as out-of-order.
+        self._held_at = 0.0
+
+    def __eq__(self, other):
+        if other.__class__ is not PiggybackLog:
+            return NotImplemented
+        return ((self.mbox, self.depvec, self.updates, self.packet_id,
+                 self.log_id) ==
+                (other.mbox, other.depvec, other.updates, other.packet_id,
+                 other.log_id))
+
+    __hash__ = None
 
     def _sizes(self, costs: CostModel) -> Tuple[CostModel, int, int]:
         sized = self._sized
@@ -115,10 +130,15 @@ class CommitVector:
         return (costs.commit_header_bytes +
                 len(self.entries) * costs.depvec_entry_bytes)
 
-    def merge_into(self, target: Dict[int, int]) -> None:
+    def merge_into(self, target: Dict[int, int]) -> bool:
+        """Element-wise max into ``target``; True if any entry rose."""
+        raised = False
+        current = target.get
         for partition, seq in self.entries.items():
-            if seq > target.get(partition, -1):
+            if seq > current(partition, -1):
                 target[partition] = seq
+                raised = True
+        return raised
 
     def covers(self, depvec: Dict[int, int]) -> bool:
         """True when every entry of ``depvec`` is replicated under this vector.

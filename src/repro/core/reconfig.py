@@ -746,7 +746,7 @@ def _restructure(ctx: _Ctx, report: ReconfigReport, reroute_delay_s: float):
                 log for log in chain.forwarder.pending_logs
                 if log.mbox != name]
             chain.forwarder.pending_commits.pop(name, None)
-            chain.forwarder._dirty_commits.discard(name)
+            chain.forwarder._dirty_commits.pop(name, None)
             chain.buffer.commit_floor.pop(name, None)
             chain.buffer._commit_sent.pop(name, None)
             chain.buffer.feedback_logs = [

@@ -26,7 +26,8 @@ from typing import Dict, List, Optional
 
 from ..middlebox.base import DROP, Middlebox
 from ..net.packet import Packet
-from ..sim import CancelledError, Interrupt, Process, RandomStreams, Simulator
+from ..sim import (CancelledError, Interrupt, Process, RandomStreams,
+                   Simulator, Timeout)
 from ..telemetry import NULL_PROFILER, NULL_TELEMETRY
 from .costs import CostModel, DEFAULT_COSTS
 from .depvec import ReplicationState
@@ -116,14 +117,6 @@ class Replica:
         self.workers = []
         self._watchdog = None
 
-    @property
-    def is_first(self) -> bool:
-        return self.position == 0
-
-    @property
-    def is_last(self) -> bool:
-        return self.position == self.chain.n_positions - 1
-
     # -- ingestion helpers -----------------------------------------------------
 
     def enqueue_local(self, packet: Packet) -> bool:
@@ -154,23 +147,28 @@ class Replica:
 
     def _handle(self, packet: Packet, thread_id: int):
         self.packets_handled += 1
-        tracer = self.telemetry.tracer
-        traced = packet.is_data and tracer.wants(packet.pid)
-        entered = self.sim.now
-        cycles = self.costs.per_wire_byte_cycles * packet.wire_size
+        sim = self.sim
+        costs = self.costs
+        chain = self.chain
+        telemetry = self.telemetry
+        is_data = packet.is_data
+        traced = (telemetry.enabled and is_data
+                  and telemetry.tracer.wants(packet.pid))
+        entered = sim.now
+        cycles = costs.per_wire_byte_cycles * packet.wire_size
         message = packet.detach("ftc")
         if message is None:
-            message = PiggybackMessage(self.costs)
+            message = PiggybackMessage(costs)
 
-        if self.is_first and packet.kind != "feedback":
-            cycles += self.chain.forwarder.attach(message)
+        if self.position == 0 and packet.kind != "feedback":
+            cycles += chain.forwarder.attach(message)
 
         cycles += self._process_piggyback(message)
         if cycles > 0:
-            yield self.sim.timeout(self.costs.cycles_to_seconds(cycles))
+            yield Timeout(sim, cycles / costs.cpu_hz)
 
         out_packet = packet
-        if self.runtime is not None and packet.is_data:
+        if self.runtime is not None and is_data:
             verdict, log = yield from self.runtime.process(packet, thread_id)
             if log is not None and not log.is_noop:
                 message.add_log(log)
@@ -193,16 +191,21 @@ class Replica:
                 out_packet = verdict
 
         pb_bytes = message.byte_size()
-        if self.telemetry.enabled:
-            self._m_pb_bytes.observe(float(pb_bytes), t=self.sim.now)
+        if telemetry.enabled:
+            self._m_pb_bytes.observe(float(pb_bytes), t=sim.now)
         if traced:
             self._close_span(packet, entered)
         if pb_bytes > out_packet.size:
             # The piggyback message no longer fits the packet buffer's
             # tailroom: extend/chain the buffer before forwarding.
-            yield self.sim.timeout(self.costs.cycles_to_seconds(
-                self.costs.mbuf_extension_cycles))
-        yield from self._forward(out_packet, message)
+            yield Timeout(sim, costs.mbuf_extension_cycles / costs.cpu_hz)
+        if self.position == chain.n_positions - 1:
+            yield Timeout(sim, chain.buffer.handle(out_packet, message)
+                          / costs.cpu_hz)
+        else:
+            out_packet.attach("ftc", message)
+            chain.send_to_position(self.position, self.position + 1,
+                                   out_packet)
 
     def _close_span(self, packet: Packet, entered: float,
                     dropped: bool = False) -> None:
@@ -215,63 +218,57 @@ class Replica:
     def _process_piggyback(self, message: PiggybackMessage) -> float:
         """Apply carried logs; strip + commit where we are the tail."""
         cycles = 0.0
+        costs = self.costs
+        apply_cycles = costs.piggyback_apply_cycles
+        per_byte_cycles = costs.per_state_byte_cycles
+        now = self.sim.now
+        states = self.states
+        tail_last_sent = self.tail_last_sent
         trace_enabled = self.telemetry.enabled
         tracer = self.telemetry.tracer
         flight = self.telemetry.flight
+        flight_enabled = flight.enabled
         prof = self._prof
         for mbox in self.replicated:
             logs = message.logs_for(mbox)
             if logs:
                 prof_t0 = prof.t0()
-                n_logs = len(logs)
-                state = self.states[mbox]
+                offer = states[mbox].offer
                 # offer() never touches message.logs, so iterate the
                 # live list -- no per-packet throwaway copy.
                 for log in logs:
-                    cycles += (self.costs.piggyback_apply_cycles +
-                               self.costs.per_state_byte_cycles *
-                               log.state_bytes(self.costs))
-                    state.offer(log, now=self.sim.now)
+                    cycles += (apply_cycles +
+                               per_byte_cycles * log.state_bytes(costs))
+                    offer(log, now)
                     if (trace_enabled and log.packet_id is not None
                             and tracer.wants(log.packet_id)):
                         tracer.instant(log.packet_id,
                                        f"replicate@p{self.position}", "repl",
-                                       self.sim.now, tid=self.position,
-                                       mbox=mbox)
-                    if flight.enabled and log.packet_id is not None:
+                                       now, tid=self.position, mbox=mbox)
+                    if flight_enabled and log.packet_id is not None:
                         flight.record(
-                            "piggyback", "apply", t=self.sim.now,
+                            "piggyback", "apply", t=now,
                             pid=log.packet_id, depvec=dict(log.depvec),
                             detail=f"{mbox} @p{self.position}",
                             chain=f"pid:{log.packet_id}")
-                prof.add("depvec/merge", prof_t0, n=n_logs)
-            if mbox in self.tail_last_sent:
+                prof.add("depvec/merge", prof_t0, n=len(logs))
+            if mbox in tail_last_sent:
                 prof_t0 = prof.t0()
                 message.take_logs(mbox)
-                state = self.states[mbox]
-                commit = state.commit_vector(last_sent=self.tail_last_sent[mbox])
+                state = states[mbox]
+                commit = state.commit_vector(tail_last_sent[mbox])
                 if commit.entries:
                     message.set_commit(commit)
-                    self.tail_last_sent[mbox] = dict(state.max)
+                    tail_last_sent[mbox] = dict(state.max)
                 prof.add("piggyback/trim", prof_t0)
         if message.commits:
             prof_t0 = prof.t0()
             for mbox, commit in message.commits.items():
-                state = self.states.get(mbox)
+                state = states.get(mbox)
                 if state is not None:
                     state.absorb_commit(commit)
             prof.add("piggyback/trim", prof_t0)
         return cycles
-
-    def _forward(self, packet: Packet, message: PiggybackMessage):
-        if self.is_last:
-            cycles = self.chain.buffer.handle(packet, message)
-            yield self.sim.timeout(self.costs.cycles_to_seconds(cycles))
-        else:
-            packet.attach("ftc", message)
-            self.chain.send_to_position(self.position, self.position + 1, packet)
-            return
-            yield  # pragma: no cover - keeps this a generator
 
     def _emit_propagating(self, message: PiggybackMessage) -> None:
         """Carry a filtered packet's piggyback message onward (§5.1)."""
@@ -281,7 +278,7 @@ class Replica:
                         kind="propagating", created_at=self.sim.now)
         packet.attach("ftc", message)
         self.propagating_emitted += 1
-        if self.is_last:
+        if self.position == self.chain.n_positions - 1:
             self.chain.buffer.handle(packet, packet.detach("ftc"))
         else:
             self.chain.send_to_position(self.position, self.position + 1, packet)
@@ -298,8 +295,7 @@ class Replica:
                 for mbox in self.replicated:
                     state = self.states[mbox]
                     if state.pending and not state.frozen:
-                        oldest = min(getattr(log, "_held_at", 0.0)
-                                     for log in state.pending)
+                        oldest = min(log._held_at for log in state.pending)
                         if self.sim.now - oldest >= RETRANSMIT_AFTER_S:
                             yield from self._request_retransmission(mbox)
         except (Interrupt, CancelledError):

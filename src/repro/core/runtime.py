@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 from ..middlebox.base import DROP, Middlebox, PASS
 from ..net.packet import Packet
-from ..sim import RandomStreams, Simulator
+from ..sim import RandomStreams, Simulator, Timeout
 from ..stm.partition import PartitionSpace
 from ..stm.transaction import TransactionContext, TransactionManager
 from ..telemetry import NULL_TELEMETRY
@@ -82,20 +82,6 @@ class MiddleboxRuntime:
         #: are seeded by name, so when it is first touched is immaterial).
         self._gauss = self.streams.stream(f"cycles/{middlebox.name}").gauss
 
-    # -- cost helpers ----------------------------------------------------------
-
-    def _jittered(self, cycles: float) -> float:
-        frac = self.costs.cycle_jitter_frac
-        if frac <= 0:
-            return cycles
-        return max(cycles * 0.5, self._gauss(cycles, cycles * frac))
-
-    def _processing_cycles(self) -> float:
-        base = self.middlebox.processing_cycles
-        if base is None:
-            base = self.costs.processing_cycles
-        return self._jittered(base)
-
     # -- execution ----------------------------------------------------------------
 
     def process(self, packet: Packet, thread_id: int,
@@ -107,58 +93,73 @@ class MiddleboxRuntime:
         callers like FTMB can inspect the access set.  Read-only
         transactions yield a no-op log; stateless middleboxes skip the
         STM entirely (and produce no log).
+
+        Cycle costs are jittered in a fixed draw order (processing,
+        locking, then -- in ``_commit_hold`` -- the log copy) and
+        converted by the same division ``cycles_to_seconds`` does.
         """
         self.transactions += 1
-        self.counters.packets += 1
-        processing = self._processing_cycles()
-        if self.middlebox.stateless:
-            self.counters.processing += processing
-            yield self.sim.timeout(self.costs.cycles_to_seconds(processing))
-            verdict = self.middlebox.process(
-                packet, TransactionContext(self.state.store,
-                                           flow=packet.flow,
-                                           thread_id=thread_id,
-                                           now=self.sim.now))
+        counters = self.counters
+        counters.packets += 1
+        costs = self.costs
+        middlebox = self.middlebox
+        cpu_hz = costs.cpu_hz
+        jitter = costs.cycle_jitter_frac
+        processing = middlebox.processing_cycles
+        if processing is None:
+            processing = costs.processing_cycles
+        if jitter > 0:
+            processing = max(processing * 0.5,
+                             self._gauss(processing, processing * jitter))
+        counters.processing += processing
+        if middlebox.stateless:
+            yield Timeout(self.sim, processing / cpu_hz)
+            verdict = middlebox.process(
+                packet, TransactionContext(self.state.store, packet.flow,
+                                           thread_id, self.sim.now))
             if want_result:
                 return verdict, None, None
             return verdict, None
 
-        locking = self._jittered(self.costs.locking_cycles)
-        hold = self.costs.cycles_to_seconds(
-            processing + self.extra_critical_cycles)
-        self.counters.processing += processing
-
-        trace_pid = (packet.pid
-                     if self.telemetry.tracer.wants(packet.pid) else None)
+        locking = costs.locking_cycles
+        if jitter > 0:
+            locking = max(locking * 0.5,
+                          self._gauss(locking, locking * jitter))
+        telemetry = self.telemetry
+        pid = packet.pid
         result = yield from self.manager.run(
-            partial(self.middlebox.process, packet),
-            hold_time=hold, flow=packet.flow, thread_id=thread_id,
-            trace_pid=trace_pid,
-            flight_pid=(packet.pid if self.telemetry.flight.enabled
-                        else None),
-            on_commit=partial(self._on_commit, packet.pid),
-            commit_hold_fn=self._commit_hold,
-            lock_overhead_s=self.costs.cycles_to_seconds(locking),
-            htm_overhead_s=self.costs.cycles_to_seconds(
-                self.costs.htm_commit_cycles))
-        self.counters.locking += (self.costs.htm_commit_cycles
-                                  if result.used_htm else locking)
+            partial(middlebox.process, packet),
+            (processing + self.extra_critical_cycles) / cpu_hz,
+            packet.flow, thread_id, None,
+            partial(self._on_commit, pid), self._commit_hold,
+            locking / cpu_hz, costs.htm_commit_cycles / cpu_hz,
+            pid if telemetry.enabled and telemetry.tracer.wants(pid)
+            else None,
+            pid if telemetry.flight.enabled else None)
+        counters.locking += (costs.htm_commit_cycles
+                             if result.used_htm else locking)
 
-        log = result.commit_value
         if want_result:
-            return result.value, log, result
-        return result.value, log
+            return result.value, result.commit_value, result
+        return result.value, result.commit_value
 
     def _commit_hold(self, ctx: TransactionContext) -> float:
         """Seconds spent building the piggyback log under the locks."""
-        if not self.replicate or not ctx.writes:
+        writes = ctx.writes
+        if not self.replicate or not writes:
             return 0.0
-        copy_cycles = self._jittered(
-            self.costs.piggyback_copy_cycles +
-            self.costs.per_state_byte_cycles *
-            sum(value_bytes(v, self.costs) for v in ctx.writes.values()))
+        costs = self.costs
+        state_bytes = 0
+        for value in writes.values():
+            state_bytes += value_bytes(value, costs)
+        copy_cycles = (costs.piggyback_copy_cycles +
+                       costs.per_state_byte_cycles * state_bytes)
+        jitter = costs.cycle_jitter_frac
+        if jitter > 0:
+            copy_cycles = max(copy_cycles * 0.5,
+                              self._gauss(copy_cycles, copy_cycles * jitter))
         self.counters.piggyback_copy += copy_cycles
-        return self.costs.cycles_to_seconds(copy_cycles)
+        return copy_cycles / costs.cpu_hz
 
     def _on_commit(self, pid: int, ctx: TransactionContext,
                    touched) -> Optional[PiggybackLog]:
@@ -168,8 +169,7 @@ class MiddleboxRuntime:
         if not ctx.writes:
             return PiggybackLog(self.middlebox.name, packet_id=pid)
         vec = self.depvec.stamp(sorted(touched))
-        log = PiggybackLog(self.middlebox.name, depvec=vec,
-                           updates=dict(ctx.writes), packet_id=pid)
+        log = PiggybackLog(self.middlebox.name, vec, ctx.writes, pid)
         # The head is also the first of the f+1 replicas: account the
         # log locally so pruning/recovery see it.
         self.state.record_local(log)

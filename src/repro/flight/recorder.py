@@ -103,6 +103,8 @@ class FlightEvent:
 class FlightRecorder:
     """Bounded, deterministic ring buffer of causal events."""
 
+    enabled = True
+
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
                  autodump_path: Optional[str] = None):
         if capacity < 1:
@@ -122,10 +124,6 @@ class FlightRecorder:
         #: Reasons this recorder tripped (auto-dumped), in order.
         self.trips: List[str] = []
         self._dump_written: Optional[str] = None
-
-    @property
-    def enabled(self) -> bool:
-        return True
 
     @property
     def events(self) -> List[FlightEvent]:
@@ -263,9 +261,7 @@ class NullFlightRecorder:
     trips: List[str] = []
     events: List[FlightEvent] = []
 
-    @property
-    def enabled(self) -> bool:
-        return False
+    enabled = False
 
     def __len__(self) -> int:
         return 0

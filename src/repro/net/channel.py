@@ -38,7 +38,8 @@ repairs the hop, the log protocol repairs across failovers.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Dict, Optional
 
 from ..sim import CancelledError, Interrupt, Simulator
 from ..telemetry import NULL_PROFILER, NULL_TELEMETRY
@@ -140,7 +141,7 @@ class ReliableChannel:
         # -- sender state --
         self.next_seq = 0
         self.unacked: Dict[int, _Pending] = {}
-        self.txq: List[Any] = []
+        self.txq: Deque[Any] = deque()
         #: Send-queue pressure bound (PROTOCOL.md §12.2).  The queue is
         #: deliberately *not* hard-bounded -- dropping an in-chain
         #: packet here would desynchronize replicated state -- but past
@@ -257,7 +258,7 @@ class ReliableChannel:
 
     def _refill(self) -> None:
         while self.txq and len(self.unacked) < self.window:
-            self._transmit(self.txq.pop(0))
+            self._transmit(self.txq.popleft())
 
     def _rto(self, attempts: int) -> float:
         """Deadline for retry ``attempts``: base timeout + capped backoff."""

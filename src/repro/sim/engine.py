@@ -74,6 +74,10 @@ class Event:
 
     _PENDING = object()
 
+    #: The callable :meth:`Simulator.step` runs before the callbacks;
+    #: only :class:`_Callback` events carry one.
+    _call = None
+
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         self.callbacks: Optional[list] = []
@@ -179,7 +183,13 @@ class Timeout(Event):
         self.delay = delay
         sim._eid += 1
         heapq.heappush(sim._queue,
-                       (sim._now + delay, PRIORITY_NORMAL, sim._eid, self))
+                       (sim.now + delay, PRIORITY_NORMAL, sim._eid, self))
+
+
+class _Callback(Event):
+    """The event behind :meth:`Simulator.schedule_callback`."""
+
+    __slots__ = ("_call",)
 
 
 class Initialize(Event):
@@ -366,7 +376,9 @@ class Simulator:
     """The virtual-time event loop."""
 
     def __init__(self):
-        self._now = 0.0
+        #: Current virtual time, in seconds.  A plain attribute (it is
+        #: read tens of times per packet); only the engine writes it.
+        self.now = 0.0
         self._queue: list = []
         self._eid = 0
         self._active_process: Optional[Process] = None
@@ -375,11 +387,6 @@ class Simulator:
         #: ``engine/dispatch`` stage.  ``None`` keeps the disabled path
         #: at one attribute load per step (fig5/fig13 byte-identical).
         self.profiler = None
-
-    @property
-    def now(self) -> float:
-        """Current virtual time, in seconds."""
-        return self._now
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -410,19 +417,19 @@ class Simulator:
             raise SimulationError(f"{event!r} is already scheduled")
         event._scheduled = True
         self._eid += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._eid, event))
+        heapq.heappush(self._queue, (self.now + delay, priority, self._eid, event))
 
     def schedule_callback(self, delay: float, callback: Callable[[], Any]) -> Event:
         """Run a plain callable at ``now + delay`` (no process needed)."""
-        event = Event(self)
+        event = _Callback(self)
         event._ok = True
         event._value = None
-        event.callbacks.append(lambda _evt: callback())
+        event._call = callback
         # _schedule written out (a fresh event is never already queued).
         event._scheduled = True
         self._eid += 1
         heapq.heappush(self._queue,
-                       (self._now + delay, PRIORITY_NORMAL, self._eid, event))
+                       (self.now + delay, PRIORITY_NORMAL, self._eid, event))
         return event
 
     # -- execution -----------------------------------------------------------
@@ -440,14 +447,19 @@ class Simulator:
             # Discarded without running callbacks or advancing the
             # clock; the event stays unprocessed forever.
             return
-        self._now = when
+        self.now = when
         callbacks, event.callbacks = event.callbacks, None
         profiler = self.profiler
+        call = event._call
         if profiler is None:
+            if call is not None:
+                call()
             for callback in callbacks:
                 callback(event)
         else:
             t0 = profiler.t0()
+            if call is not None:
+                call()
             for callback in callbacks:
                 callback(event)
             profiler.add("engine/dispatch", t0)
@@ -477,11 +489,11 @@ class Simulator:
             stop._defused = True
             raise stop._value
         horizon = float(until)
-        if horizon < self._now:
+        if horizon < self.now:
             raise SimulationError(
                 f"cannot run until {horizon!r}: it is in the past "
-                f"(now={self._now!r})")
+                f"(now={self.now!r})")
         while self._queue and self._queue[0][0] <= horizon:
             self.step()
-        self._now = horizon
+        self.now = horizon
         return None

@@ -85,8 +85,11 @@ class PartitionLock:
     def try_acquire(self, tx) -> bool:
         """Take the lock only if it is free with no queued waiters.
 
-        Used by the hybrid-HTM fast path (§3.2): an uncontended
-        transaction elides the full lock protocol.
+        Grants under exactly :meth:`acquire`'s no-wait conditions, so a
+        caller may try this first and fall back to ``acquire`` (which
+        then waits, or raises for a wounded ``tx``).  Also the
+        hybrid-HTM fast path (§3.2): an uncontended transaction elides
+        the full lock protocol.
         """
         if self.owner is tx:
             return True
@@ -155,10 +158,11 @@ class PartitionLock:
             if waiter.triggered:  # cancelled (wounded) waiter
                 continue
             self._grant(next_tx)
-            live_waiters = sum(1 for _t, _i, w, _x in self._waiters
-                               if not w.triggered)
-            if self.handoff_delay_s > 0.0 and live_waiters < self.spin_threshold:
-                waiter.succeed(delay=self.handoff_delay_s)
+            delay = self.handoff_delay_s
+            if delay > 0.0 and sum(
+                    1 for _t, _i, w, _x in self._waiters
+                    if not w.triggered) < self.spin_threshold:
+                waiter.succeed(delay=delay)
             else:
                 waiter.succeed()
             break

@@ -81,7 +81,7 @@ class PartitionSpace:
         return zlib.crc32(_canonical(key)) % self.n_partitions
 
     def partitions_of(self, keys) -> frozenset:
-        return frozenset(self.partition_of(key) for key in keys)
+        return frozenset(map(self.partition_of, keys))
 
     def __eq__(self, other):
         if not isinstance(other, PartitionSpace):

@@ -60,8 +60,13 @@ class StateStore:
         self.writes_applied += 1
 
     def apply_many(self, updates: Dict[Hashable, Any]) -> None:
+        data = self._data
         for key, value in updates.items():
-            self.apply(key, value)
+            if value is TOMBSTONE:
+                data.pop(key, None)
+            else:
+                data[key] = value
+        self.writes_applied += len(updates)
 
     def items(self) -> Iterator[Tuple[Hashable, Any]]:
         return iter(self._data.items())

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Dict, FrozenSet, Hashable, List, Optional, Set
 
-from ..sim import Simulator
+from ..sim import Simulator, Timeout
 from ..telemetry import NULL_PROFILER, NULL_TELEMETRY
 from .locks import LockStats, PartitionLock, TransactionWounded
 from .partition import PartitionSpace
@@ -70,8 +70,10 @@ class Transaction:
             self.pending_wait.cancel()
 
     def release_all(self) -> None:
-        for lock in list(reversed(self.held_locks)):
-            lock.release(self)
+        """Release every held lock, most recently acquired first."""
+        held = self.held_locks
+        while held:
+            held.pop().release(self)
 
     def __repr__(self):
         return f"<Tx ts={self.timestamp} {self.phase}{' WOUNDED' if self.wounded else ''}>"
@@ -107,16 +109,21 @@ class TransactionContext:
             self.access_order.append(key)
 
     def read(self, key: Hashable, default: Any = None) -> Any:
-        self._touch(key)
-        self.reads.add(key)
-        if key in self.writes:
-            value = self.writes[key]
+        writes = self.writes
+        if key not in self.reads:  # _touch, written out
+            if key not in writes:
+                self.access_order.append(key)
+            self.reads.add(key)
+        if key in writes:
+            value = writes[key]
             return default if value is TOMBSTONE else value
         return self._store.get(key, default)
 
     def write(self, key: Hashable, value: Any) -> None:
-        self._touch(key)
-        self.writes[key] = value
+        writes = self.writes
+        if key not in writes and key not in self.reads:  # _touch
+            self.access_order.append(key)
+        writes[key] = value
 
     def delete(self, key: Hashable) -> None:
         self._touch(key)
@@ -128,10 +135,6 @@ class TransactionContext:
         if key in self.writes:
             return self.writes[key] is not TOMBSTONE
         return key in self._store
-
-    @property
-    def accessed_keys(self) -> Set[Hashable]:
-        return self.reads | set(self.writes)
 
 
 class TransactionResult:
@@ -240,23 +243,28 @@ class TransactionManager:
         """
         tracer = self.telemetry.tracer if trace_pid is not None else None
         flight = self.telemetry.flight if flight_pid is not None else None
+        sim = self.sim
+        store = self.store
+        locks = self.locks
+        partition_of = self.partitions.partition_of
         tx = Transaction(next(self._timestamps))
-        started = self.sim.now
+        started = sim.now
         needed: Set[int] = set()
         for _attempt in range(MAX_ATTEMPTS):
             tx.wounded = False
             tx.phase = "idle"
             try:
                 # Record phase: discover the access set without locks.
-                probe = self._fresh_context(flow, thread_id, extras,
-                                            authoritative=False)
+                probe = TransactionContext(store, flow, thread_id, sim.now,
+                                           extras, False)
                 body(probe)
-                needed |= self._partitions_in_order(probe)
+                for key in probe.access_order:
+                    needed.add(partition_of(key))
                 order = sorted(needed) if self.acquire_order == "sorted" \
                     else self._declared_order(probe, needed)
 
                 used_htm = False
-                acquire_started = self.sim.now
+                acquire_started = sim.now
                 if self.htm:
                     used_htm = self._htm_try(tx, order)
                 if used_htm:
@@ -266,33 +274,43 @@ class TransactionManager:
                         self.htm_fallbacks += 1
                     tx.phase = "acquiring"
                     for partition in order:
-                        yield from self.locks[partition].acquire(tx)
+                        lock = locks[partition]
+                        # A free lock is granted without a generator;
+                        # only a refused one waits (PROTOCOL.md §13.4).
+                        if not lock.try_acquire(tx):
+                            yield from lock.acquire(tx)
                     if tx.wounded:
                         raise TransactionWounded()
                 tx.phase = "holding"
-                if tracer is not None and self.sim.now > acquire_started:
-                    tracer.complete(trace_pid, "lock-acquire", "stm",
-                                    acquire_started, self.sim.now,
-                                    tid=thread_id, mbox=self.name,
-                                    partitions=sorted(needed))
-                if flight is not None and self.sim.now > acquire_started:
-                    flight.record(
-                        "stm", "lock-wait", t=self.sim.now, pid=flight_pid,
-                        detail=f"{self.name} waited "
-                               f"{(self.sim.now - acquire_started) * 1e6:.2f}us "
-                               f"for partitions {sorted(needed)}",
-                        chain=f"pid:{flight_pid}")
-                hold_started = self.sim.now
+                hold_started = sim.now
+                if hold_started > acquire_started:
+                    if tracer is not None:
+                        tracer.complete(trace_pid, "lock-acquire", "stm",
+                                        acquire_started, hold_started,
+                                        tid=thread_id, mbox=self.name,
+                                        partitions=sorted(needed))
+                    if flight is not None:
+                        flight.record(
+                            "stm", "lock-wait", t=hold_started,
+                            pid=flight_pid,
+                            detail=f"{self.name} waited "
+                                   f"{(hold_started - acquire_started) * 1e6:.2f}us "
+                                   f"for partitions {sorted(needed)}",
+                            chain=f"pid:{flight_pid}")
 
                 total_hold = hold_time + (htm_overhead_s if used_htm
                                           else lock_overhead_s)
                 if total_hold > 0.0:
-                    yield self.sim.timeout(total_hold)
+                    yield Timeout(sim, total_hold)
 
-                # Authoritative execution under mutual exclusion.
-                live = self._fresh_context(flow, thread_id, extras)
+                # Authoritative execution under mutual exclusion.  The
+                # live context is ours alone: the result (and on_commit's
+                # log) may keep its dicts without copying them.
+                live = TransactionContext(store, flow, thread_id, sim.now,
+                                          extras)
                 value = body(live)
-                live_partitions = self.partitions.partitions_of(live.accessed_keys)
+                live_partitions = self.partitions.partitions_of(
+                    live.access_order)
                 if not live_partitions <= needed:
                     # The access set grew since the probe (e.g. another
                     # transaction inserted a colliding entry): widen and retry.
@@ -305,10 +323,10 @@ class TransactionManager:
                 if commit_hold_fn is not None:
                     commit_hold = commit_hold_fn(live)
                     if commit_hold > 0.0:
-                        yield self.sim.timeout(commit_hold)
+                        yield Timeout(sim, commit_hold)
                 prof = self._prof
                 prof_t0 = prof.t0()
-                self.store.apply_many(live.writes)
+                store.apply_many(live.writes)
                 commit_value = None
                 if on_commit is not None:
                     commit_value = on_commit(live, live_partitions)
@@ -322,37 +340,30 @@ class TransactionManager:
                     self._m_retries.inc(tx.retries)
                 if tracer is not None:
                     tracer.complete(trace_pid, "critical-section", "stm",
-                                    hold_started, self.sim.now,
+                                    hold_started, sim.now,
                                     tid=thread_id, mbox=self.name,
                                     retries=tx.retries, htm=used_htm)
                 if flight is not None:
                     flight.record(
-                        "stm", "commit", t=self.sim.now, pid=flight_pid,
+                        "stm", "commit", t=sim.now, pid=flight_pid,
                         detail=f"{self.name} partitions="
                                f"{sorted(live_partitions)} "
                                f"retries={tx.retries}"
                                f"{' htm' if used_htm else ''}",
                         chain=f"pid:{flight_pid}")
                 return TransactionResult(
-                    writes=dict(live.writes),
-                    read_keys=set(live.reads),
-                    partitions=live_partitions,
-                    retries=tx.retries,
-                    wait_time=(self.sim.now - started - total_hold
-                               - commit_hold),
-                    value=value,
-                    commit_value=commit_value,
-                    used_htm=used_htm,
-                )
+                    live.writes, live.reads, live_partitions, tx.retries,
+                    sim.now - started - total_hold - commit_hold,
+                    value, commit_value, used_htm)
             except TransactionWounded:
                 tx.retries += 1
                 tx.release_all()
                 if tracer is not None:
-                    tracer.instant(trace_pid, "wounded", "stm", self.sim.now,
+                    tracer.instant(trace_pid, "wounded", "stm", sim.now,
                                    tid=thread_id, mbox=self.name)
                 if flight is not None:
                     flight.record(
-                        "stm", "wound", t=self.sim.now, pid=flight_pid,
+                        "stm", "wound", t=sim.now, pid=flight_pid,
                         detail=f"{self.name} ts={tx.timestamp} "
                                f"retry {tx.retries}",
                         chain=f"pid:{flight_pid}")
@@ -377,15 +388,6 @@ class TransactionManager:
                     held.release(tx)
                 return False
         return True
-
-    def _fresh_context(self, flow, thread_id, extras,
-                       authoritative: bool = True) -> TransactionContext:
-        return TransactionContext(self.store, flow=flow, thread_id=thread_id,
-                                  now=self.sim.now, extras=extras,
-                                  authoritative=authoritative)
-
-    def _partitions_in_order(self, ctx: TransactionContext) -> Set[int]:
-        return set(self.partitions.partitions_of(ctx.accessed_keys))
 
     def _declared_order(self, ctx: TransactionContext, needed: Set[int]) -> List[int]:
         """Partitions in first-access order, then any extras sorted."""

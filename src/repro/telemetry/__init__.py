@@ -87,6 +87,8 @@ __all__ = [
 class Telemetry:
     """The enabled bundle: registry + tracer + timeline."""
 
+    enabled = True
+
     def __init__(self, sample_every: int = 1,
                  max_trace_events: Optional[int] = None, flight=None,
                  profiler=None):
@@ -103,10 +105,6 @@ class Telemetry:
         #: Per-stage cost attribution (PROTOCOL.md §13); NULL_PROFILER
         #: unless a perf run passes a StageProfiler.
         self.profiler = profiler if profiler is not None else NULL_PROFILER
-
-    @property
-    def enabled(self) -> bool:
-        return True
 
     def start_window(self, now: float) -> None:
         """Cut histogram warm-up windows (mirrors the meters' cut)."""
@@ -146,9 +144,7 @@ class NullTelemetry:
     flight = NULL_FLIGHT
     profiler = NULL_PROFILER
 
-    @property
-    def enabled(self) -> bool:
-        return False
+    enabled = False
 
     def start_window(self, now: float) -> None:
         pass

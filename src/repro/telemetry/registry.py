@@ -153,14 +153,12 @@ class Histogram:
 class MetricRegistry:
     """Create-or-return named instruments; one per deployment."""
 
+    enabled = True
+
     def __init__(self):
         self.counters: Dict[str, Counter] = {}
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
-
-    @property
-    def enabled(self) -> bool:
-        return True
 
     def counter(self, name: str) -> Counter:
         instrument = self.counters.get(name)
@@ -298,9 +296,7 @@ class NullRegistry:
 
     __slots__ = ()
 
-    @property
-    def enabled(self) -> bool:
-        return False
+    enabled = False
 
     def counter(self, name: str) -> _NullCounter:
         return NULL_COUNTER

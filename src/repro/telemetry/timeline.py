@@ -86,12 +86,10 @@ class TimelineAttempt:
 class RecoveryTimeline:
     """Append-only event log + attempt parser."""
 
+    enabled = True
+
     def __init__(self):
         self.events: List[TimelineEvent] = []
-
-    @property
-    def enabled(self) -> bool:
-        return True
 
     def record(self, kind: str, positions: Sequence[int] = (),
                detail: str = "", t: float = 0.0) -> None:
@@ -177,9 +175,7 @@ class NullTimeline:
     __slots__ = ()
     events: List[TimelineEvent] = []
 
-    @property
-    def enabled(self) -> bool:
-        return False
+    enabled = False
 
     def record(self, kind: str, positions: Sequence[int] = (),
                detail: str = "", t: float = 0.0) -> None:

@@ -44,6 +44,8 @@ DEFAULT_MAX_EVENTS = 200_000
 class PacketTracer:
     """Records sampled per-packet span events in virtual time."""
 
+    enabled = True
+
     def __init__(self, sample_every: int = 1,
                  max_events: int = DEFAULT_MAX_EVENTS):
         if sample_every < 1:
@@ -53,10 +55,6 @@ class PacketTracer:
         self.events: List[Dict] = []
         self.dropped = 0
         self._thread_names: Dict[int, str] = {}
-
-    @property
-    def enabled(self) -> bool:
-        return True
 
     # -- sampling ------------------------------------------------------------
 
@@ -150,9 +148,7 @@ class NullTracer:
     dropped = 0
     events: List[Dict] = []
 
-    @property
-    def enabled(self) -> bool:
-        return False
+    enabled = False
 
     def wants(self, pid: int) -> bool:
         return False

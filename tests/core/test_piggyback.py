@@ -53,6 +53,40 @@ class TestPiggybackLog:
     def test_log_ids_unique(self):
         assert PiggybackLog("m").log_id != PiggybackLog("m").log_id
 
+    def test_noop_is_fixed_at_construction(self):
+        """Frozen at construction (PROTOCOL.md §13.4): ``is_noop`` is a
+        plain field, true and false for the same cases as ever."""
+        assert PiggybackLog("m", packet_id=9).is_noop is True
+        assert PiggybackLog("m", depvec={}, updates={}).is_noop is True
+        assert PiggybackLog("m", depvec={3: 0}).is_noop is False
+        assert PiggybackLog("m", depvec={3: 0},
+                            updates={"k": 1}).is_noop is False
+
+    def test_equality_is_by_content_and_id(self):
+        log = PiggybackLog("m", depvec={0: 1}, updates={"k": 1}, packet_id=5)
+        twin = PiggybackLog("m", depvec={0: 1}, updates={"k": 1},
+                            packet_id=5, log_id=log.log_id)
+        assert log == twin
+        log.byte_size()  # the cached size is not part of the value
+        assert log == twin
+        assert log != PiggybackLog("m", depvec={0: 1}, updates={"k": 1},
+                                   packet_id=5)  # fresh log_id
+        assert log != PiggybackLog("m", depvec={0: 2}, updates={"k": 1},
+                                   packet_id=5, log_id=log.log_id)
+        assert log != "not a log"
+        with pytest.raises(TypeError):
+            hash(log)
+
+    def test_repr_names_mbox_vector_and_update_count(self):
+        log = PiggybackLog("nat", depvec={2: 7}, updates={"a": 1, "b": 2})
+        assert repr(log) == "<PBLog nat vec={2: 7} updates=2>"
+
+    def test_unknown_attribute_is_rejected(self):
+        log = PiggybackLog("m")
+        with pytest.raises(AttributeError):
+            log.held_since = 1.0
+        assert not hasattr(log, "__dict__")
+
 
 class TestCommitVector:
     def test_covers_requires_post_increment(self):

@@ -58,10 +58,10 @@ def _calls_per_packet(chain_length: int, f: int, reliable: bool,
 @pytest.mark.parametrize("label, kwargs, ceiling", [
     ("Ch-2 raw links",
      dict(chain_length=2, f=1, reliable=False, rate_pps=2e5,
-          window_s=10e-3), 905),
+          window_s=10e-3), 760),
     ("Ch-5 f=2 reliable links",
      dict(chain_length=5, f=2, reliable=True, rate_pps=1e5,
-          window_s=20e-3), 2415),
+          window_s=20e-3), 2040),
 ])
 def test_python_calls_per_packet_stay_under_budget(label, kwargs, ceiling):
     measured = _calls_per_packet(**kwargs)
