@@ -222,6 +222,8 @@ class AdmissionControl:
     def offer(self, packet) -> bool:
         """Gate one packet at ingress; True = admitted."""
         prof = self._prof
+        if not prof.enabled:
+            return self._offer(packet)
         prof_t0 = prof.t0()
         admitted = self._offer(packet)
         prof.add("admission/check", prof_t0)

@@ -109,6 +109,8 @@ class Buffer:
     def handle(self, packet: Packet, message: PiggybackMessage) -> float:
         """Process one packet at chain egress; returns CPU cycles spent."""
         prof = self._prof
+        if not prof.enabled:
+            return self._handle(packet, message)
         prof_t0 = prof.t0()
         cycles = self._handle(packet, message)
         prof.add("buffer/hold", prof_t0)
@@ -198,9 +200,13 @@ class Buffer:
                     detail=f"awaiting commits from {sorted(requirements)}",
                     chain=f"pid:{packet.pid}")
         prof = self._prof
-        prof_t0 = prof.t0()
-        self._scan_held()
-        prof.add("buffer/release", prof_t0)
+        profiled = prof.enabled
+        if profiled:
+            prof_t0 = prof.t0()
+        if self.held:
+            self._scan_held()
+        if profiled:
+            prof.add("buffer/release", prof_t0)
         if self.telemetry.enabled:
             self._m_held.set(len(self.held))
         self.cycles_spent += cycles
@@ -209,12 +215,15 @@ class Buffer:
     # -- release machinery --------------------------------------------------------
 
     def _satisfied(self, requirements: Dict[str, Dict[int, int]]) -> bool:
+        """Every required entry is under its floor (``CommitVector.covers``
+        asked of the floor dicts themselves)."""
         for mbox, depvec in requirements.items():
             floor = self.commit_floor.get(mbox)
             if floor is None:
                 return False
-            if not CommitVector(mbox, floor).covers(depvec):
-                return False
+            for partition, seq in depvec.items():
+                if floor.get(partition, 0) < seq + 1:
+                    return False
         return True
 
     def _release(self, packet: Packet) -> None:

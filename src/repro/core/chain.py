@@ -323,27 +323,28 @@ class FTCChain:
             self.net.dropped_to_failed += 1
             self.net._count_drop("net-to-failed", packet)
             return
-        channel = self._channel_for(src, dst)
+        channel = self._channels.get((src, dst))
+        if channel is None:
+            channel = self._new_channel(src, dst)
         # Recovery replaces a failed position's links with fresh ones,
         # so re-adopt lazily: bind() is a no-op when already bound.
         channel.bind(link)
         channel.send(packet)
 
-    def _channel_for(self, src: int, dst: int) -> ReliableChannel:
-        channel = self._channels.get((src, dst))
-        if channel is None:
-            channel = ReliableChannel(
-                self.sim, name=f"{self.name}/ch{src}-{dst}",
-                policy=DATA_RETRY_POLICY,
-                hop_header_bytes=self.costs.hop_header_bytes,
-                ack_delay_s=self.costs.hop_delay_s,
-                loss_fn=self.net.data_leg_lost,
-                telemetry=self.telemetry)
-            self._channels[(src, dst)] = channel
-            if self.admission is not None and self.admission.bus is not None:
-                self.admission.bus.add(
-                    f"ch{src}-{dst}", lambda ch=channel: len(ch.txq),
-                    bound=channel.txq_bound)
+    def _new_channel(self, src: int, dst: int) -> ReliableChannel:
+        """Create the hop's channel on its first send."""
+        channel = ReliableChannel(
+            self.sim, name=f"{self.name}/ch{src}-{dst}",
+            policy=DATA_RETRY_POLICY,
+            hop_header_bytes=self.costs.hop_header_bytes,
+            ack_delay_s=self.costs.hop_delay_s,
+            loss_fn=self.net.data_leg_lost,
+            telemetry=self.telemetry)
+        self._channels[(src, dst)] = channel
+        if self.admission is not None and self.admission.bus is not None:
+            self.admission.bus.add(
+                f"ch{src}-{dst}", lambda ch=channel: len(ch.txq),
+                bound=channel.txq_bound)
         return channel
 
     def channel_stats(self) -> Dict[str, int]:

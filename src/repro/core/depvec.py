@@ -29,6 +29,10 @@ class ProtocolError(Exception):
     """An invariant of the replication protocol was violated."""
 
 
+#: The three fates :meth:`ReplicationState._ingest` can decide.
+_APPLIED, _PENDING, _DUPLICATE = 1, 0, -1
+
+
 class DependencyVector:
     """The head's per-partition transaction counter."""
 
@@ -95,30 +99,45 @@ class ReplicationState:
             self._m_duplicates = NULL_COUNTER
             self._m_commit_lag = NULL_GAUGE
 
-    # -- classification -------------------------------------------------------
-
-    def _status(self, log: PiggybackLog) -> str:
-        newer = older = exact = 0
-        for partition, seq in log.depvec.items():
-            current = self.max.get(partition, 0)
-            if seq > current:
-                newer += 1
-            elif seq < current:
-                older += 1
-            else:
-                exact += 1
-        if older and (newer or exact):
-            # An applied log's entries are all behind MAX; mixing
-            # behind/ahead means sequence numbers were corrupted.
-            raise ProtocolError(
-                f"log {log!r} partially applied at {self.mbox}: MAX={self.max}")
-        if newer:
-            return "pending"
-        if older:
-            return "duplicate"
-        return "ready"
-
     # -- ingestion ---------------------------------------------------------------
+
+    def _ingest(self, log: PiggybackLog) -> int:
+        """Decide one log's fate; a ready log is applied on the spot.
+
+        The only classification loop in the file (``offer`` and
+        ``_drain_pending`` both come here): every entry equal to MAX
+        -> applied, :data:`_APPLIED`; any entry ahead of MAX ->
+        :data:`_PENDING`; every entry behind MAX -> :data:`_DUPLICATE`.
+        """
+        maximum = self.max
+        current = maximum.get
+        depvec = log.depvec
+        newer = older = exact = False
+        for partition, seq in depvec.items():
+            applied = current(partition, 0)
+            if seq == applied:
+                exact = True
+            elif seq > applied:
+                newer = True
+            else:
+                older = True
+        if older:
+            if newer or exact:
+                # An applied log's entries are all behind MAX; mixing
+                # behind/ahead means sequence numbers were corrupted.
+                raise ProtocolError(
+                    f"log {log!r} partially applied at {self.mbox}: "
+                    f"MAX={self.max}")
+            return _DUPLICATE
+        if newer:
+            return _PENDING
+        self.store.apply_many(log.updates)
+        for partition, seq in depvec.items():
+            maximum[partition] = seq + 1  # every entry equalled MAX
+        self.retained.append(log)
+        self.applied += 1
+        self._m_applied.inc()
+        return _APPLIED
 
     def offer(self, log: PiggybackLog, now: float = 0.0) -> int:
         """Ingest one log; returns how many logs were applied (0+).
@@ -127,36 +146,26 @@ class ReplicationState:
         retransmission watchdog can age them); applying one log may
         unblock held ones, so the return value can exceed 1.
         """
-        if self.frozen:
+        if self.frozen or log.is_noop:
             return 0
-        if log.is_noop:
-            return 0
-        status = self._status(log)
-        if status == "duplicate":
+        fate = self._ingest(log)
+        if fate == _APPLIED:
+            # Only a held log can be unblocked: nothing held, no drain.
+            return 1 + (self._drain_pending() if self.pending else 0)
+        if fate == _DUPLICATE:
             self.duplicates += 1
             self._m_duplicates.inc()
             return 0
-        if status == "pending":
-            # Known wart, deliberately left: the log object is shared by
-            # every replica of the group, so a later hold overwrites an
-            # earlier replica's age.  Fixing it moves virtual time on
-            # lossy chains and belongs in its own change.
-            log._held_at = now
-            self.pending.append(log)
-            return 0
-        self._apply(log)
-        return 1 + self._drain_pending()
+        # Known wart, deliberately left: the log object is shared by
+        # every replica of the group, so a later hold overwrites an
+        # earlier replica's age.  Fixing it moves virtual time on
+        # lossy chains and belongs in its own change.
+        log._held_at = now
+        self.pending.append(log)
+        return 0
 
     def offer_all(self, logs: Iterable[PiggybackLog], now: float = 0.0) -> int:
         return sum(self.offer(log, now) for log in logs)
-
-    def _apply(self, log: PiggybackLog) -> None:
-        self.store.apply_many(log.updates)
-        for partition in log.depvec:
-            self.max[partition] = self.max.get(partition, 0) + 1
-        self.retained.append(log)
-        self.applied += 1
-        self._m_applied.inc()
 
     def record_local(self, log: PiggybackLog) -> None:
         """Register a log the co-located head just originated.
@@ -183,13 +192,12 @@ class ReplicationState:
         while progress:
             progress = False
             for log in list(self.pending):
-                status = self._status(log)
-                if status == "ready":
+                fate = self._ingest(log)
+                if fate == _APPLIED:
                     self.pending.remove(log)
-                    self._apply(log)
                     applied += 1
                     progress = True
-                elif status == "duplicate":
+                elif fate == _DUPLICATE:
                     self.pending.remove(log)
                     self.duplicates += 1
                     self._m_duplicates.inc()

@@ -75,24 +75,31 @@ class Forwarder:
     def attach(self, message: PiggybackMessage) -> float:
         """Move pending state onto a packet's message; returns CPU cycles."""
         prof = self._prof
-        prof_t0 = prof.t0()
+        profiled = prof.enabled
+        if profiled:
+            prof_t0 = prof.t0()
         self.packets_seen += 1
         self.last_rx = self.sim.now
-        cycles = self.costs.forwarder_cycles
-        if self.pending_logs:
-            self._m_attached.inc(len(self.pending_logs))
-            for log in self.pending_logs:
-                cycles += (self.costs.piggyback_attach_cycles +
-                           self.costs.per_state_byte_cycles *
-                           log.state_bytes(self.costs))
-                message.add_log(log)
+        costs = self.costs
+        cycles = costs.forwarder_cycles
+        pending = self.pending_logs
+        if pending:
+            self._m_attached.inc(len(pending))
+            attach_cycles = costs.piggyback_attach_cycles
+            per_byte_cycles = costs.per_state_byte_cycles
+            add_log = message.add_log
+            for log in pending:
+                cycles += (attach_cycles +
+                           per_byte_cycles * log.state_bytes(costs))
+                add_log(log)
             self.pending_logs = []
         self._m_pending.set(0)
         for mbox in self._dirty_commits:
             message.set_commit(CommitVector(mbox, dict(self.pending_commits[mbox])))
         self._dirty_commits.clear()
         self.cycles_spent += cycles
-        prof.add("piggyback/append", prof_t0)
+        if profiled:
+            prof.add("piggyback/append", prof_t0)
         return cycles
 
     # -- propagating packets (§5.1) -----------------------------------------------

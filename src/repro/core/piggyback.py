@@ -108,7 +108,11 @@ class PiggybackLog:
 
     def state_bytes(self, costs: CostModel = DEFAULT_COSTS) -> int:
         """Bytes of raw state values carried (for copy-cost accounting)."""
-        return self._sizes(costs)[2]
+        # Asked per log per hop: answer from the cache without a call.
+        sized = self._sized
+        if sized is None or sized[0] is not costs:
+            sized = self._sizes(costs)
+        return sized[2]
 
     def __repr__(self):
         return (f"<PBLog {self.mbox} vec={self.depvec} "
@@ -166,10 +170,16 @@ class PiggybackMessage:
         self._state_bytes = 0
 
     def add_log(self, log: PiggybackLog) -> None:
-        self.logs.setdefault(log.mbox, []).append(log)
-        _, wire, state = log._sizes(self.costs)
-        self._bytes += wire
-        self._state_bytes += state
+        logs = self.logs.get(log.mbox)
+        if logs is None:
+            self.logs[log.mbox] = [log]
+        else:
+            logs.append(log)
+        sized = log._sized
+        if sized is None or sized[0] is not self.costs:
+            sized = log._sizes(self.costs)
+        self._bytes += sized[1]
+        self._state_bytes += sized[2]
 
     def add_logs(self, logs: List[PiggybackLog]) -> None:
         for log in logs:
@@ -177,11 +187,16 @@ class PiggybackMessage:
 
     def take_logs(self, mbox: str) -> List[PiggybackLog]:
         """Remove and return all logs for ``mbox`` (done by its tail)."""
-        logs = self.logs.pop(mbox, [])
+        logs = self.logs.pop(mbox, None)
+        if logs is None:
+            return []
+        costs = self.costs
         for log in logs:
-            _, wire, state = log._sizes(self.costs)
-            self._bytes -= wire
-            self._state_bytes -= state
+            sized = log._sized
+            if sized is None or sized[0] is not costs:
+                sized = log._sizes(costs)
+            self._bytes -= sized[1]
+            self._state_bytes -= sized[2]
         return logs
 
     def logs_for(self, mbox: str) -> List[PiggybackLog]:

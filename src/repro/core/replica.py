@@ -151,16 +151,24 @@ class Replica:
         costs = self.costs
         chain = self.chain
         telemetry = self.telemetry
-        is_data = packet.is_data
+        position = self.position
+        kind = packet.kind
+        is_data = kind == "data"
         traced = (telemetry.enabled and is_data
                   and telemetry.tracer.wants(packet.pid))
         entered = sim.now
-        cycles = costs.per_wire_byte_cycles * packet.wire_size
-        message = packet.detach("ftc")
+        # Packet.wire_size and detach("ftc") in one pass over what the
+        # packet carries (the sizes are still asked of each attachment).
+        attachments = packet.attachments
+        wire_bytes = packet.size
+        for attachment in attachments.values():
+            wire_bytes += attachment.byte_size()
+        cycles = costs.per_wire_byte_cycles * wire_bytes
+        message = attachments.pop("ftc", None)
         if message is None:
             message = PiggybackMessage(costs)
 
-        if self.position == 0 and packet.kind != "feedback":
+        if position == 0 and kind != "feedback":
             cycles += chain.forwarder.attach(message)
 
         cycles += self._process_piggyback(message)
@@ -199,13 +207,12 @@ class Replica:
             # The piggyback message no longer fits the packet buffer's
             # tailroom: extend/chain the buffer before forwarding.
             yield Timeout(sim, costs.mbuf_extension_cycles / costs.cpu_hz)
-        if self.position == chain.n_positions - 1:
+        if position == chain.n_positions - 1:
             yield Timeout(sim, chain.buffer.handle(out_packet, message)
                           / costs.cpu_hz)
         else:
-            out_packet.attach("ftc", message)
-            chain.send_to_position(self.position, self.position + 1,
-                                   out_packet)
+            out_packet.attachments["ftc"] = message
+            chain.send_to_position(position, position + 1, out_packet)
 
     def _close_span(self, packet: Packet, entered: float,
                     dropped: bool = False) -> None:
@@ -224,15 +231,16 @@ class Replica:
         now = self.sim.now
         states = self.states
         tail_last_sent = self.tail_last_sent
-        trace_enabled = self.telemetry.enabled
-        tracer = self.telemetry.tracer
-        flight = self.telemetry.flight
-        flight_enabled = flight.enabled
+        telemetry = self.telemetry
+        listening = telemetry.enabled or telemetry.flight.enabled
         prof = self._prof
+        profiled = prof.enabled
+        carried = message.logs
         for mbox in self.replicated:
-            logs = message.logs_for(mbox)
+            logs = carried.get(mbox)
             if logs:
-                prof_t0 = prof.t0()
+                if profiled:
+                    prof_t0 = prof.t0()
                 offer = states[mbox].offer
                 # offer() never touches message.logs, so iterate the
                 # live list -- no per-packet throwaway copy.
@@ -240,35 +248,51 @@ class Replica:
                     cycles += (apply_cycles +
                                per_byte_cycles * log.state_bytes(costs))
                     offer(log, now)
-                    if (trace_enabled and log.packet_id is not None
-                            and tracer.wants(log.packet_id)):
-                        tracer.instant(log.packet_id,
-                                       f"replicate@p{self.position}", "repl",
-                                       now, tid=self.position, mbox=mbox)
-                    if flight_enabled and log.packet_id is not None:
-                        flight.record(
-                            "piggyback", "apply", t=now,
-                            pid=log.packet_id, depvec=dict(log.depvec),
-                            detail=f"{mbox} @p{self.position}",
-                            chain=f"pid:{log.packet_id}")
-                prof.add("depvec/merge", prof_t0, n=len(logs))
+                    if listening:
+                        self._note_applied(log, mbox, now)
+                if profiled:
+                    prof.add("depvec/merge", prof_t0, n=len(logs))
             if mbox in tail_last_sent:
-                prof_t0 = prof.t0()
-                message.take_logs(mbox)
+                if profiled:
+                    prof_t0 = prof.t0()
+                if logs is not None:
+                    message.take_logs(mbox)
                 state = states[mbox]
                 commit = state.commit_vector(tail_last_sent[mbox])
                 if commit.entries:
                     message.set_commit(commit)
                     tail_last_sent[mbox] = dict(state.max)
-                prof.add("piggyback/trim", prof_t0)
-        if message.commits:
-            prof_t0 = prof.t0()
-            for mbox, commit in message.commits.items():
+                if profiled:
+                    prof.add("piggyback/trim", prof_t0)
+        commits = message.commits
+        if commits:
+            if profiled:
+                prof_t0 = prof.t0()
+            for mbox, commit in commits.items():
                 state = states.get(mbox)
                 if state is not None:
                     state.absorb_commit(commit)
-            prof.add("piggyback/trim", prof_t0)
+            if profiled:
+                prof.add("piggyback/trim", prof_t0)
         return cycles
+
+    def _note_applied(self, log, mbox: str, now: float) -> None:
+        """Tell the tracer / flight recorder one log was offered here
+        (only reached when one of them is on)."""
+        pid = log.packet_id
+        if pid is None:
+            return
+        telemetry = self.telemetry
+        if telemetry.enabled and telemetry.tracer.wants(pid):
+            telemetry.tracer.instant(pid, f"replicate@p{self.position}",
+                                     "repl", now, tid=self.position,
+                                     mbox=mbox)
+        flight = telemetry.flight
+        if flight.enabled:
+            flight.record(
+                "piggyback", "apply", t=now, pid=pid,
+                depvec=dict(log.depvec),
+                detail=f"{mbox} @p{self.position}", chain=f"pid:{pid}")
 
     def _emit_propagating(self, message: PiggybackMessage) -> None:
         """Carry a filtered packet's piggyback message onward (§5.1)."""

@@ -228,7 +228,9 @@ class ReliableChannel:
     def send(self, packet) -> None:
         """Send a packet; it is delivered exactly once, in order."""
         prof = self._prof
-        prof_t0 = prof.t0()
+        profiled = prof.enabled
+        if profiled:
+            prof_t0 = prof.t0()
         if len(self.unacked) >= self.window:
             self.txq.append(packet)
             if len(self.txq) > self.txq_peak:
@@ -237,28 +239,21 @@ class ReliableChannel:
             self._m_stalls.inc()
         else:
             self._transmit(packet)
-        prof.add("channel/frame", prof_t0)
+        if profiled:
+            prof.add("channel/frame", prof_t0)
 
     def _transmit(self, packet) -> None:
         seq = self.next_seq
-        self.next_seq += 1
+        self.next_seq = seq + 1
         self.sent += 1
-        self.unacked[seq] = _Pending(
-            packet, attempts=1,
-            deadline=self.sim.now + self.policy.timeout_s)
+        now = self.sim.now
+        self.unacked[seq] = _Pending(packet, 1, now + self.policy.timeout_s)
         if self.telemetry.enabled:
-            self._m_inflight.observe(float(len(self.unacked)), t=self.sim.now)
-        self._send_frame(seq, packet)
-        if not self._kick.triggered:
-            self._kick.succeed()
-
-    def _send_frame(self, seq: int, packet) -> None:
+            self._m_inflight.observe(float(len(self.unacked)), t=now)
         self._link.send(Frame(seq, self.epoch, packet,
                               self.hop_header_bytes))
-
-    def _refill(self) -> None:
-        while self.txq and len(self.unacked) < self.window:
-            self._transmit(self.txq.popleft())
+        if not self._kick.triggered:
+            self._kick.succeed()
 
     def _rto(self, attempts: int) -> float:
         """Deadline for retry ``attempts``: base timeout + capped backoff."""
@@ -275,7 +270,8 @@ class ReliableChannel:
                 "channel", "retransmit", t=self.sim.now, pid=pid,
                 detail=f"{self.name} seq {seq} attempt {pending.attempts}",
                 chain=f"pid:{pid}" if pid is not None else None)
-        self._send_frame(seq, pending.packet)
+        self._link.send(Frame(seq, self.epoch, pending.packet,
+                              self.hop_header_bytes))
 
     def _watchdog_loop(self):
         """Timeout fallback: retransmit anything unacked past its RTO."""
@@ -299,35 +295,29 @@ class ReliableChannel:
 
     def _on_wire(self, obj) -> None:
         prof = self._prof
-        prof_t0 = prof.t0()
-        self._receive(obj)
-        prof.add("channel/frame", prof_t0)
-
-    def _receive(self, obj) -> None:
-        if getattr(obj, "corrupted_wire", False):
-            obj = obj.inner
-            if isinstance(obj, Frame) and obj.epoch == self.epoch:
-                self.corrupt_dropped += 1
-                self._m_corrupt.inc()
-            return  # checksum failure: recovered like a loss
-        if not isinstance(obj, Frame):
-            self._deliver(obj)  # unframed traffic passes through
-            return
-        if obj.epoch != self.epoch:
-            self.stale_dropped += 1
-            return
-        seq = obj.seq
-        if seq < self.next_expected or seq in self.ooo:
-            self.dup_dropped += 1
-            self._m_dups.inc()
-            self._schedule_ack()  # re-ACK: the original ACK may be lost
-            return
-        if seq == self.next_expected:
-            self._deliver_up(obj.packet)
-            while self.next_expected in self.ooo:
-                self._deliver_up(self.ooo.pop(self.next_expected).packet)
-        else:
-            if len(self.ooo) >= self.reorder_cap:
+        profiled = prof.enabled
+        if profiled:
+            prof_t0 = prof.t0()
+        if isinstance(obj, Frame):
+            seq = obj.seq
+            if obj.epoch != self.epoch:
+                self.stale_dropped += 1
+            elif seq < self.next_expected or seq in self.ooo:
+                self.dup_dropped += 1
+                self._m_dups.inc()
+                self._schedule_ack()  # re-ACK: the original ACK may be lost
+            elif seq == self.next_expected:
+                self.delivered += 1
+                self.next_expected = seq + 1
+                self._deliver(obj.packet)
+                ooo = self.ooo
+                while self.next_expected in ooo:
+                    parked = ooo.pop(self.next_expected)
+                    self.delivered += 1
+                    self.next_expected += 1
+                    self._deliver(parked.packet)
+                self._schedule_ack()
+            elif len(self.ooo) >= self.reorder_cap:
                 # Bounded memory beats holding everything: drop it;
                 # the sender's RTO will offer it again once the gap
                 # ahead of it has been repaired and space freed.
@@ -339,16 +329,21 @@ class ReliableChannel:
                         detail=f"{self.name} ooo hold full "
                                f"({self.reorder_cap}); seq {seq} "
                                f"re-offered by sender RTO")
-                return
-            self.ooo[seq] = obj
-            self.ooo_held_peak = max(self.ooo_held_peak, len(self.ooo))
-            self._schedule_nack(seq)
-        self._schedule_ack()
-
-    def _deliver_up(self, packet) -> None:
-        self.delivered += 1
-        self.next_expected += 1
-        self._deliver(packet)
+            else:
+                self.ooo[seq] = obj
+                self.ooo_held_peak = max(self.ooo_held_peak, len(self.ooo))
+                self._schedule_nack(seq)
+                self._schedule_ack()
+        elif getattr(obj, "corrupted_wire", False):
+            # Checksum failure: recovered like a loss.
+            inner = obj.inner
+            if isinstance(inner, Frame) and inner.epoch == self.epoch:
+                self.corrupt_dropped += 1
+                self._m_corrupt.inc()
+        else:
+            self._deliver(obj)  # unframed traffic passes through
+        if profiled:
+            prof.add("channel/frame", prof_t0)
 
     # -- acknowledgement legs ------------------------------------------------------
 
@@ -378,14 +373,21 @@ class ReliableChannel:
         if epoch != self.epoch:
             return
         prof = self._prof
-        prof_t0 = prof.t0()
-        acked = [seq for seq in self.unacked
+        profiled = prof.enabled
+        if profiled:
+            prof_t0 = prof.t0()
+        unacked = self.unacked
+        acked = [seq for seq in unacked
                  if seq <= cumulative or seq in sacked]
         for seq in acked:
-            del self.unacked[seq]
+            del unacked[seq]
         if acked:
-            self._refill()
-        prof.add("channel/ack", prof_t0)
+            # Room opened in the window: queued sends go out in order.
+            txq = self.txq
+            while txq and len(unacked) < self.window:
+                self._transmit(txq.popleft())
+        if profiled:
+            prof.add("channel/ack", prof_t0)
 
     def _schedule_nack(self, got_seq: int) -> None:
         """Gap-NACK: list the missing sequences below an arrival."""

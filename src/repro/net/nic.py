@@ -84,7 +84,8 @@ class NIC:
                 chain=f"pid:{packet.pid}")
 
     def _enqueue(self, packet: Packet) -> None:
-        queue = self.queues[self.queue_for(packet)]
+        # queue_for(packet), written out.
+        queue = self.queues[packet.flow.rss_hash() % self.n_queues]
         if queue.try_put(packet):
             self.rx_packets += 1
         else:

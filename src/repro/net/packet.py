@@ -62,9 +62,10 @@ class FlowKey:
         Symmetric in src/dst so both directions of a connection land on
         the same queue, as Toeplitz-based symmetric RSS does.
         """
-        forward = (self.src_ip, self.src_port)
-        backward = (self.dst_ip, self.dst_port)
-        lo, hi = sorted([forward, backward])
+        lo = (self.src_ip, self.src_port)
+        hi = (self.dst_ip, self.dst_port)
+        if hi < lo:
+            lo, hi = hi, lo
         return hash((lo, hi, self.proto)) & 0x7FFFFFFF
 
     def __str__(self):

@@ -149,8 +149,9 @@ class Network:
                 bandwidth_bps: Optional[float] = None) -> Link:
         """Create (or return) the unidirectional link src -> dst."""
         key = (src, dst)
-        if key in self._links:
-            return self._links[key]
+        link = self._links.get(key)
+        if link is not None:
+            return link
         if src not in self.servers or dst not in self.servers:
             raise KeyError(f"unknown server in {key}")
         dst_server = self.servers[dst]

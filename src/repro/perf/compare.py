@@ -12,6 +12,11 @@ Gate semantics, per scenario:
   (there is nothing sound to divide by; the new number becomes the
   baseline on the next commit);
 * ``current < baseline * (1 - tolerance)`` -- **failure**;
+* both reports describe the same run (equal ``config`` and seed) and a
+  stage's ``calls`` differ -- **failure** naming the stage and both
+  counts: call counts are a pure function of the seed, so this catches
+  a probe that moved, whatever the runner's clock does.  Different
+  configurations are a note, never a failure;
 * faster than baseline beyond tolerance -- ``improved`` (informational;
   commit the new baseline so the gate tightens);
 * otherwise -- ``ok``.
@@ -72,6 +77,27 @@ def _stage_notes(baseline: Dict, current: Dict) -> List[str]:
     return notes
 
 
+def _call_count_check(baseline: Dict, current: Dict):
+    """``(verdict, notes)`` of the exact stage-call gate; the verdict is
+    ``"identical"``, ``"differ"`` or ``None`` (not the same run)."""
+    runs = [(report.get("config"), (report.get("env") or {}).get("seed"))
+            for report in (baseline, current)]
+    if runs[0][0] is None or runs[1][0] is None:
+        return None, []
+    if runs[0] != runs[1]:
+        return None, ["run configurations differ; stage call counts "
+                      "not compared"]
+    base_stages = baseline.get("stages") or {}
+    cur_stages = current.get("stages") or {}
+    notes = []
+    for stage in {**base_stages, **cur_stages}:
+        before = int((base_stages.get(stage) or {}).get("calls", 0) or 0)
+        after = int((cur_stages.get(stage) or {}).get("calls", 0) or 0)
+        if before != after:
+            notes.append(f"{stage} calls {before} -> {after}")
+    return ("differ" if notes else "identical"), notes
+
+
 def compare_reports(scenario: str, baseline: Optional[Dict],
                     current: Optional[Dict],
                     tolerance: float = DEFAULT_TOLERANCE) -> Dict:
@@ -79,20 +105,21 @@ def compare_reports(scenario: str, baseline: Optional[Dict],
     if current is None:
         return {"scenario": scenario, "status": "missing",
                 "baseline_pps": headline_pps(baseline) if baseline else None,
-                "current_pps": None, "ratio": None,
+                "current_pps": None, "ratio": None, "calls": None,
                 "notes": ["scenario present in baselines but not in "
                           "the current run"]}
     if baseline is None:
         return {"scenario": scenario, "status": "new",
                 "baseline_pps": None,
                 "current_pps": headline_pps(current), "ratio": None,
+                "calls": None,
                 "notes": ["no committed baseline; commit this report"]}
     base_pps = headline_pps(baseline)
     cur_pps = headline_pps(current)
     if base_pps <= 0.0:
         return {"scenario": scenario, "status": "warning",
                 "baseline_pps": base_pps, "current_pps": cur_pps,
-                "ratio": None,
+                "ratio": None, "calls": None,
                 "notes": ["baseline headline is zero/absent; cannot gate"]}
     ratio = cur_pps / base_pps
     notes = _stage_notes(baseline, current)
@@ -104,9 +131,13 @@ def compare_reports(scenario: str, baseline: Optional[Dict],
         status = "improved"
     else:
         status = "ok"
+    calls, call_notes = _call_count_check(baseline, current)
+    if calls == "differ" and status != "regression":
+        status = "calls-differ"
     return {"scenario": scenario, "status": status,
             "baseline_pps": base_pps, "current_pps": cur_pps,
-            "ratio": round(ratio, 4), "notes": notes}
+            "ratio": round(ratio, 4), "calls": calls,
+            "notes": call_notes + notes}
 
 
 def load_reports(directory: str) -> Dict[str, Dict]:
@@ -135,12 +166,13 @@ def compare_dirs(baseline_dir: str, current_dir: str,
         "tolerance": tolerance,
         "rows": rows,
         "failed": any(r["status"] in ("regression", "missing")
-                      for r in rows),
+                      or r["calls"] == "differ" for r in rows),
     }
 
 
 _STATUS_MARKS = {"ok": "✓", "improved": "▲", "new": "＋",
-                 "warning": "⚠", "regression": "✗", "missing": "✗"}
+                 "warning": "⚠", "regression": "✗", "missing": "✗",
+                 "calls-differ": "✗"}
 
 
 def render_markdown(outcome: Dict) -> str:
@@ -164,6 +196,12 @@ def render_markdown(outcome: Dict) -> str:
         notes = "; ".join(row["notes"]) or "-"
         lines.append(f"| {row['scenario']} | {mark} {row['status']} "
                      f"| {base} | {cur} | {delta} | {notes} |")
+    counted = [row for row in outcome["rows"] if row["calls"]]
+    differ = [row["scenario"] for row in counted if row["calls"] == "differ"]
+    lines += ["", "stage call counts (exact where both sides are the same "
+                  "run): " + (f"**differ** on {', '.join(differ)}" if differ
+                              else f"identical on {len(counted)} of "
+                                   f"{len(outcome['rows'])} scenario(s)")]
     verdict = "**FAILED**" if outcome["failed"] else "passed"
     lines += ["", f"gate {verdict}"]
     return "\n".join(lines)

@@ -15,10 +15,11 @@ Design constraints, in order:
    RNG stream, or any packet -- so a *profiled* run produces the same
    virtual-time results as an unprofiled one, and per-stage *call
    counts* are seed-deterministic even though wall seconds are not.
-2. **Zero overhead when off.**  Every hook site holds
-   :data:`NULL_PROFILER` (or ``None`` in the engine) by default; the
-   disabled path is one no-op method call (the same pattern as
-   ``NULL_TELEMETRY``), and fig5/fig13 stay byte-identical.
+2. **One branch when off.**  Every hook site holds
+   :data:`NULL_PROFILER` (or ``None`` in the engine) by default and
+   tests its ``enabled`` class attribute before touching it: a
+   disabled profiler is never called, and fig5/fig13 stay
+   byte-identical.
 3. **Flat recording, hierarchical reporting.**  Hooks record into flat
    per-stage accumulators (two clock reads per instrumented segment);
    the known nesting of stages (everything runs inside an engine
@@ -31,7 +32,8 @@ Design constraints, in order:
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional
 
 __all__ = [
     "STAGES",
@@ -79,11 +81,15 @@ STAGE_TREE: Dict[str, Optional[str]] = {
 class StageProfiler:
     """Flat per-stage wall-time + call-count accumulators.
 
-    The two-call protocol keeps hook sites branch-free::
+    The two-call protocol, each half behind the ``enabled`` test (a
+    data-path hook never calls a disabled profiler)::
 
-        t0 = profiler.t0()
+        profiled = profiler.enabled
+        if profiled:
+            t0 = profiler.t0()
         ...  # the instrumented segment
-        profiler.add("stm/commit", t0)
+        if profiled:
+            profiler.add("stm/commit", t0)
 
     ``clock`` is injectable for tests (a fake monotonic counter makes
     the seconds deterministic too).
@@ -168,13 +174,19 @@ class StageProfiler:
 
 
 class NullProfiler:
-    """Profiling disabled: every hook is a no-op on a shared singleton."""
+    """Profiling disabled: a shared singleton whose ``enabled`` is False.
+
+    Data-path hooks test ``enabled`` and never get here; the no-op
+    methods remain for callers off the data path (reports, exports).
+    """
 
     __slots__ = ()
 
     enabled = False
-    calls: Dict[str, int] = {}
-    seconds: Dict[str, float] = {}
+    #: Read-only: every disabled component shares this one object, so
+    #: a stray write must fail rather than leak into later runs.
+    calls: Mapping[str, int] = MappingProxyType({})
+    seconds: Mapping[str, float] = MappingProxyType({})
 
     def t0(self) -> float:
         return 0.0

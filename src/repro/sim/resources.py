@@ -32,7 +32,14 @@ class _Waiter(Event):
     __slots__ = ("resource", "item")
 
     def __init__(self, sim: Simulator, resource: Any, item: Any = None):
-        super().__init__(sim)
+        # Event.__init__ written out (one per queue get), same fields.
+        self.sim = sim
+        self.callbacks = []
+        self._value = Event._PENDING
+        self._ok = None
+        self._scheduled = False
+        self._defused = False
+        self._cancelled = False
         self.resource = resource
         self.item = item
 
@@ -82,16 +89,23 @@ class Store:
 
     def try_put(self, item: Any) -> bool:
         """Non-blocking put; returns False when the store is full."""
-        if self.is_full:
+        items = self.items
+        if len(items) >= self.capacity:
             return False
-        self.items.append(item)
-        self._dispatch()
+        items.append(item)
+        # Only a waiting getter can use the new item; no putter waits,
+        # because a putter waits solely on a full store.
+        if self._getters:
+            self._dispatch()
         return True
 
     def get(self) -> _Waiter:
         event = _Waiter(self.sim, self)
         self._getters.append(event)
-        self._dispatch()
+        # An empty store has nothing to hand out, and no putter to
+        # admit either: a putter waits solely on a full store.
+        if self.items:
+            self._dispatch()
         return event
 
     def try_get(self) -> Any:
@@ -99,7 +113,10 @@ class Store:
         if not self.items:
             return None
         item = self.items.popleft()
-        self._dispatch()
+        # The freed slot matters only to a waiting putter; no getter
+        # waits on a store that held an item.
+        if self._putters:
+            self._dispatch()
         return item
 
     def _dispatch(self) -> None:
@@ -108,14 +125,14 @@ class Store:
             progressed = False
             while self._putters and len(self.items) < self.capacity:
                 putter = self._putters.popleft()
-                if putter.triggered or putter._cancelled:
+                if putter._value is not Event._PENDING or putter._cancelled:
                     continue
                 self.items.append(putter.item)
                 putter.succeed()
                 progressed = True
             while self._getters and self.items:
                 getter = self._getters.popleft()
-                if getter.triggered or getter._cancelled:
+                if getter._value is not Event._PENDING or getter._cancelled:
                     # A withdrawn getter (its process was interrupted
                     # away) must not consume an item: succeed() on a
                     # cancelled event is a silent no-op.
@@ -188,10 +205,13 @@ class RateLimiter:
         service = self._slot_s
         if self.cost_fn is not None:
             service += self.cost_fn(item)
-        start = max(self.sim.now, self._next_free)
-        self._next_free = start + service
+        now = self.sim.now
+        start = self._next_free
+        if start < now:
+            start = now
+        self._next_free = done = start + service
         self.admitted += 1
-        return (start + service) - self.sim.now
+        return done - now
 
     def admit(self, item: Any = None) -> Event:
         """Event that fires when the item has been serviced."""

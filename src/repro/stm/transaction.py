@@ -325,14 +325,17 @@ class TransactionManager:
                     if commit_hold > 0.0:
                         yield Timeout(sim, commit_hold)
                 prof = self._prof
-                prof_t0 = prof.t0()
+                profiled = prof.enabled
+                if profiled:
+                    prof_t0 = prof.t0()
                 store.apply_many(live.writes)
                 commit_value = None
                 if on_commit is not None:
                     commit_value = on_commit(live, live_partitions)
                 tx.phase = "done"
                 tx.release_all()
-                prof.add("stm/commit", prof_t0)
+                if profiled:
+                    prof.add("stm/commit", prof_t0)
                 self.committed += 1
                 self.total_retries += tx.retries
                 self._m_commits.inc()

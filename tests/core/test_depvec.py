@@ -95,7 +95,7 @@ class TestReplicationState:
         state = ReplicationState("m", 4)
         state.offer(_log(depvec={0: 0}))
         with pytest.raises(ProtocolError):
-            state._status(_log(depvec={0: 0, 1: 1}))
+            state.offer(_log(depvec={0: 0, 1: 1}))
 
     def test_wrong_mbox_commit_rejected(self):
         state = ReplicationState("m", 4)
@@ -173,3 +173,196 @@ class TestReplicationState:
             state.offer(logs[index])
         assert state.store.get("v") == 7
         assert state.max == {0: 8}
+
+
+# -- the one-pass offer against the three-step protocol it replaced -----------
+
+class _ThreeStepState:
+    """Reference: classify (``_status``), then ``_apply``, then always
+    ``_drain_pending`` -- the protocol ``ReplicationState.offer`` ran
+    before the classification and the apply became one walk."""
+
+    def __init__(self, mbox):
+        self.mbox = mbox
+        self.store = StateStore(mbox)
+        self.max = {}
+        self.pending = []
+        self.retained = []
+        self.applied = 0
+        self.duplicates = 0
+        self.frozen = False
+
+    def _status(self, log):
+        newer = older = exact = 0
+        for partition, seq in log.depvec.items():
+            current = self.max.get(partition, 0)
+            if seq > current:
+                newer += 1
+            elif seq < current:
+                older += 1
+            else:
+                exact += 1
+        if older and (newer or exact):
+            raise ProtocolError(f"log {log!r} partially applied")
+        if newer:
+            return "pending"
+        if older:
+            return "duplicate"
+        return "ready"
+
+    def offer(self, log, now=0.0):
+        if self.frozen:
+            return 0
+        if log.is_noop:
+            return 0
+        status = self._status(log)
+        if status == "duplicate":
+            self.duplicates += 1
+            return 0
+        if status == "pending":
+            log._held_at = now
+            self.pending.append(log)
+            return 0
+        self._apply(log)
+        return 1 + self._drain_pending()
+
+    def offer_all(self, logs, now=0.0):
+        return sum(self.offer(log, now) for log in logs)
+
+    def _apply(self, log):
+        self.store.apply_many(log.updates)
+        for partition in log.depvec:
+            self.max[partition] = self.max.get(partition, 0) + 1
+        self.retained.append(log)
+        self.applied += 1
+
+    def _drain_pending(self):
+        applied = 0
+        progress = True
+        while progress:
+            progress = False
+            for log in list(self.pending):
+                status = self._status(log)
+                if status == "ready":
+                    self.pending.remove(log)
+                    self._apply(log)
+                    applied += 1
+                    progress = True
+                elif status == "duplicate":
+                    self.pending.remove(log)
+                    self.duplicates += 1
+        return applied
+
+
+def _twin_logs(specs):
+    """Two equal but distinct logs per spec: ``_held_at`` is stamped on
+    the log object, so each side needs its own."""
+    pairs = []
+    for index, (depvec, updates) in enumerate(specs):
+        pairs.append(tuple(
+            PiggybackLog("m", dict(depvec), dict(updates), packet_id=index,
+                         log_id=1000 + index) for _side in range(2)))
+    return pairs
+
+
+def _drive_both(reference, state, pairs, steps):
+    """Run ``steps`` on both sides; after each, everything observable
+    must agree.  A step is ``("offer", i)``, ``("batch", [i, ...])``,
+    ``("freeze",)`` or ``("thaw",)``."""
+    for tick, step in enumerate(steps):
+        now = float(tick)
+        outcomes = []
+        for side, target in enumerate((reference, state)):
+            try:
+                if step[0] == "offer":
+                    outcomes.append(target.offer(pairs[step[1]][side], now))
+                elif step[0] == "batch":
+                    outcomes.append(target.offer_all(
+                        [pairs[i][side] for i in step[1]], now=now))
+                else:
+                    target.frozen = step[0] == "freeze"
+                    outcomes.append(None)
+            except ProtocolError:
+                outcomes.append("ProtocolError")
+        assert outcomes[0] == outcomes[1], (step, outcomes)
+        assert state.store == reference.store
+        assert list(state.max.items()) == list(reference.max.items())
+        assert ([log.log_id for log in state.pending] ==
+                [log.log_id for log in reference.pending])
+        assert ([log.log_id for log in state.retained] ==
+                [log.log_id for log in reference.retained])
+        assert state.applied == reference.applied
+        assert state.duplicates == reference.duplicates
+        assert ([ours._held_at for _theirs, ours in pairs] ==
+                [theirs._held_at for theirs, _ours in pairs])
+
+
+_N_PARTITIONS = 3
+_partition_sets = st.sets(st.integers(0, _N_PARTITIONS - 1), max_size=3)
+_updates = st.dictionaries(st.sampled_from("abcd"), st.integers(0, 9),
+                           max_size=2)
+
+
+@st.composite
+def _log_streams(draw):
+    """A head's stamped logs (single- and multi-partition, read-only
+    no-ops, updates with an empty vector) delivered in any order, plus
+    repeats and arbitrary vectors that land behind, ahead of, or on
+    both sides of MAX; offered singly or in batches, sometimes across
+    a freeze."""
+    head = DependencyVector(_N_PARTITIONS)
+    n_head = draw(st.integers(1, 8))
+    specs = [(head.stamp(sorted(draw(_partition_sets))), draw(_updates))
+             for _ in range(n_head)]
+    specs += draw(st.lists(st.tuples(
+        st.dictionaries(st.integers(0, _N_PARTITIONS - 1),
+                        st.integers(0, 4), max_size=3), _updates),
+        max_size=2))
+    order = list(draw(st.permutations(range(n_head))))
+    for extra in draw(st.lists(st.integers(0, len(specs) - 1), max_size=5)):
+        order.insert(draw(st.integers(0, len(order))), extra)
+    steps = []
+    while order:
+        size = draw(st.integers(1, 3))
+        chunk, order = order[:size], order[size:]
+        steps.append(("offer", chunk[0]) if len(chunk) == 1
+                     else ("batch", chunk))
+    if draw(st.booleans()):
+        frozen_from = draw(st.integers(0, len(steps)))
+        steps.insert(frozen_from, ("freeze",))
+        steps.insert(draw(st.integers(frozen_from + 1, len(steps))),
+                     ("thaw",))
+    return specs, steps
+
+
+class TestOfferAgainstThreeStepReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_log_streams())
+    def test_same_fate_for_every_log(self, stream):
+        specs, steps = stream
+        _drive_both(_ThreeStepState("m"), ReplicationState("m", _N_PARTITIONS),
+                    _twin_logs(specs), steps)
+
+    def test_mixed_entries_raise_on_both_sides_and_change_nothing(self):
+        pairs = _twin_logs([({0: 0}, {"a": 1}), ({0: 0, 1: 1}, {"b": 2}),
+                            ({1: 0}, {"c": 3})])
+        reference, state = _ThreeStepState("m"), ReplicationState("m", 3)
+        _drive_both(reference, state, pairs,
+                    [("offer", 0), ("offer", 1), ("offer", 2)])
+        assert state.applied == 2 and state.pending == []
+        with pytest.raises(ProtocolError):
+            state.offer(pairs[1][1])
+
+    def test_skipping_the_drain_with_a_log_pending_is_caught(self):
+        class NeverDrains(ReplicationState):
+            def _drain_pending(self):
+                return 0
+
+        pairs = _twin_logs([({0: 0}, {"a": 1}), ({0: 1}, {"a": 2})])
+        steps = [("offer", 1), ("offer", 0)]   # held, then unblocked
+        _drive_both(_ThreeStepState("m"), ReplicationState("m", 3),
+                    _twin_logs([({0: 0}, {"a": 1}), ({0: 1}, {"a": 2})]),
+                    steps)
+        with pytest.raises(AssertionError):
+            _drive_both(_ThreeStepState("m"), NeverDrains("m", 3), pairs,
+                        steps)

@@ -1,6 +1,7 @@
 """Regression-gate math: tolerance edges, missing scenarios, rendering."""
 
 import json
+import pathlib
 
 from repro.perf import (
     DEFAULT_TOLERANCE,
@@ -12,10 +13,14 @@ from repro.perf import (
 )
 
 
-def _report(scenario, pps, stages=None):
-    return {"schema_version": 2, "scenario": scenario,
-            "results": {"sim_pps_per_wall_s": pps},
-            "stages": stages or {}}
+def _report(scenario, pps, stages=None, config=None, seed=0):
+    report = {"schema_version": 2, "scenario": scenario,
+              "results": {"sim_pps_per_wall_s": pps},
+              "stages": stages or {}}
+    if config is not None:
+        report["config"] = config
+        report["env"] = {"seed": seed}
+    return report
 
 
 class TestHeadline:
@@ -83,6 +88,81 @@ class TestCompareReports:
                       stages={"stm/commit": {"us_per_packet": 11.0}})
         row = compare_reports("s", base, cur, tolerance=0.15)
         assert row["notes"] == []
+
+
+class TestStageCallCounts:
+    """Same run (config + seed) -> stage ``calls`` are gated exactly."""
+
+    CONFIG = {"chain": "ch2", "f": 1, "duration_s": 0.01}
+
+    def _pair(self, base_calls, cur_calls, cur_pps=1000, **cur_kwargs):
+        cur_kwargs.setdefault("config", dict(self.CONFIG))
+        base = _report("s", 1000, config=dict(self.CONFIG), stages={
+            stage: {"calls": n} for stage, n in base_calls.items()})
+        cur = _report("s", cur_pps, stages={
+            stage: {"calls": n} for stage, n in cur_calls.items()},
+            **cur_kwargs)
+        return base, cur
+
+    def test_equal_counts_pass(self):
+        row = compare_reports("s", *self._pair(
+            {"stm/commit": 5, "buffer/hold": 7},
+            {"buffer/hold": 7, "stm/commit": 5}))
+        assert (row["status"], row["calls"], row["notes"]) == (
+            "ok", "identical", [])
+
+    def test_a_moved_probe_fails_naming_stage_and_both_counts(self):
+        row = compare_reports("s", *self._pair(
+            {"stm/commit": 5, "buffer/hold": 7},
+            {"stm/commit": 5, "buffer/hold": 8}), tolerance=0.6)
+        assert row["status"] == "calls-differ"
+        assert row["notes"] == ["buffer/hold calls 7 -> 8"]
+
+    def test_a_stage_on_one_side_only_counts_as_zero(self):
+        row = compare_reports("s", *self._pair(
+            {"stm/commit": 5}, {"stm/commit": 5, "channel/ack": 3}))
+        assert row["notes"] == ["channel/ack calls 0 -> 3"]
+        row = compare_reports("s", *self._pair({"stm/commit": 5}, {}))
+        assert row["notes"] == ["stm/commit calls 5 -> 0"]
+
+    def test_different_config_or_seed_is_a_note_not_a_failure(self):
+        for kwargs in (dict(config={**self.CONFIG, "duration_s": 0.03}),
+                       dict(seed=1)):
+            row = compare_reports("s", *self._pair(
+                {"stm/commit": 5}, {"stm/commit": 9}, **kwargs))
+            assert (row["status"], row["calls"]) == ("ok", None)
+            assert row["notes"] == ["run configurations differ; stage "
+                                    "call counts not compared"]
+
+    def test_wall_clock_regression_keeps_its_status_and_both_notes(self):
+        row = compare_reports("s", *self._pair(
+            {"stm/commit": 5}, {"stm/commit": 6}, cur_pps=500),
+            tolerance=0.15)
+        assert row["status"] == "regression"
+        assert row["notes"][0] == "stm/commit calls 5 -> 6"
+        assert "tolerance" in row["notes"][1]
+
+    def test_a_count_mismatch_fails_the_directory_gate(self, tmp_path):
+        base, cur = self._pair({"stm/commit": 5}, {"stm/commit": 6})
+        for name, report in (("base", base), ("cur", cur)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "BENCH_s.json").write_text(json.dumps(report))
+        outcome = compare_dirs(str(tmp_path / "base"), str(tmp_path / "cur"),
+                               tolerance=0.6)
+        assert outcome["failed"] is True
+        text = render_markdown(outcome)
+        assert "same run): **differ** on s" in text
+        assert "stm/commit calls 5 -> 6" in text
+
+    def test_committed_baselines_compare_identical_to_themselves(self):
+        baselines = str(pathlib.Path(__file__).parents[2]
+                        / "benchmarks" / "baselines")
+        outcome = compare_dirs(baselines, baselines)
+        assert outcome["failed"] is False
+        assert [row["calls"] for row in outcome["rows"]] == \
+            ["identical"] * len(outcome["rows"])
+        assert "same run): identical on 6 of 6 scenario(s)" in \
+            render_markdown(outcome)
 
 
 class TestCompareDirs:

@@ -2,6 +2,11 @@
 
 import json
 
+import pytest
+
+from repro.core import FTCChain
+from repro.middlebox import ch_n
+from repro.net import TrafficGenerator, balanced_flows
 from repro.perf import (
     NULL_PROFILER,
     NullProfiler,
@@ -12,7 +17,8 @@ from repro.perf import (
     exclusive_seconds,
     speedscope_doc,
 )
-from repro.telemetry import MetricRegistry
+from repro.sim import RandomStreams, Simulator
+from repro.telemetry import MetricRegistry, Telemetry
 
 
 class FakeClock:
@@ -110,6 +116,80 @@ class TestNullProfiler:
 
     def test_no_instance_state(self):
         assert NullProfiler.__slots__ == ()
+
+    def test_shared_aggregates_are_read_only(self):
+        # One object serves every disabled component of every run: a
+        # stray write must fail, not leak counts into the next run.
+        for mapping in (NULL_PROFILER.calls, NULL_PROFILER.seconds):
+            assert dict(mapping) == {}
+            with pytest.raises(TypeError):
+                mapping["stm/commit"] = 1
+
+
+class _CountingOffProfiler:
+    """A disabled profiler that records every call made to it."""
+
+    enabled = False
+
+    def __init__(self):
+        self.touched = []
+
+    def t0(self):
+        self.touched.append("t0")
+        return 0.0
+
+    def add(self, stage, t0, n=1):
+        self.touched.append(("add", stage))
+
+    def count(self, stage, n=1):
+        self.touched.append(("count", stage))
+
+
+def _run_lossy_ch5(profiler, seed=3):
+    """Ch-5 ring, f=2, reliable links over an impaired wire, 5 ms."""
+    sim = Simulator()
+    if profiler.enabled:
+        sim.profiler = profiler
+    released = []
+    chain = FTCChain(sim, ch_n(5, n_threads=2), f=2,
+                     deliver=released.append, n_threads=2, seed=seed,
+                     reliable_links=True,
+                     telemetry=Telemetry(max_trace_events=0,
+                                         profiler=profiler))
+    chain.net.impair_data(seed=seed, drop_rate=0.02, dup_rate=0.01,
+                          reorder_rate=0.01, corrupt_rate=0.005)
+    chain.start()
+    generator = TrafficGenerator(
+        sim, chain.ingress, rate_pps=1e5, flows=balanced_flows(64, 2),
+        packet_size=256, arrivals="poisson", streams=RandomStreams(seed))
+    sim.run(until=5e-3)
+    generator.stop()
+    chain.net.clear_data_impairment()
+    sim.run(until=15e-3)
+    assert len(released) == generator.sent == 503
+    return sim
+
+
+class TestDataPathProbes:
+    """PROTOCOL.md §13.4: a disabled profiler is tested, never called;
+    an enabled one records exactly the stage calls it always did."""
+
+    def test_off_means_never_called(self):
+        profiler = _CountingOffProfiler()
+        _run_lossy_ch5(profiler)
+        assert profiler.touched == []
+
+    def test_on_records_the_same_stage_calls(self):
+        profiler = StageProfiler()
+        sim = _run_lossy_ch5(profiler)
+        # Counted on the commit before the probes were guarded.
+        assert profiler.calls == {
+            "engine/dispatch": 19977, "piggyback/append": 509,
+            "depvec/merge": 5030, "piggyback/trim": 4488,
+            "stm/commit": 2515, "channel/frame": 4089,
+            "channel/ack": 1618, "buffer/hold": 506,
+            "buffer/release": 506}
+        assert sim._eid == 19983
 
 
 class TestStageTree:

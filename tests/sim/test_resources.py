@@ -1,8 +1,11 @@
 """Unit tests for Store, Resource, and RateLimiter."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.sim import CancelledError, RateLimiter, Resource, SimulationError, Simulator, Store
+from repro.sim import (CancelledError, Interrupt, RateLimiter, Resource,
+                       SimulationError, Simulator, Store)
+from repro.sim.resources import _Waiter
 
 
 class TestStore:
@@ -250,3 +253,119 @@ class TestRateLimiter:
         for _ in range(5):
             limiter.admission_delay()
         assert limiter.admitted == 5
+
+
+# -- Store dispatches only when a counterpart waits ---------------------------
+#
+# try_put wakes the dispatcher only for a waiting getter, try_get only
+# for a waiting putter, get only when an item is there.  The skipped
+# calls can do nothing because a putter waits solely on a full store:
+# a store with room has no waiting putter, and an empty one (capacity
+# is positive) is never full.  The reference below dispatches after
+# every operation, as the store did before; both run the same random
+# schedule and must hand the same item to the same waiter at the same
+# instant, and end on the same event id.
+
+class _AlwaysDispatchStore(Store):
+    def try_put(self, item):
+        if self.is_full:
+            return False
+        self.items.append(item)
+        self._dispatch()
+        return True
+
+    def get(self):
+        event = _Waiter(self.sim, self)
+        self._getters.append(event)
+        self._dispatch()
+        return event
+
+    def try_get(self):
+        if not self.items:
+            return None
+        item = self.items.popleft()
+        self._dispatch()
+        return item
+
+
+def _run_schedule(store_class, capacity, schedule):
+    """Play ``schedule`` -- (gap, kind, arg) triples -- against one
+    store; returns the observable history and the final event id."""
+    sim = Simulator()
+    store = store_class(sim, capacity=capacity)
+    history = []
+    getters = []   # (process, {"event": the get it is waiting on})
+
+    def getter(tag, box):
+        box["event"] = store.get()
+        try:
+            item = yield box["event"]
+            history.append(("got", tag, item, sim.now))
+        except CancelledError:
+            history.append(("get-cancelled", tag, sim.now))
+        except Interrupt:
+            history.append(("get-interrupted", tag, sim.now))
+
+    def putter(tag, item):
+        yield store.put(item)
+        history.append(("put-accepted", tag, item, sim.now))
+
+    def act(step, kind, arg):
+        if kind == "put":
+            sim.process(putter(step, f"item{step}"))
+        elif kind == "get":
+            box = {}
+            getters.append((sim.process(getter(step, box)), box))
+        elif kind == "try_put":
+            history.append(("try_put", step,
+                            store.try_put(f"item{step}"), sim.now))
+        elif kind == "try_get":
+            history.append(("try_get", step, store.try_get(), sim.now))
+        elif getters:
+            # Withdraw one getter, once: by cancelling its wait or by
+            # interrupting its process away from it.
+            process, box = getters[arg % len(getters)]
+            if "event" in box and process.is_alive \
+                    and not box.get("withdrawn"):
+                box["withdrawn"] = True
+                if kind == "cancel":
+                    box["event"].cancel()
+                else:
+                    process.interrupt("schedule")
+
+    when = 0.0
+    for step, (gap, kind, arg) in enumerate(schedule):
+        when += gap
+        sim.schedule_callback(
+            when, lambda step=step, kind=kind, arg=arg: act(step, kind, arg))
+    sim.run()
+    history.append(("left", list(store.items)))
+    return history, sim._eid
+
+
+_store_schedules = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.0, 1e-6]),
+              st.sampled_from(["put", "get", "try_put", "try_get",
+                               "cancel", "interrupt"]),
+              st.integers(0, 7)),
+    max_size=40)
+
+
+class TestStoreDispatchesOnlyForAWaitingCounterpart:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([1, 2, 3, float("inf")]), _store_schedules)
+    def test_same_history_and_event_ids_as_always_dispatching(
+            self, capacity, schedule):
+        assert (_run_schedule(Store, capacity, schedule) ==
+                _run_schedule(_AlwaysDispatchStore, capacity, schedule))
+
+    def test_reference_is_not_vacuous(self):
+        schedule = [(0.0, "get", 0), (1e-6, "try_put", 0),
+                    (0.0, "try_put", 0), (0.0, "put", 0), (0.0, "put", 0),
+                    (1e-6, "try_get", 0), (0.0, "get", 0)]
+        history, eid = _run_schedule(Store, 2, schedule)
+        assert [entry[0] for entry in history] == [
+            "try_put", "try_put", "got", "put-accepted", "try_get",
+            "put-accepted", "got", "left"]
+        assert (history, eid) == _run_schedule(_AlwaysDispatchStore, 2,
+                                               schedule)
