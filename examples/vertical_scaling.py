@@ -10,7 +10,7 @@ carries over.
 Run:  python examples/vertical_scaling.py
 """
 
-from repro.core import FTCChain, rescale_position
+from repro.core import FTCChain, ReconfigOp, apply_reconfig
 from repro.metrics import EgressRecorder
 from repro.middlebox import Monitor
 from repro.net import TrafficGenerator, balanced_flows
@@ -37,9 +37,11 @@ def main():
 
     def scale(sim):
         yield sim.timeout(3e-3)
-        report = yield sim.process(rescale_position(chain, 0, 4))
+        old_threads = len(chain.server_at(0).nic.queues)
+        report = yield sim.process(apply_reconfig(chain, ReconfigOp(
+            kind="rescale", position=0, n_threads=4)))
         print(f"[{sim.now * 1e3:.2f} ms] rescaled position 0: "
-              f"{report.old_threads} -> {report.new_threads} threads in "
+              f"{old_threads} -> {report.op.n_threads} threads in "
               f"{report.total_s * 1e3:.2f} ms "
               f"({report.bytes_transferred} B of state moved)")
 

@@ -9,7 +9,9 @@ Three layers (see PROTOCOL.md, "Failure model & chaos testing"):
   re-entrant recovery in ``repro.orchestration`` (exercised, not
   defined, here).
 - **Audit**: :class:`InvariantAuditor` checking the §4/§5 invariants
-  against a :class:`ShadowOracle`, and the soak harness behind
+  against a :class:`ShadowOracle`; :class:`Scenario` + :func:`run`,
+  the one audited run loop every soak, bench scenario and extension
+  experiment goes through; and the soak harness behind
   ``python -m repro chaos``.
 """
 
@@ -30,20 +32,24 @@ from .plan import (
     FaultPlan,
     FaultSpec,
 )
+from .scenario import CHECKS, Monkey, Run, Scenario, Step, run
 from .soak import (
     OverloadSpec,
     ScheduleResult,
     SoakConfig,
     SoakResult,
-    run_ctrlplane_schedule,
-    run_impaired_schedule,
-    run_overload_schedule,
-    run_reconfig_schedule,
+    chaos_scenario,
+    ctrlplane_scenario,
+    impaired_scenario,
+    overload_scenario,
+    reconfig_scenario,
     run_schedule,
     run_soak,
+    soak_scenario,
 )
 
 __all__ = [
+    "CHECKS",
     "CTRLPLANE_KIND_WEIGHTS",
     "ChaosMonkey",
     "DEFAULT_KIND_WEIGHTS",
@@ -58,15 +64,22 @@ __all__ = [
     "FaultSpec",
     "InvariantAuditor",
     "InvariantViolation",
+    "Monkey",
     "OverloadSpec",
+    "Run",
+    "Scenario",
     "ScheduleResult",
     "ShadowOracle",
     "SoakConfig",
     "SoakResult",
-    "run_ctrlplane_schedule",
-    "run_impaired_schedule",
-    "run_overload_schedule",
-    "run_reconfig_schedule",
+    "Step",
+    "chaos_scenario",
+    "ctrlplane_scenario",
+    "impaired_scenario",
+    "overload_scenario",
+    "reconfig_scenario",
+    "run",
     "run_schedule",
     "run_soak",
+    "soak_scenario",
 ]

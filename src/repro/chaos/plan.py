@@ -75,7 +75,9 @@ class FaultSpec:
     ``kind="orch-crash"``
         Fail-stop ensemble ``member`` at ``at_s`` (the current leader
         when ``member`` is None); ``restart_after_s`` optionally brings
-        it back as a follower.
+        it back as a follower.  With ``phase`` set (any ``orch-*`` kind)
+        the fault is armed at ``at_s`` and fires the first time a
+        recovery reaches that phase with a member to hit.
     ``kind="orch-partition"``
         From ``at_s``, cut ensemble ``member`` (default: the leader)
         off from every other server for ``duration_s`` -- it keeps
@@ -313,7 +315,7 @@ class FaultInjector:
 
     def start(self) -> None:
         sim = self.chain.sim
-        executors = {
+        executors = self._executors = {
             "crash": self._crash,
             "crash-during-recovery": self._arm_phase_spec,
             IMPAIRED_DELIVERY: self._impair_data,
@@ -337,9 +339,12 @@ class FaultInjector:
             if spec.kind == "flash-crowd" and self.workload is None:
                 raise ValueError(
                     "flash-crowd faults need a workload generator target")
+            run = executors[spec.kind]
+            if spec.kind in ORCH_FAULT_KINDS and spec.phase is not None:
+                run = self._arm_phase_spec
             sim.schedule_callback(
                 max(0.0, spec.at_s - sim.now),
-                lambda spec=spec, run=executors[spec.kind]: run(spec))
+                lambda spec=spec, run=run: run(spec))
 
     # -- executors --------------------------------------------------------------
 
@@ -419,6 +424,12 @@ class FaultInjector:
     def _on_phase(self, phase: str, positions: List[int]) -> None:
         for spec in list(self._armed_phase_specs):
             if spec.phase != phase:
+                continue
+            if spec.kind in ORCH_FAULT_KINDS:
+                before = len(self.injected)
+                self._executors[spec.kind](spec)
+                if len(self.injected) > before:  # else: no member to hit yet
+                    self._armed_phase_specs.remove(spec)
                 continue
             target = spec.position
             if target is None or target in positions or \

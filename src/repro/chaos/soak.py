@@ -1,43 +1,39 @@
 """Chaos soak: randomized fault schedules + invariant auditing.
 
-One *schedule* builds a fresh Ch-n chain under FTC, runs traffic,
-lets a :class:`ChaosMonkey` inject faults (crashes, crashes during
-recovery, control-plane impairment), audits the §4/§5 invariants
-periodically and once more at the end, and reports every violation.
-A *soak* sweeps many schedules over (chain length, f) combinations,
-each derived deterministically from the base seed -- a red schedule
-is reproduced bit-for-bit by ``python -m repro chaos --seed N``.
+One *schedule* is a :class:`~.scenario.Scenario` -- a fresh Ch-n chain
+under FTC, traffic, and an adversary (a :class:`ChaosMonkey`, or a
+scripted fault plan and reconfiguration steps) -- run by
+:func:`~.scenario.run`, which audits the §4/§5 invariants periodically
+and once more at the end and reports every violation.  The five
+``*_scenario`` functions are the soak kinds; a *soak* sweeps many
+schedules over (chain length, f) combinations, each derived
+deterministically from the base seed -- a red schedule is reproduced
+bit-for-bit by ``python -m repro chaos --seed N``.
 """
 
 from __future__ import annotations
 
 import os
-
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
-from ..core import FTCChain
-from ..core.admission import AdmissionControl, BackpressureBus
 from ..core.costs import CostModel
+from ..core.reconfig import ClassifierRule, ClassifierSet, ReconfigOp
 from ..flight import FlightRecorder
-from ..flight.slo import SLOObjective, SLOWatchdog, run_probes
-from ..metrics.meters import EgressRecorder
-from ..middlebox import ch_n
-from ..net import TrafficGenerator, balanced_flows
-from ..net.flowgen import FlashCrowd, WorkloadGenerator, WorkloadSpec
-from ..orchestration import Orchestrator, OrchestratorEnsemble
-from ..orchestration.brownout import BrownoutController
-from ..orchestration.election import ElectionConfig
-from ..sim import RandomStreams, Simulator
+from ..middlebox.monitor import Monitor
+from ..net.flowgen import FlashCrowd, WorkloadSpec
+from ..sim import RandomStreams
 from ..telemetry import MetricRegistry, Telemetry
-from .auditor import InvariantAuditor, InvariantViolation, ShadowOracle
-from .monkey import CTRLPLANE_KIND_WEIGHTS, ChaosMonkey
-from .plan import FaultInjector, FaultPlan
+from .auditor import InvariantViolation
+from .monkey import CTRLPLANE_KIND_WEIGHTS
+from .plan import IMPAIRED_DELIVERY, FaultSpec
+from .scenario import CTRLPLANE_ELECTION, Monkey, Run, Scenario, Step, run
 
 __all__ = ["SoakConfig", "ScheduleResult", "SoakResult", "run_schedule",
-           "run_impaired_schedule", "run_ctrlplane_schedule",
-           "run_reconfig_schedule", "run_overload_schedule", "run_soak",
-           "CTRLPLANE_ELECTION", "OverloadSpec", "OVERLOAD_COSTS"]
+           "run_soak", "chaos_scenario", "impaired_scenario",
+           "ctrlplane_scenario", "reconfig_scenario", "overload_scenario",
+           "soak_scenario", "CTRLPLANE_ELECTION", "OverloadSpec",
+           "OVERLOAD_COSTS"]
 
 #: Deterministic cost model: chaos schedules must be a pure function of
 #: the seed, so processing-time jitter is turned off.
@@ -160,7 +156,12 @@ class OverloadSpec:
 
 @dataclass
 class SoakConfig:
-    """Sweep parameters for :func:`run_soak`."""
+    """Sweep parameters for :func:`run_soak`.
+
+    The mode fields pick the soak kind (:func:`soak_scenario`); a
+    combination no kind honours is a ``ValueError`` here, never a
+    silently ignored field.
+    """
 
     seed: int = 0
     schedules: int = 50
@@ -175,12 +176,13 @@ class SoakConfig:
     #: registry (purely observational; schedules stay bit-identical).
     telemetry: bool = False
     #: Data-plane impairment rates ``(drop, dup, reorder, corrupt)``.
-    #: When set, the soak runs :func:`run_impaired_schedule` instead:
+    #: When set, the soak runs :func:`impaired_scenario` instead:
     #: reliable links + lossy data plane + exactly-once egress checks.
     impair_data: Optional[Tuple[float, float, float, float]] = None
-    #: Orchestrator replicas.  ``> 1`` runs
-    #: :func:`run_ctrlplane_schedule`: a leader-elected ensemble with
-    #: epoch fencing replaces the single orchestrator (PROTOCOL.md §9).
+    #: Orchestrator replicas.  ``> 1`` runs :func:`ctrlplane_scenario`
+    #: (or the reconfig/overload kind under an ensemble): a leader-
+    #: elected ensemble with epoch fencing replaces the single
+    #: orchestrator (PROTOCOL.md §9).
     orchestrators: int = 1
     #: With ``orchestrators > 1``: also let the monkey crash, partition,
     #: and pause ensemble members (the ``orch-*`` fault kinds).
@@ -204,6 +206,28 @@ class SoakConfig:
     #: brownout and audits the overload invariants (no in-chain drop,
     #: queues within bounds, shed conservation, goodput floor).
     overload: Optional[OverloadSpec] = None
+
+    def __post_init__(self):
+        if self.orchestrators < 1:
+            raise ValueError("orchestrators must be >= 1")
+        if self.orch_faults and self.orchestrators < 2:
+            raise ValueError("orch_faults needs orchestrators >= 2 "
+                             "(no ensemble to attack)")
+        if self.impair_data is not None and self.orchestrators > 1:
+            raise ValueError("impair_data and orchestrators are separate "
+                             "soak modes; pick one")
+        if self.reconfig and self.impair_data is not None:
+            raise ValueError("reconfig runs its own impairment window; "
+                             "drop impair_data")
+        if self.reconfig_crashes and not self.reconfig:
+            raise ValueError("reconfig_crashes needs reconfig")
+        if self.overload is not None:
+            if self.impair_data is not None or self.reconfig:
+                raise ValueError("overload is its own soak mode; drop "
+                                 "impair_data/reconfig")
+            if self.orchestrators > 1 and self.overload.orchestrators == 1:
+                self.overload = replace(self.overload,
+                                        orchestrators=self.orchestrators)
 
 
 @dataclass
@@ -314,326 +338,119 @@ class SoakResult:
         return "\n".join(lines)
 
 
-def run_schedule(seed: int, chain_length: int, f: int,
-                 max_faults: int = 3, duration_s: float = 60e-3,
-                 rate_pps: float = 2e4, heartbeat_interval_s: float = 1e-3,
-                 mean_fault_interval_s: float = 8e-3,
-                 index: int = 0,
-                 telemetry: Optional[Telemetry] = None) -> ScheduleResult:
-    """One randomized fault schedule on a fresh Ch-``chain_length`` chain."""
-    sim = Simulator()
-    oracle = ShadowOracle()
-    chain = FTCChain(sim, ch_n(chain_length, n_threads=2), f=f,
-                     deliver=oracle, costs=SOAK_COSTS, n_threads=2, seed=seed,
-                     telemetry=telemetry)
-    chain.start()
-    orchestrator = Orchestrator(sim, chain,
-                                heartbeat_interval_s=heartbeat_interval_s)
-    orchestrator.start()
-    auditor = InvariantAuditor(
-        chain, oracle=oracle, orchestrator=orchestrator,
-        context={"seed": seed, "schedule": index})
-    monkey = ChaosMonkey(chain, orchestrator,
-                         mean_interval_s=mean_fault_interval_s,
-                         max_faults=max_faults,
-                         start_after_s=duration_s * 0.1)
-    monkey.start()
-    generator = TrafficGenerator(sim, chain.ingress, rate_pps=rate_pps,
-                                 flows=balanced_flows(8, 2))
-
-    def periodic_audit():
-        auditor.audit()
-        if sim.now + AUDIT_INTERVAL_S < duration_s:
-            sim.schedule_callback(AUDIT_INTERVAL_S, periodic_audit)
-
-    sim.schedule_callback(AUDIT_INTERVAL_S, periodic_audit)
-    sim.run(until=duration_s)
-    generator.stop()
-    monkey.stop()
-    # Let in-flight recovery/commits drain, then audit one last time.
-    sim.run(until=duration_s + 20 * heartbeat_interval_s)
-    auditor.audit()
-    orchestrator.stop()
-
-    return ScheduleResult(
-        index=index, seed=seed, chain_length=chain_length, f=f,
-        faults=list(monkey.injected), violations=list(auditor.violations),
-        released=oracle.released,
-        failures_detected=len(orchestrator.history),
-        recoveries=sum(1 for e in orchestrator.history if e.recovered),
-        degraded=chain.degraded,
-        timeline=([] if telemetry is None
-                  else telemetry.timeline.as_dicts()))
+def chaos_scenario(seed: int, chain_length: int, f: int,
+                   max_faults: int = 3, duration_s: float = 60e-3,
+                   rate_pps: float = 2e4,
+                   heartbeat_interval_s: float = 1e-3,
+                   mean_fault_interval_s: float = 8e-3,
+                   index: int = 0) -> Scenario:
+    """One randomized fault schedule on a fresh Ch-``chain_length`` chain:
+    a :class:`ChaosMonkey` mixes crashes, crashes during recovery and
+    control-plane impairment under one orchestrator.  The drain lets
+    in-flight recoveries and commits finish; a crash landing late may
+    still be mid-recovery, so the final audit does not assume quiescence.
+    """
+    return Scenario(
+        chain_length=chain_length, f=f, seed=seed, costs=SOAK_COSTS,
+        duration_s=duration_s, rate_pps=rate_pps, orchestrators=1,
+        heartbeat_interval_s=heartbeat_interval_s,
+        monkey=Monkey(max_faults, mean_fault_interval_s),
+        audit_every_s=AUDIT_INTERVAL_S, quiescent=False,
+        drain_s=20 * heartbeat_interval_s, context=(("schedule", index),))
 
 
-def run_impaired_schedule(seed: int, chain_length: int = 2, f: int = 1,
-                          drop_rate: float = 0.05, dup_rate: float = 0.02,
-                          reorder_rate: float = 0.02,
-                          corrupt_rate: float = 0.01,
-                          duration_s: float = 60e-3, rate_pps: float = 2e4,
-                          heartbeat_interval_s: float = 1e-3,
-                          index: int = 0,
-                          telemetry: Optional[Telemetry] = None
-                          ) -> ScheduleResult:
+def impaired_scenario(seed: int, chain_length: int = 2, f: int = 1,
+                      drop_rate: float = 0.05, dup_rate: float = 0.02,
+                      reorder_rate: float = 0.02, corrupt_rate: float = 0.01,
+                      duration_s: float = 60e-3, rate_pps: float = 2e4,
+                      heartbeat_interval_s: float = 1e-3,
+                      index: int = 0) -> Scenario:
     """One data-plane adversity schedule (PROTOCOL.md §8).
 
-    A fresh chain with reliable hop channels runs under a scripted
-    impairment window covering the middle 80% of the schedule: chain
-    links drop/duplicate/reorder/corrupt packets while the end-to-end
-    contract is audited -- exactly-once per-flow-ordered egress, zero
-    loss after drain, and *no failover* (a lossy link must read as a
-    lossy link, not as a dead replica).
+    Reliable hop channels under an impairment window covering the
+    middle 80% of the schedule: chain links drop/duplicate/reorder/
+    corrupt packets while the end-to-end contract is audited --
+    exactly-once per-flow-ordered egress, zero loss after drain, and
+    *no failover* (a lossy link must read as a lossy link, not as a
+    dead replica).  Retransmission tails (RTO backoff caps at 2 ms)
+    need more drain runway than clean schedules.
     """
-    sim = Simulator()
-    oracle = ShadowOracle(track_order=True)
-    chain = FTCChain(sim, ch_n(chain_length, n_threads=2), f=f,
-                     deliver=oracle, costs=SOAK_COSTS, n_threads=2, seed=seed,
-                     telemetry=telemetry, reliable_links=True)
-    chain.start()
-    orchestrator = Orchestrator(sim, chain,
-                                heartbeat_interval_s=heartbeat_interval_s,
-                                corroborate_suspects=True)
-    orchestrator.start()
-    auditor = InvariantAuditor(
-        chain, oracle=oracle, orchestrator=orchestrator,
-        context={"seed": seed, "schedule": index})
-    plan = FaultPlan().impair_data(
-        at_s=duration_s * 0.1, drop_rate=drop_rate, dup_rate=dup_rate,
-        reorder_rate=reorder_rate, corrupt_rate=corrupt_rate,
-        duration_s=duration_s * 0.8)
-    injector = FaultInjector(chain, orchestrator, plan, seed=seed)
-    injector.start()
-    generator = TrafficGenerator(sim, chain.ingress, rate_pps=rate_pps,
-                                 flows=balanced_flows(8, 2))
-
-    def periodic_audit():
-        auditor.audit()
-        if sim.now + AUDIT_INTERVAL_S < duration_s:
-            sim.schedule_callback(AUDIT_INTERVAL_S, periodic_audit)
-
-    sim.schedule_callback(AUDIT_INTERVAL_S, periodic_audit)
-    sim.run(until=duration_s)
-    generator.stop()
-    # Retransmission tails need more drain runway than clean schedules
-    # (RTO backoff caps at 2ms); the impairment window already closed
-    # at 0.9 * duration, so by here every loss is recoverable.
-    sim.run(until=duration_s + 40 * heartbeat_interval_s)
-    auditor.audit(quiescent=True)
-    orchestrator.stop()
-
-    violations = list(auditor.violations)
-    if oracle.released != generator.sent:
-        violations.append(InvariantViolation(
-            invariant="egress-loss",
-            detail=f"released {oracle.released} != sent {generator.sent}",
-            at_s=sim.now))
-    if oracle.out_of_order:
-        violations.append(InvariantViolation(
-            invariant="egress-order",
-            detail=f"{oracle.out_of_order} per-flow order inversions",
-            at_s=sim.now))
-    if orchestrator.history:
-        violations.append(InvariantViolation(
-            invariant="spurious-failover",
-            detail=f"{len(orchestrator.history)} failovers under a "
-                   f"lossy-but-alive data plane",
-            at_s=sim.now))
-    stats = chain.channel_stats()
-    return ScheduleResult(
-        index=index, seed=seed, chain_length=chain_length, f=f,
-        faults=list(injector.injected), violations=violations,
-        released=oracle.released,
-        failures_detected=len(orchestrator.history),
-        recoveries=sum(1 for e in orchestrator.history if e.recovered),
-        degraded=chain.degraded,
-        timeline=([] if telemetry is None
-                  else telemetry.timeline.as_dicts()),
-        sent=generator.sent,
-        retransmissions=stats.get("retransmissions", 0),
-        egress_pids=list(oracle.order))
+    return Scenario(
+        chain_length=chain_length, f=f, seed=seed, costs=SOAK_COSTS,
+        duration_s=duration_s, rate_pps=rate_pps, reliable_links=True,
+        orchestrators=1, heartbeat_interval_s=heartbeat_interval_s,
+        faults=(FaultSpec(
+            kind=IMPAIRED_DELIVERY, at_s=duration_s * 0.1,
+            drop_rate=drop_rate, dup_rate=dup_rate,
+            reorder_rate=reorder_rate, corrupt_rate=corrupt_rate,
+            duration_s=duration_s * 0.8),),
+        audit_every_s=AUDIT_INTERVAL_S,
+        checks=("egress-loss", "egress-order", "spurious-failover"),
+        drain_s=40 * heartbeat_interval_s, context=(("schedule", index),))
 
 
-#: Election timing for control-plane soaks: tight enough that a leader
-#: crash fails over well inside a schedule, loose enough that renewal
-#: rounds (bounded by the election retry budget) never starve a
-#: healthy leader's lease.
-CTRLPLANE_ELECTION = ElectionConfig(lease_s=6e-3, renew_every_s=2e-3,
-                                    candidacy_base_s=2e-3)
-
-
-def run_ctrlplane_schedule(seed: int, chain_length: int = 3, f: int = 1,
-                           orchestrators: int = 3, max_faults: int = 4,
-                           duration_s: float = 80e-3, rate_pps: float = 2e4,
-                           heartbeat_interval_s: float = 1e-3,
-                           mean_fault_interval_s: float = 10e-3,
-                           orch_faults: bool = True,
-                           index: int = 0,
-                           telemetry: Optional[Telemetry] = None
-                           ) -> ScheduleResult:
+def ctrlplane_scenario(seed: int, chain_length: int = 3, f: int = 1,
+                       orchestrators: int = 3, max_faults: int = 4,
+                       duration_s: float = 80e-3, rate_pps: float = 2e4,
+                       heartbeat_interval_s: float = 1e-3,
+                       mean_fault_interval_s: float = 10e-3,
+                       orch_faults: bool = True,
+                       index: int = 0) -> Scenario:
     """One control-plane chaos schedule (PROTOCOL.md §9).
 
-    A replicated orchestrator ensemble monitors a fresh chain while the
+    A replicated orchestrator ensemble monitors the chain while the
     monkey mixes chain crashes with ensemble-member crashes, one-member
     partitions, and leader freezes (stale resumes).  On top of the §4/§5
-    data-plane invariants the auditor proves election safety -- at most
-    one valid lease, one leader per epoch, no double recovery -- and the
-    schedule itself checks that every chain failure was eventually
-    failed over despite the control-plane churn.
+    invariants the auditor proves election safety -- at most one valid
+    lease, one leader per epoch, no double recovery -- and every chain
+    failure must eventually be failed over despite the churn.  The
+    drain outlasts a full lease + candidacy + recovery cycle: paused
+    members resume (and get fenced), crashed members restart, a leader
+    re-elects, and any in-flight recovery finishes.
     """
-    sim = Simulator()
-    oracle = ShadowOracle()
-    chain = FTCChain(sim, ch_n(chain_length, n_threads=2), f=f,
-                     deliver=oracle, costs=SOAK_COSTS, n_threads=2, seed=seed,
-                     telemetry=telemetry)
-    chain.start()
-    ensemble = OrchestratorEnsemble(
-        sim, chain, n=orchestrators, election=CTRLPLANE_ELECTION,
-        heartbeat_interval_s=heartbeat_interval_s)
-    ensemble.start()
-    auditor = InvariantAuditor(
-        chain, oracle=oracle, orchestrator=ensemble,
-        context={"seed": seed, "schedule": index})
-    monkey = ChaosMonkey(chain, ensemble, ensemble=ensemble,
-                         mean_interval_s=mean_fault_interval_s,
-                         max_faults=max_faults,
-                         start_after_s=duration_s * 0.1,
-                         kind_weights=(CTRLPLANE_KIND_WEIGHTS if orch_faults
-                                       else None))
-    monkey.start()
-    generator = TrafficGenerator(sim, chain.ingress, rate_pps=rate_pps,
-                                 flows=balanced_flows(8, 2))
-
-    def periodic_audit():
-        auditor.audit()
-        if sim.now + AUDIT_INTERVAL_S < duration_s:
-            sim.schedule_callback(AUDIT_INTERVAL_S, periodic_audit)
-
-    sim.schedule_callback(AUDIT_INTERVAL_S, periodic_audit)
-    sim.run(until=duration_s)
-    generator.stop()
-    monkey.stop()
-    # Heal any open cut, then drain: paused members resume (and get
-    # fenced), crashed members restart, a leader re-elects, and any
-    # in-flight recovery finishes -- the drain must outlast a full
-    # lease + candidacy + recovery cycle.
-    chain.net.heal()
-    chain.net.clear_impairment()
-    drain = max(40 * heartbeat_interval_s,
-                CTRLPLANE_ELECTION.lease_s * 5 + 20e-3)
-    sim.run(until=duration_s + drain)
-    auditor.audit(quiescent=True)
-    violations = list(auditor.violations)
-    failed_now = [p for p in range(chain.n_positions)
-                  if chain.server_at(p).failed]
-    if failed_now and not chain.degraded and ensemble.has_quorum:
-        violations.append(InvariantViolation(
-            invariant="missed-failover",
-            detail=f"positions {failed_now} still failed at quiescence "
-                   f"with a live ensemble quorum",
-            at_s=sim.now))
-    ensemble.stop()
-
-    return ScheduleResult(
-        index=index, seed=seed, chain_length=chain_length, f=f,
-        faults=list(monkey.injected), violations=violations,
-        released=oracle.released,
-        failures_detected=len(ensemble.history),
-        recoveries=sum(1 for e in ensemble.history if e.recovered),
-        degraded=chain.degraded,
-        timeline=([] if telemetry is None
-                  else telemetry.timeline.as_dicts()),
-        elections=len(ensemble.election_log),
-        fenced_commands=ensemble.gate.fenced_commands)
+    return Scenario(
+        chain_length=chain_length, f=f, seed=seed, costs=SOAK_COSTS,
+        duration_s=duration_s, rate_pps=rate_pps,
+        orchestrators=orchestrators,
+        heartbeat_interval_s=heartbeat_interval_s,
+        monkey=Monkey(max_faults, mean_fault_interval_s,
+                      CTRLPLANE_KIND_WEIGHTS if orch_faults else None),
+        audit_every_s=AUDIT_INTERVAL_S, checks=("missed-failover",),
+        drain_s=max(40 * heartbeat_interval_s,
+                    CTRLPLANE_ELECTION.lease_s * 5 + 20e-3),
+        context=(("schedule", index),))
 
 
-def run_reconfig_schedule(seed: int, chain_length: int = 3, f: int = 1,
-                          drop_rate: float = 0.02, dup_rate: float = 0.01,
-                          reorder_rate: float = 0.01,
-                          corrupt_rate: float = 0.005,
-                          duration_s: float = 80e-3, rate_pps: float = 2e4,
-                          heartbeat_interval_s: float = 1e-3,
-                          crashes: bool = False, orchestrators: int = 1,
-                          index: int = 0,
-                          telemetry: Optional[Telemetry] = None
-                          ) -> ScheduleResult:
+def reconfig_scenario(seed: int, chain_length: int = 3, f: int = 1,
+                      drop_rate: float = 0.02, dup_rate: float = 0.01,
+                      reorder_rate: float = 0.01, corrupt_rate: float = 0.005,
+                      duration_s: float = 80e-3, rate_pps: float = 2e4,
+                      heartbeat_interval_s: float = 1e-3,
+                      crashes: bool = False, orchestrators: int = 1,
+                      index: int = 0) -> Scenario:
     """One live-reconfiguration schedule (PROTOCOL.md §11).
 
-    A fresh chain with reliable hop channels runs under a data-plane
-    impairment window while a scripted sequence of reconfigurations
-    fires: a classifier update, a vertical rescale, an instance
-    migration, a middlebox insert, and its removal.  The end-to-end
-    contract is audited throughout: every §4/§5 invariant, exactly-once
-    per-flow-ordered egress, per-flow config-version monotonicity (a
-    flow never sees an older config after a newer one), zero loss, and
-    no spurious failover -- a drain + hold must read as a brief delay,
-    never as a dead replica.
+    Reliable hop channels under a data-plane impairment window while a
+    scripted sequence fires: a classifier update, a vertical rescale,
+    an instance migration, a middlebox insert, and its removal.  The
+    end-to-end contract is audited throughout: every §4/§5 invariant,
+    exactly-once per-flow-ordered egress, per-flow config-version
+    monotonicity, zero loss, every operation terminal, and no spurious
+    failover -- a drain + hold must read as a brief delay, never as a
+    dead replica.
 
     ``crashes=True`` arms crash-during-reconfig faults instead: the
-    zero-loss and no-failover assertions are waived (a crash loses
-    in-flight packets by definition) but every invariant must still
-    hold and every confirmed failure must be failed over.
+    zero-loss, terminal and no-failover assertions are waived (a crash
+    loses in-flight packets by definition) but every invariant must
+    still hold and every confirmed failure must be failed over.
     ``orchestrators > 1`` drives the operations through a replicated
     ensemble and kills the leader mid-switch -- the successor must
     resume or close the journaled operation, still without loss.
     """
-    from ..core.reconfig import ClassifierRule, ClassifierSet, ReconfigOp
-    from ..middlebox.monitor import Monitor
-
-    sim = Simulator()
-    cfg_last = {}
-    cfg_inversions = [0]
-
-    def check_cfg(packet):
-        # Per-flow config-version monotonicity at egress: once a flow
-        # egresses a packet stamped with config v, no packet of that
-        # flow stamped with an older config may follow.
-        cfg = packet.meta.get("cfg", 0)
-        last = cfg_last.get(packet.flow, 0)
-        if cfg < last:
-            cfg_inversions[0] += 1
-        else:
-            cfg_last[packet.flow] = cfg
-
-    oracle = ShadowOracle(inner=check_cfg, track_order=True)
-    chain = FTCChain(sim, ch_n(chain_length, n_threads=2), f=f,
-                     deliver=oracle, costs=SOAK_COSTS, n_threads=2, seed=seed,
-                     telemetry=telemetry, reliable_links=True)
-    chain.start()
-    if orchestrators > 1:
-        target = OrchestratorEnsemble(
-            sim, chain, n=orchestrators, election=CTRLPLANE_ELECTION,
-            heartbeat_interval_s=heartbeat_interval_s,
-            corroborate_suspects=True)
-        orchestrator = target
-        injector_orch = target
-    else:
-        orchestrator = Orchestrator(sim, chain,
-                                    heartbeat_interval_s=heartbeat_interval_s,
-                                    corroborate_suspects=True)
-        target = orchestrator
-        injector_orch = orchestrator
-    target.start()
-    auditor = InvariantAuditor(
-        chain, oracle=oracle, orchestrator=orchestrator,
-        context={"seed": seed, "schedule": index})
-    plan = FaultPlan().impair_data(
-        at_s=duration_s * 0.1, drop_rate=drop_rate, dup_rate=dup_rate,
-        reorder_rate=reorder_rate, corrupt_rate=corrupt_rate,
-        duration_s=duration_s * 0.7)
-    if crashes:
-        plan.crash_during_reconfig(phase="draining", at_s=0.0)
-    if orchestrators > 1:
-        plan.leader_failover_mid_switch(at_s=0.0)
-    injector = FaultInjector(chain, injector_orch, plan, seed=seed,
-                             ensemble=(target if orchestrators > 1 else None))
-    injector.start()
-    generator = TrafficGenerator(sim, chain.ingress, rate_pps=rate_pps,
-                                 flows=balanced_flows(8, 2))
-
-    # The scripted operation sequence, deterministic in the seed.
-    rng = chain.streams.stream("reconfig-soak")
-    rescale_pos = rng.randrange(chain.n_positions)
-    migrate_pos = rng.randrange(chain.n_positions)
+    rng = RandomStreams(seed).stream("reconfig-soak")
+    n_positions = max(chain_length, f + 1)
+    rescale_pos = rng.randrange(n_positions)
+    migrate_pos = rng.randrange(n_positions)
     ops = [
         (0.20, ReconfigOp(kind="classifier", classifier=ClassifierSet(
             version=1, rules=(ClassifierRule(action="allow"),)))),
@@ -644,359 +461,182 @@ def run_reconfig_schedule(seed: int, chain_length: int = 3, f: int = 1,
                           middlebox=Monitor(name="soak-probe"))),
         (0.74, ReconfigOp(kind="remove", middlebox_name="soak-probe")),
     ]
-    requested = len(ops)
-
-    def submit(op):
-        # A mid-failover ensemble may briefly have no acting leader;
-        # re-submit until one exists (bounded by the schedule's end).
-        if sim.now > duration_s:
-            return
-        try:
-            target.request_reconfig(op)
-        except Exception:
-            sim.schedule_callback(2e-3, lambda op=op: submit(op))
-
-    for fraction, op in ops:
-        sim.schedule_callback(duration_s * fraction,
-                              lambda op=op: submit(op))
-
-    def periodic_audit():
-        auditor.audit()
-        if sim.now + AUDIT_INTERVAL_S < duration_s:
-            sim.schedule_callback(AUDIT_INTERVAL_S, periodic_audit)
-
-    sim.schedule_callback(AUDIT_INTERVAL_S, periodic_audit)
-    sim.run(until=duration_s)
-    generator.stop()
-    chain.net.heal()
-    chain.net.clear_impairment()
-    # Drain runway: retransmission tails, held packets releasing at
-    # line rate, any resumed reconfiguration after a leader failover.
-    drain = max(60 * heartbeat_interval_s,
-                CTRLPLANE_ELECTION.lease_s * 5 + 40e-3)
-    sim.run(until=duration_s + drain)
-    auditor.audit(quiescent=not crashes)
-    history = list(target.reconfig_history)
-    committed = sum(1 for r in history if r.committed)
-    aborted = sum(1 for r in history if r.aborted)
-
-    violations = list(auditor.violations)
-    if oracle.out_of_order:
-        violations.append(InvariantViolation(
-            invariant="egress-order",
-            detail=f"{oracle.out_of_order} per-flow order inversions",
-            at_s=sim.now))
-    if cfg_inversions[0]:
-        violations.append(InvariantViolation(
-            invariant="cfg-monotonic",
-            detail=f"{cfg_inversions[0]} per-flow config-version "
-                   f"inversions at egress",
-            at_s=sim.now))
-    failures = (target.history if orchestrators > 1
-                else orchestrator.history)
-    if not crashes:
-        if oracle.released != generator.sent:
-            violations.append(InvariantViolation(
-                invariant="egress-loss",
-                detail=f"released {oracle.released} != sent "
-                       f"{generator.sent} across {committed} committed "
-                       f"reconfigurations",
-                at_s=sim.now))
-        chain_failovers = [e for e in failures]
-        if orchestrators == 1 and chain_failovers:
-            violations.append(InvariantViolation(
-                invariant="spurious-failover",
-                detail=f"{len(chain_failovers)} failovers during pure "
-                       f"reconfiguration under a lossy-but-alive data plane",
-                at_s=sim.now))
-        # Every submitted operation must reach a terminal state.  A
-        # leader killed mid-switch may leave its successor unable to
-        # reconstruct the operation (e.g. an insert's middlebox object
-        # cannot ride in the journal); the successor then formally
-        # aborts it -- terminal, not stuck.
-        if committed + aborted < requested:
-            violations.append(InvariantViolation(
-                invariant="reconfig-stuck",
-                detail=f"only {committed}/{requested} reconfigurations "
-                       f"reached a terminal state ({aborted} aborted)",
-                at_s=sim.now))
+    faults = [FaultSpec(
+        kind=IMPAIRED_DELIVERY, at_s=duration_s * 0.1, drop_rate=drop_rate,
+        dup_rate=dup_rate, reorder_rate=reorder_rate,
+        corrupt_rate=corrupt_rate, duration_s=duration_s * 0.7)]
+    checks = ["egress-order", "cfg-monotonic"]
+    if crashes:
+        faults.append(FaultSpec(kind="crash-during-reconfig",
+                                phase="draining"))
+        checks.append("missed-failover")
     else:
-        failed_now = [p for p in range(chain.n_positions)
-                      if chain.server_at(p).failed]
-        quorum_ok = (target.has_quorum if orchestrators > 1 else True)
-        if failed_now and not chain.degraded and quorum_ok:
-            violations.append(InvariantViolation(
-                invariant="missed-failover",
-                detail=f"positions {failed_now} still failed at "
-                       f"quiescence",
-                at_s=sim.now))
-    target.stop()
-
-    stats = chain.channel_stats()
-    return ScheduleResult(
-        index=index, seed=seed, chain_length=chain_length, f=f,
-        faults=list(injector.injected), violations=violations,
-        released=oracle.released,
-        failures_detected=len(failures),
-        recoveries=sum(1 for e in failures if e.recovered),
-        degraded=chain.degraded,
-        timeline=([] if telemetry is None
-                  else telemetry.timeline.as_dicts()),
-        sent=generator.sent,
-        retransmissions=stats.get("retransmissions", 0),
-        egress_pids=list(oracle.order),
-        elections=(len(target.election_log) if orchestrators > 1 else 0),
-        fenced_commands=(target.gate.fenced_commands
-                         if orchestrators > 1 else 0),
-        reconfigs_committed=committed,
-        reconfigs_aborted=aborted)
+        checks.append("egress-loss")
+        if orchestrators == 1:
+            checks.append("spurious-failover")
+    if orchestrators > 1:
+        faults.append(FaultSpec(kind="leader-failover-mid-switch",
+                                phase="switching"))
+    return Scenario(
+        chain_length=chain_length, f=f, seed=seed, costs=SOAK_COSTS,
+        duration_s=duration_s, rate_pps=rate_pps, reliable_links=True,
+        orchestrators=orchestrators,
+        heartbeat_interval_s=heartbeat_interval_s, faults=tuple(faults),
+        steps=tuple(Step(duration_s * fraction, op=op,
+                         expect=None if crashes else "terminal")
+                    for fraction, op in ops),
+        audit_every_s=AUDIT_INTERVAL_S, quiescent=not crashes,
+        checks=tuple(checks),
+        # Retransmission tails, held packets releasing at line rate,
+        # any resumed reconfiguration after a leader failover.
+        drain_s=max(60 * heartbeat_interval_s,
+                    CTRLPLANE_ELECTION.lease_s * 5 + 40e-3),
+        context=(("schedule", index),))
 
 
-def run_overload_schedule(seed: int, chain_length: int = 3, f: int = 1,
-                          spec: Optional[OverloadSpec] = None,
-                          duration_s: float = 120e-3,
-                          heartbeat_interval_s: float = 1e-3,
-                          index: int = 0,
-                          telemetry: Optional[Telemetry] = None
-                          ) -> ScheduleResult:
+def overload_scenario(seed: int, chain_length: int = 3, f: int = 1,
+                      spec: Optional[OverloadSpec] = None,
+                      duration_s: float = 120e-3,
+                      heartbeat_interval_s: float = 1e-3,
+                      index: int = 0) -> Scenario:
     """One flash-crowd overload schedule (PROTOCOL.md §12).
 
-    A fresh chain runs with the full overload stack wired: a
-    :class:`WorkloadGenerator` drives heavy-tailed prioritized traffic
-    whose scripted flash crowd exceeds sustainable capacity by
-    ``spec.peak_factor`` (default 4.8x); an :class:`AdmissionControl`
-    gates the ingress against a :class:`BackpressureBus` spanning every
-    bounded queue; an SLO watchdog on windowed p99 latency drives a
-    :class:`BrownoutController` that throttles admission, coarsens
-    sampling, and batches feedback until pressure clears.
+    The full overload stack is wired: a heavy-tailed prioritized
+    workload whose scripted flash crowd exceeds sustainable capacity by
+    ``spec.peak_factor`` (default 4.8x); admission control gating the
+    ingress against a backpressure bus spanning every bounded queue;
+    an SLO watchdog on windowed p99 latency driving a brownout
+    controller that throttles admission, coarsens sampling, and batches
+    feedback until pressure clears.
 
     The auditor proves the §12 invariants throughout (zero in-chain
     drops, queues within bounds, shed conservation and ordering,
-    brownout journal 1:1) on top of §4/§5, and the schedule itself
-    checks end-to-end outcomes: goodput stays above the configured
-    floor, every admitted packet egresses exactly once (no-crash
-    variant), and brownout has fully exited at quiescence.
+    brownout journal 1:1) on top of §4/§5, and the schedule checks
+    end-to-end outcomes: goodput stays above the configured floor,
+    every admitted packet egresses exactly once (no-crash variant), and
+    brownout has fully exited at quiescence -- the drain lets it walk
+    its de-escalation ladder (4 clean ticks per level at the coarsened
+    sampling interval).
 
-    ``spec.crash=True`` crashes a deterministic position mid-flash --
+    ``spec.crash=True`` crashes a seed-drawn position mid-flash --
     overload handling and failure recovery must coexist (the admitted
     == released assertion is waived; invariants are not).
     ``spec.orchestrators > 1`` replaces the orchestrator with a
     leader-elected ensemble and journals every brownout transition
     through its write-ahead quorum journal.
     """
-    from ..metrics.stats import percentile
-
     spec = spec or OverloadSpec()
-    sim = Simulator()
-    egress = EgressRecorder(sim)
-    oracle = ShadowOracle(inner=egress)
-    bus = BackpressureBus()
-    admission = AdmissionControl(
-        sim, rate_pps=spec.budget_frac * spec.sustainable_pps,
-        n_classes=3, bus=bus, telemetry=telemetry)
-    chain = FTCChain(sim, ch_n(chain_length, n_threads=2), f=f,
-                     deliver=oracle, costs=OVERLOAD_COSTS, n_threads=2,
-                     seed=seed, telemetry=telemetry, admission=admission)
-    chain.start()
-    if spec.orchestrators > 1:
-        orchestrator = OrchestratorEnsemble(
-            sim, chain, n=spec.orchestrators, election=CTRLPLANE_ELECTION,
-            heartbeat_interval_s=heartbeat_interval_s)
-    else:
-        orchestrator = Orchestrator(
-            sim, chain, heartbeat_interval_s=heartbeat_interval_s)
-    orchestrator.start()
-
     flash = FlashCrowd(at_s=duration_s * spec.flash_start_frac,
                        duration_s=duration_s * spec.flash_duration_frac,
                        multiplier=spec.flash_factor)
-    workload = WorkloadGenerator(
-        sim, chain.ingress,
-        WorkloadSpec(base_pps=spec.base_frac * spec.sustainable_pps,
-                     flashes=(flash,), n_flows=32, n_classes=3),
-        n_queues=2, streams=RandomStreams(seed))
-
-    # Windowed p99: brownout must see pressure *clear*, so the probe
-    # differences the egress sampler between watchdog ticks instead of
-    # reporting the cumulative distribution (which a flash would
-    # dominate forever).
-    probes = run_probes(egress, chain=chain, orchestrator=orchestrator)
-    window_state = {"n": 0}
-
-    def p99_window_us():
-        samples = egress.latency.samples
-        start = window_state["n"]
-        window_state["n"] = len(samples)
-        if len(samples) <= start:
-            return None
-        return percentile(samples[start:], 99) * 1e6
-
-    probes["p99_latency_us"] = p99_window_us
-    watchdog = SLOWatchdog(
-        sim, [SLOObjective("p99_latency_us", "<=", spec.p99_limit_us)],
-        probes=probes, telemetry=telemetry)
-    watchdog.start()
-
-    journal = None
-    if spec.orchestrators > 1:
-        def journal(transition):
-            leader = orchestrator.leader
-            if leader is None:
-                return
-
-            def drive():
-                try:
-                    yield from leader.journal_step(
-                        f"brownout-{transition.kind}", [],
-                        transition.describe())
-                except Exception:
-                    pass  # fenced mid-write: the flight ring still has it
-            sim.process(drive(), name="brownout-journal")
-
-    brownout = BrownoutController(sim, watchdog, admission=admission,
-                                  buffer=chain.buffer, journal=journal,
-                                  telemetry=telemetry)
-    auditor = InvariantAuditor(
-        chain, oracle=oracle, orchestrator=orchestrator, brownout=brownout,
-        context={"seed": seed, "schedule": index,
-                 "overload": spec.describe()})
-
-    injector = None
+    faults = ()
     if spec.crash:
-        rng = chain.streams.stream("overload-soak")
-        crash_position = rng.randrange(chain.n_positions)
-        plan = FaultPlan().crash(
-            position=crash_position,
-            at_s=flash.at_s + flash.duration_s / 2)
-        injector = FaultInjector(chain, orchestrator, plan, seed=seed)
-        injector.start()
+        faults = (FaultSpec(
+            kind="crash", at_s=flash.at_s + flash.duration_s / 2,
+            position=RandomStreams(seed).stream("overload-soak").randrange(
+                max(chain_length, f + 1))),)
+    return Scenario(
+        chain_length=chain_length, f=f, seed=seed, costs=OVERLOAD_COSTS,
+        duration_s=duration_s, orchestrators=spec.orchestrators,
+        heartbeat_interval_s=heartbeat_interval_s,
+        workload=WorkloadSpec(
+            base_pps=spec.base_frac * spec.sustainable_pps,
+            flashes=(flash,), n_flows=32, n_classes=3),
+        admission_pps=spec.budget_frac * spec.sustainable_pps,
+        slo_p99_us=spec.p99_limit_us, faults=faults,
+        audit_every_s=AUDIT_INTERVAL_S,
+        checks=(("goodput-floor", "egress-duplicate")
+                + (() if spec.crash else ("egress-loss",))),
+        goodput_floor_pps=spec.goodput_floor_frac * spec.sustainable_pps,
+        drain_s=160e-3,
+        context=(("schedule", index), ("overload", spec.describe())))
 
-    def periodic_audit():
-        auditor.audit()
-        if sim.now + AUDIT_INTERVAL_S < duration_s:
-            sim.schedule_callback(AUDIT_INTERVAL_S, periodic_audit)
 
-    sim.schedule_callback(AUDIT_INTERVAL_S, periodic_audit)
-    sim.run(until=duration_s)
-    workload.stop()
-    # Drain runway: held packets release, queues empty, the windowed
-    # p99 probe goes quiet, and brownout walks its de-escalation ladder
-    # (4 clean ticks per level at the coarsened sampling interval).
-    sim.run(until=duration_s + 160e-3)
-    auditor.audit(quiescent=True)
-    watchdog.stop()
-    orchestrator.stop()
-
-    violations = list(auditor.violations)
-    goodput = oracle.released / duration_s
-    goodput_floor = spec.goodput_floor_frac * spec.sustainable_pps
-    if goodput < goodput_floor:
-        violations.append(InvariantViolation(
-            invariant="goodput-floor",
-            detail=f"goodput {goodput:.0f}pps < floor {goodput_floor:.0f}pps "
-                   f"under {spec.peak_factor:g}x offered load",
-            at_s=sim.now))
-    if oracle.duplicate_releases:
-        violations.append(InvariantViolation(
-            invariant="egress-duplicate",
-            detail=f"{oracle.duplicate_releases} duplicate releases",
-            at_s=sim.now))
-    if not spec.crash and oracle.released != admission.admitted:
-        violations.append(InvariantViolation(
-            invariant="overload-loss",
-            detail=f"released {oracle.released} != admitted "
-                   f"{admission.admitted} (shed {admission.shed} at "
-                   f"ingress is the only legal loss)",
-            at_s=sim.now))
-
-    history = orchestrator.history
+def _schedule(out: Run) -> ScheduleResult:
+    """Read one finished :class:`Run` into a :class:`ScheduleResult`."""
+    sc = out.scenario
+    ensemble, admission = out.ensemble, out.admission
     return ScheduleResult(
-        index=index, seed=seed, chain_length=chain_length, f=f,
-        faults=list(injector.injected) if injector is not None else [],
-        violations=violations,
-        released=oracle.released,
-        failures_detected=len(history),
-        recoveries=sum(1 for e in history if e.recovered),
-        degraded=chain.degraded,
-        timeline=([] if telemetry is None
-                  else telemetry.timeline.as_dicts()),
-        sent=workload.sent,
-        offered=admission.offered,
-        admitted=admission.admitted,
-        shed=admission.shed,
-        goodput_pps=goodput,
-        brownout_transitions=len(brownout.transitions),
-        elections=(len(orchestrator.election_log)
-                   if spec.orchestrators > 1 else 0),
-        fenced_commands=(orchestrator.gate.fenced_commands
-                         if spec.orchestrators > 1 else 0))
+        index=dict(sc.context).get("schedule", 0), seed=sc.seed,
+        chain_length=sc.chain_length, f=sc.f, faults=list(out.faults),
+        violations=out.violations, released=out.oracle.released,
+        failures_detected=len(out.failures),
+        recoveries=sum(1 for e in out.failures if e.recovered),
+        degraded=out.chain.degraded,
+        timeline=out.chain.telemetry.timeline.as_dicts(),
+        sent=out.generator.sent,
+        retransmissions=out.chain.channel_stats().get("retransmissions", 0),
+        egress_pids=(list(out.oracle.order) if out.oracle.track_order
+                     else None),
+        elections=len(ensemble.election_log) if ensemble else 0,
+        fenced_commands=ensemble.gate.fenced_commands if ensemble else 0,
+        reconfigs_committed=sum(1 for r in out.reconfigs if r.committed),
+        reconfigs_aborted=sum(1 for r in out.reconfigs if r.aborted),
+        offered=admission.offered if admission else 0,
+        admitted=admission.admitted if admission else 0,
+        shed=admission.shed if admission else 0,
+        goodput_pps=out.oracle.released / sc.duration_s,
+        brownout_transitions=(len(out.brownout.transitions)
+                              if out.brownout else 0))
+
+
+def run_schedule(scenario: Scenario, telemetry=None) -> ScheduleResult:
+    """Run one schedule -- any ``*_scenario`` above -- to its result."""
+    return _schedule(run(scenario, telemetry=telemetry))
+
+
+def soak_scenario(config: SoakConfig, index: int) -> Scenario:
+    """Schedule ``index`` of a soak: round-robin over the (chain length,
+    f) grid, seeded from ``config.seed``, of the kind the config selects."""
+    grid = [(n, f) for n in config.chain_lengths for f in config.f_values]
+    chain_length, f = grid[index % len(grid)]
+    common = dict(seed=config.seed * 10_000 + index,
+                  chain_length=chain_length, f=f, index=index,
+                  heartbeat_interval_s=config.heartbeat_interval_s)
+    if config.overload is not None:
+        return overload_scenario(spec=config.overload,
+                                 duration_s=max(config.duration_s, 120e-3),
+                                 **common)
+    common["rate_pps"] = config.rate_pps
+    if config.reconfig:
+        return reconfig_scenario(duration_s=max(config.duration_s, 80e-3),
+                                 crashes=config.reconfig_crashes,
+                                 orchestrators=config.orchestrators, **common)
+    common["duration_s"] = config.duration_s
+    if config.impair_data is not None:
+        drop, dup, reorder, corrupt = config.impair_data
+        return impaired_scenario(drop_rate=drop, dup_rate=dup,
+                                 reorder_rate=reorder, corrupt_rate=corrupt,
+                                 **common)
+    common.update(max_faults=config.faults_per_schedule,
+                  mean_fault_interval_s=config.mean_fault_interval_s)
+    if config.orchestrators > 1:
+        return ctrlplane_scenario(orchestrators=config.orchestrators,
+                                  orch_faults=config.orch_faults, **common)
+    return chaos_scenario(**common)
 
 
 def run_soak(config: Optional[SoakConfig] = None,
              progress=None) -> SoakResult:
-    """Sweep ``config.schedules`` randomized schedules (round-robin over
-    the (chain length, f) grid), each seeded from ``config.seed``."""
+    """Run ``config.schedules`` schedules of :func:`soak_scenario`."""
     config = config or SoakConfig()
     result = SoakResult(config=config)
     if config.telemetry:
         result.registry = MetricRegistry()
-    grid = [(n, f) for n in config.chain_lengths for f in config.f_values]
     if config.flight:
         os.makedirs(config.flight_dump_dir, exist_ok=True)
     for index in range(config.schedules):
-        chain_length, f = grid[index % len(grid)]
-        seed = config.seed * 10_000 + index
+        scenario = soak_scenario(config, index)
         flight = None
         if config.flight:
             flight = FlightRecorder(autodump_path=os.path.join(
                 config.flight_dump_dir, f"flight-{index}.json"))
-            flight.set_context(seed=seed, schedule=index,
-                               chain_length=chain_length, f=f)
+            flight.set_context(seed=scenario.seed, schedule=index,
+                               chain_length=scenario.chain_length,
+                               f=scenario.f)
         telemetry = (Telemetry(flight=flight)
                      if config.telemetry or config.flight else None)
-        if config.overload is not None:
-            schedule = run_overload_schedule(
-                seed=seed, chain_length=chain_length, f=f,
-                spec=config.overload,
-                duration_s=max(config.duration_s, 120e-3),
-                heartbeat_interval_s=config.heartbeat_interval_s,
-                index=index, telemetry=telemetry)
-        elif config.reconfig:
-            schedule = run_reconfig_schedule(
-                seed=seed, chain_length=chain_length, f=f,
-                duration_s=max(config.duration_s, 80e-3),
-                rate_pps=config.rate_pps,
-                heartbeat_interval_s=config.heartbeat_interval_s,
-                crashes=config.reconfig_crashes,
-                orchestrators=config.orchestrators,
-                index=index, telemetry=telemetry)
-        elif config.impair_data is not None:
-            drop, dup, reorder, corrupt = config.impair_data
-            schedule = run_impaired_schedule(
-                seed=seed, chain_length=chain_length, f=f,
-                drop_rate=drop, dup_rate=dup, reorder_rate=reorder,
-                corrupt_rate=corrupt,
-                duration_s=config.duration_s, rate_pps=config.rate_pps,
-                heartbeat_interval_s=config.heartbeat_interval_s,
-                index=index, telemetry=telemetry)
-        elif config.orchestrators > 1:
-            schedule = run_ctrlplane_schedule(
-                seed=seed, chain_length=chain_length, f=f,
-                orchestrators=config.orchestrators,
-                max_faults=config.faults_per_schedule,
-                duration_s=config.duration_s, rate_pps=config.rate_pps,
-                heartbeat_interval_s=config.heartbeat_interval_s,
-                mean_fault_interval_s=config.mean_fault_interval_s,
-                orch_faults=config.orch_faults,
-                index=index, telemetry=telemetry)
-        else:
-            schedule = run_schedule(
-                seed=seed, chain_length=chain_length, f=f,
-                max_faults=config.faults_per_schedule,
-                duration_s=config.duration_s, rate_pps=config.rate_pps,
-                heartbeat_interval_s=config.heartbeat_interval_s,
-                mean_fault_interval_s=config.mean_fault_interval_s,
-                index=index, telemetry=telemetry)
+        schedule = run_schedule(scenario, telemetry=telemetry)
         if telemetry is not None and result.registry is not None:
             result.registry.merge(telemetry.registry)
         if flight is not None and flight.trips:

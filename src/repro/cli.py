@@ -28,6 +28,7 @@ SLO watchdog and renders a self-contained markdown run report.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import List
 
@@ -537,57 +538,43 @@ def _parse_int_list(text: str, option: str) -> List[int]:
 
 
 def _cmd_chaos(args) -> int:
-    from .chaos import SoakConfig, run_soak
-
-    if args.orchestrators < 1:
-        raise SystemExit("repro chaos: --orchestrators must be >= 1")
-    if args.orch_faults and args.orchestrators < 2:
-        raise SystemExit("repro chaos: --orch-faults needs "
-                         "--orchestrators >= 2 (no ensemble to attack)")
-    if args.impair_data and args.orchestrators > 1:
-        raise SystemExit("repro chaos: --impair-data and --orchestrators "
-                         "are separate soak modes; pick one")
-    if args.reconfig and args.impair_data:
-        raise SystemExit("repro chaos: --reconfig runs its own impairment "
-                         "window; drop --impair-data")
-    if args.reconfig_crashes and not args.reconfig:
-        raise SystemExit("repro chaos: --reconfig-crashes needs --reconfig")
+    from .chaos import OverloadSpec, SoakConfig, run_soak
 
     overload = None
     if args.overload is not None:
-        if args.impair_data or args.reconfig:
-            raise SystemExit("repro chaos: --overload is its own soak "
-                             "mode; drop --impair-data/--reconfig")
-        from .chaos import OverloadSpec
         try:
             overload = OverloadSpec.parse(args.overload)
         except ValueError as err:
             raise SystemExit(f"repro chaos: bad --overload: {err}")
-        if args.orchestrators > 1 and overload.orchestrators == 1:
-            overload = OverloadSpec.parse(
-                (args.overload + "," if args.overload else "")
-                + f"orch={args.orchestrators}")
-        print(f"overload soak: {overload.describe()}")
-
     impair_data = None
     if args.impair_data:
         spec = _parse_impairment(args.impair_data, "repro chaos")
         impair_data = (spec.drop_rate, spec.dup_rate, spec.reorder_rate,
                        spec.corrupt_rate)
+    try:
+        config = SoakConfig(
+            seed=args.seed, schedules=args.schedules,
+            faults_per_schedule=args.faults,
+            chain_lengths=_parse_int_list(args.lengths, "--lengths"),
+            f_values=_parse_int_list(args.f_values, "--f-values"),
+            duration_s=args.duration, rate_pps=args.rate,
+            telemetry=args.telemetry, impair_data=impair_data,
+            orchestrators=args.orchestrators, orch_faults=args.orch_faults,
+            reconfig=args.reconfig, reconfig_crashes=args.reconfig_crashes,
+            flight=bool(args.flight),
+            flight_dump_dir=args.flight or "flight-dumps",
+            overload=overload)
+    except ValueError as err:
+        # SoakConfig owns the mode rules and names its fields; say the
+        # same thing in flags (orch_faults -> --orch-faults).
+        raise SystemExit("repro chaos: " + re.sub(
+            r"\b(orchestrators|orch_faults|impair_data|reconfig_crashes"
+            r"|reconfig|overload)\b",
+            lambda m: "--" + m.group().replace("_", "-"), str(err)))
+    if config.overload is not None:
+        print(f"overload soak: {config.overload.describe()}")
+    if impair_data:
         print(f"data impairment: {spec.describe()}")
-
-    config = SoakConfig(
-        seed=args.seed, schedules=args.schedules,
-        faults_per_schedule=args.faults,
-        chain_lengths=_parse_int_list(args.lengths, "--lengths"),
-        f_values=_parse_int_list(args.f_values, "--f-values"),
-        duration_s=args.duration, rate_pps=args.rate,
-        telemetry=args.telemetry, impair_data=impair_data,
-        orchestrators=args.orchestrators, orch_faults=args.orch_faults,
-        reconfig=args.reconfig, reconfig_crashes=args.reconfig_crashes,
-        flight=bool(args.flight),
-        flight_dump_dir=args.flight or "flight-dumps",
-        overload=overload)
 
     def progress(schedule):
         status = "ok" if schedule.ok else "FAIL"

@@ -40,7 +40,6 @@ from .recovery import (
 )
 from .replica import Replica
 from .runtime import CycleCounters, MiddleboxRuntime
-from .scaling import RescaleReport, rescale_position
 
 __all__ = [
     "AdmissionControl",
@@ -72,7 +71,6 @@ __all__ = [
     "RecoveryError",
     "RecoveryReport",
     "Replica",
-    "RescaleReport",
     "StaleConfigError",
     "StaleEpochError",
     "TokenBucket",
@@ -80,6 +78,5 @@ __all__ = [
     "UnrecoverableError",
     "apply_reconfig",
     "recover_positions",
-    "rescale_position",
     "value_bytes",
 ]

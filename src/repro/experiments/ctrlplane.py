@@ -26,33 +26,42 @@ at the worst possible moments.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from ..core import FTCChain
+from ..chaos.plan import FaultSpec
+from ..chaos.scenario import Scenario, Step, run as run_scenario
 from ..core.costs import CostModel
-from ..metrics import EgressRecorder, confidence_interval95
-from ..middlebox import ch_n
-from ..net import TrafficGenerator, balanced_flows
-from ..orchestration import CloudNetwork, OrchestratorEnsemble, place_chain
-from ..orchestration.election import ElectionConfig
-from ..sim import Simulator
+from ..metrics import confidence_interval95
 from ..telemetry import Telemetry
 from .runner import ExperimentResult, quick_mode
-
-#: Deterministic service costs so the table isolates protocol delays.
-COSTS = CostModel(cycle_jitter_frac=0.0)
-
-#: Tight leases keep failover well inside the measurement window.
-ELECTION = ElectionConfig(lease_s=6e-3, renew_every_s=2e-3,
-                          candidacy_base_s=2e-3)
 
 #: The chain failure every scenario injects (middle of Ch-3).
 FAIL_POSITION = 1
 T_FAIL = 20e-3
 
-SCENARIOS = ("baseline", "leader-crash (pre-detect)",
-             "leader-crash (mid-recovery)",
-             "leader-partition (mid-recovery)")
+#: Scenario -> the control-plane fault riding on the chain failure: a
+#: crashed leader restarts after 30 ms, a partition heals after 15 ms.
+SCENARIOS = {
+    "baseline": (),
+    "leader-crash (pre-detect)": (FaultSpec(
+        kind="orch-crash", at_s=T_FAIL + 1e-3, restart_after_s=30e-3),),
+    "leader-crash (mid-recovery)": (FaultSpec(
+        kind="orch-crash", phase="fetching", restart_after_s=30e-3),),
+    "leader-partition (mid-recovery)": (FaultSpec(
+        kind="orch-partition", phase="fetching", duration_s=15e-3),),
+}
+
+
+def point(scenario: str, seed: int) -> Scenario:
+    """Ch-3 in one region under a 3-member ensemble (tight leases keep
+    failover well inside the window), deterministic service costs so
+    the table isolates protocol delays."""
+    return Scenario(
+        chain_length=3, seed=seed, costs=CostModel(cycle_jitter_frac=0.0),
+        duration_s=0.2, rate_pps=2e4, orchestrators=3,
+        heartbeat_interval_s=1e-3, region="core",
+        faults=SCENARIOS[scenario],
+        steps=(Step(T_FAIL, crash=FAIL_POSITION, expect="recovered"),))
 
 
 def _first(telemetry: Telemetry, kind: str,
@@ -64,77 +73,24 @@ def _first(telemetry: Telemetry, kind: str,
 
 
 def _one_trial(scenario: str, seed: int) -> Dict[str, float]:
-    sim = Simulator()
-    net = CloudNetwork(sim, hop_delay_s=COSTS.hop_delay_s,
-                       bandwidth_bps=COSTS.bandwidth_bps, rtt_jitter_frac=0.0,
-                       seed=seed)
-    egress = EgressRecorder(sim)
     telemetry = Telemetry(max_trace_events=0)
-    chain = FTCChain(sim, ch_n(3, n_threads=2), f=1, deliver=egress,
-                     costs=COSTS, net=net, n_threads=2, seed=seed,
-                     telemetry=telemetry)
-    place_chain(chain, ["core", "core", "core"])
-    chain.start()
-    ensemble = OrchestratorEnsemble(sim, chain, n=3, election=ELECTION,
-                                    heartbeat_interval_s=1e-3, region="core")
-    ensemble.start()
-    TrafficGenerator(sim, chain.ingress, rate_pps=2e4,
-                     flows=balanced_flows(8, 2))
-
-    state: Dict[str, float] = {}
-
-    def fault_leader(action):
-        leader = ensemble.leader
-        if leader is None:  # mid-election; the scenario still measures
-            return
-        state["orch_fault_at"] = sim.now
-        action(leader)
-
-    def crash(leader):
-        leader.crash()
-        sim.schedule_callback(30e-3, leader.restart)
-
-    def partition(leader):
-        others = [name for name in net.servers
-                  if name != leader.server_name]
-        token = net.partition([leader.server_name], others)
-        sim.schedule_callback(15e-3, lambda: net.heal(token))
-
-    def on_phase(phase: str, positions: List[int]) -> None:
-        if phase != "fetching" or "orch_fault_at" in state:
-            return
-        if scenario == "leader-crash (mid-recovery)":
-            fault_leader(crash)
-        elif scenario == "leader-partition (mid-recovery)":
-            fault_leader(partition)
-
-    if scenario.endswith("(mid-recovery)"):
-        ensemble.recovery_hooks.append(on_phase)
-    elif scenario == "leader-crash (pre-detect)":
-        sim.schedule_callback(T_FAIL + 1e-3, lambda: fault_leader(crash))
-
-    sim.schedule_callback(T_FAIL, lambda: chain.fail_position(FAIL_POSITION))
-    sim.run(until=0.2)
-
+    out = run_scenario(point(scenario, seed), telemetry=telemetry).checked()
+    # The step's post-condition held, so both events are on the timeline.
     confirmed = _first(telemetry, "confirmed", after=T_FAIL)
     committed = _first(telemetry, "committed", after=T_FAIL)
-    if confirmed is None or committed is None:
-        raise AssertionError(
-            f"{scenario} seed={seed}: recovery did not complete "
-            f"(confirmed={confirmed}, committed={committed})")
     result = {
         "detect": confirmed - T_FAIL,
         "elect": 0.0,
         "total": committed - T_FAIL,
-        "epochs": float(len(ensemble.election_log)),
-        "fenced": float(ensemble.gate.fenced_commands),
+        "epochs": float(len(out.ensemble.election_log)),
+        "fenced": float(out.ensemble.gate.fenced_commands),
     }
     resume_from = confirmed
     if scenario != "baseline":
-        fault_at = state.get("orch_fault_at")
-        if fault_at is None:
+        if not out.faults:
             raise AssertionError(
                 f"{scenario} seed={seed}: control-plane fault never fired")
+        fault_at = out.faults[0][0]
         elected = _first(telemetry, "leader-elected", after=fault_at)
         if elected is None:
             raise AssertionError(

@@ -12,11 +12,7 @@ channels are off too, so it matches the paper-mode figures exactly.
 
 from __future__ import annotations
 
-from ..core import FTCChain
-from ..metrics import EgressRecorder
-from ..middlebox import ch_n
-from ..net import TrafficGenerator, balanced_flows
-from ..sim import RandomStreams, Simulator
+from ..chaos.scenario import Scenario, run as run_scenario
 from .runner import ExperimentResult, quick_mode
 
 #: Per-link drop probabilities swept (full mode).
@@ -29,32 +25,17 @@ CORRUPT_RATE = 0.01
 OFFERED_PPS = 1e5
 
 
-def _run_point(drop_rate: float, duration_s: float, seed: int):
+def point(drop_rate: float, duration_s: float, seed: int) -> Scenario:
+    """One row: raw links at drop 0, impaired reliable links otherwise.
+    Retransmission tails (RTO backoff caps at 2 ms) need a generous
+    drain before delivery ratios are meaningful."""
     impaired = drop_rate > 0
-    sim = Simulator()
-    egress = EgressRecorder(sim)
-    chain = FTCChain(sim, ch_n(2, n_threads=2), f=1, deliver=egress,
-                     n_threads=2, seed=seed, reliable_links=impaired)
-    chain.start()
-    if impaired:
-        chain.net.impair_data(
-            drop_rate=drop_rate, dup_rate=DUP_RATE,
-            reorder_rate=REORDER_RATE, corrupt_rate=CORRUPT_RATE,
-            seed=seed)
-    generator = TrafficGenerator(
-        sim, chain.ingress, rate_pps=OFFERED_PPS,
-        flows=balanced_flows(8, 2), streams=RandomStreams(seed),
-        name=f"gen-{seed}")
-    warm_s = duration_s * 0.2
-    sim.run(until=warm_s)
-    egress.throughput.start_window()
-    egress.latency.start_after(warm_s)
-    sim.run(until=duration_s)
-    generator.stop()
-    # Retransmission tails (RTO backoff caps at 2 ms) need a generous
-    # drain before delivery ratios are meaningful.
-    sim.run(until=duration_s + 10e-3)
-    return chain, generator, egress
+    return Scenario(
+        chain_length=2, seed=seed, duration_s=duration_s,
+        rate_pps=OFFERED_PPS, reliable_links=impaired,
+        impair=((drop_rate, DUP_RATE, REORDER_RATE, CORRUPT_RATE)
+                if impaired else None),
+        warmup_s=duration_s * 0.2, drain_s=10e-3)
 
 
 def run(seed: int = 0) -> ExperimentResult:
@@ -66,7 +47,8 @@ def run(seed: int = 0) -> ExperimentResult:
         headers=["Drop rate", "Goodput (Mpps)", "Mean lat (us)",
                  "p99 lat (us)", "Retransmits", "Link drops", "Delivered"])
     for drop_rate in drops:
-        chain, generator, egress = _run_point(drop_rate, duration_s, seed)
+        out = run_scenario(point(drop_rate, duration_s, seed)).checked()
+        chain, generator, egress = out.chain, out.generator, out.egress
         stats = chain.channel_stats()
         impair = chain.net.data_impairment_stats()
         delivered = (f"{chain.total_released()}/{generator.sent}"

@@ -13,64 +13,31 @@ bounded, and nothing is dropped inside the chain.
 
 from __future__ import annotations
 
+from ..chaos.scenario import Scenario, run as run_scenario
 from ..chaos.soak import OVERLOAD_COSTS, OverloadSpec
-from ..core import FTCChain
-from ..core.admission import AdmissionControl, BackpressureBus
-from ..flight.slo import SLOObjective, SLOWatchdog, run_probes
-from ..metrics import EgressRecorder
-from ..metrics.stats import percentile
-from ..middlebox import ch_n
-from ..net import WorkloadGenerator, WorkloadSpec
-from ..orchestration.brownout import BrownoutController
-from ..sim import RandomStreams, Simulator
+from ..net.flowgen import WorkloadSpec
 from .runner import ExperimentResult, quick_mode
 
 #: Offered load as multiples of sustainable capacity (full mode).
 LOAD_MULTIPLIERS = [0.5, 1.0, 2.0, 4.0, 8.0]
 
+#: The table reads its columns this long after load stops; the run
+#: itself drains on until brownout has walked back to level 0, which
+#: the final audit holds it to.
+OBSERVE_S = 20e-3
 
-def _run_point(multiplier: float, duration_s: float, seed: int,
-               spec: OverloadSpec):
-    sim = Simulator()
-    egress = EgressRecorder(sim)
-    bus = BackpressureBus()
-    admission = AdmissionControl(
-        sim, rate_pps=spec.budget_frac * spec.sustainable_pps,
-        n_classes=3, bus=bus)
-    chain = FTCChain(sim, ch_n(3, n_threads=2), f=1, deliver=egress,
-                     costs=OVERLOAD_COSTS, n_threads=2, seed=seed,
-                     admission=admission)
-    chain.start()
-    workload = WorkloadGenerator(
-        sim, chain.ingress,
-        WorkloadSpec(base_pps=multiplier * spec.sustainable_pps,
-                     n_flows=32, n_classes=3),
-        n_queues=2, streams=RandomStreams(seed))
 
-    probes = run_probes(egress, chain=chain)
-    window_state = {"n": 0}
-
-    def p99_window_us():
-        samples = egress.latency.samples
-        start = window_state["n"]
-        window_state["n"] = len(samples)
-        if len(samples) <= start:
-            return None
-        return percentile(samples[start:], 99) * 1e6
-
-    probes["p99_latency_us"] = p99_window_us
-    watchdog = SLOWatchdog(
-        sim, [SLOObjective("p99_latency_us", "<=", spec.p99_limit_us)],
-        probes=probes)
-    watchdog.start()
-    brownout = BrownoutController(sim, watchdog, admission=admission,
-                                  buffer=chain.buffer)
-
-    sim.run(until=duration_s)
-    workload.stop()
-    sim.run(until=duration_s + 20e-3)
-    watchdog.stop()
-    return chain, admission, workload, egress, brownout
+def point(multiplier: float, duration_s: float, seed: int,
+          spec: OverloadSpec) -> Scenario:
+    """One row: steady load at ``multiplier`` x capacity through the
+    full overload stack (admission + backpressure + brownout)."""
+    return Scenario(
+        chain_length=3, seed=seed, costs=OVERLOAD_COSTS,
+        duration_s=duration_s,
+        workload=WorkloadSpec(base_pps=multiplier * spec.sustainable_pps,
+                              n_flows=32, n_classes=3),
+        admission_pps=spec.budget_frac * spec.sustainable_pps,
+        slo_p99_us=spec.p99_limit_us, drain_s=160e-3)
 
 
 def run(seed: int = 0) -> ExperimentResult:
@@ -85,8 +52,10 @@ def run(seed: int = 0) -> ExperimentResult:
                  "p99 lat (us)", "Shed c0/c1/c2 (%)", "In-chain drops",
                  "Brownout"])
     for multiplier in multipliers:
-        chain, admission, workload, egress, brownout = _run_point(
-            multiplier, duration_s, seed, spec)
+        out = run_scenario(
+            point(multiplier, duration_s, seed, spec)).checked()
+        chain, admission, workload, egress = (
+            out.chain, out.admission, out.generator, out.egress)
         shed_pct = []
         for cls in range(admission.n_classes):
             offered = admission.offered_by_class[cls]
@@ -103,7 +72,8 @@ def run(seed: int = 0) -> ExperimentResult:
             if len(egress.latency) else 0.0,
             "/".join(shed_pct),
             in_chain,
-            len(brownout.transitions))
+            sum(1 for transition in out.brownout.transitions
+                if transition.t <= duration_s + OBSERVE_S))
     result.notes.append(
         "Shed %% per priority class (c2 highest) at the ingress gate -- "
         "the only legal drop point; in-chain drops must stay 0 at every "

@@ -12,19 +12,10 @@ switch.  Lost and Reordered must read 0 on every row.
 
 from __future__ import annotations
 
-from ..chaos.auditor import ShadowOracle
-from ..core import FTCChain
+from ..chaos.scenario import Scenario, Step, run as run_scenario
 from ..core.costs import CostModel
-from ..core.reconfig import (
-    ClassifierRule,
-    ClassifierSet,
-    ReconfigOp,
-    apply_reconfig,
-)
-from ..middlebox import ch_n
+from ..core.reconfig import ClassifierRule, ClassifierSet, ReconfigOp
 from ..middlebox.monitor import Monitor
-from ..net import TrafficGenerator, balanced_flows
-from ..sim import Simulator
 from .runner import ExperimentResult, quick_mode
 
 OFFERED_PPS = 2e4
@@ -52,35 +43,15 @@ OP_BUILDERS = (
 )
 
 
-def _run_point(op: ReconfigOp, duration_s: float, seed: int):
-    sim = Simulator()
-    oracle = ShadowOracle(track_order=True)
-    chain = FTCChain(sim, ch_n(3, n_threads=2), f=1, deliver=oracle,
-                     costs=CostModel(cycle_jitter_frac=0.0), n_threads=2,
-                     seed=seed, reliable_links=True)
-    chain.start()
-    chain.net.impair_data(drop_rate=DROP_RATE, dup_rate=DUP_RATE,
-                          reorder_rate=REORDER_RATE,
-                          corrupt_rate=CORRUPT_RATE, seed=seed)
-    generator = TrafficGenerator(sim, chain.ingress, rate_pps=OFFERED_PPS,
-                                 flows=balanced_flows(8, 2))
-    outcome = {}
-
-    def drive():
-        report = yield from apply_reconfig(chain, op)
-        outcome["report"] = report
-
-    def start():
-        sim.process(drive(), name=f"reconfig-{op.kind}")
-
-    sim.schedule_callback(duration_s * 0.4, start)
-    sim.run(until=duration_s)
-    generator.stop()
-    chain.net.heal()
-    chain.net.clear_impairment()
-    # Retransmission tails + hold release pump at NIC line rate.
-    sim.run(until=duration_s + 60e-3)
-    return chain, generator, oracle, outcome.get("report")
+def point(op: ReconfigOp, duration_s: float, seed: int) -> Scenario:
+    """One row: the operation fires at 40% of the run and must commit;
+    the drain covers retransmission tails + the hold release pump."""
+    return Scenario(
+        chain_length=3, seed=seed, costs=CostModel(cycle_jitter_frac=0.0),
+        duration_s=duration_s, rate_pps=OFFERED_PPS, reliable_links=True,
+        impair=(DROP_RATE, DUP_RATE, REORDER_RATE, CORRUPT_RATE),
+        steps=(Step(duration_s * 0.4, op=op, expect="committed"),),
+        checks=("egress-loss", "egress-order"), drain_s=60e-3)
 
 
 def run(seed: int = 0) -> ExperimentResult:
@@ -93,12 +64,8 @@ def run(seed: int = 0) -> ExperimentResult:
                  "Held pkts", "Migrated KB", "Drain ms", "Switch ms",
                  "Total ms"])
     for name, build in OP_BUILDERS:
-        chain, generator, oracle, report = _run_point(
-            build(), duration_s, seed)
-        if report is None or not report.committed:
-            raise RuntimeError(
-                f"reconfiguration {name!r} did not commit "
-                f"({'no report' if report is None else report.detail})")
+        out = run_scenario(point(build(), duration_s, seed)).checked()
+        generator, oracle, (report,) = out.generator, out.oracle, out.reconfigs
         result.add(
             name,
             generator.sent,

@@ -15,17 +15,14 @@ Schema version 2 (PROTOCOL.md §13.2)::
                              "us_per_packet": F, "calls_per_packet": F}}
     }
 
-Schema v1 (the original ``BENCH_throughput.json``) had no
-``schema_version``, no ``env``, and a ``results`` *list* of modes; the
-retrofitted writer in ``benchmarks/bench_throughput.py`` keeps v1's
-top-level mode list under v2 metadata so the trajectory of committed
-datapoints stays comparable (see the migration note there).
-
-Each scenario runs **twice**: an unprofiled pass whose wall time is
-the headline (``sim_pps_per_wall_s``), then a profiled pass for the
-per-stage breakdown -- so profiling overhead never pollutes the gated
-number.  Both passes use the same seed; virtual-time results are
-asserted identical across the two (a free determinism check).
+Each scenario is a :class:`~repro.chaos.scenario.Scenario` run by the
+one audited loop; a pass whose final audit is not clean raises, so no
+report is written for it.  Each scenario runs **twice**: an unprofiled
+pass whose wall time is the headline (``sim_pps_per_wall_s``), then a
+profiled pass for the per-stage breakdown -- so profiling overhead
+never pollutes the gated number.  Both passes use the same seed;
+virtual-time results are asserted identical across the two (a free
+determinism check).
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ import json
 import os
 import platform
 import subprocess
-import sys
 import time
 from typing import Dict, Iterable, List, Optional
 
@@ -150,22 +146,3 @@ def stage_table(report: Dict) -> str:
             f"{entry.get('us_per_packet', 0.0):>10.2f}"
             f"{entry.get('calls_per_packet', 0.0):>11.3f}")
     return "\n".join(lines)
-
-
-def main(argv=None) -> int:
-    """``python -m repro.perf.bench`` convenience entry point."""
-    import argparse
-    parser = argparse.ArgumentParser(description="perfscope bench suite")
-    parser.add_argument("--scenario", action="append", default=None,
-                        choices=scenario_names())
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--out-dir", default=".")
-    args = parser.parse_args(argv)
-    run_suite(args.scenario, seed=args.seed, quick=args.quick,
-              out_dir=args.out_dir)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

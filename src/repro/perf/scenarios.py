@@ -1,10 +1,12 @@
 """The scenario benchmark suite (PROTOCOL.md §13.2).
 
-Each scenario builds the same kind of FTC chain the protocol tests
-exercise, drives a fixed-seed workload through a scripted timeline,
-and reports what was offered and released plus the wall-clock time the
-simulation took.  The scenarios cover the regimes where per-packet
-cost differs structurally:
+Each scenario is a :class:`~repro.chaos.scenario.Scenario` -- the same
+kind of FTC chain the protocol tests exercise, a fixed-seed workload
+and a scripted timeline -- run by the one audited loop
+(:func:`repro.chaos.scenario.run`); what comes back is what was
+offered and released.  Wall time is measured by the caller
+(:mod:`.bench`) around :func:`run_scenario`.  The scenarios cover the
+regimes where per-packet cost differs structurally:
 
 ==================== =====================================================
 baseline             raw links, no overload machinery (the fig5 fast path)
@@ -15,11 +17,17 @@ reconfig-under-traffic  live rescale of a mid-chain position (§11)
 overload             flash crowd through admission + backpressure (§12)
 ==================== =====================================================
 
-Every scenario accepts a ``profiler``; when given, it is installed on
-both the simulator (``engine/dispatch``) and the chain's telemetry
-bundle (every other stage), so per-stage costs attribute to the same
-run that produced the headline.  Wall time is measured by the caller
-(:mod:`.bench`) around :func:`run_scenario`.
+Every run carries a :class:`~repro.chaos.ShadowOracle` on its egress
+and ends with the quiescent invariant audit and its steps'
+post-conditions; a run that is not clean raises instead of returning a
+result, so a speedup that breaks an invariant cannot post a number.
+There is no *scheduled* audit: an audit is an engine event and stage
+call counts are gated exactly (§13.3).
+
+A ``profiler``, when given, is installed on both the simulator
+(``engine/dispatch``) and the chain's telemetry bundle (every other
+stage), so per-stage costs attribute to the same run that produced the
+headline.
 
 Determinism: for a given (scenario, seed, quick) the virtual-time
 outcome -- offered, released, and per-stage *call counts* -- is exactly
@@ -30,262 +38,81 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
+from ..chaos.scenario import Scenario, Step, run
+from ..core.reconfig import ReconfigOp
+from ..net.flowgen import FlashCrowd, WorkloadSpec
+
 __all__ = ["SCENARIOS", "run_scenario", "scenario_names"]
 
 #: Offered rate for the data-plane scenarios (pps).
 RATE_PPS = 2e5
 
-#: Virtual run length: traffic window + drain runway, full vs --quick.
+#: Virtual traffic window, full vs --quick (the drain runway is extra).
 DURATION_S = 30e-3
 QUICK_DURATION_S = 10e-3
 
-
-def _new_telemetry(profiler, telemetry=None):
-    """A metrics-only bundle carrying the profiler to every component.
-
-    An externally built bundle (``repro perf profile`` passes one with
-    a live tracer) wins; otherwise profiling runs get a trace-less
-    Telemetry and unprofiled runs stay on NULL_TELEMETRY.
-    """
-    if telemetry is not None:
-        return telemetry
-    from ..telemetry import NULL_TELEMETRY, Telemetry
-    if profiler is None:
-        return NULL_TELEMETRY
-    return Telemetry(max_trace_events=0, profiler=profiler)
-
-
-def _install(sim, profiler) -> None:
-    if profiler is not None:
-        sim.profiler = profiler
-
-
-def _drain(sim, generator, duration: float, runway: float) -> None:
-    sim.run(until=duration)
-    generator.stop()
-    sim.run(until=duration + runway)
-
-
-def _result(generator, egress, chain, config: Dict) -> Dict:
-    return {
-        "config": config,
-        "offered": generator.sent,
-        "released": egress.count,
-        "buffer_held_peak": chain.buffer.held_peak,
-    }
-
-
-def _simple_chain(seed: int, profiler, reliable: bool, n_mboxes: int = 2,
-                  admission=None, telemetry=None, on_chain=None):
-    from ..core import FTCChain
-    from ..metrics import EgressRecorder
-    from ..middlebox import ch_n
-    from ..sim import Simulator
-    sim = Simulator()
-    _install(sim, profiler)
-    egress = EgressRecorder(sim)
-    chain = FTCChain(sim, ch_n(n_mboxes, n_threads=2), f=1, deliver=egress,
-                     n_threads=2, seed=seed, reliable_links=reliable,
-                     admission=admission,
-                     telemetry=_new_telemetry(profiler, telemetry))
-    chain.start()
-    if on_chain is not None:
-        on_chain(sim, chain)
-    return sim, chain, egress
-
-
-def _scenario_baseline(seed: int, quick: bool, profiler,
-                       telemetry=None, on_chain=None) -> Dict:
-    from ..net import TrafficGenerator, balanced_flows
-    duration = QUICK_DURATION_S if quick else DURATION_S
-    sim, chain, egress = _simple_chain(seed, profiler, reliable=False,
-                                       telemetry=telemetry,
-                                       on_chain=on_chain)
-    generator = TrafficGenerator(sim, chain.ingress, rate_pps=RATE_PPS,
-                                 flows=balanced_flows(8, 2))
-    _drain(sim, generator, duration, runway=5e-3)
-    return _result(generator, egress, chain,
-                   {"chain": "ch2", "f": 1, "rate_pps": RATE_PPS,
-                    "duration_s": duration})
-
-
-def _scenario_reliable(seed: int, quick: bool, profiler,
-                       telemetry=None, on_chain=None) -> Dict:
-    from ..net import TrafficGenerator, balanced_flows
-    duration = QUICK_DURATION_S if quick else DURATION_S
-    sim, chain, egress = _simple_chain(seed, profiler, reliable=True,
-                                       telemetry=telemetry,
-                                       on_chain=on_chain)
-    generator = TrafficGenerator(sim, chain.ingress, rate_pps=RATE_PPS,
-                                 flows=balanced_flows(8, 2))
-    _drain(sim, generator, duration, runway=5e-3)
-    return _result(generator, egress, chain,
-                   {"chain": "ch2", "f": 1, "rate_pps": RATE_PPS,
-                    "duration_s": duration, "reliable_links": True})
-
-
-def _scenario_lossy(seed: int, quick: bool, profiler,
-                    telemetry=None, on_chain=None) -> Dict:
-    from ..net import TrafficGenerator, balanced_flows
-    duration = QUICK_DURATION_S if quick else DURATION_S
-    rate = RATE_PPS / 2
-    sim, chain, egress = _simple_chain(seed, profiler, reliable=True,
-                                       telemetry=telemetry,
-                                       on_chain=on_chain)
-    chain.net.impair_data(drop_rate=0.02, dup_rate=0.01, reorder_rate=0.01,
-                          corrupt_rate=0.005, seed=seed)
-    generator = TrafficGenerator(sim, chain.ingress, rate_pps=rate,
-                                 flows=balanced_flows(8, 2))
-    sim.run(until=duration)
-    generator.stop()
-    # Heal before the runway so retransmission tails converge.
-    chain.net.clear_data_impairment()
-    sim.run(until=duration + 30e-3)
-    result = _result(generator, egress, chain,
-                     {"chain": "ch2", "f": 1, "rate_pps": rate,
-                      "duration_s": duration, "reliable_links": True,
-                      "impairment": "drop=0.02,dup=0.01,reorder=0.01,"
-                                    "corrupt=0.005"})
-    result["retransmissions"] = chain.channel_stats().get(
-        "retransmissions", 0)
-    return result
-
-
-def _scenario_ctrlplane(seed: int, quick: bool, profiler,
-                        telemetry=None, on_chain=None) -> Dict:
-    from ..chaos.soak import CTRLPLANE_ELECTION
-    from ..core import FTCChain
-    from ..metrics import EgressRecorder
-    from ..middlebox import ch_n
-    from ..net import TrafficGenerator, balanced_flows
-    from ..orchestration import OrchestratorEnsemble
-    from ..sim import Simulator
-    duration = QUICK_DURATION_S if quick else DURATION_S
-    rate = 5e4
-    t_fail = duration * 0.4
-    sim = Simulator()
-    _install(sim, profiler)
-    egress = EgressRecorder(sim)
-    chain = FTCChain(sim, ch_n(3, n_threads=2), f=1, deliver=egress,
-                     n_threads=2, seed=seed,
-                     telemetry=_new_telemetry(profiler, telemetry))
-    chain.start()
-    if on_chain is not None:
-        on_chain(sim, chain)
-    ensemble = OrchestratorEnsemble(sim, chain, n=3,
-                                    election=CTRLPLANE_ELECTION,
-                                    telemetry=chain.telemetry)
-    ensemble.start()
-    generator = TrafficGenerator(sim, chain.ingress, rate_pps=rate,
-                                 flows=balanced_flows(8, 2))
-    sim.schedule_callback(t_fail, lambda: chain.fail_position(1))
-    sim.run(until=duration)
-    generator.stop()
+#: name -> (seed, traffic window) -> Scenario.
+SCENARIOS: Dict[str, Callable[[int, float], Scenario]] = {
+    "baseline": lambda seed, d: Scenario(
+        chain_length=2, seed=seed, duration_s=d, rate_pps=RATE_PPS),
+    "reliable-links": lambda seed, d: Scenario(
+        chain_length=2, seed=seed, duration_s=d, rate_pps=RATE_PPS,
+        reliable_links=True),
+    # Healed before the runway so retransmission tails converge.
+    "lossy": lambda seed, d: Scenario(
+        chain_length=2, seed=seed, duration_s=d, rate_pps=RATE_PPS / 2,
+        reliable_links=True, impair=(0.02, 0.01, 0.01, 0.005),
+        drain_s=30e-3),
     # Recovery runway: detection + election-held lease + respawn.
-    sim.run(until=duration + 50e-3)
-    ensemble.stop()
-    result = _result(generator, egress, chain,
-                     {"chain": "ch3", "f": 1, "rate_pps": rate,
-                      "duration_s": duration, "orchestrators": 3,
-                      "fail_position": 1, "t_fail_s": t_fail})
-    result["recoveries"] = len(ensemble.history)
-    return result
-
-
-def _scenario_reconfig(seed: int, quick: bool, profiler,
-                       telemetry=None, on_chain=None) -> Dict:
-    from ..core import FTCChain
-    from ..core.reconfig import ReconfigOp, apply_reconfig
-    from ..metrics import EgressRecorder
-    from ..middlebox import ch_n
-    from ..net import TrafficGenerator, balanced_flows
-    from ..sim import Simulator
-    duration = QUICK_DURATION_S if quick else DURATION_S
-    rate = RATE_PPS / 2
-    sim = Simulator()
-    _install(sim, profiler)
-    egress = EgressRecorder(sim)
-    chain = FTCChain(sim, ch_n(3, n_threads=2), f=1, deliver=egress,
-                     n_threads=2, seed=seed, reliable_links=True,
-                     telemetry=_new_telemetry(profiler, telemetry))
-    chain.start()
-    if on_chain is not None:
-        on_chain(sim, chain)
-    generator = TrafficGenerator(sim, chain.ingress, rate_pps=rate,
-                                 flows=balanced_flows(8, 2))
-    outcome: Dict = {}
-
-    def drive():
-        op = ReconfigOp(kind="rescale", position=1, n_threads=4)
-        report = yield from apply_reconfig(chain, op)
-        outcome["committed"] = report.committed
-
-    sim.schedule_callback(duration * 0.4,
-                          lambda: sim.process(drive(), name="perf-reconfig"))
-    sim.run(until=duration)
-    generator.stop()
-    sim.run(until=duration + 30e-3)
-    result = _result(generator, egress, chain,
-                     {"chain": "ch3", "f": 1, "rate_pps": rate,
-                      "duration_s": duration, "reliable_links": True,
-                      "op": "rescale@1->4threads"})
-    result["reconfig_committed"] = bool(outcome.get("committed"))
-    return result
-
-
-def _scenario_overload(seed: int, quick: bool, profiler,
-                       telemetry=None, on_chain=None) -> Dict:
-    from ..core.admission import AdmissionControl, BackpressureBus
-    from ..net import WorkloadGenerator, WorkloadSpec
-    from ..net.flowgen import FlashCrowd
-    from ..sim import RandomStreams, Simulator
-    from ..core import FTCChain
-    from ..metrics import EgressRecorder
-    from ..middlebox import ch_n
-    duration = QUICK_DURATION_S if quick else DURATION_S
-    base_pps = 1e5
-    sim = Simulator()
-    _install(sim, profiler)
-    egress = EgressRecorder(sim)
-    telemetry = _new_telemetry(profiler, telemetry)
-    admission = AdmissionControl(sim, rate_pps=base_pps * 0.6,
-                                 bus=BackpressureBus(), telemetry=telemetry)
-    chain = FTCChain(sim, ch_n(2, n_threads=2), f=1, deliver=egress,
-                     n_threads=2, seed=seed, admission=admission,
-                     telemetry=telemetry)
-    chain.start()
-    if on_chain is not None:
-        on_chain(sim, chain)
-    spec = WorkloadSpec(
-        base_pps=base_pps,
-        flashes=(FlashCrowd(at_s=duration * 0.3, duration_s=duration * 0.3,
-                            multiplier=4.0),),
-        n_flows=64, n_classes=3)
-    generator = WorkloadGenerator(sim, chain.ingress, spec, n_queues=2,
-                                  streams=RandomStreams(seed))
-    _drain(sim, generator, duration, runway=10e-3)
-    result = _result(generator, egress, chain,
-                     {"chain": "ch2", "f": 1, "base_pps": base_pps,
-                      "duration_s": duration, "flash_multiplier": 4.0,
-                      "admission_pps": base_pps * 0.6})
-    result["admitted"] = admission.admitted
-    result["shed"] = admission.shed
-    return result
-
-
-#: name -> runner(seed, quick, profiler, telemetry=, on_chain=) -> dict.
-SCENARIOS: Dict[str, Callable[..., Dict]] = {
-    "baseline": _scenario_baseline,
-    "reliable-links": _scenario_reliable,
-    "lossy": _scenario_lossy,
-    "ctrlplane-failover": _scenario_ctrlplane,
-    "reconfig-under-traffic": _scenario_reconfig,
-    "overload": _scenario_overload,
+    "ctrlplane-failover": lambda seed, d: Scenario(
+        chain_length=3, seed=seed, duration_s=d, rate_pps=5e4,
+        orchestrators=3,
+        steps=(Step(d * 0.4, crash=1, expect="recovered"),), drain_s=50e-3),
+    "reconfig-under-traffic": lambda seed, d: Scenario(
+        chain_length=3, seed=seed, duration_s=d, rate_pps=RATE_PPS / 2,
+        reliable_links=True,
+        steps=(Step(d * 0.4, expect="committed", op=ReconfigOp(
+            kind="rescale", position=1, n_threads=4)),), drain_s=30e-3),
+    "overload": lambda seed, d: Scenario(
+        chain_length=2, seed=seed, duration_s=d,
+        workload=WorkloadSpec(
+            base_pps=1e5, n_flows=64, n_classes=3,
+            flashes=(FlashCrowd(at_s=d * 0.3, duration_s=d * 0.3,
+                                multiplier=4.0),)),
+        admission_pps=1e5 * 0.6, drain_s=10e-3),
 }
 
 
 def scenario_names():
     return list(SCENARIOS)
+
+
+def _config(sc: Scenario) -> Dict:
+    """The BENCH report's ``config`` block, read off the scenario."""
+    config: Dict = {"chain": f"ch{sc.chain_length}", "f": sc.f}
+    if sc.workload is None:
+        config["rate_pps"] = sc.rate_pps
+    else:
+        config["base_pps"] = sc.workload.base_pps
+    config["duration_s"] = sc.duration_s
+    if sc.reliable_links:
+        config["reliable_links"] = True
+    if sc.impair is not None:
+        config["impairment"] = "drop={:g},dup={:g},reorder={:g}," \
+                               "corrupt={:g}".format(*sc.impair)
+    if sc.orchestrators:
+        config["orchestrators"] = sc.orchestrators
+    for step in sc.steps:
+        if step.op is None:
+            config["fail_position"] = step.crash
+            config["t_fail_s"] = step.at_s
+        else:
+            config["op"] = (f"{step.op.kind}@{step.op.position}->"
+                            f"{step.op.n_threads}threads")
+    if sc.workload is not None:
+        config["flash_multiplier"] = sc.workload.flashes[0].multiplier
+        config["admission_pps"] = sc.admission_pps
+    return config
 
 
 def run_scenario(name: str, seed: int = 0, quick: bool = False,
@@ -295,11 +122,31 @@ def run_scenario(name: str, seed: int = 0, quick: bool = False,
     ``telemetry`` overrides the scenario's internal bundle (e.g. to
     capture a Chrome trace); ``on_chain(sim, chain)`` fires after the
     chain starts (e.g. to attach a :class:`~.counters.CounterSampler`).
+    Raises if the run's final audit or a step post-condition failed.
     """
     try:
-        runner = SCENARIOS[name]
+        build = SCENARIOS[name]
     except KeyError:
         raise ValueError(
             f"unknown scenario {name!r}; choose from {', '.join(SCENARIOS)}")
-    return runner(seed, quick, profiler, telemetry=telemetry,
-                  on_chain=on_chain)
+    sc = build(seed, QUICK_DURATION_S if quick else DURATION_S)
+    out = run(sc, telemetry=telemetry, profiler=profiler,
+              on_chain=on_chain).checked()
+    result = {
+        "config": _config(sc),
+        "offered": out.generator.sent,
+        "released": out.egress.count,
+        "buffer_held_peak": out.chain.buffer.held_peak,
+    }
+    if sc.impair is not None:
+        result["retransmissions"] = out.chain.channel_stats().get(
+            "retransmissions", 0)
+    if out.control is not None:
+        result["recoveries"] = len(out.failures)
+    if any(step.op is not None for step in sc.steps):
+        result["reconfig_committed"] = all(r.committed
+                                           for r in out.reconfigs)
+    if out.admission is not None:
+        result["admitted"] = out.admission.admitted
+        result["shed"] = out.admission.shed
+    return result

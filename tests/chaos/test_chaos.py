@@ -9,9 +9,10 @@ from repro.chaos import (
     InvariantAuditor,
     ShadowOracle,
     SoakConfig,
-    run_schedule,
+    chaos_scenario,
     run_soak,
 )
+from repro.chaos import run_schedule as run_scenario_schedule
 from repro.core import FTCChain
 from repro.core.costs import CostModel
 from repro.middlebox import ch_n
@@ -19,6 +20,10 @@ from repro.net import TrafficGenerator, balanced_flows
 from repro.sim import Simulator
 
 COSTS = CostModel(cycle_jitter_frac=0.0)
+
+
+def run_schedule(**params):
+    return run_scenario_schedule(chaos_scenario(**params))
 
 
 def build_chain(sim, n=3, f=1, seed=0, oracle=None):

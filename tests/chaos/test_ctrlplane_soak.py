@@ -19,13 +19,19 @@ from repro.chaos import (
     InvariantAuditor,
     ORCH_FAULT_KINDS,
     ShadowOracle,
-    run_ctrlplane_schedule,
+    chaos_scenario,
+    ctrlplane_scenario,
+    run_schedule,
 )
 from repro.chaos.soak import CTRLPLANE_ELECTION, SOAK_COSTS
 from repro.core import FTCChain
 from repro.middlebox import ch_n
 from repro.orchestration import OrchestratorEnsemble
 from repro.sim import Simulator
+
+
+def run_ctrlplane_schedule(**params):
+    return run_schedule(ctrlplane_scenario(**params))
 
 
 def _harness(seed=7, n=3):
@@ -144,11 +150,10 @@ class TestCtrlplaneSoak:
     def test_default_soak_path_has_no_ensemble(self):
         """--orchestrators 1 (the default) must not allocate any
         ensemble machinery: no gate, no extra servers, plain history."""
-        from repro.chaos import run_schedule
         from repro.orchestration import Orchestrator
 
-        result = run_schedule(seed=0, chain_length=3, f=1, max_faults=2,
-                              duration_s=30e-3)
+        result = run_schedule(chaos_scenario(
+            seed=0, chain_length=3, f=1, max_faults=2, duration_s=30e-3))
         assert result.elections == 0
         assert result.fenced_commands == 0
         sim = Simulator()

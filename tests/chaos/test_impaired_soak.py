@@ -14,12 +14,17 @@ from repro.chaos import (
     FaultSpec,
     IMPAIRED_DELIVERY,
     SoakConfig,
-    run_impaired_schedule,
+    impaired_scenario,
+    run_schedule,
     run_soak,
 )
 
 RATES = dict(drop_rate=0.05, dup_rate=0.02, reorder_rate=0.02,
              corrupt_rate=0.01)
+
+
+def run_impaired_schedule(**params):
+    return run_schedule(impaired_scenario(**params))
 
 
 class TestFaultSpecValidation:

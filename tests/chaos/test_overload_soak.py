@@ -17,9 +17,14 @@ from repro.chaos import (
     FaultSpec,
     OverloadSpec,
     SoakConfig,
-    run_overload_schedule,
+    overload_scenario,
+    run_schedule,
     run_soak,
 )
+
+
+def run_overload_schedule(**params):
+    return run_schedule(overload_scenario(**params))
 
 
 class TestOverloadSpec:

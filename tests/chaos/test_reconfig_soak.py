@@ -1,6 +1,6 @@
 """Reconfiguration soak: scripted live operations under impairment.
 
-The ``run_reconfig_schedule`` driver fires a classifier swap, a
+A ``reconfig_scenario`` schedule fires a classifier swap, a
 rescale, a migration, an insert, and a remove against a chain under
 offered load with a mid-run data-impairment window, then audits the
 invariants (zero loss / zero reorder in the crash-free modes, auditor
@@ -10,9 +10,13 @@ can run the long modes on their own schedule.
 
 import pytest
 
-from repro.chaos import run_reconfig_schedule
+from repro.chaos import reconfig_scenario, run_schedule
 
 pytestmark = pytest.mark.soak_reconfig
+
+
+def run_reconfig_schedule(**params):
+    return run_schedule(reconfig_scenario(**params))
 
 
 def _assert_clean(result):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import FTCChain, rescale_position
+from repro.core import FTCChain, ReconfigOp, apply_reconfig
 from repro.core.costs import CostModel
 from repro.metrics import EgressRecorder
 from repro.middlebox import Monitor
@@ -22,6 +22,11 @@ def _chain(sim, n_threads=2):
     return chain, egress
 
 
+def rescale(chain, position, n_threads):
+    return apply_reconfig(chain, ReconfigOp(
+        kind="rescale", position=position, n_threads=n_threads))
+
+
 class TestVerticalScaling:
     def test_scale_up_preserves_state_and_traffic(self):
         sim = Simulator()
@@ -32,16 +37,17 @@ class TestVerticalScaling:
 
         def scale(sim):
             yield sim.timeout(0.003)
-            report = yield sim.process(rescale_position(chain, 1, 4))
-            reports.append(report)
+            old_threads = len(chain.server_at(1).nic.queues)
+            report = yield sim.process(rescale(chain, 1, 4))
+            reports.append((old_threads, report))
 
         sim.process(scale(sim))
-        sim.run(until=0.02)
+        sim.run(until=0.008)
         gen.stop()
-        sim.run(until=0.03)
+        sim.run(until=0.018)
 
-        report = reports[0]
-        assert report.old_threads == 2 and report.new_threads == 4
+        old_threads, report = reports[0]
+        assert old_threads == 2 and report.op.n_threads == 4
         assert len(chain.server_at(1).nic.queues) == 4
         released = chain.total_released()
         assert released > 0
@@ -61,12 +67,12 @@ class TestVerticalScaling:
 
         def scale(sim):
             yield sim.timeout(0.003)
-            yield sim.process(rescale_position(chain, 0, 1))
+            yield sim.process(rescale(chain, 0, 1))
 
         sim.process(scale(sim))
-        sim.run(until=0.015)
+        sim.run(until=0.008)
         gen.stop()
-        sim.run(until=0.025)
+        sim.run(until=0.018)
         assert len(chain.server_at(0).nic.queues) == 1
         assert chain.total_released() > 0
         mbox = chain.middleboxes[0]
@@ -84,7 +90,7 @@ class TestVerticalScaling:
 
         def scale(sim):
             yield sim.timeout(0.003)
-            report = yield sim.process(rescale_position(chain, 1, 4))
+            report = yield sim.process(rescale(chain, 1, 4))
             reports.append(report)
 
         sim.process(scale(sim))
@@ -105,7 +111,7 @@ class TestVerticalScaling:
             if rescale_to:
                 def scale(sim):
                     yield sim.timeout(0.5e-3)
-                    yield sim.process(rescale_position(chain, 0, rescale_to))
+                    yield sim.process(rescale(chain, 0, rescale_to))
                 sim.process(scale(sim))
             sim.run(until=2e-3)
             egress.throughput.start_window()
@@ -118,4 +124,4 @@ class TestVerticalScaling:
         sim = Simulator()
         chain, _ = _chain(sim)
         with pytest.raises(ValueError):
-            next(rescale_position(chain, 0, 0))
+            rescale(chain, 0, 0)

@@ -1,9 +1,13 @@
 """Bench suite: schema, determinism, and the zero-perturbation pledge."""
 
+import dataclasses
 import json
+import time
 
 import pytest
 
+from repro.chaos import run
+from repro.core import FTCChain
 from repro.perf import StageProfiler
 from repro.perf.bench import (
     SCHEMA_VERSION,
@@ -11,7 +15,13 @@ from repro.perf.bench import (
     env_metadata,
     write_report,
 )
-from repro.perf.scenarios import SCENARIOS, run_scenario, scenario_names
+from repro.perf.scenarios import (
+    QUICK_DURATION_S,
+    RATE_PPS,
+    SCENARIOS,
+    run_scenario,
+    scenario_names,
+)
 
 
 class TestScenarioRegistry:
@@ -105,3 +115,41 @@ class TestScenarioShapes:
     def test_ctrlplane_recovers(self):
         result = run_scenario("ctrlplane-failover", seed=0, quick=True)
         assert result["recoveries"] >= 1
+
+
+class TestAuditedBench:
+    def test_duplicate_release_cannot_post_a_number(self, monkeypatch):
+        """A release gate that fires twice for one packet must fail the
+        run with the oracle's violation, not return a result (the suite
+        used to compare only offered/released across its two passes)."""
+        deliver = FTCChain._deliver
+        released = []
+
+        def deliver_one_twice(chain, packet):
+            deliver(chain, packet)
+            released.append(packet.pid)
+            if len(released) == 100:
+                deliver(chain, packet)
+
+        monkeypatch.setattr(FTCChain, "_deliver", deliver_one_twice)
+        with pytest.raises(AssertionError,
+                           match="release-safety: 1 duplicate releases"):
+            run_scenario("baseline", seed=0, quick=True)
+
+    def test_armed_overload_stack_is_a_constant_factor(self):
+        """Admission + backpressure bus + SLO watchdog + brownout wired
+        under admissible load (budget 2x offered, an SLO that never
+        breaches) run the full per-packet path yet must simulate no
+        worse than 3x slower than baseline -- O(1) per packet, not a
+        new complexity class -- and release everything they admit."""
+        baseline = SCENARIOS["baseline"](0, QUICK_DURATION_S)
+        armed = dataclasses.replace(baseline, admission_pps=RATE_PPS * 2,
+                                    slo_p99_us=1e6)
+        walls = []
+        for scenario in (baseline, armed):
+            t0 = time.perf_counter()
+            out = run(scenario).checked()
+            walls.append(time.perf_counter() - t0)
+            assert out.oracle.released == out.generator.sent > 0
+        assert out.admission.admitted == out.generator.sent
+        assert walls[1] <= 3.0 * walls[0]

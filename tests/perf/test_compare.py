@@ -28,7 +28,8 @@ class TestHeadline:
         assert headline_pps(_report("baseline", 1234)) == 1234.0
 
     def test_list_results_are_not_gated(self):
-        # v2 BENCH_throughput.json keeps v1's mode list under results.
+        # A v1-shaped report (mode list under results, as the deleted
+        # BENCH_throughput.json had) found in a directory is not gated.
         assert headline_pps({"results": [{"sim_pps_per_wall_s": 9}]}) == 0.0
 
     def test_absent_results(self):
