@@ -20,6 +20,10 @@ The package implements the FTC protocol and everything it runs on:
 * :mod:`repro.metrics` -- throughput/latency meters and statistics.
 * :mod:`repro.telemetry` -- opt-in chain-wide observability: metric
   registry, sampled per-packet Chrome traces, recovery timelines.
+* :mod:`repro.flight` -- causal flight recorder, ``repro explain``,
+  SLO watchdog and the markdown run report.
+* :mod:`repro.perf` -- per-stage cost profiler, the ``BENCH_*.json``
+  scenario suite and its regression gate.
 * :mod:`repro.experiments` -- regeneration of every evaluation table
   and figure.
 
@@ -39,52 +43,24 @@ Quickstart::
                      flows=balanced_flows(16, 8), count=10_000)
     sim.run(until=0.05)
     print(chain.total_released(), egress.latency.mean_us())
+
+Every package ``__init__`` is a table of public name -> defining
+submodule (:mod:`repro._lazy`): importing a package loads nothing, and
+the first read of a name imports exactly the module that defines it.
 """
 
-from .core import CostModel, DEFAULT_COSTS, FTCChain, recover_positions
-from .metrics import EgressRecorder
-from .middlebox import (
-    DROP,
-    Firewall,
-    Gen,
-    MazuNAT,
-    Middlebox,
-    Monitor,
-    PASS,
-    SimpleNAT,
-    ch_gen,
-    ch_n,
-    ch_rec,
-)
-from .net import FlowKey, Packet, TrafficGenerator, balanced_flows
-from .orchestration import CloudNetwork, Orchestrator, place_chain
-from .sim import Simulator
+from ._lazy import surface
+
+__getattr__, __dir__, __all__ = surface(__name__, {
+    "core": ("CostModel", "DEFAULT_COSTS", "FTCChain", "recover_positions"),
+    "metrics": ("EgressRecorder",),
+    "middlebox": (
+        "DROP", "Firewall", "Gen", "MazuNAT", "Middlebox", "Monitor", "PASS",
+        "SimpleNAT", "ch_gen", "ch_n", "ch_rec",
+    ),
+    "net": ("FlowKey", "Packet", "TrafficGenerator", "balanced_flows"),
+    "orchestration": ("CloudNetwork", "Orchestrator", "place_chain"),
+    "sim": ("Simulator",),
+})
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "CloudNetwork",
-    "CostModel",
-    "DEFAULT_COSTS",
-    "DROP",
-    "EgressRecorder",
-    "FTCChain",
-    "Firewall",
-    "FlowKey",
-    "Gen",
-    "MazuNAT",
-    "Middlebox",
-    "Monitor",
-    "Orchestrator",
-    "PASS",
-    "Packet",
-    "SimpleNAT",
-    "Simulator",
-    "TrafficGenerator",
-    "balanced_flows",
-    "ch_gen",
-    "ch_n",
-    "ch_rec",
-    "place_chain",
-    "recover_positions",
-]

@@ -1,7 +1,9 @@
 """Comparison systems: NF (no FT), FTMB [51], FTMB+Snapshot, remote store."""
 
-from .ftmb import FTMBChain
-from .nf import NFChain
-from .remote_store import RemoteStoreChain
+from .._lazy import surface
 
-__all__ = ["FTMBChain", "NFChain", "RemoteStoreChain"]
+__getattr__, __dir__, __all__ = surface(__name__, {
+    "ftmb": ("FTMBChain",),
+    "nf": ("NFChain",),
+    "remote_store": ("RemoteStoreChain",),
+})

@@ -15,71 +15,24 @@ Three layers (see PROTOCOL.md, "Failure model & chaos testing"):
   ``python -m repro chaos``.
 """
 
-from .auditor import InvariantAuditor, InvariantViolation, ShadowOracle
-from .monkey import (
-    CTRLPLANE_KIND_WEIGHTS,
-    ChaosMonkey,
-    DEFAULT_KIND_WEIGHTS,
-    OVERLOAD_KIND_WEIGHTS,
-)
-from .plan import (
-    FAULT_KINDS,
-    IMPAIRED_DELIVERY,
-    ORCH_FAULT_KINDS,
-    OVERLOAD_FAULT_KINDS,
-    RECONFIG_FAULT_KINDS,
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-)
-from .scenario import CHECKS, Monkey, Run, Scenario, Step, run
-from .soak import (
-    OverloadSpec,
-    ScheduleResult,
-    SoakConfig,
-    SoakResult,
-    chaos_scenario,
-    ctrlplane_scenario,
-    impaired_scenario,
-    overload_scenario,
-    reconfig_scenario,
-    run_schedule,
-    run_soak,
-    soak_scenario,
-)
+from .._lazy import surface
 
-__all__ = [
-    "CHECKS",
-    "CTRLPLANE_KIND_WEIGHTS",
-    "ChaosMonkey",
-    "DEFAULT_KIND_WEIGHTS",
-    "FAULT_KINDS",
-    "IMPAIRED_DELIVERY",
-    "ORCH_FAULT_KINDS",
-    "OVERLOAD_FAULT_KINDS",
-    "OVERLOAD_KIND_WEIGHTS",
-    "RECONFIG_FAULT_KINDS",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "InvariantAuditor",
-    "InvariantViolation",
-    "Monkey",
-    "OverloadSpec",
-    "Run",
-    "Scenario",
-    "ScheduleResult",
-    "ShadowOracle",
-    "SoakConfig",
-    "SoakResult",
-    "Step",
-    "chaos_scenario",
-    "ctrlplane_scenario",
-    "impaired_scenario",
-    "overload_scenario",
-    "reconfig_scenario",
-    "run",
-    "run_schedule",
-    "run_soak",
-    "soak_scenario",
-]
+__getattr__, __dir__, __all__ = surface(__name__, {
+    "auditor": ("InvariantAuditor", "InvariantViolation", "ShadowOracle"),
+    "monkey": (
+        "CTRLPLANE_KIND_WEIGHTS", "ChaosMonkey", "DEFAULT_KIND_WEIGHTS",
+        "OVERLOAD_KIND_WEIGHTS",
+    ),
+    "plan": (
+        "FAULT_KINDS", "FaultInjector", "FaultPlan", "FaultSpec",
+        "IMPAIRED_DELIVERY", "ORCH_FAULT_KINDS", "OVERLOAD_FAULT_KINDS",
+        "RECONFIG_FAULT_KINDS",
+    ),
+    "scenario": ("CHECKS", "Monkey", "Run", "Scenario", "Step", "run"),
+    "soak": (
+        "OverloadSpec", "ScheduleResult", "SoakConfig", "SoakResult",
+        "chaos_scenario", "ctrlplane_scenario", "impaired_scenario",
+        "overload_scenario", "reconfig_scenario", "run_schedule", "run_soak",
+        "soak_scenario",
+    ),
+})

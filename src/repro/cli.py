@@ -32,12 +32,6 @@ import re
 import sys
 from typing import List
 
-from .experiments import systems as _systems
-from .metrics import EgressRecorder, format_table
-from .middlebox import available, create
-from .net import TrafficGenerator, balanced_flows
-from .sim import Simulator
-
 __all__ = ["main"]
 
 _EXPERIMENTS = ["table2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
@@ -211,6 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list() -> int:
+    from .middlebox import available
     print("middlebox kinds:")
     for kind in available():
         print(f"  {kind}")
@@ -235,6 +230,12 @@ def _run_chain(args, telemetry=None, on_ready=None):
     chain is built but before traffic runs -- the hook ``report`` uses
     to start its SLO watchdog inside the simulation.
     """
+    from .experiments.systems import build_system
+    from .metrics import EgressRecorder
+    from .middlebox import create
+    from .net import TrafficGenerator, balanced_flows
+    from .sim import Simulator
+
     impairment = None
     if getattr(args, "impair_data", None):
         impairment = _parse_impairment(args.impair_data, "repro run")
@@ -242,7 +243,7 @@ def _run_chain(args, telemetry=None, on_ready=None):
     egress = EgressRecorder(sim)
     middleboxes = [create(kind.strip(), name=f"{kind.strip()}{i}")
                    for i, kind in enumerate(args.chain.split(","))]
-    system = _systems.build_system(
+    system = build_system(
         args.system, sim, middleboxes, egress, n_threads=args.threads,
         f=args.failures, seed=args.seed, telemetry=telemetry)
     if impairment is not None:
@@ -344,6 +345,7 @@ def _run_chain(args, telemetry=None, on_ready=None):
 
 
 def _print_run_summary(args, system, generator, egress, middleboxes) -> None:
+    from .metrics import format_table
     print(f"\n{args.system.upper()} chain: "
           f"{' -> '.join(m.name for m in middleboxes)}")
     if getattr(args, "impair_data", None):
@@ -539,6 +541,7 @@ def _parse_int_list(text: str, option: str) -> List[int]:
 
 def _cmd_chaos(args) -> int:
     from .chaos import OverloadSpec, SoakConfig, run_soak
+    from .metrics import format_table
 
     overload = None
     if args.overload is not None:

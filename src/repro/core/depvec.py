@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from ..stm.store import StateStore
-from ..telemetry.registry import NULL_COUNTER, NULL_GAUGE
+from ..telemetry import NULL_COUNTER, NULL_GAUGE
 from .piggyback import CommitVector, PiggybackLog
 
 __all__ = ["DependencyVector", "ReplicationState", "ProtocolError"]

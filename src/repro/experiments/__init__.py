@@ -7,47 +7,15 @@ same rows/series the paper reports.  Run any of them directly::
     python -m repro.experiments.fig9
 """
 
-from . import (
-    ablations,
-    calibration,
-    fig5,
-    fig6,
-    fig7,
-    fig8,
-    fig9,
-    fig10,
-    fig11,
-    fig12,
-    fig13,
-    reconfig,
-    table2,
-)
-from .runner import (
-    ExperimentResult,
-    latency_under_load,
-    quick_mode,
-    saturation_throughput,
-)
-from .systems import SYSTEMS, build_system
+from .._lazy import surface
 
-__all__ = [
-    "ExperimentResult",
-    "ablations",
-    "calibration",
-    "SYSTEMS",
-    "build_system",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "latency_under_load",
-    "quick_mode",
-    "reconfig",
-    "saturation_throughput",
-    "table2",
-]
+__getattr__, __dir__, __all__ = surface(__name__, {
+    "runner": (
+        "ExperimentResult", "latency_under_load", "quick_mode",
+        "saturation_throughput",
+    ),
+    "systems": ("SYSTEMS", "build_system"),
+}, modules=(
+    "ablations", "calibration", "fig5", "fig6", "fig7", "fig8", "fig9",
+    "fig10", "fig11", "fig12", "fig13", "reconfig", "table2",
+))

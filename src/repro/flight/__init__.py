@@ -12,20 +12,20 @@ PR 5's observability subsystem (PROTOCOL.md §10):
   report aggregating metrics + breaches + timelines.
 """
 
-from .recorder import (FLIGHT_COMPONENTS, NULL_FLIGHT, DUMP_VERSION,
-                       FlightEvent, FlightRecorder, NullFlightRecorder)
-from .explain import (crosscheck_recovery, explain_epoch, explain_packet,
-                      explain_recovery, load_dump, walk_back)
-from .slo import (SLOBreach, SLOObjective, SLOWatchdog, parse_slo_spec,
-                  run_probes)
-from .report import render_report
+from .._lazy import surface
 
-__all__ = [
-    "FLIGHT_COMPONENTS", "NULL_FLIGHT", "DUMP_VERSION", "FlightEvent",
-    "FlightRecorder", "NullFlightRecorder",
-    "crosscheck_recovery", "explain_epoch", "explain_packet",
-    "explain_recovery", "load_dump", "walk_back",
-    "SLOBreach", "SLOObjective", "SLOWatchdog", "parse_slo_spec",
-    "run_probes",
-    "render_report",
-]
+__getattr__, __dir__, __all__ = surface(__name__, {
+    "recorder": (
+        "DUMP_VERSION", "FLIGHT_COMPONENTS", "FlightEvent", "FlightRecorder",
+        "NULL_FLIGHT", "NullFlightRecorder",
+    ),
+    "explain": (
+        "crosscheck_recovery", "explain_epoch", "explain_packet",
+        "explain_recovery", "load_dump", "walk_back",
+    ),
+    "slo": (
+        "SLOBreach", "SLOObjective", "SLOWatchdog", "parse_slo_spec",
+        "run_probes",
+    ),
+    "report": ("render_report",),
+})

@@ -39,6 +39,9 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
+# Re-exported from the leaf: the same objects, never redefined here.
+from ..telemetry.null import NULL_FLIGHT, NullFlightRecorder
+
 __all__ = ["FlightEvent", "FlightRecorder", "NullFlightRecorder",
            "NULL_FLIGHT", "FLIGHT_COMPONENTS", "DUMP_VERSION"]
 
@@ -242,58 +245,3 @@ class FlightRecorder:
     def __repr__(self):
         return (f"<FlightRecorder {len(self)}/{self.capacity} events, "
                 f"{self.dropped} dropped, {len(self.trips)} trips>")
-
-
-class NullFlightRecorder:
-    """Recording disabled: every surface is a shared no-op.
-
-    Instrumented code caches ``telemetry.flight`` and guards argument
-    construction with ``if flight.enabled:`` -- the disabled cost is
-    one attribute read and a truth test, and results stay bit-identical
-    to an uninstrumented build (the same contract as the NULL_*
-    telemetry singletons).
-    """
-
-    __slots__ = ()
-    capacity = 0
-    dropped = 0
-    context: Dict[str, Any] = {}
-    trips: List[str] = []
-    events: List[FlightEvent] = []
-
-    enabled = False
-
-    def __len__(self) -> int:
-        return 0
-
-    def record(self, component: str, kind: str, t: float,
-               pid: Optional[int] = None, epoch: Optional[int] = None,
-               depvec: Optional[Dict[int, int]] = None, detail: str = "",
-               chain: Optional[str] = None,
-               parent: Optional[int] = None) -> int:
-        return -1
-
-    def chain_cursor(self, chain: str) -> Optional[int]:
-        return None
-
-    def set_context(self, **fields: Any) -> None:
-        pass
-
-    def as_dicts(self) -> List[Dict[str, Any]]:
-        return []
-
-    def dump(self, reason: str = "demand", telemetry=None) -> Dict[str, Any]:
-        return {"version": DUMP_VERSION, "reason": reason, "context": {},
-                "dropped": 0, "next_ref": 0, "trips": [], "events": [],
-                "timeline": [], "metrics": []}
-
-    def dump_json(self, path: str, reason: str = "demand",
-                  telemetry=None) -> str:
-        raise RuntimeError("flight recording is disabled; nothing to dump")
-
-    def trip(self, reason: str, telemetry=None,
-             t: Optional[float] = None) -> Optional[str]:
-        return None
-
-
-NULL_FLIGHT = NullFlightRecorder()

@@ -1,24 +1,11 @@
 """Measurement: meters, statistics, and report formatting."""
 
-from .meters import EgressRecorder, LatencySampler, ThroughputMeter
-from .reporting import format_series, format_table
-from .stats import (
-    cdf_points,
-    confidence_interval95,
-    mean,
-    percentile,
-    stdev,
-)
+from .._lazy import surface
 
-__all__ = [
-    "EgressRecorder",
-    "LatencySampler",
-    "ThroughputMeter",
-    "cdf_points",
-    "confidence_interval95",
-    "format_series",
-    "format_table",
-    "mean",
-    "percentile",
-    "stdev",
-]
+__getattr__, __dir__, __all__ = surface(__name__, {
+    "meters": ("EgressRecorder", "LatencySampler", "ThroughputMeter"),
+    "reporting": ("format_series", "format_table"),
+    "stats": (
+        "cdf_points", "confidence_interval95", "mean", "percentile", "stdev",
+    ),
+})

@@ -1,36 +1,17 @@
 """Middlebox framework and the paper's Table 1 functions."""
 
-from .base import DROP, Middlebox, PASS, Verdict
-from .chains import ch_gen, ch_n, ch_rec
-from .firewall import Firewall, Rule
-from .gen import Gen
-from .ids import PortCountIDS
-from .loadbalancer import LoadBalancer
-from .monitor import Monitor
-from .nat import MazuNAT, SimpleNAT
-from .policer import TokenBucketPolicer
-from .registry import available, create, register
-from .stateful_firewall import StatefulFirewall
+from .._lazy import surface
 
-__all__ = [
-    "DROP",
-    "Firewall",
-    "Gen",
-    "LoadBalancer",
-    "MazuNAT",
-    "Middlebox",
-    "Monitor",
-    "PASS",
-    "PortCountIDS",
-    "Rule",
-    "SimpleNAT",
-    "StatefulFirewall",
-    "TokenBucketPolicer",
-    "Verdict",
-    "available",
-    "ch_gen",
-    "ch_n",
-    "ch_rec",
-    "create",
-    "register",
-]
+__getattr__, __dir__, __all__ = surface(__name__, {
+    "base": ("DROP", "Middlebox", "PASS", "Verdict"),
+    "chains": ("ch_gen", "ch_n", "ch_rec"),
+    "firewall": ("Firewall", "Rule"),
+    "gen": ("Gen",),
+    "ids": ("PortCountIDS",),
+    "loadbalancer": ("LoadBalancer",),
+    "monitor": ("Monitor",),
+    "nat": ("MazuNAT", "SimpleNAT"),
+    "policer": ("TokenBucketPolicer",),
+    "registry": ("available", "create", "register"),
+    "stateful_firewall": ("StatefulFirewall",),
+})

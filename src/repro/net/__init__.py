@@ -1,56 +1,23 @@
 """Network substrate: packets, flows, links, NICs, servers, traffic."""
 
-from .channel import DATA_RETRY_POLICY, Frame, ReliableChannel
-from .churn import FlowChurnGenerator
-from .flowgen import (
-    FlashCrowd,
-    FlowPool,
-    TrafficGenerator,
-    WorkloadGenerator,
-    WorkloadSpec,
-    balanced_flows,
-)
-from .impairment import Corrupted, DataImpairment
-from .link import Link, LossyLink
-from .nic import DEFAULT_NIC_PPS, NIC
-from .packet import FlowKey, Packet, format_ip, ip
-from .retry import DEFAULT_RETRY_POLICY, CallResult, RetryPolicy, reliable_call
-from .topology import (
-    DEFAULT_CPU_HZ,
-    DEFAULT_HOP_DELAY_S,
-    ControlImpairment,
-    Network,
-    Server,
-)
+from .._lazy import surface
 
-__all__ = [
-    "CallResult",
-    "ControlImpairment",
-    "Corrupted",
-    "DATA_RETRY_POLICY",
-    "DEFAULT_CPU_HZ",
-    "DEFAULT_HOP_DELAY_S",
-    "DEFAULT_NIC_PPS",
-    "DEFAULT_RETRY_POLICY",
-    "DataImpairment",
-    "FlashCrowd",
-    "FlowChurnGenerator",
-    "FlowKey",
-    "FlowPool",
-    "Frame",
-    "Link",
-    "LossyLink",
-    "NIC",
-    "Network",
-    "Packet",
-    "ReliableChannel",
-    "RetryPolicy",
-    "Server",
-    "TrafficGenerator",
-    "WorkloadGenerator",
-    "WorkloadSpec",
-    "balanced_flows",
-    "format_ip",
-    "ip",
-    "reliable_call",
-]
+__getattr__, __dir__, __all__ = surface(__name__, {
+    "channel": ("DATA_RETRY_POLICY", "Frame", "ReliableChannel"),
+    "churn": ("FlowChurnGenerator",),
+    "flowgen": (
+        "FlashCrowd", "FlowPool", "TrafficGenerator", "WorkloadGenerator",
+        "WorkloadSpec", "balanced_flows",
+    ),
+    "impairment": ("Corrupted", "DataImpairment"),
+    "link": ("Link", "LossyLink"),
+    "nic": ("DEFAULT_NIC_PPS", "NIC"),
+    "packet": ("FlowKey", "Packet", "format_ip", "ip"),
+    "retry": (
+        "CallResult", "DEFAULT_RETRY_POLICY", "RetryPolicy", "reliable_call",
+    ),
+    "topology": (
+        "ControlImpairment", "DEFAULT_CPU_HZ", "DEFAULT_HOP_DELAY_S",
+        "Network", "Server",
+    ),
+})

@@ -1,35 +1,16 @@
 """Orchestration: SDN-controller-style monitoring, placement, recovery."""
 
-from .brownout import (
-    BROWNOUT_STEPS,
-    BrownoutController,
-    BrownoutPolicy,
-    BrownoutTransition,
-)
-from .cloud import CloudNetwork, SAVI_REGIONS, savi_rtt_matrix
-from .election import ElectionConfig, ElectionMember
-from .ensemble import EnsembleMember, OrchestratorEnsemble
-from .journal import JOURNAL_STEPS, CommandJournal, JournalEntry
-from .orchestrator import FailureEvent, Orchestrator
-from .placement import place_chain, validate_isolation
+from .._lazy import surface
 
-__all__ = [
-    "BROWNOUT_STEPS",
-    "BrownoutController",
-    "BrownoutPolicy",
-    "BrownoutTransition",
-    "CloudNetwork",
-    "CommandJournal",
-    "ElectionConfig",
-    "ElectionMember",
-    "EnsembleMember",
-    "FailureEvent",
-    "JOURNAL_STEPS",
-    "JournalEntry",
-    "Orchestrator",
-    "OrchestratorEnsemble",
-    "SAVI_REGIONS",
-    "place_chain",
-    "savi_rtt_matrix",
-    "validate_isolation",
-]
+__getattr__, __dir__, __all__ = surface(__name__, {
+    "brownout": (
+        "BROWNOUT_STEPS", "BrownoutController", "BrownoutPolicy",
+        "BrownoutTransition",
+    ),
+    "cloud": ("CloudNetwork", "SAVI_REGIONS", "savi_rtt_matrix"),
+    "election": ("ElectionConfig", "ElectionMember"),
+    "ensemble": ("EnsembleMember", "OrchestratorEnsemble"),
+    "journal": ("CommandJournal", "JOURNAL_STEPS", "JournalEntry"),
+    "orchestrator": ("FailureEvent", "Orchestrator"),
+    "placement": ("place_chain", "validate_isolation"),
+})

@@ -9,45 +9,22 @@ Three layers, used together by ``repro perf``:
 * :mod:`.compare` -- the regression gate CI runs against committed
   baselines.
 
-Only the stdlib-leaf modules (profiler, compare) are imported here:
-``repro.telemetry`` imports :data:`NULL_PROFILER` from this package, so
-anything that pulls in the simulator (scenarios, bench, counters) must
-stay lazily imported -- the same leaf-only discipline as
-``repro.flight.recorder``.
+Nothing is imported until a name is read: ``compare`` (the CI gate)
+loads without the simulator, and :data:`NULL_PROFILER` lives in the
+leaf :mod:`repro.telemetry.null`, so a run with profiling off never
+loads :mod:`.profiler` either.
 """
 
-from .profiler import (
-    NULL_PROFILER,
-    NullProfiler,
-    STAGES,
-    STAGE_TREE,
-    StageProfiler,
-    collapsed_lines,
-    exclusive_seconds,
-    speedscope_doc,
-)
-from .compare import (
-    DEFAULT_TOLERANCE,
-    compare_dirs,
-    compare_reports,
-    headline_pps,
-    load_reports,
-    render_markdown,
-)
+from .._lazy import surface
 
-__all__ = [
-    "DEFAULT_TOLERANCE",
-    "NULL_PROFILER",
-    "NullProfiler",
-    "STAGES",
-    "STAGE_TREE",
-    "StageProfiler",
-    "collapsed_lines",
-    "compare_dirs",
-    "compare_reports",
-    "exclusive_seconds",
-    "headline_pps",
-    "load_reports",
-    "render_markdown",
-    "speedscope_doc",
-]
+__getattr__, __dir__, __all__ = surface(__name__, {
+    "profiler": (
+        "NULL_PROFILER", "NullProfiler", "STAGES", "STAGE_TREE",
+        "StageProfiler", "collapsed_lines", "exclusive_seconds",
+        "speedscope_doc",
+    ),
+    "compare": (
+        "DEFAULT_TOLERANCE", "compare_dirs", "compare_reports", "headline_pps",
+        "load_reports", "render_markdown",
+    ),
+})

@@ -32,8 +32,10 @@ Design constraints, in order:
 from __future__ import annotations
 
 import time
-from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Optional
+
+# Re-exported from the leaf: the same objects, never redefined here.
+from ..telemetry.null import NULL_PROFILER, NullProfiler
 
 __all__ = [
     "STAGES",
@@ -171,43 +173,6 @@ class StageProfiler:
         total = sum(self.seconds.values())
         return (f"<StageProfiler stages={len(self.calls)} "
                 f"wall={total * 1e3:.1f}ms>")
-
-
-class NullProfiler:
-    """Profiling disabled: a shared singleton whose ``enabled`` is False.
-
-    Data-path hooks test ``enabled`` and never get here; the no-op
-    methods remain for callers off the data path (reports, exports).
-    """
-
-    __slots__ = ()
-
-    enabled = False
-    #: Read-only: every disabled component shares this one object, so
-    #: a stray write must fail rather than leak into later runs.
-    calls: Mapping[str, int] = MappingProxyType({})
-    seconds: Mapping[str, float] = MappingProxyType({})
-
-    def t0(self) -> float:
-        return 0.0
-
-    def add(self, stage: str, t0: float, n: int = 1) -> None:
-        pass
-
-    def count(self, stage: str, n: int = 1) -> None:
-        pass
-
-    def wall_s(self, stage: str) -> float:
-        return 0.0
-
-    def report(self, packets: int = 0) -> Dict[str, Dict[str, float]]:
-        return {}
-
-    def publish(self, registry, packets: int = 0) -> None:
-        pass
-
-
-NULL_PROFILER = NullProfiler()
 
 
 # -- flame exports ------------------------------------------------------------

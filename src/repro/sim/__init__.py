@@ -1,34 +1,12 @@
 """Discrete-event simulation substrate (virtual time, processes, resources)."""
 
-from .engine import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Process,
-    PRIORITY_NORMAL,
-    PRIORITY_URGENT,
-    SimulationError,
-    Simulator,
-    Timeout,
-)
-from .randomness import RandomStreams
-from .resources import CancelledError, RateLimiter, Resource, Store
+from .._lazy import surface
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "CancelledError",
-    "Event",
-    "Interrupt",
-    "Process",
-    "PRIORITY_NORMAL",
-    "PRIORITY_URGENT",
-    "RandomStreams",
-    "RateLimiter",
-    "Resource",
-    "SimulationError",
-    "Simulator",
-    "Store",
-    "Timeout",
-]
+__getattr__, __dir__, __all__ = surface(__name__, {
+    "engine": (
+        "AllOf", "AnyOf", "Event", "Interrupt", "PRIORITY_NORMAL",
+        "PRIORITY_URGENT", "Process", "SimulationError", "Simulator", "Timeout",
+    ),
+    "randomness": ("RandomStreams",),
+    "resources": ("CancelledError", "RateLimiter", "Resource", "Store"),
+})

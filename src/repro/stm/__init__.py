@@ -1,25 +1,13 @@
 """Software transactional memory for packet transactions (§4.2)."""
 
-from .locks import LockStats, PartitionLock, TransactionWounded
-from .partition import DEFAULT_PARTITIONS, PartitionSpace
-from .store import StateStore, TOMBSTONE
-from .transaction import (
-    Transaction,
-    TransactionContext,
-    TransactionManager,
-    TransactionResult,
-)
+from .._lazy import surface
 
-__all__ = [
-    "DEFAULT_PARTITIONS",
-    "LockStats",
-    "PartitionLock",
-    "PartitionSpace",
-    "StateStore",
-    "TOMBSTONE",
-    "Transaction",
-    "TransactionContext",
-    "TransactionManager",
-    "TransactionResult",
-    "TransactionWounded",
-]
+__getattr__, __dir__, __all__ = surface(__name__, {
+    "locks": ("LockStats", "PartitionLock", "TransactionWounded"),
+    "partition": ("DEFAULT_PARTITIONS", "PartitionSpace"),
+    "store": ("StateStore", "TOMBSTONE"),
+    "transaction": (
+        "Transaction", "TransactionContext", "TransactionManager",
+        "TransactionResult",
+    ),
+})

@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 
 from ..sim import CancelledError, Simulator
 from ..sim.resources import _Waiter
-from ..telemetry.registry import NULL_COUNTER, NULL_HISTOGRAM
+from ..telemetry import NULL_COUNTER, NULL_HISTOGRAM
 
 __all__ = ["PartitionLock", "TransactionWounded", "LockStats"]
 

@@ -21,6 +21,10 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
+# Re-exported from the leaf: the same objects, never redefined here.
+from .null import (NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM, NULL_REGISTRY,
+                   NullRegistry)
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -239,83 +243,3 @@ def _fmt(value: float) -> str:
     if isinstance(value, float) and math.isnan(value):
         return "-"
     return f"{value:.4g}"
-
-
-# -- null variants (telemetry disabled) -------------------------------------
-
-class _NullCounter:
-    __slots__ = ()
-    name = "null"
-    value = 0
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-
-class _NullGauge:
-    __slots__ = ()
-    name = "null"
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, delta: float) -> None:
-        pass
-
-
-class _NullHistogram:
-    __slots__ = ()
-    name = "null"
-    count = 0
-
-    def observe(self, value: float, t: float = 0.0) -> None:
-        pass
-
-    def start_window(self, now: float) -> None:
-        pass
-
-    def mean(self) -> float:
-        return math.nan
-
-    def percentile(self, q: float) -> float:
-        return math.nan
-
-    def summary(self) -> Dict[str, float]:
-        return {"count": 0, "mean": math.nan, "p50": math.nan,
-                "p99": math.nan, "min": math.nan, "max": math.nan}
-
-
-NULL_COUNTER = _NullCounter()
-NULL_GAUGE = _NullGauge()
-NULL_HISTOGRAM = _NullHistogram()
-
-
-class NullRegistry:
-    """Hands out shared no-op instruments; never stores anything."""
-
-    __slots__ = ()
-
-    enabled = False
-
-    def counter(self, name: str) -> _NullCounter:
-        return NULL_COUNTER
-
-    def gauge(self, name: str) -> _NullGauge:
-        return NULL_GAUGE
-
-    def histogram(self, name: str,
-                  reservoir: int = DEFAULT_RESERVOIR) -> _NullHistogram:
-        return NULL_HISTOGRAM
-
-    def start_window(self, now: float) -> None:
-        pass
-
-    def snapshot(self) -> Dict[str, object]:
-        return {}
-
-    def rows(self) -> List[Tuple]:
-        return []
-
-
-NULL_REGISTRY = NullRegistry()

@@ -23,6 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+# Re-exported from the leaf: the same objects, never redefined here.
+from .null import NULL_TIMELINE, NullTimeline
+
 __all__ = ["TimelineEvent", "TimelineAttempt", "RecoveryTimeline",
            "NULL_TIMELINE", "NullTimeline", "TIMELINE_EVENT_KINDS"]
 
@@ -167,34 +170,3 @@ class RecoveryTimeline:
             lines.append(f"attempt {i} p{list(attempt.positions)} {status}: "
                          f"{phases}  total={attempt.total_s * 1e3:.3f}ms")
         return "\n".join(lines)
-
-
-class NullTimeline:
-    """Telemetry-disabled timeline: records nothing."""
-
-    __slots__ = ()
-    events: List[TimelineEvent] = []
-
-    enabled = False
-
-    def record(self, kind: str, positions: Sequence[int] = (),
-               detail: str = "", t: float = 0.0) -> None:
-        pass
-
-    def attempts(self) -> List[TimelineAttempt]:
-        return []
-
-    def committed_attempts(self) -> List[TimelineAttempt]:
-        return []
-
-    def as_dicts(self) -> List[Dict]:
-        return []
-
-    def chrome_events(self, tid: int = 9_999) -> List[Dict]:
-        return []
-
-    def render(self) -> str:
-        return ""
-
-
-NULL_TIMELINE = NullTimeline()

@@ -31,6 +31,9 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
+# Re-exported from the leaf: the same objects, never redefined here.
+from .null import NULL_TRACER, NullTracer
+
 __all__ = ["PacketTracer", "NULL_TRACER", "NullTracer",
            "validate_chrome_trace", "SPAN_PHASES"]
 
@@ -138,48 +141,6 @@ class PacketTracer:
             with open(path, "w") as handle:
                 json.dump(trace, handle)
         return trace
-
-
-class NullTracer:
-    """Telemetry-disabled tracer: samples nothing, stores nothing."""
-
-    __slots__ = ()
-    sample_every = 0
-    dropped = 0
-    events: List[Dict] = []
-
-    enabled = False
-
-    def wants(self, pid: int) -> bool:
-        return False
-
-    def complete(self, *args, **kwargs) -> None:
-        pass
-
-    def instant(self, *args, **kwargs) -> None:
-        pass
-
-    def begin_async(self, *args, **kwargs) -> None:
-        pass
-
-    def end_async(self, *args, **kwargs) -> None:
-        pass
-
-    def counter(self, *args, **kwargs) -> None:
-        pass
-
-    def set_thread_name(self, tid: int, name: str) -> None:
-        pass
-
-    def chrome_events(self) -> List[Dict]:
-        return []
-
-    def export(self, path: Optional[str] = None,
-               extra_events: Optional[List[Dict]] = None) -> Dict:
-        return {"traceEvents": [], "displayTimeUnit": "ms", "otherData": {}}
-
-
-NULL_TRACER = NullTracer()
 
 
 def validate_chrome_trace(trace: object) -> List[str]:
