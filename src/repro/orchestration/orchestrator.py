@@ -5,8 +5,10 @@ deploys chains, reliably monitors them, detects fail-stop failures,
 and initiates recovery.  After deployment it stays off the data path.
 
 Failure detection uses heartbeat probing: the orchestrator pings every
-replica's control module each interval and declares a failure after
-``misses_allowed`` consecutive silent intervals.  Recovery then runs
+replica's control module on a fixed grid of intervals and declares a
+failure after ``misses_allowed + 1`` consecutive silent rounds (one
+round = ``heartbeat_retry``'s attempts, sized to fit in the interval;
+PROTOCOL.md §4 states the detection contract).  Recovery then runs
 the §5.2 procedure (``repro.core.recovery``), with the initialization
 delay derived from the orchestrator-to-region control RTT -- exactly
 the dependence Fig 13 measures.
@@ -24,6 +26,7 @@ the error, meters keep reporting) instead of killing the simulation.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
@@ -171,8 +174,10 @@ class Orchestrator:
         self._recovery_driver = None
         self._recovery_inner = None
         self._open_events: List[FailureEvent] = []
-        self._reconfig_procs: Set = set()
+        self._reconfig_procs: Dict = {}  # insertion-ordered set
         self._reconfig_active = False
+        #: Turn events of queued requests, oldest first (``_reconfig_turn``).
+        self._reconfig_waiters: deque = deque()
         self._stopping = False
         # Satellite of §11: a route change (recovery re-steer or a
         # reconfiguration switch) replaces the monitored instance, so
@@ -202,10 +207,7 @@ class Orchestrator:
         if resume_open is not None:
             # A fresh leadership term: recovery attempts of the previous
             # term were aborted, so rebuild the in-flight bookkeeping.
-            self._recovering_positions.clear()
-            self._open_events = []
-            self._recovery_driver = None
-            self._recovery_inner = None
+            self.reset_in_flight()
         self._process = self.sim.process(
             self._monitor_loop(resume_open=resume_open), name=self.name)
 
@@ -397,8 +399,14 @@ class Orchestrator:
         try:
             if resume_open is not None:
                 yield from self._resume_probe(resume_open)
+            # Rounds sit on a fixed grid: probing spends part of the
+            # interval instead of lengthening it.  After an overrun the
+            # next round starts at once and the grid re-anchors there --
+            # rounds never overlap and never burst to catch up.
+            tick = self.sim.now
             while True:
-                yield self.sim.timeout(self.heartbeat_interval_s)
+                tick = max(tick + self.heartbeat_interval_s, self.sim.now)
+                yield self.sim.timeout(tick - self.sim.now)
                 skip = self._recovering_positions | self._lost_positions
                 active = [position for position in range(self.chain.n_positions)
                           if position not in skip]
@@ -436,28 +444,17 @@ class Orchestrator:
             yield probe
         dead = [p for p in active if self._misses.get(p, 0) > 0]
         for position in sorted(open_positions):
+            detail = "already recovered"
             if position in dead:
                 self._m_resumed.inc()
-                self.telemetry.timeline.record(
-                    "journal-replayed", [position],
-                    detail="resuming in-flight recovery", t=self.sim.now)
-                if self._flight.enabled:
-                    self._flight.record(
-                        "orch", "journal-replayed", t=self.sim.now,
-                        epoch=self.epoch,
-                        detail=f"resuming in-flight recovery "
-                               f"positions=[{position}]",
-                        chain="ctrl")
-            else:
-                self.telemetry.timeline.record(
-                    "journal-replayed", [position],
-                    detail="already recovered", t=self.sim.now)
-                if self._flight.enabled:
-                    self._flight.record(
-                        "orch", "journal-replayed", t=self.sim.now,
-                        epoch=self.epoch,
-                        detail=f"already recovered positions=[{position}]",
-                        chain="ctrl")
+                detail = "resuming in-flight recovery"
+            self.telemetry.timeline.record(
+                "journal-replayed", [position], detail=detail, t=self.sim.now)
+            if self._flight.enabled:
+                self._flight.record(
+                    "orch", "journal-replayed", t=self.sim.now,
+                    epoch=self.epoch,
+                    detail=f"{detail} positions=[{position}]", chain="ctrl")
         if dead:
             yield from self._declare_failed(dead)
 
@@ -605,6 +602,7 @@ class Orchestrator:
         finally:
             self._recovery_inner = None
             self._recovery_driver = None
+            self._wake_reconfig()
 
     def _attempt(self, positions: List[int]):
         """One recovery attempt, orphan-safe.
@@ -654,15 +652,16 @@ class Orchestrator:
         """Drive one reconfiguration asynchronously; returns the process.
 
         The operation waits for any in-flight recovery to finish (and
-        for earlier operations to commit -- requests serialize), then
-        runs :func:`~repro.core.reconfig.apply_reconfig` under this
-        orchestrator's epoch/journal.  The outcome is appended to
-        ``reconfig_history``.
+        for earlier operations to commit -- requests serialize in
+        request order, each starting the instant the orchestrator goes
+        idle), then runs :func:`~repro.core.reconfig.apply_reconfig`
+        under this orchestrator's epoch/journal.  The outcome is
+        appended to ``reconfig_history``.
         """
         proc = self.sim.process(
             self._drive_reconfig(op, resumed=resumed),
             name=f"{self.name}/reconfig-{op.kind}")
-        self._reconfig_procs.add(proc)
+        self._reconfig_procs[proc] = None
         return proc
 
     def resume_reconfigs(self, open_map: Dict) -> None:
@@ -704,12 +703,35 @@ class Orchestrator:
             op=None, aborted=True, resumed=True,
             detail=f"closed open reconfiguration: {detail}"))
 
+    def _wake_reconfig(self) -> None:
+        """Hand an idle orchestrator to the longest-waiting request."""
+        if (self._reconfig_waiters and not self._reconfig_active
+                and not self._recovering_positions):
+            self._reconfig_active = True
+            self._reconfig_waiters.popleft().succeed()
+
+    def _reconfig_turn(self):
+        """Take the orchestrator, queueing in request order while busy."""
+        if not (self._recovering_positions or self._reconfig_active
+                or self._reconfig_waiters):
+            self._reconfig_active = True
+            return
+        turn = self.sim.event()
+        self._reconfig_waiters.append(turn)
+        try:
+            yield turn  # _wake_reconfig took the orchestrator for us
+        except BaseException:  # preempted in line (recovery, stop)
+            if turn.triggered:
+                self._reconfig_active = False
+                self._wake_reconfig()
+            else:
+                self._reconfig_waiters.remove(turn)
+            raise
+
     def _drive_reconfig(self, op: ReconfigOp, resumed: bool = False):
         acquired = False
         try:
-            while self._recovering_positions or self._reconfig_active:
-                yield self.sim.timeout(self.heartbeat_interval_s)
-            self._reconfig_active = True
+            yield from self._reconfig_turn()
             acquired = True
             try:
                 report = yield from apply_reconfig(
@@ -747,7 +769,8 @@ class Orchestrator:
         finally:
             if acquired:
                 self._reconfig_active = False
-            self._reconfig_procs.discard(self.sim.active_process)
+                self._wake_reconfig()
+            self._reconfig_procs.pop(self.sim.active_process, None)
 
     def _reprobe_suspects(self):
         """Re-ping every suspected position; un-suspect the live ones.

@@ -4,16 +4,22 @@ import pytest
 
 from repro.core import FTCChain
 from repro.core.costs import CostModel
+from repro.core.reconfig import ReconfigOp
 from repro.metrics import EgressRecorder
 from repro.middlebox import ch_n
 from repro.net import TrafficGenerator, balanced_flows
-from repro.orchestration import CloudNetwork, Orchestrator, place_chain
+from repro.orchestration import (
+    CloudNetwork,
+    Orchestrator,
+    OrchestratorEnsemble,
+    place_chain,
+)
 from repro.sim import Simulator
 
 COSTS = CostModel(cycle_jitter_frac=0.0)
 
 
-def _setup(sim, regions=None, n=3):
+def _setup(sim, regions=None, n=3, **orch_kwargs):
     net = CloudNetwork(sim, hop_delay_s=COSTS.hop_delay_s,
                        bandwidth_bps=COSTS.bandwidth_bps, rtt_jitter_frac=0.0)
     egress = EgressRecorder(sim)
@@ -22,9 +28,40 @@ def _setup(sim, regions=None, n=3):
     if regions:
         place_chain(chain, regions)
     chain.start()
-    orch = Orchestrator(sim, chain, region="core")
+    orch = Orchestrator(sim, chain, region="core", **orch_kwargs)
     orch.start()
     return chain, orch, egress
+
+
+def _budget(orch):
+    """One round's probe budget: every attempt times out."""
+    policy = orch.heartbeat_retry
+    return policy.max_attempts * policy.timeout_s
+
+
+def _contract(orch):
+    """PROTOCOL.md section 4: last answered tick -> declared."""
+    return ((orch.misses_allowed + 1) * orch.heartbeat_interval_s
+            + _budget(orch))
+
+
+def _answer_latency(chain, rtt=0.0):
+    """Tick -> answer of one 64 B + 64 B heartbeat.  ``detection_delay_s``
+    runs from the last *answer*, so it is the contract minus this."""
+    return rtt + 128 * 8.0 / chain.net.control_bandwidth_bps
+
+
+def _record_rounds(orch):
+    """Log ``(position, sent_at, answered_at)`` for every heartbeat."""
+    log, ping = [], orch._ping
+
+    def recording(position):
+        sent = orch.sim.now
+        yield from ping(position)
+        log.append((position, sent, orch.sim.now))
+
+    orch._ping = recording
+    return log
 
 
 class TestDetection:
@@ -56,10 +93,13 @@ class TestDetection:
         sim.schedule_callback(0.01, lambda: chain.fail_position(2))
         sim.run(until=0.1)
         event = orch.history[0]
-        # Each probe round takes interval + ping timeout (0.8*interval)
-        # when a replica is silent.
-        bound = orch.heartbeat_interval_s * 1.8 * (orch.misses_allowed + 3)
-        assert event.detection_delay_s <= bound
+        # Rounds sit on a fixed grid, so a silent replica costs
+        # misses_allowed + 1 intervals plus the last round's probe
+        # budget -- 7.6 ms at the defaults, not a loose multiple of it.
+        assert _contract(orch) == pytest.approx(7.6e-3, abs=1e-12)
+        assert event.detection_delay_s == pytest.approx(
+            _contract(orch) - _answer_latency(chain), abs=1e-9)
+        assert event.detection_delay_s == pytest.approx(7.6e-3, abs=2e-6)
 
     def test_traffic_flows_after_orchestrated_recovery(self):
         sim = Simulator()
@@ -79,6 +119,134 @@ class TestDetection:
                       for p in chain.group_positions(index)]
             assert all(s == stores[0] for s in stores)
             assert mbox.total_count(stores[0]) >= released
+
+
+class TestDetectionContract:
+    """Heartbeat rounds sit on a fixed grid (PROTOCOL.md section 4).
+
+    Every number here is the stated formula, not a measured bound; all
+    of these fail when a round's probe time is added to the period.
+    """
+
+    @pytest.mark.parametrize("misses_allowed", [0, 2])
+    @pytest.mark.parametrize("interval", [1e-3, 2e-3])
+    def test_detection_delay_is_the_formula(self, interval, misses_allowed):
+        sim = Simulator()
+        chain, orch, _ = _setup(sim, heartbeat_interval_s=interval,
+                                misses_allowed=misses_allowed)
+        sim.schedule_callback(0.0101, lambda: chain.fail_position(2))
+        sim.run(until=0.04)
+        (event,) = orch.history
+        assert _budget(orch) == pytest.approx(0.8 * interval)
+        assert event.detection_delay_s == pytest.approx(
+            _contract(orch) - _answer_latency(chain), abs=1e-9)
+        assert event.detection_delay_s == pytest.approx(
+            (misses_allowed + 1) * interval + 2 * 0.4 * interval, abs=2e-6)
+
+    def test_crash_phase_sweep_stays_inside_one_interval(self):
+        """Crash -> declared depends only on where in the interval the
+        crash falls: latest right after a tick, earliest right before."""
+        delays = []
+        for step in range(1, 9):
+            sim = Simulator()
+            chain, orch, _ = _setup(sim)
+            interval = orch.heartbeat_interval_s
+            crash_at = 0.01 + step * interval / 8
+            sim.schedule_callback(crash_at,
+                                  lambda: chain.fail_position(1))
+            sim.run(until=0.03)
+            (event,) = orch.history
+            delays.append(event.detected_at - crash_at)
+        low = orch.misses_allowed * interval + _budget(orch)
+        assert all(low - 1e-9 <= d <= low + interval + 1e-9 for d in delays)
+        assert delays == sorted(delays, reverse=True)
+        assert delays[0] - delays[-1] == pytest.approx(7 * interval / 8)
+
+    def test_healthy_round_k_starts_at_k_intervals(self):
+        sim = Simulator()
+        chain, orch, _ = _setup(sim)
+        log = _record_rounds(orch)
+        sim.run(until=0.0505)
+        assert orch.history == []
+        for position in range(chain.n_positions):
+            sent = [t for p, t, _ in log if p == position]
+            assert sent == pytest.approx(
+                [k * orch.heartbeat_interval_s for k in range(1, 26)],
+                abs=1e-12)
+
+    def test_ensemble_adds_only_the_journal_quorum_round_trip(self):
+        """One site, as ftcbench's failover-ch3 builds it."""
+        sim = Simulator()
+        chain = FTCChain(sim, ch_n(3, n_threads=2), f=1,
+                         deliver=EgressRecorder(sim), costs=COSTS,
+                         n_threads=2)
+        chain.start()
+        ensemble = OrchestratorEnsemble(sim, chain, n=3)
+        ensemble.start()
+        sim.schedule_callback(0.0301, lambda: chain.fail_position(1))
+        sim.run(until=0.06)
+        (event,) = ensemble.history
+        assert event.recovered
+        leader, net = ensemble.leader, chain.net
+        rtt = net.control_rtt(leader.server_name, chain.route[0])
+        assert rtt > 0  # probes leave the member's own server
+        # declare-failed is journaled to a quorum first: one 128 B +
+        # 64 B replication round trip to both peers, in parallel.
+        journal = rtt + 192 * 8.0 / net.control_bandwidth_bps
+        assert event.detection_delay_s == pytest.approx(
+            _contract(leader.orch) - _answer_latency(chain, rtt) + journal,
+            abs=1e-9)
+        assert event.detection_delay_s == pytest.approx(7.6e-3, abs=2e-6)
+
+
+class TestReconfigQueue:
+    """Queued reconfigurations: request order, no idle gap, preemptible."""
+
+    @staticmethod
+    def _rescale(threads):
+        return ReconfigOp(kind="rescale", position=1, n_threads=threads)
+
+    def test_requests_run_in_order_and_start_at_the_commit_instant(self):
+        sim = Simulator()
+        chain, orch, _ = _setup(sim)
+        phases = []
+        orch.reconfig_hooks.append(
+            lambda phase, _pos: phases.append((phase, sim.now)))
+        for at, threads in ((10.00e-3, 3), (10.05e-3, 4),
+                            (10.50e-3, 5), (12.00e-3, 6)):
+            sim.schedule_callback(
+                at, lambda t=threads: orch.request_reconfig(self._rescale(t)))
+        sim.run(until=0.03)
+        assert [(r.op.n_threads, r.aborted) for r in orch.reconfig_history] \
+            == [(3, False), (4, False), (5, False), (6, False)]
+        commits = [t for phase, t in phases if phase == "committed"]
+        starts = [t for phase, t in phases if phase == "preparing"]
+        assert starts[0] == 10.00e-3
+        # Each queued request starts the instant its predecessor
+        # commits -- the orchestrator never idles on a poll.
+        assert starts[1:] == commits[:-1]
+        assert not orch._reconfig_waiters and not orch._reconfig_active
+
+    def test_recovery_preempts_the_queue_and_releases_it(self):
+        sim = Simulator()
+        chain, orch, _ = _setup(sim)
+        TrafficGenerator(sim, chain.ingress, rate_pps=1e5,
+                         flows=balanced_flows(4, 2))
+        for at, threads in ((10.00e-3, 3), (10.05e-3, 4), (10.10e-3, 5)):
+            sim.schedule_callback(
+                at, lambda t=threads: orch.request_reconfig(self._rescale(t)))
+        # Position 2 has been silent since before the requests; it is
+        # declared while the first runs and the other two wait in line.
+        sim.schedule_callback(5.9e-3, lambda: chain.fail_position(2))
+        # Requested during the recovery: waits for it, then runs.
+        sim.schedule_callback(
+            11.8e-3, lambda: orch.request_reconfig(self._rescale(6)))
+        sim.run(until=0.04)
+        (event,) = orch.history
+        assert event.recovered and 10.10e-3 < event.detected_at < 11.8e-3
+        assert [(r.op.n_threads, r.aborted) for r in orch.reconfig_history] \
+            == [(3, True), (4, True), (5, True), (6, False)]
+        assert not orch._reconfig_waiters and not orch._reconfig_active
 
 
 class TestRegionAwareRecovery:
