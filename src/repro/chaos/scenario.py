@@ -25,7 +25,6 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from ..core import FTCChain
 from ..core.admission import AdmissionControl, BackpressureBus
 from ..core.costs import DEFAULT_COSTS, CostModel
-from ..core.fencing import StaleEpochError
 from ..core.reconfig import ReconfigError, ReconfigOp, apply_reconfig
 from ..flight.slo import SLOObjective, SLOWatchdog
 from ..metrics.meters import EgressRecorder
@@ -277,7 +276,7 @@ def _wire_brownout(sim, sc, chain, egress, admission, control, telemetry):
     Brownout must see pressure clear, so the probe differences the
     egress sampler between ticks (a cumulative p99 would be dominated
     by a flash forever).  Under an ensemble every transition goes
-    through the leader's write-ahead quorum journal.
+    through the leader's command guard (the write-ahead quorum journal).
     """
     seen = [0]
 
@@ -292,26 +291,11 @@ def _wire_brownout(sim, sc, chain, egress, admission, control, telemetry):
         sim, [SLOObjective("p99_latency_us", "<=", sc.slo_p99_us)],
         probes={"p99_latency_us": p99_window_us}, telemetry=telemetry)
     watchdog.start()
-
-    journal = None
-    if sc.orchestrators > 1:
-        def journal(transition):
-            leader = control.leader
-            if leader is None:
-                return
-
-            def drive():
-                try:
-                    yield from leader.journal_step(
-                        f"brownout-{transition.kind}", [],
-                        transition.describe())
-                except StaleEpochError:
-                    pass  # fenced mid-write: the flight ring still has it
-            sim.process(drive(), name="brownout-journal")
-
     return watchdog, BrownoutController(
         sim, watchdog, admission=admission, buffer=chain.buffer,
-        journal=journal, telemetry=telemetry)
+        journal=(control._journal_brownout if sc.orchestrators > 1
+                 else None),
+        telemetry=telemetry)
 
 
 def run(scenario: Scenario, telemetry=None, profiler=None,

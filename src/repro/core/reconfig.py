@@ -38,11 +38,12 @@ the prepare phase spawns fresh resources each time.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sim import AnyOf
 from .fencing import StaleConfigError
+from .recovery import _install_state
 from .replica import Replica
 
 __all__ = ["ReconfigError", "ReconfigOp", "ReconfigReport", "ReconfigHold",
@@ -365,86 +366,36 @@ def _drain(chain, quiet: Callable[[Any], bool], timeout_s: float,
         yield sim.timeout(poll_s)
 
 
-def _bounded_call(chain, src_name: str, dst_name: str, handler,
-                  response_bytes: int):
-    """Control RPC with a deadline; returns None on timeout/failure."""
+def _fetch_state(chain, report: ReconfigReport, state, mbox_name: str,
+                 src_name: str, dst_names: Sequence[str]):
+    """Generator: one middlebox's state to each destination.
+
+    Each transfer is a control RPC with a deadline (scaled up for big
+    states); one that times out aborts the operation.  Returns the
+    exports in ``dst_names`` order.
+    """
+    size = (state.store.state_bytes() +
+            sum(log.byte_size(chain.costs) for log in state.retained))
+    response_bytes = max(size, 64)
     timeout_s = max(TRANSFER_TIMEOUT_S,
                     3.0 * response_bytes * 8.0 / chain.costs.bandwidth_bps)
-    call = chain.net.control_call(src_name, dst_name, handler,
-                                  response_bytes=response_bytes)
-    deadline = chain.sim.timeout(timeout_s)
-    yield AnyOf(chain.sim, [call, deadline])
-    if call.processed and call.ok:
+    exports = []
+    for dst_name in dst_names:
+        call = chain.net.control_call(dst_name, src_name, state.export_state,
+                                      response_bytes=response_bytes)
+        deadline = chain.sim.timeout(timeout_s)
+        yield AnyOf(chain.sim, [call, deadline])
+        if not (call.processed and call.ok):
+            call.cancel()
+            raise ReconfigError(
+                f"state transfer of {mbox_name} from {src_name} timed out")
         deadline.cancel()
-        return call.value
-    call.cancel()
-    return None
+        exports.append(call.value)
+        report.bytes_transferred += size
+    return exports
 
 
-# -- shared op context --------------------------------------------------------
-
-class _Ctx:
-    """Telemetry/journal/fence plumbing shared by every operation."""
-
-    def __init__(self, chain, op: ReconfigOp, epoch, journal, hooks):
-        self.chain = chain
-        self.op = op
-        self.epoch = epoch
-        self.journal = journal
-        self.hooks = tuple(hooks or ())
-        self.telemetry = chain.telemetry
-        registry = self.telemetry.registry
-        self.m_prepares = registry.counter("reconfig/prepares")
-        self.m_switches = registry.counter("reconfig/switches")
-        self.m_aborted = registry.counter("reconfig/aborted")
-        self.m_held = registry.counter("reconfig/held_packets")
-        self.m_migrated = registry.counter("reconfig/migrated_bytes")
-        self.m_forced = registry.counter("reconfig/forced_releases")
-        chain._reconfig_seq += 1
-        self.op_id = chain._reconfig_seq
-        self.positions = op.journal_positions()
-
-    def fire(self, phase: str) -> None:
-        now = self.chain.sim.now
-        telemetry = self.telemetry
-        telemetry.timeline.record(f"reconfig-{phase}", self.positions,
-                                  detail=self.op.describe(), t=now)
-        if telemetry.enabled:
-            telemetry.tracer.instant(
-                self.op_id, f"reconfig-{phase}", "ctrl", now, tid=9998,
-                op=self.op.describe())
-        if telemetry.flight.enabled:
-            telemetry.flight.record(
-                "reconfig", phase, t=now, detail=self.op.describe(),
-                chain="ctrl")
-        for hook in self.hooks:
-            hook(phase, self.positions)
-
-    def span(self, open_: bool, outcome: str = "") -> None:
-        if not self.telemetry.enabled:
-            return
-        tracer = self.telemetry.tracer
-        name = f"reconfig:{self.op.kind}"
-        if open_:
-            tracer.begin_async(self.op_id, name, "ctrl", self.chain.sim.now,
-                               tid=9998, op=self.op.describe())
-        else:
-            tracer.end_async(self.op_id, name, "ctrl", self.chain.sim.now,
-                             tid=9998, outcome=outcome)
-
-    def journal_step(self, step: str):
-        """Generator: write-ahead journal one step (no-op unjournaled)."""
-        if self.journal is not None:
-            yield from self.journal(step, list(self.positions),
-                                    self.op.describe())
-
-    def fence(self, detail: str) -> None:
-        if self.chain.gate is not None:
-            self.chain.gate.apply(self.epoch, "reconfig-switch",
-                                  self.positions, detail=detail)
-
-
-# -- the dispatcher -----------------------------------------------------------
+# -- the two-phase driver -----------------------------------------------------
 
 def apply_reconfig(chain, op: ReconfigOp, epoch: Optional[int] = None,
                    journal=None, hooks: Sequence[Callable] = (),
@@ -452,106 +403,197 @@ def apply_reconfig(chain, op: ReconfigOp, epoch: Optional[int] = None,
     """Generator (run as a sim process): perform one reconfiguration.
 
     Returns a :class:`ReconfigReport`.  ``journal`` is a command-guard
-    generator ``(step, positions, detail)`` (the ensemble's write-ahead
-    quorum path) or ``None`` for unreplicated runs; ``hooks`` receive
-    ``(phase, positions)`` -- the orchestrator wires its chaos/timeline
-    hooks through here.  Raises :class:`ReconfigError` on an abort,
-    :class:`~.fencing.StaleEpochError` when fenced, and lets
-    ``Interrupt`` unwind (abort cleanup runs in ``finally`` blocks).
+    generator ``(step, positions, detail)`` (the orchestrator's
+    write-ahead, epoch-fenced command path) or ``None`` for
+    unreplicated runs; ``hooks`` receive ``(phase, positions)`` -- the
+    orchestrator wires its chaos/timeline hooks through here.  Raises
+    :class:`ReconfigError` on an abort, :class:`~.fencing.StaleEpochError`
+    when fenced, and lets ``Interrupt`` unwind (abort cleanup runs in
+    the ``finally`` block).  Every kind runs this one sequence; its
+    plan (:class:`_Replace`, :class:`_Restructure`, :class:`_Classifier`)
+    supplies only what differs.
     """
-    ctx = _Ctx(chain, op, epoch, journal, hooks)
+    sim, telemetry = chain.sim, chain.telemetry
+    registry = telemetry.registry
+    m_prepares, m_switches, m_aborted, m_held, m_migrated, m_forced = [
+        registry.counter(f"reconfig/{name}") for name in (
+            "prepares", "switches", "aborted", "held_packets",
+            "migrated_bytes", "forced_releases")]
+    chain._reconfig_seq += 1
+    op_id = chain._reconfig_seq
+    positions, describe = op.journal_positions(), op.describe()
+    hooks = tuple(hooks or ())
+    journal = journal or (lambda *command: iter(()))  # unreplicated: no-op
+
+    def command(step: str):
+        return journal(step, list(positions), describe)
+
+    def fire(phase: str) -> None:
+        # The op's trace span opens with its first phase and closes
+        # with its outcome.
+        now, tracer = sim.now, telemetry.tracer
+        if phase == "preparing" and telemetry.enabled:
+            tracer.begin_async(op_id, f"reconfig:{op.kind}", "ctrl", now,
+                               tid=9998, op=describe)
+        telemetry.timeline.record(f"reconfig-{phase}", positions,
+                                  detail=describe, t=now)
+        if telemetry.enabled:
+            tracer.instant(op_id, f"reconfig-{phase}", "ctrl", now,
+                           tid=9998, op=describe)
+        if telemetry.flight.enabled:
+            telemetry.flight.record("reconfig", phase, t=now, detail=describe,
+                                    chain="ctrl")
+        for hook in hooks:
+            hook(phase, positions)
+        if phase in ("committed", "aborted") and telemetry.enabled:
+            tracer.end_async(op_id, f"reconfig:{op.kind}", "ctrl", now,
+                             tid=9998, outcome=phase)
+
     report = ReconfigReport(op=op, resumed=resumed)
-    if op.kind in ("rescale", "migrate", "evacuate"):
-        result = yield from _replace_instance(ctx, report, reroute_delay_s)
-    elif op.kind in ("insert", "remove"):
-        result = yield from _restructure(ctx, report, reroute_delay_s)
-    else:
-        result = yield from _swap_classifier(ctx, report, reroute_delay_s)
-    return result
-
-
-# -- rescale / migrate / evacuate ---------------------------------------------
-
-def _replace_instance(ctx: _Ctx, report: ReconfigReport,
-                      reroute_delay_s: float):
-    """Replace one position's server with a warm instance, losslessly."""
-    chain, op = ctx.chain, ctx.op
-    sim = chain.sim
-    position = op.position
-    if not 0 <= position < chain.n_positions:
-        raise ReconfigError(f"no such position {position}")
     started = sim.now
-    ctx.span(True)
-    ctx.fire("preparing")
-    yield from ctx.journal_step("reconfig-prepare")
-
-    old_replica = chain.replica_at(position)
-    old_server = old_replica.server
-    old_name = chain.route[position]
-    n_threads = (op.n_threads if op.n_threads is not None
-                 else len(old_server.nic.queues))
-    saved_threads = chain.n_threads
-    chain.n_threads = n_threads
-    try:
-        new_server = chain._new_server(position)
-    finally:
-        chain.n_threads = saved_threads
-    new_replica = Replica(sim, chain, position, new_server,
-                          old_replica.middlebox, costs=chain.costs,
-                          streams=chain.streams, use_htm=chain.use_htm)
-    ctx.m_prepares.inc()
+    plan = _PLANS[op.kind](chain, op, resumed)
+    if plan.applied:
+        # Already applied by the previous leader: close the journal
+        # entry and report success idempotently.
+        yield from command("reconfig-commit")
+        report.committed = True
+        report.detail = "already applied"
+        return report
+    fire("preparing")
+    yield from command("reconfig-prepare")
+    plan.spawn()
+    m_prepares.inc()
     report.prepare_s = sim.now - started
-    ctx.fire("prepared")
+    fire("prepared")
 
-    hold = _install_hold(chain, position, forced_counter=ctx.m_forced)
+    hold = None
+    if plan.hold_at is not None:
+        hold = _install_hold(chain, plan.hold_at, forced_counter=m_forced)
     committed = False
-    old_stopped = False
-    frozen = []
     try:
-        ctx.fire("draining")
-        drain_started = sim.now
-        yield from _drain(chain, lambda c: _position_quiet(c, position),
-                          DRAIN_TIMEOUT_S)
-        report.drain_s = sim.now - drain_started
-        ctx.fire("quiesced")
-
-        old_replica.stop()
-        old_stopped = True
-        chain._switching.add(position)
-        for state in old_replica.states.values():
-            state.freeze()
-            frozen.append(state)
-        transfer_started = sim.now
-        for mbox_index, mbox_name in chain.member_mboxes(position):
-            state = old_replica.states[mbox_name]
-            size = (state.store.state_bytes() +
-                    sum(log.byte_size(chain.costs) for log in state.retained))
-            exported = yield from _bounded_call(
-                chain, new_server.name, old_name, state.export_state,
-                response_bytes=max(size, 64))
-            if exported is None:
-                raise ReconfigError(
-                    f"state transfer of {mbox_name} from {old_name} "
-                    "timed out")
-            contents, max_vector, retained = exported
-            new_replica.states[mbox_name].import_state(
-                contents, max_vector, retained)
-            if new_replica.runtime is not None and mbox_index == position:
-                new_replica.runtime.depvec.load(max_vector)
-            report.bytes_transferred += size
-        report.transfer_s = sim.now - transfer_started
-        ctx.m_migrated.inc(report.bytes_transferred)
+        if hold is not None:
+            fire("draining")
+            drain_started = sim.now
+            yield from _drain(chain, plan.quiet, plan.drain_timeout_s)
+            report.drain_s = sim.now - drain_started
+            fire("quiesced")
+            transfer_started = sim.now
+            yield from plan.transfer(report)
+            if plan.timed_transfer:
+                report.transfer_s = sim.now - transfer_started
+            m_migrated.inc(report.bytes_transferred)
 
         yield sim.timeout(reroute_delay_s)
         switch_started = sim.now
-        ctx.fire("switching")
-        yield from ctx.journal_step("reconfig-switch")
-        ctx.fence(f"replace {old_name} with {new_server.name}")
+        fire("switching")
+        yield from command("reconfig-switch")
+        if chain.gate is not None:
+            chain.gate.apply(epoch, "reconfig-switch", positions,
+                             detail=plan.fence_detail)
+        plan.switch(hold)  # synchronous: no yields until the chain is whole
+        committed = report.committed = True
+        if hold is not None:
+            report.held_packets = hold.peak
+            m_held.inc(hold.peak)
+        yield from command("reconfig-commit")
+        report.switch_s = sim.now - switch_started
+        m_switches.inc()
+        fire("committed")
+    finally:
+        for state in plan.frozen:
+            state.thaw()
+        plan.close(committed, hold)
+        if not committed:
+            report.aborted = True
+            m_aborted.inc()
+            fire("aborted")
+    report.total_s = sim.now - started
+    report.detail = plan.detail
+    return report
+
+
+class _Plan:
+    """What one operation kind changes; :func:`apply_reconfig` drives it.
+
+    Constructors validate before anything is journaled.  Kinds that
+    move state park traffic at ``hold_at`` and supply ``quiet``,
+    ``drain_timeout_s`` and ``transfer``; ``close`` runs on every exit
+    and undoes an aborted operation.
+    """
+
+    applied = False
+    hold_at: Optional[int] = None
+    timed_transfer = False
+
+    def __init__(self, chain, op: ReconfigOp):
+        self.chain = chain
+        self.op = op
+        #: States frozen for the transfer; thawed on every exit.
+        self.frozen: List = []
+
+    def spawn(self) -> None:
+        pass
+
+    def close(self, committed: bool, hold) -> None:
+        pass
+
+
+class _Replace(_Plan):
+    """rescale / migrate / evacuate: a warm instance takes one position."""
+
+    timed_transfer = True
+    drain_timeout_s = DRAIN_TIMEOUT_S
+
+    def __init__(self, chain, op: ReconfigOp, resumed: bool):
+        if not 0 <= op.position < chain.n_positions:
+            raise ReconfigError(f"no such position {op.position}")
+        super().__init__(chain, op)
+        self.position = self.hold_at = position = op.position
+        self.quiet = lambda c: _position_quiet(c, position)
+        self.old_stopped = False
+
+    def spawn(self) -> None:
+        chain, position = self.chain, self.position
+        self.old_replica = chain.replica_at(position)
+        self.old_server = self.old_replica.server
+        self.old_name = chain.route[position]
+        self.n_threads = (self.op.n_threads if self.op.n_threads is not None
+                          else len(self.old_server.nic.queues))
+        saved_threads = chain.n_threads
+        chain.n_threads = self.n_threads
+        try:
+            self.new_server = chain._new_server(position)
+        finally:
+            chain.n_threads = saved_threads
+        self.new_replica = Replica(chain.sim, chain, position, self.new_server,
+                                   self.old_replica.middlebox,
+                                   costs=chain.costs, streams=chain.streams,
+                                   use_htm=chain.use_htm)
+        move = f"{self.old_name} with {self.new_server.name}"
+        self.fence_detail = f"replace {move}"
+        self.detail = f"replaced {move}"
+
+    def transfer(self, report: ReconfigReport):
+        chain, position, old = self.chain, self.position, self.old_replica
+        old.stop()
+        self.old_stopped = True
+        chain._switching.add(position)
+        for state in old.states.values():
+            state.freeze()
+            self.frozen.append(state)
+        for mbox_index, mbox_name in chain.member_mboxes(position):
+            [exported] = yield from _fetch_state(
+                chain, report, old.states[mbox_name], mbox_name,
+                self.old_name, [self.new_server.name])
+            _install_state(self.new_replica, mbox_index, mbox_name, exported)
+
+    def switch(self, hold) -> None:
+        chain, position = self.chain, self.position
         version = chain.config_version + 1
         chain.buffer.hold_boundary(version)
         chain.apply_config(version)
-        chain.route[position] = new_server.name
-        chain.replicas[position] = new_replica
+        chain.route[position] = self.new_server.name
+        chain.replicas[position] = self.new_replica
         chain.invalidate_channels(position)
         if position > 0:
             chain.net.connect(chain.route[position - 1],
@@ -559,116 +601,72 @@ def _replace_instance(ctx: _Ctx, report: ReconfigReport,
         if position < chain.n_positions - 1:
             chain.net.connect(chain.route[position],
                               chain.route[position + 1])
-        if n_threads != len(old_server.nic.queues):
-            new_replica.middlebox.rescale(n_threads)
-        new_replica.start()
-        committed = True
-        report.committed = True
-        old_server.fail()
+        if self.n_threads != len(self.old_server.nic.queues):
+            self.new_replica.middlebox.rescale(self.n_threads)
+        self.new_replica.start()
+        self.old_server.fail()
         chain.buffer.release_boundary()
-        chain.note_route_change(position, old_name, new_server.name)
-        report.held_packets = hold.peak
-        ctx.m_held.inc(hold.peak)
-        yield from ctx.journal_step("reconfig-commit")
-        report.switch_s = sim.now - switch_started
-        ctx.m_switches.inc()
-        ctx.fire("committed")
-        ctx.span(False, "committed")
-    finally:
-        chain._switching.discard(position)
-        for state in frozen:
-            state.thaw()
-        if not committed:
-            report.aborted = True
-            ctx.m_aborted.inc()
-            new_server.fail()
-            if old_stopped and not old_server.failed:
-                old_replica.start()
-            if not old_server.failed:
-                hold.begin_release()
-            # else: recovery's re-steer flushes the hold through
-            # note_route_change (or the deadline backstop does).
-            ctx.fire("aborted")
-            ctx.span(False, "aborted")
-    report.total_s = sim.now - started
-    report.detail = f"replaced {old_name} with {new_server.name}"
-    return report
+        chain.note_route_change(position, self.old_name, self.new_server.name)
+
+    def close(self, committed: bool, hold) -> None:
+        self.chain._switching.discard(self.position)
+        if committed:
+            return
+        self.new_server.fail()
+        if self.old_stopped and not self.old_server.failed:
+            self.old_replica.start()
+        if not self.old_server.failed:
+            hold.begin_release()
+        # else: recovery's re-steer flushes the hold through
+        # note_route_change (or the deadline backstop does).
 
 
-# -- insert / remove ----------------------------------------------------------
-
-def _planned_groups(n_mboxes: int, n_positions: int, f: int,
-                    mbox_index: int) -> List[int]:
-    return [(mbox_index + k) % n_positions for k in range(f + 1)]
-
-
-def _restructure(ctx: _Ctx, report: ReconfigReport, reroute_delay_s: float):
-    """Insert or remove a middlebox: drain the whole chain, re-form groups.
+class _Restructure(_Plan):
+    """insert / remove: drain the whole chain, re-form every group.
 
     Group membership is a function of chain geometry, so a structural
     change moves every group; the switch rebuilds all replicas against
     the new layout from per-target state snapshots gathered (over
     bounded control RPCs) at the quiesce point, then releases ingress.
+    The gather is reported in bytes only (``transfer_s`` stays 0).
     """
-    chain, op = ctx.chain, ctx.op
-    sim = chain.sim
-    started = sim.now
 
-    if op.kind == "insert":
+    hold_at = 0
+    drain_timeout_s = CHAIN_DRAIN_TIMEOUT_S
+    quiet = staticmethod(_chain_quiet)
+
+    def __init__(self, chain, op: ReconfigOp, resumed: bool):
+        super().__init__(chain, op)
         names = [m.name for m in chain.middleboxes]
-        if op.middlebox.name in names:
-            if report.resumed:
-                # Already applied by the previous leader: close the
-                # journal entry and report success idempotently.
-                yield from ctx.journal_step("reconfig-commit")
-                report.committed = True
-                report.detail = "already applied"
-                return report
-            raise ReconfigError(
-                f"middlebox {op.middlebox.name!r} already in the chain")
-        if not 0 <= op.index <= chain.n_mboxes:
-            raise ReconfigError(f"insert index {op.index} out of range")
-        new_mboxes = (chain.middleboxes[:op.index] + [op.middlebox]
-                      + chain.middleboxes[op.index:])
-        inserted = op.middlebox
-    else:
-        if op.middlebox_name not in [m.name for m in chain.middleboxes]:
-            if report.resumed:
-                yield from ctx.journal_step("reconfig-commit")
-                report.committed = True
-                report.detail = "already applied"
-                return report
-            raise ReconfigError(
-                f"no middlebox {op.middlebox_name!r} in the chain")
-        if chain.n_mboxes < 2:
-            raise ReconfigError("cannot remove the only middlebox")
-        new_mboxes = [m for m in chain.middleboxes
-                      if m.name != op.middlebox_name]
-        inserted = None
+        self.inserted = self.new_server = None
+        if op.kind == "insert":
+            self.applied = op.middlebox.name in names
+            if self.applied and not resumed:
+                raise ReconfigError(
+                    f"middlebox {op.middlebox.name!r} already in the chain")
+            if not self.applied and not 0 <= op.index <= chain.n_mboxes:
+                raise ReconfigError(f"insert index {op.index} out of range")
+            self.inserted = op.middlebox
+            self.new_mboxes = (chain.middleboxes[:op.index] + [op.middlebox]
+                               + chain.middleboxes[op.index:])
+        else:
+            self.applied = op.middlebox_name not in names
+            if self.applied and not resumed:
+                raise ReconfigError(
+                    f"no middlebox {op.middlebox_name!r} in the chain")
+            if not self.applied and chain.n_mboxes < 2:
+                raise ReconfigError("cannot remove the only middlebox")
+            self.new_mboxes = [m for m in chain.middleboxes
+                               if m.name != op.middlebox_name]
 
-    ctx.span(True)
-    ctx.fire("preparing")
-    yield from ctx.journal_step("reconfig-prepare")
+    def spawn(self) -> None:
+        if self.inserted is not None:
+            self.new_server = self.chain._new_server(self.op.index)
 
-    new_n_mboxes = len(new_mboxes)
-    new_n_pos = max(new_n_mboxes, chain.f + 1)
-    new_server = None
-    if inserted is not None:
-        new_server = chain._new_server(op.index)
-    ctx.m_prepares.inc()
-    report.prepare_s = sim.now - started
-    ctx.fire("prepared")
-
-    hold = _install_hold(chain, 0, forced_counter=ctx.m_forced)
-    committed = False
-    frozen = []
-    try:
-        ctx.fire("draining")
-        drain_started = sim.now
-        yield from _drain(chain, _chain_quiet, CHAIN_DRAIN_TIMEOUT_S)
-        report.drain_s = sim.now - drain_started
-        ctx.fire("quiesced")
-
+    def transfer(self, report: ReconfigReport):
+        chain, new_mboxes, inserted = self.chain, self.new_mboxes, self.inserted
+        n_mboxes = len(new_mboxes)
+        n_pos = max(n_mboxes, chain.f + 1)
         # Plan the new route: kept middleboxes keep their servers, the
         # inserted one takes the warm spare, leftovers (the removed
         # middlebox's server, surplus extensions) back the extension
@@ -678,7 +676,7 @@ def _restructure(ctx: _Ctx, report: ReconfigReport, reroute_delay_s: float):
         used_old = set()
         for mbox in new_mboxes:
             if inserted is not None and mbox is inserted:
-                kept.append(new_server.name)
+                kept.append(self.new_server.name)
             else:
                 old_index = chain.mbox_index(mbox.name)
                 kept.append(old_route[old_index])
@@ -686,13 +684,15 @@ def _restructure(ctx: _Ctx, report: ReconfigReport, reroute_delay_s: float):
         leftover = [old_route[p] for p in range(chain.n_positions)
                     if p not in used_old]
         extensions: List[str] = []
-        for k in range(new_n_pos - new_n_mboxes):
+        for k in range(n_pos - n_mboxes):
             if leftover:
                 extensions.append(leftover.pop(0))
             else:
-                extensions.append(chain._new_server(new_n_mboxes + k).name)
-        retired = list(leftover)
-        new_route = kept + extensions
+                extensions.append(chain._new_server(n_mboxes + k).name)
+        self.retired = list(leftover)
+        self.old_route, self.new_route = old_route, kept + extensions
+        self.fence_detail = f"{self.op.kind} -> route {self.new_route}"
+        self.detail = f"{self.op.kind}: route {old_route} -> {self.new_route}"
 
         # Gather one state snapshot per (new position, middlebox) pair
         # over bounded control RPCs *before* mutating anything, from
@@ -707,41 +707,29 @@ def _restructure(ctx: _Ctx, report: ReconfigReport, reroute_delay_s: float):
                 chain.replica_at(head).states[mbox.name], old_route[head])
         for state, _ in source_states.values():
             state.freeze()
-            frozen.append(state)
-        exports: Dict[Tuple[int, str], tuple] = {}
+            self.frozen.append(state)
+        self.exports: Dict[Tuple[int, str], tuple] = {}
         for new_index, mbox in enumerate(new_mboxes):
             if mbox is inserted:
                 continue
             state, src_name = source_states[mbox.name]
-            size = (state.store.state_bytes() +
-                    sum(log.byte_size(chain.costs) for log in state.retained))
-            for target in _planned_groups(new_n_mboxes, new_n_pos,
-                                          chain.f, new_index):
-                exported = yield from _bounded_call(
-                    chain, new_route[target], src_name, state.export_state,
-                    response_bytes=max(size, 64))
-                if exported is None:
-                    raise ReconfigError(
-                        f"state transfer of {mbox.name} from {src_name} "
-                        "timed out")
-                exports[(target, mbox.name)] = exported
-                report.bytes_transferred += size
-        ctx.m_migrated.inc(report.bytes_transferred)
+            targets = [(new_index + k) % n_pos for k in range(chain.f + 1)]
+            exported = yield from _fetch_state(
+                chain, report, state, mbox.name, src_name,
+                [self.new_route[target] for target in targets])
+            for target, snapshot in zip(targets, exported):
+                self.exports[(target, mbox.name)] = snapshot
 
-        yield sim.timeout(reroute_delay_s)
-        switch_started = sim.now
-        ctx.fire("switching")
-        yield from ctx.journal_step("reconfig-switch")
-        ctx.fence(f"{op.kind} -> route {new_route}")
-
-        # -- the switch proper: synchronous, no yields until whole ----------
+    def switch(self, hold) -> None:
+        chain, op, new_route = self.chain, self.op, self.new_route
+        n_mboxes, n_pos = len(self.new_mboxes), len(new_route)
         for replica in chain.replicas:
             replica.stop()
         for channel in chain._channels.values():
             channel.stop()
         chain._channels.clear()
-        removed = ([op.middlebox_name] if op.kind == "remove" else [])
-        for name in removed:
+        if op.kind == "remove":
+            name = op.middlebox_name
             chain.forwarder.pending_logs = [
                 log for log in chain.forwarder.pending_logs
                 if log.mbox != name]
@@ -756,111 +744,68 @@ def _restructure(ctx: _Ctx, report: ReconfigReport, reroute_delay_s: float):
         version = chain.config_version + 1
         chain.buffer.hold_boundary(version)
         chain.apply_config(version)
-        chain.middleboxes = list(new_mboxes)
-        chain.n_mboxes = new_n_mboxes
-        chain.n_positions = new_n_pos
+        chain.middleboxes = list(self.new_mboxes)
+        chain.n_mboxes = n_mboxes
+        chain.n_positions = n_pos
         chain.route = list(new_route)
         chain.replicas = [
-            Replica(sim, chain, p, chain.net.servers[new_route[p]],
-                    chain.middleboxes[p] if p < new_n_mboxes else None,
+            Replica(chain.sim, chain, p, chain.net.servers[new_route[p]],
+                    chain.middleboxes[p] if p < n_mboxes else None,
                     costs=chain.costs, streams=chain.streams,
                     use_htm=chain.use_htm)
-            for p in range(new_n_pos)]
-        for p in range(new_n_pos - 1):
+            for p in range(n_pos)]
+        for p in range(n_pos - 1):
             chain.net.connect(new_route[p], new_route[p + 1])
         for p, replica in enumerate(chain.replicas):
             for mbox_index, mbox_name in chain.member_mboxes(p):
-                exported = exports.get((p, mbox_name))
-                if exported is None:
-                    continue  # the freshly inserted middlebox: empty state
-                contents, max_vector, retained = exported
-                replica.states[mbox_name].import_state(
-                    contents, max_vector, retained)
-                if replica.runtime is not None and mbox_index == p:
-                    replica.runtime.depvec.load(max_vector)
-        if inserted is not None:
+                exported = self.exports.get((p, mbox_name))
+                if exported is not None:  # the inserted middlebox: empty
+                    _install_state(replica, mbox_index, mbox_name, exported)
+        if self.inserted is not None:
             # Egress released packets before the insert never traversed
             # the new middlebox; auditors account from this floor.
-            chain.mbox_release_baseline[inserted.name] = chain.buffer.released
+            chain.mbox_release_baseline[self.inserted.name] = (
+                chain.buffer.released)
         for replica in chain.replicas:
             replica.start()
-        committed = True
-        report.committed = True
-        # -------------------------------------------------------------------
-
-        for name in retired:
+        for name in self.retired:
             chain.net.servers[name].fail()
         chain.buffer.release_boundary()
-        for p in range(new_n_pos):
-            old_name = old_route[p] if p < len(old_route) else "(none)"
+        for p in range(n_pos):
+            old_name = (self.old_route[p] if p < len(self.old_route)
+                        else "(none)")
             if old_name != new_route[p]:
                 chain.note_route_change(p, old_name, new_route[p])
         hold.begin_release()
-        report.held_packets = hold.peak
-        ctx.m_held.inc(hold.peak)
-        yield from ctx.journal_step("reconfig-commit")
-        report.switch_s = sim.now - switch_started
-        ctx.m_switches.inc()
-        ctx.fire("committed")
-        ctx.span(False, "committed")
-    finally:
-        for state in frozen:
-            state.thaw()
+
+    def close(self, committed: bool, hold) -> None:
         if not committed:
-            report.aborted = True
-            ctx.m_aborted.inc()
-            if new_server is not None:
-                new_server.fail()
+            if self.new_server is not None:
+                self.new_server.fail()
             hold.begin_release()
-            ctx.fire("aborted")
-            ctx.span(False, "aborted")
-    report.total_s = sim.now - started
-    report.detail = f"{op.kind}: route {old_route} -> {new_route}"
-    return report
 
 
-# -- classifier update --------------------------------------------------------
+class _Classifier(_Plan):
+    """Atomically install a new classifier version at ingress.
 
-def _swap_classifier(ctx: _Ctx, report: ReconfigReport,
-                     reroute_delay_s: float):
-    """Atomically install a new classifier version at ingress."""
-    chain, op = ctx.chain, ctx.op
-    sim = chain.sim
-    started = sim.now
-    current = 0 if chain.classifier is None else chain.classifier.version
-    if op.classifier.version <= current:
-        raise StaleConfigError(
-            f"classifier version {op.classifier.version} does not "
-            f"advance {current}")
-    ctx.span(True)
-    ctx.fire("preparing")
-    yield from ctx.journal_step("reconfig-prepare")
-    ctx.m_prepares.inc()
-    report.prepare_s = sim.now - started
-    ctx.fire("prepared")
-    committed = False
-    try:
-        # Rule-install latency on the (modelled) switches.
-        yield sim.timeout(reroute_delay_s)
-        switch_started = sim.now
-        ctx.fire("switching")
-        yield from ctx.journal_step("reconfig-switch")
-        ctx.fence(f"classifier v{op.classifier.version}")
-        chain.apply_config(chain.config_version + 1)
-        chain.classifier = op.classifier
-        committed = True
-        report.committed = True
-        yield from ctx.journal_step("reconfig-commit")
-        report.switch_s = sim.now - switch_started
-        ctx.m_switches.inc()
-        ctx.fire("committed")
-        ctx.span(False, "committed")
-    finally:
-        if not committed:
-            report.aborted = True
-            ctx.m_aborted.inc()
-            ctx.fire("aborted")
-            ctx.span(False, "aborted")
-    report.total_s = sim.now - started
-    report.detail = f"classifier v{op.classifier.version}"
-    return report
+    No hold, drain or transfer: the reroute delay is the rule-install
+    latency on the (modelled) switches.
+    """
+
+    def __init__(self, chain, op: ReconfigOp, resumed: bool):
+        current = 0 if chain.classifier is None else chain.classifier.version
+        if op.classifier.version <= current:
+            raise StaleConfigError(
+                f"classifier version {op.classifier.version} does not "
+                f"advance {current}")
+        super().__init__(chain, op)
+        self.fence_detail = self.detail = f"classifier v{op.classifier.version}"
+
+    def switch(self, hold) -> None:
+        self.chain.apply_config(self.chain.config_version + 1)
+        self.chain.classifier = self.op.classifier
+
+
+_PLANS = {"rescale": _Replace, "migrate": _Replace, "evacuate": _Replace,
+          "insert": _Restructure, "remove": _Restructure,
+          "classifier": _Classifier}

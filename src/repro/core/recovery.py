@@ -89,10 +89,15 @@ def _alive_source(chain: FTCChain, mbox_index: int, position: int,
     return None
 
 
-def _fire(hooks: Optional[RecoveryHooks], phase: str,
-          positions: List[int]) -> None:
-    if hooks is not None:
-        hooks(phase, list(positions))
+def _install_state(replica, mbox_index: int, mbox_name: str,
+                   exported) -> None:
+    """Load one exported state into a new replica; at the middlebox's
+    head, also restore the dependency matrix by setting each row to the
+    retrieved MAX (§5.2)."""
+    contents, max_vector, retained = exported
+    replica.states[mbox_name].import_state(contents, max_vector, retained)
+    if replica.runtime is not None and mbox_index == replica.position:
+        replica.runtime.depvec.load(max_vector)
 
 
 def recover_positions(chain: FTCChain, positions: List[int],
@@ -115,15 +120,15 @@ def recover_positions(chain: FTCChain, positions: List[int],
     half-spawned replicas are released, leaving the chain exactly as it
     was.
 
-    Under a replicated control plane (PROTOCOL.md §9) the caller passes
-    ``epoch`` and ``journal``: the journal generator is invoked --
-    write-ahead, before the side effect -- at the ``spawn`` and
-    ``re-steer`` steps, replicating the command to a quorum and fencing
-    it by epoch.  A :class:`~repro.core.fencing.StaleEpochError` it
-    raises aborts the attempt through the same exception-safe unwind,
+    ``journal`` is the orchestrator's command guard (PROTOCOL.md §9.3),
+    a generator ``(step, positions)`` run -- write-ahead, before the side
+    effect -- at the ``spawn`` and ``re-steer`` steps; under a
+    replicated control plane it journals the command to a quorum and
+    fences it by ``epoch``.  A :class:`~repro.core.fencing.StaleEpochError`
+    it raises aborts the attempt through the same exception-safe unwind,
     and the chain's :class:`~repro.core.fencing.EpochGate` records each
     committed re-steer so double recovery is auditable.  Both default
-    to ``None``: an unreplicated orchestrator pays nothing.
+    to ``None``: a direct caller journals nothing and pays nothing.
     """
     sim = chain.sim
     gate = chain.gate
@@ -133,14 +138,17 @@ def recover_positions(chain: FTCChain, positions: List[int],
     failed = set(positions)
     started = sim.now
     flight = chain.telemetry.flight
+    journal = journal or (lambda *command: iter(()))  # unreplicated: no-op
 
-    def flight_phase(phase: str) -> None:
-        # Recorded at the same virtual instant as the `_fire` that puts
-        # the phase boundary into the RecoveryTimeline, so `repro
-        # explain --recovery` can cross-check the two records for exact
-        # timestamp equality.
+    def phase(name: str) -> None:
+        # The hooks put the phase boundary into the RecoveryTimeline;
+        # the flight record follows at the same virtual instant, so
+        # `repro explain --recovery` can cross-check the two records for
+        # exact timestamp equality.
+        if hooks is not None:
+            hooks(name, list(positions))
         if flight.enabled:
-            flight.record("recovery", phase, t=sim.now, epoch=epoch,
+            flight.record("recovery", name, t=sim.now, epoch=epoch,
                           detail=f"positions={list(positions)}",
                           chain="ctrl")
 
@@ -150,14 +158,12 @@ def recover_positions(chain: FTCChain, positions: List[int],
     committed = False
     try:
         # -- step 1: initialization ----------------------------------------------
-        _fire(hooks, "initializing", positions)
-        flight_phase("initializing")
+        phase("initializing")
         yield sim.timeout(init_delay_s)
 
-        if journal is not None:
-            # Write-ahead: the spawn command reaches a quorum (and the
-            # epoch fence) before any instance exists.
-            yield from journal("spawn", list(positions))
+        # Write-ahead: the spawn command reaches a quorum (and the epoch
+        # fence) before any instance exists.
+        yield from journal("spawn", list(positions))
         new_replicas: Dict[int, Replica] = {}
         for position in positions:
             server = chain._new_server(position)
@@ -174,8 +180,7 @@ def recover_positions(chain: FTCChain, positions: List[int],
         # replicated control plane the write-ahead quorum *is* part of
         # the initialization critical path.
         report.initialization_s = sim.now - started
-        _fire(hooks, "spawned", positions)
-        flight_phase("spawned")
+        phase("spawned")
 
         # -- step 2: state recovery (parallel fetches per group) ---------------------
         # Plan all sources first so an unrecoverable group surfaces
@@ -240,34 +245,25 @@ def recover_positions(chain: FTCChain, positions: List[int],
                         raise RecoveryError(
                             f"state fetch of {mbox_name!r} from position "
                             f"{source_pos} timed out")
-                    contents, max_vector, retained = response.value
-                    state = replica.states[mbox_name]
-                    state.import_state(contents, max_vector, retained)
-                    if replica.runtime is not None and mbox_index == position:
-                        # §5.2: restore the failed head's dependency matrix
-                        # by setting each row to the retrieved MAX.
-                        replica.runtime.depvec.load(max_vector)
+                    _install_state(replica, mbox_index, mbox_name,
+                                   response.value)
                 except (Interrupt, CancelledError):
                     return  # recovery aborted; the next attempt refetches
 
             fetch_procs.append(sim.process(fetch_one()))
 
-        _fire(hooks, "fetching", positions)
-        flight_phase("fetching")
+        phase("fetching")
         yield AllOf(sim, fetch_procs)
         report.state_recovery_s = sim.now - fetch_started
-        _fire(hooks, "fetched", positions)
-        flight_phase("fetched")
+        phase("fetched")
 
         # -- step 3: rerouting (single update after all confirmations, §5.2) ---------
         reroute_started = sim.now
-        _fire(hooks, "rerouting", positions)
-        flight_phase("rerouting")
-        if journal is not None:
-            # Write-ahead: journal the re-steer *before* the route
-            # mutates, so a leader that dies inside the commit loop
-            # leaves a journal a successor can resume from.
-            yield from journal("re-steer", list(positions))
+        phase("rerouting")
+        # Write-ahead: journal the re-steer *before* the route mutates,
+        # so a leader that dies inside the commit loop leaves a journal
+        # a successor can resume from.
+        yield from journal("re-steer", list(positions))
         yield sim.timeout(reroute_delay_s)
         if gate is not None:
             # Chain-side fencing, applied atomically before any route
@@ -300,8 +296,7 @@ def recover_positions(chain: FTCChain, positions: List[int],
             chain.note_route_change(position, old_name,
                                     new_servers[position].name)
         report.rerouting_s = sim.now - reroute_started
-        _fire(hooks, "committed", positions)
-        flight_phase("committed")
+        phase("committed")
         return report
     finally:
         # Always thaw sources -- a fetch failure or an abort must not

@@ -160,17 +160,19 @@ class EnsembleMember(ElectionMember):
                 entries = yield fetch
                 if entries:
                     self.journal.merge(entries)
-            open_positions = self.journal.open_positions()
-            open_reconfigs = self.journal.open_reconfigs()
             if not self.is_leader:
                 return  # deposed while reading journals
-            self.orch.epoch = epoch
-            self.orch.command_guard = self.journal_step
-            self.orch.start(epoch=epoch, resume_open=open_positions)
-            if open_reconfigs:
-                self.orch.resume_reconfigs(open_reconfigs)
+            self._assume_leadership(epoch)
         except (Interrupt, CancelledError):
             return
+
+    def _assume_leadership(self, epoch: int) -> None:
+        """Lead with this journal as the command guard (elected or resumed)
+        and replay what it shows open: recoveries after one probe round,
+        reconfigurations at once."""
+        self.orch.command_guard = self.journal_step
+        self.orch.start(epoch=epoch, resume_open=self.journal.open_positions())
+        self.orch.resume_reconfigs(self.journal.open_reconfigs())
 
     def _fetch_journal(self, peer: "EnsembleMember"):
         result = yield from reliable_call(
@@ -197,13 +199,7 @@ class EnsembleMember(ElectionMember):
 
     def _on_resumed(self, epoch: int) -> None:
         self.ensemble._note_resumed(self, epoch)
-        self.orch.epoch = epoch
-        self.orch.command_guard = self.journal_step
-        self.orch.start(epoch=epoch,
-                        resume_open=self.journal.open_positions())
-        open_reconfigs = self.journal.open_reconfigs()
-        if open_reconfigs:
-            self.orch.resume_reconfigs(open_reconfigs)
+        self._assume_leadership(epoch)
 
     def _stop_leading(self) -> None:
         if (self._takeover_proc is not None and self._takeover_proc.is_alive
@@ -423,17 +419,22 @@ class OrchestratorEnsemble:
         events = [e for m in self.members for e in m.orch.history]
         return sorted(events, key=lambda e: e.detected_at)
 
-    @property
-    def heartbeats_sent(self) -> int:
-        return sum(m.orch.heartbeats_sent for m in self.members)
+    def _journal_brownout(self, transition) -> None:
+        """:class:`BrownoutController` journal sink (PROTOCOL.md §12.3):
+        one ``brownout-journal`` process per transition, issuing its step
+        through the acting leader's command guard."""
+        leader = self.leader
+        if leader is not None:
+            self.sim.process(self._brownout_command(leader.orch, transition),
+                             name="brownout-journal")
 
-    @property
-    def control_retries(self) -> int:
-        return sum(m.orch.control_retries for m in self.members)
-
-    @property
-    def suspects_cleared(self) -> int:
-        return sum(m.orch.suspects_cleared for m in self.members)
+    @staticmethod
+    def _brownout_command(orch: Orchestrator, transition):
+        try:
+            yield from orch._command(f"brownout-{transition.kind}", [],
+                                     transition.describe())
+        except StaleEpochError:
+            pass  # fenced mid-write: the flight ring still has it
 
     def __repr__(self):
         leader = self.leader

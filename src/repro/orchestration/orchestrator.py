@@ -138,14 +138,14 @@ class Orchestrator:
         #: so the second opinion rode the suspect's own control path) --
         #: counted apart because it is a strictly weaker signal.
         self.suspects_cleared_self = 0
-        #: Control-plane replication (PROTOCOL.md §9).  An ensemble
+        #: Control-plane replication (PROTOCOL.md §9.3).  An ensemble
         #: member sets ``epoch`` + ``command_guard`` when this
-        #: orchestrator wins an election: the guard is a generator
-        #: called as ``yield from command_guard(step, positions)``
-        #: before every side-effecting command; it journals the step to
-        #: a quorum and raises :class:`StaleEpochError` if this leader
-        #: has been fenced.  All three default to off, so a standalone
-        #: orchestrator runs the exact pre-ensemble code path.
+        #: orchestrator wins an election: the guard is the member's
+        #: ``journal_step(step, positions, detail)``, which journals the
+        #: step to a quorum and raises :class:`StaleEpochError` if this
+        #: leader has been fenced; :meth:`_command` runs it before every
+        #: side-effecting command.  All three default to off, so a
+        #: standalone orchestrator runs the exact pre-ensemble code path.
         self.epoch: Optional[int] = None
         self.command_guard = None
         self.on_leadership_lost: Optional[Callable[[Exception], None]] = None
@@ -257,14 +257,6 @@ class Orchestrator:
         """Positions abandoned to degraded mode (>f group members gone)."""
         return set(self._lost_positions)
 
-    @property
-    def recovery_in_progress(self) -> bool:
-        return self._recovery_driver is not None and self._recovery_driver.is_alive
-
-    @property
-    def reconfig_in_progress(self) -> bool:
-        return any(p.is_alive for p in self._reconfig_procs)
-
     def _on_route_changed(self, position: int, old_name: str,
                           new_name: str) -> None:
         """A new instance serves ``position``: reset its health state."""
@@ -295,29 +287,39 @@ class Orchestrator:
         """Where probes originate: the ensemble member's server, if any."""
         return self.home or self.chain.route[position]
 
-    def _ping(self, position: int):
-        """One heartbeat: an RPC that only an alive replica answers."""
+    def _probe(self, position: int, policy: RetryPolicy,
+               src: Optional[str] = None):
+        """Generator: one aliveness probe, an RPC only an alive replica answers.
+
+        Returns whether it answered; an answer resets the position's
+        misses and refreshes its last-seen time.
+        """
         server = self.chain.server_at(position)
-        self.heartbeats_sent += 1
         result = yield from reliable_call(
-            self.chain.net, self._probe_src(position),
+            self.chain.net, src or self._probe_src(position),
             self.chain.route[position], lambda: not server.failed,
-            policy=self.heartbeat_retry, payload_bytes=64, response_bytes=64)
+            policy=policy, payload_bytes=64, response_bytes=64)
         self.control_retries += result.retries
-        if result.ok and result.value:
+        alive = result.ok and result.value
+        if alive:
             self._misses[position] = 0
             self._last_seen_alive[position] = self.sim.now
-        else:
-            self._misses[position] = self._misses.get(position, 0) + 1
-            if self._misses[position] == 1:
-                self.telemetry.timeline.record("suspected", [position],
-                                               t=self.sim.now)
-                if self._flight.enabled:
-                    self._flight.record(
-                        "orch", "suspected", t=self.sim.now,
-                        epoch=self.epoch,
-                        detail=f"heartbeat missed positions=[{position}]",
-                        chain="ctrl")
+        return alive
+
+    def _ping(self, position: int):
+        """One heartbeat: a quick probe whose silence counts as a miss."""
+        self.heartbeats_sent += 1
+        if (yield from self._probe(position, self.heartbeat_retry)):
+            return
+        self._misses[position] = self._misses.get(position, 0) + 1
+        if self._misses[position] == 1:
+            self.telemetry.timeline.record("suspected", [position],
+                                           t=self.sim.now)
+            if self._flight.enabled:
+                self._flight.record(
+                    "orch", "suspected", t=self.sim.now, epoch=self.epoch,
+                    detail=f"heartbeat missed positions=[{position}]",
+                    chain="ctrl")
 
     def _witness_for(self, position: int,
                      batch: Sequence[int] = ()) -> Optional[int]:
@@ -350,35 +352,22 @@ class Orchestrator:
         confirmed: List[int] = []
         for position in suspects:
             witness = self._witness_for(position, batch=suspects)
-            server = self.chain.server_at(position)
             src = (self.chain.route[witness] if witness is not None
                    else self._probe_src(position))
-            result = yield from reliable_call(
-                self.chain.net, src, self.chain.route[position],
-                lambda server=server: not server.failed,
-                policy=self.recovery_retry, payload_bytes=64,
-                response_bytes=64)
-            self.control_retries += result.retries
-            if result.ok and result.value:
-                self._misses[position] = 0
-                self._last_seen_alive[position] = self.sim.now
+            if (yield from self._probe(position, self.recovery_retry, src)):
                 self.suspects_cleared += 1
                 self._m_cleared.inc()
                 if witness is None:
                     self.suspects_cleared_self += 1
                     self._m_cleared_self.inc()
+                via = (f"witness p{witness}" if witness is not None
+                       else f"self-probe via {src}")
                 self.telemetry.timeline.record(
-                    "suspect-cleared", [position],
-                    detail=(f"witness p{witness}" if witness is not None
-                            else f"self-probe via {src}"),
-                    t=self.sim.now)
+                    "suspect-cleared", [position], detail=via, t=self.sim.now)
                 if self._flight.enabled:
                     self._flight.record(
                         "orch", "suspect-cleared", t=self.sim.now,
-                        epoch=self.epoch,
-                        detail=(f"witness p{witness}" if witness is not None
-                                else f"self-probe via {src}") +
-                               f" positions=[{position}]",
+                        epoch=self.epoch, detail=f"{via} positions=[{position}]",
                         chain="ctrl")
             else:
                 confirmed.append(position)
@@ -448,30 +437,24 @@ class Orchestrator:
             if position in dead:
                 self._m_resumed.inc()
                 detail = "resuming in-flight recovery"
-            self.telemetry.timeline.record(
-                "journal-replayed", [position], detail=detail, t=self.sim.now)
-            if self._flight.enabled:
-                self._flight.record(
-                    "orch", "journal-replayed", t=self.sim.now,
-                    epoch=self.epoch,
-                    detail=f"{detail} positions=[{position}]", chain="ctrl")
+            self._journal_replayed([position], detail, detail)
         if dead:
             yield from self._declare_failed(dead)
 
     def _probe_once(self, position: int):
-        """One patient (recovery-policy) aliveness probe."""
-        server = self.chain.server_at(position)
-        result = yield from reliable_call(
-            self.chain.net, self._probe_src(position),
-            self.chain.route[position],
-            lambda server=server: not server.failed,
-            policy=self.recovery_retry, payload_bytes=64, response_bytes=64)
-        self.control_retries += result.retries
-        if result.ok and result.value:
-            self._misses[position] = 0
-            self._last_seen_alive[position] = self.sim.now
-        else:
+        """One patient probe; silence marks the position dead outright."""
+        if not (yield from self._probe(position, self.recovery_retry)):
             self._misses[position] = self.misses_allowed + 1
+
+    def _journal_replayed(self, positions: List[int], detail: str,
+                          flight_detail: str) -> None:
+        """Record one open journal entry that a new leader replays."""
+        self.telemetry.timeline.record("journal-replayed", positions,
+                                       detail=detail, t=self.sim.now)
+        if self._flight.enabled:
+            self._flight.record(
+                "orch", "journal-replayed", t=self.sim.now, epoch=self.epoch,
+                detail=f"{flight_detail} positions={positions}", chain="ctrl")
 
     def _leadership_lost(self, exc: Exception) -> None:
         """A command was fenced: this orchestrator is a stale leader."""
@@ -484,12 +467,10 @@ class Orchestrator:
     def _declare_failed(self, positions: List[int]):
         """Open a failure event and (re-)drive recovery for the union.
 
-        A generator: when a ``command_guard`` is installed the
-        declaration is journaled to a quorum first and fenced by epoch
-        (raising :class:`StaleEpochError` if leadership was lost).
+        A generator: the declaration goes through the command guard
+        first (raising :class:`StaleEpochError` if leadership was lost).
         """
-        if self.command_guard is not None:
-            yield from self.command_guard("declare-failed", positions)
+        yield from self._command("declare-failed", positions)
         detection_delay = max(
             self.sim.now - self._last_seen_alive[p] for p in positions)
         event = FailureEvent(positions=list(positions),
@@ -540,11 +521,6 @@ class Orchestrator:
                 self._recovery_inner = inner
                 try:
                     report = yield inner
-                except StaleEpochError as exc:
-                    # A newer leader took over mid-recovery; the inner
-                    # attempt already unwound (thaw + release).
-                    self._leadership_lost(exc)
-                    return
                 except Interrupt:
                     if self._stopping:
                         return
@@ -561,25 +537,18 @@ class Orchestrator:
                             event.error = "false suspicion cleared by re-probe"
                         self._open_events = []
                         return
-                    if not (yield from self._guard_step("abandoned",
-                                                        positions)):
-                        return
-                    self._abandon(positions, exc)
+                    yield from self._abandon(positions, exc)
                     return
                 except RecoveryError as exc:
                     if attempts >= self.max_recovery_attempts:
-                        if not (yield from self._guard_step("abandoned",
-                                                            positions)):
-                            return
-                        self._abandon(positions, exc)
+                        yield from self._abandon(positions, exc)
                         return
                     # A source died (or the control plane is impaired)
                     # mid-fetch; give the next heartbeat round a chance
                     # to spot new corpses, then re-enter.
                     yield self.sim.timeout(self.heartbeat_interval_s)
                     continue
-                if not (yield from self._guard_step("committed", positions)):
-                    return
+                yield from self._command("committed", positions)
                 self.control_retries += report.control_retries
                 for position in positions:
                     self._misses[position] = 0
@@ -597,6 +566,10 @@ class Orchestrator:
                     for event in self._open_events:
                         event.report = report
                     self._open_events = []
+        except StaleEpochError as exc:
+            # A newer leader took over: a step of this loop or of the
+            # attempt (which already unwound: thaw + release) was fenced.
+            self._leadership_lost(exc)
         except (Interrupt, CancelledError):
             return
         finally:
@@ -622,29 +595,23 @@ class Orchestrator:
                 reroute_delay_s=REROUTE_DELAY_S,
                 retry_policy=self.recovery_retry,
                 hooks=self._fire_recovery_hooks,
-                epoch=self.epoch, journal=self.command_guard))
+                epoch=self.epoch, journal=self._command))
         except (StaleEpochError, Interrupt, CancelledError):
             if self._stopping:
                 return None
             raise
 
-    def _guard_step(self, step: str, positions: List[int], detail: str = ""):
-        """Journal one recovery milestone through the command guard.
+    def _command(self, step: str, positions, detail: str = ""):
+        """The command guard: every journaled step goes through here.
 
-        Returns True to proceed; False -- after declaring leadership
-        lost -- when the step was fenced by a newer epoch.
+        A generator, run before the command's side effect.  Under an
+        ensemble it runs the member's ``journal_step`` -- write-ahead
+        to a quorum, then the epoch fence -- and raises
+        :class:`StaleEpochError` when this leader has been fenced;
+        unreplicated, it returns without yielding.
         """
-        if self.command_guard is None:
-            return True
-        try:
-            if detail:
-                yield from self.command_guard(step, positions, detail)
-            else:
-                yield from self.command_guard(step, positions)
-        except StaleEpochError as exc:
-            self._leadership_lost(exc)
-            return False
-        return True
+        if self.command_guard is not None:
+            yield from self.command_guard(step, positions, detail)
 
     # -- live reconfiguration (PROTOCOL.md §11) ----------------------------------------
 
@@ -677,31 +644,47 @@ class Orchestrator:
         """
         for positions, detail in sorted(open_map.items()):
             op = ReconfigOp.parse(detail)
-            self.telemetry.timeline.record(
-                "journal-replayed", list(positions),
-                detail=(f"resuming reconfiguration: {detail}" if op
-                        else f"closing unresumable reconfiguration: {detail}"),
-                t=self.sim.now)
-            if self._flight.enabled:
-                self._flight.record(
-                    "orch", "journal-replayed", t=self.sim.now,
-                    epoch=self.epoch,
-                    detail=(("resuming" if op else "closing") +
-                            f" reconfiguration {detail} "
-                            f"positions={list(positions)}"),
-                    chain="ctrl")
             if op is not None:
+                self._journal_replayed(
+                    list(positions), f"resuming reconfiguration: {detail}",
+                    f"resuming reconfiguration {detail}")
                 self.request_reconfig(op, resumed=True)
             else:
+                self._journal_replayed(
+                    list(positions),
+                    f"closing unresumable reconfiguration: {detail}",
+                    f"closing reconfiguration {detail}")
                 self.sim.process(
-                    self._close_reconfig(list(positions), detail),
+                    self._close_unresumable(list(positions), detail),
                     name=f"{self.name}/reconfig-close")
 
-    def _close_reconfig(self, positions: List[int], detail: str):
-        yield from self._guard_step("reconfig-abort", positions, detail)
-        self.reconfig_history.append(ReconfigReport(
-            op=None, aborted=True, resumed=True,
-            detail=f"closed open reconfiguration: {detail}"))
+    def _close_unresumable(self, positions: List[int], detail: str):
+        try:
+            yield from self._abort_reconfig(
+                f"closed open reconfiguration: {detail}",
+                entry=(positions, detail))
+        except StaleEpochError as exc:
+            self._leadership_lost(exc)
+
+    def _abort_reconfig(self, why: str, op: Optional[ReconfigOp] = None,
+                        resumed: bool = True, entry=None):
+        """The one ``reconfig-abort`` writer; records the aborted report.
+
+        A generator: closes ``op``'s journal entry (or a bare
+        ``(positions, detail)`` one) so no successor tries to resume it.
+        A fenced close still records the abort -- the operation did
+        unwind -- and then lets the fence propagate.
+        """
+        positions, detail = entry or (list(op.journal_positions()),
+                                      op.describe())
+        report = ReconfigReport(op=op, aborted=True, resumed=resumed,
+                                detail=why)
+        try:
+            yield from self._command("reconfig-abort", positions, detail)
+        except StaleEpochError:
+            self.reconfig_history.append(report)
+            raise
+        self.reconfig_history.append(report)
 
     def _wake_reconfig(self) -> None:
         """Hand an idle orchestrator to the longest-waiting request."""
@@ -731,41 +714,28 @@ class Orchestrator:
     def _drive_reconfig(self, op: ReconfigOp, resumed: bool = False):
         acquired = False
         try:
-            yield from self._reconfig_turn()
-            acquired = True
             try:
-                report = yield from apply_reconfig(
-                    self.chain, op, epoch=self.epoch,
-                    journal=self.command_guard, hooks=self.reconfig_hooks,
-                    reroute_delay_s=REROUTE_DELAY_S, resumed=resumed)
-            except StaleEpochError as exc:
-                self._leadership_lost(exc)
-                return
-            except (ReconfigError, StaleConfigError) as exc:
-                # The op unwound (holds flushing, state thawed); close
-                # its journal so no successor tries to resume it.
-                yield from self._guard_step(
-                    "reconfig-abort", list(op.journal_positions()),
-                    op.describe())
-                self.reconfig_history.append(ReconfigReport(
-                    op=op, aborted=True, resumed=resumed, detail=str(exc)))
-                return
-            self.reconfig_history.append(report)
-        except (Interrupt, CancelledError):
-            if not self._stopping:
-                # Preempted by recovery (or chaos): the apply's finally
-                # blocks aborted it; close the journal entry.
-                yield from self._guard_step(
-                    "reconfig-abort", list(op.journal_positions()),
-                    op.describe())
-                self.reconfig_history.append(ReconfigReport(
-                    op=op, aborted=True, resumed=resumed,
-                    detail="interrupted"))
-            return
+                yield from self._reconfig_turn()
+                acquired = True
+                try:
+                    report = yield from apply_reconfig(
+                        self.chain, op, epoch=self.epoch,
+                        journal=self._command, hooks=self.reconfig_hooks,
+                        reroute_delay_s=REROUTE_DELAY_S, resumed=resumed)
+                except (ReconfigError, StaleConfigError) as exc:
+                    # The op unwound (holds flushing, state thawed); close
+                    # its journal so no successor tries to resume it.
+                    yield from self._abort_reconfig(str(exc), op, resumed)
+                    return
+                self.reconfig_history.append(report)
+            except (Interrupt, CancelledError):
+                if not self._stopping:
+                    # Preempted by recovery (or chaos): the apply's finally
+                    # block aborted it; close the journal entry.
+                    yield from self._abort_reconfig("interrupted", op,
+                                                    resumed)
         except StaleEpochError as exc:
-            # A fence inside the journal-close path: leadership gone.
             self._leadership_lost(exc)
-            return
         finally:
             if acquired:
                 self._reconfig_active = False
@@ -773,30 +743,24 @@ class Orchestrator:
             self._reconfig_procs.pop(self.sim.active_process, None)
 
     def _reprobe_suspects(self):
-        """Re-ping every suspected position; un-suspect the live ones.
+        """Re-probe every suspected position; un-suspect the live ones.
 
         Returns True if any suspect answered (it was a false positive;
         recovery can re-enter with a smaller, possibly empty, set).
         """
         cleared = False
         for position in sorted(self._recovering_positions):
-            server = self.chain.server_at(position)
-            result = yield from reliable_call(
-                self.chain.net, self._probe_src(position),
-                self.chain.route[position],
-                lambda server=server: not server.failed,
-                policy=self.recovery_retry, payload_bytes=64,
-                response_bytes=64)
-            self.control_retries += result.retries
-            if result.ok and result.value:
+            if (yield from self._probe(position, self.recovery_retry)):
                 self._recovering_positions.discard(position)
-                self._misses[position] = 0
-                self._last_seen_alive[position] = self.sim.now
                 cleared = True
         return cleared
 
-    def _abandon(self, positions: List[int], exc: Exception) -> None:
-        """Degrade gracefully: >f members of some group are gone."""
+    def _abandon(self, positions: List[int], exc: Exception):
+        """Degrade gracefully: >f members of some group are gone.
+
+        A generator: the step goes through the command guard first.
+        """
+        yield from self._command("abandoned", positions)
         self._m_abandoned.inc()
         self.telemetry.timeline.record("abandoned", positions,
                                        detail=str(exc), t=self.sim.now)
