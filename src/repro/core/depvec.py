@@ -80,6 +80,10 @@ class ReplicationState:
         self.store = store or StateStore(mbox)
         self.max: Dict[int, int] = {}        # partition -> applied count
         self.pending: List[PiggybackLog] = []
+        #: When *this* replica held each pending log back (parallel to
+        #: ``pending``): every replica of a group shares the log object,
+        #: so the age cannot live on the log.
+        self._held_at: List[float] = []
         self.retained: List[PiggybackLog] = []
         self.commit_floor: Dict[int, int] = {}
         self.applied = 0
@@ -156,12 +160,8 @@ class ReplicationState:
             self.duplicates += 1
             self._m_duplicates.inc()
             return 0
-        # Known wart, deliberately left: the log object is shared by
-        # every replica of the group, so a later hold overwrites an
-        # earlier replica's age.  Fixing it moves virtual time on
-        # lossy chains and belongs in its own change.
-        log._held_at = now
         self.pending.append(log)
+        self._held_at.append(now)
         return 0
 
     def offer_all(self, logs: Iterable[PiggybackLog], now: float = 0.0) -> int:
@@ -188,17 +188,20 @@ class ReplicationState:
 
     def _drain_pending(self) -> int:
         applied = 0
+        pending, held_at = self.pending, self._held_at
         progress = True
         while progress:
             progress = False
-            for log in list(self.pending):
+            for log in list(pending):
                 fate = self._ingest(log)
+                if fate == _PENDING:
+                    continue
+                index = pending.index(log)
+                del pending[index], held_at[index]
                 if fate == _APPLIED:
-                    self.pending.remove(log)
                     applied += 1
                     progress = True
-                elif fate == _DUPLICATE:
-                    self.pending.remove(log)
+                else:
                     self.duplicates += 1
                     self._m_duplicates.inc()
         return applied
@@ -251,6 +254,7 @@ class ReplicationState:
         """
         self.frozen = True
         self.pending.clear()
+        self._held_at.clear()
 
     def thaw(self) -> None:
         self.frozen = False
@@ -265,6 +269,7 @@ class ReplicationState:
         self.max = dict(max_vector)
         self.retained = list(retained)
         self.pending.clear()
+        self._held_at.clear()
 
     def __repr__(self):
         return (f"<ReplState {self.mbox} applied={self.applied} "

@@ -66,7 +66,7 @@ class PiggybackLog:
     """
 
     __slots__ = ("mbox", "depvec", "updates", "packet_id", "log_id",
-                 "is_noop", "_sized", "_held_at")
+                 "is_noop", "_sized")
 
     def __init__(self, mbox: str, depvec: Optional[Dict[int, int]] = None,
                  updates: Optional[Dict[Hashable, Any]] = None,
@@ -79,8 +79,6 @@ class PiggybackLog:
         self.is_noop = not self.depvec and not self.updates
         #: ``(costs, wire bytes, state bytes)`` from the first sizing.
         self._sized: Optional[Tuple[CostModel, int, int]] = None
-        #: When a replica last held this log back as out-of-order.
-        self._held_at = 0.0
 
     def __eq__(self, other):
         if other.__class__ is not PiggybackLog:

@@ -319,7 +319,7 @@ class Replica:
                 for mbox in self.replicated:
                     state = self.states[mbox]
                     if state.pending and not state.frozen:
-                        oldest = min(log._held_at for log in state.pending)
+                        oldest = min(state._held_at)
                         if self.sim.now - oldest >= RETRANSMIT_AFTER_S:
                             yield from self._request_retransmission(mbox)
         except (Interrupt, CancelledError):

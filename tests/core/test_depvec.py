@@ -187,6 +187,7 @@ class _ThreeStepState:
         self.store = StateStore(mbox)
         self.max = {}
         self.pending = []
+        self.held_at = []   # when each pending log was held back
         self.retained = []
         self.applied = 0
         self.duplicates = 0
@@ -220,7 +221,7 @@ class _ThreeStepState:
             self.duplicates += 1
             return 0
         if status == "pending":
-            log._held_at = now
+            self.held_at.append(now)
             self.pending.append(log)
             return 0
         self._apply(log)
@@ -236,6 +237,10 @@ class _ThreeStepState:
         self.retained.append(log)
         self.applied += 1
 
+    def _unhold(self, log):
+        index = self.pending.index(log)
+        del self.pending[index], self.held_at[index]
+
     def _drain_pending(self):
         applied = 0
         progress = True
@@ -244,19 +249,18 @@ class _ThreeStepState:
             for log in list(self.pending):
                 status = self._status(log)
                 if status == "ready":
-                    self.pending.remove(log)
+                    self._unhold(log)
                     self._apply(log)
                     applied += 1
                     progress = True
                 elif status == "duplicate":
-                    self.pending.remove(log)
+                    self._unhold(log)
                     self.duplicates += 1
         return applied
 
 
 def _twin_logs(specs):
-    """Two equal but distinct logs per spec: ``_held_at`` is stamped on
-    the log object, so each side needs its own."""
+    """Two equal but distinct logs per spec, one for each side."""
     pairs = []
     for index, (depvec, updates) in enumerate(specs):
         pairs.append(tuple(
@@ -293,8 +297,7 @@ def _drive_both(reference, state, pairs, steps):
                 [log.log_id for log in reference.retained])
         assert state.applied == reference.applied
         assert state.duplicates == reference.duplicates
-        assert ([ours._held_at for _theirs, ours in pairs] ==
-                [theirs._held_at for theirs, _ours in pairs])
+        assert state._held_at == reference.held_at
 
 
 _N_PARTITIONS = 3

@@ -2,6 +2,7 @@
 
 from repro.core import FTCChain
 from repro.core.costs import CostModel
+from repro.core.piggyback import PiggybackLog
 from repro.metrics import EgressRecorder
 from repro.middlebox import ch_n
 from repro.net import LossyLink, TrafficGenerator, balanced_flows
@@ -60,6 +61,25 @@ class TestRetransmission:
         for replica in chain.replicas:
             for state in replica.states.values():
                 assert state.pending == []
+
+    def test_each_replica_ages_a_shared_log_from_its_own_hold(self):
+        """Both replicas of monitor1's group hold the *same* log object;
+        the downstream hold, 150 us later, must not reset the upstream
+        replica's clock (the watchdog ticks at 100, 200, 300 us)."""
+        sim = Simulator()
+        chain = FTCChain(sim, ch_n(3, n_threads=2), f=2,
+                         deliver=EgressRecorder(sim), costs=FAST_COSTS,
+                         n_threads=2)
+        chain.start()
+        upstream, downstream = chain.replica_at(1), chain.replica_at(2)
+        log = PiggybackLog("monitor1", {0: 5}, {"k": 1})   # ahead of MAX
+        sim.schedule_callback(
+            10e-6, lambda: upstream.states["monitor1"].offer(log, sim.now))
+        sim.schedule_callback(
+            160e-6, lambda: downstream.states["monitor1"].offer(log, sim.now))
+        sim.run(until=350e-6)
+        assert upstream.retransmit_requests == 1     # held 290 us at 300
+        assert downstream.retransmit_requests == 0   # held 140 us at 300
 
     def test_lossless_run_never_retransmits(self):
         sim = Simulator()
