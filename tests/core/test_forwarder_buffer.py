@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.chaos.auditor import ShadowOracle
+from repro.core import FTCChain
 from repro.core.buffer import Buffer
 from repro.core.costs import CostModel
 from repro.core.forwarder import Forwarder
 from repro.core.piggyback import CommitVector, PiggybackLog, PiggybackMessage
-from repro.net import FlowKey, Packet
-from repro.sim import Simulator
+from repro.middlebox import ch_rec
+from repro.net import FlowKey, Packet, TrafficGenerator, balanced_flows
+from repro.sim import RandomStreams, Simulator
 
 COSTS = CostModel(cycle_jitter_frac=0.0)
 
@@ -209,3 +212,42 @@ class TestBuffer:
                        _msg(PiggybackLog("m", depvec={0: i + 100},
                                          updates={"k": 1}, packet_id=i)))
         assert buf.held_peak == 5
+
+    def test_covered_packet_waits_behind_its_own_flow(self):
+        """A packet with nothing to wait for still may not overtake a
+        held packet of its flow; other flows go at once."""
+        sim = Simulator()
+        buf, released, _ = self._buffer(sim)
+        first, second = _pkt(pid=1), _pkt(pid=2)
+        other = Packet(flow=FlowKey(9, 9, 9, 9))
+        buf.handle(first, _msg(PiggybackLog("m", depvec={0: 5},
+                                            updates={"k": 1}, packet_id=1)))
+        buf.handle(second, _msg(PiggybackLog("m", packet_id=2)))   # no-op
+        buf.handle(other, _msg())
+        assert released == [other]
+        carrier = Packet(flow=FlowKey(8, 8, 8, 8))
+        buf.handle(carrier, _msg(commits=[CommitVector("m", {0: 6})]))
+        assert released == [other, carrier, first, second]
+        assert buf.held == []
+
+
+class TestEgressFlowOrder:
+    @pytest.mark.parametrize("rate_pps, n_flows", [(5e5, 4), (1e6, 16)])
+    def test_ch_rec_releases_each_flow_in_order(self, rate_pps, n_flows):
+        """SimpleNAT's second packet of a flow only reads, so it carries
+        no release requirement, while the first waits for the wrapped
+        commit: it used to overtake the first, once per flow."""
+        sim = Simulator()
+        oracle = ShadowOracle(track_order=True)
+        chain = FTCChain(sim, ch_rec(n_threads=2), f=1, deliver=oracle,
+                         n_threads=2, seed=0)
+        chain.start()
+        generator = TrafficGenerator(
+            sim, chain.ingress, rate_pps=rate_pps,
+            flows=balanced_flows(n_flows, 2), arrivals="poisson",
+            streams=RandomStreams(0))
+        sim.run(until=2e-3)
+        generator.stop()
+        sim.run(until=7e-3)
+        assert oracle.released == generator.sent > 0
+        assert oracle.out_of_order == 0
