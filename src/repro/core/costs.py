@@ -95,8 +95,9 @@ class CostModel:
     key_bytes: int = 13                  # a 5-tuple-sized key
     commit_header_bytes: int = 8
     message_header_bytes: int = 8        # IP option + message framing
-    #: Per-hop reliability header when ``reliable_links`` is on: a
-    #: 4 B sequence number + 4 B checksum (``repro.net.channel``).
+    #: Per-hop reliability header when ``reliable_links`` is on: 3 B
+    #: sequence + 1 B same-flow back-distance + 4 B checksum
+    #: (``repro.net.channel``).
     #: Only frames carry it, so disabled runs see identical wire sizes.
     hop_header_bytes: int = 8
 
