@@ -182,14 +182,15 @@ class TestDataPathProbes:
     def test_on_records_the_same_stage_calls(self):
         profiler = StageProfiler()
         sim = _run_lossy_ch5(profiler)
-        # Counted on the commit before the probes were guarded.
+        # Counted on the commit before the probes were guarded, and
+        # again when hops began delivering in per-flow order.
         assert profiler.calls == {
-            "engine/dispatch": 19977, "piggyback/append": 509,
-            "depvec/merge": 5030, "piggyback/trim": 4488,
-            "stm/commit": 2515, "channel/frame": 4089,
-            "channel/ack": 1618, "buffer/hold": 506,
-            "buffer/release": 506}
-        assert sim._eid == 19983
+            "engine/dispatch": 20220, "piggyback/append": 507,
+            "depvec/merge": 5030, "piggyback/trim": 4517,
+            "stm/commit": 2515, "channel/frame": 4092,
+            "channel/ack": 1684, "buffer/hold": 505,
+            "buffer/release": 505}
+        assert sim._eid == 20226
 
 
 class TestStageTree:
