@@ -285,6 +285,11 @@ def recover_positions(chain: FTCChain, positions: List[int],
             old_name = chain.route[position]
             chain.route[position] = new_servers[position].name
             chain.replicas[position] = new_replicas[position]
+            # Frames the hop queued for the corpse must not be replayed
+            # to the replacement milliseconds late: a new epoch drops
+            # them (the FTC layer recovers their logs), as the
+            # reconfiguration switch does.
+            chain.invalidate_channels(position)
             if position > 0:
                 chain.net.connect(chain.route[position - 1], chain.route[position])
             if position < chain.n_positions - 1:

@@ -24,18 +24,33 @@ from .impairment import Corrupted, DataImpairment
 __all__ = ["Link", "LossyLink"]
 
 
+class _NoServer:
+    """The receiver of a bare link (tests, legacy stubs): never fails."""
+
+    failed = False
+
+
+_NO_SERVER = _NoServer()
+
+
 class Link:
     """A unidirectional link with delay and bandwidth.
 
     ``sink`` is a callable invoked with each delivered packet (usually
-    a NIC's ``receive``).
+    a NIC's ``receive``).  ``dst`` is the receiving server, if any: a
+    packet that arrives while it is failed goes to ``on_dead`` instead,
+    whatever sink adopted the link -- a dead NIC receives nothing, so a
+    reliability layer bound on top never acknowledges for a corpse.
     """
 
     def __init__(self, sim: Simulator, sink: Callable[[Any], None],
                  delay_s: float = 5e-6, bandwidth_bps: float = 40e9,
-                 name: str = "link", telemetry=None):
+                 name: str = "link", telemetry=None, dst=None,
+                 on_dead: Callable[[Any], None] = lambda packet: None):
         self.sim = sim
         self.sink = sink
+        self.dst = dst if dst is not None else _NO_SERVER
+        self.on_dead = on_dead
         self.delay_s = delay_s
         self.bandwidth_bps = bandwidth_bps
         self.name = name
@@ -69,8 +84,10 @@ class Link:
         self.tx_packets += 1
         self.tx_bytes += wire_bytes
         serialization = self._serializer.admission_delay(wire_bytes)
-        self.sim.schedule_callback(serialization + self.delay_s,
-                                   lambda: self.sink(packet))
+        dst = self.dst
+        self.sim.schedule_callback(
+            serialization + self.delay_s,
+            lambda: self.on_dead(packet) if dst.failed else self.sink(packet))
 
     # -- impairment ----------------------------------------------------------
 
@@ -122,7 +139,8 @@ class Link:
             serialization = self._serializer.admission_delay(wire_bytes)
             self.sim.schedule_callback(
                 serialization + self.delay_s + extra,
-                lambda p=deliver: self.sink(p))
+                lambda p=deliver, dst=self.dst: (
+                    self.on_dead(p) if dst.failed else self.sink(p)))
 
 
 class LossyLink(Link):

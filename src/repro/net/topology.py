@@ -144,6 +144,11 @@ class Network:
                           pid=getattr(packet, "pid", None),
                           detail=f"dropped at {site}")
 
+    def drop_to_failed(self, packet) -> None:
+        """Count a packet lost because an endpoint server is failed."""
+        self.dropped_to_failed += 1
+        self._count_drop("net-to-failed", packet)
+
     def connect(self, src: str, dst: str,
                 delay_s: Optional[float] = None,
                 bandwidth_bps: Optional[float] = None) -> Link:
@@ -163,16 +168,15 @@ class Network:
                 self.data_corrupt_dropped += 1
                 self._count_drop("net-corrupt", packet)
                 return
-            if _dst.failed:
-                self.dropped_to_failed += 1
-                self._count_drop("net-to-failed", packet)
-                return
             _dst.nic.receive(packet)
 
+        # The link itself drops what arrives at a failed server, before
+        # any sink (this one or a channel bound on top) sees it.
         link = Link(self.sim, sink,
                     delay_s=self.hop_delay_s if delay_s is None else delay_s,
                     bandwidth_bps=bandwidth_bps or self.bandwidth_bps,
-                    name=f"{src}->{dst}", telemetry=self.telemetry)
+                    name=f"{src}->{dst}", telemetry=self.telemetry,
+                    dst=dst_server, on_dead=self.drop_to_failed)
         if self._data_impairment is not None:
             # Links created later (e.g. by recovery wiring a respawned
             # replica) inherit the impairment currently installed.
@@ -199,8 +203,7 @@ class Network:
     def send(self, src: str, dst: str, packet: Packet) -> None:
         """Transmit a packet from server ``src`` to server ``dst``."""
         if self.servers[src].failed:
-            self.dropped_to_failed += 1
-            self._count_drop("net-to-failed", packet)
+            self.drop_to_failed(packet)
             return
         self.link(src, dst).send(packet)
 
@@ -208,8 +211,7 @@ class Network:
         """Inject traffic from outside the topology (the generator)."""
         server = self.servers[dst]
         if server.failed:
-            self.dropped_to_failed += 1
-            self._count_drop("net-to-failed", packet)
+            self.drop_to_failed(packet)
             return
         server.nic.receive(packet)
 
