@@ -8,10 +8,12 @@ Failure detection uses heartbeat probing: the orchestrator pings every
 replica's control module on a fixed grid of intervals and declares a
 failure after ``misses_allowed + 1`` consecutive silent rounds (one
 round = ``heartbeat_retry``'s attempts, sized to fit in the interval;
-PROTOCOL.md §4 states the detection contract).  Recovery then runs
-the §5.2 procedure (``repro.core.recovery``), with the initialization
-delay derived from the orchestrator-to-region control RTT -- exactly
-the dependence Fig 13 measures.
+PROTOCOL.md §4 states the detection contract).  A reliable hop whose
+receiver stops acknowledging reports it (a *silence report*): the next
+round starts at once, and one silent round then suffices.  Recovery
+then runs the §5.2 procedure (``repro.core.recovery``), with the
+initialization delay derived from the orchestrator-to-region control
+RTT -- exactly the dependence Fig 13 measures.
 
 Monitoring continues *during* recovery (§5.2: FTC tolerates failures
 that strike while recovery is in progress): positions not currently
@@ -49,6 +51,9 @@ from ..sim import CancelledError, Interrupt, Simulator
 from ..telemetry import NULL_TELEMETRY
 
 __all__ = ["Orchestrator", "FailureEvent"]
+
+#: Interrupt cause that wakes a sleeping monitor loop for a report.
+_WAKE = "silence report"
 
 #: Time to boot a replacement middlebox instance once the command
 #: arrives in-region (container start, Click config load).
@@ -169,6 +174,11 @@ class Orchestrator:
         self._misses: Dict[int, int] = {}
         self._last_seen_alive: Dict[int, float] = {}
         self._process = None
+        #: Silence reports accepted; reported position -> arrival time,
+        #: until a round judges it; the monitor loop's pending sleep.
+        self.silence_reports = 0
+        self._reported: Dict[int, float] = {}
+        self._nap = None
         self._recovering_positions: Set[int] = set()
         self._lost_positions: Set[int] = set()
         self._recovery_driver = None
@@ -188,6 +198,9 @@ class Orchestrator:
         observers = getattr(chain, "route_observers", None)
         if observers is not None:
             observers.append(self._on_route_changed)
+        observers = getattr(chain, "silence_observers", None)
+        if observers is not None:
+            observers.append(self._on_hop_silent)
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -244,6 +257,7 @@ class Orchestrator:
             else:
                 process.interrupt("stopped")
         self._process = None
+        self._nap = None
 
     # -- introspection (chaos / tests) -------------------------------------------------
 
@@ -385,17 +399,29 @@ class Orchestrator:
         for position in range(self.chain.n_positions):
             self._misses[position] = 0
             self._last_seen_alive[position] = self.sim.now
+        self._reported = {}
         try:
             if resume_open is not None:
                 yield from self._resume_probe(resume_open)
             # Rounds sit on a fixed grid: probing spends part of the
             # interval instead of lengthening it.  After an overrun the
             # next round starts at once and the grid re-anchors there --
-            # rounds never overlap and never burst to catch up.
+            # rounds never overlap and never burst to catch up.  A
+            # silence report is handled like an overrun.
             tick = self.sim.now
             while True:
                 tick = max(tick + self.heartbeat_interval_s, self.sim.now)
-                yield self.sim.timeout(tick - self.sim.now)
+                if self._reported:
+                    tick = self.sim.now   # a report is waiting: go now
+                else:
+                    self._nap = self.sim.timeout(tick - self.sim.now)
+                    try:
+                        yield self._nap
+                    except Interrupt as wake:
+                        if wake.cause != _WAKE:
+                            raise
+                        tick = self.sim.now
+                    self._nap = None
                 skip = self._recovering_positions | self._lost_positions
                 active = [position for position in range(self.chain.n_positions)
                           if position not in skip]
@@ -403,8 +429,20 @@ class Orchestrator:
                          for position in active]
                 for ping in pings:
                     yield ping
+                # A reported position that missed this whole round is
+                # declared at once: the report stands in for the earlier
+                # silent rounds.  One that answered after its report is
+                # cleared; one that answered before it is judged by the
+                # next round, which starts at once.
+                reported = self._reported
+                self._reported = {
+                    position: at for position, at in reported.items()
+                    if position in active and not self._misses.get(position)
+                    and self._last_seen_alive[position] < at}
                 failed = [position for position in active
-                          if self._misses.get(position, 0) > self.misses_allowed
+                          if (self._misses.get(position, 0) > self.misses_allowed
+                              or (position in reported
+                                  and self._misses.get(position, 0)))
                           and position not in self._recovering_positions]
                 if failed and self.corroborate_suspects:
                     failed = yield from self._corroborate(failed)
@@ -415,6 +453,46 @@ class Orchestrator:
             return
         except (Interrupt, CancelledError):
             return
+
+    def _on_hop_silent(self, src: int, dst: int) -> None:
+        """Chain observer: the hop ``src -> dst`` heard no ACK for an RTO.
+
+        The upstream position's server sends a one-way report to this
+        orchestrator's home over the control plane, so impairment and
+        partitions apply.  Only a monitoring orchestrator (the leader of
+        an ensemble) is told.
+        """
+        if self._process is None:
+            return
+        chain = self.chain
+        suspect = chain.route[dst]
+        chain.net.control_call(
+            chain.route[src], self.home or chain.route[src],
+            lambda: self._on_silence_report(dst, suspect),
+            payload_bytes=64, response_bytes=0)
+
+    def _on_silence_report(self, position: int, suspect: str) -> None:
+        """A report arrived: probe ``position`` in a round starting now.
+
+        Ignored by non-leaders, for positions already recovering or
+        lost, and for an instance the route no longer holds.
+        """
+        if (self._process is None or self._stopping
+                or position in self._recovering_positions
+                or position in self._lost_positions
+                or self.chain.route[position] != suspect):
+            return
+        self.silence_reports += 1
+        self._reported[position] = self.sim.now
+        if self._flight.enabled:
+            self._flight.record(
+                "orch", "silence-report", t=self.sim.now, epoch=self.epoch,
+                detail=f"upstream hop silent positions=[{position}]",
+                chain="ctrl")
+        nap, self._nap = self._nap, None
+        if nap is not None:   # asleep between rounds: wake it
+            nap.cancel()
+            self._process.interrupt(_WAKE)
 
     def _resume_probe(self, open_positions: Set[int]):
         """New-leader takeover: rebuild monitor state authoritatively.
