@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.chain import FTCChain
 from ..orchestration.orchestrator import Orchestrator
 from ..sim import CancelledError, Interrupt
+from .plan import IMPAIRED_DELIVERY, FaultSpec, _impair_text
 
 __all__ = ["ChaosMonkey", "DEFAULT_KIND_WEIGHTS"]
 
@@ -186,7 +187,7 @@ class ChaosMonkey:
     def _record(self, what: str, positions: Tuple[int, ...] = ()) -> None:
         now = self.chain.sim.now
         self.injected.append((now, what))
-        self.orchestrator.telemetry.timeline.record(
+        self.chain.telemetry.timeline.record(
             "fault-injected", positions, detail=what, t=now)
 
     def _do_crash(self) -> None:
@@ -199,22 +200,24 @@ class ChaosMonkey:
     def _do_impair(self) -> None:
         self.chain.net.impair(
             drop_rate=self.impair_drop_rate, dup_rate=self.impair_dup_rate,
-            duration_s=self.impair_duration_s)
-        self._record(f"impair control drop={self.impair_drop_rate} "
-                     f"dup={self.impair_dup_rate} "
-                     f"for {self.impair_duration_s * 1e3:.1f}ms")
+            duration_s=self.impair_duration_s, seed=self.chain.streams.seed)
+        self._record(_impair_text(FaultSpec(
+            kind="impair-control", at_s=self.chain.sim.now,
+            drop_rate=self.impair_drop_rate, dup_rate=self.impair_dup_rate,
+            duration_s=self.impair_duration_s)))
 
     def _do_impair_data(self) -> None:
         self.chain.net.impair_data(
             drop_rate=self.data_drop_rate, dup_rate=self.data_dup_rate,
             reorder_rate=self.data_reorder_rate,
             corrupt_rate=self.data_corrupt_rate,
-            duration_s=self.impair_duration_s)
-        self._record(f"impair data drop={self.data_drop_rate} "
-                     f"dup={self.data_dup_rate} "
-                     f"reorder={self.data_reorder_rate} "
-                     f"corrupt={self.data_corrupt_rate} "
-                     f"for {self.impair_duration_s * 1e3:.1f}ms")
+            duration_s=self.impair_duration_s, seed=self.chain.streams.seed)
+        self._record(_impair_text(FaultSpec(
+            kind=IMPAIRED_DELIVERY, at_s=self.chain.sim.now,
+            drop_rate=self.data_drop_rate, dup_rate=self.data_dup_rate,
+            reorder_rate=self.data_reorder_rate,
+            corrupt_rate=self.data_corrupt_rate,
+            duration_s=self.impair_duration_s)))
 
     def _pick_member(self, require_quorum: bool = False):
         """A random non-crashed, non-paused ensemble member.
@@ -242,8 +245,7 @@ class ChaosMonkey:
         if member is None:
             return
         member.crash()
-        self._record(f"orch-crash m{member.index} "
-                     f"(restart in {self.orch_restart_after_s * 1e3:.1f}ms)")
+        self._record(f"orch-crash m{member.index}")
         self.chain.sim.schedule_callback(self.orch_restart_after_s,
                                          member.restart)
 
@@ -257,7 +259,7 @@ class ChaosMonkey:
         self.chain.sim.schedule_callback(self.orch_partition_s,
                                          lambda: net.heal(token))
         self._record(f"orch-partition m{member.index} for "
-                     f"{self.orch_partition_s * 1e3:.1f}ms")
+                     f"{self.orch_partition_s * 1e3:.2f}ms")
 
     def _do_stale_leader_resume(self) -> None:
         """Freeze the current leader past its lease; it resumes stale."""
@@ -267,8 +269,9 @@ class ChaosMonkey:
         if leader is None:
             return  # mid-election: nothing to freeze
         leader.pause(self.orch_pause_s)
-        self._record(f"pause leader m{leader.index} for "
-                     f"{self.orch_pause_s * 1e3:.1f}ms (stale resume ahead)")
+        self._record(f"pause m{leader.index} for "
+                     f"{self.orch_pause_s * 1e3:.2f}ms"
+                     " (leader: stale resume ahead)")
 
     # -- overload kinds (PROTOCOL.md §12) ----------------------------------------
 
@@ -282,7 +285,7 @@ class ChaosMonkey:
             self.overload_duration_s,
             lambda: setattr(workload, "boost", workload.boost / factor))
         self._record(f"flash-crowd x{factor:g} for "
-                     f"{self.overload_duration_s * 1e3:.1f}ms")
+                     f"{self.overload_duration_s * 1e3:.2f}ms")
 
     def _do_slow_middlebox(self) -> None:
         index = self.rng.randrange(self.chain.n_mboxes)
@@ -297,7 +300,7 @@ class ChaosMonkey:
 
         self.chain.sim.schedule_callback(self.overload_duration_s, restore)
         self._record(f"slow-middlebox {mbox.name} x{self.overload_factor:g} "
-                     f"for {self.overload_duration_s * 1e3:.1f}ms")
+                     f"for {self.overload_duration_s * 1e3:.2f}ms")
 
     def _do_queue_pressure(self) -> None:
         buffer = self.chain.buffer
@@ -310,7 +313,7 @@ class ChaosMonkey:
         self.chain.sim.schedule_callback(self.overload_duration_s, restore)
         self._record(f"queue-pressure buffer bound {original} -> "
                      f"{buffer.max_held} for "
-                     f"{self.overload_duration_s * 1e3:.1f}ms")
+                     f"{self.overload_duration_s * 1e3:.2f}ms")
 
     def _arm_recovery_crash(self) -> None:
         """Next recovery that reaches the fetching phase loses a source."""
@@ -320,7 +323,6 @@ class ChaosMonkey:
         if not self._hooked:
             self.orchestrator.recovery_hooks.append(self._on_phase)
             self._hooked = True
-        self._record("armed crash-during-recovery")
 
     def _on_phase(self, phase: str, positions: List[int]) -> None:
         if not self._pending_recovery_crash or phase != "fetching":
@@ -336,5 +338,5 @@ class ChaosMonkey:
         self._pending_recovery_crash = False
         target = candidates[self.rng.randrange(len(candidates))]
         self.chain.fail_position(target)
-        self._record(f"crash p{target} during recovery of {positions}",
-                     positions=(target,))
+        self._record(f"crash p{target} during recovery phase {phase!r} "
+                     f"of {positions}", positions=(target,))

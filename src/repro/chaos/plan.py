@@ -190,14 +190,19 @@ class FaultSpec:
             return (f"{self.kind}{where} x{self.factor:g} for "
                     f"{self.duration_s * 1e3:.2f}ms "
                     f"@ {self.at_s * 1e3:.2f}ms")
-        if self.kind == IMPAIRED_DELIVERY:
-            return (f"impair data drop={self.drop_rate} dup={self.dup_rate} "
-                    f"reorder={self.reorder_rate} "
-                    f"corrupt={self.corrupt_rate} "
-                    f"@ {self.at_s * 1e3:.2f}ms")
-        return (f"impair control drop={self.drop_rate} dup={self.dup_rate} "
-                f"delay={self.extra_delay_s * 1e3:.2f}ms "
-                f"@ {self.at_s * 1e3:.2f}ms")
+        return f"{_impair_text(self)} @ {self.at_s * 1e3:.2f}ms"
+
+
+def _impair_text(spec: FaultSpec) -> str:
+    if spec.kind == IMPAIRED_DELIVERY:
+        text = (f"impair data drop={spec.drop_rate} dup={spec.dup_rate} "
+                f"reorder={spec.reorder_rate} corrupt={spec.corrupt_rate}")
+    else:
+        text = (f"impair control drop={spec.drop_rate} dup={spec.dup_rate} "
+                f"delay={spec.extra_delay_s * 1e3:.2f}ms")
+    if spec.duration_s is None:
+        return text
+    return f"{text} for {spec.duration_s * 1e3:.2f}ms"
 
 
 @dataclass
@@ -312,10 +317,7 @@ class FaultInjector:
         self._armed_phase_specs: List[FaultSpec] = []
         self._armed_reconfig_specs: List[FaultSpec] = []
         self._armed_recovery_reconfigs: List[FaultSpec] = []
-
-    def start(self) -> None:
-        sim = self.chain.sim
-        executors = self._executors = {
+        self._executors = {
             "crash": self._crash,
             "crash-during-recovery": self._arm_phase_spec,
             IMPAIRED_DELIVERY: self._impair_data,
@@ -330,6 +332,9 @@ class FaultInjector:
             "slow-middlebox": self._slow_middlebox,
             "queue-pressure": self._queue_pressure,
         }
+
+    def start(self) -> None:
+        sim = self.chain.sim
         for spec in self.plan.faults:
             if (spec.kind in ORCH_FAULT_KINDS
                     or spec.kind == "leader-failover-mid-switch") \
@@ -339,24 +344,31 @@ class FaultInjector:
             if spec.kind == "flash-crowd" and self.workload is None:
                 raise ValueError(
                     "flash-crowd faults need a workload generator target")
-            run = executors[spec.kind]
-            if spec.kind in ORCH_FAULT_KINDS and spec.phase is not None:
-                run = self._arm_phase_spec
             sim.schedule_callback(
                 max(0.0, spec.at_s - sim.now),
-                lambda spec=spec, run=run: run(spec))
+                lambda spec=spec: self._apply(spec))
+
+    def _apply(self, spec: FaultSpec) -> None:
+        """Apply (or arm) ``spec`` now."""
+        if spec.kind in ORCH_FAULT_KINDS and spec.phase is not None:
+            self._arm_phase_spec(spec)
+        else:
+            self._executors[spec.kind](spec)
 
     # -- executors --------------------------------------------------------------
 
-    def _record(self, what: str) -> None:
-        self.injected.append((self.chain.sim.now, what))
+    def _record(self, what: str, positions: Tuple[int, ...] = ()) -> None:
+        now = self.chain.sim.now
+        self.injected.append((now, what))
+        self.chain.telemetry.timeline.record(
+            "fault-injected", positions, detail=what, t=now)
 
     def _crash(self, spec: FaultSpec) -> None:
         position = spec.position
         if self.chain.server_at(position).failed:
             return  # already down (e.g. a correlated crash beat us to it)
         self.chain.fail_position(position)
-        self._record(f"crash p{position}")
+        self._record(f"crash p{position}", positions=(position,))
 
     def _impair(self, spec: FaultSpec) -> None:
         self.chain.net.impair(
@@ -364,14 +376,14 @@ class FaultInjector:
             extra_delay_s=spec.extra_delay_s,
             delay_jitter_s=spec.delay_jitter_s,
             duration_s=spec.duration_s, seed=self.seed)
-        self._record(spec.describe())
+        self._record(_impair_text(spec))
 
     def _impair_data(self, spec: FaultSpec) -> None:
         self.chain.net.impair_data(
             drop_rate=spec.drop_rate, dup_rate=spec.dup_rate,
             reorder_rate=spec.reorder_rate, corrupt_rate=spec.corrupt_rate,
             duration_s=spec.duration_s, seed=self.seed)
-        self._record(spec.describe())
+        self._record(_impair_text(spec))
 
     def _member_for(self, spec: FaultSpec):
         """The targeted ensemble member: explicit index or the leader."""
@@ -417,7 +429,7 @@ class FaultInjector:
             raise ValueError(
                 "crash-during-recovery faults need an orchestrator "
                 "(its recovery hooks carry the phase signal)")
-        if not self._armed_phase_specs:
+        if self._on_phase not in self.orchestrator.recovery_hooks:
             self.orchestrator.recovery_hooks.append(self._on_phase)
         self._armed_phase_specs.append(spec)
 
@@ -432,13 +444,12 @@ class FaultInjector:
                     self._armed_phase_specs.remove(spec)
                 continue
             target = spec.position
-            if target is None or target in positions or \
-                    self.chain.server_at(target).failed:
+            if target is None or self.chain.server_at(target).failed:
                 continue
             self._armed_phase_specs.remove(spec)
             self.chain.fail_position(target)
             self._record(f"crash p{target} during recovery phase {phase!r} "
-                         f"of {positions}")
+                         f"of {positions}", positions=(target,))
 
     # -- reconfiguration fault kinds (PROTOCOL.md §11) ---------------------------
 
@@ -447,7 +458,7 @@ class FaultInjector:
             raise ValueError(
                 f"{spec.kind} faults need an orchestrator (its reconfig "
                 "hooks carry the phase signal)")
-        if not self._armed_reconfig_specs:
+        if self._on_reconfig_phase not in self.orchestrator.reconfig_hooks:
             self.orchestrator.reconfig_hooks.append(self._on_reconfig_phase)
         self._armed_reconfig_specs.append(spec)
 
@@ -475,7 +486,8 @@ class FaultInjector:
                     continue
                 self.chain.fail_position(target)
                 self._record(f"crash p{target} during reconfig phase "
-                             f"{phase!r} of {list(positions)}")
+                             f"{phase!r} of {list(positions)}",
+                             positions=(target,))
 
     # -- overload fault kinds (PROTOCOL.md §12) ----------------------------------
 
@@ -485,7 +497,6 @@ class FaultInjector:
 
         def subside():
             workload.boost /= spec.factor
-            self._record(f"flash-crowd subsided (boost {workload.boost:g})")
 
         self.chain.sim.schedule_callback(spec.duration_s, subside)
         self._record(f"flash-crowd x{spec.factor:g} for "
@@ -502,7 +513,6 @@ class FaultInjector:
 
         def restore():
             mbox.processing_cycles = original
-            self._record(f"slow-middlebox {mbox.name} restored")
 
         self.chain.sim.schedule_callback(spec.duration_s, restore)
         self._record(f"slow-middlebox {mbox.name} x{spec.factor:g} for "
@@ -515,7 +525,6 @@ class FaultInjector:
 
         def restore():
             buffer.max_held = original
-            self._record("queue-pressure released")
 
         self.chain.sim.schedule_callback(spec.duration_s, restore)
         self._record(f"queue-pressure buffer bound {original} -> "
@@ -525,7 +534,7 @@ class FaultInjector:
         if self.orchestrator is None:
             raise ValueError(
                 "reconfig-during-recovery faults need an orchestrator")
-        if not self._armed_recovery_reconfigs:
+        if self._on_recovery_reconfig not in self.orchestrator.recovery_hooks:
             self.orchestrator.recovery_hooks.append(
                 self._on_recovery_reconfig)
         self._armed_recovery_reconfigs.append(spec)

@@ -44,7 +44,7 @@ from ..sim import RandomStreams, Simulator
 from ..telemetry import Telemetry
 from .auditor import InvariantAuditor, InvariantViolation, ShadowOracle
 from .monkey import ChaosMonkey
-from .plan import FaultInjector, FaultPlan, FaultSpec
+from .plan import IMPAIRED_DELIVERY, FaultInjector, FaultPlan, FaultSpec
 
 __all__ = ["Scenario", "Step", "Monkey", "Run", "run", "CHECKS",
            "CTRLPLANE_ELECTION"]
@@ -364,8 +364,6 @@ def run(scenario: Scenario, telemetry=None, profiler=None,
             corroborate_suspects=sc.reliable_links, region=sc.region)
     if control is not None:
         control.start()
-    if sc.impair is not None:
-        chain.net.impair_data(*sc.impair, seed=sc.seed)
     if sc.workload is not None:
         generator = WorkloadGenerator(sim, chain.ingress, sc.workload,
                                       n_queues=2,
@@ -383,7 +381,7 @@ def run(scenario: Scenario, telemetry=None, profiler=None,
         context={"seed": sc.seed, **dict(sc.context)})
 
     # -- arm ------------------------------------------------------------------
-    monkey = injector = None
+    monkey = None
     if sc.monkey is not None:
         monkey = ChaosMonkey(
             chain, control, ensemble=ensemble,
@@ -392,10 +390,14 @@ def run(scenario: Scenario, telemetry=None, profiler=None,
             start_after_s=sc.duration_s * 0.1,
             kind_weights=sc.monkey.kind_weights)
         monkey.start()
-    if sc.faults:
-        injector = FaultInjector(chain, control, FaultPlan(list(sc.faults)),
-                                 seed=sc.seed, ensemble=ensemble)
-        injector.start()
+    injector = FaultInjector(chain, control, FaultPlan(list(sc.faults)),
+                             seed=sc.seed, ensemble=ensemble)
+    injector.start()
+    if sc.impair is not None:
+        drop, dup, reorder, corrupt = sc.impair
+        injector._apply(FaultSpec(
+            kind=IMPAIRED_DELIVERY, drop_rate=drop, dup_rate=dup,
+            reorder_rate=reorder, corrupt_rate=corrupt))
 
     direct_reports: List = []
 
@@ -417,8 +419,9 @@ def run(scenario: Scenario, telemetry=None, profiler=None,
         if step.op is not None:
             sim.schedule_callback(step.at_s, lambda op=step.op: submit(op))
         else:
-            sim.schedule_callback(
-                step.at_s, lambda p=step.crash: chain.fail_position(p))
+            sim.schedule_callback(step.at_s, lambda spec=FaultSpec(
+                kind="crash", at_s=step.at_s, position=step.crash):
+                injector._apply(spec))
 
     # -- run: periodic audit, stop traffic, heal, drain, final audit ----------
     def periodic_audit():
@@ -450,8 +453,8 @@ def run(scenario: Scenario, telemetry=None, profiler=None,
         scenario=sc, sim=sim, chain=chain, oracle=oracle, egress=egress,
         generator=generator, control=control, admission=admission,
         brownout=brownout, cfg_inversions=cfg_inversions[0],
-        faults=[fault for source in (monkey, injector) if source is not None
-                for fault in source.injected],
+        faults=(([] if monkey is None else monkey.injected)
+                + injector.injected),
         reconfigs=(direct_reports if control is None
                    else list(control.reconfig_history)))
     found = ([(name, CHECKS[name](out)) for name in sc.checks]

@@ -87,10 +87,13 @@ def _one_trial(scenario: str, seed: int) -> Dict[str, float]:
     }
     resume_from = confirmed
     if scenario != "baseline":
-        if not out.faults:
+        # Run.faults also lists the step's own chain crash.
+        fired = [t for t, what in out.faults
+                 if what != f"crash p{FAIL_POSITION}"]
+        if not fired:
             raise AssertionError(
                 f"{scenario} seed={seed}: control-plane fault never fired")
-        fault_at = out.faults[0][0]
+        fault_at = fired[0]
         elected = _first(telemetry, "leader-elected", after=fault_at)
         if elected is None:
             raise AssertionError(
