@@ -2,9 +2,10 @@
 
 Three layers (see PROTOCOL.md, "Failure model & chaos testing"):
 
-- **Injection**: scripted :class:`FaultPlan` schedules and the
-  randomized :class:`ChaosMonkey`, both driving ``Server.fail()`` /
-  ``Network.impair()`` through seeded RNG streams.
+- **Injection**: one vocabulary of :class:`FaultSpec` kinds, whose
+  registry names each kind's handler, text and target rule.
+  :class:`FaultInjector` applies every fault -- scripted ones and those
+  the randomized :class:`ChaosMonkey` samples on a seeded stream.
 - **Hardened paths under test**: ``repro.net.retry`` and the
   re-entrant recovery in ``repro.orchestration`` (exercised, not
   defined, here).
@@ -21,7 +22,6 @@ __getattr__, __dir__, __all__ = surface(__name__, {
     "auditor": ("InvariantAuditor", "InvariantViolation", "ShadowOracle"),
     "monkey": (
         "CTRLPLANE_KIND_WEIGHTS", "ChaosMonkey", "DEFAULT_KIND_WEIGHTS",
-        "OVERLOAD_KIND_WEIGHTS",
     ),
     "plan": (
         "FAULT_KINDS", "FaultInjector", "FaultPlan", "FaultSpec",

@@ -1,16 +1,20 @@
-"""Randomized fault injection (the chaos monkey).
+"""Randomized fault sampling (the chaos monkey).
 
-A :class:`ChaosMonkey` is a simulation process that samples faults
-from configurable distributions: exponentially-spaced arrival times,
-weighted fault kinds, uniformly-chosen target positions.  All draws
-come from named :class:`repro.sim.RandomStreams` streams, so a
-schedule is a pure function of its seed -- any soak failure reproduces
-exactly from ``--seed``.
+A :class:`ChaosMonkey` is a simulation process that samples
+:class:`~repro.chaos.plan.FaultSpec`\\ s -- exponentially-spaced
+arrival times, weighted fault kinds, uniformly-chosen targets -- and
+hands each to its :class:`~repro.chaos.plan.FaultInjector`, the only
+code that applies a fault.  Every draw comes from the chain's
+``chaos-monkey`` stream, in a fixed order per arrival (interval, then
+kind, then target), so a schedule is a pure function of its seed --
+any soak failure reproduces exactly from ``--seed``.
 
-By default crashes are gated on :meth:`FTCChain.safe_to_fail`, keeping
-every replication group within its f-loss budget (the protocol's
-correctness envelope, §4).  Disable the gate (``respect_f=False``) to
-also exercise the >f degraded path.
+Crash victims are drawn only among positions
+:meth:`FTCChain.safe_to_fail` allows, keeping every replication group
+within its f-loss budget (the protocol's correctness envelope, §4).  A
+``crash-during-recovery`` arrival arms one spec without a position:
+the injector draws its victim, under the same rule and from the same
+stream, when the next recovery reaches its fetching phase.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.chain import FTCChain
 from ..orchestration.orchestrator import Orchestrator
 from ..sim import CancelledError, Interrupt
-from .plan import IMPAIRED_DELIVERY, FaultSpec, _impair_text
+from .plan import _SAMPLER_STREAM, FaultInjector, FaultPlan, FaultSpec
 
 __all__ = ["ChaosMonkey", "DEFAULT_KIND_WEIGHTS"]
 
@@ -45,73 +49,60 @@ CTRLPLANE_KIND_WEIGHTS: Dict[str, float] = {
     "stale-leader-resume": 0.15,
 }
 
-#: The opt-in mix for overload soaks (PROTOCOL.md §12): flash crowds
-#: and slow middleboxes pile pressure on while crashes keep recovery
-#: in flight, proving admission + backpressure hold the replication
-#: invariant with everything happening at once.
-OVERLOAD_KIND_WEIGHTS: Dict[str, float] = {
-    "crash": 0.25,
-    "flash-crowd": 0.35,
-    "slow-middlebox": 0.25,
-    "queue-pressure": 0.15,
+#: kind -> the spec fields of a sampled fault, before its target.
+_SAMPLED: Dict[str, dict] = {
+    "crash": {},
+    "crash-during-recovery": dict(phase="fetching"),
+    "impair-control": dict(drop_rate=0.3, dup_rate=0.1, duration_s=5e-3),
+    "impair-data": dict(drop_rate=0.05, dup_rate=0.02, reorder_rate=0.02,
+                        corrupt_rate=0.01, duration_s=5e-3),
+    "orch-crash": dict(restart_after_s=15e-3),
+    "orch-partition": dict(duration_s=8e-3),
+    "stale-leader-resume": dict(duration_s=12e-3),
+    "flash-crowd": dict(duration_s=6e-3),
+    "slow-middlebox": dict(duration_s=6e-3),
+    "queue-pressure": dict(duration_s=6e-3),
 }
 
 
 class ChaosMonkey:
-    """A process injecting random (but seed-reproducible) faults."""
+    """A process sampling random (but seed-reproducible) faults.
+
+    ``ensemble`` is the target of the ``orch-*`` kinds (usually also
+    passed as ``orchestrator`` -- it mirrors the facade).  A weighted
+    kind the monkey cannot sample, or whose target it lacks, is a
+    ``ValueError`` here rather than an arrival that injects nothing.
+    """
 
     def __init__(self, chain: FTCChain, orchestrator: Orchestrator,
                  mean_interval_s: float = 10e-3,
                  kind_weights: Optional[Dict[str, float]] = None,
                  max_faults: Optional[int] = None,
                  start_after_s: float = 0.0,
-                 respect_f: bool = True,
-                 impair_drop_rate: float = 0.3,
-                 impair_dup_rate: float = 0.1,
-                 impair_duration_s: float = 5e-3,
-                 data_drop_rate: float = 0.05,
-                 data_dup_rate: float = 0.02,
-                 data_reorder_rate: float = 0.02,
-                 data_corrupt_rate: float = 0.01,
-                 ensemble=None,
-                 orch_restart_after_s: float = 15e-3,
-                 orch_partition_s: float = 8e-3,
-                 orch_pause_s: float = 12e-3,
-                 workload=None,
-                 overload_factor: float = 4.0,
-                 overload_duration_s: float = 6e-3,
-                 stream: str = "chaos-monkey"):
+                 ensemble=None):
         self.chain = chain
         self.orchestrator = orchestrator
-        #: Target of the ``orch-*`` kinds; pass the
-        #: :class:`~repro.orchestration.ensemble.OrchestratorEnsemble`
-        #: (usually also as ``orchestrator`` -- it mirrors the facade).
         self.ensemble = ensemble
-        self.orch_restart_after_s = orch_restart_after_s
-        self.orch_partition_s = orch_partition_s
-        self.orch_pause_s = orch_pause_s
-        #: Target of the ``flash-crowd`` kind (a WorkloadGenerator).
-        self.workload = workload
-        self.overload_factor = overload_factor
-        self.overload_duration_s = overload_duration_s
         self.mean_interval_s = mean_interval_s
         self.kind_weights = dict(kind_weights or DEFAULT_KIND_WEIGHTS)
         self.max_faults = max_faults
         self.start_after_s = start_after_s
-        self.respect_f = respect_f
-        self.impair_drop_rate = impair_drop_rate
-        self.impair_dup_rate = impair_dup_rate
-        self.impair_duration_s = impair_duration_s
-        self.data_drop_rate = data_drop_rate
-        self.data_dup_rate = data_dup_rate
-        self.data_reorder_rate = data_reorder_rate
-        self.data_corrupt_rate = data_corrupt_rate
-        self.rng = chain.streams.stream(stream)
-        #: (fire time, description) per injected fault.
-        self.injected: List[Tuple[float, str]] = []
-        self._pending_recovery_crash = False
-        self._hooked = False
+        self.rng = chain.streams.stream(_SAMPLER_STREAM)
+        self.injector = FaultInjector(chain, orchestrator, FaultPlan(),
+                                      seed=chain.streams.seed,
+                                      ensemble=ensemble)
+        for kind in self.kind_weights:
+            if kind not in _SAMPLED:
+                raise ValueError(f"the chaos monkey cannot sample {kind!r} "
+                                 f"faults (it samples {', '.join(_SAMPLED)})")
+            self.injector._check(
+                kind, armed=kind == "crash-during-recovery")
         self._process = None
+
+    @property
+    def injected(self) -> List[Tuple[float, str]]:
+        """(fire time, description) per injected fault."""
+        return self.injector.injected
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -122,10 +113,6 @@ class ChaosMonkey:
         if self._process is not None and self._process.is_alive:
             self._process.interrupt("chaos stopped")
         self._process = None
-
-    @property
-    def faults_injected(self) -> int:
-        return len(self.injected)
 
     # -- sampling ----------------------------------------------------------------
 
@@ -139,86 +126,6 @@ class ChaosMonkey:
                 return kind
         return kinds[-1]
 
-    def _pick_crash_position(self) -> Optional[int]:
-        pending = (self.orchestrator.recovering_positions |
-                   self.orchestrator.lost_positions)
-        candidates = [
-            p for p in range(self.chain.n_positions)
-            if p not in pending and not self.chain.server_at(p).failed
-            and (not self.respect_f or self.chain.safe_to_fail(p, pending))
-        ]
-        if not candidates:
-            return None
-        return candidates[self.rng.randrange(len(candidates))]
-
-    # -- the loop -----------------------------------------------------------------
-
-    def _loop(self):
-        sim = self.chain.sim
-        try:
-            if self.start_after_s > 0:
-                yield sim.timeout(self.start_after_s)
-            while self.max_faults is None or len(self.injected) < self.max_faults:
-                yield sim.timeout(self.rng.expovariate(1.0 / self.mean_interval_s))
-                kind = self._pick_kind()
-                if kind == "crash":
-                    self._do_crash()
-                elif kind == "crash-during-recovery":
-                    self._arm_recovery_crash()
-                elif kind == "impair-data":
-                    self._do_impair_data()
-                elif kind == "orch-crash":
-                    self._do_orch_crash()
-                elif kind == "orch-partition":
-                    self._do_orch_partition()
-                elif kind == "stale-leader-resume":
-                    self._do_stale_leader_resume()
-                elif kind == "flash-crowd":
-                    self._do_flash_crowd()
-                elif kind == "slow-middlebox":
-                    self._do_slow_middlebox()
-                elif kind == "queue-pressure":
-                    self._do_queue_pressure()
-                else:
-                    self._do_impair()
-        except (Interrupt, CancelledError):
-            return
-
-    def _record(self, what: str, positions: Tuple[int, ...] = ()) -> None:
-        now = self.chain.sim.now
-        self.injected.append((now, what))
-        self.chain.telemetry.timeline.record(
-            "fault-injected", positions, detail=what, t=now)
-
-    def _do_crash(self) -> None:
-        position = self._pick_crash_position()
-        if position is None:
-            return  # every further crash would exceed some group's f
-        self.chain.fail_position(position)
-        self._record(f"crash p{position}", positions=(position,))
-
-    def _do_impair(self) -> None:
-        self.chain.net.impair(
-            drop_rate=self.impair_drop_rate, dup_rate=self.impair_dup_rate,
-            duration_s=self.impair_duration_s, seed=self.chain.streams.seed)
-        self._record(_impair_text(FaultSpec(
-            kind="impair-control", at_s=self.chain.sim.now,
-            drop_rate=self.impair_drop_rate, dup_rate=self.impair_dup_rate,
-            duration_s=self.impair_duration_s)))
-
-    def _do_impair_data(self) -> None:
-        self.chain.net.impair_data(
-            drop_rate=self.data_drop_rate, dup_rate=self.data_dup_rate,
-            reorder_rate=self.data_reorder_rate,
-            corrupt_rate=self.data_corrupt_rate,
-            duration_s=self.impair_duration_s, seed=self.chain.streams.seed)
-        self._record(_impair_text(FaultSpec(
-            kind=IMPAIRED_DELIVERY, at_s=self.chain.sim.now,
-            drop_rate=self.data_drop_rate, dup_rate=self.data_dup_rate,
-            reorder_rate=self.data_reorder_rate,
-            corrupt_rate=self.data_corrupt_rate,
-            duration_s=self.impair_duration_s)))
-
     def _pick_member(self, require_quorum: bool = False):
         """A random non-crashed, non-paused ensemble member.
 
@@ -228,8 +135,6 @@ class ChaosMonkey:
         soak cannot distinguish from a livelock, so the monkey keeps
         the ensemble electable by construction.
         """
-        if self.ensemble is None:
-            return None
         candidates = [m for m in self.ensemble.members
                       if not m.crashed and not m.paused]
         if not candidates:
@@ -240,103 +145,37 @@ class ChaosMonkey:
                 return None
         return candidates[self.rng.randrange(len(candidates))]
 
-    def _do_orch_crash(self) -> None:
-        member = self._pick_member(require_quorum=True)
-        if member is None:
+    def _sample(self, kind: str) -> Optional[FaultSpec]:
+        """This arrival's spec of ``kind``, or None when it has no target."""
+        fields = dict(_SAMPLED[kind], kind=kind, at_s=self.chain.sim.now)
+        if kind == "crash":
+            fields["position"] = self.injector._victim(
+                self.orchestrator.recovering_positions)
+            if fields["position"] is None:
+                return None  # every further crash would exceed some f
+        elif kind == "crash-during-recovery":
+            if self.injector._armed["recovery"]:
+                return None  # one armed crash at a time
+        elif kind in ("orch-crash", "orch-partition"):
+            member = self._pick_member(require_quorum=kind == "orch-crash")
+            if member is None:
+                return None
+            fields["member"] = member.index
+        elif kind == "slow-middlebox":
+            fields["position"] = self.rng.randrange(self.chain.n_mboxes)
+        return FaultSpec(**fields)
+
+    # -- the loop -----------------------------------------------------------------
+
+    def _loop(self):
+        sim = self.chain.sim
+        try:
+            if self.start_after_s > 0:
+                yield sim.timeout(self.start_after_s)
+            while self.max_faults is None or len(self.injected) < self.max_faults:
+                yield sim.timeout(self.rng.expovariate(1.0 / self.mean_interval_s))
+                spec = self._sample(self._pick_kind())
+                if spec is not None:
+                    self.injector._apply(spec)
+        except (Interrupt, CancelledError):
             return
-        member.crash()
-        self._record(f"orch-crash m{member.index}")
-        self.chain.sim.schedule_callback(self.orch_restart_after_s,
-                                         member.restart)
-
-    def _do_orch_partition(self) -> None:
-        member = self._pick_member()
-        if member is None:
-            return
-        net = self.chain.net
-        others = [name for name in net.servers if name != member.server_name]
-        token = net.partition([member.server_name], others)
-        self.chain.sim.schedule_callback(self.orch_partition_s,
-                                         lambda: net.heal(token))
-        self._record(f"orch-partition m{member.index} for "
-                     f"{self.orch_partition_s * 1e3:.2f}ms")
-
-    def _do_stale_leader_resume(self) -> None:
-        """Freeze the current leader past its lease; it resumes stale."""
-        if self.ensemble is None:
-            return
-        leader = self.ensemble.leader
-        if leader is None:
-            return  # mid-election: nothing to freeze
-        leader.pause(self.orch_pause_s)
-        self._record(f"pause m{leader.index} for "
-                     f"{self.orch_pause_s * 1e3:.2f}ms"
-                     " (leader: stale resume ahead)")
-
-    # -- overload kinds (PROTOCOL.md §12) ----------------------------------------
-
-    def _do_flash_crowd(self) -> None:
-        workload = self.workload
-        if workload is None:
-            return
-        factor = self.overload_factor
-        workload.boost *= factor
-        self.chain.sim.schedule_callback(
-            self.overload_duration_s,
-            lambda: setattr(workload, "boost", workload.boost / factor))
-        self._record(f"flash-crowd x{factor:g} for "
-                     f"{self.overload_duration_s * 1e3:.2f}ms")
-
-    def _do_slow_middlebox(self) -> None:
-        index = self.rng.randrange(self.chain.n_mboxes)
-        mbox = self.chain.middleboxes[index]
-        original = mbox.processing_cycles
-        base = (original if original is not None
-                else self.chain.costs.processing_cycles)
-        mbox.processing_cycles = base * self.overload_factor
-
-        def restore():
-            mbox.processing_cycles = original
-
-        self.chain.sim.schedule_callback(self.overload_duration_s, restore)
-        self._record(f"slow-middlebox {mbox.name} x{self.overload_factor:g} "
-                     f"for {self.overload_duration_s * 1e3:.2f}ms")
-
-    def _do_queue_pressure(self) -> None:
-        buffer = self.chain.buffer
-        original = buffer.max_held
-        buffer.max_held = max(64, int(original / self.overload_factor))
-
-        def restore():
-            buffer.max_held = original
-
-        self.chain.sim.schedule_callback(self.overload_duration_s, restore)
-        self._record(f"queue-pressure buffer bound {original} -> "
-                     f"{buffer.max_held} for "
-                     f"{self.overload_duration_s * 1e3:.2f}ms")
-
-    def _arm_recovery_crash(self) -> None:
-        """Next recovery that reaches the fetching phase loses a source."""
-        if self._pending_recovery_crash:
-            return
-        self._pending_recovery_crash = True
-        if not self._hooked:
-            self.orchestrator.recovery_hooks.append(self._on_phase)
-            self._hooked = True
-
-    def _on_phase(self, phase: str, positions: List[int]) -> None:
-        if not self._pending_recovery_crash or phase != "fetching":
-            return
-        pending = set(positions) | self.orchestrator.lost_positions
-        candidates = [
-            p for p in range(self.chain.n_positions)
-            if p not in pending and not self.chain.server_at(p).failed
-            and (not self.respect_f or self.chain.safe_to_fail(p, pending))
-        ]
-        if not candidates:
-            return  # stay armed for a later recovery with more headroom
-        self._pending_recovery_crash = False
-        target = candidates[self.rng.randrange(len(candidates))]
-        self.chain.fail_position(target)
-        self._record(f"crash p{target} during recovery phase {phase!r} "
-                     f"of {positions}", positions=(target,))

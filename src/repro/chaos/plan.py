@@ -1,22 +1,24 @@
-"""Scripted fault schedules.
+"""The fault vocabulary: :class:`FaultSpec`, its registry, its injector.
 
-A :class:`FaultPlan` is a deterministic list of :class:`FaultSpec`
-entries -- crash this position at that time, crash a position the
-moment recovery reaches a given phase, impair the control plane for a
-window.  :class:`FaultInjector` arms a plan against a running
-chain/orchestrator pair; every injection is recorded with its firing
-time so a failing soak schedule can be replayed exactly from its seed
-(see PROTOCOL.md, "Failure model & chaos testing").
-
-Scripted plans are the precision tool; for randomized soaking see
-:class:`repro.chaos.monkey.ChaosMonkey`, which samples specs like
-these from configurable distributions.
+A :class:`FaultSpec` names one fault -- crash this position at that
+time, crash a position the moment recovery reaches a given phase,
+impair the control plane for a window.  One registry (``_KINDS``)
+gives each of the :data:`FAULT_KINDS` its handler, its ``describe()``
+text and its target rule, and :class:`FaultInjector` is the only code
+that applies a fault: scripted plans (a :class:`FaultPlan`, or
+``Scenario.faults``) and the randomized
+:class:`~repro.chaos.monkey.ChaosMonkey`, which samples specs and hands
+them over, both go through it.  Every injection is recorded with its
+firing time, and on the timeline as ``fault-injected``, so a failing
+soak schedule can be replayed exactly from its seed (see PROTOCOL.md,
+"Failure model & chaos testing").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.chain import FTCChain
 from ..orchestration.orchestrator import Orchestrator
@@ -47,75 +49,24 @@ RECONFIG_FAULT_KINDS = ("crash-during-reconfig", "leader-failover-mid-switch",
 #: cycle cost, or squeeze the egress buffer's held-set bound.
 OVERLOAD_FAULT_KINDS = ("flash-crowd", "slow-middlebox", "queue-pressure")
 
-#: Supported fault kinds.
-FAULT_KINDS = ("crash", "crash-during-recovery", "impair-control",
-               IMPAIRED_DELIVERY) + ORCH_FAULT_KINDS + RECONFIG_FAULT_KINDS \
-              + OVERLOAD_FAULT_KINDS
+#: The stream victims are drawn from, by the monkey and by the injector
+#: for a ``crash-during-recovery`` spec without a position.
+_SAMPLER_STREAM = "chaos-monkey"
 
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One scheduled fault.
+    """One fault: what the registry's ``kind`` does, to which target.
 
-    ``kind="crash"``
-        Fail-stop ``position`` at ``at_s`` (simulated seconds).  Several
-        specs with the same ``at_s`` express a correlated multi-crash.
-    ``kind="crash-during-recovery"``
-        Arm a recovery-phase hook from ``at_s`` on: the first time a
-        recovery run reaches ``phase`` (one of
-        ``repro.core.RECOVERY_PHASES``), fail ``position``.  This is
-        how a fetch source is killed mid-transfer.
-    ``kind="impair-control"``
-        From ``at_s``, drop/duplicate/delay control-plane messages for
-        ``duration_s`` (see :meth:`repro.net.Network.impair`).
-    ``kind="impair-data"`` (:data:`IMPAIRED_DELIVERY`)
-        From ``at_s``, chain links drop/duplicate/reorder/corrupt data
-        packets for ``duration_s``
-        (see :meth:`repro.net.Network.impair_data`).
-    ``kind="orch-crash"``
-        Fail-stop ensemble ``member`` at ``at_s`` (the current leader
-        when ``member`` is None); ``restart_after_s`` optionally brings
-        it back as a follower.  With ``phase`` set (any ``orch-*`` kind)
-        the fault is armed at ``at_s`` and fires the first time a
-        recovery reaches that phase with a member to hit.
-    ``kind="orch-partition"``
-        From ``at_s``, cut ensemble ``member`` (default: the leader)
-        off from every other server for ``duration_s`` -- it keeps
-        running but can reach neither its peers nor the chain.
-    ``kind="stale-leader-resume"``
-        At ``at_s``, freeze ``member`` (default: the leader) for
-        ``duration_s``.  Freeze it past its lease and it wakes up still
-        believing it leads -- the split-brain scenario epoch fencing
-        must neutralize.
-    ``kind="crash-during-reconfig"``
-        Arm a reconfiguration-phase hook from ``at_s`` on: the first
-        time a live reconfiguration (PROTOCOL.md §11) reaches ``phase``
-        (one of ``repro.core.RECONFIG_PHASES``, default ``draining``),
-        fail ``position`` (default: the operation's own position).
-    ``kind="leader-failover-mid-switch"``
-        Like ``crash-during-reconfig`` but kills the *ensemble leader*
-        (needs an ensemble) when the reconfiguration reaches ``phase``
-        (default ``switching``) -- the successor must resume or close
-        the journaled operation.
-    ``kind="reconfig-during-recovery"``
-        Arm a recovery-phase hook from ``at_s`` on: when a recovery
-        reaches ``phase`` (default ``fetching``), submit the
-        reconfiguration described by ``operation`` (a
-        :meth:`~repro.core.reconfig.ReconfigOp.describe` string) --
-        the request must serialize behind the recovery, never corrupt
-        it.
-    ``kind="flash-crowd"``
-        From ``at_s``, multiply the workload generator's offered load
-        by ``factor`` for ``duration_s`` (needs a ``workload`` target
-        on the injector).
-    ``kind="slow-middlebox"``
-        From ``at_s``, multiply middlebox ``position``'s per-packet
-        processing cycles by ``factor`` for ``duration_s`` -- a hot
-        middlebox becoming the bottleneck, the classic overload cause.
-    ``kind="queue-pressure"``
-        From ``at_s``, divide the egress buffer's held-set bound by
-        ``factor`` for ``duration_s``, forcing backpressure to engage
-        far below the normal watermark.
+    Timed kinds fire at ``at_s`` (simulated seconds); several specs
+    with one ``at_s`` express correlated faults.  A kind with a phase
+    hook (``*-during-*``, ``leader-failover-mid-switch``, and any
+    ``orch-*`` kind given a ``phase``) is armed at ``at_s`` and fires
+    when a recovery or reconfiguration reaches ``phase`` (PROTOCOL.md
+    §4 lists every kind with its target rule).  ``position`` is a chain
+    position, or a middlebox index for ``slow-middlebox``; ``member``
+    an ensemble member (None: the acting leader); ``duration_s`` the
+    window after which windowed kinds heal.
     """
 
     kind: str
@@ -135,8 +86,10 @@ class FaultSpec:
     factor: float = 4.0
 
     def __post_init__(self):
-        if self.kind not in FAULT_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
+        if self.phase is None and self.kind in _DEFAULT_PHASE:
+            object.__setattr__(self, "phase", _DEFAULT_PHASE[self.kind])
         if self.kind in OVERLOAD_FAULT_KINDS:
             if self.duration_s is None:
                 raise ValueError(f"{self.kind} faults need a duration_s")
@@ -161,48 +114,97 @@ class FaultSpec:
                                      f"[0, 1], got {value!r}")
 
     def describe(self) -> str:
-        if self.kind == "crash":
-            return f"crash p{self.position} @ {self.at_s * 1e3:.2f}ms"
-        if self.kind in ORCH_FAULT_KINDS:
-            who = "leader" if self.member is None else f"m{self.member}"
-            window = ("" if self.duration_s is None
-                      else f" for {self.duration_s * 1e3:.2f}ms")
-            return f"{self.kind} {who}{window} @ {self.at_s * 1e3:.2f}ms"
-        if self.kind == "crash-during-recovery":
-            return (f"crash p{self.position} at recovery phase "
-                    f"{self.phase!r} (armed @ {self.at_s * 1e3:.2f}ms)")
-        if self.kind == "crash-during-reconfig":
-            who = ("the op's position" if self.position is None
-                   else f"p{self.position}")
-            return (f"crash {who} at reconfig phase "
-                    f"{(self.phase or 'draining')!r} "
-                    f"(armed @ {self.at_s * 1e3:.2f}ms)")
-        if self.kind == "leader-failover-mid-switch":
-            return (f"crash the leader at reconfig phase "
-                    f"{(self.phase or 'switching')!r} "
-                    f"(armed @ {self.at_s * 1e3:.2f}ms)")
-        if self.kind == "reconfig-during-recovery":
-            return (f"request {self.operation!r} at recovery phase "
-                    f"{(self.phase or 'fetching')!r} "
-                    f"(armed @ {self.at_s * 1e3:.2f}ms)")
-        if self.kind in OVERLOAD_FAULT_KINDS:
-            where = "" if self.position is None else f" p{self.position}"
-            return (f"{self.kind}{where} x{self.factor:g} for "
-                    f"{self.duration_s * 1e3:.2f}ms "
-                    f"@ {self.at_s * 1e3:.2f}ms")
-        return f"{_impair_text(self)} @ {self.at_s * 1e3:.2f}ms"
+        when = f"{self.at_s * 1e3:.2f}ms"
+        if _armed(self):
+            when = f"(armed @ {when})"
+        return f"{_KINDS[self.kind].text(self)} {when}"
 
 
-def _impair_text(spec: FaultSpec) -> str:
-    if spec.kind == IMPAIRED_DELIVERY:
-        text = (f"impair data drop={spec.drop_rate} dup={spec.dup_rate} "
-                f"reorder={spec.reorder_rate} corrupt={spec.corrupt_rate}")
-    else:
-        text = (f"impair control drop={spec.drop_rate} dup={spec.dup_rate} "
-                f"delay={spec.extra_delay_s * 1e3:.2f}ms")
-    if spec.duration_s is None:
-        return text
-    return f"{text} for {spec.duration_s * 1e3:.2f}ms"
+def _armed(spec: FaultSpec) -> bool:
+    """Whether ``spec`` waits for a phase rather than a time."""
+    return spec.phase is not None and _KINDS[spec.kind].hook is not None
+
+
+def _window(spec: FaultSpec) -> str:
+    return ("" if spec.duration_s is None
+            else f" for {spec.duration_s * 1e3:.2f}ms")
+
+
+def _p(position: Optional[int], default: str) -> str:
+    return default if position is None else f"p{position}"
+
+
+def _orch_text(spec: FaultSpec) -> str:
+    who = "leader" if spec.member is None else f"m{spec.member}"
+    return f"{spec.kind} {who}{_window(spec)}"
+
+
+def _overload_text(spec: FaultSpec) -> str:
+    where = "" if spec.position is None else f" p{spec.position}"
+    return f"{spec.kind}{where} x{spec.factor:g}{_window(spec)}"
+
+
+class _Kind(NamedTuple):
+    #: The FaultInjector method that applies it.
+    handler: str
+    #: Its ``describe()`` text, without the time.
+    text: Callable[[FaultSpec], str]
+    #: What it acts on: ``position`` (a chain position, range-checked),
+    #: ``middlebox`` (a middlebox index, range-checked), ``member`` (an
+    #: ensemble member: needs an ensemble), ``workload`` (needs a
+    #: workload generator), or None (the network or the buffer).
+    target: Optional[str]
+    #: The orchestrator hook list an armed spec waits on.
+    hook: Optional[str] = None
+
+
+#: kind -> how it is applied, described and targeted.
+_KINDS: Dict[str, _Kind] = {
+    "crash": _Kind("_crash", lambda s: f"crash p{s.position}", "position"),
+    "crash-during-recovery": _Kind(
+        "_crash", lambda s: (f"crash {_p(s.position, 'a gated victim')} "
+                             f"at recovery phase {s.phase!r}"),
+        "position", "recovery"),
+    "impair-control": _Kind(
+        "_impair", lambda s: (f"impair control drop={s.drop_rate} "
+                              f"dup={s.dup_rate} "
+                              f"delay={s.extra_delay_s * 1e3:.2f}ms"
+                              f"{_window(s)}"), None),
+    IMPAIRED_DELIVERY: _Kind(
+        "_impair_data", lambda s: (f"impair data drop={s.drop_rate} "
+                                   f"dup={s.dup_rate} "
+                                   f"reorder={s.reorder_rate} "
+                                   f"corrupt={s.corrupt_rate}{_window(s)}"),
+        None),
+    "orch-crash": _Kind("_orch_crash", _orch_text, "member", "recovery"),
+    "orch-partition": _Kind("_orch_partition", _orch_text, "member",
+                            "recovery"),
+    "stale-leader-resume": _Kind("_stale_leader_resume", _orch_text,
+                                 "member", "recovery"),
+    "crash-during-reconfig": _Kind(
+        "_crash", lambda s: ("crash " + _p(s.position, "the op's position")
+                             + f" at reconfig phase {s.phase!r}"),
+        "position", "reconfig"),
+    "leader-failover-mid-switch": _Kind(
+        "_leader_failover",
+        lambda s: f"crash the leader at reconfig phase {s.phase!r}",
+        "member", "reconfig"),
+    "reconfig-during-recovery": _Kind(
+        "_request_reconfig", lambda s: (f"request {s.operation!r} at "
+                                        f"recovery phase {s.phase!r}"),
+        None, "recovery"),
+    "flash-crowd": _Kind("_flash_crowd", _overload_text, "workload"),
+    "slow-middlebox": _Kind("_slow_middlebox", _overload_text, "middlebox"),
+    "queue-pressure": _Kind("_queue_pressure", _overload_text, None),
+}
+
+#: Supported fault kinds.
+FAULT_KINDS = tuple(_KINDS)
+
+#: The phase an armed kind waits for when its spec names none.
+_DEFAULT_PHASE = {"crash-during-reconfig": "draining",
+                  "leader-failover-mid-switch": "switching",
+                  "reconfig-during-recovery": "fetching"}
 
 
 @dataclass
@@ -211,93 +213,20 @@ class FaultPlan:
 
     faults: List[FaultSpec] = field(default_factory=list)
 
-    def add(self, spec: FaultSpec) -> "FaultPlan":
-        self.faults.append(spec)
-        return self
-
-    def crash(self, position: int, at_s: float) -> "FaultPlan":
-        return self.add(FaultSpec(kind="crash", at_s=at_s, position=position))
-
-    def crash_during_recovery(self, position: int, phase: str,
-                              at_s: float = 0.0) -> "FaultPlan":
-        return self.add(FaultSpec(kind="crash-during-recovery", at_s=at_s,
-                                  position=position, phase=phase))
-
-    def impair_control(self, at_s: float, drop_rate: float = 0.0,
-                       dup_rate: float = 0.0, extra_delay_s: float = 0.0,
-                       delay_jitter_s: float = 0.0,
-                       duration_s: Optional[float] = None) -> "FaultPlan":
-        return self.add(FaultSpec(
-            kind="impair-control", at_s=at_s, drop_rate=drop_rate,
-            dup_rate=dup_rate, extra_delay_s=extra_delay_s,
-            delay_jitter_s=delay_jitter_s, duration_s=duration_s))
-
-    def impair_data(self, at_s: float, drop_rate: float = 0.0,
-                    dup_rate: float = 0.0, reorder_rate: float = 0.0,
-                    corrupt_rate: float = 0.0,
-                    duration_s: Optional[float] = None) -> "FaultPlan":
-        return self.add(FaultSpec(
-            kind=IMPAIRED_DELIVERY, at_s=at_s, drop_rate=drop_rate,
-            dup_rate=dup_rate, reorder_rate=reorder_rate,
-            corrupt_rate=corrupt_rate, duration_s=duration_s))
-
-    def orch_crash(self, at_s: float, member: Optional[int] = None,
-                   restart_after_s: Optional[float] = None) -> "FaultPlan":
-        return self.add(FaultSpec(kind="orch-crash", at_s=at_s,
-                                  member=member,
-                                  restart_after_s=restart_after_s))
-
-    def orch_partition(self, at_s: float, duration_s: float,
-                       member: Optional[int] = None) -> "FaultPlan":
-        return self.add(FaultSpec(kind="orch-partition", at_s=at_s,
-                                  member=member, duration_s=duration_s))
-
-    def stale_leader_resume(self, at_s: float, duration_s: float,
-                            member: Optional[int] = None) -> "FaultPlan":
-        return self.add(FaultSpec(kind="stale-leader-resume", at_s=at_s,
-                                  member=member, duration_s=duration_s))
-
-    def crash_during_reconfig(self, phase: str = "draining",
-                              position: Optional[int] = None,
-                              at_s: float = 0.0) -> "FaultPlan":
-        return self.add(FaultSpec(kind="crash-during-reconfig", at_s=at_s,
-                                  position=position, phase=phase))
-
-    def leader_failover_mid_switch(self, phase: str = "switching",
-                                   at_s: float = 0.0) -> "FaultPlan":
-        return self.add(FaultSpec(kind="leader-failover-mid-switch",
-                                  at_s=at_s, phase=phase))
-
-    def reconfig_during_recovery(self, operation: str,
-                                 phase: str = "fetching",
-                                 at_s: float = 0.0) -> "FaultPlan":
-        return self.add(FaultSpec(kind="reconfig-during-recovery", at_s=at_s,
-                                  operation=operation, phase=phase))
-
-    def flash_crowd(self, at_s: float, duration_s: float,
-                    factor: float = 4.0) -> "FaultPlan":
-        return self.add(FaultSpec(kind="flash-crowd", at_s=at_s,
-                                  duration_s=duration_s, factor=factor))
-
-    def slow_middlebox(self, at_s: float, duration_s: float,
-                       factor: float = 8.0,
-                       position: Optional[int] = None) -> "FaultPlan":
-        return self.add(FaultSpec(kind="slow-middlebox", at_s=at_s,
-                                  duration_s=duration_s, factor=factor,
-                                  position=position))
-
-    def queue_pressure(self, at_s: float, duration_s: float,
-                       factor: float = 16.0) -> "FaultPlan":
-        return self.add(FaultSpec(kind="queue-pressure", at_s=at_s,
-                                  duration_s=duration_s, factor=factor))
-
     def describe(self) -> List[str]:
         return [spec.describe() for spec in sorted(self.faults,
                                                    key=lambda s: s.at_s)]
 
 
 class FaultInjector:
-    """Arms a :class:`FaultPlan` against a chain + orchestrator."""
+    """Applies :class:`FaultSpec`\\ s to a chain + orchestrator.
+
+    :meth:`start` checks every spec of ``plan`` against its kind's
+    target rule and schedules it; the monkey hands its sampled specs
+    to ``_apply`` directly.  A spec waiting on a phase stays armed
+    until it fires: a recovery-phase spec until it finds its target, a
+    reconfiguration-phase spec only until its first matching phase.
+    """
 
     def __init__(self, chain: FTCChain, orchestrator: Optional[Orchestrator],
                  plan: FaultPlan, seed: int = 0, ensemble=None,
@@ -305,6 +234,7 @@ class FaultInjector:
         self.chain = chain
         self.orchestrator = orchestrator
         self.plan = plan
+        #: Seeds the network's impairment streams.
         self.seed = seed
         #: The :class:`~repro.orchestration.ensemble.OrchestratorEnsemble`
         #: the ``orch-*`` fault kinds act on.
@@ -312,50 +242,61 @@ class FaultInjector:
         #: The :class:`~repro.net.flowgen.WorkloadGenerator` the
         #: ``flash-crowd`` fault kind boosts.
         self.workload = workload
+        self._rng = chain.streams.stream(_SAMPLER_STREAM)
         #: (fire time, human-readable description) per executed fault.
         self.injected: List[Tuple[float, str]] = []
-        self._armed_phase_specs: List[FaultSpec] = []
-        self._armed_reconfig_specs: List[FaultSpec] = []
-        self._armed_recovery_reconfigs: List[FaultSpec] = []
-        self._executors = {
-            "crash": self._crash,
-            "crash-during-recovery": self._arm_phase_spec,
-            IMPAIRED_DELIVERY: self._impair_data,
-            "impair-control": self._impair,
-            "orch-crash": self._orch_crash,
-            "orch-partition": self._orch_partition,
-            "stale-leader-resume": self._stale_leader_resume,
-            "crash-during-reconfig": self._arm_reconfig_spec,
-            "leader-failover-mid-switch": self._arm_reconfig_spec,
-            "reconfig-during-recovery": self._arm_recovery_reconfig,
-            "flash-crowd": self._flash_crowd,
-            "slow-middlebox": self._slow_middlebox,
-            "queue-pressure": self._queue_pressure,
-        }
+        #: hook name -> the specs waiting on it, and its callback.
+        self._armed: Dict[str, List[FaultSpec]] = {"recovery": [],
+                                                   "reconfig": []}
+        self._hooks = {hook: partial(self._fire, hook)
+                       for hook in self._armed}
 
     def start(self) -> None:
+        for spec in self.plan.faults:
+            self._check(spec.kind, spec.position, _armed(spec))
         sim = self.chain.sim
         for spec in self.plan.faults:
-            if (spec.kind in ORCH_FAULT_KINDS
-                    or spec.kind == "leader-failover-mid-switch") \
-                    and self.ensemble is None:
-                raise ValueError(
-                    f"{spec.kind} faults need an orchestrator ensemble")
-            if spec.kind == "flash-crowd" and self.workload is None:
-                raise ValueError(
-                    "flash-crowd faults need a workload generator target")
             sim.schedule_callback(
                 max(0.0, spec.at_s - sim.now),
                 lambda spec=spec: self._apply(spec))
 
-    def _apply(self, spec: FaultSpec) -> None:
-        """Apply (or arm) ``spec`` now."""
-        if spec.kind in ORCH_FAULT_KINDS and spec.phase is not None:
-            self._arm_phase_spec(spec)
-        else:
-            self._executors[spec.kind](spec)
+    def _check(self, kind: str, position: Optional[int] = None,
+               armed: bool = False) -> None:
+        """``kind``'s target rule: a ValueError when this injector
+        lacks its target or ``position`` is out of range."""
+        rule = _KINDS[kind]
+        if rule.target == "member" and self.ensemble is None:
+            raise ValueError(f"{kind} faults need an orchestrator ensemble")
+        if rule.target == "workload" and self.workload is None:
+            raise ValueError(
+                f"{kind} faults need a workload generator target")
+        if armed and self.orchestrator is None:
+            raise ValueError(f"{kind} faults need an orchestrator (its "
+                             f"{rule.hook} hooks carry the phase signal)")
+        limit = {"position": self.chain.n_positions,
+                 "middlebox": self.chain.n_mboxes}.get(rule.target)
+        if position is not None and limit is not None \
+                and not 0 <= position < limit:
+            raise ValueError(f"{kind} position {position} is out of range "
+                             f"(0..{limit - 1})")
 
-    # -- executors --------------------------------------------------------------
+    def _apply(self, spec: FaultSpec) -> None:
+        """Apply ``spec`` now, or arm it on its phase hook."""
+        rule = _KINDS[spec.kind]
+        if not _armed(spec):
+            getattr(self, rule.handler)(spec)
+            return
+        hooks = getattr(self.orchestrator, f"{rule.hook}_hooks")
+        if self._hooks[rule.hook] not in hooks:
+            hooks.append(self._hooks[rule.hook])
+        self._armed[rule.hook].append(spec)
+
+    def _fire(self, hook: str, phase: str, positions) -> None:
+        for spec in [s for s in self._armed[hook] if s.phase == phase]:
+            before = len(self.injected)
+            getattr(self, _KINDS[spec.kind].handler)(spec, phase, positions)
+            if hook == "reconfig" or len(self.injected) > before:
+                self._armed[hook].remove(spec)
 
     def _record(self, what: str, positions: Tuple[int, ...] = ()) -> None:
         now = self.chain.sim.now
@@ -363,12 +304,37 @@ class FaultInjector:
         self.chain.telemetry.timeline.record(
             "fault-injected", positions, detail=what, t=now)
 
-    def _crash(self, spec: FaultSpec) -> None:
-        position = spec.position
-        if self.chain.server_at(position).failed:
-            return  # already down (e.g. a correlated crash beat us to it)
-        self.chain.fail_position(position)
-        self._record(f"crash p{position}", positions=(position,))
+    def _victim(self, busy) -> Optional[int]:
+        """A random position the f-budget gate lets fail, if any: not
+        ``busy`` or lost, not down, and :meth:`FTCChain.safe_to_fail`."""
+        pending = set(busy) | self.orchestrator.lost_positions
+        chain = self.chain
+        candidates = [p for p in range(chain.n_positions)
+                      if p not in pending and not chain.server_at(p).failed
+                      and chain.safe_to_fail(p, pending)]
+        if not candidates:
+            return None
+        return candidates[self._rng.randrange(len(candidates))]
+
+    # -- handlers: one per kind, named by the registry ------------------------
+
+    def _crash(self, spec: FaultSpec, phase: Optional[str] = None,
+               positions=()) -> None:
+        target = spec.position
+        if target is None and spec.kind == "crash-during-recovery":
+            target = self._victim(positions)
+        elif target is None:  # crash-during-reconfig: the op's position
+            target = positions[0] if positions else 0
+        # An insert names a position past the chain's end; a removal may
+        # have shrunk the chain since start() checked the spec.
+        if target is None or target >= self.chain.n_positions \
+                or self.chain.server_at(target).failed:
+            return  # no safe victim, no such position, or already down
+        self.chain.fail_position(target)
+        during = ("" if phase is None else
+                  f" during {_KINDS[spec.kind].hook} phase {phase!r} "
+                  f"of {list(positions)}")
+        self._record(f"crash p{target}{during}", positions=(target,))
 
     def _impair(self, spec: FaultSpec) -> None:
         self.chain.net.impair(
@@ -376,24 +342,24 @@ class FaultInjector:
             extra_delay_s=spec.extra_delay_s,
             delay_jitter_s=spec.delay_jitter_s,
             duration_s=spec.duration_s, seed=self.seed)
-        self._record(_impair_text(spec))
+        self._record(_KINDS[spec.kind].text(spec))
 
     def _impair_data(self, spec: FaultSpec) -> None:
         self.chain.net.impair_data(
             drop_rate=spec.drop_rate, dup_rate=spec.dup_rate,
             reorder_rate=spec.reorder_rate, corrupt_rate=spec.corrupt_rate,
             duration_s=spec.duration_s, seed=self.seed)
-        self._record(_impair_text(spec))
+        self._record(_KINDS[spec.kind].text(spec))
 
-    def _member_for(self, spec: FaultSpec):
-        """The targeted ensemble member: explicit index or the leader."""
-        if spec.member is not None:
-            return self.ensemble.members[spec.member]
-        return self.ensemble.leader
+    def _member(self, spec: FaultSpec):
+        """The targeted live ensemble member: its index or the leader."""
+        member = (self.ensemble.leader if spec.member is None
+                  else self.ensemble.members[spec.member])
+        return None if member is None or member.crashed else member
 
-    def _orch_crash(self, spec: FaultSpec) -> None:
-        member = self._member_for(spec)
-        if member is None or member.crashed:
+    def _orch_crash(self, spec: FaultSpec, *_fired) -> None:
+        member = self._member(spec)
+        if member is None:
             return  # no current leader / already down: nothing to kill
         member.crash()
         self._record(f"orch-crash m{member.index}")
@@ -401,9 +367,9 @@ class FaultInjector:
             self.chain.sim.schedule_callback(
                 spec.restart_after_s, member.restart)
 
-    def _orch_partition(self, spec: FaultSpec) -> None:
-        member = self._member_for(spec)
-        if member is None or member.crashed:
+    def _orch_partition(self, spec: FaultSpec, *_fired) -> None:
+        member = self._member(spec)
+        if member is None:
             return
         net = self.chain.net
         others = [name for name in net.servers
@@ -411,85 +377,35 @@ class FaultInjector:
         token = net.partition([member.server_name], others)
         self.chain.sim.schedule_callback(
             spec.duration_s, lambda: net.heal(token))
-        self._record(f"orch-partition m{member.index} for "
-                     f"{spec.duration_s * 1e3:.2f}ms")
+        self._record(f"orch-partition m{member.index}{_window(spec)}")
 
-    def _stale_leader_resume(self, spec: FaultSpec) -> None:
-        member = self._member_for(spec)
-        if member is None or member.crashed or member.paused:
+    def _stale_leader_resume(self, spec: FaultSpec, *_fired) -> None:
+        member = self._member(spec)
+        if member is None or member.paused:
             return
         member.pause(spec.duration_s)
-        self._record(f"pause m{member.index} for "
-                     f"{spec.duration_s * 1e3:.2f}ms"
+        self._record(f"pause m{member.index}{_window(spec)}"
                      + (" (leader: stale resume ahead)"
                         if member.is_leader else ""))
 
-    def _arm_phase_spec(self, spec: FaultSpec) -> None:
-        if self.orchestrator is None:
-            raise ValueError(
-                "crash-during-recovery faults need an orchestrator "
-                "(its recovery hooks carry the phase signal)")
-        if self._on_phase not in self.orchestrator.recovery_hooks:
-            self.orchestrator.recovery_hooks.append(self._on_phase)
-        self._armed_phase_specs.append(spec)
+    def _leader_failover(self, spec: FaultSpec, phase: str,
+                         positions) -> None:
+        leader = self.ensemble.leader
+        if leader is None or leader.crashed:
+            return
+        leader.crash()
+        self._record(f"orch-crash m{leader.index} (leader) at reconfig "
+                     f"phase {phase!r} of {list(positions)}")
 
-    def _on_phase(self, phase: str, positions: List[int]) -> None:
-        for spec in list(self._armed_phase_specs):
-            if spec.phase != phase:
-                continue
-            if spec.kind in ORCH_FAULT_KINDS:
-                before = len(self.injected)
-                self._executors[spec.kind](spec)
-                if len(self.injected) > before:  # else: no member to hit yet
-                    self._armed_phase_specs.remove(spec)
-                continue
-            target = spec.position
-            if target is None or self.chain.server_at(target).failed:
-                continue
-            self._armed_phase_specs.remove(spec)
-            self.chain.fail_position(target)
-            self._record(f"crash p{target} during recovery phase {phase!r} "
-                         f"of {positions}", positions=(target,))
-
-    # -- reconfiguration fault kinds (PROTOCOL.md §11) ---------------------------
-
-    def _arm_reconfig_spec(self, spec: FaultSpec) -> None:
-        if self.orchestrator is None:
-            raise ValueError(
-                f"{spec.kind} faults need an orchestrator (its reconfig "
-                "hooks carry the phase signal)")
-        if self._on_reconfig_phase not in self.orchestrator.reconfig_hooks:
-            self.orchestrator.reconfig_hooks.append(self._on_reconfig_phase)
-        self._armed_reconfig_specs.append(spec)
-
-    def _on_reconfig_phase(self, phase: str, positions) -> None:
-        for spec in list(self._armed_reconfig_specs):
-            want = spec.phase or ("switching"
-                                  if spec.kind == "leader-failover-mid-switch"
-                                  else "draining")
-            if want != phase:
-                continue
-            self._armed_reconfig_specs.remove(spec)
-            if spec.kind == "leader-failover-mid-switch":
-                leader = self.ensemble.leader
-                if leader is None or leader.crashed:
-                    continue
-                leader.crash()
-                self._record(f"orch-crash m{leader.index} (leader) at "
-                             f"reconfig phase {phase!r} of {list(positions)}")
-            else:
-                target = spec.position
-                if target is None:
-                    target = positions[0] if positions else 0
-                if (target >= self.chain.n_positions
-                        or self.chain.server_at(target).failed):
-                    continue
-                self.chain.fail_position(target)
-                self._record(f"crash p{target} during reconfig phase "
-                             f"{phase!r} of {list(positions)}",
-                             positions=(target,))
-
-    # -- overload fault kinds (PROTOCOL.md §12) ----------------------------------
+    def _request_reconfig(self, spec: FaultSpec, phase: str,
+                          positions) -> None:
+        from ..core.reconfig import ReconfigOp
+        op = ReconfigOp.parse(spec.operation)
+        if op is None:
+            return
+        self.orchestrator.request_reconfig(op)
+        self._record(f"reconfig {spec.operation!r} requested during "
+                     f"recovery phase {phase!r} of {positions}")
 
     def _flash_crowd(self, spec: FaultSpec) -> None:
         workload = self.workload
@@ -499,13 +415,10 @@ class FaultInjector:
             workload.boost /= spec.factor
 
         self.chain.sim.schedule_callback(spec.duration_s, subside)
-        self._record(f"flash-crowd x{spec.factor:g} for "
-                     f"{spec.duration_s * 1e3:.2f}ms")
+        self._record(_KINDS[spec.kind].text(spec))
 
     def _slow_middlebox(self, spec: FaultSpec) -> None:
-        index = spec.position if spec.position is not None else 0
-        index = min(index, self.chain.n_mboxes - 1)
-        mbox = self.chain.middleboxes[index]
+        mbox = self.chain.middleboxes[spec.position or 0]
         original = mbox.processing_cycles
         base = (original if original is not None
                 else self.chain.costs.processing_cycles)
@@ -515,8 +428,8 @@ class FaultInjector:
             mbox.processing_cycles = original
 
         self.chain.sim.schedule_callback(spec.duration_s, restore)
-        self._record(f"slow-middlebox {mbox.name} x{spec.factor:g} for "
-                     f"{spec.duration_s * 1e3:.2f}ms")
+        self._record(f"slow-middlebox {mbox.name} x{spec.factor:g}"
+                     f"{_window(spec)}")
 
     def _queue_pressure(self, spec: FaultSpec) -> None:
         buffer = self.chain.buffer
@@ -528,26 +441,4 @@ class FaultInjector:
 
         self.chain.sim.schedule_callback(spec.duration_s, restore)
         self._record(f"queue-pressure buffer bound {original} -> "
-                     f"{buffer.max_held} for {spec.duration_s * 1e3:.2f}ms")
-
-    def _arm_recovery_reconfig(self, spec: FaultSpec) -> None:
-        if self.orchestrator is None:
-            raise ValueError(
-                "reconfig-during-recovery faults need an orchestrator")
-        if self._on_recovery_reconfig not in self.orchestrator.recovery_hooks:
-            self.orchestrator.recovery_hooks.append(
-                self._on_recovery_reconfig)
-        self._armed_recovery_reconfigs.append(spec)
-
-    def _on_recovery_reconfig(self, phase: str, positions: List[int]) -> None:
-        from ..core.reconfig import ReconfigOp
-        for spec in list(self._armed_recovery_reconfigs):
-            if (spec.phase or "fetching") != phase:
-                continue
-            self._armed_recovery_reconfigs.remove(spec)
-            op = ReconfigOp.parse(spec.operation)
-            if op is None:
-                continue
-            self.orchestrator.request_reconfig(op)
-            self._record(f"reconfig {spec.operation!r} requested during "
-                         f"recovery phase {phase!r} of {positions}")
+                     f"{buffer.max_held}{_window(spec)}")

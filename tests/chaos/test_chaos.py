@@ -1,15 +1,20 @@
 """Chaos subsystem tests: plans, the monkey, the auditor, short soaks."""
 
+import re
+
 import pytest
 
 from repro.chaos import (
+    ChaosMonkey,
     FaultInjector,
     FaultPlan,
     FaultSpec,
     InvariantAuditor,
+    Scenario,
     ShadowOracle,
     SoakConfig,
     chaos_scenario,
+    run,
     run_soak,
 )
 from repro.chaos import run_schedule as run_scenario_schedule
@@ -17,6 +22,7 @@ from repro.core import FTCChain
 from repro.core.costs import CostModel
 from repro.middlebox import ch_n
 from repro.net import TrafficGenerator, balanced_flows
+from repro.orchestration import Orchestrator
 from repro.sim import Simulator
 
 COSTS = CostModel(cycle_jitter_frac=0.0)
@@ -44,9 +50,12 @@ class TestFaultPlan:
             FaultSpec(kind="crash-during-recovery", position=1)  # needs phase
 
     def test_builder_and_describe(self):
-        plan = (FaultPlan().crash(1, at_s=2e-3)
-                .impair_control(at_s=1e-3, drop_rate=0.5, duration_s=1e-3)
-                .crash_during_recovery(2, "fetching"))
+        plan = FaultPlan([
+            FaultSpec(kind="crash", at_s=2e-3, position=1),
+            FaultSpec(kind="impair-control", at_s=1e-3, drop_rate=0.5,
+                      duration_s=1e-3),
+            FaultSpec(kind="crash-during-recovery", position=2,
+                      phase="fetching")])
         assert len(plan.faults) == 3
         lines = plan.describe()
         assert any("crash p1" in line for line in lines)
@@ -56,7 +65,8 @@ class TestFaultPlan:
     def test_scripted_crashes_fire_at_time(self):
         sim = Simulator()
         chain = build_chain(sim)
-        plan = FaultPlan().crash(1, at_s=2e-3).crash(2, at_s=2e-3)
+        plan = FaultPlan([FaultSpec(kind="crash", at_s=2e-3, position=1),
+                          FaultSpec(kind="crash", at_s=2e-3, position=2)])
         injector = FaultInjector(chain, None, plan)
         injector.start()
         sim.run(until=5e-3)
@@ -67,14 +77,74 @@ class TestFaultPlan:
     def test_scripted_impairment_applies_and_expires(self):
         sim = Simulator()
         chain = build_chain(sim)
-        plan = FaultPlan().impair_control(at_s=1e-3, drop_rate=1.0,
-                                          duration_s=2e-3)
+        plan = FaultPlan([FaultSpec(kind="impair-control", at_s=1e-3,
+                                    drop_rate=1.0, duration_s=2e-3)])
         FaultInjector(chain, None, plan).start()
         sim.run(until=2e-3)
         assert chain.net._impairment is not None
         assert chain.net._impairment.active(sim.now)
         sim.run(until=4e-3)
         assert not chain.net._impairment.active(sim.now)
+
+
+class TestInjectorTargets:
+    """start() checks every spec's target before the run, not mid-run."""
+
+    def test_out_of_range_crash_position_rejected_at_start(self):
+        sim = Simulator()
+        chain = build_chain(sim)
+        plan = FaultPlan([FaultSpec(kind="crash", at_s=1e-3, position=7)])
+        with pytest.raises(ValueError, match="out of range"):
+            FaultInjector(chain, None, plan).start()
+
+    def test_out_of_range_slow_middlebox_rejected_at_start(self):
+        sim = Simulator()
+        chain = build_chain(sim)
+        plan = FaultPlan([FaultSpec(kind="slow-middlebox", at_s=1e-3,
+                                    position=chain.n_mboxes,
+                                    duration_s=1e-3)])
+        with pytest.raises(ValueError, match="out of range"):
+            FaultInjector(chain, None, plan).start()
+
+    def test_crash_during_recovery_without_position_draws_a_safe_victim(self):
+        out = run(Scenario(
+            chain_length=4, f=2, seed=1, costs=COSTS, duration_s=30e-3,
+            drain_s=30e-3, rate_pps=2e4, orchestrators=1,
+            heartbeat_interval_s=1e-3, quiescent=False,
+            faults=(FaultSpec(kind="crash", at_s=5e-3, position=0),
+                    FaultSpec(kind="crash-during-recovery",
+                              phase="fetching"))))
+        first, second = [what for _, what in out.faults]
+        assert first == "crash p0"
+        assert re.fullmatch(
+            r"crash p[123] during recovery phase 'fetching' of \[0\]", second)
+        assert not out.chain.degraded
+
+
+class TestMonkeyTargets:
+    """A weighted kind the monkey cannot target fails at construction."""
+
+    def _chain_and_orchestrator(self):
+        sim = Simulator()
+        chain = build_chain(sim)
+        return chain, Orchestrator(sim, chain)
+
+    def test_flash_crowd_without_workload_rejected(self):
+        chain, orch = self._chain_and_orchestrator()
+        with pytest.raises(ValueError, match="workload"):
+            ChaosMonkey(chain, orch, kind_weights={"crash": 1.0,
+                                                   "flash-crowd": 1.0})
+
+    def test_orch_kind_without_ensemble_rejected(self):
+        chain, orch = self._chain_and_orchestrator()
+        with pytest.raises(ValueError, match="ensemble"):
+            ChaosMonkey(chain, orch, kind_weights={"orch-partition": 1.0})
+
+    def test_kind_the_monkey_cannot_sample_rejected(self):
+        chain, orch = self._chain_and_orchestrator()
+        with pytest.raises(ValueError, match="cannot sample"):
+            ChaosMonkey(chain, orch,
+                        kind_weights={"crash-during-reconfig": 1.0})
 
 
 class TestAuditor:

@@ -60,15 +60,17 @@ class TestOrchFaultSpecs:
             FaultSpec(kind="stale-leader-resume", at_s=1e-3)
 
     def test_plan_builders(self):
-        plan = (FaultPlan()
-                .orch_crash(at_s=1e-3, member=0, restart_after_s=5e-3)
-                .orch_partition(at_s=2e-3, duration_s=4e-3)
-                .stale_leader_resume(at_s=3e-3, duration_s=6e-3))
+        plan = FaultPlan([
+            FaultSpec(kind="orch-crash", at_s=1e-3, member=0,
+                      restart_after_s=5e-3),
+            FaultSpec(kind="orch-partition", at_s=2e-3, duration_s=4e-3),
+            FaultSpec(kind="stale-leader-resume", at_s=3e-3,
+                      duration_s=6e-3)])
         assert [f.kind for f in plan.faults] == list(ORCH_FAULT_KINDS)
 
     def test_injector_requires_ensemble_for_orch_kinds(self):
         sim, chain, _, _ = _harness()
-        plan = FaultPlan().orch_crash(at_s=1e-3)
+        plan = FaultPlan([FaultSpec(kind="orch-crash", at_s=1e-3)])
         with pytest.raises(ValueError, match="ensemble"):
             FaultInjector(chain, None, plan).start()
 
@@ -101,7 +103,8 @@ class TestScriptedScenarios:
         """A scripted leader freeze past its lease: the successor takes
         over and the resumed stale leader's epoch is fenced."""
         sim, chain, ensemble, auditor = _harness(seed=3)
-        plan = FaultPlan().stale_leader_resume(at_s=20e-3, duration_s=30e-3)
+        plan = FaultPlan([FaultSpec(kind="stale-leader-resume", at_s=20e-3,
+                                    duration_s=30e-3)])
         injector = FaultInjector(chain, ensemble, plan, ensemble=ensemble)
         injector.start()
         sim.schedule_callback(25e-3, lambda: chain.fail_position(2))

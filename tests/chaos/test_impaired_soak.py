@@ -40,7 +40,8 @@ class TestFaultSpecValidation:
             FaultSpec(kind=IMPAIRED_DELIVERY, corrupt_rate=-0.1)
 
     def test_plan_builder(self):
-        plan = FaultPlan().impair_data(at_s=2e-3, duration_s=5e-3, **RATES)
+        plan = FaultPlan([FaultSpec(kind=IMPAIRED_DELIVERY, at_s=2e-3,
+                                    duration_s=5e-3, **RATES)])
         assert plan.faults[0].kind == IMPAIRED_DELIVERY
         assert plan.faults[0].duration_s == 5e-3
 

@@ -65,7 +65,8 @@ class TestOverloadSpec:
         with pytest.raises(ValueError, match="factor"):
             FaultSpec(kind="queue-pressure", at_s=1e-3, duration_s=2e-3,
                       factor=0.5)
-        plan = FaultPlan().queue_pressure(at_s=1e-3, duration_s=2e-3)
+        plan = FaultPlan([FaultSpec(kind="queue-pressure", at_s=1e-3,
+                                    duration_s=2e-3, factor=16.0)])
         assert plan.faults[0].kind == "queue-pressure"
 
 

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.chaos import FaultInjector, FaultPlan, ShadowOracle
+from repro.chaos import FaultInjector, FaultPlan, FaultSpec, ShadowOracle
 from repro.chaos.soak import CTRLPLANE_ELECTION, SOAK_COSTS
 from repro.core import FTCChain
 from repro.flight import (
@@ -56,9 +56,10 @@ def _crash_during_recovery_dump(seed=11, capacity=65536):
                                     heartbeat_interval_s=1e-3,
                                     corroborate_suspects=True)
     ensemble.start()
-    plan = (FaultPlan()
-            .crash(position=1, at_s=15e-3)
-            .crash_during_recovery(position=3, phase="fetching"))
+    plan = FaultPlan([
+        FaultSpec(kind="crash", at_s=15e-3, position=1),
+        FaultSpec(kind="crash-during-recovery", position=3,
+                  phase="fetching")])
     injector = FaultInjector(chain, ensemble, plan, seed=seed,
                              ensemble=ensemble)
     injector.start()

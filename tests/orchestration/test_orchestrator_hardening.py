@@ -3,7 +3,7 @@ retries, graceful degradation (the §5.2 robustness envelope)."""
 
 import pytest
 
-from repro.chaos import FaultInjector, FaultPlan
+from repro.chaos import FaultInjector, FaultPlan, FaultSpec
 from repro.core import FTCChain, RECOVERY_PHASES
 from repro.core.costs import CostModel
 from repro.metrics import EgressRecorder
@@ -79,8 +79,10 @@ class TestFailureDuringRecovery:
             sim, regions=["core", "remote", "neighbor", "core"], n=4, f=2)
         TrafficGenerator(sim, chain.ingress, rate_pps=1e5,
                          flows=balanced_flows(8, 2))
-        plan = FaultPlan().crash(1, at_s=0.01)
-        plan.crash_during_recovery(position=3, phase="fetching")
+        plan = FaultPlan([
+            FaultSpec(kind="crash", at_s=0.01, position=1),
+            FaultSpec(kind="crash-during-recovery", position=3,
+                      phase="fetching")])
         injector = FaultInjector(chain, orch, plan)
         injector.start()
         heartbeats_at_crash = []
@@ -111,8 +113,10 @@ class TestFailureDuringRecovery:
             sim, regions=["core", "remote", "neighbor", "core"], n=4, f=2)
         gen = TrafficGenerator(sim, chain.ingress, rate_pps=1e5,
                                flows=balanced_flows(8, 2))
-        plan = FaultPlan().crash(1, at_s=0.01)
-        plan.crash_during_recovery(position=3, phase="fetching")
+        plan = FaultPlan([
+            FaultSpec(kind="crash", at_s=0.01, position=1),
+            FaultSpec(kind="crash-during-recovery", position=3,
+                      phase="fetching")])
         FaultInjector(chain, orch, plan).start()
         sim.run(until=0.55)
         released_mid = chain.total_released()
@@ -128,7 +132,8 @@ class TestSimultaneousFailures:
         chain, orch, _ = _setup(sim, n=4, f=2)
         TrafficGenerator(sim, chain.ingress, rate_pps=1e5,
                          flows=balanced_flows(8, 2))
-        plan = FaultPlan().crash(0, at_s=0.01).crash(2, at_s=0.01)
+        plan = FaultPlan([FaultSpec(kind="crash", at_s=0.01, position=0),
+                          FaultSpec(kind="crash", at_s=0.01, position=2)])
         FaultInjector(chain, orch, plan).start()
         sim.run(until=0.15)
         assert len(orch.history) == 1
@@ -149,7 +154,8 @@ class TestGracefulDegradation:
         TrafficGenerator(sim, chain.ingress, rate_pps=1e5,
                          flows=balanced_flows(8, 2))
         # Positions 1 and 2 are both in monitor2's group: unrecoverable.
-        plan = FaultPlan().crash(1, at_s=0.01).crash(2, at_s=0.01)
+        plan = FaultPlan([FaultSpec(kind="crash", at_s=0.01, position=1),
+                          FaultSpec(kind="crash", at_s=0.01, position=2)])
         FaultInjector(chain, orch, plan).start()
         sim.run(until=0.1)
 
@@ -170,7 +176,8 @@ class TestGracefulDegradation:
         chain, orch, egress = _setup(sim, n=3, f=1)
         gen = TrafficGenerator(sim, chain.ingress, rate_pps=1e5,
                                flows=balanced_flows(8, 2))
-        plan = FaultPlan().crash(1, at_s=0.02).crash(2, at_s=0.02)
+        plan = FaultPlan([FaultSpec(kind="crash", at_s=0.02, position=1),
+                          FaultSpec(kind="crash", at_s=0.02, position=2)])
         FaultInjector(chain, orch, plan).start()
         sim.run(until=0.1)
         gen.stop()

@@ -125,8 +125,7 @@ PARENT_SURFACE = {
         "repro.chaos.auditor":
             "InvariantAuditor InvariantViolation ShadowOracle",
         "repro.chaos.monkey":
-            "CTRLPLANE_KIND_WEIGHTS ChaosMonkey DEFAULT_KIND_WEIGHTS "
-            "OVERLOAD_KIND_WEIGHTS",
+            "CTRLPLANE_KIND_WEIGHTS ChaosMonkey DEFAULT_KIND_WEIGHTS",
         "repro.chaos.plan":
             "FAULT_KINDS FaultInjector FaultPlan FaultSpec "
             "IMPAIRED_DELIVERY ORCH_FAULT_KINDS OVERLOAD_FAULT_KINDS "
