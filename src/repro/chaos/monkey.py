@@ -88,21 +88,21 @@ class ChaosMonkey:
         self.max_faults = max_faults
         self.start_after_s = start_after_s
         self.rng = chain.streams.stream(_SAMPLER_STREAM)
-        self.injector = FaultInjector(chain, orchestrator, FaultPlan(),
-                                      seed=chain.streams.seed,
-                                      ensemble=ensemble)
+        self._injector = FaultInjector(chain, orchestrator, FaultPlan(),
+                                       seed=chain.streams.seed,
+                                       ensemble=ensemble)
         for kind in self.kind_weights:
             if kind not in _SAMPLED:
                 raise ValueError(f"the chaos monkey cannot sample {kind!r} "
                                  f"faults (it samples {', '.join(_SAMPLED)})")
-            self.injector._check(
+            self._injector._check(
                 kind, armed=kind == "crash-during-recovery")
         self._process = None
 
     @property
     def injected(self) -> List[Tuple[float, str]]:
         """(fire time, description) per injected fault."""
-        return self.injector.injected
+        return self._injector.injected
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -149,12 +149,12 @@ class ChaosMonkey:
         """This arrival's spec of ``kind``, or None when it has no target."""
         fields = dict(_SAMPLED[kind], kind=kind, at_s=self.chain.sim.now)
         if kind == "crash":
-            fields["position"] = self.injector._victim(
+            fields["position"] = self._injector._victim(
                 self.orchestrator.recovering_positions)
             if fields["position"] is None:
                 return None  # every further crash would exceed some f
         elif kind == "crash-during-recovery":
-            if self.injector._armed["recovery"]:
+            if self._injector._armed["recovery"]:
                 return None  # one armed crash at a time
         elif kind in ("orch-crash", "orch-partition"):
             member = self._pick_member(require_quorum=kind == "orch-crash")
@@ -176,6 +176,6 @@ class ChaosMonkey:
                 yield sim.timeout(self.rng.expovariate(1.0 / self.mean_interval_s))
                 spec = self._sample(self._pick_kind())
                 if spec is not None:
-                    self.injector._apply(spec)
+                    self._injector._apply(spec)
         except (Interrupt, CancelledError):
             return
