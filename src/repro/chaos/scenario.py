@@ -419,9 +419,10 @@ def run(scenario: Scenario, telemetry=None, profiler=None,
         if step.op is not None:
             sim.schedule_callback(step.at_s, lambda op=step.op: submit(op))
         else:
-            sim.schedule_callback(step.at_s, lambda spec=FaultSpec(
-                kind="crash", at_s=step.at_s, position=step.crash):
-                injector._apply(spec))
+            crash = FaultSpec(kind="crash", at_s=step.at_s,
+                              position=step.crash)
+            sim.schedule_callback(step.at_s,
+                                  lambda spec=crash: injector._apply(spec))
 
     # -- run: periodic audit, stop traffic, heal, drain, final audit ----------
     def periodic_audit():
