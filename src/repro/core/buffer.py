@@ -11,10 +11,9 @@ dependency vectors.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..net.packet import FlowKey, Packet
+from ..net.packet import FlowKey, Packet, PidBitmap
 from ..sim import Simulator
 from ..telemetry import NULL_PROFILER, NULL_TELEMETRY
 from .costs import CostModel, DEFAULT_COSTS
@@ -29,10 +28,11 @@ _FEEDBACK_FLOW = FlowKey(0x0A0000FD, 0x0A0000FC, 0, 0, 0)
 #: like this to keep the 10 GbE dissemination link's pps down).
 _FEEDBACK_MIN_INTERVAL_S = 0.5e-6
 
-#: Packet ids remembered for duplicate suppression (PROTOCOL.md §8).
-#: Sized far above any plausible in-flight population so a duplicate
-#: arriving within the retransmission horizon is always caught.
-_DEDUP_WINDOW = 65536
+#: Pages of packet ids remembered for duplicate suppression
+#: (PROTOCOL.md §8.2): 64 x 2**15 = 2**21 ids in at most 256 KiB, far
+#: above any plausible in-flight population, so a duplicate arriving
+#: within the retransmission horizon is always caught.
+_DEDUP_HORIZON_PAGES = 64
 
 #: Default bound on the held set: past this the buffer sheds load
 #: instead of growing without limit (a wedged commit path must not
@@ -99,7 +99,7 @@ class Buffer:
         #: the packet itself must not be released twice.
         self.duplicates_dropped = 0
         self.overflow_dropped = 0
-        self._seen_pids: "OrderedDict[int, None]" = OrderedDict()
+        self._seen_pids = PidBitmap(_DEDUP_HORIZON_PAGES)
         #: Config-version boundary (PROTOCOL.md §11): while set,
         #: packets stamped with this version or newer park until
         #: :meth:`release_boundary` -- the quiesce barrier guarantees
@@ -128,7 +128,7 @@ class Buffer:
             return 0.0
         self.packets_seen += 1
         cycles = self.costs.buffer_cycles
-        if packet.pid in self._seen_pids:
+        if self._seen_pids.add(packet.pid):
             # Duplicate delivery: everything this message carries was
             # already absorbed (log offers and commit merges are
             # idempotent), so the whole packet is a no-op -- and
@@ -142,9 +142,6 @@ class Buffer:
                     chain=f"pid:{packet.pid}")
             self.cycles_spent += cycles
             return cycles
-        self._seen_pids[packet.pid] = None
-        if len(self._seen_pids) > _DEDUP_WINDOW:
-            self._seen_pids.popitem(last=False)
         # 1. Absorb commit vectors (including any this packet carried
         #    from the final tail) before evaluating release conditions.
         for mbox, commit in message.commits.items():

@@ -8,6 +8,7 @@ window, and latency as the average of samples in an interval.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional, Tuple
 
 from ..net.packet import Packet
@@ -82,7 +83,7 @@ class LatencySampler:
     def __init__(self, sim: Simulator, name: str = "latency"):
         self.sim = sim
         self.name = name
-        self.samples: List[float] = []
+        self.samples = array("d")
         self._accept_after = 0.0
 
     def start_after(self, time: float) -> None:

@@ -77,6 +77,19 @@ class TestDuplicateHandle:
         assert released == [pkt]
         assert buf.duplicates_dropped == 1
 
+    def test_late_duplicate_not_released_twice(self):
+        """A duplicate that trails 65,536 fresh packets is still caught."""
+        sim = Simulator()
+        released = []
+        buf = _buffer(sim, released)
+        pkt = _pkt(pid=1)
+        buf.handle(pkt, PiggybackMessage(COSTS))
+        for pid in range(2, 2 + 65_536):
+            buf.handle(_pkt(pid=pid), PiggybackMessage(COSTS))
+        buf.handle(pkt, PiggybackMessage(COSTS))
+        assert released.count(pkt) == 1
+        assert buf.duplicates_dropped == 1
+
     def test_held_packet_not_held_twice(self):
         sim = Simulator()
         released = []
