@@ -12,8 +12,8 @@ Three layers (see PROTOCOL.md, "Failure model & chaos testing"):
 - **Audit**: :class:`InvariantAuditor` checking the §4/§5 invariants
   against a :class:`ShadowOracle`; :class:`Scenario` + :func:`run`,
   the one audited run loop every soak, bench scenario and extension
-  experiment goes through; and the soak harness behind
-  ``python -m repro chaos``.
+  experiment goes through; and :func:`run_soak`, which runs a list of
+  scenarios -- the soak ``python -m repro chaos`` builds from its flags.
 """
 
 from .._lazy import surface
@@ -30,9 +30,8 @@ __getattr__, __dir__, __all__ = surface(__name__, {
     ),
     "scenario": ("CHECKS", "Monkey", "Run", "Scenario", "Step", "run"),
     "soak": (
-        "OverloadSpec", "ScheduleResult", "SoakConfig", "SoakResult",
-        "chaos_scenario", "ctrlplane_scenario", "impaired_scenario",
-        "overload_scenario", "reconfig_scenario", "run_schedule", "run_soak",
-        "soak_scenario",
+        "OverloadSpec", "SoakResult", "chaos_scenario", "ctrlplane_scenario",
+        "impaired_scenario", "overload_scenario", "reconfig_scenario",
+        "run_soak",
     ),
 })

@@ -5,17 +5,18 @@ under FTC, traffic, and an adversary (a :class:`ChaosMonkey`, or a
 scripted fault plan and reconfiguration steps) -- run by
 :func:`~.scenario.run`, which audits the §4/§5 invariants periodically
 and once more at the end and reports every violation.  The five
-``*_scenario`` functions are the soak kinds; a *soak* sweeps many
-schedules over (chain length, f) combinations, each derived
-deterministically from the base seed -- a red schedule is reproduced
-bit-for-bit by ``python -m repro chaos --seed N``.
+``*_scenario`` functions are the soak kinds, and a *soak* is a list of
+scenarios run by :func:`run_soak`.  ``repro chaos`` builds that list
+from its flags, sweeping (chain length, f) with each schedule seeded
+from the base seed -- a red schedule is reproduced bit-for-bit by
+``python -m repro chaos --seed N``.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence
 
 from ..core.costs import CostModel
 from ..core.reconfig import ClassifierRule, ClassifierSet, ReconfigOp
@@ -29,11 +30,9 @@ from .monkey import CTRLPLANE_KIND_WEIGHTS
 from .plan import IMPAIRED_DELIVERY, FaultSpec
 from .scenario import CTRLPLANE_ELECTION, Monkey, Run, Scenario, Step, run
 
-__all__ = ["SoakConfig", "ScheduleResult", "SoakResult", "run_schedule",
-           "run_soak", "chaos_scenario", "impaired_scenario",
+__all__ = ["SoakResult", "run_soak", "chaos_scenario", "impaired_scenario",
            "ctrlplane_scenario", "reconfig_scenario", "overload_scenario",
-           "soak_scenario", "CTRLPLANE_ELECTION", "OverloadSpec",
-           "OVERLOAD_COSTS"]
+           "CTRLPLANE_ELECTION", "OverloadSpec", "OVERLOAD_COSTS"]
 
 #: Deterministic cost model: chaos schedules must be a pure function of
 #: the seed, so processing-time jitter is turned off.
@@ -155,185 +154,72 @@ class OverloadSpec:
 
 
 @dataclass
-class SoakConfig:
-    """Sweep parameters for :func:`run_soak`.
-
-    The mode fields pick the soak kind (:func:`soak_scenario`); a
-    combination no kind honours is a ``ValueError`` here, never a
-    silently ignored field.
-    """
-
-    seed: int = 0
-    schedules: int = 50
-    faults_per_schedule: int = 3
-    chain_lengths: Sequence[int] = (2, 3, 4, 5)
-    f_values: Sequence[int] = (1, 2)
-    duration_s: float = 60e-3
-    rate_pps: float = 2e4
-    heartbeat_interval_s: float = 1e-3
-    mean_fault_interval_s: float = 8e-3
-    #: Collect per-schedule recovery timelines and an aggregate metric
-    #: registry (purely observational; schedules stay bit-identical).
-    telemetry: bool = False
-    #: Data-plane impairment rates ``(drop, dup, reorder, corrupt)``.
-    #: When set, the soak runs :func:`impaired_scenario` instead:
-    #: reliable links + lossy data plane + exactly-once egress checks.
-    impair_data: Optional[Tuple[float, float, float, float]] = None
-    #: Orchestrator replicas.  ``> 1`` runs :func:`ctrlplane_scenario`
-    #: (or the reconfig/overload kind under an ensemble): a leader-
-    #: elected ensemble with epoch fencing replaces the single
-    #: orchestrator (PROTOCOL.md §9).
-    orchestrators: int = 1
-    #: With ``orchestrators > 1``: also let the monkey crash, partition,
-    #: and pause ensemble members (the ``orch-*`` fault kinds).
-    orch_faults: bool = False
-    #: Live-reconfiguration soak (PROTOCOL.md §11): each schedule runs
-    #: a scripted sequence of reconfigurations (classifier, rescale,
-    #: migrate, insert, remove) under traffic + lossy links, asserting
-    #: zero loss and zero reorder end to end.
-    reconfig: bool = False
-    #: With ``reconfig``: also crash positions mid-reconfiguration
-    #: (aborts are exercised; the zero-loss assertion is waived since a
-    #: crash inherently loses in-flight packets -- invariants only).
-    reconfig_crashes: bool = False
-    #: Record a causal flight log per schedule (implies telemetry for
-    #: that schedule); an invariant violation auto-dumps it to
-    #: ``flight_dump_dir/flight-<index>.json`` for ``repro explain``.
-    flight: bool = False
-    flight_dump_dir: str = "flight-dumps"
-    #: Overload soak (PROTOCOL.md §12): each schedule drives a
-    #: flash-crowd workload through admission control + backpressure +
-    #: brownout and audits the overload invariants (no in-chain drop,
-    #: queues within bounds, shed conservation, goodput floor).
-    overload: Optional[OverloadSpec] = None
-
-    def __post_init__(self):
-        if self.orchestrators < 1:
-            raise ValueError("orchestrators must be >= 1")
-        if self.orch_faults and self.orchestrators < 2:
-            raise ValueError("orch_faults needs orchestrators >= 2 "
-                             "(no ensemble to attack)")
-        if self.impair_data is not None and self.orchestrators > 1:
-            raise ValueError("impair_data and orchestrators are separate "
-                             "soak modes; pick one")
-        if self.reconfig and self.impair_data is not None:
-            raise ValueError("reconfig runs its own impairment window; "
-                             "drop impair_data")
-        if self.reconfig_crashes and not self.reconfig:
-            raise ValueError("reconfig_crashes needs reconfig")
-        if self.overload is not None:
-            if self.impair_data is not None or self.reconfig:
-                raise ValueError("overload is its own soak mode; drop "
-                                 "impair_data/reconfig")
-            if self.orchestrators > 1 and self.overload.orchestrators == 1:
-                self.overload = replace(self.overload,
-                                        orchestrators=self.orchestrators)
-
-
-@dataclass
-class ScheduleResult:
-    """Outcome of one randomized schedule."""
-
-    index: int
-    seed: int
-    chain_length: int
-    f: int
-    faults: List[Tuple[float, str]] = field(default_factory=list)
-    violations: List[InvariantViolation] = field(default_factory=list)
-    released: int = 0
-    failures_detected: int = 0
-    recoveries: int = 0
-    degraded: bool = False
-    #: Structured recovery timeline (event dicts), when telemetry ran.
-    timeline: List[dict] = field(default_factory=list)
-    #: Impaired schedules only (PROTOCOL.md §8): offered load, per-hop
-    #: retransmissions, and the exact egress pid order for determinism
-    #: regression (two runs of one seed must agree bit-for-bit).
-    sent: int = 0
-    retransmissions: int = 0
-    egress_pids: Optional[List[int]] = None
-    #: Control-plane schedules only (PROTOCOL.md §9): elections won
-    #: across the run and stale commands the epoch gate rejected.
-    elections: int = 0
-    fenced_commands: int = 0
-    #: Reconfig schedules only (PROTOCOL.md §11).
-    reconfigs_committed: int = 0
-    reconfigs_aborted: int = 0
-    #: Overload schedules only (PROTOCOL.md §12): admission ledger,
-    #: end-to-end goodput, and the brownout transition count.
-    offered: int = 0
-    admitted: int = 0
-    shed: int = 0
-    goodput_pps: float = 0.0
-    brownout_transitions: int = 0
-    #: Path of the flight dump written for this schedule (flight soaks
-    #: that tripped an invariant only).
-    flight_dump: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-@dataclass
 class SoakResult:
-    """Aggregate outcome of a soak run."""
+    """Aggregate outcome of a soak: the :class:`Run` of every schedule."""
 
-    config: SoakConfig
-    schedules: List[ScheduleResult] = field(default_factory=list)
+    runs: List[Run] = field(default_factory=list)
     #: Metric registry merged across schedules (telemetry runs only).
     registry: Optional[MetricRegistry] = None
 
     @property
     def violations(self) -> List[InvariantViolation]:
-        return [v for s in self.schedules for v in s.violations]
+        return [v for out in self.runs for v in out.violations]
 
     @property
     def faults_injected(self) -> int:
-        return sum(len(s.faults) for s in self.schedules)
+        return sum(len(out.faults) for out in self.runs)
 
     @property
     def ok(self) -> bool:
-        return all(s.ok for s in self.schedules)
+        return not self.violations
+
+    @property
+    def flight_dumps(self) -> List[str]:
+        """Dump paths of the schedules whose flight recorder tripped."""
+        flights = [out.chain.telemetry.flight for out in self.runs]
+        return [flight.autodump_path for flight in flights if flight.trips]
 
     def summary(self) -> str:
+        runs = self.runs
         lines = [
-            f"chaos soak: {len(self.schedules)} schedules, "
+            f"chaos soak: {len(runs)} schedules, "
             f"{self.faults_injected} faults injected, "
-            f"{sum(s.failures_detected for s in self.schedules)} failures "
-            f"detected, {sum(s.recoveries for s in self.schedules)} "
+            f"{sum(len(out.failures) for out in runs)} failures detected, "
+            f"{sum(e.recovered for out in runs for e in out.failures)} "
             f"recoveries, {len(self.violations)} invariant violations",
         ]
-        reconfigs = sum(s.reconfigs_committed for s in self.schedules)
-        if reconfigs or any(s.reconfigs_aborted for s in self.schedules):
+        reports = [r for out in runs for r in out.reconfigs]
+        committed = sum(1 for r in reports if r.committed)
+        aborted = sum(1 for r in reports if r.aborted)
+        if committed or aborted:
+            lines.append(f"  reconfigurations: {committed} committed, "
+                         f"{aborted} aborted")
+        gates = [out.admission for out in runs if out.admission]
+        shed = sum(gate.shed for gate in gates)
+        if shed or any(gate.offered for gate in gates):
+            transitions = sum(len(out.brownout.transitions)
+                              for out in runs if out.brownout)
             lines.append(
-                f"  reconfigurations: {reconfigs} committed, "
-                f"{sum(s.reconfigs_aborted for s in self.schedules)} "
-                f"aborted")
-        shed = sum(s.shed for s in self.schedules)
-        if shed or any(s.offered for s in self.schedules):
-            lines.append(
-                f"  overload: {sum(s.offered for s in self.schedules)} "
-                f"offered, {sum(s.admitted for s in self.schedules)} "
+                f"  overload: {sum(gate.offered for gate in gates)} "
+                f"offered, {sum(gate.admitted for gate in gates)} "
                 f"admitted, {shed} shed at ingress, "
-                f"{sum(s.brownout_transitions for s in self.schedules)} "
-                f"brownout transitions")
-        elections = sum(s.elections for s in self.schedules)
+                f"{transitions} brownout transitions")
+        ensembles = [out.ensemble for out in runs if out.ensemble]
+        elections = sum(len(e.election_log) for e in ensembles)
         if elections:
             lines.append(
                 f"  control plane: {elections} elections, "
-                f"{sum(s.fenced_commands for s in self.schedules)} "
+                f"{sum(e.gate.fenced_commands for e in ensembles)} "
                 f"stale commands fenced")
-        for schedule in self.schedules:
-            if schedule.ok:
+        for index, out in enumerate(runs):
+            if not out.violations:
                 continue
-            lines.append(
-                f"  FAIL schedule {schedule.index} "
-                f"(seed={schedule.seed}, Ch-{schedule.chain_length}, "
-                f"f={schedule.f}):")
-            for violation in schedule.violations:
+            sc = out.scenario
+            lines.append(f"  FAIL schedule {index} (seed={sc.seed}, "
+                         f"Ch-{sc.chain_length}, f={sc.f}):")
+            for violation in out.violations:
                 lines.append(f"    {violation}")
-            for when, what in schedule.faults:
+            for when, what in out.faults:
                 lines.append(f"    fault @ {when * 1e3:.2f}ms: {what}")
         return "\n".join(lines)
 
@@ -552,96 +438,32 @@ def overload_scenario(seed: int, chain_length: int = 3, f: int = 1,
         context=(("schedule", index), ("overload", spec.describe())))
 
 
-def _schedule(out: Run) -> ScheduleResult:
-    """Read one finished :class:`Run` into a :class:`ScheduleResult`."""
-    sc = out.scenario
-    ensemble, admission = out.ensemble, out.admission
-    return ScheduleResult(
-        index=dict(sc.context).get("schedule", 0), seed=sc.seed,
-        chain_length=sc.chain_length, f=sc.f, faults=list(out.faults),
-        violations=out.violations, released=out.oracle.released,
-        failures_detected=len(out.failures),
-        recoveries=sum(1 for e in out.failures if e.recovered),
-        degraded=out.chain.degraded,
-        timeline=out.chain.telemetry.timeline.as_dicts(),
-        sent=out.generator.sent,
-        retransmissions=out.chain.channel_stats().get("retransmissions", 0),
-        egress_pids=(list(out.oracle.order) if out.oracle.track_order
-                     else None),
-        elections=len(ensemble.election_log) if ensemble else 0,
-        fenced_commands=ensemble.gate.fenced_commands if ensemble else 0,
-        reconfigs_committed=sum(1 for r in out.reconfigs if r.committed),
-        reconfigs_aborted=sum(1 for r in out.reconfigs if r.aborted),
-        offered=admission.offered if admission else 0,
-        admitted=admission.admitted if admission else 0,
-        shed=admission.shed if admission else 0,
-        goodput_pps=out.oracle.released / sc.duration_s,
-        brownout_transitions=(len(out.brownout.transitions)
-                              if out.brownout else 0))
+def run_soak(scenarios: Sequence[Scenario], *, telemetry: bool = False,
+             flight_dir: Optional[str] = None, progress=None) -> SoakResult:
+    """Run each schedule -- any ``*_scenario`` above -- in order.
 
-
-def run_schedule(scenario: Scenario, telemetry=None) -> ScheduleResult:
-    """Run one schedule -- any ``*_scenario`` above -- to its result."""
-    return _schedule(run(scenario, telemetry=telemetry))
-
-
-def soak_scenario(config: SoakConfig, index: int) -> Scenario:
-    """Schedule ``index`` of a soak: round-robin over the (chain length,
-    f) grid, seeded from ``config.seed``, of the kind the config selects."""
-    grid = [(n, f) for n in config.chain_lengths for f in config.f_values]
-    chain_length, f = grid[index % len(grid)]
-    common = dict(seed=config.seed * 10_000 + index,
-                  chain_length=chain_length, f=f, index=index,
-                  heartbeat_interval_s=config.heartbeat_interval_s)
-    if config.overload is not None:
-        return overload_scenario(spec=config.overload,
-                                 duration_s=max(config.duration_s, 120e-3),
-                                 **common)
-    common["rate_pps"] = config.rate_pps
-    if config.reconfig:
-        return reconfig_scenario(duration_s=max(config.duration_s, 80e-3),
-                                 crashes=config.reconfig_crashes,
-                                 orchestrators=config.orchestrators, **common)
-    common["duration_s"] = config.duration_s
-    if config.impair_data is not None:
-        drop, dup, reorder, corrupt = config.impair_data
-        return impaired_scenario(drop_rate=drop, dup_rate=dup,
-                                 reorder_rate=reorder, corrupt_rate=corrupt,
-                                 **common)
-    common.update(max_faults=config.faults_per_schedule,
-                  mean_fault_interval_s=config.mean_fault_interval_s)
-    if config.orchestrators > 1:
-        return ctrlplane_scenario(orchestrators=config.orchestrators,
-                                  orch_faults=config.orch_faults, **common)
-    return chaos_scenario(**common)
-
-
-def run_soak(config: Optional[SoakConfig] = None,
-             progress=None) -> SoakResult:
-    """Run ``config.schedules`` schedules of :func:`soak_scenario`."""
-    config = config or SoakConfig()
-    result = SoakResult(config=config)
-    if config.telemetry:
-        result.registry = MetricRegistry()
-    if config.flight:
-        os.makedirs(config.flight_dump_dir, exist_ok=True)
-    for index in range(config.schedules):
-        scenario = soak_scenario(config, index)
+    ``telemetry`` merges every schedule's metrics into one registry;
+    ``flight_dir`` records a flight log per schedule, auto-dumped to
+    ``flight_dir/flight-<index>.json`` when an invariant trips (for
+    ``repro explain``).  ``progress(run)`` sees each finished run.
+    """
+    result = SoakResult(registry=MetricRegistry() if telemetry else None)
+    if flight_dir is not None:
+        os.makedirs(flight_dir, exist_ok=True)
+    for index, scenario in enumerate(scenarios):
         flight = None
-        if config.flight:
+        if flight_dir is not None:
             flight = FlightRecorder(autodump_path=os.path.join(
-                config.flight_dump_dir, f"flight-{index}.json"))
+                flight_dir, f"flight-{index}.json"))
             flight.set_context(seed=scenario.seed, schedule=index,
                                chain_length=scenario.chain_length,
                                f=scenario.f)
-        telemetry = (Telemetry(flight=flight)
-                     if config.telemetry or config.flight else None)
-        schedule = run_schedule(scenario, telemetry=telemetry)
-        if telemetry is not None and result.registry is not None:
-            result.registry.merge(telemetry.registry)
-        if flight is not None and flight.trips:
-            schedule.flight_dump = flight.autodump_path
-        result.schedules.append(schedule)
+        bundle = (Telemetry(flight=flight)
+                  if telemetry or flight is not None else None)
+        out = run(scenario, telemetry=bundle)
+        if result.registry is not None:
+            result.registry.merge(bundle.registry)
+        result.runs.append(out)
         if progress is not None:
-            progress(schedule)
+            progress(out)
     return result

@@ -28,8 +28,10 @@ SLO watchdog and renders a self-contained markdown run report.
 from __future__ import annotations
 
 import argparse
-import re
+import itertools
 import sys
+from dataclasses import replace
+from functools import partial
 from typing import List
 
 __all__ = ["main"]
@@ -116,16 +118,18 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="base seed (reproduces a soak bit-for-bit)")
     chaos.add_argument("--schedules", type=int, default=50,
                        help="randomized schedules to run")
-    chaos.add_argument("--faults", type=int, default=3,
-                       help="faults injected per schedule")
+    chaos.add_argument("--faults", type=int, default=None,
+                       help="faults injected per schedule (default 3)")
     chaos.add_argument("--lengths", default="2,3,4,5",
                        help="comma-separated Ch-n chain lengths")
     chaos.add_argument("--f-values", default="1,2", dest="f_values",
                        help="comma-separated f values to sweep")
-    chaos.add_argument("--duration", type=float, default=60e-3,
-                       help="simulated seconds per schedule")
-    chaos.add_argument("--rate", type=float, default=2e4,
-                       help="offered load in packets/second")
+    chaos.add_argument("--duration", type=float, default=None,
+                       help="simulated seconds per schedule (default 0.06;"
+                            " at least 0.08 with --reconfig, 0.12 with "
+                            "--overload, and those are their defaults)")
+    chaos.add_argument("--rate", type=float, default=None,
+                       help="offered load in packets/second (default 2e4)")
     chaos.add_argument("-v", "--verbose", action="store_true",
                        help="print each schedule as it completes")
     chaos.add_argument("--telemetry", action="store_true",
@@ -540,89 +544,114 @@ def _parse_int_list(text: str, option: str) -> List[int]:
 
 
 def _cmd_chaos(args) -> int:
-    from .chaos import OverloadSpec, SoakConfig, run_soak
+    from .chaos import (OverloadSpec, chaos_scenario, ctrlplane_scenario,
+                        impaired_scenario, overload_scenario,
+                        reconfig_scenario, run_soak)
     from .metrics import format_table
 
-    overload = None
+    overload = impair = None
     if args.overload is not None:
         try:
             overload = OverloadSpec.parse(args.overload)
         except ValueError as err:
             raise SystemExit(f"repro chaos: bad --overload: {err}")
-    impair_data = None
     if args.impair_data:
-        spec = _parse_impairment(args.impair_data, "repro chaos")
-        impair_data = (spec.drop_rate, spec.dup_rate, spec.reorder_rate,
-                       spec.corrupt_rate)
-    try:
-        config = SoakConfig(
-            seed=args.seed, schedules=args.schedules,
-            faults_per_schedule=args.faults,
-            chain_lengths=_parse_int_list(args.lengths, "--lengths"),
-            f_values=_parse_int_list(args.f_values, "--f-values"),
-            duration_s=args.duration, rate_pps=args.rate,
-            telemetry=args.telemetry, impair_data=impair_data,
-            orchestrators=args.orchestrators, orch_faults=args.orch_faults,
-            reconfig=args.reconfig, reconfig_crashes=args.reconfig_crashes,
-            flight=bool(args.flight),
-            flight_dump_dir=args.flight or "flight-dumps",
-            overload=overload)
-    except ValueError as err:
-        # SoakConfig owns the mode rules and names its fields; say the
-        # same thing in flags (orch_faults -> --orch-faults).
-        raise SystemExit("repro chaos: " + re.sub(
-            r"\b(orchestrators|orch_faults|impair_data|reconfig_crashes"
-            r"|reconfig|overload)\b",
-            lambda m: "--" + m.group().replace("_", "-"), str(err)))
-    if config.overload is not None:
-        print(f"overload soak: {config.overload.describe()}")
-    if impair_data:
-        print(f"data impairment: {spec.describe()}")
+        impair = _parse_impairment(args.impair_data, "repro chaos")
+    grid = [(n, f) for n in _parse_int_list(args.lengths, "--lengths")
+            for f in _parse_int_list(args.f_values, "--f-values")]
+    # A flag takes effect or is an error, never silently ignored.
+    modes = [flag for flag, on in (("--overload", overload), ("--reconfig",
+             args.reconfig), ("--impair-data", impair)) if on]
+    mode, orch = (modes or [None])[0], args.orchestrators
+    floor = {"--reconfig": 80e-3, "--overload": 120e-3}.get(mode)
+    for broken, message in [
+            (modes[1:], " and ".join(modes) + " are separate soak modes"),
+            (orch < 1, "--orchestrators must be >= 1"),
+            (args.orch_faults and orch < 2,
+             "--orch-faults needs --orchestrators >= 2 (no ensemble)"),
+            (impair and orch > 1,
+             "--impair-data and --orchestrators are separate soak modes"),
+            (args.reconfig_crashes and not args.reconfig,
+             "--reconfig-crashes needs --reconfig"),
+            (mode and (args.faults is not None or args.orch_faults),
+             f"--faults and --orch-faults tune the monkey; {mode} has none"),
+            (overload and args.rate is not None,
+             "--rate has no effect under --overload (SPEC sets the load)"),
+            (floor and args.duration is not None and args.duration < floor,
+             f"{mode} needs --duration >= {floor}")]:
+        if broken:
+            raise SystemExit(f"repro chaos: {message}")
+    # An unset flag takes the soak kind's own default.
+    given = {name: value for name, value in (
+        ("max_faults", args.faults), ("duration_s", args.duration),
+        ("rate_pps", args.rate)) if value is not None}
+    if overload is not None:
+        if orch > 1 and overload.orchestrators == 1:
+            overload = replace(overload, orchestrators=orch)
+        kind = partial(overload_scenario, spec=overload)
+        print(f"overload soak: {overload.describe()}")
+    elif args.reconfig:
+        kind = partial(reconfig_scenario, crashes=args.reconfig_crashes,
+                       orchestrators=orch)
+    elif impair is not None:
+        kind = partial(impaired_scenario, **{
+            name: getattr(impair, name) for name in
+            ("drop_rate", "dup_rate", "reorder_rate", "corrupt_rate")})
+        print(f"data impairment: {impair.describe()}")
+    elif orch > 1:
+        kind = partial(ctrlplane_scenario, orchestrators=orch, max_faults=3,
+                       orch_faults=args.orch_faults, duration_s=60e-3,
+                       mean_fault_interval_s=8e-3)
+    else:
+        kind = chaos_scenario
+    scenarios = [kind(seed=args.seed * 10_000 + i, chain_length=n, f=f,
+                      index=i, **given) for i, (n, f) in
+                 zip(range(args.schedules), itertools.cycle(grid))]
 
-    def progress(schedule):
-        status = "ok" if schedule.ok else "FAIL"
-        extra = (f"{schedule.retransmissions} retransmitted, "
-                 if impair_data else "")
+    def progress(out):
+        sc, stats = out.scenario, out.chain.channel_stats()
+        extra = (f"{stats.get('retransmissions', 0)} retransmitted, "
+                 if impair else "")
         if overload is not None:
-            extra += (f"{schedule.shed} shed, "
-                      f"{schedule.brownout_transitions} brownout, "
-                      f"{schedule.goodput_pps:.0f}pps, ")
-        if args.orchestrators > 1:
-            extra += (f"{schedule.elections} elections, "
-                      f"{schedule.fenced_commands} fenced, ")
-        print(f"  schedule {schedule.index:3d} seed={schedule.seed} "
-              f"Ch-{schedule.chain_length} f={schedule.f}: "
-              f"{len(schedule.faults)} faults, "
-              f"{schedule.failures_detected} detected, "
-              f"{schedule.recoveries} recovered, {extra}"
-              f"{schedule.released} released -> {status}")
+            extra += (f"{out.admission.shed} shed, "
+                      f"{len(out.brownout.transitions)} brownout, "
+                      f"{out.oracle.released / sc.duration_s:.0f}pps, ")
+        if orch > 1:
+            extra += (f"{len(out.ensemble.election_log)} elections, "
+                      f"{out.ensemble.gate.fenced_commands} fenced, ")
+        print(f"  schedule {dict(sc.context)['schedule']:3d} "
+              f"seed={sc.seed} Ch-{sc.chain_length} f={sc.f}: "
+              f"{len(out.faults)} faults, {len(out.failures)} detected, "
+              f"{sum(e.recovered for e in out.failures)} recovered, "
+              f"{extra}{out.oracle.released} released -> "
+              f"{'FAIL' if out.violations else 'ok'}")
 
-    result = run_soak(config, progress=progress if args.verbose else None)
+    result = run_soak(scenarios, telemetry=args.telemetry,
+                      flight_dir=args.flight or None,
+                      progress=progress if args.verbose else None)
+    runs = result.runs
     print(result.summary())
-    if impair_data:
-        total_retrans = sum(s.retransmissions for s in result.schedules)
-        total_sent = sum(s.sent for s in result.schedules)
-        print(f"data-plane reliability: {total_sent} offered, "
-              f"{sum(s.released for s in result.schedules)} released, "
-              f"{total_retrans} hop retransmissions")
-    if args.telemetry and result.registry is not None:
+    if impair is not None:
+        resent = sum(out.chain.channel_stats().get("retransmissions", 0)
+                     for out in runs)
+        print(f"data-plane reliability: "
+              f"{sum(out.generator.sent for out in runs)} offered, "
+              f"{sum(out.oracle.released for out in runs)} released, "
+              f"{resent} hop retransmissions")
+    if result.registry is not None:
         rows = result.registry.rows()
         if rows:
-            print()
-            print(format_table(
+            print("\n" + format_table(
                 ["metric", "type", "count/value", "mean", "p50", "p99",
                  "max"], rows, title="telemetry summary (all schedules)"))
-        events = sum(len(s.timeline) for s in result.schedules)
+        events = sum(len(out.chain.telemetry.timeline.events)
+                     for out in runs)
         print(f"recovery timelines: {events} events across "
-              f"{len(result.schedules)} schedules")
+              f"{len(runs)} schedules")
     if args.flight:
-        dumps = [s.flight_dump for s in result.schedules if s.flight_dump]
-        if dumps:
-            print("flight dumps (invariant trips):")
-            for path in dumps:
-                print(f"  {path}")
-        else:
-            print("no invariant trips; no flight dumps written")
+        print("\n  ".join(["flight dumps (invariant trips):",
+                            *result.flight_dumps]) if result.flight_dumps
+              else "no invariant trips; no flight dumps written")
     return 0 if result.ok else 1
 
 

@@ -28,7 +28,7 @@ class Telemetry:
                                        max_events=max_trace_events)
         self.timeline = RecoveryTimeline()
         #: Causal flight recorder (PR 5); NULL_FLIGHT unless a run opts
-        #: in with ``--flight`` / ``SoakConfig.flight``.
+        #: in with ``--flight`` / ``run_soak(flight_dir=...)``.
         self.flight = flight if flight is not None else NULL_FLIGHT
         #: Per-stage cost attribution (PROTOCOL.md §13); NULL_PROFILER
         #: unless a perf run passes a StageProfiler.

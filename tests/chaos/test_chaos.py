@@ -12,12 +12,10 @@ from repro.chaos import (
     InvariantAuditor,
     Scenario,
     ShadowOracle,
-    SoakConfig,
     chaos_scenario,
     run,
     run_soak,
 )
-from repro.chaos import run_schedule as run_scenario_schedule
 from repro.core import FTCChain
 from repro.core.costs import CostModel
 from repro.middlebox import ch_n
@@ -28,8 +26,8 @@ from repro.sim import Simulator
 COSTS = CostModel(cycle_jitter_frac=0.0)
 
 
-def run_schedule(**params):
-    return run_scenario_schedule(chaos_scenario(**params))
+def run_chaos(**params):
+    return run(chaos_scenario(**params))
 
 
 def build_chain(sim, n=3, f=1, seed=0, oracle=None):
@@ -222,18 +220,18 @@ class TestAuditor:
 
 class TestMonkeyAndSoak:
     def test_schedule_is_seed_deterministic(self):
-        a = run_schedule(seed=42, chain_length=3, f=1, max_faults=2,
+        a = run_chaos(seed=42, chain_length=3, f=1, max_faults=2,
                          duration_s=40e-3)
-        b = run_schedule(seed=42, chain_length=3, f=1, max_faults=2,
+        b = run_chaos(seed=42, chain_length=3, f=1, max_faults=2,
                          duration_s=40e-3)
         assert a.faults == b.faults
-        assert a.released == b.released
-        assert a.failures_detected == b.failures_detected
+        assert a.oracle.released == b.oracle.released
+        assert len(a.failures) == len(b.failures)
 
     def test_different_seeds_differ(self):
-        a = run_schedule(seed=1, chain_length=4, f=1, max_faults=3,
+        a = run_chaos(seed=1, chain_length=4, f=1, max_faults=3,
                          duration_s=40e-3)
-        b = run_schedule(seed=2, chain_length=4, f=1, max_faults=3,
+        b = run_chaos(seed=2, chain_length=4, f=1, max_faults=3,
                          duration_s=40e-3)
         assert a.faults != b.faults
 
@@ -241,17 +239,18 @@ class TestMonkeyAndSoak:
         """With the safety gate on, no schedule ever degrades the chain:
         every injected crash stays within every group's f budget."""
         for seed in range(5):
-            result = run_schedule(seed=seed, chain_length=3, f=1,
+            result = run_chaos(seed=seed, chain_length=3, f=1,
                                   max_faults=4, duration_s=50e-3)
-            assert not result.degraded
+            assert not result.chain.degraded
             assert result.violations == []
 
     def test_short_soak_zero_violations(self):
-        config = SoakConfig(seed=7, schedules=6, faults_per_schedule=2,
-                            chain_lengths=(2, 3), f_values=(1, 2),
-                            duration_s=30e-3)
-        result = run_soak(config)
-        assert len(result.schedules) == 6
+        grid = [(2, 1), (2, 2), (3, 1), (3, 2)]
+        result = run_soak([
+            chaos_scenario(seed=70_000 + i, chain_length=n, f=f,
+                           max_faults=2, duration_s=30e-3, index=i)
+            for i, (n, f) in enumerate(grid + grid[:2])])
+        assert len(result.runs) == 6
         assert result.ok, result.summary()
         assert result.faults_injected > 0
         assert "0 invariant violations" in result.summary()

@@ -21,7 +21,7 @@ from repro.chaos import (
     ShadowOracle,
     chaos_scenario,
     ctrlplane_scenario,
-    run_schedule,
+    run,
 )
 from repro.chaos.soak import CTRLPLANE_ELECTION, SOAK_COSTS
 from repro.core import FTCChain
@@ -31,7 +31,7 @@ from repro.sim import Simulator
 
 
 def run_ctrlplane_schedule(**params):
-    return run_schedule(ctrlplane_scenario(**params))
+    return run(ctrlplane_scenario(**params))
 
 
 def _harness(seed=7, n=3):
@@ -126,15 +126,17 @@ class TestCtrlplaneSoak:
         for seed in range(4):
             result = run_ctrlplane_schedule(seed=seed, duration_s=80e-3)
             assert result.violations == [], (seed, result.violations)
-            assert result.elections >= 1
-            fenced += result.fenced_commands
+            assert len(result.ensemble.election_log) >= 1
+            fenced += result.ensemble.gate.fenced_commands
         assert fenced > 0, "no stale command was ever fenced"
 
     def test_same_seed_is_bit_identical(self):
         def fingerprint(result):
-            return (result.faults, result.elections, result.fenced_commands,
-                    result.failures_detected, result.recoveries,
-                    result.released, result.degraded,
+            ensemble = result.ensemble
+            return (result.faults, len(ensemble.election_log),
+                    ensemble.gate.fenced_commands, len(result.failures),
+                    sum(e.recovered for e in result.failures),
+                    result.oracle.released, result.chain.degraded,
                     [str(v) for v in result.violations])
 
         first = fingerprint(run_ctrlplane_schedule(seed=5, duration_s=60e-3))
@@ -155,10 +157,9 @@ class TestCtrlplaneSoak:
         ensemble machinery: no gate, no extra servers, plain history."""
         from repro.orchestration import Orchestrator
 
-        result = run_schedule(chaos_scenario(
+        result = run(chaos_scenario(
             seed=0, chain_length=3, f=1, max_faults=2, duration_s=30e-3))
-        assert result.elections == 0
-        assert result.fenced_commands == 0
+        assert result.ensemble is None  # no elections, nothing fenced
         sim = Simulator()
         oracle = ShadowOracle()
         chain = FTCChain(sim, ch_n(3, n_threads=2), f=1, deliver=oracle,

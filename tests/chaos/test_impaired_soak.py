@@ -13,9 +13,8 @@ from repro.chaos import (
     FaultPlan,
     FaultSpec,
     IMPAIRED_DELIVERY,
-    SoakConfig,
     impaired_scenario,
-    run_schedule,
+    run,
     run_soak,
 )
 
@@ -24,7 +23,11 @@ RATES = dict(drop_rate=0.05, dup_rate=0.02, reorder_rate=0.02,
 
 
 def run_impaired_schedule(**params):
-    return run_schedule(impaired_scenario(**params))
+    return run(impaired_scenario(**params))
+
+
+def retransmissions(out):
+    return out.chain.channel_stats().get("retransmissions", 0)
 
 
 class TestFaultSpecValidation:
@@ -52,18 +55,19 @@ class TestImpairedSoak:
         """Headline point: lossy links, exactly-once egress, no failover."""
         result = run_impaired_schedule(seed=3, chain_length=2, f=1,
                                        duration_s=30e-3, **RATES)
+        sent = result.generator.sent
         assert result.violations == []
-        assert result.sent > 0
-        assert result.released == result.sent  # zero egress loss
-        assert result.retransmissions > 0  # the layer actually worked
-        assert result.failures_detected == 0  # no spurious failover
-        assert not result.degraded
+        assert sent > 0
+        assert result.oracle.released == sent  # zero egress loss
+        assert retransmissions(result) > 0  # the layer actually worked
+        assert result.failures == []  # no spurious failover
+        assert not result.chain.degraded
 
     def test_longer_chain_higher_f(self):
         result = run_impaired_schedule(seed=11, chain_length=3, f=2,
                                        duration_s=30e-3, **RATES)
         assert result.violations == []
-        assert result.released == result.sent
+        assert result.oracle.released == result.generator.sent
 
     def test_determinism_same_seed_same_run(self):
         """Same seed + spec => bit-identical egress order and counters.
@@ -76,19 +80,20 @@ class TestImpairedSoak:
                                       duration_s=20e-3, **RATES)
         second = run_impaired_schedule(seed=5, chain_length=2, f=1,
                                        duration_s=20e-3, **RATES)
-        assert first.egress_pids and second.egress_pids
-        base_a, base_b = first.egress_pids[0], second.egress_pids[0]
-        assert ([p - base_a for p in first.egress_pids] ==
-                [p - base_b for p in second.egress_pids])
-        assert first.retransmissions == second.retransmissions
-        assert first.sent == second.sent
+        order_a, order_b = first.oracle.order, second.oracle.order
+        assert order_a and order_b
+        assert ([p - order_a[0] for p in order_a] ==
+                [p - order_b[0] for p in order_b])
+        assert retransmissions(first) == retransmissions(second)
+        assert first.generator.sent == second.generator.sent
         assert first.faults == second.faults
 
     def test_soak_config_routes_to_impaired_schedules(self):
-        config = SoakConfig(seed=1, schedules=2, chain_lengths=(2,),
-                            f_values=(1,), duration_s=15e-3,
-                            impair_data=(0.05, 0.02, 0.02, 0.01))
-        result = run_soak(config)
+        result = run_soak([
+            impaired_scenario(seed=10_000 + i, chain_length=2, f=1,
+                              duration_s=15e-3, index=i, **RATES)
+            for i in range(2)])
         assert result.ok, result.summary()
-        assert all(s.retransmissions > 0 for s in result.schedules)
-        assert all(s.released == s.sent for s in result.schedules)
+        assert all(retransmissions(out) > 0 for out in result.runs)
+        assert all(out.oracle.released == out.generator.sent
+                   for out in result.runs)

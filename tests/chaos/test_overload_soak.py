@@ -16,15 +16,14 @@ from repro.chaos import (
     FaultPlan,
     FaultSpec,
     OverloadSpec,
-    SoakConfig,
     overload_scenario,
-    run_schedule,
+    run,
     run_soak,
 )
 
 
 def run_overload_schedule(**params):
-    return run_schedule(overload_scenario(**params))
+    return run(overload_scenario(**params))
 
 
 class TestOverloadSpec:
@@ -76,12 +75,13 @@ class TestOverloadSoak:
         """Headline point: 4.8x flash crowd, zero in-chain drops,
         brownout engages and exits, goodput above floor."""
         result = run_overload_schedule(seed=42)
+        gate = result.admission
         assert result.violations == []
-        assert result.shed > 0                    # it genuinely overloaded
-        assert result.brownout_transitions >= 2   # entered and exited
-        assert result.offered == result.admitted + result.shed
-        assert result.released == result.admitted
-        assert result.goodput_pps > 0
+        assert gate.shed > 0                              # it overloaded
+        assert len(result.brownout.transitions) >= 2      # entered, exited
+        assert gate.offered == gate.admitted + gate.shed
+        assert result.oracle.released == gate.admitted
+        assert result.oracle.released > 0                 # goodput
 
     def test_flash_crowd_with_crash(self):
         """Overload + middlebox crash mid-flash: failover under
@@ -89,29 +89,28 @@ class TestOverloadSoak:
         spec = OverloadSpec(crash=True)
         result = run_overload_schedule(seed=7, spec=spec)
         assert result.violations == []
-        assert result.failures_detected >= 1
-        assert result.recoveries >= 1
+        assert len(result.failures) >= 1
+        assert any(event.recovered for event in result.failures)
 
     def test_replicated_control_plane_journals_brownout(self):
         spec = OverloadSpec(orchestrators=3)
         result = run_overload_schedule(seed=11, spec=spec)
         assert result.violations == []
-        assert result.brownout_transitions >= 2
+        assert len(result.brownout.transitions) >= 2
 
     def test_same_seed_bit_identical(self):
         """Determinism regression: one seed, two runs, same ledger."""
-        a = run_overload_schedule(seed=5)
-        b = run_overload_schedule(seed=5)
-        assert (a.offered, a.admitted, a.shed, a.released,
-                a.brownout_transitions, a.goodput_pps) == \
-               (b.offered, b.admitted, b.shed, b.released,
-                b.brownout_transitions, b.goodput_pps)
+        def ledger(out):
+            gate = out.admission
+            return (gate.offered, gate.admitted, gate.shed,
+                    out.oracle.released, len(out.brownout.transitions))
+
+        assert ledger(run_overload_schedule(seed=5)) == \
+            ledger(run_overload_schedule(seed=5))
 
     def test_run_soak_dispatches_overload(self):
-        config = SoakConfig(seed=9, schedules=1, duration_s=120e-3,
-                            chain_lengths=(3,), f_values=(1,),
-                            overload=OverloadSpec())
-        soak = run_soak(config)
+        soak = run_soak([overload_scenario(seed=90_000, chain_length=3, f=1,
+                                           duration_s=120e-3)])
         assert soak.ok, soak.summary()
-        assert soak.schedules[0].shed > 0
+        assert soak.runs[0].admission.shed > 0
         assert "overload" in soak.summary()

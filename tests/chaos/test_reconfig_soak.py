@@ -10,13 +10,19 @@ can run the long modes on their own schedule.
 
 import pytest
 
-from repro.chaos import reconfig_scenario, run_schedule
+from repro.chaos import reconfig_scenario, run
 
 pytestmark = pytest.mark.soak_reconfig
 
 
 def run_reconfig_schedule(**params):
-    return run_schedule(reconfig_scenario(**params))
+    return run(reconfig_scenario(**params))
+
+
+def outcomes(out):
+    """(committed, aborted) reconfigurations of one run."""
+    return (sum(1 for r in out.reconfigs if r.committed),
+            sum(1 for r in out.reconfigs if r.aborted))
 
 
 def _assert_clean(result):
@@ -28,9 +34,8 @@ def _assert_clean(result):
 def test_clean_schedule_zero_loss(seed):
     result = run_reconfig_schedule(seed=seed)
     _assert_clean(result)
-    assert result.reconfigs_committed == 5
-    assert result.reconfigs_aborted == 0
-    assert result.released == result.sent  # zero loss, crash-free
+    assert outcomes(result) == (5, 0)
+    assert result.oracle.released == result.generator.sent  # zero loss
 
 
 def test_crash_during_reconfig_invariants_hold():
@@ -38,7 +43,7 @@ def test_crash_during_reconfig_invariants_hold():
     # invariants-only (no duplicates, no reorders, ops terminal).
     result = run_reconfig_schedule(seed=1, crashes=True)
     _assert_clean(result)
-    assert result.reconfigs_committed + result.reconfigs_aborted == 5
+    assert sum(outcomes(result)) == 5
 
 
 def test_leader_failover_mid_switch():
@@ -46,9 +51,9 @@ def test_leader_failover_mid_switch():
     # the successor must resume or formally abort every open op.
     result = run_reconfig_schedule(seed=7, orchestrators=3)
     _assert_clean(result)
-    assert result.elections >= 1
-    assert result.reconfigs_committed + result.reconfigs_aborted == 5
-    assert result.released == result.sent
+    assert len(result.ensemble.election_log) >= 1
+    assert sum(outcomes(result)) == 5
+    assert result.oracle.released == result.generator.sent
 
 
 def test_determinism_same_seed_same_run():
@@ -58,10 +63,9 @@ def test_determinism_same_seed_same_run():
     _assert_clean(b)
     # Packet ids come from a process-global counter, so same-seed runs
     # are compared on relative id sequences (see test_impaired_soak).
-    rel_a = [p - a.egress_pids[0] for p in a.egress_pids]
-    rel_b = [p - b.egress_pids[0] for p in b.egress_pids]
+    rel_a = [p - a.oracle.order[0] for p in a.oracle.order]
+    rel_b = [p - b.oracle.order[0] for p in b.oracle.order]
     assert rel_a == rel_b
-    assert a.sent == b.sent
-    assert a.released == b.released
-    assert (a.reconfigs_committed, a.reconfigs_aborted) == \
-        (b.reconfigs_committed, b.reconfigs_aborted)
+    assert a.generator.sent == b.generator.sent
+    assert a.oracle.released == b.oracle.released
+    assert outcomes(a) == outcomes(b)

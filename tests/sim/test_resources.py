@@ -288,7 +288,7 @@ class _AlwaysDispatchStore(Store):
         return item
 
 
-def _run_schedule(store_class, capacity, schedule):
+def _play(store_class, capacity, schedule):
     """Play ``schedule`` -- (gap, kind, arg) triples -- against one
     store; returns the observable history and the final event id."""
     sim = Simulator()
@@ -356,16 +356,16 @@ class TestStoreDispatchesOnlyForAWaitingCounterpart:
     @given(st.sampled_from([1, 2, 3, float("inf")]), _store_schedules)
     def test_same_history_and_event_ids_as_always_dispatching(
             self, capacity, schedule):
-        assert (_run_schedule(Store, capacity, schedule) ==
-                _run_schedule(_AlwaysDispatchStore, capacity, schedule))
+        assert (_play(Store, capacity, schedule) ==
+                _play(_AlwaysDispatchStore, capacity, schedule))
 
     def test_reference_is_not_vacuous(self):
         schedule = [(0.0, "get", 0), (1e-6, "try_put", 0),
                     (0.0, "try_put", 0), (0.0, "put", 0), (0.0, "put", 0),
                     (1e-6, "try_get", 0), (0.0, "get", 0)]
-        history, eid = _run_schedule(Store, 2, schedule)
+        history, eid = _play(Store, 2, schedule)
         assert [entry[0] for entry in history] == [
             "try_put", "try_put", "got", "put-accepted", "try_get",
             "put-accepted", "got", "left"]
-        assert (history, eid) == _run_schedule(_AlwaysDispatchStore, 2,
+        assert (history, eid) == _play(_AlwaysDispatchStore, 2,
                                                schedule)

@@ -119,25 +119,25 @@ class TestLiveMetricsAndTrace:
 
 class TestSoakTelemetry:
     def test_soak_aggregates_registry_and_timelines(self):
-        from repro.chaos import SoakConfig, run_soak
+        from repro.chaos import chaos_scenario, run_soak
 
-        config = SoakConfig(seed=0, schedules=2, faults_per_schedule=2,
-                            chain_lengths=[2], f_values=[1],
-                            duration_s=0.04, telemetry=True)
-        result = run_soak(config)
+        result = run_soak(
+            [chaos_scenario(seed=i, chain_length=2, f=1, max_faults=2,
+                            duration_s=0.04, index=i) for i in range(2)],
+            telemetry=True)
         assert result.ok, result.summary()
         assert result.registry is not None
         assert result.registry.counter("orch/recoveries").value >= 1
-        events = [e for s in result.schedules for e in s.timeline]
+        events = [e for out in result.runs
+                  for e in out.chain.telemetry.timeline.as_dicts()]
         assert any(e["kind"] == "fault-injected" for e in events)
         assert any(e["kind"] == "committed" for e in events)
 
     def test_soak_without_telemetry_has_none(self):
-        from repro.chaos import SoakConfig, run_soak
+        from repro.chaos import chaos_scenario, run_soak
 
-        config = SoakConfig(seed=3, schedules=1, faults_per_schedule=1,
-                            chain_lengths=[2], f_values=[1],
-                            duration_s=0.02)
-        result = run_soak(config)
+        result = run_soak([chaos_scenario(seed=30_000, chain_length=2, f=1,
+                                          max_faults=1, duration_s=0.02)])
         assert result.registry is None
-        assert all(s.timeline == [] for s in result.schedules)
+        assert all(out.chain.telemetry.timeline.as_dicts() == []
+                   for out in result.runs)

@@ -132,10 +132,9 @@ PARENT_SURFACE = {
             "RECONFIG_FAULT_KINDS",
         "repro.chaos.scenario": "CHECKS Monkey Run Scenario Step run",
         "repro.chaos.soak":
-            "OverloadSpec ScheduleResult SoakConfig SoakResult "
-            "chaos_scenario ctrlplane_scenario impaired_scenario "
-            "overload_scenario reconfig_scenario run_schedule run_soak "
-            "soak_scenario",
+            "OverloadSpec SoakResult chaos_scenario ctrlplane_scenario "
+            "impaired_scenario overload_scenario reconfig_scenario "
+            "run_soak",
     },
     "repro.flight": {
         "repro.flight.recorder":
