@@ -7,7 +7,7 @@ in-chain replication avoids snapshot-style latency spikes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from ..middlebox import ch_n
 from .runner import ExperimentResult, latency_under_load
@@ -35,17 +35,6 @@ def run(seed: int = 0) -> ExperimentResult:
         f"FTC p99/p1 spread = {spread:.2f}x (paper: tail only moderately "
         "above the minimum; no snapshot spikes).")
     return result
-
-
-def cdf_series(seed: int = 0) -> Dict[str, List[Tuple[float, float]]]:
-    """Full CDF point series per system (for plotting)."""
-    out = {}
-    for system in SYSTEMS:
-        egress = latency_under_load(
-            system, lambda: ch_n(3, sharing_level=1, n_threads=1),
-            rate_pps=LOAD_PPS, n_threads=1, f=1, seed=seed)
-        out[system] = egress.latency.cdf_us(n_points=50)
-    return out
 
 
 def main() -> None:

@@ -69,10 +69,6 @@ class DataImpairment:
     def active(self, now: float) -> bool:
         return self.expires_at is None or now < self.expires_at
 
-    @property
-    def any_rate(self) -> bool:
-        return any(getattr(self, name) > 0.0 for name in _RATE_FIELDS)
-
     @classmethod
     def parse(cls, text: str, **kwargs) -> "DataImpairment":
         """Parse the CLI spec ``drop=P,dup=P,reorder=P,corrupt=P``.

@@ -78,10 +78,6 @@ class PartitionLock:
         self.handoff_delay_s = handoff_delay_s
         self.spin_threshold = spin_threshold
 
-    @property
-    def locked(self) -> bool:
-        return self.owner is not None
-
     def try_acquire(self, tx) -> bool:
         """Take the lock only if it is free with no queued waiters.
 
