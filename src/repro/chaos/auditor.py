@@ -31,7 +31,7 @@ legitimately in flux) and a chain that has declared degraded mode
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from ..core.chain import FTCChain

@@ -298,8 +298,8 @@ def _run_chain(args, telemetry=None, on_ready=None):
 
         hooks = None
         if telemetry is not None:
-            hooks = (lambda phase, positions:
-                     telemetry.timeline.record(phase, positions, t=sim.now))
+            def hooks(phase, positions):
+                telemetry.timeline.record(phase, positions, t=sim.now)
 
         def chaos(sim):
             yield sim.timeout(args.fail_at)

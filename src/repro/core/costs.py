@@ -20,7 +20,7 @@ Paper sources:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 __all__ = ["CostModel", "DEFAULT_COSTS"]
 

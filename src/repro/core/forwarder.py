@@ -10,7 +10,7 @@ state keeps flowing (§5.1).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from ..net.packet import FlowKey, Packet
 from ..sim import Simulator

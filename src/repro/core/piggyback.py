@@ -224,5 +224,5 @@ class PiggybackMessage:
         return self._state_bytes
 
     def __repr__(self):
-        return (f"<PBMsg logs={{{', '.join(f'{m}:{len(l)}' for m, l in self.logs.items())}}} "
+        return (f"<PBMsg logs={{{', '.join(f'{m}:{len(log)}' for m, log in self.logs.items())}}} "
                 f"commits={sorted(self.commits)}>")

@@ -10,9 +10,9 @@ back out.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional, Tuple
+from typing import Optional
 
-from ..middlebox.base import DROP, Middlebox, PASS
+from ..middlebox.base import Middlebox
 from ..net.packet import Packet
 from ..sim import RandomStreams, Simulator, Timeout
 from ..stm.partition import PartitionSpace

@@ -15,7 +15,7 @@ Three of the paper's design arguments, isolated:
 from __future__ import annotations
 
 from ..core.costs import DEFAULT_COSTS
-from ..middlebox import Monitor, ch_n
+from ..middlebox import Monitor
 from .runner import ExperimentResult, latency_under_load, saturation_throughput
 
 __all__ = ["run_depvec", "run_server_cost", "run_piggybacking",
@@ -61,8 +61,10 @@ def run_piggybacking(n_threads: int = 8, seed: int = 0) -> ExperimentResult:
     result = ExperimentResult(
         experiment="Ablation: piggybacking vs separate replication messages",
         headers=["Design", "Throughput (Mpps)", "Latency at 2 Mpps (us)"])
-    workload = lambda: [Monitor(name="mon", sharing_level=1,
-                                n_threads=n_threads)]
+
+    def workload():
+        return [Monitor(name="mon", sharing_level=1, n_threads=n_threads)]
+
     for label, kind in (("FTC (piggybacked)", "ftc"),
                         ("Separate messages (FTMB-style)", "ftmb"),
                         ("Remote state store", "remote-store")):

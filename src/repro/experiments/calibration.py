@@ -7,7 +7,6 @@ assert the constants stay anchored to the paper.
 from __future__ import annotations
 
 from ..core.costs import DEFAULT_COSTS, CostModel
-from ..metrics import format_table
 from .runner import ExperimentResult
 
 __all__ = ["provenance", "run"]

@@ -9,8 +9,6 @@ packets the drop is under a few percent for state up to 256 B.
 
 from __future__ import annotations
 
-from typing import List
-
 from ..middlebox import Gen
 from .runner import ExperimentResult, saturation_throughput
 

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..core.costs import CostModel, DEFAULT_COSTS
-from ..metrics import EgressRecorder, format_series, format_table
+from ..metrics import EgressRecorder, format_table
 from ..middlebox.base import Middlebox
 from ..net import TrafficGenerator, balanced_flows
 from ..sim import RandomStreams, Simulator

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from ..baselines import FTMBChain, NFChain, RemoteStoreChain
 from ..core import FTCChain

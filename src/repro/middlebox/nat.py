@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from ..net.packet import FlowKey, Packet, ip
 from ..stm.transaction import TransactionContext
-from .base import DROP, Middlebox, PASS, Verdict
+from .base import DROP, Middlebox, Verdict
 
 __all__ = ["MazuNAT", "SimpleNAT"]
 

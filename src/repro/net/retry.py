@@ -18,7 +18,7 @@ could possibly arrive, so each attempt waits at least
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from ..sim import AnyOf
 from ..telemetry import NULL_TELEMETRY

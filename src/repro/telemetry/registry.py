@@ -19,7 +19,7 @@ uninstrumented runs are bit-identical.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 # Re-exported from the leaf: the same objects, never redefined here.
 from .null import (NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM, NULL_REGISTRY,

@@ -5,8 +5,6 @@ persistence, §3.2) through the full FTC pipeline -- including after
 the reverse-path entries were only ever created as *replicated* state.
 """
 
-import pytest
-
 from repro.core import FTCChain, recover_positions
 from repro.core.costs import CostModel
 from repro.metrics import EgressRecorder

@@ -12,7 +12,6 @@ from repro.core.costs import CostModel
 from repro.metrics import EgressRecorder
 from repro.middlebox import (
     Firewall,
-    Gen,
     MazuNAT,
     Monitor,
     Rule,
@@ -237,8 +236,8 @@ class TestPropagatingTimer:
         sim = Simulator()
         chain, egress = build(sim, ch_n(2, n_threads=2))
         # A short burst, then silence.
-        gen = TrafficGenerator(sim, chain.ingress, rate_pps=1e6,
-                               flows=balanced_flows(4, 2), count=50)
+        TrafficGenerator(sim, chain.ingress, rate_pps=1e6,
+                         flows=balanced_flows(4, 2), count=50)
         sim.run(until=0.05)
         assert chain.total_released() == 50
         assert len(chain.buffer.held) == 0

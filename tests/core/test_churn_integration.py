@@ -5,8 +5,6 @@ state (idle-timeout eviction); deletions travel through piggyback logs
 as tombstones and must replicate exactly like writes.
 """
 
-import pytest
-
 from repro.core import FTCChain
 from repro.core.costs import CostModel
 from repro.metrics import EgressRecorder

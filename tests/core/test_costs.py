@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.costs import CostModel, DEFAULT_COSTS
+from repro.core.costs import DEFAULT_COSTS
 
 
 class TestCostModel:

@@ -1,6 +1,5 @@
 """Tests for dependency vectors and ordered replication state."""
 
-import itertools
 import random
 
 import pytest

@@ -1,7 +1,5 @@
 """Tests for the hybrid-HTM fast path (§3.2)."""
 
-import pytest
-
 from repro.core import FTCChain
 from repro.core.costs import CostModel
 from repro.metrics import EgressRecorder

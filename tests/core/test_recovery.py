@@ -5,7 +5,7 @@ import pytest
 from repro.core import FTCChain, UnrecoverableError, recover_positions
 from repro.core.costs import CostModel
 from repro.metrics import EgressRecorder
-from repro.middlebox import MazuNAT, Monitor, ch_n, ch_rec
+from repro.middlebox import MazuNAT, Monitor, ch_n
 from repro.net import TrafficGenerator, balanced_flows
 from repro.sim import Simulator
 
@@ -136,7 +136,6 @@ class TestSingleFailure:
         # changes its translation, even across the head failure.
         ports_by_src = {}
         for packet in egress.packets:
-            src = packet.meta.get("gen") and packet.flow.src_port
             ports_by_src.setdefault(packet.flow.dst_ip, set())
         by_flow = {}
         for packet in egress.packets:
@@ -180,8 +179,8 @@ class TestMultipleFailures:
     def test_more_than_f_failures_unrecoverable(self):
         sim = Simulator()
         chain, _ = build(sim, ch_n(3, n_threads=2), f=1)
-        gen = TrafficGenerator(sim, chain.ingress, rate_pps=1e6,
-                               flows=balanced_flows(4, 2), count=500)
+        TrafficGenerator(sim, chain.ingress, rate_pps=1e6,
+                         flows=balanced_flows(4, 2), count=500)
         errors = []
 
         def chaos(sim):

@@ -1,11 +1,9 @@
 """Focused tests for replica pipeline details and chain mechanics."""
 
-import pytest
-
 from repro.core import FTCChain
 from repro.core.costs import CostModel
 from repro.metrics import EgressRecorder
-from repro.middlebox import Firewall, Gen, Monitor, PASS
+from repro.middlebox import Firewall, Gen, Monitor
 from repro.net import FlowKey, Packet, TrafficGenerator, balanced_flows
 from repro.sim import Simulator
 

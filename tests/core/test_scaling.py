@@ -75,7 +75,6 @@ class TestVerticalScaling:
         sim.run(until=0.018)
         assert len(chain.server_at(0).nic.queues) == 1
         assert chain.total_released() > 0
-        mbox = chain.middleboxes[0]
         stores = [chain.store_of("m0", pos)
                   for pos in chain.group_positions(0)]
         assert all(s == stores[0] for s in stores)

@@ -1,8 +1,6 @@
 """Hardened recovery path: failures during recovery, control-plane
 retries, graceful degradation (the §5.2 robustness envelope)."""
 
-import pytest
-
 from repro.chaos import FaultInjector, FaultPlan, FaultSpec
 from repro.core import FTCChain, RECOVERY_PHASES
 from repro.core.costs import CostModel

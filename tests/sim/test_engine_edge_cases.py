@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, Interrupt, SimulationError, Simulator
+from repro.sim import AllOf, AnyOf, Interrupt, SimulationError, Simulator
 
 
 class TestFailurePlumbing:

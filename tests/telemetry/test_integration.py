@@ -10,8 +10,6 @@ The two load-bearing guarantees:
   orchestrator measured (same subtractions at the same instants).
 """
 
-import pytest
-
 from repro.core import FTCChain
 from repro.core.costs import CostModel
 from repro.metrics import EgressRecorder

@@ -2,8 +2,6 @@
 
 import math
 
-import pytest
-
 from repro.telemetry import (
     Histogram,
     MetricRegistry,
