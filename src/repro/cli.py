@@ -560,12 +560,15 @@ def _cmd_chaos(args) -> int:
     grid = [(n, f) for n in _parse_int_list(args.lengths, "--lengths")
             for f in _parse_int_list(args.f_values, "--f-values")]
     # A flag takes effect or is an error, never silently ignored.
-    modes = [flag for flag, on in (("--overload", overload), ("--reconfig",
-             args.reconfig), ("--impair-data", impair)) if on]
-    mode, orch = (modes or [None])[0], args.orchestrators
+    modes = [flag for flag, on in (("--overload", overload),
+                                   ("--reconfig", args.reconfig),
+                                   ("--impair-data", impair)) if on]
+    mode = modes[0] if modes else None
+    orch = args.orchestrators
     floor = {"--reconfig": 80e-3, "--overload": 120e-3}.get(mode)
     for broken, message in [
-            (modes[1:], " and ".join(modes) + " are separate soak modes"),
+            (len(modes) > 1,
+             " and ".join(modes) + " are separate soak modes"),
             (orch < 1, "--orchestrators must be >= 1"),
             (args.orch_faults and orch < 2,
              "--orch-faults needs --orchestrators >= 2 (no ensemble)"),
@@ -599,6 +602,7 @@ def _cmd_chaos(args) -> int:
             ("drop_rate", "dup_rate", "reorder_rate", "corrupt_rate")})
         print(f"data impairment: {impair.describe()}")
     elif orch > 1:
+        # The plain soak's monkey settings, not the factory's defaults.
         kind = partial(ctrlplane_scenario, orchestrators=orch, max_faults=3,
                        orch_faults=args.orch_faults, duration_s=60e-3,
                        mean_fault_interval_s=8e-3)
@@ -641,7 +645,8 @@ def _cmd_chaos(args) -> int:
     if result.registry is not None:
         rows = result.registry.rows()
         if rows:
-            print("\n" + format_table(
+            print()
+            print(format_table(
                 ["metric", "type", "count/value", "mean", "p50", "p99",
                  "max"], rows, title="telemetry summary (all schedules)"))
         events = sum(len(out.chain.telemetry.timeline.events)
@@ -649,9 +654,12 @@ def _cmd_chaos(args) -> int:
         print(f"recovery timelines: {events} events across "
               f"{len(runs)} schedules")
     if args.flight:
-        print("\n  ".join(["flight dumps (invariant trips):",
-                            *result.flight_dumps]) if result.flight_dumps
-              else "no invariant trips; no flight dumps written")
+        if result.flight_dumps:
+            print("flight dumps (invariant trips):")
+            for path in result.flight_dumps:
+                print(f"  {path}")
+        else:
+            print("no invariant trips; no flight dumps written")
     return 0 if result.ok else 1
 
 
