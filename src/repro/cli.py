@@ -30,8 +30,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from dataclasses import replace
-from functools import partial
 from typing import List
 
 __all__ = ["main"]
@@ -544,6 +542,9 @@ def _parse_int_list(text: str, option: str) -> List[int]:
 
 
 def _cmd_chaos(args) -> int:
+    from dataclasses import replace
+    from functools import partial
+
     from .chaos import (OverloadSpec, chaos_scenario, ctrlplane_scenario,
                         impaired_scenario, overload_scenario,
                         reconfig_scenario, run_soak)
