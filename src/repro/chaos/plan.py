@@ -9,9 +9,9 @@ that applies a fault: scripted plans (a :class:`FaultPlan`, or
 ``Scenario.faults``) and the randomized
 :class:`~repro.chaos.monkey.ChaosMonkey`, which samples specs and hands
 them over, both go through it.  Every injection is recorded with its
-firing time, and on the timeline as ``fault-injected``, so a failing
-soak schedule can be replayed exactly from its seed (see PROTOCOL.md,
-"Failure model & chaos testing").
+firing time, and on the timeline as ``chaos/fault-injected``, so a
+failing soak schedule can be replayed exactly from its seed (see
+PROTOCOL.md, "Failure model & chaos testing").
 """
 
 from __future__ import annotations
@@ -301,8 +301,8 @@ class FaultInjector:
     def _record(self, what: str, positions: Tuple[int, ...] = ()) -> None:
         now = self.chain.sim.now
         self.injected.append((now, what))
-        self.chain.telemetry.timeline.record(
-            "fault-injected", positions, detail=what, t=now)
+        self.chain.telemetry.emit("chaos", "fault-injected", positions,
+                                  t=now, detail=what)
 
     def _victim(self, busy) -> Optional[int]:
         """A random position the f-budget gate lets fail, if any: not

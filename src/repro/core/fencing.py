@@ -78,21 +78,10 @@ class EpochGate:
         if epoch < self.max_epoch:
             self.fenced_commands += 1
             self._m_fenced.inc()
-            self.telemetry.timeline.record(
-                "fenced", positions,
-                detail=f"{kind}: epoch {epoch} < fence {self.max_epoch}",
-                t=self.sim.now)
-            if self.telemetry.enabled:
-                self.telemetry.tracer.instant(
-                    0, f"fenced:{kind}", "ctrl", self.sim.now, tid=9998,
-                    epoch=epoch, fence=self.max_epoch,
-                    positions=list(positions))
-            if self._flight.enabled:
-                self._flight.record(
-                    "fencing", "fenced", t=self.sim.now, epoch=epoch,
-                    detail=f"{kind} rejected: epoch {epoch} < fence "
-                           f"{self.max_epoch} positions={list(positions)}",
-                    chain="ctrl")
+            self.telemetry.emit(
+                "fencing", "fenced", positions, t=self.sim.now, epoch=epoch,
+                detail=f"{kind} rejected: epoch {epoch} < fence "
+                       f"{self.max_epoch}")
             raise StaleEpochError(
                 f"{kind} carries epoch {epoch}, fence is at {self.max_epoch}")
         self.max_epoch = epoch

@@ -23,8 +23,9 @@ two-phase apply protocol --
 Operations: vertical ``rescale`` (now lossless), instance ``migrate``,
 whole-server ``evacuate``, middlebox ``insert``/``remove`` (structural:
 the whole chain drains, groups re-form), and ``classifier`` update.
-Every phase emits flight-recorder events, recovery-timeline phases
-(``reconfig-*``) and Chrome trace spans on the control-plane track.
+Every phase is one ``reconfig/<phase>`` event (timeline, flight ring
+and a Chrome instant on the control-plane track), inside the op's
+async trace span.
 
 A crash mid-reconfiguration aborts the operation: the hold is flushed
 (by the abort itself, or by recovery's re-steer via
@@ -435,14 +436,7 @@ def apply_reconfig(chain, op: ReconfigOp, epoch: Optional[int] = None,
         if phase == "preparing" and telemetry.enabled:
             tracer.begin_async(op_id, f"reconfig:{op.kind}", "ctrl", now,
                                tid=9998, op=describe)
-        telemetry.timeline.record(f"reconfig-{phase}", positions,
-                                  detail=describe, t=now)
-        if telemetry.enabled:
-            tracer.instant(op_id, f"reconfig-{phase}", "ctrl", now,
-                           tid=9998, op=describe)
-        if telemetry.flight.enabled:
-            telemetry.flight.record("reconfig", phase, t=now, detail=describe,
-                                    chain="ctrl")
+        telemetry.emit("reconfig", phase, positions, t=now, detail=describe)
         for hook in hooks:
             hook(phase, positions)
         if phase in ("committed", "aborted") and telemetry.enabled:

@@ -137,20 +137,16 @@ def recover_positions(chain: FTCChain, positions: List[int],
     report = RecoveryReport(positions=list(positions))
     failed = set(positions)
     started = sim.now
-    flight = chain.telemetry.flight
+    telemetry = chain.telemetry
+    flight = telemetry.flight
     journal = journal or (lambda *command: iter(()))  # unreplicated: no-op
 
     def phase(name: str) -> None:
-        # The hooks put the phase boundary into the RecoveryTimeline;
-        # the flight record follows at the same virtual instant, so
-        # `repro explain --recovery` can cross-check the two records for
-        # exact timestamp equality.
+        # The boundary is on the timeline (and the flight ring) before
+        # any hook runs, so a hook's own events follow it.
+        telemetry.emit("recovery", name, positions, t=sim.now, epoch=epoch)
         if hooks is not None:
             hooks(name, list(positions))
-        if flight.enabled:
-            flight.record("recovery", name, t=sim.now, epoch=epoch,
-                          detail=f"positions={list(positions)}",
-                          chain="ctrl")
 
     frozen: List = []
     fetch_procs: List = []

@@ -17,8 +17,8 @@ instant while the orchestrator ensemble itself is attacked:
   fenced by the epoch gate.
 
 Columns decompose the failover: detection delay (failure -> confirmed),
-election delay (control-plane fault -> next leader-elected), resume
-delay (leader-elected -> recovery committed), and the end-to-end total
+election delay (control-plane fault -> next ``election/elected``),
+resume delay (elected -> ``recovery/committed``), and the end-to-end total
 (failure -> committed).  The paper measures only the baseline column
 (§7.5); the others quantify the added cost of losing the orchestrator
 at the worst possible moments.
@@ -64,10 +64,11 @@ def point(scenario: str, seed: int) -> Scenario:
         steps=(Step(T_FAIL, crash=FAIL_POSITION, expect="recovered"),))
 
 
-def _first(telemetry: Telemetry, kind: str,
+def _first(telemetry: Telemetry, component: str, kind: str,
            after: float = 0.0) -> Optional[float]:
     for event in telemetry.timeline.events:
-        if event.kind == kind and event.t >= after:
+        if (event.component == component and event.kind == kind
+                and event.t >= after):
             return event.t
     return None
 
@@ -76,8 +77,8 @@ def _one_trial(scenario: str, seed: int) -> Dict[str, float]:
     telemetry = Telemetry(max_trace_events=0)
     out = run_scenario(point(scenario, seed), telemetry=telemetry).checked()
     # The step's post-condition held, so both events are on the timeline.
-    confirmed = _first(telemetry, "confirmed", after=T_FAIL)
-    committed = _first(telemetry, "committed", after=T_FAIL)
+    confirmed = _first(telemetry, "orch", "confirmed", after=T_FAIL)
+    committed = _first(telemetry, "recovery", "committed", after=T_FAIL)
     result = {
         "detect": confirmed - T_FAIL,
         "elect": 0.0,
@@ -94,7 +95,7 @@ def _one_trial(scenario: str, seed: int) -> Dict[str, float]:
             raise AssertionError(
                 f"{scenario} seed={seed}: control-plane fault never fired")
         fault_at = fired[0]
-        elected = _first(telemetry, "leader-elected", after=fault_at)
+        elected = _first(telemetry, "election", "elected", after=fault_at)
         if elected is None:
             raise AssertionError(
                 f"{scenario} seed={seed}: no successor elected")

@@ -20,8 +20,8 @@ __getattr__, __dir__, __all__ = surface(__name__, {
         "NULL_FLIGHT", "NullFlightRecorder",
     ),
     "explain": (
-        "crosscheck_recovery", "explain_epoch", "explain_packet",
-        "explain_recovery", "load_dump", "walk_back",
+        "explain_epoch", "explain_packet", "explain_recovery", "load_dump",
+        "walk_back",
     ),
     "slo": (
         "SLOBreach", "SLOObjective", "SLOWatchdog", "parse_slo_spec",

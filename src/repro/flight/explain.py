@@ -7,9 +7,7 @@ reconstructs the causal chain behind one question:
   append/apply hops, buffer hold/release, channel repairs;
 * ``--recovery POS`` -- one recovery of chain position POS: suspicion,
   corroboration, (under an ensemble) election + journal writes, state
-  fetches, journal replay, and the fenced re-steer -- cross-checked
-  against the embedded RecoveryTimeline, whose phase-boundary
-  timestamps must match the flight events *exactly*;
+  fetches, journal replay, and the fenced re-steer;
 * ``--epoch E`` -- one leadership term: the election round that won
   epoch E, every command it journaled, and how it ended (step-down or
   fencing).
@@ -18,6 +16,10 @@ Reconstruction walks ``parent_ref`` links backwards from the terminal
 event.  A ``parent_ref`` older than the oldest retained event means
 the bounded ring shed that history; the walk reports the truncation
 instead of silently pretending the chain starts there.
+
+The recovery phases are the same events the RecoveryTimeline keeps:
+:meth:`~repro.telemetry.Telemetry.emit` writes both at once, so a dump
+needs no timeline of its own to be checked against (PROTOCOL.md §10.4).
 """
 
 from __future__ import annotations
@@ -27,11 +29,7 @@ import re
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["load_dump", "walk_back", "explain_packet", "explain_recovery",
-           "explain_epoch", "crosscheck_recovery"]
-
-#: Flight kinds that mirror RecoveryTimeline phase boundaries 1:1.
-PHASE_KINDS = ("initializing", "spawned", "fetching", "fetched",
-               "rerouting", "committed")
+           "explain_epoch"]
 
 _POSITIONS_RE = re.compile(r"positions=\[([0-9, ]*)\]")
 
@@ -170,47 +168,10 @@ def explain_recovery(dump: Dict[str, Any], position: int) -> str:
             break
     chain = full[start:]
     status = terminal["kind"]
-    lines = _render_chain(
+    return "\n".join(_render_chain(
         f"recovery of p{position}: {status} at "
         f"{terminal['t'] * 1e3:.3f}ms ({len(chain)} causal events)",
-        chain, truncated if start == 0 else -1, dump)
-    problems = crosscheck_recovery(dump, chain)
-    if problems:
-        lines.append("  timeline cross-check: MISMATCH")
-        lines.extend(f"    {problem}" for problem in problems)
-    else:
-        boundaries = sum(1 for e in chain if e["kind"] in PHASE_KINDS)
-        lines.append(f"  timeline cross-check: OK "
-                     f"({boundaries} phase boundaries match the "
-                     f"RecoveryTimeline exactly)")
-    return "\n".join(lines)
-
-
-def crosscheck_recovery(dump: Dict[str, Any],
-                        chain: Sequence[Dict[str, Any]]) -> List[str]:
-    """Verify the chain's phase events against the embedded timeline.
-
-    Every flight event whose kind is a §5.2 phase boundary must have an
-    exactly-equal timestamped twin in the RecoveryTimeline (same kind,
-    same positions, bitwise-equal virtual time).  Returns problems; an
-    empty list means the two records agree.
-    """
-    timeline = dump.get("timeline") or []
-    problems: List[str] = []
-    for event in chain:
-        if event["kind"] not in PHASE_KINDS:
-            continue
-        positions = _positions_of(event)
-        twins = [rec for rec in timeline
-                 if rec["kind"] == event["kind"]
-                 and list(rec.get("positions", [])) == positions
-                 and rec["t_s"] == event["t"]]
-        if not twins:
-            problems.append(
-                f"flight #{event['ref']} {event['kind']} "
-                f"positions={positions} at {event['t']!r}s has no "
-                f"exact timeline twin")
-    return problems
+        chain, truncated if start == 0 else -1, dump))
 
 
 # -- --epoch -------------------------------------------------------------------

@@ -268,7 +268,6 @@ class OrchestratorEnsemble:
         self._m_epoch = registry.gauge("ensemble/epoch")
         self._m_leader = registry.gauge("ensemble/leader")
         self._m_alive = registry.gauge("ensemble/members_alive")
-        self._flight = self.telemetry.flight
         if self.telemetry.enabled:
             self.telemetry.tracer.set_thread_name(9998, "control-plane")
         config = election or ElectionConfig()
@@ -306,49 +305,34 @@ class OrchestratorEnsemble:
     def _note_elected(self, member: EnsembleMember, epoch: int) -> None:
         self.election_log.append((epoch, member.index))
         self._m_elections.inc()
-        self.telemetry.timeline.record(
-            "leader-elected", (), detail=f"m{member.index} epoch {epoch}",
-            t=self.sim.now)
+        self.telemetry.emit("election", "elected", t=self.sim.now,
+                            epoch=epoch,
+                            detail=f"m{member.index} epoch {epoch}")
         if self.telemetry.enabled:
             self.telemetry.tracer.begin_async(
                 epoch, f"lead:m{member.index}", "ctrl", self.sim.now,
                 tid=9998, member=member.index)
-        if self._flight.enabled:
-            self._flight.record(
-                "election", "elected", t=self.sim.now, epoch=epoch,
-                detail=f"m{member.index} epoch {epoch}", chain="ctrl")
         self._update_gauges()
 
     def _note_deposed(self, member: EnsembleMember, reason: str) -> None:
         self._m_stepdowns.inc()
-        self.telemetry.timeline.record(
-            "stepped-down", (),
-            detail=f"m{member.index} epoch {member.epoch}: {reason}",
-            t=self.sim.now)
+        self.telemetry.emit(
+            "election", "stepped-down", t=self.sim.now, epoch=member.epoch,
+            detail=f"m{member.index} epoch {member.epoch}: {reason}")
         if self.telemetry.enabled:
             self.telemetry.tracer.end_async(
                 member.epoch, f"lead:m{member.index}", "ctrl", self.sim.now,
                 tid=9998, reason=reason)
-        if self._flight.enabled:
-            self._flight.record(
-                "election", "stepped-down", t=self.sim.now,
-                epoch=member.epoch,
-                detail=f"m{member.index} epoch {member.epoch}: {reason}",
-                chain="ctrl")
         self._update_gauges()
 
     def _note_resumed(self, member: EnsembleMember, epoch: int) -> None:
-        self.telemetry.timeline.record(
-            "leader-resumed", (), detail=f"m{member.index} epoch {epoch}",
-            t=self.sim.now)
+        self.telemetry.emit("election", "leader-resumed", t=self.sim.now,
+                            epoch=epoch,
+                            detail=f"m{member.index} epoch {epoch}")
         if self.telemetry.enabled:
             self.telemetry.tracer.begin_async(
                 epoch, f"lead:m{member.index}", "ctrl", self.sim.now,
                 tid=9998, member=member.index, resumed=True)
-        if self._flight.enabled:
-            self._flight.record(
-                "election", "leader-resumed", t=self.sim.now, epoch=epoch,
-                detail=f"m{member.index} epoch {epoch}", chain="ctrl")
         self._update_gauges()
 
     def _update_gauges(self) -> None:

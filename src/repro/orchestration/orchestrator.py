@@ -327,13 +327,9 @@ class Orchestrator:
             return
         self._misses[position] = self._misses.get(position, 0) + 1
         if self._misses[position] == 1:
-            self.telemetry.timeline.record("suspected", [position],
-                                           t=self.sim.now)
-            if self._flight.enabled:
-                self._flight.record(
-                    "orch", "suspected", t=self.sim.now, epoch=self.epoch,
-                    detail=f"heartbeat missed positions=[{position}]",
-                    chain="ctrl")
+            self.telemetry.emit("orch", "suspected", [position],
+                                t=self.sim.now, epoch=self.epoch,
+                                detail="heartbeat missed")
 
     def _witness_for(self, position: int,
                      batch: Sequence[int] = ()) -> Optional[int]:
@@ -376,13 +372,9 @@ class Orchestrator:
                     self._m_cleared_self.inc()
                 via = (f"witness p{witness}" if witness is not None
                        else f"self-probe via {src}")
-                self.telemetry.timeline.record(
-                    "suspect-cleared", [position], detail=via, t=self.sim.now)
-                if self._flight.enabled:
-                    self._flight.record(
-                        "orch", "suspect-cleared", t=self.sim.now,
-                        epoch=self.epoch, detail=f"{via} positions=[{position}]",
-                        chain="ctrl")
+                self.telemetry.emit("orch", "suspect-cleared", [position],
+                                    t=self.sim.now, epoch=self.epoch,
+                                    detail=via)
             else:
                 confirmed.append(position)
                 if self._flight.enabled:
@@ -515,7 +507,9 @@ class Orchestrator:
             if position in dead:
                 self._m_resumed.inc()
                 detail = "resuming in-flight recovery"
-            self._journal_replayed([position], detail, detail)
+            self.telemetry.emit("orch", "journal-replayed", [position],
+                                t=self.sim.now, epoch=self.epoch,
+                                detail=detail)
         if dead:
             yield from self._declare_failed(dead)
 
@@ -523,16 +517,6 @@ class Orchestrator:
         """One patient probe; silence marks the position dead outright."""
         if not (yield from self._probe(position, self.recovery_retry)):
             self._misses[position] = self.misses_allowed + 1
-
-    def _journal_replayed(self, positions: List[int], detail: str,
-                          flight_detail: str) -> None:
-        """Record one open journal entry that a new leader replays."""
-        self.telemetry.timeline.record("journal-replayed", positions,
-                                       detail=detail, t=self.sim.now)
-        if self._flight.enabled:
-            self._flight.record(
-                "orch", "journal-replayed", t=self.sim.now, epoch=self.epoch,
-                detail=f"{flight_detail} positions={positions}", chain="ctrl")
 
     def _leadership_lost(self, exc: Exception) -> None:
         """A command was fenced: this orchestrator is a stale leader."""
@@ -556,14 +540,9 @@ class Orchestrator:
                              detection_delay_s=detection_delay)
         self._m_failures.inc()
         self._m_detection.observe(detection_delay, t=self.sim.now)
-        self.telemetry.timeline.record("confirmed", positions, t=self.sim.now)
-        if self._flight.enabled:
-            self._flight.record(
-                "orch", "confirmed", t=self.sim.now, epoch=self.epoch,
-                detail=f"detection delay "
-                       f"{detection_delay * 1e3:.3f}ms "
-                       f"positions={list(positions)}",
-                chain="ctrl")
+        self.telemetry.emit(
+            "orch", "confirmed", positions, t=self.sim.now, epoch=self.epoch,
+            detail=f"detection delay {detection_delay * 1e3:.3f}ms")
         self.history.append(event)
         self._open_events.append(event)
         self._recovering_positions |= set(positions)
@@ -583,7 +562,6 @@ class Orchestrator:
                 self._recover_loop(), name=f"{self.name}/recovery")
 
     def _fire_recovery_hooks(self, phase: str, positions: List[int]) -> None:
-        self.telemetry.timeline.record(phase, positions, t=self.sim.now)
         for hook in list(self.recovery_hooks):
             hook(phase, positions)
 
@@ -722,16 +700,14 @@ class Orchestrator:
         """
         for positions, detail in sorted(open_map.items()):
             op = ReconfigOp.parse(detail)
+            replay = ("resuming" if op is not None
+                      else "closing unresumable")
+            self.telemetry.emit("orch", "journal-replayed", positions,
+                                t=self.sim.now, epoch=self.epoch,
+                                detail=f"{replay} reconfiguration: {detail}")
             if op is not None:
-                self._journal_replayed(
-                    list(positions), f"resuming reconfiguration: {detail}",
-                    f"resuming reconfiguration {detail}")
                 self.request_reconfig(op, resumed=True)
             else:
-                self._journal_replayed(
-                    list(positions),
-                    f"closing unresumable reconfiguration: {detail}",
-                    f"closing reconfiguration {detail}")
                 self.sim.process(
                     self._close_unresumable(list(positions), detail),
                     name=f"{self.name}/reconfig-close")
@@ -840,13 +816,9 @@ class Orchestrator:
         """
         yield from self._command("abandoned", positions)
         self._m_abandoned.inc()
-        self.telemetry.timeline.record("abandoned", positions,
-                                       detail=str(exc), t=self.sim.now)
+        self.telemetry.emit("recovery", "abandoned", positions,
+                            t=self.sim.now, epoch=self.epoch, detail=str(exc))
         if self._flight.enabled:
-            self._flight.record(
-                "recovery", "abandoned", t=self.sim.now, epoch=self.epoch,
-                detail=f"{exc} positions={list(positions)}",
-                chain="ctrl")
             self._flight.trip(f"unrecoverable: {exc}",
                               telemetry=self.telemetry, t=self.sim.now)
         self.chain.degraded = True

@@ -14,6 +14,11 @@ this reproduction exposes (PROTOCOL.md §7 documents the schema):
   into structured per-attempt phase durations (consumed by Fig 13 and
   the soak auditor).
 
+A control-plane event is written once, by :meth:`Telemetry.emit`: it
+lands on the timeline, in the flight ring when one is recording, and
+in the Chrome export as an instant on the control-plane track
+(``TIMELINE_EVENT_KINDS`` lists every ``(component, kind)``).
+
 Pass a ``Telemetry`` to :class:`~repro.core.FTCChain` and
 :class:`~repro.orchestration.Orchestrator` to enable collection; the
 default is :data:`NULL_TELEMETRY`, whose instruments are shared no-op

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Sequence
 
 from .null import NULL_FLIGHT, NULL_PROFILER
 from .registry import MetricRegistry
@@ -34,6 +34,26 @@ class Telemetry:
         #: unless a perf run passes a StageProfiler.
         self.profiler = profiler if profiler is not None else NULL_PROFILER
 
+    def emit(self, component: str, kind: str, positions: Sequence[int] = (),
+             *, t: float, epoch: Optional[int] = None,
+             detail: str = "") -> None:
+        """Record one control-plane event: the timeline, and the flight ring.
+
+        The one write for every event the :class:`RecoveryTimeline`
+        keeps (PROTOCOL.md §7.3).  A recording flight ring gets the same
+        event on the ``ctrl`` chain, its detail ending in
+        ``positions=[...]`` so ``repro explain`` can match positions;
+        the Chrome export turns the timeline into instants on tid 9998.
+        """
+        self.timeline.record(component, kind, positions, t=t, epoch=epoch,
+                             detail=detail)
+        if self.flight.enabled:
+            if positions:
+                where = f"positions={list(positions)}"
+                detail = f"{detail} {where}" if detail else where
+            self.flight.record(component, kind, t=t, epoch=epoch,
+                               detail=detail, chain="ctrl")
+
     def start_window(self, now: float) -> None:
         """Cut histogram warm-up windows (mirrors the meters' cut)."""
         self.registry.start_window(now)
@@ -53,10 +73,7 @@ class Telemetry:
                 f"{f', {self.tracer.dropped} dropped at cap' if self.tracer.dropped else ''})")
         return f"{table}\n{tail}"
 
-    def export_chrome(self, path: Optional[str] = None,
-                      include_timeline: bool = True) -> Dict:
+    def export_chrome(self, path: Optional[str] = None) -> Dict:
         """Chrome ``trace_event`` JSON (spans + timeline instants)."""
-        extra: List[Dict] = []
-        if include_timeline:
-            extra = self.timeline.chrome_events()
-        return self.tracer.export(path, extra_events=extra)
+        return self.tracer.export(path,
+                                  extra_events=self.timeline.chrome_events())

@@ -15,7 +15,6 @@ to an uninstrumented build.
 
 from __future__ import annotations
 
-import math
 from types import MappingProxyType
 from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
                     Sequence, Tuple)
@@ -49,9 +48,6 @@ class _NullGauge:
     def set(self, value: float) -> None:
         pass
 
-    def add(self, delta: float) -> None:
-        pass
-
 
 class _NullHistogram:
     __slots__ = ()
@@ -60,19 +56,6 @@ class _NullHistogram:
 
     def observe(self, value: float, t: float = 0.0) -> None:
         pass
-
-    def start_window(self, now: float) -> None:
-        pass
-
-    def mean(self) -> float:
-        return math.nan
-
-    def percentile(self, q: float) -> float:
-        return math.nan
-
-    def summary(self) -> Dict[str, float]:
-        return {"count": 0, "mean": math.nan, "p50": math.nan,
-                "p99": math.nan, "min": math.nan, "max": math.nan}
 
 
 NULL_COUNTER = _NullCounter()
@@ -95,9 +78,6 @@ class NullRegistry:
 
     def histogram(self, name: str, reservoir: int = 0) -> _NullHistogram:
         return NULL_HISTOGRAM
-
-    def start_window(self, now: float) -> None:
-        pass
 
     def snapshot(self) -> Dict[str, object]:
         return {}
@@ -122,26 +102,8 @@ class NullTracer:
     def wants(self, pid: int) -> bool:
         return False
 
-    def complete(self, *args, **kwargs) -> None:
-        pass
-
     def instant(self, *args, **kwargs) -> None:
         pass
-
-    def begin_async(self, *args, **kwargs) -> None:
-        pass
-
-    def end_async(self, *args, **kwargs) -> None:
-        pass
-
-    def counter(self, *args, **kwargs) -> None:
-        pass
-
-    def set_thread_name(self, tid: int, name: str) -> None:
-        pass
-
-    def chrome_events(self) -> List[Dict]:
-        return []
 
     def export(self, path: Optional[str] = None,
                extra_events: Optional[List[Dict]] = None) -> Dict:
@@ -159,20 +121,10 @@ class NullTimeline:
 
     enabled = False
 
-    def record(self, kind: str, positions: Sequence[int] = (),
-               detail: str = "", t: float = 0.0) -> None:
-        pass
-
     def attempts(self) -> List[TimelineAttempt]:
         return []
 
-    def committed_attempts(self) -> List[TimelineAttempt]:
-        return []
-
     def as_dicts(self) -> List[Dict]:
-        return []
-
-    def chrome_events(self, tid: int = 9_999) -> List[Dict]:
         return []
 
     def render(self) -> str:
@@ -211,12 +163,6 @@ class NullFlightRecorder:
                parent: Optional[int] = None) -> int:
         return -1
 
-    def chain_cursor(self, chain: str) -> Optional[int]:
-        return None
-
-    def set_context(self, **fields: Any) -> None:
-        pass
-
     def as_dicts(self) -> List[Dict[str, Any]]:
         return []
 
@@ -224,7 +170,7 @@ class NullFlightRecorder:
         from ..flight.recorder import DUMP_VERSION
         return {"version": DUMP_VERSION, "reason": reason, "context": {},
                 "dropped": 0, "next_ref": 0, "trips": [], "events": [],
-                "timeline": [], "metrics": []}
+                "metrics": []}
 
     def dump_json(self, path: str, reason: str = "demand",
                   telemetry=None) -> str:
@@ -287,15 +233,10 @@ class NullTelemetry:
 
     enabled = False
 
-    def start_window(self, now: float) -> None:
+    def emit(self, component: str, kind: str, positions: Sequence[int] = (),
+             *, t: float, epoch: Optional[int] = None,
+             detail: str = "") -> None:
         pass
-
-    def summary_table(self) -> str:
-        return ""
-
-    def export_chrome(self, path: Optional[str] = None,
-                      include_timeline: bool = True) -> Dict:
-        return self.tracer.export(path)
 
 
 NULL_TELEMETRY = NullTelemetry()

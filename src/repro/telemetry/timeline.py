@@ -1,12 +1,12 @@
 """Recovery timelines: chaos + orchestrator events, stitched.
 
 A :class:`RecoveryTimeline` accumulates the structured event stream a
-failure produces -- ``fault-injected`` (chaos monkey), ``suspected``
-(first missed heartbeat), ``confirmed`` (detection), then the §5.2
-recovery phase hooks (``initializing``, ``spawned``, ``fetching``,
-``fetched``, ``rerouting``, ``committed``) -- and parses it back into
-:class:`TimelineAttempt` records whose per-phase durations sum exactly
-to the Fig 13 recovery time:
+failure produces -- ``chaos/fault-injected``, ``orch/suspected``
+(first missed heartbeat), ``orch/confirmed`` (detection), then the
+§5.2 recovery phases (``recovery/initializing``, ``spawned``,
+``fetching``, ``fetched``, ``rerouting``, ``committed``) -- and parses
+it back into :class:`TimelineAttempt` records whose per-phase
+durations sum exactly to the Fig 13 recovery time:
 
 * ``initialization`` = spawned − initializing
 * ``state_recovery`` = fetched − fetching
@@ -16,6 +16,10 @@ to the Fig 13 recovery time:
 time in between, so the three durations partition the attempt span;
 the soak auditor checks that invariant against every
 :class:`~repro.core.recovery.RecoveryReport`.
+
+Events arrive only through :meth:`~repro.telemetry.Telemetry.emit`,
+which writes the same ``(component, kind)`` to the flight ring when
+one is recording (PROTOCOL.md §7.3).
 """
 
 from __future__ import annotations
@@ -29,19 +33,24 @@ from .null import NULL_TIMELINE, NullTimeline
 __all__ = ["TimelineEvent", "TimelineAttempt", "RecoveryTimeline",
            "NULL_TIMELINE", "NullTimeline", "TIMELINE_EVENT_KINDS"]
 
-#: Every event kind a timeline may carry, in typical firing order.
+#: Every ``(component, kind)`` a timeline may carry, in typical firing
+#: order -- the flight recorder's vocabulary (PROTOCOL.md §7.3).
 TIMELINE_EVENT_KINDS = (
-    "fault-injected", "suspected", "suspect-cleared", "confirmed",
-    "initializing", "spawned", "fetching", "fetched",
-    "rerouting", "committed", "abandoned",
+    ("chaos", "fault-injected"), ("orch", "suspected"),
+    ("orch", "suspect-cleared"), ("orch", "confirmed"),
+    *(("recovery", kind) for kind in (
+        "initializing", "spawned", "fetching", "fetched", "rerouting",
+        "committed", "abandoned")),
     # Control-plane replication events (PROTOCOL.md §9).
-    "leader-elected", "stepped-down", "leader-resumed", "fenced",
-    "journal-replayed",
-    # Live reconfiguration phases (PROTOCOL.md §11).  Prefixed so the
-    # recovery-attempt parser above never mistakes them for §5.2 phases.
-    "reconfig-preparing", "reconfig-prepared", "reconfig-draining",
-    "reconfig-quiesced", "reconfig-switching", "reconfig-committed",
-    "reconfig-aborted",
+    ("election", "elected"), ("election", "stepped-down"),
+    ("election", "leader-resumed"), ("fencing", "fenced"),
+    ("orch", "journal-replayed"),
+    # Live reconfiguration phases (PROTOCOL.md §11); the attempt parser
+    # matches on the component, so ``reconfig/committed`` never passes
+    # for a §5.2 commit.
+    *(("reconfig", kind) for kind in (
+        "preparing", "prepared", "draining", "quiesced", "switching",
+        "committed", "aborted")),
 )
 
 #: The per-phase duration names of one attempt (Fig 13's columns).
@@ -53,14 +62,17 @@ class TimelineEvent:
     """One instant on the recovery timeline."""
 
     t: float
+    component: str
     kind: str
     positions: Tuple[int, ...] = ()
+    epoch: Optional[int] = None
     detail: str = ""
 
     def __str__(self):
         where = f" p{list(self.positions)}" if self.positions else ""
         extra = f" ({self.detail})" if self.detail else ""
-        return f"[{self.t * 1e3:.3f}ms] {self.kind}{where}{extra}"
+        return (f"[{self.t * 1e3:.3f}ms] {self.component}/{self.kind}"
+                f"{where}{extra}")
 
 
 @dataclass
@@ -94,13 +106,15 @@ class RecoveryTimeline:
     def __init__(self):
         self.events: List[TimelineEvent] = []
 
-    def record(self, kind: str, positions: Sequence[int] = (),
-               detail: str = "", t: float = 0.0) -> None:
-        if kind not in TIMELINE_EVENT_KINDS:
-            raise ValueError(f"unknown timeline event kind {kind!r}")
-        self.events.append(TimelineEvent(t=t, kind=kind,
-                                         positions=tuple(positions),
-                                         detail=detail))
+    def record(self, component: str, kind: str,
+               positions: Sequence[int] = (), *, t: float,
+               epoch: Optional[int] = None, detail: str = "") -> None:
+        if (component, kind) not in TIMELINE_EVENT_KINDS:
+            raise ValueError(
+                f"unknown timeline event {component}/{kind}")
+        self.events.append(TimelineEvent(
+            t=t, component=component, kind=kind, positions=tuple(positions),
+            epoch=epoch, detail=detail))
 
     # -- parsing ---------------------------------------------------------------
 
@@ -110,6 +124,8 @@ class RecoveryTimeline:
         current: Optional[TimelineAttempt] = None
         marks: Dict[str, float] = {}
         for event in self.events:
+            if event.component != "recovery":
+                continue
             if event.kind == "initializing":
                 current = TimelineAttempt(positions=event.positions,
                                           started_at=event.t)
@@ -142,21 +158,22 @@ class RecoveryTimeline:
 
     def as_dicts(self) -> List[Dict]:
         """JSON-friendly structured report (fig13 / soak consumption)."""
-        return [{"t_s": e.t, "kind": e.kind, "positions": list(e.positions),
+        return [{"t_s": e.t, "component": e.component, "kind": e.kind,
+                 "positions": list(e.positions), "epoch": e.epoch,
                  "detail": e.detail} for e in self.events]
 
-    def chrome_events(self, tid: int = 9_999) -> List[Dict]:
-        """The timeline as instant events for the Chrome trace export."""
-        return [{"name": e.kind, "cat": "recovery", "ph": "i",
-                 "ts": e.t * 1e6, "pid": 0, "tid": tid, "s": "g",
-                 "args": {"positions": list(e.positions),
+    def chrome_events(self) -> List[Dict]:
+        """The timeline as instants on the control-plane track (tid 9998)."""
+        return [{"name": f"{e.component}/{e.kind}", "cat": "ctrl", "ph": "i",
+                 "ts": e.t * 1e6, "pid": 0, "tid": 9_998, "s": "t",
+                 "args": {"positions": list(e.positions), "epoch": e.epoch,
                           "detail": e.detail}}
                 for e in self.events]
 
     def render(self) -> str:
         """An aligned text report of events + per-attempt durations."""
         from ..metrics.reporting import format_table
-        rows = [(f"{e.t * 1e3:.3f}", e.kind,
+        rows = [(f"{e.t * 1e3:.3f}", f"{e.component}/{e.kind}",
                  ",".join(str(p) for p in e.positions) or "-",
                  e.detail or "-") for e in self.events]
         text = format_table(["t (ms)", "event", "positions", "detail"], rows,

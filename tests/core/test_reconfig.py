@@ -282,8 +282,8 @@ class TestReconfigTelemetry:
                  and e.get("tid") == 9998]
         assert {e["ph"] for e in spans} == {"b", "e"}
         phases = [e for e in events
-                  if str(e.get("name", "")).startswith("reconfig-")
+                  if str(e.get("name", "")).startswith("reconfig/")
                   and e.get("tid") == 9998]
         names = {e["name"] for e in phases}
-        assert {"reconfig-preparing", "reconfig-draining",
-                "reconfig-switching", "reconfig-committed"} <= names
+        assert {"reconfig/preparing", "reconfig/draining",
+                "reconfig/switching", "reconfig/committed"} <= names

@@ -58,9 +58,10 @@ def _scenarios() -> dict:
             duration_s=40e-3, drain_s=40e-3, rate_pps=2e4,
             orchestrators=3, heartbeat_interval_s=1e-3,
             steps=(Step(10e-3, crash=1), Step(10e-3, crash=2))),
-        # The leader crashes from inside a recovery-phase hook, so the
-        # hook writes flight events between the phase's timeline entry
-        # and its flight record: the order of the two is pinned.
+        # The leader crashes from inside a recovery-phase hook: the
+        # phase is emitted before the hook runs, so the hook's own
+        # events (step-down, fault) follow it in the timeline and the
+        # ring alike, and that order is pinned.
         "leader-crash-mid-recovery": Scenario(
             chain_length=3, f=1, seed=0, costs=SOAK_COSTS,
             duration_s=40e-3, drain_s=40e-3, rate_pps=2e4,

@@ -141,8 +141,8 @@ PARENT_SURFACE = {
             "DUMP_VERSION FLIGHT_COMPONENTS FlightEvent FlightRecorder "
             "NULL_FLIGHT NullFlightRecorder",
         "repro.flight.explain":
-            "crosscheck_recovery explain_epoch explain_packet "
-            "explain_recovery load_dump walk_back",
+            "explain_epoch explain_packet explain_recovery load_dump "
+            "walk_back",
         "repro.flight.slo":
             "SLOBreach SLOObjective SLOWatchdog parse_slo_spec run_probes",
         "repro.flight.report": "render_report",
