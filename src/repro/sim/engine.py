@@ -403,12 +403,6 @@ class Simulator:
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         return Process(self, generator, name=name)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
     # -- scheduling ----------------------------------------------------------
 
     def _schedule(self, event: Event, delay: float = 0.0,
