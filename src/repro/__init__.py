@@ -22,8 +22,8 @@ The package implements the FTC protocol and everything it runs on:
   registry, sampled per-packet Chrome traces, recovery timelines.
 * :mod:`repro.flight` -- causal flight recorder, ``repro explain``,
   SLO watchdog and the markdown run report.
-* :mod:`repro.perf` -- per-stage cost profiler, the ``BENCH_*.json``
-  scenario suite and its regression gate.
+* :mod:`repro.perf` -- per-stage call counter, the ``BENCH_*.json``
+  scenario suite and its exact gate.
 * :mod:`repro.experiments` -- regeneration of every evaluation table
   and figure.
 

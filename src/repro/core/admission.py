@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from ..telemetry import NULL_PROFILER, NULL_TELEMETRY
+from ..telemetry import NULL_TELEMETRY
 
 __all__ = ["TokenBucket", "AdmissionControl", "BackpressureBus",
            "PressureSource"]
@@ -200,7 +200,7 @@ class AdmissionControl:
         self.admitted_by_class = [0] * n_classes
         self.shed_by_class = [0] * n_classes
         self.shed_backpressure = 0
-        self._prof = getattr(self.telemetry, "profiler", NULL_PROFILER)
+        self._prof = self.telemetry.profiler
         registry = self.telemetry.registry
         self._m_admitted = registry.counter(f"{name}/admitted")
         self._m_shed = registry.counter(f"drops/{name}")
@@ -221,15 +221,8 @@ class AdmissionControl:
 
     def offer(self, packet) -> bool:
         """Gate one packet at ingress; True = admitted."""
-        prof = self._prof
-        if not prof.enabled:
-            return self._offer(packet)
-        prof_t0 = prof.t0()
-        admitted = self._offer(packet)
-        prof.add("admission/check", prof_t0)
-        return admitted
-
-    def _offer(self, packet) -> bool:
+        if self._prof.enabled:
+            self._prof.count("admission/check")
         now = self.sim.now
         cls = self.class_of(packet)
         self.offered += 1

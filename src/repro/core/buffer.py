@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..net.packet import FlowKey, Packet, PidBitmap
 from ..sim import Simulator
-from ..telemetry import NULL_PROFILER, NULL_TELEMETRY
+from ..telemetry import NULL_TELEMETRY
 from .costs import CostModel, DEFAULT_COSTS
 from .piggyback import CommitVector, PiggybackLog, PiggybackMessage
 
@@ -57,7 +57,7 @@ class Buffer:
         self.costs = costs
         self.name = name
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._prof = getattr(self.telemetry, "profiler", NULL_PROFILER)
+        self._prof = self.telemetry.profiler
         registry = self.telemetry.registry
         self._m_hold = registry.histogram(f"{name}/hold_time_s")
         self._m_held = registry.gauge(f"{name}/held")
@@ -114,14 +114,8 @@ class Buffer:
     def handle(self, packet: Packet, message: PiggybackMessage) -> float:
         """Process one packet at chain egress; returns CPU cycles spent."""
         prof = self._prof
-        if not prof.enabled:
-            return self._handle(packet, message)
-        prof_t0 = prof.t0()
-        cycles = self._handle(packet, message)
-        prof.add("buffer/hold", prof_t0)
-        return cycles
-
-    def _handle(self, packet: Packet, message: PiggybackMessage) -> float:
+        if prof.enabled:
+            prof.count("buffer/hold")
         if (self._boundary is not None and packet.is_data
                 and packet.meta.get("cfg", -1) >= self._boundary):
             self._boundary_parked.append((packet, message))
@@ -209,14 +203,10 @@ class Buffer:
                     "buffer", "hold", t=self.sim.now, pid=packet.pid,
                     detail=f"awaiting commits from {sorted(requirements)}",
                     chain=f"pid:{packet.pid}")
-        prof = self._prof
-        profiled = prof.enabled
-        if profiled:
-            prof_t0 = prof.t0()
         if self.held:
             self._scan_held()
-        if profiled:
-            prof.add("buffer/release", prof_t0)
+        if prof.enabled:
+            prof.count("buffer/release")
         if self.telemetry.enabled:
             self._m_held.set(len(self.held))
         self.cycles_spent += cycles
@@ -310,6 +300,7 @@ class Buffer:
         self.held.clear()
         self._held_flows.clear()
         self._hold_started.clear()
+        self._m_held.set(0)
         return dropped
 
     # -- feedback to the forwarder ---------------------------------------------

@@ -438,9 +438,7 @@ class FTCChain:
         self.replica_at(position).stop()
         if position == 0:
             # The forwarder's soft state dies with the first server.
-            self.forwarder.pending_logs.clear()
-            self.forwarder.pending_commits.clear()
-            self.forwarder._dirty_commits.clear()
+            self.forwarder.discard_pending()
         if position == self.n_positions - 1:
             # The buffer's held packets die with the last server.
             self.buffer_packets_lost += self.buffer.discard_held()

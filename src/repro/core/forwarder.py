@@ -14,7 +14,7 @@ from typing import Callable, Dict, List
 
 from ..net.packet import FlowKey, Packet
 from ..sim import Simulator
-from ..telemetry import NULL_PROFILER, NULL_TELEMETRY
+from ..telemetry import NULL_TELEMETRY
 from .costs import CostModel, DEFAULT_COSTS
 from .piggyback import CommitVector, PiggybackLog, PiggybackMessage
 
@@ -38,7 +38,7 @@ class Forwarder:
         self.costs = costs
         self.name = name
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._prof = getattr(self.telemetry, "profiler", NULL_PROFILER)
+        self._prof = self.telemetry.profiler
         registry = self.telemetry.registry
         self._m_attached = registry.counter(f"{name}/logs_attached")
         self._m_pending = registry.gauge(f"{name}/pending_logs")
@@ -70,14 +70,17 @@ class Forwarder:
             if commit.merge_into(self.pending_commits.setdefault(mbox, {})):
                 self._dirty_commits[mbox] = None
 
+    def discard_pending(self) -> None:
+        """Drop every pending log and commit (the first server died)."""
+        self.pending_logs.clear()
+        self.pending_commits.clear()
+        self._dirty_commits.clear()
+        self._m_pending.set(0)
+
     # -- per-packet attach (called by replica 0's worker) ----------------------
 
     def attach(self, message: PiggybackMessage) -> float:
         """Move pending state onto a packet's message; returns CPU cycles."""
-        prof = self._prof
-        profiled = prof.enabled
-        if profiled:
-            prof_t0 = prof.t0()
         self.packets_seen += 1
         self.last_rx = self.sim.now
         costs = self.costs
@@ -98,8 +101,8 @@ class Forwarder:
             message.set_commit(CommitVector(mbox, dict(self.pending_commits[mbox])))
         self._dirty_commits.clear()
         self.cycles_spent += cycles
-        if profiled:
-            prof.add("piggyback/append", prof_t0)
+        if self._prof.enabled:
+            self._prof.count("piggyback/append")
         return cycles
 
     # -- propagating packets (§5.1) -----------------------------------------------

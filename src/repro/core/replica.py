@@ -28,7 +28,7 @@ from ..middlebox.base import DROP, Middlebox
 from ..net.packet import Packet
 from ..sim import (CancelledError, Interrupt, Process, RandomStreams,
                    Simulator, Timeout)
-from ..telemetry import NULL_PROFILER, NULL_TELEMETRY
+from ..telemetry import NULL_TELEMETRY
 from .costs import CostModel, DEFAULT_COSTS
 from .depvec import ReplicationState
 from .forwarder import _PROPAGATING_FLOW, _PROPAGATING_SIZE
@@ -60,7 +60,7 @@ class Replica:
         self.costs = costs
         self.streams = streams or RandomStreams(0)
         self.telemetry = getattr(chain, "telemetry", None) or NULL_TELEMETRY
-        self._prof = getattr(self.telemetry, "profiler", NULL_PROFILER)
+        self._prof = self.telemetry.profiler
         registry = self.telemetry.registry
         self._m_pb_bytes = registry.histogram("piggyback/bytes")
 
@@ -234,13 +234,10 @@ class Replica:
         telemetry = self.telemetry
         listening = telemetry.enabled or telemetry.flight.enabled
         prof = self._prof
-        profiled = prof.enabled
         carried = message.logs
         for mbox in self.replicated:
             logs = carried.get(mbox)
             if logs:
-                if profiled:
-                    prof_t0 = prof.t0()
                 offer = states[mbox].offer
                 # offer() never touches message.logs, so iterate the
                 # live list -- no per-packet throwaway copy.
@@ -250,11 +247,9 @@ class Replica:
                     offer(log, now)
                     if listening:
                         self._note_applied(log, mbox, now)
-                if profiled:
-                    prof.add("depvec/merge", prof_t0, n=len(logs))
+                if prof.enabled:
+                    prof.count("depvec/merge", len(logs))
             if mbox in tail_last_sent:
-                if profiled:
-                    prof_t0 = prof.t0()
                 if logs is not None:
                     message.take_logs(mbox)
                 state = states[mbox]
@@ -262,18 +257,16 @@ class Replica:
                 if commit.entries:
                     message.set_commit(commit)
                     tail_last_sent[mbox] = dict(state.max)
-                if profiled:
-                    prof.add("piggyback/trim", prof_t0)
+                if prof.enabled:
+                    prof.count("piggyback/trim")
         commits = message.commits
         if commits:
-            if profiled:
-                prof_t0 = prof.t0()
             for mbox, commit in commits.items():
                 state = states.get(mbox)
                 if state is not None:
                     state.absorb_commit(commit)
-            if profiled:
-                prof.add("piggyback/trim", prof_t0)
+            if prof.enabled:
+                prof.count("piggyback/trim")
         return cycles
 
     def _note_applied(self, log, mbox: str, now: float) -> None:

@@ -53,7 +53,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, Optional, Set
 
 from ..sim import CancelledError, Interrupt, Simulator
-from ..telemetry import NULL_PROFILER, NULL_TELEMETRY
+from ..telemetry import NULL_TELEMETRY
 from .retry import RetryPolicy
 
 __all__ = ["Frame", "ReliableChannel", "DATA_RETRY_POLICY",
@@ -146,7 +146,7 @@ class ReliableChannel:
         #: Called once when the receiver falls silent (module docstring).
         self.on_silence = on_silence or (lambda: None)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._prof = getattr(self.telemetry, "profiler", NULL_PROFILER)
+        self._prof = self.telemetry.profiler
         registry = self.telemetry.registry
         self._m_retx = registry.counter("channel/retransmissions")
         self._m_nacks = registry.counter("channel/nacks")
@@ -268,10 +268,6 @@ class ReliableChannel:
 
     def send(self, packet) -> None:
         """Send a packet; it is delivered exactly once, in flow order."""
-        prof = self._prof
-        profiled = prof.enabled
-        if profiled:
-            prof_t0 = prof.t0()
         if len(self.unacked) >= self.window:
             self.txq.append(packet)
             if len(self.txq) > self.txq_peak:
@@ -280,8 +276,8 @@ class ReliableChannel:
             self._m_stalls.inc()
         else:
             self._transmit(packet)
-        if profiled:
-            prof.add("channel/frame", prof_t0)
+        if self._prof.enabled:
+            self._prof.count("channel/frame")
 
     def _transmit(self, packet) -> None:
         seq = self.next_seq
@@ -353,10 +349,6 @@ class ReliableChannel:
     # -- receiver ---------------------------------------------------------------
 
     def _on_wire(self, obj) -> None:
-        prof = self._prof
-        profiled = prof.enabled
-        if profiled:
-            prof_t0 = prof.t0()
         if isinstance(obj, Frame):
             seq = obj.seq
             expected = self.next_expected
@@ -397,8 +389,8 @@ class ReliableChannel:
                 self._m_corrupt.inc()
         else:
             self._deliver(obj)  # unframed traffic passes through
-        if profiled:
-            prof.add("channel/frame", prof_t0)
+        if self._prof.enabled:
+            self._prof.count("channel/frame")
 
     def _release(self, frame: Frame) -> None:
         """Deliver ``frame``, then every parked frame that this frees:
@@ -467,10 +459,6 @@ class ReliableChannel:
     def _on_ack(self, epoch: int, cumulative: int, *sacked) -> None:
         if epoch != self.epoch:
             return
-        prof = self._prof
-        profiled = prof.enabled
-        if profiled:
-            prof_t0 = prof.t0()
         self._heard_at = self.sim.now
         self._silence_reported = False
         unacked = self.unacked
@@ -488,8 +476,8 @@ class ReliableChannel:
         txq = self.txq
         while txq and len(unacked) < self.window:
             self._transmit(txq.popleft())
-        if profiled:
-            prof.add("channel/ack", prof_t0)
+        if self._prof.enabled:
+            self._prof.count("channel/ack")
 
     def _schedule_nack(self, got_seq: int) -> None:
         """Gap-NACK: list the missing sequences below an arrival."""

@@ -1,14 +1,16 @@
-"""Continuous performance observability (PROTOCOL.md §13).
+"""Counted performance observability (PROTOCOL.md §13).
 
 Three layers, used together by ``repro perf``:
 
-* :mod:`.profiler` -- :class:`StageProfiler` per-stage cost attribution
-  for the hot path, with collapsed-stack / speedscope flame exports;
+* :mod:`.profiler` -- :class:`StageProfiler`, per-stage call counts for
+  the hot path;
 * :mod:`.scenarios` / :mod:`.bench` -- the scenario benchmark suite
-  emitting schema-versioned ``BENCH_<scenario>.json`` reports;
-* :mod:`.compare` -- the regression gate CI runs against committed
+  emitting schema-versioned ``BENCH_<scenario>.json`` reports of exact
+  counts;
+* :mod:`.compare` -- the exact gate CI runs against committed
   baselines.
 
+Host time is not measured here: ftcbench times the chain from outside.
 Nothing is imported until a name is read: ``compare`` (the CI gate)
 loads without the simulator, and :data:`NULL_PROFILER` lives in the
 leaf :mod:`repro.telemetry.null`, so a run with profiling off never
@@ -18,13 +20,7 @@ loads :mod:`.profiler` either.
 from .._lazy import surface
 
 __getattr__, __dir__, __all__ = surface(__name__, {
-    "profiler": (
-        "NULL_PROFILER", "NullProfiler", "STAGES", "STAGE_TREE",
-        "StageProfiler", "collapsed_lines", "exclusive_seconds",
-        "speedscope_doc",
-    ),
-    "compare": (
-        "DEFAULT_TOLERANCE", "compare_dirs", "compare_reports", "headline_pps",
-        "load_reports", "render_markdown",
-    ),
+    "profiler": ("NULL_PROFILER", "NullProfiler", "STAGES", "StageProfiler"),
+    "compare": ("compare_dirs", "compare_reports", "load_reports",
+                "render_markdown"),
 })

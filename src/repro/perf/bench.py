@@ -1,28 +1,24 @@
-"""Scenario bench runner and the ``BENCH_<scenario>.json`` schema (v2).
+"""Scenario bench runner and the ``BENCH_<scenario>.json`` schema (v3).
 
-Schema version 2 (PROTOCOL.md §13.2)::
+Schema version 3 (PROTOCOL.md §13.2)::
 
     {
-      "schema_version": 2,
-      "benchmark": "perfscope scenario suite",
+      "schema_version": 3,
+      "benchmark": "perfscope scenario suite (...)",
       "scenario": "<name>",
       "env": {"python": "3.12.1", "platform": "Linux-...-x86_64",
               "git_sha": "<sha or null>", "seed": 0, "quick": false},
       "config": {...scenario knobs...},
-      "results": {"offered": N, "released": N, "wall_s": F,
-                  "sim_pps_per_wall_s": N, ...scenario extras...},
-      "stages": {"<stage>": {"calls": N, "wall_s": F,
-                             "us_per_packet": F, "calls_per_packet": F}}
+      "results": {"offered": N, "released": N, "events": N,
+                  ...scenario extras...},
+      "stages": {"<stage>": {"calls": N, "calls_per_packet": F}}
     }
 
-Each scenario is a :class:`~repro.chaos.scenario.Scenario` run by the
-one audited loop; a pass whose final audit is not clean raises, so no
-report is written for it.  Each scenario runs **twice**: an unprofiled
-pass whose wall time is the headline (``sim_pps_per_wall_s``), then a
-profiled pass for the per-stage breakdown -- so profiling overhead
-never pollutes the gated number.  Both passes use the same seed;
-virtual-time results are asserted identical across the two (a free
-determinism check).
+Every number is a count, exact for a (scenario, seed, quick): one
+counted pass per scenario, run by the one audited loop; a pass whose
+final audit is not clean raises, so no report is written for it.
+``events`` is the number of events the run scheduled -- an exact
+tripwire for an event storm.  Host time is ftcbench's to measure.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ import json
 import os
 import platform
 import subprocess
-import time
 from typing import Dict, Iterable, List, Optional
 
 from .profiler import StageProfiler
@@ -46,7 +41,7 @@ __all__ = [
     "git_sha",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def git_sha(cwd: Optional[str] = None) -> Optional[str]:
@@ -72,34 +67,19 @@ def env_metadata(seed: int, quick: bool) -> Dict:
 
 
 def bench_scenario(name: str, seed: int = 0, quick: bool = False) -> Dict:
-    """Run one scenario (unprofiled headline + profiled breakdown)."""
-    t0 = time.perf_counter()
-    plain = run_scenario(name, seed=seed, quick=quick, profiler=None)
-    wall_s = time.perf_counter() - t0
-
+    """Run one scenario with a counting profiler; the BENCH v3 report."""
     profiler = StageProfiler()
-    profiled = run_scenario(name, seed=seed, quick=quick, profiler=profiler)
-    if (profiled["offered"], profiled["released"]) != (
-            plain["offered"], plain["released"]):
-        raise AssertionError(
-            f"{name}: profiling perturbed the simulation "
-            f"(unprofiled offered/released {plain['offered']}/"
-            f"{plain['released']}, profiled {profiled['offered']}/"
-            f"{profiled['released']})")
-
-    packets = plain["released"]
-    results = {key: value for key, value in plain.items() if key != "config"}
-    results["wall_s"] = round(wall_s, 4)
-    results["sim_pps_per_wall_s"] = round(plain["released"] / wall_s)
+    result = run_scenario(name, seed=seed, quick=quick, profiler=profiler)
+    config = result.pop("config")
     return {
         "schema_version": SCHEMA_VERSION,
         "benchmark": "perfscope scenario suite "
-                     "(simulated packets / wall s, per-stage attribution)",
+                     "(exact counts: results and per-stage calls)",
         "scenario": name,
         "env": env_metadata(seed, quick),
-        "config": plain["config"],
-        "results": results,
-        "stages": profiler.report(packets=packets),
+        "config": config,
+        "results": result,
+        "stages": profiler.report(packets=result["released"]),
     }
 
 
@@ -123,9 +103,8 @@ def run_suite(names: Optional[Iterable[str]] = None, seed: int = 0,
         report = bench_scenario(name, seed=seed, quick=quick)
         reports.append(report)
         results = report["results"]
-        echo(f"[bench]   {results['sim_pps_per_wall_s']:,} sim pps/wall s "
-             f"({results['released']}/{results['offered']} released, "
-             f"{results['wall_s']:.2f}s wall)")
+        echo(f"[bench]   offered {results['offered']}, released "
+             f"{results['released']}, events {results['events']}")
         if out_dir is not None:
             path = write_report(report, out_dir)
             echo(f"[bench]   wrote {path}")
@@ -137,12 +116,8 @@ def stage_table(report: Dict) -> str:
     stages = report.get("stages") or {}
     if not stages:
         return "(no stage data)"
-    lines = [f"{'stage':<22}{'calls':>10}{'wall ms':>10}"
-             f"{'us/pkt':>10}{'calls/pkt':>11}"]
+    lines = [f"{'stage':<22}{'calls':>10}{'calls/pkt':>11}"]
     for stage, entry in stages.items():
-        lines.append(
-            f"{stage:<22}{entry.get('calls', 0):>10}"
-            f"{entry.get('wall_s', 0.0) * 1e3:>10.2f}"
-            f"{entry.get('us_per_packet', 0.0):>10.2f}"
-            f"{entry.get('calls_per_packet', 0.0):>11.3f}")
+        lines.append(f"{stage:<22}{entry.get('calls', 0):>10}"
+                     f"{entry.get('calls_per_packet', 0.0):>11.3f}")
     return "\n".join(lines)

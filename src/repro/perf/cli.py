@@ -1,11 +1,9 @@
 """The ``repro perf`` subcommand family (PROTOCOL.md §13).
 
 * ``repro perf bench``    -- run the scenario suite, write BENCH_*.json
-* ``repro perf compare``  -- regression gate: current dir vs baselines
-* ``repro perf profile``  -- one scenario with full attribution: stage
-  table, Chrome trace with counter tracks, collapsed + speedscope flames
-* ``repro perf flame``    -- re-export a BENCH report's stage breakdown
-  as a flame graph (no simulation run)
+* ``repro perf compare``  -- exact gate: current dir vs baselines
+* ``repro perf profile``  -- one scenario: stage call table and a
+  Chrome trace with counter tracks
 
 Only ``add_perf_parser`` / ``cmd_perf`` are imported by the top-level
 CLI; everything that pulls in the simulator is imported inside the
@@ -13,10 +11,6 @@ handler that needs it, so ``repro perf compare`` stays stdlib-light.
 """
 
 from __future__ import annotations
-
-import json
-import os
-import sys
 
 __all__ = ["add_perf_parser", "cmd_perf"]
 
@@ -56,30 +50,17 @@ def add_perf_parser(sub) -> None:
         "compare", help="gate current BENCH reports against baselines")
     compare.add_argument("--baseline-dir", required=True, metavar="DIR")
     compare.add_argument("--current-dir", required=True, metavar="DIR")
-    compare.add_argument("--tolerance", type=float, default=None,
-                         help="relative headline slowdown tolerated "
-                              "(default: repro.perf.DEFAULT_TOLERANCE)")
     compare.add_argument("--markdown", default=None, metavar="PATH",
                          help="also write the gate table as markdown "
                               "(e.g. $GITHUB_STEP_SUMMARY)")
 
     profile = psub.add_parser(
-        "profile", help="run one scenario with full attribution")
+        "profile", help="run one scenario with stage counts and a trace")
     profile.add_argument("scenario", choices=SCENARIO_CHOICES)
     profile.add_argument("--seed", type=int, default=0)
     profile.add_argument("--quick", action="store_true")
     profile.add_argument("--out-prefix", default=None, metavar="PREFIX",
-                         help="write PREFIX.trace.json, PREFIX.collapsed "
-                              "and PREFIX.speedscope.json")
-
-    flame = psub.add_parser(
-        "flame", help="re-export a BENCH report as a flame graph")
-    flame.add_argument("report", metavar="BENCH_JSON",
-                       help="a BENCH_<scenario>.json file")
-    flame.add_argument("--format", choices=("collapsed", "speedscope"),
-                       default="collapsed")
-    flame.add_argument("--out", default=None, metavar="PATH",
-                       help="output file (default: stdout)")
+                         help="write PREFIX.trace.json")
 
 
 def cmd_perf(args) -> int:
@@ -87,7 +68,6 @@ def cmd_perf(args) -> int:
         "bench": _cmd_bench,
         "compare": _cmd_compare,
         "profile": _cmd_profile,
-        "flame": _cmd_flame,
     }[args.perf_command]
     return handler(args)
 
@@ -101,11 +81,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .compare import DEFAULT_TOLERANCE, compare_dirs, render_markdown
-    tolerance = (args.tolerance if args.tolerance is not None
-                 else DEFAULT_TOLERANCE)
-    outcome = compare_dirs(args.baseline_dir, args.current_dir,
-                           tolerance=tolerance)
+    from .compare import compare_dirs, render_markdown
+    outcome = compare_dirs(args.baseline_dir, args.current_dir)
     markdown = render_markdown(outcome)
     print(markdown)
     if args.markdown:
@@ -118,7 +95,7 @@ def _cmd_profile(args) -> int:
     from ..telemetry import Telemetry
     from .bench import stage_table
     from .counters import CounterSampler
-    from .profiler import StageProfiler, collapsed_lines, speedscope_doc
+    from .profiler import StageProfiler
     from .scenarios import run_scenario
 
     profiler = StageProfiler()
@@ -133,10 +110,9 @@ def _cmd_profile(args) -> int:
                           profiler=profiler, telemetry=telemetry,
                           on_chain=on_chain)
     packets = result.get("released", 0)
-    profiler.publish(telemetry.registry, packets=packets)
-    stages = profiler.report(packets=packets)
+    profiler.publish(telemetry.registry)
     report = {"scenario": args.scenario, "results": result,
-              "stages": stages}
+              "stages": profiler.report(packets=packets)}
     print(f"[profile] {args.scenario}: released {packets} "
           f"(offered {result.get('offered', 0)}), "
           f"{samplers[0].samples if samplers else 0} counter samples")
@@ -145,38 +121,5 @@ def _cmd_profile(args) -> int:
     if args.out_prefix:
         trace_path = f"{args.out_prefix}.trace.json"
         telemetry.tracer.export(trace_path)
-        collapsed_path = f"{args.out_prefix}.collapsed"
-        with open(collapsed_path, "w") as handle:
-            handle.write("\n".join(collapsed_lines(stages)) + "\n")
-        speedscope_path = f"{args.out_prefix}.speedscope.json"
-        with open(speedscope_path, "w") as handle:
-            json.dump(speedscope_doc(
-                stages, name=f"repro perf profile {args.scenario}"),
-                handle, indent=2)
-            handle.write("\n")
-        for path in (trace_path, collapsed_path, speedscope_path):
-            print(f"[profile] wrote {path}")
-    return 0
-
-
-def _cmd_flame(args) -> int:
-    from .profiler import collapsed_lines, speedscope_doc
-    with open(args.report) as handle:
-        report = json.load(handle)
-    stages = report.get("stages") or {}
-    if not stages:
-        print(f"error: {args.report} has no stage breakdown",
-              file=sys.stderr)
-        return 1
-    name = report.get("scenario", os.path.basename(args.report))
-    if args.format == "collapsed":
-        text = "\n".join(collapsed_lines(stages)) + "\n"
-    else:
-        text = json.dumps(speedscope_doc(stages, name=name), indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+        print(f"[profile] wrote {trace_path}")
     return 0

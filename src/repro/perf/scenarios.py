@@ -4,9 +4,9 @@ Each scenario is a :class:`~repro.chaos.scenario.Scenario` -- the same
 kind of FTC chain the protocol tests exercise, a fixed-seed workload
 and a scripted timeline -- run by the one audited loop
 (:func:`repro.chaos.scenario.run`); what comes back is what was
-offered and released.  Wall time is measured by the caller
-(:mod:`.bench`) around :func:`run_scenario`.  The scenarios cover the
-regimes where per-packet cost differs structurally:
+offered and released and how many events were scheduled.  The
+scenarios cover the regimes where per-packet cost differs
+structurally:
 
 ==================== =====================================================
 baseline             raw links, no overload machinery (the fig5 fast path)
@@ -26,12 +26,11 @@ call counts are gated exactly (§13.3).
 
 A ``profiler``, when given, is installed on both the simulator
 (``engine/dispatch``) and the chain's telemetry bundle (every other
-stage), so per-stage costs attribute to the same run that produced the
-headline.
+stage), so per-stage counts come from the same run as the results.
 
-Determinism: for a given (scenario, seed, quick) the virtual-time
-outcome -- offered, released, and per-stage *call counts* -- is exactly
-reproducible; only wall seconds vary run to run.
+Determinism: for a given (scenario, seed, quick) the outcome --
+offered, released, events and per-stage call counts -- is exactly
+reproducible.
 """
 
 from __future__ import annotations
@@ -117,7 +116,7 @@ def _config(sc: Scenario) -> Dict:
 
 def run_scenario(name: str, seed: int = 0, quick: bool = False,
                  profiler=None, telemetry=None, on_chain=None) -> Dict:
-    """Run one scenario; returns its result dict (no wall timing here).
+    """Run one scenario; returns its result dict.
 
     ``telemetry`` overrides the scenario's internal bundle (e.g. to
     capture a Chrome trace); ``on_chain(sim, chain)`` fires after the
@@ -136,6 +135,7 @@ def run_scenario(name: str, seed: int = 0, quick: bool = False,
         "config": _config(sc),
         "offered": out.generator.sent,
         "released": out.egress.count,
+        "events": out.sim._eid,
         "buffer_held_peak": out.chain.buffer.held_peak,
     }
     if sc.impair is not None:

@@ -383,7 +383,7 @@ class Simulator:
         self._eid = 0
         self._active_process: Optional[Process] = None
         #: Optional :class:`~repro.perf.StageProfiler`; when set,
-        #: :meth:`step` attributes callback execution to the
+        #: :meth:`step` counts each dispatched event under the
         #: ``engine/dispatch`` stage.  ``None`` keeps the disabled path
         #: at one attribute load per step (fig5/fig13 byte-identical).
         self.profiler = None
@@ -443,20 +443,13 @@ class Simulator:
             return
         self.now = when
         callbacks, event.callbacks = event.callbacks, None
-        profiler = self.profiler
         call = event._call
-        if profiler is None:
-            if call is not None:
-                call()
-            for callback in callbacks:
-                callback(event)
-        else:
-            t0 = profiler.t0()
-            if call is not None:
-                call()
-            for callback in callbacks:
-                callback(event)
-            profiler.add("engine/dispatch", t0)
+        if call is not None:
+            call()
+        for callback in callbacks:
+            callback(event)
+        if self.profiler is not None:
+            self.profiler.count("engine/dispatch")
         if not event._ok and not event._defused:
             exc = event._value
             raise exc

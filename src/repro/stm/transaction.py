@@ -27,7 +27,7 @@ import itertools
 from typing import Any, Callable, Dict, FrozenSet, Hashable, List, Optional, Set
 
 from ..sim import Simulator, Timeout
-from ..telemetry import NULL_PROFILER, NULL_TELEMETRY
+from ..telemetry import NULL_TELEMETRY
 from .locks import LockStats, PartitionLock, TransactionWounded
 from .partition import PartitionSpace
 from .store import StateStore, TOMBSTONE
@@ -186,7 +186,7 @@ class TransactionManager:
         self.name = name
         self.lock_stats = LockStats()
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._prof = getattr(self.telemetry, "profiler", NULL_PROFILER)
+        self._prof = self.telemetry.profiler
         registry = self.telemetry.registry
         self._m_commits = registry.counter(f"{name}/commits")
         self._m_retries = registry.counter(f"{name}/retries")
@@ -324,18 +324,14 @@ class TransactionManager:
                     commit_hold = commit_hold_fn(live)
                     if commit_hold > 0.0:
                         yield Timeout(sim, commit_hold)
-                prof = self._prof
-                profiled = prof.enabled
-                if profiled:
-                    prof_t0 = prof.t0()
                 store.apply_many(live.writes)
                 commit_value = None
                 if on_commit is not None:
                     commit_value = on_commit(live, live_partitions)
                 tx.phase = "done"
                 tx.release_all()
-                if profiled:
-                    prof.add("stm/commit", prof_t0)
+                if self._prof.enabled:
+                    self._prof.count("stm/commit")
                 self.committed += 1
                 self.total_retries += tx.retries
                 self._m_commits.inc()

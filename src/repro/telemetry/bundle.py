@@ -30,7 +30,7 @@ class Telemetry:
         #: Causal flight recorder (PR 5); NULL_FLIGHT unless a run opts
         #: in with ``--flight`` / ``run_soak(flight_dir=...)``.
         self.flight = flight if flight is not None else NULL_FLIGHT
-        #: Per-stage cost attribution (PROTOCOL.md §13); NULL_PROFILER
+        #: Per-stage call counts (PROTOCOL.md §13); NULL_PROFILER
         #: unless a perf run passes a StageProfiler.
         self.profiler = profiler if profiler is not None else NULL_PROFILER
 

@@ -188,7 +188,7 @@ class NullProfiler:
     """Profiling disabled: a shared singleton whose ``enabled`` is False.
 
     Data-path hooks test ``enabled`` and never get here; the no-op
-    methods remain for callers off the data path (reports, exports).
+    methods remain for callers off the data path (reports).
     """
 
     __slots__ = ()
@@ -197,25 +197,12 @@ class NullProfiler:
     #: Read-only: every disabled component shares this one object, so
     #: a stray write must fail rather than leak into later runs.
     calls: Mapping[str, int] = MappingProxyType({})
-    seconds: Mapping[str, float] = MappingProxyType({})
-
-    def t0(self) -> float:
-        return 0.0
-
-    def add(self, stage: str, t0: float, n: int = 1) -> None:
-        pass
 
     def count(self, stage: str, n: int = 1) -> None:
         pass
 
-    def wall_s(self, stage: str) -> float:
-        return 0.0
-
     def report(self, packets: int = 0) -> Dict[str, Dict[str, float]]:
         return {}
-
-    def publish(self, registry, packets: int = 0) -> None:
-        pass
 
 
 NULL_PROFILER = NullProfiler()

@@ -251,3 +251,29 @@ class TestEgressFlowOrder:
         sim.run(until=7e-3)
         assert oracle.released == generator.sent > 0
         assert oracle.out_of_order == 0
+
+
+class TestFailStopGauges:
+    def test_gauges_read_zero_after_both_ends_fail(self):
+        """A fail-stop that discards the buffer's held set and the
+        forwarder's pending logs also zeroes their gauges."""
+        from repro.middlebox import ch_n
+        from repro.telemetry import Telemetry
+        sim = Simulator()
+        telemetry = Telemetry(max_trace_events=0)
+        chain = FTCChain(sim, ch_n(2, n_threads=2), f=1,
+                         deliver=lambda packet: None, n_threads=2, seed=0,
+                         telemetry=telemetry)
+        chain.start()
+        TrafficGenerator(sim, chain.ingress, rate_pps=2e5,
+                         flows=balanced_flows(64, 2), packet_size=256,
+                         arrivals="poisson", streams=RandomStreams(0))
+        sim.run(until=2e-3)
+        gauges = telemetry.registry.gauges
+        assert gauges["ftc/buffer/held"].value > 0
+        assert gauges["ftc/forwarder/pending_logs"].value > 0
+        chain.fail_position(1)
+        chain.fail_position(0)
+        assert len(chain.buffer.held) == len(chain.forwarder.pending_logs) == 0
+        assert gauges["ftc/buffer/held"].value == 0
+        assert gauges["ftc/forwarder/pending_logs"].value == 0

@@ -66,17 +66,16 @@ class TestBenchScenario:
             assert key in report["env"]
         results = report["results"]
         assert results["released"] > 0
-        assert results["sim_pps_per_wall_s"] > 0
-        assert results["wall_s"] > 0
+        assert results["events"] > results["released"]
+        assert "config" not in results
 
     def test_stage_breakdown_present(self, report):
         stages = report["stages"]
         assert "engine/dispatch" in stages
         assert "stm/commit" in stages
         entry = stages["stm/commit"]
+        assert set(entry) == {"calls", "calls_per_packet"}
         assert entry["calls"] > 0
-        assert "us_per_packet" in entry
-        assert "calls_per_packet" in entry
 
     def test_report_is_json_serializable(self, report):
         json.dumps(report)

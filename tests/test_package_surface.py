@@ -149,11 +149,9 @@ PARENT_SURFACE = {
     },
     "repro.perf": {
         "repro.perf.profiler":
-            "NULL_PROFILER NullProfiler STAGES STAGE_TREE StageProfiler "
-            "collapsed_lines exclusive_seconds speedscope_doc",
+            "NULL_PROFILER NullProfiler STAGES StageProfiler",
         "repro.perf.compare":
-            "DEFAULT_TOLERANCE compare_dirs compare_reports headline_pps "
-            "load_reports render_markdown",
+            "compare_dirs compare_reports load_reports render_markdown",
     },
     "repro.telemetry": {
         "repro.telemetry.registry":
