@@ -4,6 +4,8 @@ import copy
 import json
 import pathlib
 
+import pytest
+
 from repro.perf import (
     compare_dirs,
     compare_reports,
@@ -38,10 +40,14 @@ class TestCompareReports:
         row = compare_reports("s", _report("s"), None)
         assert row["status"] == "missing"
 
-    def test_new_scenario_is_informational(self):
+    def test_new_scenario_is_informational(self, tmp_path):
         row = compare_reports("s", None, _report("s"))
         assert row["status"] == "new"
         assert row["notes"] == ["no committed baseline; commit this report"]
+        _write(tmp_path / "base", [_report("a")])
+        _write(tmp_path / "cur", [_report("a"), _report("s")])
+        assert compare_dirs(str(tmp_path / "base"),
+                            str(tmp_path / "cur"))["failed"] is False
 
     def test_a_different_events_count_fails(self):
         cur = _report("s", results={"offered": 10, "released": 10,
@@ -104,53 +110,37 @@ class TestStageCallCounts:
         assert "identical on 6 of 6 scenario(s)" in render_markdown(outcome)
 
 
-class TestCommittedBaselineMutations:
-    """Each mutation of a committed report fails the gate, named."""
+def _bump_calls(delta):
+    def mutate(current):
+        current["lossy"]["stages"]["channel/ack"]["calls"] += delta
+    return mutate
 
-    def _gate(self, tmp_path, mutate):
-        reports = load_reports(str(BASELINES))
-        current = copy.deepcopy(reports)
-        mutate(current)
-        _write(tmp_path / "cur", current.values())
-        outcome = compare_dirs(str(BASELINES), str(tmp_path / "cur"))
-        return outcome, {row["scenario"]: row for row in outcome["rows"]}
 
-    def test_a_stage_call_plus_or_minus_one_fails(self, tmp_path):
-        for delta in (1, -1):
-            def mutate(current):
-                current["lossy"]["stages"]["channel/ack"]["calls"] += delta
-            outcome, rows = self._gate(tmp_path, mutate)
-            assert outcome["failed"] is True
-            assert rows["lossy"]["status"] == "differ"
-            assert rows["lossy"]["notes"][0].startswith("channel/ack calls ")
+def _bump_events(current):
+    current["baseline"]["results"]["events"] += 1
 
-    def test_a_different_events_count_fails(self, tmp_path):
-        def mutate(current):
-            current["baseline"]["results"]["events"] += 1
-        outcome, rows = self._gate(tmp_path, mutate)
-        assert outcome["failed"] is True
-        assert rows["baseline"]["notes"][0].startswith("results.events ")
 
-    def test_a_different_seed_or_config_fails(self, tmp_path):
-        for mutate in (lambda c: c["overload"]["env"].update(seed=1),
-                       lambda c: c["overload"]["config"].update(f=2)):
-            outcome, rows = self._gate(tmp_path, mutate)
-            assert outcome["failed"] is True
-            assert rows["overload"]["status"] == "incomparable"
-
-    def test_a_deleted_scenario_fails_as_missing(self, tmp_path):
-        outcome, rows = self._gate(tmp_path,
-                                   lambda c: c.pop("reliable-links"))
-        assert outcome["failed"] is True
-        assert rows["reliable-links"]["status"] == "missing"
-
-    def test_a_new_scenario_passes_with_a_note(self, tmp_path):
-        def mutate(current):
-            current["extra"] = {**current["baseline"], "scenario": "extra"}
-        outcome, rows = self._gate(tmp_path, mutate)
-        assert outcome["failed"] is False
-        assert rows["extra"]["status"] == "new"
-        assert rows["extra"]["notes"]
+@pytest.mark.parametrize("mutate, scenario, status", [
+    (_bump_calls(1), "lossy", "differ"),
+    (_bump_calls(-1), "lossy", "differ"),
+    (_bump_events, "baseline", "differ"),
+    (lambda c: c["overload"]["env"].update(seed=1), "overload",
+     "incomparable"),
+    (lambda c: c["overload"]["config"].update(f=2), "overload",
+     "incomparable"),
+    (lambda c: c.pop("reliable-links"), "reliable-links", "missing"),
+], ids=["calls+1", "calls-1", "events", "seed", "config", "deleted"])
+def test_each_mutation_of_a_committed_baseline_fails(tmp_path, mutate,
+                                                     scenario, status):
+    current = copy.deepcopy(load_reports(str(BASELINES)))
+    mutate(current)
+    _write(tmp_path, current.values())
+    outcome = compare_dirs(str(BASELINES), str(tmp_path))
+    rows = {row["scenario"]: row for row in outcome["rows"]}
+    assert outcome["failed"] is True
+    assert rows[scenario]["status"] == status
+    assert [r["scenario"] for r in outcome["rows"]
+            if r["status"] != "identical"] == [scenario]
 
 
 class TestCompareDirs:
