@@ -111,9 +111,8 @@ def run_suite(names: Optional[Iterable[str]] = None, seed: int = 0,
     return reports
 
 
-def stage_table(report: Dict) -> str:
-    """Plain-text per-stage table for one report (CLI output)."""
-    stages = report.get("stages") or {}
+def stage_table(stages: Dict) -> str:
+    """Plain-text table of a ``StageProfiler.report`` (CLI output)."""
     if not stages:
         return "(no stage data)"
     lines = [f"{'stage':<22}{'calls':>10}{'calls/pkt':>11}"]

@@ -111,12 +111,10 @@ def _cmd_profile(args) -> int:
                           on_chain=on_chain)
     packets = result.get("released", 0)
     profiler.publish(telemetry.registry)
-    report = {"scenario": args.scenario, "results": result,
-              "stages": profiler.report(packets=packets)}
     print(f"[profile] {args.scenario}: released {packets} "
           f"(offered {result.get('offered', 0)}), "
           f"{samplers[0].samples if samplers else 0} counter samples")
-    print(stage_table(report))
+    print(stage_table(profiler.report(packets=packets)))
 
     if args.out_prefix:
         trace_path = f"{args.out_prefix}.trace.json"
