@@ -181,8 +181,8 @@ def _build_parser() -> argparse.ArgumentParser:
     what.add_argument("--packet", type=int, default=None, metavar="PID",
                       help="one packet's journey through the chain")
     what.add_argument("--recovery", type=int, default=None, metavar="POS",
-                      help="one recovery of chain position POS, "
-                           "cross-checked against the RecoveryTimeline")
+                      help="one recovery of chain position POS, walked "
+                           "back from its terminal event in the dump")
     what.add_argument("--epoch", type=int, default=None, metavar="E",
                       help="one leadership term: election, journal "
                            "writes, demise")

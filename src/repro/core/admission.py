@@ -202,8 +202,8 @@ class AdmissionControl:
         self.shed_backpressure = 0
         self._prof = self.telemetry.profiler
         registry = self.telemetry.registry
-        self._m_admitted = registry.counter(f"{name}/admitted")
-        self._m_shed = registry.counter(f"drops/{name}")
+        registry.counter(f"{name}/admitted", lambda: self.admitted)
+        registry.counter(f"drops/{name}", lambda: self.shed)
         self._flight = self.telemetry.flight
 
     @property
@@ -244,14 +244,12 @@ class AdmissionControl:
                               f"tokens below class-{cls} floor")
         self.admitted += 1
         self.admitted_by_class[cls] += 1
-        self._m_admitted.inc()
         return True
 
     def _shed(self, packet, cls: int, now: float, reason: str) -> bool:
         self.shed_by_class[cls] += 1
         if reason.startswith("backpressure"):
             self.shed_backpressure += 1
-        self._m_shed.inc()
         if self._flight.enabled:
             self._flight.record(
                 "admission", "shed", t=now, pid=packet.pid,

@@ -60,12 +60,16 @@ class Buffer:
         self._prof = self.telemetry.profiler
         registry = self.telemetry.registry
         self._m_hold = registry.histogram(f"{name}/hold_time_s")
-        self._m_held = registry.gauge(f"{name}/held")
-        self._m_released = registry.counter(f"{name}/released")
-        self._m_feedback = registry.counter(f"{name}/feedback_packets")
-        self._m_duplicates = registry.counter(f"{name}/duplicates_dropped")
-        self._m_overflow = registry.counter(f"{name}/overflow_dropped")
-        self._m_drop_site = registry.counter("drops/buffer-overflow")
+        registry.gauge(f"{name}/held", lambda: len(self.held))
+        registry.counter(f"{name}/released", lambda: self.released)
+        registry.counter(f"{name}/feedback_packets",
+                         lambda: self.feedback_packets)
+        registry.counter(f"{name}/duplicates_dropped",
+                         lambda: self.duplicates_dropped)
+        registry.counter(f"{name}/overflow_dropped",
+                         lambda: self.overflow_dropped)
+        registry.counter("drops/buffer-overflow",
+                         lambda: self.overflow_dropped)
         self._flight = self.telemetry.flight
         #: pid -> virtual time the packet entered the held queue (only
         #: populated while telemetry is enabled).
@@ -82,6 +86,7 @@ class Buffer:
         #: order.  Keyed by fields, so no ``FlowKey.__hash__`` call.
         self._held_flows: Dict[tuple, int] = {}
         self.feedback_logs: List[PiggybackLog] = []
+        self.feedback_packets = 0
         self._feedback_dirty = False
         self._feedback_kick = sim.event()
         self.released = 0
@@ -128,7 +133,6 @@ class Buffer:
             # idempotent), so the whole packet is a no-op -- and
             # releasing it again would break exactly-once egress.
             self.duplicates_dropped += 1
-            self._m_duplicates.inc()
             if self._flight.enabled:
                 self._flight.record(
                     "buffer", "dup-drop", t=self.sim.now, pid=packet.pid,
@@ -177,8 +181,6 @@ class Buffer:
             # Backpressure floor: shed instead of growing unboundedly
             # when the commit path is wedged (counted, not silent).
             self.overflow_dropped += 1
-            self._m_overflow.inc()
-            self._m_drop_site.inc()
             if self._flight.enabled:
                 self._flight.record(
                     "buffer", "shed", t=self.sim.now, pid=packet.pid,
@@ -207,8 +209,6 @@ class Buffer:
             self._scan_held()
         if prof.enabled:
             prof.count("buffer/release")
-        if self.telemetry.enabled:
-            self._m_held.set(len(self.held))
         self.cycles_spent += cycles
         return cycles
 
@@ -230,7 +230,6 @@ class Buffer:
         packet.detach("ftc")
         self.released += 1
         if self.telemetry.enabled:
-            self._m_released.inc()
             held_since = self._hold_started.pop(packet.pid, None)
             self._m_hold.observe(
                 0.0 if held_since is None else self.sim.now - held_since,
@@ -300,7 +299,6 @@ class Buffer:
         self.held.clear()
         self._held_flows.clear()
         self._hold_started.clear()
-        self._m_held.set(0)
         return dropped
 
     # -- feedback to the forwarder ---------------------------------------------
@@ -330,7 +328,7 @@ class Buffer:
                     message.set_commit(CommitVector(mbox, delta))
                     sent.update(delta)
             packet.attach("ftc", message)
-            self._m_feedback.inc()
+            self.feedback_packets += 1
             self.send_feedback(packet)
             yield self.sim.timeout(max(
                 self.feedback_min_interval_s,

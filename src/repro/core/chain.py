@@ -33,6 +33,10 @@ __all__ = ["FTCChain"]
 #: Give up on a control RPC to a (possibly dead) peer after this long.
 CONTROL_TIMEOUT_S = 2e-3
 
+#: ``ReliableChannel.stats()`` keys that are peaks or levels: a retired
+#: channel's are dropped, its counters folded into ``channel_stats()``.
+_CHANNEL_LEVELS = ("ooo_held_peak", "txq_peak", "inflight", "queued")
+
 
 class FTCChain:
     """A deployed fault-tolerant service function chain."""
@@ -108,6 +112,7 @@ class FTCChain:
         #: wire bytes, keeping unimpaired runs bit-identical.
         self.reliable_links = reliable_links
         self._channels: Dict[Tuple[int, int], ReliableChannel] = {}
+        self._retired_channel_stats: Dict[str, int] = {}
         self.packets_in = 0
         self.feedback_lost = 0
         self.buffer_packets_lost = 0
@@ -130,6 +135,8 @@ class FTCChain:
         self._holds: Dict[int, object] = {}
         self._switching: set = set()
         self._reconfig_seq = 0
+        #: ``reconfig/*`` counts, filled by the first operation.
+        self.reconfig_counts: Dict[str, int] = {}
         #: Callables ``(position, old_name, new_name)`` fired on every
         #: route mutation (recovery re-steer or reconfig switch); the
         #: orchestrator registers one to refresh its monitored set.
@@ -143,8 +150,8 @@ class FTCChain:
         #: (auditors account per-middlebox packet counts from there).
         self.mbox_release_baseline: Dict[str, int] = {}
         #: Audited drop sites (PROTOCOL.md §12.2).
-        self._m_classifier_drop = self.telemetry.registry.counter(
-            "drops/classifier")
+        self.telemetry.registry.counter("drops/classifier",
+                                        lambda: self.classifier_drops)
         #: Propagating packets the NIC queue refused; their piggyback
         #: state is re-absorbed by the forwarder and retried -- never
         #: dropped (the replication invariant does not bend under load).
@@ -232,6 +239,13 @@ class FTCChain:
         """A position's state store for one middlebox (tests/inspection)."""
         return self.replicas[position].states[mbox_name].store
 
+    def commit_lag(self, mbox_name: str) -> int:
+        """Most logs of ``mbox_name`` any replica the chain holds still
+        retains: the window not yet known to be replicated f+1 times."""
+        return max((len(replica.states[mbox_name].retained)
+                    for replica in self.replicas
+                    if mbox_name in replica.states), default=0)
+
     # -- lifecycle -----------------------------------------------------------------
 
     def start(self) -> None:
@@ -255,7 +269,6 @@ class FTCChain:
         if self.classifier is not None and packet.is_data \
                 and not self.classifier.admits(packet.flow):
             self.classifier_drops += 1
-            self._m_classifier_drop.inc()
             return
         if self.admission is not None and packet.is_data \
                 and not self.admission.offer(packet):
@@ -357,12 +370,27 @@ class FTCChain:
             observer(src, dst)
 
     def channel_stats(self) -> Dict[str, int]:
-        """Reliability-layer counters summed over all hop channels."""
-        totals: Dict[str, int] = {}
+        """Reliability-layer counters summed over all hop channels.
+
+        Counters include every channel :meth:`retire_channels` cleared,
+        so they never go down; peaks and levels cover live channels.
+        """
+        totals = dict(self._retired_channel_stats)
         for channel in self._channels.values():
             for key, value in channel.stats().items():
                 totals[key] = totals.get(key, 0) + value
         return totals
+
+    def retire_channels(self) -> None:
+        """Stop and forget every hop channel (a restructure renumbers
+        the hops), keeping their counters in :meth:`channel_stats`."""
+        retired = self._retired_channel_stats
+        for channel in self._channels.values():
+            channel.stop()
+            for key, value in channel.stats().items():
+                if key not in _CHANNEL_LEVELS:
+                    retired[key] = retired.get(key, 0) + value
+        self._channels.clear()
 
     def _send_feedback(self, packet: Packet) -> None:
         """Buffer -> forwarder dissemination over the 10 GbE path."""

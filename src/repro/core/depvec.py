@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from ..stm.store import StateStore
-from ..telemetry import NULL_COUNTER, NULL_GAUGE
 from .piggyback import CommitVector, PiggybackLog
 
 __all__ = ["DependencyVector", "ReplicationState", "ProtocolError"]
@@ -88,20 +87,16 @@ class ReplicationState:
         self.commit_floor: Dict[int, int] = {}
         self.applied = 0
         self.duplicates = 0
+        self.pruned = 0
         self.frozen = False
-        #: Telemetry instruments (shared across every replica of this
-        #: middlebox: the counters aggregate chain-wide).
+        #: Every replica of this middlebox counts under one name: the
+        #: counters aggregate chain-wide.
         if telemetry is not None:
             registry = telemetry.registry
-            self._m_applied = registry.counter(f"repl/{mbox}/logs_applied")
-            self._m_pruned = registry.counter(f"repl/{mbox}/logs_pruned")
-            self._m_duplicates = registry.counter(f"repl/{mbox}/duplicates")
-            self._m_commit_lag = registry.gauge(f"repl/{mbox}/commit_lag")
-        else:
-            self._m_applied = NULL_COUNTER
-            self._m_pruned = NULL_COUNTER
-            self._m_duplicates = NULL_COUNTER
-            self._m_commit_lag = NULL_GAUGE
+            registry.counter(f"repl/{mbox}/logs_applied", lambda: self.applied)
+            registry.counter(f"repl/{mbox}/logs_pruned", lambda: self.pruned)
+            registry.counter(f"repl/{mbox}/duplicates",
+                             lambda: self.duplicates)
 
     # -- ingestion ---------------------------------------------------------------
 
@@ -140,7 +135,6 @@ class ReplicationState:
             maximum[partition] = seq + 1  # every entry equalled MAX
         self.retained.append(log)
         self.applied += 1
-        self._m_applied.inc()
         return _APPLIED
 
     def offer(self, log: PiggybackLog, now: float = 0.0) -> int:
@@ -158,7 +152,6 @@ class ReplicationState:
             return 1 + (self._drain_pending() if self.pending else 0)
         if fate == _DUPLICATE:
             self.duplicates += 1
-            self._m_duplicates.inc()
             return 0
         self.pending.append(log)
         self._held_at.append(now)
@@ -184,7 +177,6 @@ class ReplicationState:
             self.max[partition] = expected + 1
         self.retained.append(log)
         self.applied += 1
-        self._m_applied.inc()
 
     def _drain_pending(self) -> int:
         applied = 0
@@ -203,7 +195,6 @@ class ReplicationState:
                     progress = True
                 else:
                     self.duplicates += 1
-                    self._m_duplicates.inc()
         return applied
 
     # -- commit vectors / pruning --------------------------------------------------
@@ -236,9 +227,8 @@ class ReplicationState:
                         keep(log)
                         break
             if len(kept) != len(retained):
-                self._m_pruned.inc(len(retained) - len(kept))
-                self.retained = retained = kept
-        self._m_commit_lag.set(len(retained))
+                self.pruned += len(retained) - len(kept)
+                self.retained = kept
 
     def unpruned_logs(self) -> List[PiggybackLog]:
         """Retained logs a successor might be missing (retransmission)."""

@@ -66,8 +66,8 @@ class EpochGate:
         self.max_epoch = 0
         self.fenced_commands = 0
         self.applied: List[AppliedCommand] = []
-        self._m_fenced = self.telemetry.registry.counter(
-            "ensemble/fenced_commands")
+        self.telemetry.registry.counter("ensemble/fenced_commands",
+                                        lambda: self.fenced_commands)
         self._flight = self.telemetry.flight
 
     def check(self, epoch: Optional[int], kind: str = "command",
@@ -77,7 +77,6 @@ class EpochGate:
             return
         if epoch < self.max_epoch:
             self.fenced_commands += 1
-            self._m_fenced.inc()
             self.telemetry.emit(
                 "fencing", "fenced", positions, t=self.sim.now, epoch=epoch,
                 detail=f"{kind} rejected: epoch {epoch} < fence "

@@ -40,9 +40,10 @@ class Forwarder:
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._prof = self.telemetry.profiler
         registry = self.telemetry.registry
-        self._m_attached = registry.counter(f"{name}/logs_attached")
-        self._m_pending = registry.gauge(f"{name}/pending_logs")
-        self._m_propagating = registry.counter(f"{name}/propagating_sent")
+        registry.counter(f"{name}/logs_attached", lambda: self.logs_attached)
+        registry.gauge(f"{name}/pending_logs", lambda: len(self.pending_logs))
+        registry.counter(f"{name}/propagating_sent",
+                         lambda: self.propagating_sent)
         self.pending_logs: List[PiggybackLog] = []
         self.pending_commits: Dict[str, Dict[int, int]] = {}
         #: mboxes whose floor rose since the last attach, in the order
@@ -51,6 +52,7 @@ class Forwarder:
         self.last_rx = 0.0
         self.packets_seen = 0
         self.cycles_spent = 0.0
+        self.logs_attached = 0
         self.propagating_sent = 0
         self.feedback_received = 0
         #: Config version ingress stamps packets with (PROTOCOL.md §11);
@@ -65,7 +67,6 @@ class Forwarder:
         self.feedback_received += 1
         for logs in message.logs.values():
             self.pending_logs.extend(logs)
-        self._m_pending.set(len(self.pending_logs))
         for mbox, commit in message.commits.items():
             if commit.merge_into(self.pending_commits.setdefault(mbox, {})):
                 self._dirty_commits[mbox] = None
@@ -75,7 +76,6 @@ class Forwarder:
         self.pending_logs.clear()
         self.pending_commits.clear()
         self._dirty_commits.clear()
-        self._m_pending.set(0)
 
     # -- per-packet attach (called by replica 0's worker) ----------------------
 
@@ -87,7 +87,7 @@ class Forwarder:
         cycles = costs.forwarder_cycles
         pending = self.pending_logs
         if pending:
-            self._m_attached.inc(len(pending))
+            self.logs_attached += len(pending)
             attach_cycles = costs.piggyback_attach_cycles
             per_byte_cycles = costs.per_state_byte_cycles
             add_log = message.add_log
@@ -96,7 +96,6 @@ class Forwarder:
                            per_byte_cycles * log.state_bytes(costs))
                 add_log(log)
             self.pending_logs = []
-        self._m_pending.set(0)
         for mbox in self._dirty_commits:
             message.set_commit(CommitVector(mbox, dict(self.pending_commits[mbox])))
         self._dirty_commits.clear()
@@ -131,5 +130,4 @@ class Forwarder:
         self.attach(message)
         packet.attach("ftc", message)
         self.propagating_sent += 1
-        self._m_propagating.inc()
         self.inject(packet)

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sim import AnyOf
@@ -255,7 +256,7 @@ class ReconfigHold:
     back-to-back reconfigurations.
     """
 
-    def __init__(self, chain, position: int, forced_counter=None):
+    def __init__(self, chain, position: int):
         self.chain = chain
         self.position = position
         self.sim = chain.sim
@@ -264,7 +265,6 @@ class ReconfigHold:
         self.releasing = False
         self.peak = 0
         self._suspended = False
-        self._forced = forced_counter
         self.sim.schedule_callback(HOLD_FLUSH_DEADLINE_S, self._deadline)
 
     def park(self, packet) -> None:
@@ -300,17 +300,16 @@ class ReconfigHold:
 
     def _deadline(self) -> None:
         if self.active and not self.releasing and not self._suspended:
-            if self._forced is not None:
-                self._forced.inc()
+            self.chain.reconfig_counts["forced_releases"] += 1
             self.begin_release()
 
 
-def _install_hold(chain, position: int, forced_counter=None) -> ReconfigHold:
+def _install_hold(chain, position: int) -> ReconfigHold:
     existing = chain._holds.get(position)
     if existing is not None and existing.active:
         existing.suspend()
         return existing
-    hold = ReconfigHold(chain, position, forced_counter=forced_counter)
+    hold = ReconfigHold(chain, position)
     chain._holds[position] = hold
     return hold
 
@@ -415,11 +414,13 @@ def apply_reconfig(chain, op: ReconfigOp, epoch: Optional[int] = None,
     supplies only what differs.
     """
     sim, telemetry = chain.sim, chain.telemetry
-    registry = telemetry.registry
-    m_prepares, m_switches, m_aborted, m_held, m_migrated, m_forced = [
-        registry.counter(f"reconfig/{name}") for name in (
-            "prepares", "switches", "aborted", "held_packets",
-            "migrated_bytes", "forced_releases")]
+    counts = chain.reconfig_counts
+    if not counts:   # the chain's first operation: reconfig/* appear
+        for name in ("prepares", "switches", "aborted", "held_packets",
+                     "migrated_bytes", "forced_releases"):
+            counts[name] = 0
+            telemetry.registry.counter(f"reconfig/{name}",
+                                       partial(counts.get, name))
     chain._reconfig_seq += 1
     op_id = chain._reconfig_seq
     positions, describe = op.journal_positions(), op.describe()
@@ -456,13 +457,13 @@ def apply_reconfig(chain, op: ReconfigOp, epoch: Optional[int] = None,
     fire("preparing")
     yield from command("reconfig-prepare")
     plan.spawn()
-    m_prepares.inc()
+    counts["prepares"] += 1
     report.prepare_s = sim.now - started
     fire("prepared")
 
     hold = None
     if plan.hold_at is not None:
-        hold = _install_hold(chain, plan.hold_at, forced_counter=m_forced)
+        hold = _install_hold(chain, plan.hold_at)
     committed = False
     try:
         if hold is not None:
@@ -475,7 +476,7 @@ def apply_reconfig(chain, op: ReconfigOp, epoch: Optional[int] = None,
             yield from plan.transfer(report)
             if plan.timed_transfer:
                 report.transfer_s = sim.now - transfer_started
-            m_migrated.inc(report.bytes_transferred)
+            counts["migrated_bytes"] += report.bytes_transferred
 
         yield sim.timeout(reroute_delay_s)
         switch_started = sim.now
@@ -488,10 +489,10 @@ def apply_reconfig(chain, op: ReconfigOp, epoch: Optional[int] = None,
         committed = report.committed = True
         if hold is not None:
             report.held_packets = hold.peak
-            m_held.inc(hold.peak)
+            counts["held_packets"] += hold.peak
         yield from command("reconfig-commit")
         report.switch_s = sim.now - switch_started
-        m_switches.inc()
+        counts["switches"] += 1
         fire("committed")
     finally:
         for state in plan.frozen:
@@ -499,7 +500,7 @@ def apply_reconfig(chain, op: ReconfigOp, epoch: Optional[int] = None,
         plan.close(committed, hold)
         if not committed:
             report.aborted = True
-            m_aborted.inc()
+            counts["aborted"] += 1
             fire("aborted")
     report.total_s = sim.now - started
     report.detail = plan.detail
@@ -719,9 +720,7 @@ class _Restructure(_Plan):
         n_mboxes, n_pos = len(self.new_mboxes), len(new_route)
         for replica in chain.replicas:
             replica.stop()
-        for channel in chain._channels.values():
-            channel.stop()
-        chain._channels.clear()
+        chain.retire_channels()
         if op.kind == "remove":
             name = op.middlebox_name
             chain.forwarder.pending_logs = [

@@ -22,6 +22,7 @@ which closes gaps caused by packet loss or mid-chain failures.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional
 
 from ..middlebox.base import DROP, Middlebox
@@ -78,6 +79,8 @@ class Replica:
             state = ReplicationState(name, costs.n_partitions,
                                      telemetry=telemetry)
             self.states[name] = state
+            registry.gauge(f"repl/{name}/commit_lag",
+                           partial(chain.commit_lag, name))
             if chain.tail_position(index) == position:
                 self.tail_last_sent[name] = {}
             if middlebox is None or name != middlebox.name:

@@ -125,8 +125,9 @@ class SLOWatchdog:
         #: tracks extremes separately below).
         self.last: Dict[str, float] = {}
         self.worst: Dict[str, float] = {}
-        self._m_breaches = self.telemetry.registry.counter("slo/breaches")
-        self._m_evals = self.telemetry.registry.counter("slo/evaluations")
+        registry = self.telemetry.registry
+        registry.counter("slo/breaches", lambda: len(self.breaches))
+        registry.counter("slo/evaluations", lambda: self.evaluations)
         self._flight = self.telemetry.flight
         self._stopped = False
         unknown = [o.indicator for o in self.objectives
@@ -150,7 +151,6 @@ class SLOWatchdog:
     def evaluate(self) -> List[SLOBreach]:
         """One evaluation pass; returns the breaches it produced."""
         self.evaluations += 1
-        self._m_evals.inc()
         now = self.sim.now
         new: List[SLOBreach] = []
         for objective in self.objectives:
@@ -167,7 +167,6 @@ class SLOWatchdog:
             breach = SLOBreach(objective=objective, observed=value, t=now)
             new.append(breach)
             self.breaches.append(breach)
-            self._m_breaches.inc()
             if self._flight.enabled:
                 self._flight.record(
                     "slo", "breach", t=now,

@@ -148,13 +148,15 @@ class ReliableChannel:
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._prof = self.telemetry.profiler
         registry = self.telemetry.registry
-        self._m_retx = registry.counter("channel/retransmissions")
-        self._m_nacks = registry.counter("channel/nacks")
-        self._m_dups = registry.counter("channel/dup_dropped")
-        self._m_corrupt = registry.counter("channel/corrupt_dropped")
-        self._m_stalls = registry.counter("channel/window_stalls")
+        registry.counter("channel/retransmissions",
+                         lambda: self.retransmissions)
+        registry.counter("channel/nacks", lambda: self.nacks_sent)
+        registry.counter("channel/dup_dropped", lambda: self.dup_dropped)
+        registry.counter("channel/corrupt_dropped",
+                         lambda: self.corrupt_dropped)
+        registry.counter("channel/window_stalls", lambda: self.window_stalls)
         self._m_inflight = registry.histogram("channel/inflight")
-        self._m_reorder_drop = registry.counter("drops/channel-reorder")
+        registry.counter("drops/channel-reorder", lambda: self.reorder_dropped)
         self._flight = self.telemetry.flight
 
         self.epoch = 0
@@ -273,7 +275,6 @@ class ReliableChannel:
             if len(self.txq) > self.txq_peak:
                 self.txq_peak = len(self.txq)
             self.window_stalls += 1
-            self._m_stalls.inc()
         else:
             self._transmit(packet)
         if self._prof.enabled:
@@ -312,7 +313,6 @@ class ReliableChannel:
         pending.attempts += 1
         pending.deadline = self.sim.now + self._rto(pending.attempts)
         self.retransmissions += 1
-        self._m_retx.inc()
         if self._flight.enabled:
             pid = getattr(pending.frame.packet, "pid", None)
             self._flight.record(
@@ -356,7 +356,6 @@ class ReliableChannel:
                 self.stale_dropped += 1
             elif seq < expected or seq in self._ahead or seq in self.ooo:
                 self.dup_dropped += 1
-                self._m_dups.inc()
                 self._schedule_ack()  # re-ACK: the original ACK may be lost
             elif seq == expected and not self._ahead and not self.ooo:
                 # In order with nothing received ahead: no gap to mind.
@@ -386,7 +385,6 @@ class ReliableChannel:
             inner = obj.inner
             if isinstance(inner, Frame) and inner.epoch == self.epoch:
                 self.corrupt_dropped += 1
-                self._m_corrupt.inc()
         else:
             self._deliver(obj)  # unframed traffic passes through
         if self._prof.enabled:
@@ -425,7 +423,6 @@ class ReliableChannel:
         """Bounded memory beats holding everything: drop the frame; the
         sender's RTO offers it again once the gap ahead is repaired."""
         self.reorder_dropped += 1
-        self._m_reorder_drop.inc()
         if self._flight.enabled:
             self._flight.record(
                 "channel", "reorder-drop", t=self.sim.now,
@@ -490,7 +487,6 @@ class ReliableChannel:
             return
         self._last_nack_at = now
         self.nacks_sent += 1
-        self._m_nacks.inc()
         if self._flight.enabled:
             self._flight.record(
                 "channel", "nack", t=now,

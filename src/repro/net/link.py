@@ -55,8 +55,8 @@ class Link:
         self.bandwidth_bps = bandwidth_bps
         self.name = name
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._m_impair_drop = self.telemetry.registry.counter(
-            "drops/link-impair")
+        self.telemetry.registry.counter("drops/link-impair",
+                                        lambda: self.impair_dropped)
         self._flight = self.telemetry.flight
         self.tx_packets = 0
         self.tx_bytes = 0
@@ -114,7 +114,6 @@ class Link:
         self.tx_bytes += wire_bytes
         if spec.drop_rate and rng.random() < spec.drop_rate:
             self.impair_dropped += 1
-            self._m_impair_drop.inc()
             if self._flight.enabled:
                 self._flight.record(
                     "link", "impair-drop", t=self.sim.now,

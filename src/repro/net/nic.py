@@ -60,7 +60,7 @@ class NIC:
         self._engine = RateLimiter(sim, rate=pps_capacity,
                                    name=f"{name}/engine")
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._m_drops = self.telemetry.registry.counter("drops/nic")
+        self.telemetry.registry.counter("drops/nic", lambda: self.rx_dropped)
         self._flight = self.telemetry.flight
         self.rx_packets = 0
         self.rx_dropped = 0
@@ -76,7 +76,6 @@ class NIC:
 
     def _drop(self, packet: Packet) -> None:
         self.rx_dropped += 1
-        self._m_drops.inc()
         if self._flight.enabled:
             self._flight.record(
                 "nic", "tail-drop", t=self.sim.now, pid=packet.pid,

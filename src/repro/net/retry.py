@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..sim import AnyOf
-from ..telemetry import NULL_TELEMETRY
 
 __all__ = ["RetryPolicy", "CallResult", "reliable_call", "DEFAULT_RETRY_POLICY"]
 
@@ -86,7 +85,6 @@ def reliable_call(net, src: str, dst: str, handler: Callable[[], object],
     fully partitioned control plane costs bounded time, never a hang.
     """
     sim = net.sim
-    registry = getattr(net, "telemetry", NULL_TELEMETRY).registry
     transfer = (payload_bytes + response_bytes) * 8.0 / net.control_bandwidth_bps
     for attempt in range(1, policy.max_attempts + 1):
         rtt = net.control_rtt(src, dst)
@@ -98,11 +96,14 @@ def reliable_call(net, src: str, dst: str, handler: Callable[[], object],
         if call.processed and call.ok:
             deadline.cancel()
             if attempt > 1:
-                registry.counter("net/control_retries").inc(attempt - 1)
+                net.control_retries += attempt - 1
+                net.meter("net/control_retries", "control_retries")
             return CallResult(ok=True, value=call.value, attempts=attempt)
         call.cancel()
         if attempt < policy.max_attempts:
             yield sim.timeout(policy.backoff_s(attempt, rng))
-    registry.counter("net/control_retries").inc(policy.max_attempts - 1)
-    registry.counter("net/control_timeouts").inc()
+    net.control_retries += policy.max_attempts - 1
+    net.meter("net/control_retries", "control_retries")
+    net.control_timeouts += 1
+    net.meter("net/control_timeouts", "control_timeouts")
     return CallResult(ok=False, attempts=policy.max_attempts)

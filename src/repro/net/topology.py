@@ -115,15 +115,19 @@ class Network:
         self.control_messages = 0
         self.control_drops = 0
         self.control_dups = 0
+        #: Kept by ``reliable_call`` (:mod:`repro.net.retry`).
+        self.control_retries = 0
+        self.control_timeouts = 0
         #: Control-plane partition: a tuple of frozensets of server
         #: names; messages whose src and dst fall in *different* groups
         #: are silently dropped on either leg.  Servers in no group
         #: (e.g. replicas spawned after the cut) are unaffected.
         self._partition: Optional[Tuple[frozenset, ...]] = None
         self.control_partition_drops = 0
-        #: Set by the chain (or a test) to mirror control-plane counters
-        #: into a metric registry; NULL_TELEMETRY keeps hooks no-op.
+        #: Set by the chain (or a test) to read drop and control-plane
+        #: counters into a metric registry; NULL_TELEMETRY keeps none.
         self.telemetry = NULL_TELEMETRY
+        self._metered: set = set()
 
     # -- construction --------------------------------------------------------
 
@@ -135,9 +139,18 @@ class Network:
         self.servers[name] = server
         return server
 
-    def _count_drop(self, site: str, packet=None) -> None:
-        """Audit hook (PROTOCOL.md §12.2): no drop is ever silent."""
-        self.telemetry.registry.counter(f"drops/{site}").inc()
+    def meter(self, metric: str, attr: str) -> None:
+        """Register counter ``metric`` as a read of ``attr`` at its first
+        event: these names appear only once something happened."""
+        if metric not in self._metered and self.telemetry.enabled:
+            self._metered.add(metric)
+            self.telemetry.registry.counter(
+                metric, lambda: getattr(self, attr))
+
+    def _count_drop(self, site: str, attr: str, packet=None) -> None:
+        """Audit hook (PROTOCOL.md §12.2): no drop is ever silent; the
+        count is ``attr``, already incremented."""
+        self.meter(f"drops/{site}", attr)
         flight = self.telemetry.flight
         if flight.enabled:
             flight.record("net", site, t=self.sim.now,
@@ -147,7 +160,7 @@ class Network:
     def drop_to_failed(self, packet) -> None:
         """Count a packet lost because an endpoint server is failed."""
         self.dropped_to_failed += 1
-        self._count_drop("net-to-failed", packet)
+        self._count_drop("net-to-failed", "dropped_to_failed", packet)
 
     def connect(self, src: str, dst: str,
                 delay_s: Optional[float] = None,
@@ -166,7 +179,8 @@ class Network:
                 # No reliability layer adopted this link: the receiver
                 # NIC's FCS check discards the damaged packet.
                 self.data_corrupt_dropped += 1
-                self._count_drop("net-corrupt", packet)
+                self._count_drop("net-corrupt", "data_corrupt_dropped",
+                                 packet)
                 return
             _dst.nic.receive(packet)
 
@@ -363,11 +377,11 @@ class Network:
         if imp.drop_rate and rng.random() < imp.drop_rate:
             copies = 0
             self.control_drops += 1
-            self.telemetry.registry.counter("net/control_drops").inc()
+            self.meter("net/control_drops", "control_drops")
         elif imp.dup_rate and rng.random() < imp.dup_rate:
             copies = 2
             self.control_dups += 1
-            self.telemetry.registry.counter("net/control_dups").inc()
+            self.meter("net/control_dups", "control_dups")
         extra = imp.extra_delay_s
         if imp.delay_jitter_s:
             extra += rng.uniform(0.0, imp.delay_jitter_s)
@@ -390,7 +404,7 @@ class Network:
         transfer = ((payload_bytes + response_bytes) * 8.0 /
                     self.control_bandwidth_bps)
         self.control_messages += 1
-        self.telemetry.registry.counter("net/control_messages").inc()
+        self.meter("net/control_messages", "control_messages")
 
         def at_destination():
             if self.servers[dst].failed:

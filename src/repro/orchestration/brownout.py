@@ -116,8 +116,8 @@ class BrownoutController:
         self._base_feedback_s = (buffer.feedback_min_interval_s
                                  if buffer is not None else None)
         registry = self.telemetry.registry
-        self._m_transitions = registry.counter(f"{name}/transitions")
-        self._m_level = registry.gauge(f"{name}/level")
+        registry.counter(f"{name}/transitions", lambda: len(self.transitions))
+        registry.gauge(f"{name}/level", lambda: self.level)
         self._flight = self.telemetry.flight
         watchdog.listeners.append(self._on_evaluate)
 
@@ -155,8 +155,6 @@ class BrownoutController:
         transition = BrownoutTransition(t=self.sim.now, kind=kind,
                                         level=self.level, reason=reason)
         self.transitions.append(transition)
-        self._m_transitions.inc()
-        self._m_level.set(self.level)
         if self._flight.enabled:
             self._flight.record(
                 "brownout", kind, t=self.sim.now,

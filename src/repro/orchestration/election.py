@@ -80,8 +80,11 @@ class ElectionMember:
         self.rng = rng
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         registry = self.telemetry.registry
-        self._m_rounds = registry.counter("election/rounds")
-        self._m_renewals = registry.counter("election/lease_renewals")
+        registry.counter("election/rounds", lambda: self.rounds)
+        registry.counter("election/lease_renewals",
+                         lambda: self.lease_renewals)
+        self.rounds = 0
+        self.lease_renewals = 0
         self._flight = self.telemetry.flight
         self._peers: List["ElectionMember"] = []
         # Durable election state (survives crash/restart).
@@ -288,7 +291,7 @@ class ElectionMember:
         # Durable self-vote: this member can never grant <= epoch again.
         self.max_epoch_seen = epoch
         self.max_granted_epoch = epoch
-        self._m_rounds.inc()
+        self.rounds += 1
         if self._flight.enabled:
             self._flight.record(
                 "election", "campaign", t=self.sim.now, epoch=epoch,
@@ -373,7 +376,7 @@ class ElectionMember:
         every round longer than ``renew_every_s`` and bleed the lease
         dry between re-anchors.  Stragglers complete in the background.
         """
-        self._m_renewals.inc()
+        self.lease_renewals += 1
         state = {"acks": 1, "newer": False, "pending": len(self._peers)}
         decided = self.sim.event()
 

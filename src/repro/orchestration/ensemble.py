@@ -86,7 +86,7 @@ class EnsembleMember(ElectionMember):
                              positions=tuple(positions), t=self.sim.now,
                              detail=detail)
         self.journal.append(entry)
-        self.ensemble._m_journal.inc()
+        self.ensemble.journal_appends += 1
         if self._flight.enabled:
             self._flight.record(
                 "journal", step, t=self.sim.now, epoch=epoch,
@@ -110,7 +110,7 @@ class EnsembleMember(ElectionMember):
             raise StaleEpochError(
                 f"m{self.index} epoch {epoch}: journal quorum lost "
                 f"({acks}/{self.majority} acks for {step!r})")
-        self.ensemble._m_quorum_writes.inc()
+        self.ensemble.journal_quorum_writes += 1
         if self.telemetry.enabled:
             self.telemetry.tracer.instant(
                 0, f"journal:{step}", "ctrl", self.sim.now, tid=9998,
@@ -213,14 +213,6 @@ class EnsembleMember(ElectionMember):
         """The orchestrator hit a fence: leadership is gone."""
         self.depose(f"command fenced: {exc}")
 
-    def crash(self) -> None:
-        super().crash()
-        self.ensemble._update_gauges()
-
-    def restart(self) -> None:
-        super().restart()
-        self.ensemble._update_gauges()
-
 
 class OrchestratorEnsemble:
     """N replicated orchestrators with leader election + epoch fencing.
@@ -259,15 +251,21 @@ class OrchestratorEnsemble:
         #: ``(epoch, member index)`` per election won, in order -- the
         #: auditor proves at-most-one-leader-per-epoch from this.
         self.election_log: List = []
+        self.stepdowns = 0
+        self.journal_appends = 0
+        self.journal_quorum_writes = 0
         registry = self.telemetry.registry
-        self._m_elections = registry.counter("ensemble/elections")
-        self._m_stepdowns = registry.counter("ensemble/stepdowns")
-        self._m_journal = registry.counter("ensemble/journal_appends")
-        self._m_quorum_writes = registry.counter(
-            "ensemble/journal_quorum_writes")
-        self._m_epoch = registry.gauge("ensemble/epoch")
-        self._m_leader = registry.gauge("ensemble/leader")
-        self._m_alive = registry.gauge("ensemble/members_alive")
+        registry.counter("ensemble/elections", lambda: len(self.election_log))
+        registry.counter("ensemble/stepdowns", lambda: self.stepdowns)
+        registry.counter("ensemble/journal_appends",
+                         lambda: self.journal_appends)
+        registry.counter("ensemble/journal_quorum_writes",
+                         lambda: self.journal_quorum_writes)
+        registry.gauge("ensemble/epoch", lambda: max(
+            (m.epoch for m in self.members), default=0))
+        registry.gauge("ensemble/leader", lambda: (
+            -1 if self.leader is None else self.leader.index))
+        registry.gauge("ensemble/members_alive", lambda: self.alive_members)
         if self.telemetry.enabled:
             self.telemetry.tracer.set_thread_name(9998, "control-plane")
         config = election or ElectionConfig()
@@ -293,7 +291,6 @@ class OrchestratorEnsemble:
     def start(self) -> None:
         for member in self.members:
             member.start()
-        self._update_gauges()
 
     def stop(self) -> None:
         for member in self.members:
@@ -304,7 +301,6 @@ class OrchestratorEnsemble:
 
     def _note_elected(self, member: EnsembleMember, epoch: int) -> None:
         self.election_log.append((epoch, member.index))
-        self._m_elections.inc()
         self.telemetry.emit("election", "elected", t=self.sim.now,
                             epoch=epoch,
                             detail=f"m{member.index} epoch {epoch}")
@@ -312,10 +308,9 @@ class OrchestratorEnsemble:
             self.telemetry.tracer.begin_async(
                 epoch, f"lead:m{member.index}", "ctrl", self.sim.now,
                 tid=9998, member=member.index)
-        self._update_gauges()
 
     def _note_deposed(self, member: EnsembleMember, reason: str) -> None:
-        self._m_stepdowns.inc()
+        self.stepdowns += 1
         self.telemetry.emit(
             "election", "stepped-down", t=self.sim.now, epoch=member.epoch,
             detail=f"m{member.index} epoch {member.epoch}: {reason}")
@@ -323,7 +318,6 @@ class OrchestratorEnsemble:
             self.telemetry.tracer.end_async(
                 member.epoch, f"lead:m{member.index}", "ctrl", self.sim.now,
                 tid=9998, reason=reason)
-        self._update_gauges()
 
     def _note_resumed(self, member: EnsembleMember, epoch: int) -> None:
         self.telemetry.emit("election", "leader-resumed", t=self.sim.now,
@@ -333,13 +327,6 @@ class OrchestratorEnsemble:
             self.telemetry.tracer.begin_async(
                 epoch, f"lead:m{member.index}", "ctrl", self.sim.now,
                 tid=9998, member=member.index, resumed=True)
-        self._update_gauges()
-
-    def _update_gauges(self) -> None:
-        leader = self.leader
-        self._m_leader.set(-1 if leader is None else leader.index)
-        self._m_epoch.set(max((m.epoch for m in self.members), default=0))
-        self._m_alive.set(sum(1 for m in self.members if not m.crashed))
 
     # -- introspection (chaos / auditor / tests) ---------------------------------
 

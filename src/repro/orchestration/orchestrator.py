@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from ..core.chain import FTCChain
@@ -116,12 +117,14 @@ class Orchestrator:
             "state_recovery": registry.histogram("orch/phase_state_recovery_s"),
             "rerouting": registry.histogram("orch/phase_rerouting_s"),
         }
-        self._m_failures = registry.counter("orch/failures_detected")
-        self._m_recoveries = registry.counter("orch/recoveries")
-        self._m_abandoned = registry.counter("orch/abandoned")
-        self._m_cleared = registry.counter("orch/suspects_cleared")
-        self._m_cleared_self = registry.counter("orch/suspects_cleared_self")
-        self._m_resumed = registry.counter("orch/resumed_positions")
+        for name in ("failures_detected", "recoveries", "abandoned",
+                     "suspects_cleared", "suspects_cleared_self",
+                     "resumed_positions"):
+            registry.counter(f"orch/{name}", partial(getattr, self, name))
+        self.failures_detected = 0
+        self.recoveries = 0
+        self.abandoned = 0
+        self.resumed_positions = 0
         self._flight = self.telemetry.flight
         #: Two quick probes per round, fitting the classic 0.8*interval
         #: budget; no jitter so detection-delay bounds stay deterministic.
@@ -366,10 +369,8 @@ class Orchestrator:
                    else self._probe_src(position))
             if (yield from self._probe(position, self.recovery_retry, src)):
                 self.suspects_cleared += 1
-                self._m_cleared.inc()
                 if witness is None:
                     self.suspects_cleared_self += 1
-                    self._m_cleared_self.inc()
                 via = (f"witness p{witness}" if witness is not None
                        else f"self-probe via {src}")
                 self.telemetry.emit("orch", "suspect-cleared", [position],
@@ -505,7 +506,7 @@ class Orchestrator:
         for position in sorted(open_positions):
             detail = "already recovered"
             if position in dead:
-                self._m_resumed.inc()
+                self.resumed_positions += 1
                 detail = "resuming in-flight recovery"
             self.telemetry.emit("orch", "journal-replayed", [position],
                                 t=self.sim.now, epoch=self.epoch,
@@ -538,7 +539,7 @@ class Orchestrator:
         event = FailureEvent(positions=list(positions),
                              detected_at=self.sim.now,
                              detection_delay_s=detection_delay)
-        self._m_failures.inc()
+        self.failures_detected += 1
         self._m_detection.observe(detection_delay, t=self.sim.now)
         self.telemetry.emit(
             "orch", "confirmed", positions, t=self.sim.now, epoch=self.epoch,
@@ -610,7 +611,7 @@ class Orchestrator:
                     self._misses[position] = 0
                     self._last_seen_alive[position] = self.sim.now
                 self._recovering_positions -= set(positions)
-                self._m_recoveries.inc()
+                self.recoveries += 1
                 self._m_total.observe(report.total_s, t=self.sim.now)
                 self._m_phase["initialization"].observe(
                     report.initialization_s, t=self.sim.now)
@@ -815,7 +816,7 @@ class Orchestrator:
         A generator: the step goes through the command guard first.
         """
         yield from self._command("abandoned", positions)
-        self._m_abandoned.inc()
+        self.abandoned += 1
         self.telemetry.emit("recovery", "abandoned", positions,
                             t=self.sim.now, epoch=self.epoch, detail=str(exc))
         if self._flight.enabled:

@@ -22,6 +22,7 @@ Design constraints, in order:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict
 
 # Re-exported from the leaf: the same objects, never redefined here.
@@ -83,9 +84,11 @@ class StageProfiler:
         return out
 
     def publish(self, registry) -> None:
-        """Mirror the call counts into a :class:`MetricRegistry`."""
-        for stage, entry in self.report().items():
-            registry.counter(f"perf/{stage}/calls").inc(entry["calls"])
+        """Register ``perf/<stage>/calls`` in a :class:`MetricRegistry`,
+        read from the counts, for every stage counted so far."""
+        for stage in self.report():
+            registry.counter(f"perf/{stage}/calls",
+                             partial(self.calls.get, stage))
 
     def __repr__(self):
         return (f"<StageProfiler stages={len(self.calls)} "

@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 
 from ..sim import CancelledError, Simulator
 from ..sim.resources import _Waiter
-from ..telemetry import NULL_COUNTER, NULL_HISTOGRAM
+from ..telemetry import NULL_HISTOGRAM
 
 __all__ = ["PartitionLock", "TransactionWounded", "LockStats"]
 
@@ -58,17 +58,15 @@ class PartitionLock:
 
     def __init__(self, sim: Simulator, index: int, stats: Optional[LockStats] = None,
                  handoff_delay_s: float = 0.0, spin_threshold: int = 2,
-                 wait_hist=None, wound_counter=None):
+                 wait_hist=None):
         self.sim = sim
         self.index = index
         self.owner = None  # the Transaction currently holding the lock
         self._waiters: List[Tuple[float, int, _Waiter, object]] = []
         self.stats = stats if stats is not None else LockStats()
-        #: Telemetry instruments (no-op singletons unless a manager with
-        #: an enabled registry created this lock).
+        #: Telemetry histogram (the no-op singleton unless a manager
+        #: with an enabled registry created this lock).
         self.wait_hist = wait_hist if wait_hist is not None else NULL_HISTOGRAM
-        self.wound_counter = (wound_counter if wound_counter is not None
-                              else NULL_COUNTER)
         #: Wakeup latency exposed when handing the lock to a waiter
         #: under light contention.  With a crowd of spinners
         #: (>= spin_threshold still queued) the next owner is already
@@ -113,7 +111,6 @@ class PartitionLock:
         if owner is not None and tx.timestamp < owner.timestamp and owner.woundable:
             owner.wound()
             self.stats.wounds += 1
-            self.wound_counter.inc()
         waiter = _Waiter(self.sim, self)
         heapq.heappush(self._waiters,
                        (tx.timestamp, next(self._tiebreak), waiter, tx))

@@ -188,15 +188,14 @@ class TransactionManager:
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._prof = self.telemetry.profiler
         registry = self.telemetry.registry
-        self._m_commits = registry.counter(f"{name}/commits")
-        self._m_retries = registry.counter(f"{name}/retries")
+        registry.counter(f"{name}/commits", lambda: self.committed)
+        registry.counter(f"{name}/retries", lambda: self.total_retries)
         wait_hist = registry.histogram(f"{name}/lock_wait_s")
-        wound_counter = registry.counter(f"{name}/wounds")
+        registry.counter(f"{name}/wounds", lambda: self.lock_stats.wounds)
         self.locks = [PartitionLock(sim, i, self.lock_stats,
                                     handoff_delay_s=handoff_delay_s,
                                     spin_threshold=spin_threshold,
-                                    wait_hist=wait_hist,
-                                    wound_counter=wound_counter)
+                                    wait_hist=wait_hist)
                       for i in range(self.partitions.n_partitions)]
         #: Hybrid transactional memory (§3.2): uncontended transactions
         #: elide the lock protocol and pay a cheaper commit.
@@ -334,9 +333,6 @@ class TransactionManager:
                     self._prof.count("stm/commit")
                 self.committed += 1
                 self.total_retries += tx.retries
-                self._m_commits.inc()
-                if tx.retries:
-                    self._m_retries.inc(tx.retries)
                 if tracer is not None:
                     tracer.complete(trace_pid, "critical-section", "stm",
                                     hold_started, sim.now,

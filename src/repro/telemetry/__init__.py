@@ -3,11 +3,10 @@
 One :class:`Telemetry` object bundles the three observability surfaces
 this reproduction exposes (PROTOCOL.md §7 documents the schema):
 
-* :class:`MetricRegistry` -- named counters/gauges/histograms that the
-  STM (lock waits, wounds, retries), the core data plane (piggyback
-  bytes, pruning, buffer hold time, commit-vector lag), the network
-  (control drops/dups/retries), and the orchestrator (detection and
-  per-phase recovery latencies) register into.
+* :class:`MetricRegistry` -- named counters and gauges, each read from
+  the count its component already keeps when a report asks, and
+  histograms (lock waits, piggyback bytes, buffer hold time, detection
+  and per-phase recovery latencies) pushed as they happen.
 * :class:`PacketTracer` -- sampled per-packet span events exported as
   Chrome ``trace_event`` JSON (open in ``chrome://tracing``/Perfetto).
 * :class:`RecoveryTimeline` -- chaos + orchestrator events stitched
@@ -21,10 +20,12 @@ in the Chrome export as an instant on the control-plane track
 
 Pass a ``Telemetry`` to :class:`~repro.core.FTCChain` and
 :class:`~repro.orchestration.Orchestrator` to enable collection; the
-default is :data:`NULL_TELEMETRY`, whose instruments are shared no-op
-singletons -- instrumentation hooks then cost one no-op method call,
-touch no simulation state, and leave results bit-identical to an
-uninstrumented build.  Every ``NULL_*`` name resolves to
+default is :data:`NULL_TELEMETRY`, which drops every counter and gauge
+registration and hands out shared no-op singletons -- counters and
+gauges then cost nothing on the hot path, histogram and tracer hooks
+one no-op method call or an ``enabled`` test, nothing touches
+simulation state, and results stay bit-identical to an uninstrumented
+build.  Every ``NULL_*`` name resolves to
 :mod:`.null`, a stdlib-only leaf, so a run with telemetry off loads
 none of the enabled implementations.
 """
@@ -34,12 +35,11 @@ from .._lazy import surface
 __getattr__, __dir__, __all__ = surface(__name__, {
     "bundle": ("Telemetry",),
     "null": (
-        "NULL_COUNTER", "NULL_FLIGHT", "NULL_GAUGE", "NULL_HISTOGRAM",
-        "NULL_PROFILER", "NULL_REGISTRY", "NULL_TELEMETRY", "NULL_TIMELINE",
-        "NULL_TRACER", "NullRegistry", "NullTelemetry", "NullTimeline",
-        "NullTracer",
+        "NULL_FLIGHT", "NULL_HISTOGRAM", "NULL_PROFILER", "NULL_REGISTRY",
+        "NULL_TELEMETRY", "NULL_TIMELINE", "NULL_TRACER", "NullRegistry",
+        "NullTelemetry", "NullTimeline", "NullTracer",
     ),
-    "registry": ("Counter", "Gauge", "Histogram", "MetricRegistry"),
+    "registry": ("Histogram", "MetricRegistry"),
     "timeline": (
         "RecoveryTimeline", "TIMELINE_EVENT_KINDS", "TimelineAttempt",
         "TimelineEvent",

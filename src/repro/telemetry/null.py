@@ -16,37 +16,19 @@ to an uninstrumented build.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 if TYPE_CHECKING:
     from ..flight.recorder import FlightEvent
     from .timeline import TimelineAttempt, TimelineEvent
 
 __all__ = [
-    "NULL_COUNTER", "NULL_FLIGHT", "NULL_GAUGE", "NULL_HISTOGRAM",
-    "NULL_PROFILER", "NULL_REGISTRY", "NULL_TELEMETRY", "NULL_TIMELINE",
-    "NULL_TRACER", "NullFlightRecorder", "NullProfiler", "NullRegistry",
-    "NullTelemetry", "NullTimeline", "NullTracer",
+    "NULL_FLIGHT", "NULL_HISTOGRAM", "NULL_PROFILER", "NULL_REGISTRY",
+    "NULL_TELEMETRY", "NULL_TIMELINE", "NULL_TRACER", "NullFlightRecorder",
+    "NullProfiler", "NullRegistry", "NullTelemetry", "NullTimeline",
+    "NullTracer",
 ]
-
-
-class _NullCounter:
-    __slots__ = ()
-    name = "null"
-    value = 0
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-
-class _NullGauge:
-    __slots__ = ()
-    name = "null"
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        pass
 
 
 class _NullHistogram:
@@ -58,23 +40,21 @@ class _NullHistogram:
         pass
 
 
-NULL_COUNTER = _NullCounter()
-NULL_GAUGE = _NullGauge()
 NULL_HISTOGRAM = _NullHistogram()
 
 
 class NullRegistry:
-    """Hands out shared no-op instruments; never stores anything."""
+    """Drops every registration; hands out the shared no-op histogram."""
 
     __slots__ = ()
 
     enabled = False
 
-    def counter(self, name: str) -> _NullCounter:
-        return NULL_COUNTER
+    def counter(self, name: str, read: Callable[[], int]) -> None:
+        pass
 
-    def gauge(self, name: str) -> _NullGauge:
-        return NULL_GAUGE
+    def gauge(self, name: str, read: Callable[[], float]) -> None:
+        pass
 
     def histogram(self, name: str, reservoir: int = 0) -> _NullHistogram:
         return NULL_HISTOGRAM

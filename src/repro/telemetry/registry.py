@@ -1,37 +1,39 @@
-"""Metric registry: counters, gauges, and windowed histograms.
+"""Metric registry: counters and gauges read on demand, windowed histograms.
 
 Subsystems register named instruments into one :class:`MetricRegistry`
 per deployment; the registry renders the post-run "top" summary and
-feeds the CI telemetry smoke.  Histograms live in *virtual time*: every
-observation is stamped with the simulation clock, a
-:meth:`Histogram.start_window` discards warm-up samples exactly the way
-:class:`repro.metrics.ThroughputMeter` does, and percentiles come from
-a bounded reservoir so a soak run cannot grow memory without bound.
+feeds the CI telemetry smoke.  A counter or gauge stores nothing: its
+owner registers a callable that reads the count it already keeps
+(``registry.counter("channel/retransmissions", lambda:
+self.retransmissions)``), and the registry calls it when a report asks
+-- ``rows()``, ``snapshot()``, ``merge()`` and the flight dump.  A
+counter sums every source ever registered under its name, so a
+replaced component keeps counting; a gauge reads its latest source.
+Histograms are pushed (a distribution cannot be read back after the
+fact) and live in *virtual time*: every observation is stamped with
+the simulation clock, a :meth:`Histogram.start_window` discards
+warm-up samples exactly the way :class:`repro.metrics.ThroughputMeter`
+does, and percentiles come from a bounded reservoir so a soak run
+cannot grow memory without bound.
 
-The null variants (:data:`NULL_REGISTRY` and the shared null
-instruments it hands out) make instrumentation hooks zero-overhead when
-telemetry is disabled: every ``inc``/``set``/``observe`` is a no-op
-method on a singleton, no sample is stored, and -- crucially -- nothing
-touches the simulation clock or any RNG stream, so instrumented and
-uninstrumented runs are bit-identical.
+With telemetry off (:data:`NULL_REGISTRY`) a registration is dropped
+and a histogram is a shared no-op singleton: counters and gauges cost
+nothing on the hot path, and nothing touches the simulation clock or
+any RNG stream, so instrumented and uninstrumented runs are
+bit-identical.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 # Re-exported from the leaf: the same objects, never redefined here.
-from .null import (NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM, NULL_REGISTRY,
-                   NullRegistry)
+from .null import NULL_HISTOGRAM, NULL_REGISTRY, NullRegistry
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricRegistry",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
     "NULL_HISTOGRAM",
     "NULL_REGISTRY",
     "NullRegistry",
@@ -41,39 +43,24 @@ __all__ = [
 DEFAULT_RESERVOIR = 4096
 
 
-class Counter:
-    """A monotonically increasing count."""
+class _Reading:
+    """A counter or gauge: its name and the callables that read it.
 
-    __slots__ = ("name", "value")
+    The value is the sum of their reads; a gauge keeps one source.
+    """
 
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        self.value += n
-
-    def __repr__(self):
-        return f"<Counter {self.name}={self.value}>"
-
-
-class Gauge:
-    """A value that goes up and down (queue depths, pending work)."""
-
-    __slots__ = ("name", "value")
+    __slots__ = ("name", "sources")
 
     def __init__(self, name: str):
         self.name = name
-        self.value = 0.0
+        self.sources: List[Callable[[], float]] = []
 
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def add(self, delta: float) -> None:
-        self.value += delta
+    @property
+    def value(self) -> float:
+        return sum(read() for read in self.sources)
 
     def __repr__(self):
-        return f"<Gauge {self.name}={self.value}>"
+        return f"<{self.name}={self.value}>"
 
 
 class Histogram:
@@ -155,26 +142,22 @@ class Histogram:
 
 
 class MetricRegistry:
-    """Create-or-return named instruments; one per deployment."""
+    """Named instruments; one per deployment."""
 
     enabled = True
 
     def __init__(self):
-        self.counters: Dict[str, Counter] = {}
-        self.gauges: Dict[str, Gauge] = {}
+        self.counters: Dict[str, _Reading] = {}
+        self.gauges: Dict[str, _Reading] = {}
         self.histograms: Dict[str, Histogram] = {}
 
-    def counter(self, name: str) -> Counter:
-        instrument = self.counters.get(name)
-        if instrument is None:
-            instrument = self.counters[name] = Counter(name)
-        return instrument
+    def counter(self, name: str, read: Callable[[], int]) -> None:
+        """Count ``name`` as ``read()`` plus every earlier source of it."""
+        _reading(self.counters, name).sources.append(read)
 
-    def gauge(self, name: str) -> Gauge:
-        instrument = self.gauges.get(name)
-        if instrument is None:
-            instrument = self.gauges[name] = Gauge(name)
-        return instrument
+    def gauge(self, name: str, read: Callable[[], float]) -> None:
+        """Gauge ``name`` as ``read()``, replacing any earlier source."""
+        _reading(self.gauges, name).sources[:] = [read]
 
     def histogram(self, name: str,
                   reservoir: int = DEFAULT_RESERVOIR) -> Histogram:
@@ -191,10 +174,10 @@ class MetricRegistry:
     def snapshot(self) -> Dict[str, object]:
         """A plain-dict view (counters/gauges as numbers, hists as summaries)."""
         out: Dict[str, object] = {}
-        for name, counter in self.counters.items():
-            out[name] = counter.value
-        for name, gauge in self.gauges.items():
-            out[name] = gauge.value
+        for name, reading in self.counters.items():
+            out[name] = reading.value
+        for name, reading in self.gauges.items():
+            out[name] = reading.value
         for name, histogram in self.histograms.items():
             out[name] = histogram.summary()
         return out
@@ -202,14 +185,15 @@ class MetricRegistry:
     def merge(self, other: "MetricRegistry") -> None:
         """Fold another registry into this one (soak aggregation).
 
-        Counters add; gauges keep the latest (other wins); histograms
-        merge aggregates exactly and concatenate reservoirs (truncated
-        to capacity, so merged percentiles stay estimates).
+        Counters and gauges are read once, now: counters add, gauges
+        keep the latest (other wins).  Histograms merge aggregates
+        exactly and concatenate reservoirs (truncated to capacity, so
+        merged percentiles stay estimates).
         """
-        for name, counter in other.counters.items():
-            self.counter(name).inc(counter.value)
-        for name, gauge in other.gauges.items():
-            self.gauge(name).set(gauge.value)
+        for name, reading in other.counters.items():
+            self.counter(name, _fixed(reading.value))
+        for name, reading in other.gauges.items():
+            self.gauge(name, _fixed(reading.value))
         for name, theirs in other.histograms.items():
             ours = self.histogram(name, reservoir=theirs._capacity)
             ours.count += theirs.count
@@ -237,6 +221,17 @@ class MetricRegistry:
             rows.append((name, "hist", s["count"], _fmt(s["mean"]),
                          _fmt(s["p50"]), _fmt(s["p99"]), _fmt(s["max"])))
         return rows
+
+
+def _reading(table: Dict[str, _Reading], name: str) -> _Reading:
+    reading = table.get(name)
+    if reading is None:
+        reading = table[name] = _Reading(name)
+    return reading
+
+
+def _fixed(value: float) -> Callable[[], float]:
+    return lambda: value
 
 
 def _fmt(value: float) -> str:

@@ -266,12 +266,12 @@ class TestReconfigTelemetry:
         chain, generator, oracle, report = _drive_one(
             op, seed=7, telemetry=telemetry)
         assert report.committed
-        registry = telemetry.registry
-        assert registry.counter("reconfig/prepares").value == 1
-        assert registry.counter("reconfig/switches").value == 1
-        assert registry.counter("reconfig/aborted").value == 0
-        assert registry.counter("reconfig/held_packets").value >= 1
-        assert registry.counter("reconfig/migrated_bytes").value > 0
+        counters = telemetry.registry.snapshot()
+        assert counters["reconfig/prepares"] == 1
+        assert counters["reconfig/switches"] == 1
+        assert counters["reconfig/aborted"] == 0
+        assert counters["reconfig/held_packets"] >= 1
+        assert counters["reconfig/migrated_bytes"] > 0
         path = tmp_path / "trace.json"
         telemetry.export_chrome(str(path))
         trace = json.loads(path.read_text())

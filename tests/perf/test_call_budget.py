@@ -55,18 +55,19 @@ def _calls_per_packet(middleboxes, f: int, n_threads: int, reliable: bool,
     return calls / released
 
 
-# Measured 616.7, 1 616.7 and 752.5 when the ceilings were last set (one
-# call per packet fewer once Buffer.handle lost its timing wrapper).  The
-# id is the label alone, so a lowered ceiling does not rename a test.
+# Measured 598.6, 1 565.4 and 735.2 when the ceilings were last set
+# (616.7, 1 616.7 and 752.5 before counters and gauges were read from
+# their owners instead of pushed on every event).  The id is the label
+# alone, so a lowered ceiling does not rename a test.
 @pytest.mark.parametrize("kwargs, ceiling", [
     pytest.param(
         dict(middleboxes=lambda: ch_n(2, n_threads=2), f=1, n_threads=2,
              reliable=False, rate_pps=2e5, window_s=10e-3),
-        679, id="Ch-2 raw links"),
+        659, id="Ch-2 raw links"),
     pytest.param(
         dict(middleboxes=lambda: ch_n(5, n_threads=2), f=2, n_threads=2,
              reliable=True, rate_pps=1e5, window_s=20e-3),
-        1784, id="Ch-5 f=2 reliable links"),
+        1722, id="Ch-5 f=2 reliable links"),
     # The contended lock-queue path: nearly every acquisition conflicts
     # and every packet carries a 256 B update.
     pytest.param(
@@ -74,7 +75,7 @@ def _calls_per_packet(middleboxes, f: int, n_threads: int, reliable: bool,
                                   Gen(state_size=256)],
              f=1, n_threads=8, reliable=False, rate_pps=3e6,
              window_s=1e-3),
-        829, id="Monitor(sharing 8) -> Gen(256 B), 8 threads"),
+        809, id="Monitor(sharing 8) -> Gen(256 B), 8 threads"),
 ])
 def test_python_calls_per_packet_stay_under_budget(request, kwargs, ceiling):
     measured = _calls_per_packet(**kwargs)

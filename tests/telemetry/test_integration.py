@@ -125,7 +125,7 @@ class TestSoakTelemetry:
             telemetry=True)
         assert result.ok, result.summary()
         assert result.registry is not None
-        assert result.registry.counter("orch/recoveries").value >= 1
+        assert result.registry.snapshot()["orch/recoveries"] >= 1
         events = [e for out in result.runs
                   for e in out.chain.telemetry.timeline.as_dicts()]
         assert any(e["kind"] == "fault-injected" for e in events)
@@ -139,3 +139,65 @@ class TestSoakTelemetry:
         assert result.registry is None
         assert all(out.chain.telemetry.timeline.as_dicts() == []
                    for out in result.runs)
+
+
+class TestReadMetrics:
+    """Counters and gauges are read from their owners at report time."""
+
+    def test_commit_lag_reads_the_replicas_the_chain_holds(self):
+        """After the leader crashes mid-recovery, each commit_lag row is
+        the most logs any current replica retains for that middlebox --
+        not the last value some since-replaced replica pushed (0)."""
+        from repro.chaos import Scenario, Step, run
+        from repro.chaos.plan import FaultSpec
+        from repro.chaos.soak import SOAK_COSTS
+
+        scenario = Scenario(
+            chain_length=3, f=1, seed=0, costs=SOAK_COSTS,
+            duration_s=40e-3, drain_s=40e-3, rate_pps=2e4,
+            orchestrators=3, heartbeat_interval_s=1e-3,
+            faults=(FaultSpec(kind="orch-crash", phase="fetching",
+                              restart_after_s=30e-3),),
+            steps=(Step(10e-3, crash=1, expect="recovered"),))
+        telemetry = Telemetry(max_trace_events=0)
+        out = run(scenario, telemetry=telemetry)
+        rows = {row[0]: row for row in telemetry.registry.rows()}
+        lags = {}
+        for mbox in out.chain.middleboxes:
+            retained = [len(replica.states[mbox.name].retained)
+                        for replica in out.chain.replicas
+                        if mbox.name in replica.states]
+            row = rows[f"repl/{mbox.name}/commit_lag"]
+            assert row[1] == "gauge"
+            assert row[2] == max(retained), mbox.name
+            lags[mbox.name] = row[2]
+        assert lags["monitor1"] == 600   # both replicas still hold them
+
+    @staticmethod
+    def _restructured():
+        """``reconfig-orch3``: its insert/remove clears the hop channels."""
+        from repro.chaos import run
+        from repro.chaos.soak import reconfig_scenario
+
+        telemetry = Telemetry(max_trace_events=0)
+        out = run(reconfig_scenario(0, orchestrators=3), telemetry=telemetry)
+        assert any(r.committed and r.op.kind in ("insert", "remove")
+                   for r in out.reconfigs)
+        return out.chain, telemetry.registry.snapshot()
+
+    def test_channel_counters_sum_every_channel_ever_registered(self):
+        chain, counters = self._restructured()
+        live = sum(channel.retransmissions
+                   for channel in chain._channels.values())
+        assert counters["channel/retransmissions"] == 62 > live
+        assert counters["channel/nacks"] == 60
+        assert counters["channel/dup_dropped"] == 24
+
+    def test_channel_stats_keep_cleared_channels_counts(self):
+        chain, counters = self._restructured()
+        stats = chain.channel_stats()
+        assert stats["retransmissions"] == counters["channel/retransmissions"]
+        assert stats["nacks_sent"] == counters["channel/nacks"]
+        assert stats["dup_dropped"] == counters["channel/dup_dropped"]
+        assert stats["sent"] > sum(channel.sent
+                                   for channel in chain._channels.values())

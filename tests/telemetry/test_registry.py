@@ -5,29 +5,42 @@ import math
 from repro.telemetry import (
     Histogram,
     MetricRegistry,
-    NULL_COUNTER,
-    NULL_GAUGE,
     NULL_HISTOGRAM,
     NULL_REGISTRY,
 )
 
 
+class _Owner:
+    """A component keeping its own count, as every metric source does."""
+
+    def __init__(self, count=0):
+        self.count = count
+
+
 class TestInstruments:
     def test_counter(self):
+        """A counter reads its sources when asked and sums all of them,
+        including one whose owner was since replaced."""
         registry = MetricRegistry()
-        counter = registry.counter("a/b")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-        assert registry.counter("a/b") is counter
+        old, new = _Owner(), _Owner()
+        registry.counter("a/b", lambda: old.count)
+        old.count = 4
+        assert registry.snapshot()["a/b"] == 4
+        registry.counter("a/b", lambda: new.count)
+        new.count = 1
+        old.count = 5
+        assert registry.counters["a/b"].value == 6
+        assert registry.rows() == [("a/b", "counter", 6, "", "", "", "")]
 
     def test_gauge(self):
+        """A gauge reads its latest source alone, at report time."""
         registry = MetricRegistry()
-        gauge = registry.gauge("g")
-        gauge.set(3.0)
-        gauge.add(-1.0)
-        assert gauge.value == 2.0
-        assert registry.gauge("g") is gauge
+        old, new = _Owner(3), _Owner(7)
+        registry.gauge("g", lambda: old.count)
+        assert registry.gauges["g"].value == 3
+        registry.gauge("g", lambda: new.count)
+        new.count = 2
+        assert registry.snapshot()["g"] == 2
 
     def test_histogram_aggregates(self):
         hist = Histogram("h")
@@ -67,8 +80,8 @@ class TestInstruments:
 class TestRegistry:
     def test_snapshot(self):
         registry = MetricRegistry()
-        registry.counter("c").inc(2)
-        registry.gauge("g").set(1.5)
+        registry.counter("c", lambda: 2)
+        registry.gauge("g", lambda: 1.5)
         registry.histogram("h").observe(4.0)
         snap = registry.snapshot()
         assert snap["c"] == 2
@@ -77,24 +90,26 @@ class TestRegistry:
 
     def test_merge_adds_counters_and_histograms(self):
         a, b = MetricRegistry(), MetricRegistry()
-        a.counter("c").inc(1)
-        b.counter("c").inc(2)
-        b.counter("only-b").inc(7)
-        a.gauge("g").set(1.0)
-        b.gauge("g").set(9.0)
+        source = _Owner(2)
+        a.counter("c", lambda: 1)
+        b.counter("c", lambda: source.count)
+        b.counter("only-b", lambda: 7)
+        a.gauge("g", lambda: 1.0)
+        b.gauge("g", lambda: 9.0)
         a.histogram("h").observe(1.0)
         b.histogram("h").observe(3.0)
         a.merge(b)
-        assert a.counter("c").value == 3
-        assert a.counter("only-b").value == 7
-        assert a.gauge("g").value == 9.0
+        source.count = 100   # merged values are read at merge time
+        assert a.snapshot()["c"] == 3
+        assert a.snapshot()["only-b"] == 7
+        assert a.snapshot()["g"] == 9.0
         assert a.histogram("h").count == 2
         assert a.histogram("h").mean() == 2.0
 
     def test_rows_sorted_and_typed(self):
         registry = MetricRegistry()
-        registry.counter("z").inc()
-        registry.counter("a").inc()
+        registry.counter("z", lambda: 1)
+        registry.counter("a", lambda: 1)
         registry.histogram("h").observe(1.0)
         rows = registry.rows()
         assert [r[0] for r in rows] == ["a", "z", "h"]
@@ -111,16 +126,16 @@ class TestRegistry:
 
 class TestNullVariants:
     def test_shared_singletons(self):
-        assert NULL_REGISTRY.counter("x") is NULL_COUNTER
-        assert NULL_REGISTRY.gauge("x") is NULL_GAUGE
         assert NULL_REGISTRY.histogram("x") is NULL_HISTOGRAM
+        assert NULL_REGISTRY.histogram("y") is NULL_HISTOGRAM
 
     def test_noops_store_nothing(self):
-        NULL_COUNTER.inc(100)
-        NULL_GAUGE.set(5.0)
+        def never_read():
+            raise AssertionError("a dropped registration was read")
+
+        NULL_REGISTRY.counter("c", never_read)
+        NULL_REGISTRY.gauge("g", never_read)
         NULL_HISTOGRAM.observe(1.0, t=2.0)
-        assert NULL_COUNTER.value == 0
-        assert NULL_GAUGE.value == 0.0
         assert NULL_HISTOGRAM.count == 0
         assert NULL_REGISTRY.snapshot() == {}
         assert NULL_REGISTRY.rows() == []

@@ -155,8 +155,8 @@ PARENT_SURFACE = {
     },
     "repro.telemetry": {
         "repro.telemetry.registry":
-            "Counter Gauge Histogram MetricRegistry NULL_COUNTER "
-            "NULL_GAUGE NULL_HISTOGRAM NULL_REGISTRY NullRegistry",
+            "Histogram MetricRegistry NULL_HISTOGRAM NULL_REGISTRY "
+            "NullRegistry",
         "repro.telemetry.timeline":
             "NULL_TIMELINE NullTimeline RecoveryTimeline "
             "TIMELINE_EVENT_KINDS TimelineAttempt TimelineEvent",
