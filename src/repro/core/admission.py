@@ -200,11 +200,9 @@ class AdmissionControl:
         self.admitted_by_class = [0] * n_classes
         self.shed_by_class = [0] * n_classes
         self.shed_backpressure = 0
-        self._prof = self.telemetry.profiler
         registry = self.telemetry.registry
         registry.counter(f"{name}/admitted", lambda: self.admitted)
         registry.counter(f"drops/{name}", lambda: self.shed)
-        self._flight = self.telemetry.flight
 
     @property
     def shed(self) -> int:
@@ -221,9 +219,9 @@ class AdmissionControl:
 
     def offer(self, packet) -> bool:
         """Gate one packet at ingress; True = admitted."""
-        if self._prof.enabled:
-            self._prof.count("admission/check")
         now = self.sim.now
+        if self.telemetry.enabled:
+            self.telemetry.emit("admission", "check", t=now)
         cls = self.class_of(packet)
         self.offered += 1
         self.offered_by_class[cls] += 1
@@ -250,10 +248,9 @@ class AdmissionControl:
         self.shed_by_class[cls] += 1
         if reason.startswith("backpressure"):
             self.shed_backpressure += 1
-        if self._flight.enabled:
-            self._flight.record(
-                "admission", "shed", t=now, pid=packet.pid,
-                detail=f"class {cls}: {reason}", chain=f"pid:{packet.pid}")
+        if self.telemetry.enabled:
+            self.telemetry.emit("admission", "shed", t=now, pid=packet.pid,
+                                cls=cls, reason=reason)
         return False
 
     def stats(self) -> Dict[str, object]:

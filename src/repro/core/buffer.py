@@ -57,9 +57,8 @@ class Buffer:
         self.costs = costs
         self.name = name
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._prof = self.telemetry.profiler
         registry = self.telemetry.registry
-        self._m_hold = registry.histogram(f"{name}/hold_time_s")
+        registry.histogram(f"{name}/hold_time_s")
         registry.gauge(f"{name}/held", lambda: len(self.held))
         registry.counter(f"{name}/released", lambda: self.released)
         registry.counter(f"{name}/feedback_packets",
@@ -70,10 +69,6 @@ class Buffer:
                          lambda: self.overflow_dropped)
         registry.counter("drops/buffer-overflow",
                          lambda: self.overflow_dropped)
-        self._flight = self.telemetry.flight
-        #: pid -> virtual time the packet entered the held queue (only
-        #: populated while telemetry is enabled).
-        self._hold_started: Dict[int, float] = {}
         self.commit_floor: Dict[str, Dict[int, int]] = {}
         #: Floors already disseminated to the forwarder; feedback
         #: packets carry only deltas so the 10 GbE path is not wasted
@@ -118,9 +113,9 @@ class Buffer:
 
     def handle(self, packet: Packet, message: PiggybackMessage) -> float:
         """Process one packet at chain egress; returns CPU cycles spent."""
-        prof = self._prof
-        if prof.enabled:
-            prof.count("buffer/hold")
+        telemetry = self.telemetry
+        if telemetry.enabled:
+            telemetry.emit("buffer", "arrive", t=self.sim.now)
         if (self._boundary is not None and packet.is_data
                 and packet.meta.get("cfg", -1) >= self._boundary):
             self._boundary_parked.append((packet, message))
@@ -133,11 +128,9 @@ class Buffer:
             # idempotent), so the whole packet is a no-op -- and
             # releasing it again would break exactly-once egress.
             self.duplicates_dropped += 1
-            if self._flight.enabled:
-                self._flight.record(
-                    "buffer", "dup-drop", t=self.sim.now, pid=packet.pid,
-                    detail="duplicate delivery absorbed at egress",
-                    chain=f"pid:{packet.pid}")
+            if telemetry.enabled:
+                telemetry.emit("buffer", "dup-drop", t=self.sim.now,
+                               pid=packet.pid)
             self.cycles_spent += cycles
             return cycles
         # 1. Absorb commit vectors (including any this packet carried
@@ -176,16 +169,14 @@ class Buffer:
         if packet.kind == "propagating":
             self.propagating_consumed += 1
         elif self._satisfied(requirements) and key not in held_flows:
-            self._release(packet)
+            self._release(packet, held=False)
         elif len(self.held) >= self.max_held:
             # Backpressure floor: shed instead of growing unboundedly
             # when the commit path is wedged (counted, not silent).
             self.overflow_dropped += 1
-            if self._flight.enabled:
-                self._flight.record(
-                    "buffer", "shed", t=self.sim.now, pid=packet.pid,
-                    detail=f"held set full ({self.max_held})",
-                    chain=f"pid:{packet.pid}")
+            if telemetry.enabled:
+                telemetry.emit("buffer", "shed", t=self.sim.now,
+                               pid=packet.pid, bound=self.max_held)
         else:
             self.held.append((packet, requirements, key))
             if key in held_flows:
@@ -193,22 +184,14 @@ class Buffer:
             else:
                 held_flows[key] = 1
             self.held_peak = max(self.held_peak, len(self.held))
-            if self.telemetry.enabled:
-                self._hold_started[packet.pid] = self.sim.now
-                tracer = self.telemetry.tracer
-                if tracer.wants(packet.pid):
-                    tracer.begin_async(packet.pid, "buffer-hold", "buffer",
-                                       self.sim.now,
-                                       mboxes=sorted(requirements))
-            if self._flight.enabled:
-                self._flight.record(
-                    "buffer", "hold", t=self.sim.now, pid=packet.pid,
-                    detail=f"awaiting commits from {sorted(requirements)}",
-                    chain=f"pid:{packet.pid}")
+            if telemetry.enabled:
+                telemetry.emit("buffer", "hold", t=self.sim.now,
+                               pid=packet.pid, name=self.name,
+                               mboxes=requirements)
         if self.held:
             self._scan_held()
-        if prof.enabled:
-            prof.count("buffer/release")
+        if telemetry.enabled:
+            telemetry.emit("buffer", "handled", t=self.sim.now)
         self.cycles_spent += cycles
         return cycles
 
@@ -226,25 +209,13 @@ class Buffer:
                     return False
         return True
 
-    def _release(self, packet: Packet) -> None:
+    def _release(self, packet: Packet, held: bool) -> None:
+        """Deliver ``packet``; ``held`` says it waited in the held set."""
         packet.detach("ftc")
         self.released += 1
         if self.telemetry.enabled:
-            held_since = self._hold_started.pop(packet.pid, None)
-            self._m_hold.observe(
-                0.0 if held_since is None else self.sim.now - held_since,
-                t=self.sim.now)
-            tracer = self.telemetry.tracer
-            if tracer.wants(packet.pid):
-                if held_since is not None:
-                    tracer.end_async(packet.pid, "buffer-hold", "buffer",
-                                     self.sim.now)
-                tracer.instant(packet.pid, "release", "buffer", self.sim.now)
-        if self._flight.enabled:
-            self._flight.record(
-                "buffer", "release", t=self.sim.now, pid=packet.pid,
-                detail="all dependency vectors covered f+1 times",
-                chain=f"pid:{packet.pid}")
+            self.telemetry.emit("buffer", "release", t=self.sim.now,
+                                pid=packet.pid, name=self.name, held=held)
         self.deliver(packet)
 
     def _scan_held(self) -> None:
@@ -271,7 +242,7 @@ class Buffer:
                 del held_flows[key]
             else:
                 held_flows[key] = count - 1
-            self._release(packet)
+            self._release(packet, held=True)
             released_prefix += 1
         if released_prefix:
             del self.held[:released_prefix]
@@ -298,7 +269,6 @@ class Buffer:
         dropped = len(self.held)
         self.held.clear()
         self._held_flows.clear()
-        self._hold_started.clear()
         return dropped
 
     # -- feedback to the forwarder ---------------------------------------------

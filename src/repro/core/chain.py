@@ -307,12 +307,9 @@ class FTCChain:
             if message is not None:
                 self.forwarder.absorb_feedback(message)
             self.propagating_requeued += 1
-            flight = self.telemetry.flight
-            if flight.enabled:
-                flight.record(
-                    "piggyback", "requeue", t=self.sim.now, pid=packet.pid,
-                    detail="propagating packet refused by full NIC queue; "
-                           "logs re-absorbed for retry")
+            if self.telemetry.enabled:
+                self.telemetry.emit("piggyback", "requeue", t=self.sim.now,
+                                    pid=packet.pid)
 
     def _deliver(self, packet: Packet) -> None:
         self.deliver(packet)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from ..stm.store import StateStore
+from ..telemetry import NULL_TELEMETRY
 from .piggyback import CommitVector, PiggybackLog
 
 __all__ = ["DependencyVector", "ReplicationState", "ProtocolError"]
@@ -73,7 +74,8 @@ class ReplicationState:
     """One replica's replication machinery for one middlebox."""
 
     def __init__(self, mbox: str, n_partitions: int,
-                 store: Optional[StateStore] = None, telemetry=None):
+                 store: Optional[StateStore] = None,
+                 telemetry=NULL_TELEMETRY):
         self.mbox = mbox
         self.n_partitions = n_partitions
         self.store = store or StateStore(mbox)
@@ -91,12 +93,10 @@ class ReplicationState:
         self.frozen = False
         #: Every replica of this middlebox counts under one name: the
         #: counters aggregate chain-wide.
-        if telemetry is not None:
-            registry = telemetry.registry
-            registry.counter(f"repl/{mbox}/logs_applied", lambda: self.applied)
-            registry.counter(f"repl/{mbox}/logs_pruned", lambda: self.pruned)
-            registry.counter(f"repl/{mbox}/duplicates",
-                             lambda: self.duplicates)
+        registry = telemetry.registry
+        registry.counter(f"repl/{mbox}/logs_applied", lambda: self.applied)
+        registry.counter(f"repl/{mbox}/logs_pruned", lambda: self.pruned)
+        registry.counter(f"repl/{mbox}/duplicates", lambda: self.duplicates)
 
     # -- ingestion ---------------------------------------------------------------
 

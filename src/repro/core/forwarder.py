@@ -38,7 +38,6 @@ class Forwarder:
         self.costs = costs
         self.name = name
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._prof = self.telemetry.profiler
         registry = self.telemetry.registry
         registry.counter(f"{name}/logs_attached", lambda: self.logs_attached)
         registry.gauge(f"{name}/pending_logs", lambda: len(self.pending_logs))
@@ -100,8 +99,8 @@ class Forwarder:
             message.set_commit(CommitVector(mbox, dict(self.pending_commits[mbox])))
         self._dirty_commits.clear()
         self.cycles_spent += cycles
-        if self._prof.enabled:
-            self._prof.count("piggyback/append")
+        if self.telemetry.enabled:
+            self.telemetry.emit("forwarder", "attach", t=self.sim.now)
         return cycles
 
     # -- propagating packets (§5.1) -----------------------------------------------

@@ -61,9 +61,8 @@ class Replica:
         self.costs = costs
         self.streams = streams or RandomStreams(0)
         self.telemetry = getattr(chain, "telemetry", None) or NULL_TELEMETRY
-        self._prof = self.telemetry.profiler
         registry = self.telemetry.registry
-        self._m_pb_bytes = registry.histogram("piggyback/bytes")
+        registry.histogram("piggyback/bytes")
 
         #: mbox name -> replication state, for every group this position
         #: belongs to (including its own middlebox's).
@@ -74,10 +73,9 @@ class Replica:
         #: mboxes replicated here that originate upstream (chain order).
         self.replicated: List[str] = []
 
-        telemetry = self.telemetry if self.telemetry.enabled else None
         for index, name in chain.member_mboxes(position):
             state = ReplicationState(name, costs.n_partitions,
-                                     telemetry=telemetry)
+                                     telemetry=self.telemetry)
             self.states[name] = state
             registry.gauge(f"repl/{name}/commit_lag",
                            partial(chain.commit_lag, name))
@@ -157,8 +155,6 @@ class Replica:
         position = self.position
         kind = packet.kind
         is_data = kind == "data"
-        traced = (telemetry.enabled and is_data
-                  and telemetry.tracer.wants(packet.pid))
         entered = sim.now
         # Packet.wire_size and detach("ftc") in one pass over what the
         # packet carries (the sizes are still asked of each attachment).
@@ -194,8 +190,10 @@ class Replica:
                     message.set_commit(commit)
                     self.tail_last_sent[own] = dict(state.max)
             if verdict is DROP:
-                if traced:
-                    self._close_span(packet, entered, dropped=True)
+                if telemetry.enabled:
+                    telemetry.emit("mbox", "exit", t=sim.now, pid=packet.pid,
+                                   start=entered, position=position,
+                                   name=self.middlebox.name, dropped=True)
                 self._emit_propagating(message)
                 return
             if isinstance(verdict, Packet):
@@ -203,9 +201,14 @@ class Replica:
 
         pb_bytes = message.byte_size()
         if telemetry.enabled:
-            self._m_pb_bytes.observe(float(pb_bytes), t=sim.now)
-        if traced:
-            self._close_span(packet, entered)
+            telemetry.emit("piggyback", "size", t=sim.now,
+                           value=float(pb_bytes))
+            if is_data:
+                telemetry.emit("mbox", "exit", t=sim.now, pid=packet.pid,
+                               start=entered, position=position,
+                               name=(self.middlebox.name if self.middlebox
+                                     is not None else "relay"),
+                               dropped=False)
         if pb_bytes > out_packet.size:
             # The piggyback message no longer fits the packet buffer's
             # tailroom: extend/chain the buffer before forwarding.
@@ -217,14 +220,6 @@ class Replica:
             out_packet.attachments["ftc"] = message
             chain.send_to_position(position, position + 1, out_packet)
 
-    def _close_span(self, packet: Packet, entered: float,
-                    dropped: bool = False) -> None:
-        """Emit the per-position middlebox span for a sampled packet."""
-        name = self.middlebox.name if self.middlebox is not None else "relay"
-        self.telemetry.tracer.complete(
-            packet.pid, f"p{self.position}:{name}", "mbox",
-            entered, self.sim.now, tid=self.position, dropped=dropped)
-
     def _process_piggyback(self, message: PiggybackMessage) -> float:
         """Apply carried logs; strip + commit where we are the tail."""
         cycles = 0.0
@@ -235,8 +230,6 @@ class Replica:
         states = self.states
         tail_last_sent = self.tail_last_sent
         telemetry = self.telemetry
-        listening = telemetry.enabled or telemetry.flight.enabled
-        prof = self._prof
         carried = message.logs
         for mbox in self.replicated:
             logs = carried.get(mbox)
@@ -248,10 +241,12 @@ class Replica:
                     cycles += (apply_cycles +
                                per_byte_cycles * log.state_bytes(costs))
                     offer(log, now)
-                    if listening:
-                        self._note_applied(log, mbox, now)
-                if prof.enabled:
-                    prof.count("depvec/merge", len(logs))
+                    if telemetry.enabled:
+                        telemetry.emit("piggyback", "apply", t=now,
+                                       pid=log.packet_id, depvec=log.depvec,
+                                       mbox=mbox, position=self.position)
+                if telemetry.enabled:
+                    telemetry.emit("depvec", "merge", t=now, n=len(logs))
             if mbox in tail_last_sent:
                 if logs is not None:
                     message.take_logs(mbox)
@@ -260,35 +255,17 @@ class Replica:
                 if commit.entries:
                     message.set_commit(commit)
                     tail_last_sent[mbox] = dict(state.max)
-                if prof.enabled:
-                    prof.count("piggyback/trim")
+                if telemetry.enabled:
+                    telemetry.emit("piggyback", "trim", t=now)
         commits = message.commits
         if commits:
             for mbox, commit in commits.items():
                 state = states.get(mbox)
                 if state is not None:
                     state.absorb_commit(commit)
-            if prof.enabled:
-                prof.count("piggyback/trim")
+            if telemetry.enabled:
+                telemetry.emit("piggyback", "trim", t=now)
         return cycles
-
-    def _note_applied(self, log, mbox: str, now: float) -> None:
-        """Tell the tracer / flight recorder one log was offered here
-        (only reached when one of them is on)."""
-        pid = log.packet_id
-        if pid is None:
-            return
-        telemetry = self.telemetry
-        if telemetry.enabled and telemetry.tracer.wants(pid):
-            telemetry.tracer.instant(pid, f"replicate@p{self.position}",
-                                     "repl", now, tid=self.position,
-                                     mbox=mbox)
-        flight = telemetry.flight
-        if flight.enabled:
-            flight.record(
-                "piggyback", "apply", t=now, pid=pid,
-                depvec=dict(log.depvec),
-                detail=f"{mbox} @p{self.position}", chain=f"pid:{pid}")
 
     def _emit_propagating(self, message: PiggybackMessage) -> None:
         """Carry a filtered packet's piggyback message onward (§5.1)."""

@@ -125,17 +125,13 @@ class MiddleboxRuntime:
         if jitter > 0:
             locking = max(locking * 0.5,
                           self._gauss(locking, locking * jitter))
-        telemetry = self.telemetry
         pid = packet.pid
         result = yield from self.manager.run(
             partial(middlebox.process, packet),
             (processing + self.extra_critical_cycles) / cpu_hz,
             packet.flow, thread_id, None,
             partial(self._on_commit, pid), self._commit_hold,
-            locking / cpu_hz, costs.htm_commit_cycles / cpu_hz,
-            pid if telemetry.enabled and telemetry.tracer.wants(pid)
-            else None,
-            pid if telemetry.flight.enabled else None)
+            locking / cpu_hz, costs.htm_commit_cycles / cpu_hz, pid)
         counters.locking += (costs.htm_commit_cycles
                              if result.used_htm else locking)
 
@@ -173,12 +169,8 @@ class MiddleboxRuntime:
         # The head is also the first of the f+1 replicas: account the
         # log locally so pruning/recovery see it.
         self.state.record_local(log)
-        flight = self.telemetry.flight
-        if flight.enabled:
-            flight.record(
-                "piggyback", "append", t=self.sim.now, pid=pid,
-                depvec=dict(vec),
-                detail=f"{self.middlebox.name} "
-                       f"{len(ctx.writes)} update(s)",
-                chain=f"pid:{pid}")
+        if self.telemetry.enabled:
+            self.telemetry.emit("piggyback", "append", t=self.sim.now,
+                                pid=pid, depvec=vec, mbox=self.middlebox.name,
+                                updates=len(ctx.writes))
         return log

@@ -17,7 +17,6 @@ from .._lazy import surface
 __getattr__, __dir__, __all__ = surface(__name__, {
     "recorder": (
         "DUMP_VERSION", "FLIGHT_COMPONENTS", "FlightEvent", "FlightRecorder",
-        "NULL_FLIGHT", "NullFlightRecorder",
     ),
     "explain": (
         "explain_epoch", "explain_packet", "explain_recovery", "load_dump",

@@ -23,9 +23,10 @@ causal chain :mod:`repro.flight.explain` can walk backwards.
 
 Determinism: the recorder touches no RNG and schedules nothing;
 events are a pure function of the simulation, so two runs of one seed
-produce byte-identical dumps.  Disabled (the default,
-:data:`NULL_FLIGHT`), every hook is a no-op attribute read plus a
-truth test -- fig5/fig13 stay bit-identical.
+produce byte-identical dumps.  Disabled (the default:
+the bundle is :data:`~repro.telemetry.NULL_TELEMETRY`), a data-path
+event costs its site one ``telemetry.enabled`` test and no call --
+fig5/fig13 stay bit-identical.
 
 On an invariant violation or an :class:`UnrecoverableError` the
 recorder *trips*: the full ring (plus the metric rows, when a telemetry
@@ -38,11 +39,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
-# Re-exported from the leaf: the same objects, never redefined here.
-from ..telemetry.null import NULL_FLIGHT, NullFlightRecorder
-
-__all__ = ["FlightEvent", "FlightRecorder", "NullFlightRecorder",
-           "NULL_FLIGHT", "FLIGHT_COMPONENTS", "DUMP_VERSION"]
+__all__ = ["FlightEvent", "FlightRecorder", "FLIGHT_COMPONENTS",
+           "DUMP_VERSION"]
 
 #: Components an event may come from (PROTOCOL.md §10, §11, §12).
 FLIGHT_COMPONENTS = ("stm", "piggyback", "buffer", "channel", "recovery",

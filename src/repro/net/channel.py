@@ -146,7 +146,6 @@ class ReliableChannel:
         #: Called once when the receiver falls silent (module docstring).
         self.on_silence = on_silence or (lambda: None)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._prof = self.telemetry.profiler
         registry = self.telemetry.registry
         registry.counter("channel/retransmissions",
                          lambda: self.retransmissions)
@@ -155,9 +154,8 @@ class ReliableChannel:
         registry.counter("channel/corrupt_dropped",
                          lambda: self.corrupt_dropped)
         registry.counter("channel/window_stalls", lambda: self.window_stalls)
-        self._m_inflight = registry.histogram("channel/inflight")
+        registry.histogram("channel/inflight")
         registry.counter("drops/channel-reorder", lambda: self.reorder_dropped)
-        self._flight = self.telemetry.flight
 
         self.epoch = 0
         self._link = None
@@ -243,13 +241,11 @@ class ReliableChannel:
         receiver.  Anything still in flight carries the old epoch and
         is discarded on arrival.
         """
-        if self._flight.enabled:
-            self._flight.record(
-                "channel", "reset", t=self.sim.now,
-                detail=f"{self.name} epoch {self.epoch} -> "
-                       f"{self.epoch + 1}: {len(self.unacked)} unacked, "
-                       f"{len(self.ooo)} parked discarded",
-                chain="ctrl")
+        if self.telemetry.enabled:
+            self.telemetry.emit("channel", "reset", t=self.sim.now,
+                                name=self.name, from_epoch=self.epoch,
+                                unacked=len(self.unacked),
+                                parked=len(self.ooo))
         self.epoch += 1
         self.next_seq = 0
         self._una = 0
@@ -277,8 +273,8 @@ class ReliableChannel:
             self.window_stalls += 1
         else:
             self._transmit(packet)
-        if self._prof.enabled:
-            self._prof.count("channel/frame")
+        if self.telemetry.enabled:
+            self.telemetry.emit("channel", "frame", t=self.sim.now)
 
     def _transmit(self, packet) -> None:
         seq = self.next_seq
@@ -300,7 +296,8 @@ class ReliableChannel:
             self._heard_at = now
         self.unacked[seq] = _Pending(frame, 1, now + self.policy.timeout_s)
         if self.telemetry.enabled:
-            self._m_inflight.observe(float(len(self.unacked)), t=now)
+            self.telemetry.emit("channel", "transmit", t=now,
+                                value=float(len(self.unacked)))
         self._link.send(frame)
         if not self._kick.triggered:
             self._kick.succeed()
@@ -313,12 +310,11 @@ class ReliableChannel:
         pending.attempts += 1
         pending.deadline = self.sim.now + self._rto(pending.attempts)
         self.retransmissions += 1
-        if self._flight.enabled:
-            pid = getattr(pending.frame.packet, "pid", None)
-            self._flight.record(
-                "channel", "retransmit", t=self.sim.now, pid=pid,
-                detail=f"{self.name} seq {seq} attempt {pending.attempts}",
-                chain=f"pid:{pid}" if pid is not None else None)
+        if self.telemetry.enabled:
+            self.telemetry.emit(
+                "channel", "retransmit", t=self.sim.now,
+                pid=getattr(pending.frame.packet, "pid", None),
+                name=self.name, seq=seq, attempt=pending.attempts)
         self._link.send(pending.frame)
 
     def _watchdog_loop(self):
@@ -387,8 +383,8 @@ class ReliableChannel:
                 self.corrupt_dropped += 1
         else:
             self._deliver(obj)  # unframed traffic passes through
-        if self._prof.enabled:
-            self._prof.count("channel/frame")
+        if self.telemetry.enabled:
+            self.telemetry.emit("channel", "frame", t=self.sim.now)
 
     def _release(self, frame: Frame) -> None:
         """Deliver ``frame``, then every parked frame that this frees:
@@ -423,11 +419,9 @@ class ReliableChannel:
         """Bounded memory beats holding everything: drop the frame; the
         sender's RTO offers it again once the gap ahead is repaired."""
         self.reorder_dropped += 1
-        if self._flight.enabled:
-            self._flight.record(
-                "channel", "reorder-drop", t=self.sim.now,
-                detail=f"{self.name} {why}; seq {seq} "
-                       f"re-offered by sender RTO")
+        if self.telemetry.enabled:
+            self.telemetry.emit("channel", "reorder-drop", t=self.sim.now,
+                                name=self.name, why=why, seq=seq)
 
     # -- acknowledgement legs ------------------------------------------------------
 
@@ -473,8 +467,8 @@ class ReliableChannel:
         txq = self.txq
         while txq and len(unacked) < self.window:
             self._transmit(txq.popleft())
-        if self._prof.enabled:
-            self._prof.count("channel/ack")
+        if self.telemetry.enabled:
+            self.telemetry.emit("channel", "ack", t=self.sim.now)
 
     def _schedule_nack(self, got_seq: int) -> None:
         """Gap-NACK: list the missing sequences below an arrival."""
@@ -487,11 +481,9 @@ class ReliableChannel:
             return
         self._last_nack_at = now
         self.nacks_sent += 1
-        if self._flight.enabled:
-            self._flight.record(
-                "channel", "nack", t=now,
-                detail=f"{self.name} missing seqs "
-                       f"{list(missing)}", chain=None)
+        if self.telemetry.enabled:
+            self.telemetry.emit("channel", "nack", t=now, name=self.name,
+                                missing=missing)
         lost = self.loss_fn()
         epoch = self.epoch
 

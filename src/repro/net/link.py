@@ -57,7 +57,6 @@ class Link:
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.telemetry.registry.counter("drops/link-impair",
                                         lambda: self.impair_dropped)
-        self._flight = self.telemetry.flight
         self.tx_packets = 0
         self.tx_bytes = 0
         self._impairment: Optional[DataImpairment] = None
@@ -114,11 +113,10 @@ class Link:
         self.tx_bytes += wire_bytes
         if spec.drop_rate and rng.random() < spec.drop_rate:
             self.impair_dropped += 1
-            if self._flight.enabled:
-                self._flight.record(
-                    "link", "impair-drop", t=self.sim.now,
-                    pid=getattr(packet, "pid", None),
-                    detail=f"{self.name} seeded loss")
+            if self.telemetry.enabled:
+                self.telemetry.emit("link", "impair-drop", t=self.sim.now,
+                                    pid=getattr(packet, "pid", None),
+                                    name=self.name)
             return
         copies = 1
         if spec.dup_rate and rng.random() < spec.dup_rate:

@@ -61,7 +61,6 @@ class NIC:
                                    name=f"{name}/engine")
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.telemetry.registry.counter("drops/nic", lambda: self.rx_dropped)
-        self._flight = self.telemetry.flight
         self.rx_packets = 0
         self.rx_dropped = 0
 
@@ -76,11 +75,10 @@ class NIC:
 
     def _drop(self, packet: Packet) -> None:
         self.rx_dropped += 1
-        if self._flight.enabled:
-            self._flight.record(
-                "nic", "tail-drop", t=self.sim.now, pid=packet.pid,
-                detail=f"{self.name} queue full ({self.queue_depth})",
-                chain=f"pid:{packet.pid}")
+        if self.telemetry.enabled:
+            self.telemetry.emit("nic", "tail-drop", t=self.sim.now,
+                                pid=packet.pid, name=self.name,
+                                depth=self.queue_depth)
 
     def _enqueue(self, packet: Packet) -> None:
         # queue_for(packet), written out.

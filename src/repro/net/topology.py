@@ -151,11 +151,9 @@ class Network:
         """Audit hook (PROTOCOL.md §12.2): no drop is ever silent; the
         count is ``attr``, already incremented."""
         self.meter(f"drops/{site}", attr)
-        flight = self.telemetry.flight
-        if flight.enabled:
-            flight.record("net", site, t=self.sim.now,
-                          pid=getattr(packet, "pid", None),
-                          detail=f"dropped at {site}")
+        if self.telemetry.enabled:
+            self.telemetry.emit("net", site, t=self.sim.now,
+                                pid=getattr(packet, "pid", None))
 
     def drop_to_failed(self, packet) -> None:
         """Count a packet lost because an endpoint server is failed."""

@@ -12,15 +12,15 @@ Three layers, used together by ``repro perf``:
 
 Host time is not measured here: ftcbench times the chain from outside.
 Nothing is imported until a name is read: ``compare`` (the CI gate)
-loads without the simulator, and :data:`NULL_PROFILER` lives in the
-leaf :mod:`repro.telemetry.null`, so a run with profiling off never
-loads :mod:`.profiler` either.
+loads without the simulator, and a run with profiling off never loads
+:mod:`.profiler` either (stages are counted through the enabled
+telemetry bundle only).
 """
 
 from .._lazy import surface
 
 __getattr__, __dir__, __all__ = surface(__name__, {
-    "profiler": ("NULL_PROFILER", "NullProfiler", "STAGES", "StageProfiler"),
+    "profiler": ("STAGES", "StageProfiler"),
     "compare": ("compare_dirs", "compare_reports", "load_reports",
                 "render_markdown"),
 })

@@ -13,11 +13,12 @@ Design constraints, in order:
 1. **Zero perturbation.**  The profiler never touches the simulation
    clock, an RNG stream, or any packet -- so a *profiled* run produces
    the same virtual-time results as an unprofiled one.
-2. **One branch when off.**  Every hook site holds
-   :data:`NULL_PROFILER` (or ``None`` in the engine) by default and
-   tests its ``enabled`` class attribute before touching it: a
-   disabled profiler is never called, and fig5/fig13 stay
-   byte-identical.
+2. **One seam.**  A stage is counted where the data path emits its
+   event (:data:`repro.telemetry.bundle.DATA_PATH` declares which
+   events count under which stage); only ``engine/dispatch`` is
+   counted by the engine itself.  Every site sits behind one
+   ``telemetry.enabled`` test, so a disabled profiler is never called
+   and fig5/fig13 stay byte-identical.
 """
 
 from __future__ import annotations
@@ -25,35 +26,17 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict
 
-# Re-exported from the leaf: the same objects, never redefined here.
-from ..telemetry.null import NULL_PROFILER, NullProfiler
+#: The stage taxonomy (PROTOCOL.md §13.1), read from the routing table:
+#: every instrumented segment of the per-packet pipeline counts under
+#: exactly one of these names.
+from ..telemetry.bundle import STAGES
 
-__all__ = ["STAGES", "StageProfiler", "NULL_PROFILER", "NullProfiler"]
-
-#: The stage taxonomy (PROTOCOL.md §13.1).  Every instrumented segment
-#: of the per-packet pipeline counts under exactly one of these names.
-STAGES = (
-    "engine/dispatch",    # Simulator.step callback execution
-    "admission/check",    # AdmissionControl.offer: bus level + token take
-    "piggyback/append",   # Forwarder.attach: fed-back logs onto packets
-    "depvec/merge",       # ReplicationState.offer walk at each replica
-    "piggyback/trim",     # commit-vector absorb + retained-log pruning
-    "stm/commit",         # transaction commit: apply writes + unlock
-    "channel/frame",      # ReliableChannel send/receive framing
-    "channel/ack",        # cumulative-ACK processing + window refill
-    "buffer/hold",        # Buffer.handle: dedup, commits, release gating
-    "buffer/release",     # the FIFO held-prefix scan + delivery
-)
+__all__ = ["STAGES", "StageProfiler"]
 
 
 class StageProfiler:
-    """Per-stage call counters.
-
-    A data-path hook never calls a disabled profiler::
-
-        if profiler.enabled:
-            profiler.count("stm/commit")
-    """
+    """Per-stage call counters, fed by :meth:`Telemetry.emit` (and by
+    the engine for ``engine/dispatch``)."""
 
     __slots__ = ("calls",)
 

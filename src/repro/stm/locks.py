@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 
 from ..sim import CancelledError, Simulator
 from ..sim.resources import _Waiter
-from ..telemetry import NULL_HISTOGRAM
+from ..telemetry import NULL_TELEMETRY
 
 __all__ = ["PartitionLock", "TransactionWounded", "LockStats"]
 
@@ -58,15 +58,16 @@ class PartitionLock:
 
     def __init__(self, sim: Simulator, index: int, stats: Optional[LockStats] = None,
                  handoff_delay_s: float = 0.0, spin_threshold: int = 2,
-                 wait_hist=None):
+                 telemetry=None, name: str = "stm"):
         self.sim = sim
         self.index = index
         self.owner = None  # the Transaction currently holding the lock
         self._waiters: List[Tuple[float, int, _Waiter, object]] = []
         self.stats = stats if stats is not None else LockStats()
-        #: Telemetry histogram (the no-op singleton unless a manager
-        #: with an enabled registry created this lock).
-        self.wait_hist = wait_hist if wait_hist is not None else NULL_HISTOGRAM
+        #: Every wait is a ``stm/partition-wait`` event observed into the
+        #: owning manager's ``<name>/lock_wait_s`` histogram.
+        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self.name = name
         #: Wakeup latency exposed when handing the lock to a waiter
         #: under light contention.  With a crowd of spinners
         #: (>= spin_threshold still queued) the next owner is already
@@ -122,8 +123,11 @@ class PartitionLock:
             raise TransactionWounded() from None
         finally:
             tx.pending_wait = None
-            self.stats.wait_time += self.sim.now - wait_started
-            self.wait_hist.observe(self.sim.now - wait_started, t=self.sim.now)
+            waited = self.sim.now - wait_started
+            self.stats.wait_time += waited
+            if self.telemetry.enabled:
+                self.telemetry.emit("stm", "partition-wait", t=self.sim.now,
+                                    name=self.name, value=waited)
         if tx.wounded:
             # Granted but wounded in the same instant: hand the lock on.
             self._release_internal(tx)

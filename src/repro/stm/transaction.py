@@ -186,16 +186,15 @@ class TransactionManager:
         self.name = name
         self.lock_stats = LockStats()
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._prof = self.telemetry.profiler
         registry = self.telemetry.registry
         registry.counter(f"{name}/commits", lambda: self.committed)
         registry.counter(f"{name}/retries", lambda: self.total_retries)
-        wait_hist = registry.histogram(f"{name}/lock_wait_s")
+        registry.histogram(f"{name}/lock_wait_s")
         registry.counter(f"{name}/wounds", lambda: self.lock_stats.wounds)
         self.locks = [PartitionLock(sim, i, self.lock_stats,
                                     handoff_delay_s=handoff_delay_s,
                                     spin_threshold=spin_threshold,
-                                    wait_hist=wait_hist)
+                                    telemetry=self.telemetry, name=name)
                       for i in range(self.partitions.n_partitions)]
         #: Hybrid transactional memory (§3.2): uncontended transactions
         #: elide the lock protocol and pay a cheaper commit.
@@ -212,8 +211,7 @@ class TransactionManager:
             on_commit: Optional[Callable[[TransactionContext, FrozenSet[int]], Any]] = None,
             commit_hold_fn: Optional[Callable[[TransactionContext], float]] = None,
             lock_overhead_s: float = 0.0, htm_overhead_s: float = 0.0,
-            trace_pid: Optional[int] = None,
-            flight_pid: Optional[int] = None):
+            pid: Optional[int] = None):
         """Generator: execute ``body`` transactionally.
 
         Yields simulation events while waiting for locks and during the
@@ -231,17 +229,12 @@ class TransactionManager:
         piggyback-log construction there, since the log must be built
         before the locks release (§4.2).
 
-        ``trace_pid`` enables span recording for this transaction: the
-        caller passes the packet id when the tracer sampled it, None
-        otherwise (the common, zero-overhead case).
-
-        ``flight_pid`` likewise enables causal flight events (wound /
-        lock-wait / commit) on the packet's ``pid:<N>`` chain; it is
-        independent of ``trace_pid`` because the tracer samples while
-        the flight recorder, when on, sees every packet.
+        ``pid`` names the packet the transaction runs for: its lock-wait,
+        wound and commit events (PROTOCOL.md §10) go to
+        :meth:`Telemetry.emit` under that id, for the packet's spans and
+        its ``pid:<N>`` flight chain.
         """
-        tracer = self.telemetry.tracer if trace_pid is not None else None
-        flight = self.telemetry.flight if flight_pid is not None else None
+        telemetry = self.telemetry
         sim = self.sim
         store = self.store
         locks = self.locks
@@ -282,20 +275,11 @@ class TransactionManager:
                         raise TransactionWounded()
                 tx.phase = "holding"
                 hold_started = sim.now
-                if hold_started > acquire_started:
-                    if tracer is not None:
-                        tracer.complete(trace_pid, "lock-acquire", "stm",
-                                        acquire_started, hold_started,
-                                        tid=thread_id, mbox=self.name,
-                                        partitions=sorted(needed))
-                    if flight is not None:
-                        flight.record(
-                            "stm", "lock-wait", t=hold_started,
-                            pid=flight_pid,
-                            detail=f"{self.name} waited "
-                                   f"{(hold_started - acquire_started) * 1e6:.2f}us "
-                                   f"for partitions {sorted(needed)}",
-                            chain=f"pid:{flight_pid}")
+                if telemetry.enabled and hold_started > acquire_started:
+                    telemetry.emit("stm", "lock-wait", t=hold_started,
+                                   pid=pid, name=self.name,
+                                   start=acquire_started, tid=thread_id,
+                                   partitions=needed)
 
                 total_hold = hold_time + (htm_overhead_s if used_htm
                                           else lock_overhead_s)
@@ -329,23 +313,13 @@ class TransactionManager:
                     commit_value = on_commit(live, live_partitions)
                 tx.phase = "done"
                 tx.release_all()
-                if self._prof.enabled:
-                    self._prof.count("stm/commit")
                 self.committed += 1
                 self.total_retries += tx.retries
-                if tracer is not None:
-                    tracer.complete(trace_pid, "critical-section", "stm",
-                                    hold_started, sim.now,
-                                    tid=thread_id, mbox=self.name,
-                                    retries=tx.retries, htm=used_htm)
-                if flight is not None:
-                    flight.record(
-                        "stm", "commit", t=sim.now, pid=flight_pid,
-                        detail=f"{self.name} partitions="
-                               f"{sorted(live_partitions)} "
-                               f"retries={tx.retries}"
-                               f"{' htm' if used_htm else ''}",
-                        chain=f"pid:{flight_pid}")
+                if telemetry.enabled:
+                    telemetry.emit("stm", "commit", t=sim.now, pid=pid,
+                                   name=self.name, start=hold_started,
+                                   tid=thread_id, partitions=live_partitions,
+                                   retries=tx.retries, htm=used_htm)
                 return TransactionResult(
                     live.writes, live.reads, live_partitions, tx.retries,
                     sim.now - started - total_hold - commit_hold,
@@ -353,15 +327,10 @@ class TransactionManager:
             except TransactionWounded:
                 tx.retries += 1
                 tx.release_all()
-                if tracer is not None:
-                    tracer.instant(trace_pid, "wounded", "stm", sim.now,
-                                   tid=thread_id, mbox=self.name)
-                if flight is not None:
-                    flight.record(
-                        "stm", "wound", t=sim.now, pid=flight_pid,
-                        detail=f"{self.name} ts={tx.timestamp} "
-                               f"retry {tx.retries}",
-                        chain=f"pid:{flight_pid}")
+                if telemetry.enabled:
+                    telemetry.emit("stm", "wound", t=sim.now, pid=pid,
+                                   name=self.name, tid=thread_id,
+                                   ts=tx.timestamp, retries=tx.retries)
                 # Immediately re-execute (same timestamp: no starvation).
                 continue
         raise RuntimeError(

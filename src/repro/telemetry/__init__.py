@@ -13,32 +13,31 @@ this reproduction exposes (PROTOCOL.md §7 documents the schema):
   into structured per-attempt phase durations (consumed by Fig 13 and
   the soak auditor).
 
-A control-plane event is written once, by :meth:`Telemetry.emit`: it
-lands on the timeline, in the flight ring when one is recording, and
-in the Chrome export as an instant on the control-plane track
+Every event is written once, by :meth:`Telemetry.emit`.  A data-path
+event (:data:`.bundle.DATA_PATH` lists every ``(component,
+kind)``) is routed by that one table to the flight ring, a tracer span,
+a histogram and a perf stage; each site makes one call behind one
+``if telemetry.enabled:`` test.  A control-plane event lands on the
+timeline, in the flight ring when one is recording, and in the Chrome
+export as an instant on the control-plane track
 (``TIMELINE_EVENT_KINDS`` lists every ``(component, kind)``).
 
 Pass a ``Telemetry`` to :class:`~repro.core.FTCChain` and
 :class:`~repro.orchestration.Orchestrator` to enable collection; the
-default is :data:`NULL_TELEMETRY`, which drops every counter and gauge
-registration and hands out shared no-op singletons -- counters and
-gauges then cost nothing on the hot path, histogram and tracer hooks
-one no-op method call or an ``enabled`` test, nothing touches
-simulation state, and results stay bit-identical to an uninstrumented
-build.  Every ``NULL_*`` name resolves to
-:mod:`.null`, a stdlib-only leaf, so a run with telemetry off loads
-none of the enabled implementations.
+default is :data:`NULL_TELEMETRY`, one no-op object that is every part
+of a disabled bundle: it drops every counter and gauge registration,
+a data-path site costs one attribute test and makes no call, nothing
+touches simulation state, and results stay bit-identical to an
+uninstrumented build.  It lives in :mod:`.null`, a stdlib-only leaf,
+so a run with telemetry off loads none of the enabled
+implementations.
 """
 
 from .._lazy import surface
 
 __getattr__, __dir__, __all__ = surface(__name__, {
     "bundle": ("Telemetry",),
-    "null": (
-        "NULL_FLIGHT", "NULL_HISTOGRAM", "NULL_PROFILER", "NULL_REGISTRY",
-        "NULL_TELEMETRY", "NULL_TIMELINE", "NULL_TRACER", "NullRegistry",
-        "NullTelemetry", "NullTimeline", "NullTracer",
-    ),
+    "null": ("NULL_TELEMETRY", "NullTelemetry"),
     "registry": ("Histogram", "MetricRegistry"),
     "timeline": (
         "RecoveryTimeline", "TIMELINE_EVENT_KINDS", "TimelineAttempt",

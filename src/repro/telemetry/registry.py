@@ -16,11 +16,11 @@ warm-up samples exactly the way :class:`repro.metrics.ThroughputMeter`
 does, and percentiles come from a bounded reservoir so a soak run
 cannot grow memory without bound.
 
-With telemetry off (:data:`NULL_REGISTRY`) a registration is dropped
-and a histogram is a shared no-op singleton: counters and gauges cost
-nothing on the hot path, and nothing touches the simulation clock or
-any RNG stream, so instrumented and uninstrumented runs are
-bit-identical.
+With telemetry off (:data:`~repro.telemetry.NULL_TELEMETRY`) a
+registration is dropped and a histogram is that same no-op object:
+counters and gauges cost nothing on the hot path, and nothing touches
+the simulation clock or any RNG stream, so instrumented and
+uninstrumented runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -28,16 +28,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Tuple
 
-# Re-exported from the leaf: the same objects, never redefined here.
-from .null import NULL_HISTOGRAM, NULL_REGISTRY, NullRegistry
-
-__all__ = [
-    "Histogram",
-    "MetricRegistry",
-    "NULL_HISTOGRAM",
-    "NULL_REGISTRY",
-    "NullRegistry",
-]
+__all__ = ["Histogram", "MetricRegistry"]
 
 #: Samples a histogram retains for percentile estimation (ring buffer).
 DEFAULT_RESERVOIR = 4096

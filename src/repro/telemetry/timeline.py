@@ -27,11 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-# Re-exported from the leaf: the same objects, never redefined here.
-from .null import NULL_TIMELINE, NullTimeline
-
 __all__ = ["TimelineEvent", "TimelineAttempt", "RecoveryTimeline",
-           "NULL_TIMELINE", "NullTimeline", "TIMELINE_EVENT_KINDS"]
+           "TIMELINE_EVENT_KINDS"]
 
 #: Every ``(component, kind)`` a timeline may carry, in typical firing
 #: order -- the flight recorder's vocabulary (PROTOCOL.md §7.3).

@@ -31,11 +31,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
-# Re-exported from the leaf: the same objects, never redefined here.
-from .null import NULL_TRACER, NullTracer
-
-__all__ = ["PacketTracer", "NULL_TRACER", "NullTracer",
-           "validate_chrome_trace", "SPAN_PHASES"]
+__all__ = ["PacketTracer", "validate_chrome_trace", "SPAN_PHASES"]
 
 #: Phases a trace event may carry (subset of the Chrome spec we emit).
 SPAN_PHASES = ("X", "i", "b", "e", "M", "C")

@@ -12,12 +12,10 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from repro.flight import (
-    DUMP_VERSION,
-    FLIGHT_COMPONENTS,
-    FlightRecorder,
-    NULL_FLIGHT,
-)
+from repro.flight import DUMP_VERSION, FLIGHT_COMPONENTS, FlightRecorder
+from repro.telemetry import NULL_TELEMETRY
+
+NULL_FLIGHT = NULL_TELEMETRY.flight
 
 # A random but replayable call sequence: (component idx, kind, pid-ish).
 _calls = st.lists(

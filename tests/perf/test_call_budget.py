@@ -13,15 +13,18 @@ import sys
 import pytest
 
 from repro.core import FTCChain
-from repro.middlebox import Gen, Monitor, ch_n
+from repro.middlebox import Gen, Monitor, ch_n, ch_rec
 from repro.net import TrafficGenerator, balanced_flows
 from repro.sim import RandomStreams, Simulator
+from repro.telemetry import NullTelemetry
 
 SEED = 3
 
 
-def _calls_per_packet(middleboxes, f: int, n_threads: int, reliable: bool,
-                      rate_pps: float, window_s: float) -> float:
+def _run(middleboxes, f: int, n_threads: int, reliable: bool,
+         rate_pps: float, window_s: float, profile=None) -> int:
+    """Run one shape; ``profile`` is installed for the traffic and its
+    drain.  Returns the released packet count."""
     sim = Simulator()
     released = 0
 
@@ -36,15 +39,8 @@ def _calls_per_packet(middleboxes, f: int, n_threads: int, reliable: bool,
         sim, chain.ingress, rate_pps=rate_pps,
         flows=balanced_flows(64, n_threads), packet_size=256,
         arrivals="poisson", streams=RandomStreams(SEED))
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event in ("call", "c_call"):
-            calls += 1
-
     previous = sys.getprofile()
-    sys.setprofile(count)
+    sys.setprofile(profile)
     try:
         sim.run(until=window_s)
         generator.stop()
@@ -52,33 +48,73 @@ def _calls_per_packet(middleboxes, f: int, n_threads: int, reliable: bool,
     finally:
         sys.setprofile(previous)
     assert released == generator.sent > 1500
+    return released
+
+
+def _calls_per_packet(**shape) -> float:
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    released = _run(**shape, profile=count)
     return calls / released
 
 
-# Measured 598.6, 1 565.4 and 735.2 when the ceilings were last set
+CH2 = dict(middleboxes=lambda: ch_n(2, n_threads=2), f=1, n_threads=2,
+           reliable=False, rate_pps=2e5, window_s=10e-3)
+CH5 = dict(middleboxes=lambda: ch_n(5, n_threads=2), f=2, n_threads=2,
+           reliable=True, rate_pps=1e5, window_s=20e-3)
+# The contended lock-queue path: nearly every acquisition conflicts and
+# every packet carries a 256 B update.
+CONTENDED = dict(middleboxes=lambda: [Monitor(sharing_level=8),
+                                      Gen(state_size=256)],
+                 f=1, n_threads=8, reliable=False, rate_pps=3e6,
+                 window_s=1e-3)
+CH_REC = dict(middleboxes=lambda: ch_rec(n_threads=2), f=1, n_threads=2,
+              reliable=True, rate_pps=1e5, window_s=20e-3)
+
+
+# Measured 598.6, 1 565.4 and 734.2 when the ceilings were last set
 # (616.7, 1 616.7 and 752.5 before counters and gauges were read from
-# their owners instead of pushed on every event).  The id is the label
-# alone, so a lowered ceiling does not rename a test.
+# their owners instead of pushed on every event; the contended shape
+# read 735.2 before its lock waits stopped calling the null histogram).
+# The id is the label alone, so a lowered ceiling does not rename a test.
 @pytest.mark.parametrize("kwargs, ceiling", [
-    pytest.param(
-        dict(middleboxes=lambda: ch_n(2, n_threads=2), f=1, n_threads=2,
-             reliable=False, rate_pps=2e5, window_s=10e-3),
-        659, id="Ch-2 raw links"),
-    pytest.param(
-        dict(middleboxes=lambda: ch_n(5, n_threads=2), f=2, n_threads=2,
-             reliable=True, rate_pps=1e5, window_s=20e-3),
-        1722, id="Ch-5 f=2 reliable links"),
-    # The contended lock-queue path: nearly every acquisition conflicts
-    # and every packet carries a 256 B update.
-    pytest.param(
-        dict(middleboxes=lambda: [Monitor(sharing_level=8),
-                                  Gen(state_size=256)],
-             f=1, n_threads=8, reliable=False, rate_pps=3e6,
-             window_s=1e-3),
-        809, id="Monitor(sharing 8) -> Gen(256 B), 8 threads"),
+    pytest.param(CH2, 659, id="Ch-2 raw links"),
+    pytest.param(CH5, 1722, id="Ch-5 f=2 reliable links"),
+    pytest.param(CONTENDED, 808,
+                 id="Monitor(sharing 8) -> Gen(256 B), 8 threads"),
 ])
 def test_python_calls_per_packet_stay_under_budget(request, kwargs, ceiling):
     measured = _calls_per_packet(**kwargs)
     assert measured <= ceiling, (
         f"{request.node.callspec.id}: {measured:.0f} Python calls per "
         f"released packet, budget {ceiling}")
+
+
+#: What a data-path hook could call on the disabled bundle: everything
+#: but the registrations components make once, at construction.
+_NULL_EVENT_METHODS = sorted(
+    name for name, value in vars(NullTelemetry).items()
+    if callable(value) and not name.startswith("__")
+    and name not in ("counter", "gauge", "histogram"))
+
+
+@pytest.mark.parametrize("shape", [
+    pytest.param(CH2, id="Ch-2 raw links"),
+    pytest.param(CH5, id="Ch-5 f=2 reliable links"),
+    pytest.param(CONTENDED, id="Monitor(sharing 8) -> Gen(256 B), 8 threads"),
+    pytest.param(CH_REC, id="Ch-Rec reliable links"),
+])
+def test_telemetry_off_never_calls_the_null_object(shape, monkeypatch):
+    """One ``telemetry.enabled`` test per hook site, and no call."""
+    calls = []
+    for name in _NULL_EVENT_METHODS:
+        def spy(*args, _name=name, **kwargs):
+            calls.append(_name)
+        monkeypatch.setattr(NullTelemetry, name, spy)
+    _run(**shape)
+    assert calls == []

@@ -5,9 +5,16 @@ import pytest
 from repro.core import FTCChain
 from repro.middlebox import ch_n
 from repro.net import TrafficGenerator, balanced_flows
-from repro.perf import NULL_PROFILER, NullProfiler, STAGES, StageProfiler
+from repro.perf import STAGES, StageProfiler
 from repro.sim import RandomStreams, Simulator
-from repro.telemetry import MetricRegistry, Telemetry
+from repro.telemetry import (
+    MetricRegistry,
+    NULL_TELEMETRY,
+    NullTelemetry,
+    Telemetry,
+)
+
+NULL_PROFILER = NULL_TELEMETRY.profiler
 
 
 class TestRecording:
@@ -63,7 +70,7 @@ class TestReport:
 
 class TestNullProfiler:
     def test_singleton_is_disabled(self):
-        assert isinstance(NULL_PROFILER, NullProfiler)
+        assert isinstance(NULL_PROFILER, NullTelemetry)
         assert NULL_PROFILER.enabled is False
         assert StageProfiler.enabled is True
 
@@ -74,7 +81,7 @@ class TestNullProfiler:
         assert NULL_PROFILER.report(packets=5) == {}
 
     def test_no_instance_state(self):
-        assert NullProfiler.__slots__ == ()
+        assert NullTelemetry.__slots__ == ()
 
     def test_shared_aggregates_are_read_only(self):
         # One object serves every disabled component of every run: a

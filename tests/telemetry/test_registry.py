@@ -2,12 +2,9 @@
 
 import math
 
-from repro.telemetry import (
-    Histogram,
-    MetricRegistry,
-    NULL_HISTOGRAM,
-    NULL_REGISTRY,
-)
+from repro.telemetry import Histogram, MetricRegistry, NULL_TELEMETRY
+
+NULL_REGISTRY = NULL_TELEMETRY.registry
 
 
 class _Owner:
@@ -126,8 +123,10 @@ class TestRegistry:
 
 class TestNullVariants:
     def test_shared_singletons(self):
-        assert NULL_REGISTRY.histogram("x") is NULL_HISTOGRAM
-        assert NULL_REGISTRY.histogram("y") is NULL_HISTOGRAM
+        # One object is every part of the disabled bundle.
+        assert NULL_REGISTRY is NULL_TELEMETRY
+        assert NULL_REGISTRY.histogram("x") is NULL_TELEMETRY
+        assert NULL_REGISTRY.histogram("y") is NULL_TELEMETRY
 
     def test_noops_store_nothing(self):
         def never_read():
@@ -135,8 +134,7 @@ class TestNullVariants:
 
         NULL_REGISTRY.counter("c", never_read)
         NULL_REGISTRY.gauge("g", never_read)
-        NULL_HISTOGRAM.observe(1.0, t=2.0)
-        assert NULL_HISTOGRAM.count == 0
+        NULL_REGISTRY.histogram("h").observe(1.0, t=2.0)
         assert NULL_REGISTRY.snapshot() == {}
         assert NULL_REGISTRY.rows() == []
 

@@ -5,7 +5,6 @@ import pytest
 from repro.flight import FlightRecorder
 from repro.telemetry import (
     NULL_TELEMETRY,
-    NULL_TIMELINE,
     RecoveryTimeline,
     Telemetry,
     validate_chrome_trace,
@@ -95,7 +94,7 @@ class TestEmit:
 
     def test_null_emit_records_nothing(self):
         NULL_TELEMETRY.emit("orch", "confirmed", [1], t=1.0)
-        assert NULL_TELEMETRY.timeline.events == []
+        assert NULL_TELEMETRY.timeline.events == ()
 
 
 class TestExport:
@@ -124,7 +123,8 @@ class TestExport:
         assert "total=3.500ms" in text
 
     def test_null_timeline(self):
-        assert not NULL_TIMELINE.enabled
-        assert NULL_TIMELINE.events == []
-        assert NULL_TIMELINE.attempts() == []
-        assert NULL_TIMELINE.render() == ""
+        null_timeline = NULL_TELEMETRY.timeline
+        assert not null_timeline.enabled
+        assert null_timeline.events == ()
+        assert null_timeline.attempts() == []
+        assert null_timeline.render() == ""

@@ -4,11 +4,9 @@ import json
 
 import pytest
 
-from repro.telemetry import (
-    NULL_TRACER,
-    PacketTracer,
-    validate_chrome_trace,
-)
+from repro.telemetry import NULL_TELEMETRY, PacketTracer, validate_chrome_trace
+
+NULL_TRACER = NULL_TELEMETRY.tracer
 
 
 class TestSampling:
@@ -88,5 +86,5 @@ class TestExport:
         assert not NULL_TRACER.enabled
         assert not NULL_TRACER.wants(0)
         NULL_TRACER.instant(0, "x", "test", t_s=0.0)
-        assert NULL_TRACER.events == []
+        assert NULL_TRACER.events == ()
         assert NULL_TRACER.export()["traceEvents"] == []

@@ -138,8 +138,7 @@ PARENT_SURFACE = {
     },
     "repro.flight": {
         "repro.flight.recorder":
-            "DUMP_VERSION FLIGHT_COMPONENTS FlightEvent FlightRecorder "
-            "NULL_FLIGHT NullFlightRecorder",
+            "DUMP_VERSION FLIGHT_COMPONENTS FlightEvent FlightRecorder",
         "repro.flight.explain":
             "explain_epoch explain_packet explain_recovery load_dump "
             "walk_back",
@@ -148,23 +147,17 @@ PARENT_SURFACE = {
         "repro.flight.report": "render_report",
     },
     "repro.perf": {
-        "repro.perf.profiler":
-            "NULL_PROFILER NullProfiler STAGES StageProfiler",
+        "repro.perf.profiler": "STAGES StageProfiler",
         "repro.perf.compare":
             "compare_dirs compare_reports load_reports render_markdown",
     },
     "repro.telemetry": {
-        "repro.telemetry.registry":
-            "Histogram MetricRegistry NULL_HISTOGRAM NULL_REGISTRY "
-            "NullRegistry",
+        "repro.telemetry.registry": "Histogram MetricRegistry",
         "repro.telemetry.timeline":
-            "NULL_TIMELINE NullTimeline RecoveryTimeline "
-            "TIMELINE_EVENT_KINDS TimelineAttempt TimelineEvent",
+            "RecoveryTimeline TIMELINE_EVENT_KINDS TimelineAttempt "
+            "TimelineEvent",
         "repro.telemetry.trace":
-            "NULL_TRACER NullTracer PacketTracer SPAN_PHASES "
-            "validate_chrome_trace",
-        "repro.flight.recorder": "NULL_FLIGHT",
-        "repro.perf.profiler": "NULL_PROFILER",
+            "PacketTracer SPAN_PHASES validate_chrome_trace",
         "repro.telemetry": "NULL_TELEMETRY NullTelemetry Telemetry",
     },
     "repro.baselines": {
