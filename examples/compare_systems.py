@@ -8,22 +8,21 @@ Run:  python examples/compare_systems.py          (quick)
       REPRO_FULL=1 python examples/compare_systems.py
 """
 
+from repro.chaos.scenario import monitors
 from repro.experiments import latency_under_load, saturation_throughput
+from repro.experiments.runner import measure
 from repro.metrics import format_table
-from repro.middlebox import ch_n
 
 SYSTEMS = ["NF", "FTC", "FTMB"]
 
 
 def main():
     rows = []
+    chain = monitors(3, n_threads=8)
     for system in SYSTEMS:
-        tput = saturation_throughput(
-            system, lambda: ch_n(3, sharing_level=1, n_threads=8),
-            n_threads=8, f=1)
-        egress = latency_under_load(
-            system, lambda: ch_n(3, sharing_level=1, n_threads=8),
-            rate_pps=2e6, n_threads=8, f=1)
+        tput = measure(saturation_throughput(
+            system, chain)).throughput.rate_mpps()
+        egress = measure(latency_under_load(system, chain, rate_pps=2e6))
         rows.append((system, round(tput, 2),
                      round(egress.latency.mean_us(), 1),
                      round(egress.latency.percentile_us(99), 1)))

@@ -1,16 +1,17 @@
 """One declarative :class:`Scenario`, one audited run loop.
 
-Every soak schedule, bench scenario and extension-experiment point is
-a frozen :class:`Scenario` -- a Ch-n chain, its links, control plane,
-traffic, adversary, timed :class:`Step`\\ s and checks -- handed to
-:func:`run`, the only place that builds a simulator and walks it
-through build -> start -> arm -> periodic audit -> stop traffic -> heal
-what was armed -> drain -> final audit -> collect.  A
-:class:`ShadowOracle` sits on every egress and the
-:class:`InvariantAuditor` has the last word on every run, so a number
-is only ever reported next to the invariants it was measured under
-(PROTOCOL.md §4; :meth:`Run.checked` turns a violation into an error
-for callers that report numbers rather than violations).
+Every soak schedule, bench scenario, experiment and figure point and
+``repro run|trace|report`` invocation is a frozen :class:`Scenario` --
+a system over a chain of middleboxes (both as data), its links, control
+plane, traffic, adversary, timed :class:`Step`\\ s and checks -- handed
+to :func:`run`, which builds the simulator and walks it through build
+-> start -> arm -> periodic audit -> stop traffic -> heal what was armed
+-> drain -> final audit -> collect.  A :class:`ShadowOracle` sits on
+every egress and, on FTC, the :class:`InvariantAuditor` has the last
+word, so a number is only ever reported next to the invariants it was
+measured under (PROTOCOL.md §4; :meth:`Run.checked` turns a violation
+into an error).  Other systems get no auditor, injector or control
+plane, and reject the :data:`FTC_ONLY` fields.
 
 Determinism: the build order below is part of the contract (event ids
 break same-instant ties), and everything is a pure function of the
@@ -19,17 +20,18 @@ scenario -- same scenario, same bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, List, Optional, Tuple
 
-from ..core import FTCChain
+from ..core import recover_positions
 from ..core.admission import AdmissionControl, BackpressureBus
 from ..core.costs import DEFAULT_COSTS, CostModel
 from ..core.reconfig import ReconfigError, ReconfigOp, apply_reconfig
+from ..experiments.systems import build_system
 from ..flight.slo import SLOObjective, SLOWatchdog
 from ..metrics.meters import EgressRecorder
 from ..metrics.stats import percentile
-from ..middlebox import ch_n
+from ..middlebox.registry import create
 from ..net import TrafficGenerator, balanced_flows
 from ..net.flowgen import WorkloadGenerator, WorkloadSpec
 from ..orchestration import (
@@ -40,6 +42,7 @@ from ..orchestration import (
 )
 from ..orchestration.brownout import BrownoutController
 from ..orchestration.election import ElectionConfig
+from ..orchestration.orchestrator import FailureEvent
 from ..sim import RandomStreams, Simulator
 from ..telemetry import Telemetry
 from .auditor import InvariantAuditor, InvariantViolation, ShadowOracle
@@ -47,7 +50,21 @@ from .monkey import ChaosMonkey
 from .plan import IMPAIRED_DELIVERY, FaultInjector, FaultPlan, FaultSpec
 
 __all__ = ["Scenario", "Step", "Monkey", "Run", "run", "CHECKS",
-           "CTRLPLANE_ELECTION"]
+           "CTRLPLANE_ELECTION", "FTC_ONLY", "ORACLE_CHECKS", "mbox",
+           "monitors"]
+
+def mbox(kind: str, **params) -> Tuple:
+    """A middlebox as hashable data, ``(kind, ((param, value), ...))``:
+    what :func:`run` hands to :func:`repro.middlebox.create`."""
+    return kind, tuple(sorted(params.items()))
+
+
+def monitors(n: int, n_threads: int = 2, sharing_level: int = 1) -> Tuple:
+    """Ch-n (:func:`repro.middlebox.ch_n`'s Monitors), as data."""
+    return tuple(mbox("monitor", name=f"monitor{i + 1}",
+                      sharing_level=sharing_level, n_threads=n_threads)
+                 for i in range(n))
+
 
 #: Election timing of every ensemble the runner builds: tight enough
 #: that a leader crash fails over well inside a schedule, loose enough
@@ -61,17 +78,19 @@ CTRLPLANE_ELECTION = ElectionConfig(lease_s=6e-3, renew_every_s=2e-3,
 class Step:
     """A timed action with a post-condition checked after the drain.
 
-    Exactly one of ``crash`` (fail-stop that position) or ``op`` (apply
-    that reconfiguration: through the control plane when the scenario
-    has one, directly on the chain otherwise).  ``expect`` names the
-    post-condition: ``"recovered"`` (the crashed position was failed
-    over), ``"committed"`` (the operation committed) or ``"terminal"``
-    (it committed or was formally aborted -- never left open).
+    Exactly one of ``crash`` (fail-stop that position), ``recover``
+    (§5.2 recovery of it, directly: only without a control plane) or
+    ``op`` (apply that reconfiguration -- through the control plane if
+    any, else directly; an insert names its middlebox as :func:`mbox`
+    data).  ``expect`` names the post-condition: ``"recovered"`` (the
+    position was failed over), ``"committed"`` or ``"terminal"`` (the
+    operation committed, or was formally aborted -- never left open).
     """
 
     at_s: float
     crash: Optional[int] = None
     op: Optional[ReconfigOp] = None
+    recover: Optional[int] = None
     expect: Optional[str] = None
 
 
@@ -81,18 +100,33 @@ class Monkey:
 
     max_faults: int
     mean_interval_s: float
-    kind_weights: Optional[Mapping[str, float]] = None
+    #: ``(kind, weight)`` pairs (default: the monkey's own mix).
+    kind_weights: Optional[Tuple[Tuple[str, float], ...]] = None
+
+
+#: Fields any other system must leave at their defaults.
+FTC_ONLY = ("orchestrators", "steps", "faults", "monkey", "impair",
+            "reliable_links", "admission_pps", "slo_p99_us",
+            "audit_every_s", "region", "htm")
+
+#: The end-of-run checks the egress oracle answers on any system.
+ORACLE_CHECKS = ("egress-duplicate", "egress-order")
 
 
 @dataclass(frozen=True)
 class Scenario:
     """What to build, what to do to it, and what must hold afterwards."""
 
-    chain_length: int
+    #: The middleboxes, in chain order, as :func:`mbox` data.
+    chain: Tuple[Tuple, ...]
     duration_s: float
+    #: ``ftc | nf | ftmb | ftmb+snapshot | remote-store`` (``build_system``).
+    system: str = "ftc"
     f: int = 1
     seed: int = 0
     costs: CostModel = DEFAULT_COSTS
+    #: Worker threads per server, and the NIC queues traffic spreads over.
+    threads: int = 2
     #: Per-hop ReliableChannels (§8); also makes the control plane
     #: corroborate suspects -- a lossy link must not read as a dead replica.
     reliable_links: bool = False
@@ -105,8 +139,14 @@ class Scenario:
     heartbeat_interval_s: float = 2e-3
     #: Deploy chain and control plane in this region of a CloudNetwork.
     region: Optional[str] = None
-    #: Constant offered rate, unless ``workload`` describes the traffic.
+    #: The hybrid-TM fast path (§3.2) on every replica.
+    htm: bool = False
+    #: Constant rate over ``flows`` balanced flows, ``"deterministic"``
+    #: (pktgen) or ``"poisson"`` (MoonGen), unless ``workload`` is set.
     rate_pps: float = 0.0
+    flows: int = 8
+    packet_size: int = 256
+    arrivals: str = "deterministic"
     workload: Optional[WorkloadSpec] = None
     monkey: Optional[Monkey] = None
     faults: Tuple[FaultSpec, ...] = ()
@@ -129,18 +169,30 @@ class Scenario:
     #: Extra provenance stamped onto every violation, as (key, value).
     context: Tuple[Tuple[str, Any], ...] = ()
 
+    @property
+    def ftc(self) -> bool:
+        return self.system.lower() == "ftc"
+
     def __post_init__(self):
         unknown = [name for name in self.checks if name not in CHECKS]
         if unknown:
             raise ValueError(f"unknown end-of-run check(s) {unknown} "
                              f"(known: {', '.join(CHECKS)})")
+        ftc_fields = [name for name in FTC_ONLY if getattr(self, name)]
+        if ftc_fields and not self.ftc:
+            raise ValueError(f"{', '.join(ftc_fields)} need system ftc "
+                             f"(got {self.system})")
         for step in self.steps:
-            expects = (("recovered",) if step.op is None
-                       else ("committed", "terminal"))
-            if (step.crash is None) == (step.op is None) or (
+            actions = [step.crash, step.op, step.recover]
+            expects = (("committed", "terminal") if step.op is not None
+                       else ("recovered",))
+            if actions.count(None) != 2 or (
                     step.expect is not None and step.expect not in expects):
-                raise ValueError(f"{step}: exactly one of crash/op, "
+                raise ValueError(f"{step}: exactly one of crash/op/recover, "
                                  f"expecting one of {expects} or nothing")
+            if step.recover is not None and self.orchestrators:
+                raise ValueError(f"{step}: recover steps need "
+                                 "orchestrators=0")
 
 
 @dataclass
@@ -149,13 +201,15 @@ class Run:
 
     scenario: Scenario
     sim: Simulator
-    chain: FTCChain
+    chain: Any  # the built system: an FTCChain or a baseline chain
     oracle: ShadowOracle
     egress: EgressRecorder
     generator: Any
     control: Any = None
     admission: Optional[AdmissionControl] = None
     brownout: Optional[BrownoutController] = None
+    #: The control plane's FailureEvents, or the ``recover`` steps'.
+    failures: List[FailureEvent] = field(default_factory=list)
     #: ``(fire time, description)`` per injected fault.
     faults: List[Tuple[float, str]] = field(default_factory=list)
     #: One ReconfigReport per reconfiguration that reached an outcome.
@@ -166,10 +220,6 @@ class Run:
     @property
     def ensemble(self) -> Optional[OrchestratorEnsemble]:
         return self.control if self.scenario.orchestrators > 1 else None
-
-    @property
-    def failures(self) -> List:
-        return [] if self.control is None else self.control.history
 
     def checked(self) -> "Run":
         """This run, or an error if any invariant or check failed."""
@@ -247,11 +297,12 @@ def _step_violations(out: Run) -> List[Tuple[str, str]]:
     found = []
     steps, failures = out.scenario.steps, out.failures
     for step in steps:
+        position = step.crash if step.recover is None else step.recover
         if step.expect == "recovered" and not any(
-                event.recovered and step.crash in event.positions
+                event.recovered and position in event.positions
                 for event in failures):
             found.append(("missed-failover",
-                          f"position {step.crash} crashed at "
+                          f"position {position} crashed at "
                           f"{step.at_s * 1e3:.2f}ms was never recovered"))
     # A leader killed mid-switch may leave its successor unable to
     # rebuild an operation; it then formally aborts it -- terminal.
@@ -299,13 +350,14 @@ def _wire_brownout(sim, sc, chain, egress, admission, control, telemetry):
 
 
 def run(scenario: Scenario, telemetry=None, profiler=None,
-        on_chain=None) -> Run:
+        on_start=None) -> Run:
     """Build, drive, audit and collect one scenario.
 
     ``telemetry`` is the bundle every component reports into (default:
     none; a bare ``profiler`` gets a trace-less one), ``profiler`` is
-    also installed on the simulator, and ``on_chain(sim, chain)`` fires
-    once the chain has started (tracing runs attach samplers there).
+    also installed on the simulator, and ``on_start(run)`` fires once
+    everything is built and armed, before the first event (tracing runs
+    attach samplers there, ``repro report`` its SLO watchdog).
     """
     sc = scenario
     sim = Simulator()
@@ -316,15 +368,14 @@ def run(scenario: Scenario, telemetry=None, profiler=None,
 
     # -- build ----------------------------------------------------------------
     egress = sink = EgressRecorder(sim)
-    newest_cfg: Dict = {}
-    cfg_inversions = [0]
+    newest_cfg = {}
     if "cfg-monotonic" in sc.checks:
         def sink(packet):
             # Once a flow egresses a packet stamped with config v, no
             # packet of that flow stamped with an older one may follow.
             cfg = packet.meta.get("cfg", 0)
             if cfg < newest_cfg.get(packet.flow, 0):
-                cfg_inversions[0] += 1
+                out.cfg_inversions += 1
             else:
                 newest_cfg[packet.flow] = cfg
             egress(packet)
@@ -340,18 +391,17 @@ def run(scenario: Scenario, telemetry=None, profiler=None,
         net = CloudNetwork(sim, hop_delay_s=sc.costs.hop_delay_s,
                            bandwidth_bps=sc.costs.bandwidth_bps,
                            rtt_jitter_frac=0.0, seed=sc.seed)
-    chain = FTCChain(
-        sim, ch_n(sc.chain_length, n_threads=2), f=sc.f, deliver=oracle,
-        costs=sc.costs, net=net, n_threads=2, seed=sc.seed,
+    chain = build_system(
+        sc.system, sim, [create(kind, **dict(params))
+                         for kind, params in sc.chain], oracle,
+        costs=sc.costs, n_threads=sc.threads, f=sc.f, seed=sc.seed, net=net,
         telemetry=telemetry, reliable_links=sc.reliable_links,
-        admission=admission)
+        admission=admission, use_htm=sc.htm)
     if sc.region is not None:
         place_chain(chain, [sc.region] * chain.n_positions)
 
     # -- start ----------------------------------------------------------------
     chain.start()
-    if on_chain is not None:
-        on_chain(sim, chain)
     control = ensemble = None
     if sc.orchestrators > 1:
         control = ensemble = OrchestratorEnsemble(
@@ -366,22 +416,24 @@ def run(scenario: Scenario, telemetry=None, profiler=None,
         control.start()
     if sc.workload is not None:
         generator = WorkloadGenerator(sim, chain.ingress, sc.workload,
-                                      n_queues=2,
+                                      n_queues=sc.threads,
                                       streams=RandomStreams(sc.seed))
     else:
-        generator = TrafficGenerator(sim, chain.ingress,
-                                     rate_pps=sc.rate_pps,
-                                     flows=balanced_flows(8, 2))
+        generator = TrafficGenerator(
+            sim, chain.ingress, rate_pps=sc.rate_pps,
+            flows=balanced_flows(sc.flows, sc.threads),
+            packet_size=sc.packet_size, arrivals=sc.arrivals,
+            streams=RandomStreams(sc.seed), name=f"gen-{sc.seed}")
     watchdog = brownout = None
     if sc.slo_p99_us is not None:
         watchdog, brownout = _wire_brownout(
             sim, sc, chain, egress, admission, control, telemetry)
-    auditor = InvariantAuditor(
-        chain, oracle=oracle, orchestrator=control, brownout=brownout,
-        context={"seed": sc.seed, **dict(sc.context)})
+    out = Run(scenario=sc, sim=sim, chain=chain, oracle=oracle,
+              egress=egress, generator=generator, control=control,
+              admission=admission, brownout=brownout)
 
     # -- arm ------------------------------------------------------------------
-    monkey = None
+    monkey = auditor = injector = None
     if sc.monkey is not None:
         monkey = ChaosMonkey(
             chain, control, ensemble=ensemble,
@@ -390,19 +442,21 @@ def run(scenario: Scenario, telemetry=None, profiler=None,
             start_after_s=sc.duration_s * 0.1,
             kind_weights=sc.monkey.kind_weights)
         monkey.start()
-    injector = FaultInjector(chain, control, FaultPlan(list(sc.faults)),
-                             seed=sc.seed, ensemble=ensemble)
-    injector.start()
+    if sc.ftc:
+        auditor = InvariantAuditor(
+            chain, oracle=oracle, orchestrator=control, brownout=brownout,
+            context={"seed": sc.seed, **dict(sc.context)})
+        injector = FaultInjector(chain, control, FaultPlan(list(sc.faults)),
+                                 seed=sc.seed, ensemble=ensemble)
+        injector.start()
     if sc.impair is not None:
         drop, dup, reorder, corrupt = sc.impair
         injector._apply(FaultSpec(
             kind=IMPAIRED_DELIVERY, drop_rate=drop, dup_rate=dup,
             reorder_rate=reorder, corrupt_rate=corrupt))
 
-    direct_reports: List = []
-
     def apply_direct(op):
-        direct_reports.append((yield from apply_reconfig(chain, op)))
+        out.reconfigs.append((yield from apply_reconfig(chain, op)))
 
     def submit(op):
         if control is None:
@@ -415,14 +469,28 @@ def run(scenario: Scenario, telemetry=None, profiler=None,
             except ReconfigError:
                 sim.schedule_callback(2e-3, lambda: submit(op))
 
+    def recover(position):
+        at = sim.now
+        report = yield sim.process(recover_positions(chain, [position]))
+        out.failures.append(FailureEvent([position], at, 0.0, report))
+
     for step in sc.steps:
         if step.op is not None:
-            sim.schedule_callback(step.at_s, lambda op=step.op: submit(op))
+            op = step.op
+            if op.kind == "insert":
+                kind, params = op.middlebox
+                op = replace(op, middlebox=create(kind, **dict(params)))
+            sim.schedule_callback(step.at_s, lambda op=op: submit(op))
+        elif step.recover is not None:
+            sim.schedule_callback(
+                step.at_s, lambda p=step.recover: sim.process(recover(p)))
         else:
             crash = FaultSpec(kind="crash", at_s=step.at_s,
                               position=step.crash)
             sim.schedule_callback(step.at_s,
                                   lambda spec=crash: injector._apply(spec))
+    if on_start is not None:
+        on_start(out)
 
     # -- run: periodic audit, stop traffic, heal, drain, final audit ----------
     def periodic_audit():
@@ -436,6 +504,8 @@ def run(scenario: Scenario, telemetry=None, profiler=None,
         sim.run(until=sc.warmup_s)
         egress.throughput.start_window()
         egress.latency.start_after(sc.warmup_s)
+        if telemetry is not None:
+            telemetry.start_window(sim.now)
     sim.run(until=sc.duration_s)
     generator.stop()
     if monkey is not None:
@@ -447,20 +517,20 @@ def run(scenario: Scenario, telemetry=None, profiler=None,
     if sc.impair is not None:
         chain.net.clear_data_impairment()
     sim.run(until=sc.duration_s + sc.drain_s)
-    auditor.audit(quiescent=sc.quiescent)
+    if auditor is not None:
+        auditor.audit(quiescent=sc.quiescent)
 
     # -- collect --------------------------------------------------------------
-    out = Run(
-        scenario=sc, sim=sim, chain=chain, oracle=oracle, egress=egress,
-        generator=generator, control=control, admission=admission,
-        brownout=brownout, cfg_inversions=cfg_inversions[0],
-        faults=(([] if monkey is None else monkey.injected)
-                + injector.injected),
-        reconfigs=(direct_reports if control is None
-                   else list(control.reconfig_history)))
+    if control is not None:
+        out.failures = control.history
+        out.reconfigs = list(control.reconfig_history)
+    if monkey is not None:
+        out.faults += monkey.injected
+    if injector is not None:
+        out.faults += injector.injected
     found = ([(name, CHECKS[name](out)) for name in sc.checks]
              + _step_violations(out))
-    out.violations = list(auditor.violations) + [
+    out.violations = ([] if auditor is None else list(auditor.violations)) + [
         InvariantViolation(invariant=name, detail=detail, at_s=sim.now)
         for name, detail in found if detail]
     if watchdog is not None:

@@ -21,14 +21,14 @@ from typing import List, Optional, Sequence
 from ..core.costs import CostModel
 from ..core.reconfig import ClassifierRule, ClassifierSet, ReconfigOp
 from ..flight import FlightRecorder
-from ..middlebox.monitor import Monitor
 from ..net.flowgen import FlashCrowd, WorkloadSpec
 from ..sim import RandomStreams
 from ..telemetry import MetricRegistry, Telemetry
 from .auditor import InvariantViolation
 from .monkey import CTRLPLANE_KIND_WEIGHTS
 from .plan import IMPAIRED_DELIVERY, FaultSpec
-from .scenario import CTRLPLANE_ELECTION, Monkey, Run, Scenario, Step, run
+from .scenario import (CTRLPLANE_ELECTION, Monkey, Run, Scenario, Step, mbox,
+                       monitors, run)
 
 __all__ = ["SoakResult", "run_soak", "chaos_scenario", "impaired_scenario",
            "ctrlplane_scenario", "reconfig_scenario", "overload_scenario",
@@ -216,7 +216,7 @@ class SoakResult:
                 continue
             sc = out.scenario
             lines.append(f"  FAIL schedule {index} (seed={sc.seed}, "
-                         f"Ch-{sc.chain_length}, f={sc.f}):")
+                         f"Ch-{len(sc.chain)}, f={sc.f}):")
             for violation in out.violations:
                 lines.append(f"    {violation}")
             for when, what in out.faults:
@@ -237,7 +237,7 @@ def chaos_scenario(seed: int, chain_length: int, f: int,
     still be mid-recovery, so the final audit does not assume quiescence.
     """
     return Scenario(
-        chain_length=chain_length, f=f, seed=seed, costs=SOAK_COSTS,
+        chain=monitors(chain_length), f=f, seed=seed, costs=SOAK_COSTS,
         duration_s=duration_s, rate_pps=rate_pps, orchestrators=1,
         heartbeat_interval_s=heartbeat_interval_s,
         monkey=Monkey(max_faults, mean_fault_interval_s),
@@ -262,7 +262,7 @@ def impaired_scenario(seed: int, chain_length: int = 2, f: int = 1,
     need more drain runway than clean schedules.
     """
     return Scenario(
-        chain_length=chain_length, f=f, seed=seed, costs=SOAK_COSTS,
+        chain=monitors(chain_length), f=f, seed=seed, costs=SOAK_COSTS,
         duration_s=duration_s, rate_pps=rate_pps, reliable_links=True,
         orchestrators=1, heartbeat_interval_s=heartbeat_interval_s,
         faults=(FaultSpec(
@@ -295,12 +295,13 @@ def ctrlplane_scenario(seed: int, chain_length: int = 3, f: int = 1,
     re-elects, and any in-flight recovery finishes.
     """
     return Scenario(
-        chain_length=chain_length, f=f, seed=seed, costs=SOAK_COSTS,
+        chain=monitors(chain_length), f=f, seed=seed, costs=SOAK_COSTS,
         duration_s=duration_s, rate_pps=rate_pps,
         orchestrators=orchestrators,
         heartbeat_interval_s=heartbeat_interval_s,
         monkey=Monkey(max_faults, mean_fault_interval_s,
-                      CTRLPLANE_KIND_WEIGHTS if orch_faults else None),
+                      tuple(CTRLPLANE_KIND_WEIGHTS.items())
+                      if orch_faults else None),
         audit_every_s=AUDIT_INTERVAL_S, checks=("missed-failover",),
         drain_s=max(40 * heartbeat_interval_s,
                     CTRLPLANE_ELECTION.lease_s * 5 + 20e-3),
@@ -344,7 +345,7 @@ def reconfig_scenario(seed: int, chain_length: int = 3, f: int = 1,
                           n_threads=3)),
         (0.48, ReconfigOp(kind="migrate", position=migrate_pos)),
         (0.60, ReconfigOp(kind="insert", index=1,
-                          middlebox=Monitor(name="soak-probe"))),
+                          middlebox=mbox("monitor", name="soak-probe"))),
         (0.74, ReconfigOp(kind="remove", middlebox_name="soak-probe")),
     ]
     faults = [FaultSpec(
@@ -364,7 +365,7 @@ def reconfig_scenario(seed: int, chain_length: int = 3, f: int = 1,
         faults.append(FaultSpec(kind="leader-failover-mid-switch",
                                 phase="switching"))
     return Scenario(
-        chain_length=chain_length, f=f, seed=seed, costs=SOAK_COSTS,
+        chain=monitors(chain_length), f=f, seed=seed, costs=SOAK_COSTS,
         duration_s=duration_s, rate_pps=rate_pps, reliable_links=True,
         orchestrators=orchestrators,
         heartbeat_interval_s=heartbeat_interval_s, faults=tuple(faults),
@@ -422,7 +423,7 @@ def overload_scenario(seed: int, chain_length: int = 3, f: int = 1,
             position=RandomStreams(seed).stream("overload-soak").randrange(
                 max(chain_length, f + 1))),)
     return Scenario(
-        chain_length=chain_length, f=f, seed=seed, costs=OVERLOAD_COSTS,
+        chain=monitors(chain_length), f=f, seed=seed, costs=OVERLOAD_COSTS,
         duration_s=duration_s, orchestrators=spec.orchestrators,
         heartbeat_interval_s=heartbeat_interval_s,
         workload=WorkloadSpec(
@@ -456,7 +457,7 @@ def run_soak(scenarios: Sequence[Scenario], *, telemetry: bool = False,
             flight = FlightRecorder(autodump_path=os.path.join(
                 flight_dir, f"flight-{index}.json"))
             flight.set_context(seed=scenario.seed, schedule=index,
-                               chain_length=scenario.chain_length,
+                               chain_length=len(scenario.chain),
                                f=scenario.f)
         bundle = (Telemetry(flight=flight)
                   if telemetry or flight is not None else None)

@@ -224,123 +224,89 @@ def _parse_impairment(text: str, prog: str):
         raise SystemExit(f"{prog}: {err}")
 
 
-def _run_chain(args, telemetry=None, on_ready=None):
-    """Shared run/trace/report driver; returns (system, generator,
-    egress, middleboxes) after the simulation has completed.
+def _scenario(args):
+    """The Scenario ``run|trace|report`` describe with their flags.
+    ``--orchestrators 1`` means no control plane: a ``--fail-at`` crash
+    is recovered directly.  ``--impair-data`` is never healed."""
+    from .chaos import IMPAIRED_DELIVERY, FaultSpec, Scenario, Step
+    from .chaos.scenario import ORACLE_CHECKS, mbox
 
-    ``on_ready(sim, system, egress, ensemble)`` is called once the
-    chain is built but before traffic runs -- the hook ``report`` uses
-    to start its SLO watchdog inside the simulation.
-    """
-    from .experiments.systems import build_system
-    from .metrics import EgressRecorder
-    from .middlebox import create
-    from .net import TrafficGenerator, balanced_flows
-    from .sim import Simulator
-
-    impairment = None
-    if getattr(args, "impair_data", None):
+    faults = steps = ()
+    if args.impair_data:
         impairment = _parse_impairment(args.impair_data, "repro run")
-    sim = Simulator()
-    egress = EgressRecorder(sim)
-    middleboxes = [create(kind.strip(), name=f"{kind.strip()}{i}")
-                   for i, kind in enumerate(args.chain.split(","))]
-    system = build_system(
-        args.system, sim, middleboxes, egress, n_threads=args.threads,
-        f=args.failures, seed=args.seed, telemetry=telemetry)
-    if impairment is not None:
         print(f"data impairment: {impairment.describe()}")
-        if hasattr(system, "reliable_links"):
-            # FTC hops switch to sequenced/retransmitting channels (§8);
-            # baselines run raw and simply lose packets.
-            system.reliable_links = True
-        system.net.impair_data(
-            drop_rate=impairment.drop_rate, dup_rate=impairment.dup_rate,
-            reorder_rate=impairment.reorder_rate,
-            corrupt_rate=impairment.corrupt_rate, seed=args.seed)
-    system.start()
-    ensemble = None
-    if getattr(args, "orchestrators", 1) > 1:
-        if not hasattr(system, "fail_position"):
-            print("--orchestrators requires --system ftc", file=sys.stderr)
-            return None
-        from .chaos.soak import CTRLPLANE_ELECTION
-        from .orchestration import OrchestratorEnsemble
-
-        ensemble = OrchestratorEnsemble(
-            sim, system, n=args.orchestrators, election=CTRLPLANE_ELECTION,
-            telemetry=telemetry)
-        ensemble.start()
-    if getattr(args, "workload", None):
-        from .net import WorkloadGenerator, WorkloadSpec
-        from .sim import RandomStreams
+        faults = (FaultSpec(kind=IMPAIRED_DELIVERY, **{
+            name: getattr(impairment, name) for name in
+            ("drop_rate", "dup_rate", "reorder_rate", "corrupt_rate")}),)
+    workload = None
+    if args.workload:
+        from .net import WorkloadSpec
         try:
-            spec = WorkloadSpec.parse(args.workload)
+            workload = WorkloadSpec.parse(args.workload)
         except ValueError as err:
             raise SystemExit(f"repro run: bad --workload: {err}")
-        print(f"workload: {spec.describe()}")
-        generator = WorkloadGenerator(
-            sim, system.ingress, spec, n_queues=args.threads,
-            streams=RandomStreams(args.seed))
-    else:
-        generator = TrafficGenerator(
-            sim, system.ingress, rate_pps=args.rate,
-            flows=balanced_flows(args.flows, args.threads),
-            packet_size=args.packet_size)
-
+        print(f"workload: {workload.describe()}")
+    orchestrators = getattr(args, "orchestrators", 1)
+    orchestrators = orchestrators if orchestrators > 1 else 0
     if args.fail_at is not None:
-        if not hasattr(system, "fail_position"):
-            print("--fail-at requires --system ftc", file=sys.stderr)
-            return None
-        from .core import recover_positions
+        steps = (Step(args.fail_at, crash=args.fail_position),)
+        if not orchestrators:
+            steps += (Step(args.fail_at, recover=args.fail_position),)
+    kinds = [kind.strip() for kind in args.chain.split(",")]
+    return Scenario(
+        system=args.system,
+        chain=tuple(mbox(kind, name=f"{kind}{i}")
+                    for i, kind in enumerate(kinds)),
+        duration_s=args.duration, f=args.failures, seed=args.seed,
+        threads=args.threads, rate_pps=args.rate, flows=args.flows,
+        packet_size=args.packet_size, workload=workload,
+        reliable_links=bool(faults), faults=faults,
+        orchestrators=orchestrators, steps=steps, checks=ORACLE_CHECKS,
+        quiescent=False, warmup_s=min(args.duration * 0.2, 1e-3),
+        drain_s=0.5e-3)
 
-        def chaos(sim):
-            yield sim.timeout(args.fail_at)
-            system.fail_position(args.fail_position)
-            system.telemetry.emit("chaos", "fault-injected",
-                                  [args.fail_position], t=sim.now,
-                                  detail="--fail-at")
-            if ensemble is not None:
-                return  # the elected leader detects and recovers it
-            report = yield sim.process(
-                recover_positions(system, [args.fail_position]))
-            print(f"[{sim.now * 1e3:.2f} ms] recovered position "
-                  f"{args.fail_position} in {report.total_s * 1e3:.2f} ms")
 
-        sim.process(chaos(sim))
+def _run(args, telemetry=None, on_start=None):
+    """Run ``args``' scenario and print its recoveries; the Run, or
+    None when the flags ask a non-FTC system for FTC machinery."""
+    from .chaos import run
 
-    if on_ready is not None:
-        on_ready(sim, system, egress, ensemble)
-    warmup = min(args.duration * 0.2, 1e-3)
-    sim.run(until=warmup)
-    egress.throughput.start_window()
-    egress.latency.start_after(warmup)
-    if telemetry is not None:
-        telemetry.start_window(sim.now)
-    sim.run(until=args.duration)
-    generator.stop()
-    sim.run(until=args.duration + 0.5e-3)
+    try:
+        scenario = _scenario(args)
+    except ValueError as err:
+        print(f"repro {args.command}: {err}", file=sys.stderr)
+        return None
+    out = run(scenario, telemetry=telemetry, on_start=on_start)
+    ensemble = out.ensemble
+    for event in out.failures:
+        report = event.report
+        if ensemble is None:
+            print(f"[{(event.detected_at + report.total_s) * 1e3:.2f} ms] "
+                  f"recovered position {event.positions[0]} in "
+                  f"{report.total_s * 1e3:.2f} ms")
+        elif report is not None:
+            print(f"[{event.detected_at * 1e3:.2f} ms] leader recovered "
+                  f"positions {event.positions} in "
+                  f"{report.total_s * 1e3:.2f} ms")
+        elif event.error:
+            print(f"[{event.detected_at * 1e3:.2f} ms] recovery of "
+                  f"{event.positions} failed: {event.error}")
     if ensemble is not None:
-        for event in ensemble.history:
-            if event.report is not None:
-                print(f"[{event.detected_at * 1e3:.2f} ms] leader recovered "
-                      f"positions {event.positions} in "
-                      f"{event.report.total_s * 1e3:.2f} ms")
-            elif event.error:
-                print(f"[{event.detected_at * 1e3:.2f} ms] recovery of "
-                      f"{event.positions} failed: {event.error}")
-        ensemble.stop()
         leader = ensemble.leader
-        print(f"control plane: {args.orchestrators} orchestrators, "
+        print(f"control plane: {ensemble.n} orchestrators, "
               f"{len(ensemble.election_log)} elections, leader "
               f"{'m%d' % leader.index if leader else 'none'} at epoch "
               f"{ensemble.max_epoch}, "
               f"{ensemble.gate.fenced_commands} stale commands fenced")
-    return system, generator, egress, middleboxes
+    for violation in out.violations:
+        print(f"invariant violation: {violation}", file=sys.stderr)
+    return out
 
 
-def _print_run_summary(args, system, generator, egress, middleboxes) -> None:
+def _print_run_summary(args, out) -> None:
     from .metrics import format_table
+    system, generator, egress = out.chain, out.generator, out.egress
+    middleboxes = system.middleboxes
     print(f"\n{args.system.upper()} chain: "
           f"{' -> '.join(m.name for m in middleboxes)}")
     if getattr(args, "impair_data", None):
@@ -351,12 +317,11 @@ def _print_run_summary(args, system, generator, egress, middleboxes) -> None:
               f"{stats['duplicated']} duplicated, "
               f"{stats['reordered']} reordered, "
               f"{stats['corrupted']} corrupted")
-        if hasattr(system, "channel_stats"):
-            ch = system.channel_stats()
-            print(f"  channels: {ch.get('retransmissions', 0)} "
-                  f"retransmissions, {ch.get('nacks_sent', 0)} NACKs, "
-                  f"{ch.get('dup_dropped', 0)} dups dropped, "
-                  f"{ch.get('corrupt_dropped', 0)} corrupt dropped")
+        ch = system.channel_stats()
+        print(f"  channels: {ch.get('retransmissions', 0)} "
+              f"retransmissions, {ch.get('nacks_sent', 0)} NACKs, "
+              f"{ch.get('dup_dropped', 0)} dups dropped, "
+              f"{ch.get('corrupt_dropped', 0)} corrupt dropped")
     if getattr(args, "workload", None):
         print(f"offered {generator.sent} packets (workload-driven); "
               f"released {system.total_released()}")
@@ -406,10 +371,10 @@ def _cmd_run(args) -> int:
     telemetry = None
     if args.telemetry or flight is not None:
         telemetry = _make_telemetry(args, flight=flight)
-    result = _run_chain(args, telemetry=telemetry)
-    if result is None:
+    out = _run(args, telemetry=telemetry)
+    if out is None:
         return 2
-    _print_run_summary(args, *result)
+    _print_run_summary(args, out)
     if telemetry is not None and args.telemetry:
         print()
         print(telemetry.summary_table())
@@ -418,17 +383,17 @@ def _cmd_run(args) -> int:
             print(f"chrome trace written to {args.trace_out}")
     if flight is not None:
         _dump_flight(flight, args.flight, telemetry)
-    return 0
+    return 1 if out.violations else 0
 
 
 def _cmd_trace(args) -> int:
     flight = _make_flight(args) if args.flight else None
     telemetry = _make_telemetry(args, sample_every=max(1, args.sample),
                                 flight=flight)
-    result = _run_chain(args, telemetry=telemetry)
-    if result is None:
+    out = _run(args, telemetry=telemetry)
+    if out is None:
         return 2
-    _print_run_summary(args, *result)
+    _print_run_summary(args, out)
     print()
     print(telemetry.summary_table())
     if args.timeline and telemetry.timeline.events:
@@ -439,7 +404,7 @@ def _cmd_trace(args) -> int:
           f"(open in chrome://tracing or https://ui.perfetto.dev)")
     if flight is not None:
         _dump_flight(flight, args.flight, telemetry)
-    return 0
+    return 1 if out.violations else 0
 
 
 def _cmd_explain(args) -> int:
@@ -474,13 +439,12 @@ def _cmd_report(args) -> int:
     telemetry = _make_telemetry(args, flight=flight)
     state = {}
 
-    def on_ready(sim, system, egress, ensemble):
+    def on_start(out):
         probes = run_probes(
-            egress,
-            chain=system if hasattr(system, "channel_stats") else None,
-            orchestrator=ensemble)
+            out.egress, chain=out.chain if out.scenario.ftc else None,
+            orchestrator=out.ensemble)
         try:
-            watchdog = SLOWatchdog(sim, objectives, probes,
+            watchdog = SLOWatchdog(out.sim, objectives, probes,
                                    telemetry=telemetry)
         except ValueError as err:
             raise SystemExit(
@@ -489,10 +453,9 @@ def _cmd_report(args) -> int:
         watchdog.start()
         state["watchdog"] = watchdog
 
-    result = _run_chain(args, telemetry=telemetry, on_ready=on_ready)
-    if result is None:
+    out = _run(args, telemetry=telemetry, on_start=on_start)
+    if out is None:
         return 2
-    system, generator, egress, middleboxes = result
     watchdog = state.get("watchdog")
     if watchdog is not None:
         # No final pass after the drain: the post-traffic window would
@@ -501,15 +464,15 @@ def _cmd_report(args) -> int:
     config = {"chain": args.chain, "system": args.system,
               "rate_pps": args.rate, "duration_s": args.duration,
               "threads": args.threads, "f": args.failures,
-              "seed": args.seed, "offered": generator.sent}
+              "seed": args.seed, "offered": out.generator.sent}
     if args.orchestrators > 1:
         config["orchestrators"] = args.orchestrators
     if args.slo:
         config["slo"] = args.slo
     text = render_report(
         title=f"Run report: {args.system.upper()} "
-              f"{' -> '.join(m.name for m in middleboxes)}",
-        config=config, egress=egress, telemetry=telemetry,
+              f"{' -> '.join(m.name for m in out.chain.middleboxes)}",
+        config=config, egress=out.egress, telemetry=telemetry,
         watchdog=watchdog, flight=flight)
     if args.out:
         with open(args.out, "w") as handle:
@@ -519,7 +482,8 @@ def _cmd_report(args) -> int:
         print(text, end="")
     if args.flight:
         _dump_flight(flight, args.flight, telemetry)
-    return 0 if watchdog is None or watchdog.ok else 1
+    return 0 if (watchdog is None or watchdog.ok) and not out.violations \
+        else 1
 
 
 def _parse_int_list(text: str, option: str) -> List[int]:
@@ -618,7 +582,7 @@ def _cmd_chaos(args) -> int:
             extra += (f"{len(out.ensemble.election_log)} elections, "
                       f"{out.ensemble.gate.fenced_commands} fenced, ")
         print(f"  schedule {dict(sc.context)['schedule']:3d} "
-              f"seed={sc.seed} Ch-{sc.chain_length} f={sc.f}: "
+              f"seed={sc.seed} Ch-{len(sc.chain)} f={sc.f}: "
               f"{len(out.faults)} faults, {len(out.failures)} detected, "
               f"{sum(e.recovered for e in out.failures)} recovered, "
               f"{extra}{out.oracle.released} released -> "

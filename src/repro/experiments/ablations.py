@@ -14,9 +14,10 @@ Three of the paper's design arguments, isolated:
 
 from __future__ import annotations
 
+from ..chaos.scenario import mbox
 from ..core.costs import DEFAULT_COSTS
-from ..middlebox import Monitor
-from .runner import ExperimentResult, latency_under_load, saturation_throughput
+from .runner import (ExperimentResult, latency_under_load, measure,
+                     saturation_throughput)
 
 __all__ = ["run_depvec", "run_server_cost", "run_piggybacking",
            "run_htm", "run"]
@@ -28,13 +29,13 @@ def run_depvec(n_threads: int = 8, seed: int = 0) -> ExperimentResult:
         experiment="Ablation: dependency vectors vs total ordering "
                     "(Monitor, 8 threads, sharing level 1)",
         headers=["State partitions", "FTC throughput (Mpps)"])
+    chain = (mbox("monitor", name="mon", sharing_level=1,
+                  n_threads=n_threads),)
     for partitions in (1, 2, 4, DEFAULT_COSTS.n_partitions):
-        mpps = saturation_throughput(
-            "ftc",
-            lambda: [Monitor(name="mon", sharing_level=1,
-                             n_threads=n_threads)],
+        mpps = measure(saturation_throughput(
+            "ftc", chain,
             costs=DEFAULT_COSTS.with_overrides(n_partitions=partitions),
-            n_threads=n_threads, f=1, seed=seed)
+            threads=n_threads, seed=seed)).throughput.rate_mpps()
         result.add(partitions, round(mpps, 2))
     result.notes.append(
         "One partition = §4.3's single sequence number: all transactions "
@@ -62,18 +63,17 @@ def run_piggybacking(n_threads: int = 8, seed: int = 0) -> ExperimentResult:
         experiment="Ablation: piggybacking vs separate replication messages",
         headers=["Design", "Throughput (Mpps)", "Latency at 2 Mpps (us)"])
 
-    def workload():
-        return [Monitor(name="mon", sharing_level=1, n_threads=n_threads)]
-
+    chain = (mbox("monitor", name="mon", sharing_level=1,
+                  n_threads=n_threads),)
     for label, kind in (("FTC (piggybacked)", "ftc"),
                         ("Separate messages (FTMB-style)", "ftmb"),
                         ("Remote state store", "remote-store")):
-        mpps = saturation_throughput(kind, workload, n_threads=n_threads,
-                                     f=1, seed=seed)
-        latency = latency_under_load(
-            kind, workload,
-            rate_pps=2e6 if kind != "remote-store" else 2e5,
-            n_threads=n_threads, f=1, seed=seed).latency.mean_us()
+        mpps = measure(saturation_throughput(
+            kind, chain, threads=n_threads,
+            seed=seed)).throughput.rate_mpps()
+        latency = measure(latency_under_load(
+            kind, chain, rate_pps=2e6 if kind != "remote-store" else 2e5,
+            threads=n_threads, seed=seed)).latency.mean_us()
         result.add(label, round(mpps, 2), round(latency, 1))
     result.notes.append(
         "Remote store latency measured at 0.2 Mpps (it saturates far "
@@ -87,27 +87,14 @@ def run_htm(seed: int = 0) -> ExperimentResult:
     With one thread there is no contention, so every transaction takes
     the HTM fast path and saves (locking - htm_commit) cycles.
     """
-    from ..core import FTCChain
-    from ..metrics import EgressRecorder
-    from ..net import TrafficGenerator, balanced_flows
-    from ..sim import Simulator
-
     result = ExperimentResult(
         experiment="Ablation: hybrid TM fast path (Monitor, 1 thread)",
         headers=["Mode", "Throughput (Mpps)"])
-    for label, use_htm in (("2PL locks", False), ("Hybrid HTM", True)):
-        sim = Simulator()
-        egress = EgressRecorder(sim)
-        chain = FTCChain(sim, [Monitor(name="mon", sharing_level=1,
-                                       n_threads=8)],
-                         f=1, deliver=egress, n_threads=1, seed=seed,
-                         use_htm=use_htm)
-        chain.start()
-        TrafficGenerator(sim, chain.ingress, rate_pps=12e6,
-                         flows=balanced_flows(16, 1))
-        sim.run(until=0.5e-3)
-        egress.throughput.start_window()
-        sim.run(until=1.5e-3)
+    chain = (mbox("monitor", name="mon", sharing_level=1, n_threads=8),)
+    for label, htm in (("2PL locks", False), ("Hybrid HTM", True)):
+        egress = measure(saturation_throughput(
+            "ftc", chain, warm_s=0.5e-3, window_s=1e-3, threads=1,
+            flows=16, htm=htm, seed=seed))
         result.add(label, round(egress.throughput.rate_mpps(), 2))
     result.notes.append(
         "Uncontended transactions elide the lock protocol "
@@ -122,9 +109,7 @@ def run(seed: int = 0):
 
 
 def main() -> None:
-    for result in run():
-        print(result.render())
-        print()
+    print("\n\n".join(result.render() for result in run()))
 
 
 if __name__ == "__main__":

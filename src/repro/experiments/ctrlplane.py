@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..chaos.plan import FaultSpec
-from ..chaos.scenario import Scenario, Step, run as run_scenario
+from ..chaos.scenario import Scenario, Step, monitors, run as run_scenario
 from ..core.costs import CostModel
 from ..metrics import confidence_interval95
 from ..telemetry import Telemetry
@@ -57,7 +57,7 @@ def point(scenario: str, seed: int) -> Scenario:
     failover well inside the window), deterministic service costs so
     the table isolates protocol delays."""
     return Scenario(
-        chain_length=3, seed=seed, costs=CostModel(cycle_jitter_frac=0.0),
+        chain=monitors(3), seed=seed, costs=CostModel(cycle_jitter_frac=0.0),
         duration_s=0.2, rate_pps=2e4, orchestrators=3,
         heartbeat_interval_s=1e-3, region="core",
         faults=SCENARIOS[scenario],

@@ -9,8 +9,8 @@ approximately 35 us per middlebox."
 
 from __future__ import annotations
 
-from ..middlebox import ch_n
-from .runner import ExperimentResult, latency_under_load
+from ..chaos.scenario import monitors
+from .runner import ExperimentResult, latency_under_load, measure
 
 CHAIN_LENGTHS = [2, 3, 4, 5]
 SYSTEMS = ["NF", "FTC", "FTMB"]
@@ -26,10 +26,9 @@ def run(seed: int = 0) -> ExperimentResult:
         row = [length]
         means = {}
         for system in SYSTEMS:
-            egress = latency_under_load(
-                system,
-                lambda n=length: ch_n(n, sharing_level=1, n_threads=1),
-                rate_pps=LOAD_PPS, n_threads=1, f=1, seed=seed)
+            egress = measure(latency_under_load(
+                system, monitors(length, n_threads=1), rate_pps=LOAD_PPS,
+                threads=1, seed=seed))
             means[system] = egress.latency.mean_us()
             row.append(round(means[system], 1))
         row.append(round(means["FTC"] - means["NF"], 1))

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..middlebox import ch_n
-from .runner import ExperimentResult, latency_under_load
+from ..chaos.scenario import monitors
+from .runner import ExperimentResult, latency_under_load, measure
 
 SYSTEMS = ["NF", "FTC", "FTMB"]
 LOAD_PPS = 2e6
@@ -23,9 +23,9 @@ def run(seed: int = 0) -> ExperimentResult:
         headers=["Percentile"] + SYSTEMS)
     samples: Dict[str, object] = {}
     for system in SYSTEMS:
-        samples[system] = latency_under_load(
-            system, lambda: ch_n(3, sharing_level=1, n_threads=1),
-            rate_pps=LOAD_PPS, n_threads=1, f=1, seed=seed).latency
+        samples[system] = measure(latency_under_load(
+            system, monitors(3, n_threads=1), rate_pps=LOAD_PPS,
+            threads=1, seed=seed)).latency
     for q in PERCENTILES:
         result.add(f"p{q}", *[round(samples[s].percentile_us(q), 1)
                               for s in SYSTEMS])

@@ -9,8 +9,9 @@ increases by 8 us."
 
 from __future__ import annotations
 
-from ..middlebox import ch_n
-from .runner import ExperimentResult, latency_under_load, saturation_throughput
+from ..chaos.scenario import monitors
+from .runner import (ExperimentResult, latency_under_load, measure,
+                     saturation_throughput)
 
 #: Replication factor = f + 1 (replicas per middlebox).
 REPLICATION_FACTORS = [2, 3, 4, 5]
@@ -28,13 +29,12 @@ def run(seed: int = 0) -> ExperimentResult:
         # High replication factors multiply per-packet work at every
         # replica; keep the windows tight (the simulation is
         # deterministic, so short windows stay precise).
-        tput = saturation_throughput(
-            "ftc", lambda: ch_n(5, sharing_level=1, n_threads=8),
-            n_threads=8, f=f, seed=seed, warm_s=0.5e-3, window_s=1e-3)
-        latency = latency_under_load(
-            "ftc", lambda: ch_n(5, sharing_level=1, n_threads=1),
-            rate_pps=2e6, n_threads=1, f=f, seed=seed,
-            warm_s=0.4e-3, window_s=1.2e-3).latency.mean_us()
+        tput = measure(saturation_throughput(
+            "ftc", monitors(5, n_threads=8), warm_s=0.5e-3, window_s=1e-3,
+            threads=8, f=f, seed=seed)).throughput.rate_mpps()
+        latency = measure(latency_under_load(
+            "ftc", monitors(5, n_threads=1), rate_pps=2e6, warm_s=0.4e-3,
+            window_s=1.2e-3, threads=1, f=f, seed=seed)).latency.mean_us()
         if base_tput is None:
             base_tput, base_lat = tput, latency
         result.add(factor, round(tput, 2), round(latency, 1))

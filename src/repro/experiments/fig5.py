@@ -9,8 +9,8 @@ packets the drop is under a few percent for state up to 256 B.
 
 from __future__ import annotations
 
-from ..middlebox import Gen
-from .runner import ExperimentResult, saturation_throughput
+from ..chaos.scenario import mbox
+from .runner import ExperimentResult, measure, saturation_throughput
 
 PACKET_SIZES = [128, 256, 512]
 STATE_SIZES = [16, 64, 128, 256]
@@ -24,11 +24,10 @@ def run(seed: int = 0) -> ExperimentResult:
     for packet_size in PACKET_SIZES:
         base = None
         for state_size in STATE_SIZES:
-            mpps = saturation_throughput(
-                "ftc",
-                lambda s=state_size: [Gen(name="gen", state_size=s)],
-                n_threads=1, f=1, packet_size=packet_size,
-                rate_pps=6e6, seed=seed)
+            mpps = measure(saturation_throughput(
+                "ftc", (mbox("gen", name="gen", state_size=state_size),),
+                threads=1, packet_size=packet_size, rate_pps=6e6,
+                seed=seed)).throughput.rate_mpps()
             if base is None:
                 base = mpps
             drop = 100.0 * (1 - mpps / base) if base else 0.0

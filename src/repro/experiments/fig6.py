@@ -8,8 +8,8 @@ and 2, FTC achieves a throughput that is 1.2x and 1.4x that of FTMB's"
 
 from __future__ import annotations
 
-from ..middlebox import Monitor
-from .runner import ExperimentResult, saturation_throughput
+from ..chaos.scenario import mbox
+from .runner import ExperimentResult, measure, saturation_throughput
 
 SHARING_LEVELS = [1, 2, 4, 8]
 SYSTEMS = ["NF", "FTC", "FTMB"]
@@ -23,11 +23,10 @@ def run(n_threads: int = 8, seed: int = 0) -> ExperimentResult:
         row = [sharing]
         rates = {}
         for system in SYSTEMS:
-            rates[system] = saturation_throughput(
-                system,
-                lambda s=sharing: [Monitor(name="mon", sharing_level=s,
-                                           n_threads=n_threads)],
-                n_threads=n_threads, f=1, seed=seed)
+            rates[system] = measure(saturation_throughput(
+                system, (mbox("monitor", name="mon", sharing_level=sharing,
+                              n_threads=n_threads),),
+                threads=n_threads, seed=seed)).throughput.rate_mpps()
             row.append(round(rates[system], 2))
         row.append(round(rates["FTC"] / rates["FTMB"], 2))
         result.add(*row)

@@ -8,8 +8,8 @@ reads while FTMB logs them.
 
 from __future__ import annotations
 
-from ..middlebox import MazuNAT
-from .runner import ExperimentResult, saturation_throughput
+from ..chaos.scenario import mbox
+from .runner import ExperimentResult, measure, saturation_throughput
 
 THREAD_COUNTS = [1, 2, 4, 8]
 SYSTEMS = ["NF", "FTC", "FTMB"]
@@ -23,9 +23,9 @@ def run(seed: int = 0) -> ExperimentResult:
         row = [threads]
         rates = {}
         for system in SYSTEMS:
-            rates[system] = saturation_throughput(
-                system, lambda: [MazuNAT(name="nat")],
-                n_threads=threads, f=1, seed=seed)
+            rates[system] = measure(saturation_throughput(
+                system, (mbox("mazunat", name="nat"),), threads=threads,
+                seed=seed)).throughput.rate_mpps()
             row.append(round(rates[system], 2))
         row.append(round(rates["FTC"] / rates["FTMB"], 2))
         result.add(*row)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import List
 
-from ..middlebox import MazuNAT, Monitor
-from .runner import ExperimentResult, latency_under_load
+from ..chaos.scenario import mbox
+from .runner import ExperimentResult, latency_under_load, measure
 
 SYSTEMS = ["NF", "FTC", "FTMB"]
 
@@ -21,7 +21,7 @@ LOADS_B = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
 LOADS_C = [1, 2, 3, 4, 5, 6, 7, 8, 9]
 
 
-def _panel(name: str, middleboxes_factory, loads: List[float],
+def _panel(name: str, chain, loads: List[float],
            n_threads: int, seed: int) -> ExperimentResult:
     result = ExperimentResult(
         experiment=name,
@@ -29,9 +29,9 @@ def _panel(name: str, middleboxes_factory, loads: List[float],
     for load in loads:
         row = [load]
         for system in SYSTEMS:
-            egress = latency_under_load(
-                system, middleboxes_factory, rate_pps=load * 1e6,
-                n_threads=n_threads, f=1, seed=seed)
+            egress = measure(latency_under_load(
+                system, chain, rate_pps=load * 1e6, threads=n_threads,
+                seed=seed))
             row.append(round(egress.latency.mean_us(), 1)
                        if len(egress.latency) else float("nan"))
         result.add(*row)
@@ -41,20 +41,20 @@ def _panel(name: str, middleboxes_factory, loads: List[float],
 def run_panel_a(seed: int = 0) -> ExperimentResult:
     return _panel(
         "Figure 8a: Monitor (8 threads, sharing level 8) latency vs load",
-        lambda: [Monitor(name="mon", sharing_level=8, n_threads=8)],
+        (mbox("monitor", name="mon", sharing_level=8, n_threads=8),),
         LOADS_A, n_threads=8, seed=seed)
 
 
 def run_panel_b(seed: int = 0) -> ExperimentResult:
     return _panel(
         "Figure 8b: MazuNAT (1 thread) latency vs load",
-        lambda: [MazuNAT(name="nat")], LOADS_B, n_threads=1, seed=seed)
+        (mbox("mazunat", name="nat"),), LOADS_B, n_threads=1, seed=seed)
 
 
 def run_panel_c(seed: int = 0) -> ExperimentResult:
     return _panel(
         "Figure 8c: MazuNAT (8 threads) latency vs load",
-        lambda: [MazuNAT(name="nat")], LOADS_C, n_threads=8, seed=seed)
+        (mbox("mazunat", name="nat"),), LOADS_C, n_threads=8, seed=seed)
 
 
 def run(seed: int = 0) -> List[ExperimentResult]:
@@ -62,9 +62,7 @@ def run(seed: int = 0) -> List[ExperimentResult]:
 
 
 def main() -> None:
-    for panel in run():
-        print(panel.render())
-        print()
+    print("\n\n".join(panel.render() for panel in run()))
 
 
 if __name__ == "__main__":

@@ -15,28 +15,23 @@ unchanged.
 
 from __future__ import annotations
 
+from ..chaos.scenario import monitors
 from ..core.costs import DEFAULT_COSTS
-from ..middlebox import ch_n
-from .runner import ExperimentResult, quick_mode, saturation_throughput
+from .runner import (ExperimentResult, measure, quick_mode,
+                     saturation_throughput)
 
 CHAIN_LENGTHS = [2, 3, 4, 5]
 SYSTEMS = ["NF", "FTC", "FTMB", "FTMB+Snapshot"]
 
 
-def _costs_for(system: str):
-    if system == "FTMB+Snapshot" and quick_mode():
-        return DEFAULT_COSTS.with_overrides(
-            snapshot_period_s=5e-3, snapshot_stall_s=0.6e-3,
-            nic_queue_depth=128)
-    return DEFAULT_COSTS
-
-
-def _window_for(system: str):
-    if system == "FTMB+Snapshot":
-        # Span several snapshot periods.
-        period = _costs_for(system).snapshot_period_s
-        return (1e-3, 3 * period)
-    return (None, None)
+def _fields_for(system: str):
+    """FTMB+Snapshot's costs and a window spanning several periods."""
+    if system != "FTMB+Snapshot":
+        return {}
+    costs = DEFAULT_COSTS.with_overrides(
+        snapshot_period_s=5e-3, snapshot_stall_s=0.6e-3,
+        nic_queue_depth=128) if quick_mode() else DEFAULT_COSTS
+    return dict(costs=costs, warm_s=1e-3, window_s=3 * costs.snapshot_period_s)
 
 
 def run(n_threads: int = 8, seed: int = 0) -> ExperimentResult:
@@ -47,13 +42,10 @@ def run(n_threads: int = 8, seed: int = 0) -> ExperimentResult:
         row = [length]
         rates = {}
         for system in SYSTEMS:
-            warm, window = _window_for(system)
-            rates[system] = saturation_throughput(
-                system,
-                lambda n=length: ch_n(n, sharing_level=1,
-                                      n_threads=n_threads),
-                costs=_costs_for(system), n_threads=n_threads, f=1,
-                warm_s=warm, window_s=window, seed=seed)
+            rates[system] = measure(saturation_throughput(
+                system, monitors(length, n_threads=n_threads),
+                threads=n_threads, seed=seed,
+                **_fields_for(system))).throughput.rate_mpps()
             row.append(round(rates[system], 2))
         row.append(round(rates["FTC"] / rates["FTMB"], 2))
         result.add(*row)

@@ -12,7 +12,7 @@ channels are off too, so it matches the paper-mode figures exactly.
 
 from __future__ import annotations
 
-from ..chaos.scenario import Scenario, run as run_scenario
+from ..chaos.scenario import Scenario, monitors, run as run_scenario
 from .runner import ExperimentResult, quick_mode
 
 #: Per-link drop probabilities swept (full mode).
@@ -31,7 +31,7 @@ def point(drop_rate: float, duration_s: float, seed: int) -> Scenario:
     drain before delivery ratios are meaningful."""
     impaired = drop_rate > 0
     return Scenario(
-        chain_length=2, seed=seed, duration_s=duration_s,
+        chain=monitors(2), seed=seed, duration_s=duration_s,
         rate_pps=OFFERED_PPS, reliable_links=impaired,
         impair=((drop_rate, DUP_RATE, REORDER_RATE, CORRUPT_RATE)
                 if impaired else None),

@@ -13,7 +13,7 @@ bounded, and nothing is dropped inside the chain.
 
 from __future__ import annotations
 
-from ..chaos.scenario import Scenario, run as run_scenario
+from ..chaos.scenario import Scenario, monitors, run as run_scenario
 from ..chaos.soak import OVERLOAD_COSTS, OverloadSpec
 from ..net.flowgen import WorkloadSpec
 from .runner import ExperimentResult, quick_mode
@@ -32,7 +32,7 @@ def point(multiplier: float, duration_s: float, seed: int,
     """One row: steady load at ``multiplier`` x capacity through the
     full overload stack (admission + backpressure + brownout)."""
     return Scenario(
-        chain_length=3, seed=seed, costs=OVERLOAD_COSTS,
+        chain=monitors(3), seed=seed, costs=OVERLOAD_COSTS,
         duration_s=duration_s,
         workload=WorkloadSpec(base_pps=multiplier * spec.sustainable_pps,
                               n_flows=32, n_classes=3),

@@ -12,10 +12,10 @@ switch.  Lost and Reordered must read 0 on every row.
 
 from __future__ import annotations
 
-from ..chaos.scenario import Scenario, Step, run as run_scenario
+from ..chaos.scenario import Scenario, Step, mbox, monitors
+from ..chaos.scenario import run as run_scenario
 from ..core.costs import CostModel
 from ..core.reconfig import ClassifierRule, ClassifierSet, ReconfigOp
-from ..middlebox.monitor import Monitor
 from .runner import ExperimentResult, quick_mode
 
 OFFERED_PPS = 2e4
@@ -24,22 +24,16 @@ DUP_RATE = 0.01
 REORDER_RATE = 0.01
 CORRUPT_RATE = 0.005
 
-#: The scripted operations, one row each (built fresh per run -- an
-#: inserted Middlebox instance cannot be shared between chains).
-OP_BUILDERS = (
-    ("classifier", lambda: ReconfigOp(kind="classifier",
-                                      classifier=ClassifierSet(
-                                          version=1,
-                                          rules=(ClassifierRule(
-                                              action="allow"),)))),
-    ("rescale", lambda: ReconfigOp(kind="rescale", position=1,
-                                   n_threads=4)),
-    ("migrate", lambda: ReconfigOp(kind="migrate", position=1)),
-    ("evacuate", lambda: ReconfigOp(kind="evacuate", position=2)),
-    ("insert", lambda: ReconfigOp(kind="insert", index=1,
-                                  middlebox=Monitor(name="probe"))),
-    ("remove", lambda: ReconfigOp(kind="remove",
-                                  middlebox_name="monitor2")),
+#: The scripted operations, one row each.
+OPS = (
+    ("classifier", ReconfigOp(kind="classifier", classifier=ClassifierSet(
+        version=1, rules=(ClassifierRule(action="allow"),)))),
+    ("rescale", ReconfigOp(kind="rescale", position=1, n_threads=4)),
+    ("migrate", ReconfigOp(kind="migrate", position=1)),
+    ("evacuate", ReconfigOp(kind="evacuate", position=2)),
+    ("insert", ReconfigOp(kind="insert", index=1,
+                          middlebox=mbox("monitor", name="probe"))),
+    ("remove", ReconfigOp(kind="remove", middlebox_name="monitor2")),
 )
 
 
@@ -47,7 +41,7 @@ def point(op: ReconfigOp, duration_s: float, seed: int) -> Scenario:
     """One row: the operation fires at 40% of the run and must commit;
     the drain covers retransmission tails + the hold release pump."""
     return Scenario(
-        chain_length=3, seed=seed, costs=CostModel(cycle_jitter_frac=0.0),
+        chain=monitors(3), seed=seed, costs=CostModel(cycle_jitter_frac=0.0),
         duration_s=duration_s, rate_pps=OFFERED_PPS, reliable_links=True,
         impair=(DROP_RATE, DUP_RATE, REORDER_RATE, CORRUPT_RATE),
         steps=(Step(duration_s * 0.4, op=op, expect="committed"),),
@@ -63,8 +57,8 @@ def run(seed: int = 0) -> ExperimentResult:
         headers=["Operation", "Sent", "Released", "Lost", "Reordered",
                  "Held pkts", "Migrated KB", "Drain ms", "Switch ms",
                  "Total ms"])
-    for name, build in OP_BUILDERS:
-        out = run_scenario(point(build(), duration_s, seed)).checked()
+    for name, op in OPS:
+        out = run_scenario(point(op, duration_s, seed)).checked()
         generator, oracle, (report,) = out.generator, out.oracle, out.reconfigs
         result.add(
             name,

@@ -8,12 +8,8 @@ and network IO."
 
 from __future__ import annotations
 
-from ..core import FTCChain
-from ..core.costs import DEFAULT_COSTS
-from ..metrics import EgressRecorder
-from ..middlebox import MazuNAT
-from ..net import TrafficGenerator, balanced_flows
-from ..sim import Simulator
+from ..chaos.scenario import ORACLE_CHECKS, Scenario, mbox
+from ..chaos.scenario import run as run_scenario
 from .runner import ExperimentResult, quick_mode
 
 #: Paper-reported cycles (mean, +/-).
@@ -27,20 +23,15 @@ PAPER = {
 
 
 def run(n_threads: int = 8, seed: int = 0) -> ExperimentResult:
-    sim = Simulator()
-    egress = EgressRecorder(sim)
-    chain = FTCChain(
-        sim,
-        [MazuNAT(name="mazunat1"), MazuNAT(name="mazunat2",
-                                           external_ip="203.0.113.9")],
-        f=1, deliver=egress, costs=DEFAULT_COSTS, n_threads=n_threads,
-        seed=seed)
-    chain.start()
     count = 5_000 if quick_mode() else 50_000
-    TrafficGenerator(sim, chain.ingress, rate_pps=2e6,
-                     flows=balanced_flows(64, n_threads), count=count)
-    sim.run(until=count / 2e6 + 1e-3)
-
+    # Traffic stops half an interarrival past the count-th packet, so
+    # drift in the accumulated arrival clock cannot cut the last one.
+    chain = run_scenario(Scenario(
+        chain=(mbox("mazunat", name="mazunat1"),
+               mbox("mazunat", name="mazunat2", external_ip="203.0.113.9")),
+        duration_s=(count + 0.5) / 2e6, drain_s=1e-3, threads=n_threads,
+        flows=64, rate_pps=2e6, seed=seed,
+        checks=ORACLE_CHECKS)).checked().chain
     runtime = chain.replica_at(0).runtime
     counters = runtime.counters
     # Piggyback copy cycles are only spent on writing transactions

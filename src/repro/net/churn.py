@@ -83,7 +83,6 @@ class FlowChurnGenerator:
                 break
             packet = Packet(flow=flow, size=self.packet_size,
                             created_at=self.sim.now)
-            packet.meta["gen"] = self.name
             self.packets_sent += 1
             self.sink(packet)
         self.active_flows -= 1

@@ -138,7 +138,6 @@ class TrafficGenerator:
             packet = Packet(flow=self.pool.next_flow(),
                             size=self.packet_size,
                             created_at=self.sim.now)
-            packet.meta["gen"] = self.name
             self.sent += 1
             self.sink(packet)
         return self.sent
@@ -378,7 +377,6 @@ class WorkloadGenerator:
                             size=self.spec.packet_size,
                             created_at=self.sim.now)
             prio = self.class_of(index)
-            packet.meta["gen"] = self.name
             packet.meta["prio"] = prio
             self.sent += 1
             self.sent_by_class[prio] += 1

@@ -103,12 +103,12 @@ def _cmd_profile(args) -> int:
                           profiler=profiler)
     samplers = []
 
-    def on_chain(sim, chain):
-        samplers.append(CounterSampler(sim, telemetry.tracer, chain))
+    def on_start(out):
+        samplers.append(CounterSampler(out.sim, telemetry.tracer, out.chain))
 
     result = run_scenario(args.scenario, seed=args.seed, quick=args.quick,
                           profiler=profiler, telemetry=telemetry,
-                          on_chain=on_chain)
+                          on_start=on_start)
     packets = result.get("released", 0)
     profiler.publish(telemetry.registry)
     print(f"[profile] {args.scenario}: released {packets} "

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
-from ..chaos.scenario import Scenario, Step, run
+from ..chaos.scenario import Scenario, Step, monitors, run
 from ..core.reconfig import ReconfigOp
 from ..net.flowgen import FlashCrowd, WorkloadSpec
 
@@ -53,27 +53,27 @@ QUICK_DURATION_S = 10e-3
 #: name -> (seed, traffic window) -> Scenario.
 SCENARIOS: Dict[str, Callable[[int, float], Scenario]] = {
     "baseline": lambda seed, d: Scenario(
-        chain_length=2, seed=seed, duration_s=d, rate_pps=RATE_PPS),
+        chain=monitors(2), seed=seed, duration_s=d, rate_pps=RATE_PPS),
     "reliable-links": lambda seed, d: Scenario(
-        chain_length=2, seed=seed, duration_s=d, rate_pps=RATE_PPS,
+        chain=monitors(2), seed=seed, duration_s=d, rate_pps=RATE_PPS,
         reliable_links=True),
     # Healed before the runway so retransmission tails converge.
     "lossy": lambda seed, d: Scenario(
-        chain_length=2, seed=seed, duration_s=d, rate_pps=RATE_PPS / 2,
+        chain=monitors(2), seed=seed, duration_s=d, rate_pps=RATE_PPS / 2,
         reliable_links=True, impair=(0.02, 0.01, 0.01, 0.005),
         drain_s=30e-3),
     # Recovery runway: detection + election-held lease + respawn.
     "ctrlplane-failover": lambda seed, d: Scenario(
-        chain_length=3, seed=seed, duration_s=d, rate_pps=5e4,
+        chain=monitors(3), seed=seed, duration_s=d, rate_pps=5e4,
         orchestrators=3,
         steps=(Step(d * 0.4, crash=1, expect="recovered"),), drain_s=50e-3),
     "reconfig-under-traffic": lambda seed, d: Scenario(
-        chain_length=3, seed=seed, duration_s=d, rate_pps=RATE_PPS / 2,
+        chain=monitors(3), seed=seed, duration_s=d, rate_pps=RATE_PPS / 2,
         reliable_links=True,
         steps=(Step(d * 0.4, expect="committed", op=ReconfigOp(
             kind="rescale", position=1, n_threads=4)),), drain_s=30e-3),
     "overload": lambda seed, d: Scenario(
-        chain_length=2, seed=seed, duration_s=d,
+        chain=monitors(2), seed=seed, duration_s=d,
         workload=WorkloadSpec(
             base_pps=1e5, n_flows=64, n_classes=3,
             flashes=(FlashCrowd(at_s=d * 0.3, duration_s=d * 0.3,
@@ -88,7 +88,7 @@ def scenario_names():
 
 def _config(sc: Scenario) -> Dict:
     """The BENCH report's ``config`` block, read off the scenario."""
-    config: Dict = {"chain": f"ch{sc.chain_length}", "f": sc.f}
+    config: Dict = {"chain": f"ch{len(sc.chain)}", "f": sc.f}
     if sc.workload is None:
         config["rate_pps"] = sc.rate_pps
     else:
@@ -115,12 +115,12 @@ def _config(sc: Scenario) -> Dict:
 
 
 def run_scenario(name: str, seed: int = 0, quick: bool = False,
-                 profiler=None, telemetry=None, on_chain=None) -> Dict:
+                 profiler=None, telemetry=None, on_start=None) -> Dict:
     """Run one scenario; returns its result dict.
 
     ``telemetry`` overrides the scenario's internal bundle (e.g. to
-    capture a Chrome trace); ``on_chain(sim, chain)`` fires after the
-    chain starts (e.g. to attach a :class:`~.counters.CounterSampler`).
+    capture a Chrome trace); ``on_start(run)`` fires once the run is
+    built (e.g. to attach a :class:`~.counters.CounterSampler`).
     Raises if the run's final audit or a step post-condition failed.
     """
     try:
@@ -130,7 +130,7 @@ def run_scenario(name: str, seed: int = 0, quick: bool = False,
             f"unknown scenario {name!r}; choose from {', '.join(SCENARIOS)}")
     sc = build(seed, QUICK_DURATION_S if quick else DURATION_S)
     out = run(sc, telemetry=telemetry, profiler=profiler,
-              on_chain=on_chain).checked()
+              on_start=on_start).checked()
     result = {
         "config": _config(sc),
         "offered": out.generator.sent,

@@ -16,6 +16,7 @@ from repro.chaos import (
     run,
     run_soak,
 )
+from repro.chaos.scenario import monitors
 from repro.core import FTCChain
 from repro.core.costs import CostModel
 from repro.middlebox import ch_n
@@ -106,7 +107,7 @@ class TestInjectorTargets:
 
     def test_crash_during_recovery_without_position_draws_a_safe_victim(self):
         out = run(Scenario(
-            chain_length=4, f=2, seed=1, costs=COSTS, duration_s=30e-3,
+            chain=monitors(4), f=2, seed=1, costs=COSTS, duration_s=30e-3,
             drain_s=30e-3, rate_pps=2e4, orchestrators=1,
             heartbeat_interval_s=1e-3, quiescent=False,
             faults=(FaultSpec(kind="crash", at_s=5e-3, position=0),

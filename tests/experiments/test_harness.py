@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.chaos.scenario import mbox, monitors
 from repro.experiments import ExperimentResult, build_system
-from repro.experiments.runner import latency_under_load, saturation_throughput
+from repro.experiments.runner import (latency_under_load, measure,
+                                      saturation_throughput)
 from repro.metrics import EgressRecorder
-from repro.middlebox import Monitor, ch_n
+from repro.middlebox import ch_n
 from repro.sim import Simulator
 
 
@@ -42,32 +44,33 @@ class TestBuildSystem:
 
 class TestMeasurements:
     def test_saturation_respects_nic_cap(self):
-        mpps = saturation_throughput(
-            "nf", lambda: [Monitor(name="m", n_threads=2)],
-            n_threads=2, warm_s=0.3e-3, window_s=0.7e-3)
+        mpps = measure(saturation_throughput(
+            "nf", (mbox("monitor", name="m", n_threads=2),), threads=2,
+            warm_s=0.3e-3, window_s=0.7e-3)).throughput.rate_mpps()
         # Two threads of Monitor: CPU-bound below the NIC cap.
         assert 0 < mpps <= 10.5
 
     def test_saturation_deterministic_given_seed(self):
         def once():
-            return saturation_throughput(
-                "ftc", lambda: ch_n(2, n_threads=2), n_threads=2,
-                warm_s=0.3e-3, window_s=0.7e-3, seed=5)
+            return measure(saturation_throughput(
+                "ftc", monitors(2, n_threads=2), threads=2,
+                warm_s=0.3e-3, window_s=0.7e-3,
+                seed=5)).throughput.rate_mpps()
 
         assert once() == once()
 
     def test_latency_under_light_load_near_floor(self):
-        egress = latency_under_load(
-            "nf", lambda: ch_n(2, n_threads=2), rate_pps=1e5,
-            n_threads=2, warm_s=0.3e-3, window_s=1e-3)
+        egress = measure(latency_under_load(
+            "nf", monitors(2, n_threads=2), rate_pps=1e5, threads=2,
+            warm_s=0.3e-3, window_s=1e-3))
         assert len(egress.latency) > 0
         assert egress.latency.mean_us() < 30
 
     def test_latency_grows_with_load(self):
-        light = latency_under_load(
-            "nf", lambda: [Monitor(name="m", n_threads=1)], rate_pps=0.5e6,
-            n_threads=1, warm_s=0.3e-3, window_s=1.5e-3)
-        heavy = latency_under_load(
-            "nf", lambda: [Monitor(name="m", n_threads=1)], rate_pps=3.4e6,
-            n_threads=1, warm_s=0.3e-3, window_s=1.5e-3)
-        assert heavy.latency.mean_us() > light.latency.mean_us()
+        def mean_us(rate_pps):
+            return measure(latency_under_load(
+                "nf", (mbox("monitor", name="m", n_threads=1),),
+                rate_pps=rate_pps, threads=1, warm_s=0.3e-3,
+                window_s=1.5e-3)).latency.mean_us()
+
+        assert mean_us(3.4e6) > mean_us(0.5e6)

@@ -149,11 +149,12 @@ class TestReadMetrics:
         the most logs any current replica retains for that middlebox --
         not the last value some since-replaced replica pushed (0)."""
         from repro.chaos import Scenario, Step, run
+        from repro.chaos.scenario import monitors
         from repro.chaos.plan import FaultSpec
         from repro.chaos.soak import SOAK_COSTS
 
         scenario = Scenario(
-            chain_length=3, f=1, seed=0, costs=SOAK_COSTS,
+            chain=monitors(3), f=1, seed=0, costs=SOAK_COSTS,
             duration_s=40e-3, drain_s=40e-3, rate_pps=2e4,
             orchestrators=3, heartbeat_interval_s=1e-3,
             faults=(FaultSpec(kind="orch-crash", phase="fetching",

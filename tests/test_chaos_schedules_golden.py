@@ -36,14 +36,14 @@ def _scripted(kind: str):
     """One short scenario driving a single scripted spec of ``kind``."""
     from repro.chaos import Scenario
     from repro.chaos.plan import FaultSpec
-    from repro.chaos.scenario import Step
+    from repro.chaos.scenario import Step, monitors
     from repro.chaos.soak import SOAK_COSTS
     from repro.core.reconfig import ReconfigOp
 
     crash = FaultSpec(kind="crash", at_s=6e-3, position=1)
     rescale = Step(10e-3, op=ReconfigOp(kind="rescale", position=1,
                                         n_threads=3))
-    common = dict(chain_length=3, f=1, seed=0, costs=SOAK_COSTS,
+    common = dict(chain=monitors(3), f=1, seed=0, costs=SOAK_COSTS,
                   duration_s=30e-3, drain_s=30e-3, rate_pps=2e4,
                   orchestrators=1, heartbeat_interval_s=1e-3,
                   quiescent=False)
@@ -114,7 +114,7 @@ def _flash_crowd() -> dict:
 def _cases() -> dict:
     from repro.chaos import Scenario
     from repro.chaos.plan import FAULT_KINDS
-    from repro.chaos.scenario import Monkey
+    from repro.chaos.scenario import Monkey, monitors
     from repro.chaos.soak import (
         AUDIT_INTERVAL_S,
         SOAK_COSTS,
@@ -136,13 +136,13 @@ def _cases() -> dict:
             mean_fault_interval_s=5e-3)
     # Every samplable kind the two soak mixes leave out.
     cases["monkey-mixed"] = Scenario(
-        chain_length=3, f=1, seed=0, costs=SOAK_COSTS, duration_s=40e-3,
+        chain=monitors(3), f=1, seed=0, costs=SOAK_COSTS, duration_s=40e-3,
         rate_pps=2e4, reliable_links=True, orchestrators=1,
         heartbeat_interval_s=1e-3, quiescent=False, drain_s=20e-3,
         audit_every_s=AUDIT_INTERVAL_S,
-        monkey=Monkey(6, 4e-3, {"crash": 0.2, "impair-data": 0.3,
-                                "slow-middlebox": 0.3,
-                                "queue-pressure": 0.2}))
+        monkey=Monkey(6, 4e-3, (("crash", 0.2), ("impair-data", 0.3),
+                                ("slow-middlebox", 0.3),
+                                ("queue-pressure", 0.2))))
     for kind in FAULT_KINDS:
         if kind != "flash-crowd":
             cases[f"scripted-{kind}"] = _scripted(kind)

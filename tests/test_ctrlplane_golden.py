@@ -35,6 +35,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 def _scenarios() -> dict:
     from repro.chaos import Scenario, Step
+    from repro.chaos.scenario import monitors
     from repro.chaos.plan import FaultSpec
     from repro.chaos.soak import (
         SOAK_COSTS,
@@ -54,7 +55,7 @@ def _scenarios() -> dict:
         # Two members of one f=1 group crash together: the leader
         # journals ``abandoned`` and the chain degrades.
         "abandoned-ch3": Scenario(
-            chain_length=3, f=1, seed=0, costs=SOAK_COSTS,
+            chain=monitors(3), f=1, seed=0, costs=SOAK_COSTS,
             duration_s=40e-3, drain_s=40e-3, rate_pps=2e4,
             orchestrators=3, heartbeat_interval_s=1e-3,
             steps=(Step(10e-3, crash=1), Step(10e-3, crash=2))),
@@ -63,7 +64,7 @@ def _scenarios() -> dict:
         # events (step-down, fault) follow it in the timeline and the
         # ring alike, and that order is pinned.
         "leader-crash-mid-recovery": Scenario(
-            chain_length=3, f=1, seed=0, costs=SOAK_COSTS,
+            chain=monitors(3), f=1, seed=0, costs=SOAK_COSTS,
             duration_s=40e-3, drain_s=40e-3, rate_pps=2e4,
             orchestrators=3, heartbeat_interval_s=1e-3,
             faults=(FaultSpec(kind="orch-crash", phase="fetching",

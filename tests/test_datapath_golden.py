@@ -71,6 +71,7 @@ SPAN_NAMES = ("lock-acquire", "critical-section", "wounded",
 def _cases() -> dict:
     """Case name -> ``run(telemetry, profiler)``, returning the simulator."""
     from repro.chaos import Scenario, Step, run
+    from repro.chaos.scenario import monitors
     from repro.chaos.soak import (
         SOAK_COSTS,
         chaos_scenario,
@@ -84,13 +85,13 @@ def _cases() -> dict:
         "overload-ch3": overload_scenario(0),
         "chaos-34": chaos_scenario(seed=34, chain_length=3, f=1, index=34),
         "crash-reliable-ch3": Scenario(
-            chain_length=3, f=1, seed=0, costs=SOAK_COSTS,
+            chain=monitors(3), f=1, seed=0, costs=SOAK_COSTS,
             duration_s=30e-3, drain_s=30e-3, rate_pps=2e4,
             reliable_links=True, orchestrators=1,
             heartbeat_interval_s=1e-3,
             steps=(Step(10e-3, crash=1, expect="recovered"),)),
         "slow-dup-ch2": Scenario(
-            chain_length=2, f=1, seed=0, costs=slow, duration_s=5e-3,
+            chain=monitors(2), f=1, seed=0, costs=slow, duration_s=5e-3,
             drain_s=20e-3, rate_pps=2e4, impair=(0.0, 0.1, 0.0, 0.0)),
         "lossy-flood-ch2": impaired_scenario(
             0, drop_rate=0.5, dup_rate=0.0, reorder_rate=0.0,
