@@ -136,12 +136,10 @@ class InvariantAuditor:
             invariant=invariant, detail=detail, at_s=self.chain.sim.now,
             context=context)
         self.violations.append(violation)
-        flight = self.chain.telemetry.flight
-        if flight.enabled:
-            flight.record("chaos", "violation", t=self.chain.sim.now,
-                          detail=str(violation), chain="ctrl")
-            flight.trip(f"invariant:{invariant}",
-                        telemetry=self.chain.telemetry, t=self.chain.sim.now)
+        telemetry, now = self.chain.telemetry, self.chain.sim.now
+        telemetry.emit("chaos", "violation", t=now, detail=str(violation))
+        telemetry.flight.trip(f"invariant:{invariant}", telemetry=telemetry,
+                              t=now)
 
     def _in_flux(self) -> Set[int]:
         """Positions whose state is legitimately inconsistent right now."""

@@ -68,7 +68,6 @@ class EpochGate:
         self.applied: List[AppliedCommand] = []
         self.telemetry.registry.counter("ensemble/fenced_commands",
                                         lambda: self.fenced_commands)
-        self._flight = self.telemetry.flight
 
     def check(self, epoch: Optional[int], kind: str = "command",
               positions: Sequence[int] = ()) -> None:
@@ -94,9 +93,7 @@ class EpochGate:
         self.applied.append(AppliedCommand(
             epoch=epoch, kind=kind, positions=tuple(positions),
             detail=detail, t=self.sim.now))
-        if self._flight.enabled:
-            self._flight.record(
-                "fencing", "applied", t=self.sim.now, epoch=epoch,
-                detail=f"{kind} positions={list(positions)}"
-                       f"{': ' + detail if detail else ''}",
-                chain="ctrl")
+        self.telemetry.emit(
+            "fencing", "applied", t=self.sim.now, epoch=epoch,
+            detail=f"{kind} positions={list(positions)}"
+                   f"{': ' + detail if detail else ''}")

@@ -431,18 +431,10 @@ def apply_reconfig(chain, op: ReconfigOp, epoch: Optional[int] = None,
         return journal(step, list(positions), describe)
 
     def fire(phase: str) -> None:
-        # The op's trace span opens with its first phase and closes
-        # with its outcome.
-        now, tracer = sim.now, telemetry.tracer
-        if phase == "preparing" and telemetry.enabled:
-            tracer.begin_async(op_id, f"reconfig:{op.kind}", "ctrl", now,
-                               tid=9998, op=describe)
-        telemetry.emit("reconfig", phase, positions, t=now, detail=describe)
+        telemetry.emit("reconfig", phase, positions, t=sim.now,
+                       detail=describe, op_id=op_id, op_kind=op.kind)
         for hook in hooks:
             hook(phase, positions)
-        if phase in ("committed", "aborted") and telemetry.enabled:
-            tracer.end_async(op_id, f"reconfig:{op.kind}", "ctrl", now,
-                             tid=9998, outcome=phase)
 
     report = ReconfigReport(op=op, resumed=resumed)
     started = sim.now

@@ -138,7 +138,6 @@ def recover_positions(chain: FTCChain, positions: List[int],
     failed = set(positions)
     started = sim.now
     telemetry = chain.telemetry
-    flight = telemetry.flight
     journal = journal or (lambda *command: iter(()))  # unreplicated: no-op
 
     def phase(name: str) -> None:
@@ -202,13 +201,9 @@ def recover_positions(chain: FTCChain, positions: List[int],
                         for log in source_state.retained))
             report.bytes_transferred += size
             report.fetches.append((mbox_name, source_pos, size))
-            if flight.enabled:
-                flight.record(
-                    "recovery", "fetch-source", t=sim.now, epoch=epoch,
-                    detail=f"{mbox_name} for p{position} from "
-                           f"p{source_pos} {size}B "
-                           f"positions={list(positions)}",
-                    chain="ctrl")
+            telemetry.emit("recovery", "fetch-source", positions, t=sim.now,
+                           epoch=epoch, detail=f"{mbox_name} for p{position} "
+                                               f"from p{source_pos} {size}B")
 
             def fetch_one(source_state=source_state, replica=replica,
                           mbox_name=mbox_name, position=position,

@@ -128,7 +128,6 @@ class SLOWatchdog:
         registry = self.telemetry.registry
         registry.counter("slo/breaches", lambda: len(self.breaches))
         registry.counter("slo/evaluations", lambda: self.evaluations)
-        self._flight = self.telemetry.flight
         self._stopped = False
         unknown = [o.indicator for o in self.objectives
                    if o.indicator not in self.probes]
@@ -167,10 +166,8 @@ class SLOWatchdog:
             breach = SLOBreach(objective=objective, observed=value, t=now)
             new.append(breach)
             self.breaches.append(breach)
-            if self._flight.enabled:
-                self._flight.record(
-                    "slo", "breach", t=now,
-                    detail=f"{objective} observed={value:g}", chain="slo")
+            self.telemetry.emit("slo", "breach", t=now,
+                                detail=f"{objective} observed={value:g}")
         for listener in self.listeners:
             listener(new)
         return new

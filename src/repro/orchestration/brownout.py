@@ -118,7 +118,6 @@ class BrownoutController:
         registry = self.telemetry.registry
         registry.counter(f"{name}/transitions", lambda: len(self.transitions))
         registry.gauge(f"{name}/level", lambda: self.level)
-        self._flight = self.telemetry.flight
         watchdog.listeners.append(self._on_evaluate)
 
     @property
@@ -155,10 +154,8 @@ class BrownoutController:
         transition = BrownoutTransition(t=self.sim.now, kind=kind,
                                         level=self.level, reason=reason)
         self.transitions.append(transition)
-        if self._flight.enabled:
-            self._flight.record(
-                "brownout", kind, t=self.sim.now,
-                detail=transition.describe(), chain="brownout")
+        self.telemetry.emit("brownout", kind, t=self.sim.now,
+                            detail=transition.describe())
         if self.journal is not None:
             self.journal(transition)
             self.journaled.append(transition)

@@ -85,7 +85,6 @@ class ElectionMember:
                          lambda: self.lease_renewals)
         self.rounds = 0
         self.lease_renewals = 0
-        self._flight = self.telemetry.flight
         self._peers: List["ElectionMember"] = []
         # Durable election state (survives crash/restart).
         self.max_granted_epoch = 0
@@ -292,11 +291,9 @@ class ElectionMember:
         self.max_epoch_seen = epoch
         self.max_granted_epoch = epoch
         self.rounds += 1
-        if self._flight.enabled:
-            self._flight.record(
-                "election", "campaign", t=self.sim.now, epoch=epoch,
-                detail=f"m{self.index} stands for epoch {epoch}",
-                chain="ctrl")
+        self.telemetry.emit("election", "campaign", t=self.sim.now,
+                            epoch=epoch,
+                            detail=f"m{self.index} stands for epoch {epoch}")
         state = {"votes": 1, "pending": len(self._peers)}
         decided = self.sim.event()
 

@@ -87,12 +87,10 @@ class EnsembleMember(ElectionMember):
                              detail=detail)
         self.journal.append(entry)
         self.ensemble.journal_appends += 1
-        if self._flight.enabled:
-            self._flight.record(
-                "journal", step, t=self.sim.now, epoch=epoch,
-                detail=f"m{self.index} seq {self._seq} write-ahead "
-                       f"positions={list(positions)}",
-                chain="ctrl")
+        self.telemetry.emit(
+            "journal", step, t=self.sim.now, epoch=epoch,
+            detail=f"m{self.index} seq {self._seq} write-ahead "
+                   f"positions={list(positions)}")
         acks, saw_newer = 1, False
         replications = [self.sim.process(self._replicate(peer, entry))
                         for peer in self._peers]
@@ -111,11 +109,9 @@ class EnsembleMember(ElectionMember):
                 f"m{self.index} epoch {epoch}: journal quorum lost "
                 f"({acks}/{self.majority} acks for {step!r})")
         self.ensemble.journal_quorum_writes += 1
-        if self.telemetry.enabled:
-            self.telemetry.tracer.instant(
-                0, f"journal:{step}", "ctrl", self.sim.now, tid=9998,
-                epoch=epoch, member=self.index, acks=acks,
-                positions=list(positions))
+        self.telemetry.emit("journal", "quorum", positions, t=self.sim.now,
+                            epoch=epoch, step=step, member=self.index,
+                            acks=acks)
         # Chain-side fence last: the command is durable, now stamp it.
         self.ensemble.gate.check(epoch, step, positions)
 
@@ -170,9 +166,10 @@ class EnsembleMember(ElectionMember):
         """Lead with this journal as the command guard (elected or resumed)
         and replay what it shows open: recoveries after one probe round,
         reconfigurations at once."""
+        open_positions, open_reconfigs = self.journal.open_commands()
         self.orch.command_guard = self.journal_step
-        self.orch.start(epoch=epoch, resume_open=self.journal.open_positions())
-        self.orch.resume_reconfigs(self.journal.open_reconfigs())
+        self.orch.start(epoch=epoch, resume_open=open_positions)
+        self.orch.resume_reconfigs(open_reconfigs)
 
     def _fetch_journal(self, peer: "EnsembleMember"):
         result = yield from reliable_call(
@@ -302,31 +299,20 @@ class OrchestratorEnsemble:
     def _note_elected(self, member: EnsembleMember, epoch: int) -> None:
         self.election_log.append((epoch, member.index))
         self.telemetry.emit("election", "elected", t=self.sim.now,
-                            epoch=epoch,
+                            epoch=epoch, member=member.index,
                             detail=f"m{member.index} epoch {epoch}")
-        if self.telemetry.enabled:
-            self.telemetry.tracer.begin_async(
-                epoch, f"lead:m{member.index}", "ctrl", self.sim.now,
-                tid=9998, member=member.index)
 
     def _note_deposed(self, member: EnsembleMember, reason: str) -> None:
         self.stepdowns += 1
         self.telemetry.emit(
             "election", "stepped-down", t=self.sim.now, epoch=member.epoch,
+            member=member.index, reason=reason,
             detail=f"m{member.index} epoch {member.epoch}: {reason}")
-        if self.telemetry.enabled:
-            self.telemetry.tracer.end_async(
-                member.epoch, f"lead:m{member.index}", "ctrl", self.sim.now,
-                tid=9998, reason=reason)
 
     def _note_resumed(self, member: EnsembleMember, epoch: int) -> None:
         self.telemetry.emit("election", "leader-resumed", t=self.sim.now,
-                            epoch=epoch,
+                            epoch=epoch, member=member.index,
                             detail=f"m{member.index} epoch {epoch}")
-        if self.telemetry.enabled:
-            self.telemetry.tracer.begin_async(
-                epoch, f"lead:m{member.index}", "ctrl", self.sim.now,
-                tid=9998, member=member.index, resumed=True)
 
     # -- introspection (chaos / auditor / tests) ---------------------------------
 

@@ -11,8 +11,9 @@ leader that lost its majority discovers it on its next command, not
 an unbounded time later.
 
 A new leader quorum-reads peers' journals on takeover and computes
-``open_positions()``: positions declared failed whose recovery no
-entry shows committed or abandoned.  Those are the in-flight
+``open_commands()``: positions declared failed whose recovery no
+entry shows committed or abandoned, and reconfigurations prepared but
+never committed or aborted.  The positions are the in-flight
 recoveries it must resume (after probing -- the previous leader may
 have died *after* the re-steer took effect but before journaling
 ``committed``, in which case the position answers probes and needs
@@ -79,30 +80,24 @@ class CommandJournal:
     def __len__(self):
         return len(self._entries)
 
-    def open_positions(self) -> Set[int]:
-        """Declared positions with no later committed/abandoned cover."""
-        open_set: Set[int] = set()
+    def open_commands(self) -> Tuple[Set[int], Dict[Tuple[int, ...], str]]:
+        """Declared positions with no later committed/abandoned cover,
+        and prepared reconfigurations with no later commit/abort cover,
+        read in one ``(epoch, seq)`` pass.  The latter map positions to
+        the *latest* uncovered prepare's ``detail``: the operation
+        descriptor a new leader needs to resume it."""
+        positions: Set[int] = set()
+        reconfigs: Dict[Tuple[int, ...], str] = {}
         for entry in self.entries():
             if entry.step == "declare-failed":
-                open_set |= set(entry.positions)
+                positions |= set(entry.positions)
             elif entry.step in ("committed", "abandoned"):
-                open_set -= set(entry.positions)
-        return open_set
-
-    def open_reconfigs(self) -> Dict[Tuple[int, ...], str]:
-        """Prepared reconfigurations with no later commit/abort cover.
-
-        Keyed by the positions tuple; the value is the ``detail`` of
-        the *latest* uncovered prepare, which carries the machine-
-        readable operation descriptor a new leader needs to resume it.
-        """
-        open_map: Dict[Tuple[int, ...], str] = {}
-        for entry in self.entries():
-            if entry.step == "reconfig-prepare":
-                open_map[entry.positions] = entry.detail
+                positions -= set(entry.positions)
+            elif entry.step == "reconfig-prepare":
+                reconfigs[entry.positions] = entry.detail
             elif entry.step in ("reconfig-commit", "reconfig-abort"):
-                open_map.pop(entry.positions, None)
-        return open_map
+                reconfigs.pop(entry.positions, None)
+        return positions, reconfigs
 
     def max_epoch(self) -> int:
         return max((epoch for epoch, _ in self._entries), default=0)

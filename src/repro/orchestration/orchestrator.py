@@ -110,13 +110,10 @@ class Orchestrator:
         self.telemetry = (telemetry if telemetry is not None
                           else getattr(chain, "telemetry", NULL_TELEMETRY))
         registry = self.telemetry.registry
-        self._m_detection = registry.histogram("orch/detection_delay_s")
-        self._m_total = registry.histogram("orch/recovery_total_s")
-        self._m_phase = {
-            "initialization": registry.histogram("orch/phase_initialization_s"),
-            "state_recovery": registry.histogram("orch/phase_state_recovery_s"),
-            "rerouting": registry.histogram("orch/phase_rerouting_s"),
-        }
+        for name in ("detection_delay", "recovery_total",
+                     "phase_initialization", "phase_state_recovery",
+                     "phase_rerouting"):
+            registry.histogram(f"orch/{name}_s")
         for name in ("failures_detected", "recoveries", "abandoned",
                      "suspects_cleared", "suspects_cleared_self",
                      "resumed_positions"):
@@ -125,7 +122,6 @@ class Orchestrator:
         self.recoveries = 0
         self.abandoned = 0
         self.resumed_positions = 0
-        self._flight = self.telemetry.flight
         #: Two quick probes per round, fitting the classic 0.8*interval
         #: budget; no jitter so detection-delay bounds stay deterministic.
         self.heartbeat_retry = heartbeat_retry or RetryPolicy(
@@ -378,14 +374,10 @@ class Orchestrator:
                                     detail=via)
             else:
                 confirmed.append(position)
-                if self._flight.enabled:
-                    self._flight.record(
-                        "orch", "corroborated", t=self.sim.now,
-                        epoch=self.epoch,
-                        detail=(f"witness "
-                                f"{'p' + str(witness) if witness is not None else 'self'}"
-                                f" confirmed silence positions=[{position}]"),
-                        chain="ctrl")
+                by = "self" if witness is None else f"p{witness}"
+                self.telemetry.emit("orch", "corroborated", [position],
+                                    t=self.sim.now, epoch=self.epoch,
+                                    detail=f"witness {by} confirmed silence")
         return confirmed
 
     def _monitor_loop(self, resume_open: Optional[Set[int]] = None):
@@ -477,11 +469,9 @@ class Orchestrator:
             return
         self.silence_reports += 1
         self._reported[position] = self.sim.now
-        if self._flight.enabled:
-            self._flight.record(
-                "orch", "silence-report", t=self.sim.now, epoch=self.epoch,
-                detail=f"upstream hop silent positions=[{position}]",
-                chain="ctrl")
+        self.telemetry.emit("orch", "silence-report", [position],
+                            t=self.sim.now, epoch=self.epoch,
+                            detail="upstream hop silent")
         nap, self._nap = self._nap, None
         if nap is not None:   # asleep between rounds: wake it
             nap.cancel()
@@ -540,9 +530,9 @@ class Orchestrator:
                              detected_at=self.sim.now,
                              detection_delay_s=detection_delay)
         self.failures_detected += 1
-        self._m_detection.observe(detection_delay, t=self.sim.now)
         self.telemetry.emit(
             "orch", "confirmed", positions, t=self.sim.now, epoch=self.epoch,
+            value=detection_delay,
             detail=f"detection delay {detection_delay * 1e3:.3f}ms")
         self.history.append(event)
         self._open_events.append(event)
@@ -612,13 +602,12 @@ class Orchestrator:
                     self._last_seen_alive[position] = self.sim.now
                 self._recovering_positions -= set(positions)
                 self.recoveries += 1
-                self._m_total.observe(report.total_s, t=self.sim.now)
-                self._m_phase["initialization"].observe(
-                    report.initialization_s, t=self.sim.now)
-                self._m_phase["state_recovery"].observe(
-                    report.state_recovery_s, t=self.sim.now)
-                self._m_phase["rerouting"].observe(
-                    report.rerouting_s, t=self.sim.now)
+                self.telemetry.emit("orch", "recovered", t=self.sim.now,
+                                    value=report.total_s)
+                for phase in ("initialization", "state_recovery", "rerouting"):
+                    self.telemetry.emit("orch", "phase", t=self.sim.now,
+                                        phase=phase,
+                                        value=getattr(report, f"{phase}_s"))
                 if not self._recovering_positions:
                     for event in self._open_events:
                         event.report = report
@@ -691,7 +680,8 @@ class Orchestrator:
     def resume_reconfigs(self, open_map: Dict) -> None:
         """Re-drive reconfigurations the journal shows as uncovered.
 
-        ``open_map`` is :meth:`CommandJournal.open_reconfigs`:
+        ``open_map`` is the second half of
+        :meth:`CommandJournal.open_commands`:
         positions-tuple -> the prepare's ``detail`` descriptor.  Ops
         the descriptor can rebuild are re-run from scratch (prepare is
         idempotent: it spawns fresh resources each time); the rest --
@@ -819,9 +809,8 @@ class Orchestrator:
         self.abandoned += 1
         self.telemetry.emit("recovery", "abandoned", positions,
                             t=self.sim.now, epoch=self.epoch, detail=str(exc))
-        if self._flight.enabled:
-            self._flight.trip(f"unrecoverable: {exc}",
-                              telemetry=self.telemetry, t=self.sim.now)
+        self.telemetry.flight.trip(f"unrecoverable: {exc}",
+                                   telemetry=self.telemetry, t=self.sim.now)
         self.chain.degraded = True
         self.chain.degraded_reason = str(exc)
         for event in self._open_events:

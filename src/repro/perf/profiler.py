@@ -14,7 +14,7 @@ Design constraints, in order:
    clock, an RNG stream, or any packet -- so a *profiled* run produces
    the same virtual-time results as an unprofiled one.
 2. **One seam.**  A stage is counted where the data path emits its
-   event (:data:`repro.telemetry.bundle.DATA_PATH` declares which
+   event (:data:`repro.telemetry.bundle.EVENTS` declares which
    events count under which stage); only ``engine/dispatch`` is
    counted by the engine itself.  Every site sits behind one
    ``telemetry.enabled`` test, so a disabled profiler is never called

@@ -13,14 +13,14 @@ this reproduction exposes (PROTOCOL.md §7 documents the schema):
   into structured per-attempt phase durations (consumed by Fig 13 and
   the soak auditor).
 
-Every event is written once, by :meth:`Telemetry.emit`.  A data-path
-event (:data:`.bundle.DATA_PATH` lists every ``(component,
-kind)``) is routed by that one table to the flight ring, a tracer span,
-a histogram and a perf stage; each site makes one call behind one
-``if telemetry.enabled:`` test.  A control-plane event lands on the
-timeline, in the flight ring when one is recording, and in the Chrome
-export as an instant on the control-plane track
-(``TIMELINE_EVENT_KINDS`` lists every ``(component, kind)``).
+Every event is written once, by :meth:`Telemetry.emit`, and routed by
+one table, :data:`.bundle.EVENTS`, which lists every ``(component,
+kind)`` with its flight detail and chain, tracer span, histogram, perf
+stage and timeline column.  A data-path site makes one call behind one
+``if telemetry.enabled:`` test; a control-plane site makes one call.
+A timeline event lands on the timeline, in the flight ring when one is
+recording, and in the Chrome export as an instant on the control-plane
+track (``TIMELINE_EVENT_KINDS`` is read from the timeline column).
 
 Pass a ``Telemetry`` to :class:`~repro.core.FTCChain` and
 :class:`~repro.orchestration.Orchestrator` to enable collection; the

@@ -1,26 +1,27 @@
-"""The enabled :class:`Telemetry` bundle and the data-path routing table."""
+"""The enabled :class:`Telemetry` bundle and the one event routing table."""
 
 from __future__ import annotations
 
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
+from ..orchestration.journal import JOURNAL_STEPS
 from .null import NULL_TELEMETRY
 from .registry import MetricRegistry
-from .timeline import RecoveryTimeline
-from .trace import PacketTracer
+from .trace import DEFAULT_MAX_EVENTS, PacketTracer
 
-__all__ = ["DATA_PATH", "Route", "STAGES", "Telemetry"]
+__all__ = ["EVENTS", "Route", "STAGES", "Telemetry"]
 
 
 class Route(NamedTuple):
-    """Where one data-path event goes; ``None``: that sink never sees it.
+    """Where one event goes; ``None``/``False``: that sink never sees it.
 
-    ``flight(t, **fields)`` builds the detail of the event's own
-    ``component/kind`` ring entry, on ``chain`` (``"pid"``: the packet's,
-    when the event names one; ``"ctrl"``; or none).  ``span(tracer, t,
-    pid, **fields)`` writes a sampled packet's span(s);
-    ``histogram(telemetry, t, pid, **fields)`` observes; ``stage`` is
-    counted once per event (``n`` times when given).
+    ``flight(t, positions, **fields)`` builds the detail of the event's
+    own ``component/kind`` ring entry, on ``chain`` (``"pid"``: the
+    packet's, when the event names one, which also samples its span;
+    ``"ctrl"``, ``"slo"``, ``"brownout"``; or none).  ``span(tracer, t,
+    pid, positions, **fields)`` writes span(s); ``histogram(telemetry,
+    t, pid, **fields)`` observes; ``stage`` is counted once per event
+    (``n`` times when given); ``timeline`` keeps it on the timeline.
     """
 
     flight: Optional[Callable[..., str]] = None
@@ -28,6 +29,7 @@ class Route(NamedTuple):
     span: Optional[Callable[..., None]] = None
     histogram: Optional[Callable[..., None]] = None
     stage: Optional[str] = None
+    timeline: bool = False
 
 
 def _observe(name: str) -> Callable[..., None]:
@@ -54,10 +56,34 @@ def _release_span(tracer, t, pid, held, **_):
     tracer.instant(pid, "release", "buffer", t)
 
 
-#: Every data-path event (PROTOCOL.md §10) and the sinks it feeds, in
-#: pipeline order.  Its stage column, after the engine's own
-#: ``engine/dispatch``, is :data:`STAGES`.
-DATA_PATH: Dict[Tuple[str, str], Route] = {
+def _positioned(t, positions, detail="", **_):
+    """A control-plane event's ring detail: its own, then the positions
+    it names, so ``repro explain`` can match them."""
+    if not positions:
+        return detail
+    where = f"positions={list(positions)}"
+    return f"{detail} {where}" if detail else where
+
+
+#: A control-plane event in the ring, and one the recovery timeline
+#: keeps too (PROTOCOL.md §7.3).
+_CTRL = Route(flight=_positioned, chain="ctrl")
+_TIMELINE = _CTRL._replace(timeline=True)
+
+
+def _reconfig_ends(outcome: str) -> Route:
+    """A reconfiguration's outcome, closing its ``reconfig:<kind>`` span."""
+    return _TIMELINE._replace(
+        span=lambda tracer, t, pid, op_id, op_kind, **_: tracer.end_async(
+            op_id, f"reconfig:{op_kind}", "ctrl", t, tid=9998,
+            outcome=outcome))
+
+
+#: Every instrumented event (PROTOCOL.md §7, §10) and the sinks it
+#: feeds: the data path in pipeline order, then the control plane.  Its
+#: stage column, after the engine's own ``engine/dispatch``, is
+#: :data:`STAGES`; its timeline column, ``TIMELINE_EVENT_KINDS``.
+EVENTS: Dict[Tuple[str, str], Route] = {
     ("admission", "check"): Route(stage="admission/check"),
     ("admission", "shed"): Route(
         flight=lambda t, cls, reason, **_: f"class {cls}: {reason}"),
@@ -143,12 +169,68 @@ DATA_PATH: Dict[Tuple[str, str], Route] = {
         flight=lambda t, **_: "all dependency vectors covered f+1 times",
         span=_release_span, histogram=_hold_ends),
     ("buffer", "handled"): Route(stage="buffer/release"),
+    # -- the control plane, in typical firing order -----------------------
+    ("chaos", "fault-injected"): _TIMELINE,
+    ("orch", "suspected"): _TIMELINE,
+    ("orch", "suspect-cleared"): _TIMELINE,
+    ("orch", "silence-report"): _CTRL,
+    ("orch", "corroborated"): _CTRL,
+    ("orch", "confirmed"): _TIMELINE._replace(
+        histogram=_observe("orch/detection_delay_s")),
+    **{("recovery", kind): _TIMELINE for kind in (
+        "initializing", "spawned", "fetching", "fetched", "rerouting",
+        "committed", "abandoned")},
+    ("recovery", "fetch-source"): _CTRL,
+    # Recovery totals, registered where the orchestrator is built.
+    ("orch", "recovered"): Route(histogram=_observe("orch/recovery_total_s")),
+    ("orch", "phase"): Route(histogram=_observe("orch/phase_{phase}_s")),
+    # Control-plane replication (PROTOCOL.md §9).  An epoch's
+    # ``lead:m<i>`` span opens when its member is elected or resumes and
+    # closes when it steps down.
+    ("election", "campaign"): _CTRL,
+    ("election", "elected"): _TIMELINE._replace(
+        span=lambda tracer, t, pid, epoch, member, **_: tracer.begin_async(
+            epoch, f"lead:m{member}", "ctrl", t, tid=9998, member=member)),
+    ("election", "stepped-down"): _TIMELINE._replace(
+        span=lambda tracer, t, pid, epoch, member, reason, **_:
+            tracer.end_async(epoch, f"lead:m{member}", "ctrl", t, tid=9998,
+                             reason=reason)),
+    ("election", "leader-resumed"): _TIMELINE._replace(
+        span=lambda tracer, t, pid, epoch, member, **_: tracer.begin_async(
+            epoch, f"lead:m{member}", "ctrl", t, tid=9998, member=member,
+            resumed=True)),
+    **{("journal", step): _CTRL for step in JOURNAL_STEPS},  # write-ahead
+    ("journal", "quorum"): Route(
+        span=lambda tracer, t, pid, positions, epoch, step, member, acks, **_:
+            tracer.instant(0, f"journal:{step}", "ctrl", t, tid=9998,
+                           epoch=epoch, member=member, acks=acks,
+                           positions=list(positions)), chain="ctrl"),
+    ("fencing", "fenced"): _TIMELINE,
+    ("fencing", "applied"): _CTRL,
+    ("orch", "journal-replayed"): _TIMELINE,
+    # Live reconfiguration phases (PROTOCOL.md §11); the attempt parser
+    # matches on the component, so ``reconfig/committed`` never passes
+    # for a §5.2 commit.  An operation's ``reconfig:<kind>`` span opens
+    # with its first phase and closes with its outcome.
+    ("reconfig", "preparing"): _TIMELINE._replace(
+        span=lambda tracer, t, pid, op_id, op_kind, detail, **_:
+            tracer.begin_async(op_id, f"reconfig:{op_kind}", "ctrl", t,
+                               tid=9998, op=detail)),
+    **{("reconfig", kind): _TIMELINE for kind in (
+        "prepared", "draining", "quiesced", "switching")},
+    ("reconfig", "committed"): _reconfig_ends("committed"),
+    ("reconfig", "aborted"): _reconfig_ends("aborted"),
+    # Overload actuators (PROTOCOL.md §12) and the soak auditor.
+    ("slo", "breach"): _CTRL._replace(chain="slo"),
+    **{("brownout", kind): _CTRL._replace(chain="brownout") for kind in (
+        "enter", "escalate", "deescalate", "exit")},
+    ("chaos", "violation"): _CTRL,
 }
 
 #: The perf stage taxonomy (PROTOCOL.md §13.1), in report order: the
 #: engine's callback dispatch, then the table's stage column.
 STAGES: Tuple[str, ...] = ("engine/dispatch",) + tuple(dict.fromkeys(
-    route.stage for route in DATA_PATH.values() if route.stage))
+    route.stage for route in EVENTS.values() if route.stage))
 
 
 class Telemetry:
@@ -160,11 +242,10 @@ class Telemetry:
                  max_trace_events: Optional[int] = None, flight=None,
                  profiler=None):
         self.registry = MetricRegistry()
-        if max_trace_events is None:
-            self.tracer = PacketTracer(sample_every=sample_every)
-        else:
-            self.tracer = PacketTracer(sample_every=sample_every,
-                                       max_events=max_trace_events)
+        self.tracer = PacketTracer(sample_every, DEFAULT_MAX_EVENTS
+                                   if max_trace_events is None
+                                   else max_trace_events)
+        from .timeline import RecoveryTimeline  # it reads EVENTS
         self.timeline = RecoveryTimeline()
         #: Causal flight recorder; off unless a run opts in with
         #: ``--flight`` / ``run_soak(flight_dir=...)``.
@@ -178,47 +259,39 @@ class Telemetry:
         self._held_at: Dict[Tuple[str, int], float] = {}
 
     def emit(self, component: str, kind: str, positions: Sequence[int] = (),
-             *, t: float, epoch: Optional[int] = None, detail: str = "",
-             pid: Optional[int] = None, **fields) -> None:
+             *, t: float, pid: Optional[int] = None, **fields) -> None:
         """Record one event: the one write for every instrumented moment.
 
-        A data-path event (a :data:`DATA_PATH` key) goes where its route
-        says; its detail string and span arguments are built only when
-        a sink that keeps them is recording.
-
-        Any other event is a control-plane event the
-        :class:`RecoveryTimeline` keeps (PROTOCOL.md §7.3).  A recording
-        flight ring gets the same event on the ``ctrl`` chain, its
-        detail ending in ``positions=[...]`` so ``repro explain`` can
-        match positions; the Chrome export turns the timeline into
-        instants on tid 9998.
+        The event goes where its :data:`EVENTS` row says (an unknown one
+        raises ``ValueError`` first); a detail string or span arguments
+        are built only for a sink that is recording.  The timeline keeps
+        an event's ``epoch`` and ``detail`` fields (PROTOCOL.md §7.3).
         """
-        if (component, kind) in DATA_PATH:
-            route = DATA_PATH[component, kind]
-            if route.stage is not None and self.profiler.enabled:
-                self.profiler.count(route.stage, fields.get("n", 1))
-            if route.histogram is not None:
-                route.histogram(self, t, pid, **fields)
-            if (route.span is not None and pid is not None
-                    and self.tracer.wants(pid)):
-                route.span(self.tracer, t, pid, **fields)
-            if route.flight is not None and self.flight.enabled:
-                chain = route.chain
-                if chain == "pid":
-                    chain = None if pid is None else f"pid:{pid}"
-                self.flight.record(component, kind, t=t, pid=pid,
-                                   depvec=fields.get("depvec"),
-                                   detail=route.flight(t, **fields),
-                                   chain=chain)
-            return
-        self.timeline.record(component, kind, positions, t=t, epoch=epoch,
-                             detail=detail)
-        if self.flight.enabled:
-            if positions:
-                where = f"positions={list(positions)}"
-                detail = f"{detail} {where}" if detail else where
-            self.flight.record(component, kind, t=t, epoch=epoch,
-                               detail=detail, chain="ctrl")
+        route = EVENTS.get((component, kind))
+        if route is None:
+            raise ValueError(f"unknown event {component}/{kind}")
+        if route.stage is not None and self.profiler.enabled:
+            self.profiler.count(route.stage, fields.get("n", 1))
+        if route.timeline:
+            self.timeline.record(component, kind, positions, t=t,
+                                 epoch=fields.get("epoch"),
+                                 detail=fields.get("detail", ""))
+        if route.histogram is not None:
+            route.histogram(self, t, pid, **fields)
+        if route.span is not None and (
+                route.chain != "pid"
+                or pid is not None and self.tracer.wants(pid)):
+            route.span(self.tracer, t, pid, positions=positions, **fields)
+        if route.flight is not None and self.flight.enabled:
+            chain = route.chain
+            if chain == "pid":
+                chain = None if pid is None else f"pid:{pid}"
+            self.flight.record(component, kind, t=t, pid=pid,
+                               epoch=fields.get("epoch"),
+                               depvec=fields.get("depvec"),
+                               detail=route.flight(t, positions=positions,
+                                                   **fields),
+                               chain=chain)
 
     def start_window(self, now: float) -> None:
         """Cut histogram warm-up windows (mirrors the meters' cut)."""

@@ -4,22 +4,20 @@ Every component holds :data:`NULL_TELEMETRY` unless a run opts in, so
 this is the only instrumentation module a default run imports.  It
 stays a stdlib-only leaf: the enabled implementations import nothing
 from here but this object (the one default for every part of a
-:class:`~repro.telemetry.Telemetry`), and the routing table of
-data-path events lives on the enabled side.
+:class:`~repro.telemetry.Telemetry`), and the routing table of events
+lives on the enabled side.
 
 The object is every part of a disabled bundle at once -- its
 ``registry``, ``tracer``, ``timeline``, ``flight`` and ``profiler`` are
-itself -- because control-plane code still reads those parts.  A
+itself -- because components still register counters, gauges and
+histograms with the registry, a flight ring may be tripped, and
+reports read the parts back.  Every event goes through ``emit``: a
 data-path hook tests ``telemetry.enabled`` and, with telemetry off,
-calls nothing here.  Every method is a no-op that touches no
-simulation state, clock or RNG stream, and every container it shows is
-empty and read-only (one object serves every disabled component of
-every run), so runs with instrumentation off are bit-identical to an
-uninstrumented build.
-
-One name serves two parts: ``count`` is the profiler's no-op
-``count(stage, n)``.  A disabled histogram's sample count is never
-read -- the registry reports only the histograms it owns.
+calls nothing here; a control-plane event calls the no-op ``emit``.
+Every method is a no-op that touches no simulation state, clock or RNG
+stream, and every container it shows is empty and read-only (one
+object serves every disabled component of every run), so runs with
+instrumentation off are bit-identical to an uninstrumented build.
 """
 
 from __future__ import annotations
@@ -62,9 +60,6 @@ class NullTelemetry:
     def histogram(self, name: str, reservoir: int = 0) -> "NullTelemetry":
         return self
 
-    def observe(self, value: float, t: float = 0.0) -> None:
-        pass
-
     def snapshot(self) -> Dict[str, object]:
         return {}
 
@@ -75,9 +70,6 @@ class NullTelemetry:
 
     def wants(self, pid: int) -> bool:
         return False
-
-    def instant(self, *args, **kwargs) -> None:
-        pass
 
     def export(self, path: Optional[str] = None,
                extra_events: Optional[List[Dict]] = None) -> Dict:

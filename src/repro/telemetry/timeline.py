@@ -18,8 +18,9 @@ the soak auditor checks that invariant against every
 :class:`~repro.core.recovery.RecoveryReport`.
 
 Events arrive only through :meth:`~repro.telemetry.Telemetry.emit`,
-which writes the same ``(component, kind)`` to the flight ring when
-one is recording (PROTOCOL.md §7.3).
+which keeps the :data:`~.bundle.EVENTS` rows whose timeline column is
+set here and writes the same ``(component, kind)`` to the flight ring
+when one is recording (PROTOCOL.md §7.3).
 """
 
 from __future__ import annotations
@@ -27,28 +28,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .bundle import EVENTS
+
 __all__ = ["TimelineEvent", "TimelineAttempt", "RecoveryTimeline",
            "TIMELINE_EVENT_KINDS"]
 
 #: Every ``(component, kind)`` a timeline may carry, in typical firing
-#: order -- the flight recorder's vocabulary (PROTOCOL.md §7.3).
-TIMELINE_EVENT_KINDS = (
-    ("chaos", "fault-injected"), ("orch", "suspected"),
-    ("orch", "suspect-cleared"), ("orch", "confirmed"),
-    *(("recovery", kind) for kind in (
-        "initializing", "spawned", "fetching", "fetched", "rerouting",
-        "committed", "abandoned")),
-    # Control-plane replication events (PROTOCOL.md §9).
-    ("election", "elected"), ("election", "stepped-down"),
-    ("election", "leader-resumed"), ("fencing", "fenced"),
-    ("orch", "journal-replayed"),
-    # Live reconfiguration phases (PROTOCOL.md §11); the attempt parser
-    # matches on the component, so ``reconfig/committed`` never passes
-    # for a §5.2 commit.
-    *(("reconfig", kind) for kind in (
-        "preparing", "prepared", "draining", "quiesced", "switching",
-        "committed", "aborted")),
-)
+#: order: the :data:`~.bundle.EVENTS` rows whose timeline column is set.
+TIMELINE_EVENT_KINDS = tuple(key for key, route in EVENTS.items()
+                             if route.timeline)
 
 #: The per-phase duration names of one attempt (Fig 13's columns).
 PHASE_NAMES = ("initialization", "state_recovery", "rerouting")

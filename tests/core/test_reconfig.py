@@ -225,7 +225,8 @@ class TestJournalOpenReconfigs:
     def test_prepare_without_cover_is_open(self):
         journal = CommandJournal()
         journal.append(self._entry(1, "reconfig-prepare"))
-        assert journal.open_reconfigs() == {(1,): "op=migrate position=1"}
+        assert journal.open_commands() == (
+            set(), {(1,): "op=migrate position=1"})
 
     def test_commit_and_abort_close(self):
         journal = CommandJournal()
@@ -236,13 +237,14 @@ class TestJournalOpenReconfigs:
                                    detail="op=evacuate position=2"))
         journal.append(self._entry(5, "reconfig-abort", positions=(2,),
                                    detail="op=evacuate position=2"))
-        assert journal.open_reconfigs() == {}
+        assert journal.open_commands() == (set(), {})
 
     def test_switch_alone_stays_open(self):
         journal = CommandJournal()
         journal.append(self._entry(1, "reconfig-prepare"))
         journal.append(self._entry(2, "reconfig-switch"))
-        assert (1,) in journal.open_reconfigs()
+        _, open_reconfigs = journal.open_commands()
+        assert (1,) in open_reconfigs
 
     def test_parse_round_trips_resumable_kinds(self):
         for op in (ReconfigOp(kind="rescale", position=2, n_threads=3),

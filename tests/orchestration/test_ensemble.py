@@ -50,9 +50,9 @@ class TestCommandJournal:
         journal = CommandJournal()
         journal.append(JournalEntry(1, 1, "declare-failed", (1, 2), 0.0))
         journal.append(JournalEntry(1, 2, "re-steer", (1,), 1e-3))
-        assert journal.open_positions() == {1, 2}
+        assert journal.open_commands() == ({1, 2}, {})
         journal.append(JournalEntry(1, 3, "committed", (1, 2), 2e-3))
-        assert journal.open_positions() == set()
+        assert journal.open_commands() == (set(), {})
 
     def test_merge_unions_and_sorts(self):
         a, b = CommandJournal(), CommandJournal()

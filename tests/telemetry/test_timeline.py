@@ -75,9 +75,12 @@ class TestAttemptParsing:
 class TestEmit:
     def test_one_emit_feeds_timeline_and_flight_ring(self):
         telemetry = Telemetry(flight=FlightRecorder())
+        delays = telemetry.registry.histogram("orch/detection_delay_s")
         telemetry.emit("orch", "confirmed", [1, 2], t=2e-3, epoch=3,
-                       detail="detection delay 1.000ms")
-        telemetry.emit("election", "elected", t=3e-3, epoch=4, detail="m0")
+                       value=1e-3, detail="detection delay 1.000ms")
+        assert delays.count == 1
+        telemetry.emit("election", "elected", t=3e-3, epoch=4, member=0,
+                       detail="m0")
         (confirmed, elected) = telemetry.timeline.events
         assert (confirmed.component, confirmed.kind, confirmed.positions,
                 confirmed.epoch) == ("orch", "confirmed", (1, 2), 3)

@@ -85,6 +85,5 @@ class TestExport:
     def test_null_tracer_exports_empty(self):
         assert not NULL_TRACER.enabled
         assert not NULL_TRACER.wants(0)
-        NULL_TRACER.instant(0, "x", "test", t_s=0.0)
         assert NULL_TRACER.events == ()
         assert NULL_TRACER.export()["traceEvents"] == []
