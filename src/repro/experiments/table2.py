@@ -27,11 +27,13 @@ def run(n_threads: int = 8, seed: int = 0) -> ExperimentResult:
     # Traffic stops half an interarrival past the count-th packet, so
     # drift in the accumulated arrival clock cannot cut the last one.
     chain = run_scenario(Scenario(
+        # The second NAT's inside is the first one's outside.
         chain=(mbox("mazunat", name="mazunat1"),
-               mbox("mazunat", name="mazunat2", external_ip="203.0.113.9")),
+               mbox("mazunat", name="mazunat2", external_ip="203.0.113.9",
+                    internal_prefix="203.0.113.")),
         duration_s=(count + 0.5) / 2e6, drain_s=1e-3, threads=n_threads,
         flows=64, rate_pps=2e6, seed=seed,
-        checks=ORACLE_CHECKS)).checked().chain
+        checks=ORACLE_CHECKS + ("egress-loss",))).checked().chain
     runtime = chain.replica_at(0).runtime
     counters = runtime.counters
     # Piggyback copy cycles are only spent on writing transactions
