@@ -23,15 +23,15 @@ the shared NIC rate limiter rather than being hard-coded.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.costs import CostModel, DEFAULT_COSTS
-from ..core.depvec import ReplicationState
-from ..core.runtime import MiddleboxRuntime
 from ..middlebox.base import DROP, Middlebox
 from ..net.packet import Packet
 from ..net.topology import Network
-from ..sim import CancelledError, Interrupt, Process, RandomStreams, Simulator
+from ..sim import Simulator
+from .base import BaselineChain
 
 __all__ = ["FTMBChain"]
 
@@ -63,7 +63,7 @@ class _PALTracker:
         return False
 
 
-class FTMBChain:
+class FTMBChain(BaselineChain):
     """A chain of FTMB-protected middleboxes (IL -> M -> OL each)."""
 
     def __init__(self, sim: Simulator, middleboxes: Sequence[Middlebox],
@@ -71,194 +71,79 @@ class FTMBChain:
                  costs: CostModel = DEFAULT_COSTS,
                  net: Optional[Network] = None, n_threads: int = 8,
                  seed: int = 0, snapshots: bool = False, name: str = "ftmb"):
-        if not middleboxes:
-            raise ValueError("a chain needs at least one middlebox")
-        self.sim = sim
-        self.middleboxes = list(middleboxes)
-        self.deliver = deliver
-        self.costs = costs
-        self.n_threads = n_threads
+        super().__init__(sim, middleboxes, deliver, costs, net, n_threads,
+                         seed, name)
         self.snapshots = snapshots
-        self.name = name
-        self.streams = RandomStreams(seed)
-        self.net = net or Network(sim, hop_delay_s=costs.hop_delay_s,
-                                  bandwidth_bps=costs.bandwidth_bps)
-
-        self.il_servers = []
-        self.master_servers = []
-        self.ol_servers = []
-        self.runtimes: List[MiddleboxRuntime] = []
-        self.trackers: List[Dict[int, _PALTracker]] = []
+        self.runtimes = []
+        self.trackers: List[List[_PALTracker]] = []
         self.pals_sent = 0
-        self.released = 0
-        self.packets_in = 0
         self._snapshot_offset: List[float] = []
-
-        for index, mbox in enumerate(middleboxes):
-            il = self.net.add_server(f"{name}-il{index}", n_cores=n_threads,
-                                     cpu_hz=costs.cpu_hz, nic_pps=costs.nic_pps,
-                                     nic_queues=n_threads,
-                                     nic_queue_depth=costs.nic_queue_depth)
-            master = self.net.add_server(f"{name}-m{index}", n_cores=n_threads,
-                                         cpu_hz=costs.cpu_hz,
-                                         nic_pps=costs.nic_pps,
-                                         nic_queues=n_threads,
-                                         nic_queue_depth=costs.nic_queue_depth)
-            ol = self.net.add_server(f"{name}-ol{index}", n_cores=n_threads,
-                                     cpu_hz=costs.cpu_hz, nic_pps=costs.nic_pps,
-                                     nic_queues=n_threads,
-                                     nic_queue_depth=costs.nic_queue_depth)
-            self.il_servers.append(il)
-            self.master_servers.append(master)
-            self.ol_servers.append(ol)
-            state = ReplicationState(mbox.name, costs.n_partitions)
-            self.runtimes.append(MiddleboxRuntime(
-                sim, mbox, state, costs=costs, streams=self.streams,
-                replicate=False,
-                extra_critical_cycles=costs.ftmb_pal_crit_cycles))
-            self.trackers.append({tid: _PALTracker()
-                                  for tid in range(n_threads)})
+        for index, mbox in enumerate(self.middleboxes):
+            il = self._server(f"il{index}")
+            master = self._server(f"m{index}")
+            ol = self._server(f"ol{index}")
+            self.runtimes.append(self._runtime(
+                mbox, extra_critical_cycles=costs.ftmb_pal_crit_cycles))
+            self.trackers.append([_PALTracker() for _ in range(n_threads)])
             self.net.connect(il.name, master.name)
             self.net.connect(master.name, ol.name)
             if index > 0:
-                self.net.connect(self.ol_servers[index - 1].name, il.name)
+                self.net.connect(self.stages[-1][0].name, il.name)
+            self.stages += [(il, self._log_in),
+                            (master, partial(self._master, index,
+                                             master.name, ol.name)),
+                            (ol, partial(self._log_out, index))]
             # Stagger snapshot phases across masters (§7.4: snapshots at
             # different middleboxes do not align).
             self._snapshot_offset.append(self.streams.uniform(
                 f"snapshot-offset/{index}", 0.0, costs.snapshot_period_s))
 
-        self.workers: List[Process] = []
+    def _log_in(self, thread_id: int, packet: Packet):
+        """Input logger: record the packet, pass it to the master."""
+        yield self._touch(packet, LOGGER_CYCLES)
+        return packet
 
-    # -- lifecycle -------------------------------------------------------------
-
-    def start(self) -> None:
-        for index in range(len(self.middleboxes)):
-            for tid in range(self.n_threads):
-                self.workers.append(self.sim.process(
-                    self._il_worker(index, tid), name=f"{self.name}-il{index}"))
-                self.workers.append(self.sim.process(
-                    self._master_worker(index, tid),
-                    name=f"{self.name}-m{index}"))
-                self.workers.append(self.sim.process(
-                    self._ol_worker(index, tid), name=f"{self.name}-ol{index}"))
-
-    def stop(self) -> None:
-        for worker in self.workers:
-            if worker.is_alive:
-                worker.interrupt("stopped")
-        self.workers = []
-
-    def ingress(self, packet: Packet) -> None:
-        if packet.created_at == 0.0:
-            packet.created_at = self.sim.now
-        self.packets_in += 1
-        self.net.deliver_external(self.il_servers[0].name, packet)
-
-    def total_released(self) -> int:
-        return self.released
-
-    def store_of(self, index: int):
-        return self.runtimes[index].state.store
-
-    # -- workers ----------------------------------------------------------------
-
-    def _logger_cost(self, packet: Packet) -> float:
-        cycles = LOGGER_CYCLES + self.costs.per_wire_byte_cycles * packet.wire_size
-        return self.costs.cycles_to_seconds(cycles)
-
-    def _il_worker(self, index: int, thread_id: int):
-        """Input logger: record the packet, forward to the master."""
-        queue = self.il_servers[index].nic.queues[thread_id]
-        master = self.master_servers[index].name
-        il = self.il_servers[index].name
-        try:
-            while True:
-                packet = yield queue.get()
-                yield self.sim.timeout(self._logger_cost(packet))
-                self.net.send(il, master, packet)
-        except (Interrupt, CancelledError):
+    def _master(self, index: int, master: str, ol: str, thread_id: int,
+                packet: Packet):
+        """The middlebox master: process, emit PALs, pass on to OL."""
+        if self.snapshots:
+            # FTMB+Snapshot (§7.4): windows of ``snapshot_stall_s`` every
+            # ``snapshot_period_s``; a thread entering processing during
+            # one waits until it closes.
+            phase = ((self.sim.now - self._snapshot_offset[index]) %
+                     self.costs.snapshot_period_s)
+            if phase < self.costs.snapshot_stall_s:
+                yield self.sim.timeout(self.costs.snapshot_stall_s - phase)
+        yield self._touch(packet)
+        verdict, _log, result = yield from self.runtimes[index].process(
+            packet, thread_id, want_result=True)
+        if verdict is DROP:
             return
+        out = verdict if isinstance(verdict, Packet) else packet
+        # One PAL message per packet that touched shared state (reads
+        # included -- FTMB logs them, §7.3); stateless middleboxes and
+        # packets that touched nothing need none.
+        accesses = (len(result.read_keys | set(result.writes))
+                    if result is not None else 0)
+        if not accesses:
+            out.meta["no_pal"] = True
+            return out
+        yield self.sim.timeout(self.costs.cycles_to_seconds(
+            self.costs.ftmb_pal_tx_cycles))
+        pal = Packet(flow=out.flow,
+                     size=PAL_BASE_BYTES + PAL_ENTRY_BYTES * accesses,
+                     kind="pal", created_at=self.sim.now)
+        pal.meta["pal_for"] = out.pid
+        pal.meta["mbox_index"] = index
+        self.pals_sent += 1
+        self.net.send(master, ol, pal)
+        return out
 
-    def _master_worker(self, index: int, thread_id: int):
-        """The middlebox master: process, emit PALs, forward to OL."""
-        queue = self.master_servers[index].nic.queues[thread_id]
-        master = self.master_servers[index].name
-        ol = self.ol_servers[index].name
-        runtime = self.runtimes[index]
-        try:
-            while True:
-                packet = yield queue.get()
-                if self.snapshots:
-                    yield from self._maybe_snapshot_stall(index)
-                wire = self.costs.per_wire_byte_cycles * packet.wire_size
-                yield self.sim.timeout(self.costs.cycles_to_seconds(wire))
-                verdict, _log, result = yield from runtime.process(
-                    packet, thread_id, want_result=True)
-                if verdict is DROP:
-                    continue
-                out = verdict if isinstance(verdict, Packet) else packet
-                if result is not None:
-                    # One PAL message per packet that touched shared
-                    # state (reads included -- FTMB logs them, §7.3).
-                    accesses = len(result.read_keys | set(result.writes))
-                    if accesses:
-                        yield self.sim.timeout(self.costs.cycles_to_seconds(
-                            self.costs.ftmb_pal_tx_cycles))
-                        pal = Packet(flow=out.flow,
-                                     size=PAL_BASE_BYTES +
-                                     PAL_ENTRY_BYTES * accesses,
-                                     kind="pal", created_at=self.sim.now)
-                        pal.meta["pal_for"] = out.pid
-                        pal.meta["mbox_index"] = index
-                        self.pals_sent += 1
-                        self.net.send(master, ol, pal)
-                    else:
-                        out.meta["no_pal"] = True
-                else:
-                    out.meta["no_pal"] = True  # stateless middlebox
-                self.net.send(master, ol, out)
-        except (Interrupt, CancelledError):
-            return
-
-    def _maybe_snapshot_stall(self, index: int):
-        """FTMB+Snapshot: stall while a snapshot is captured (§7.4).
-
-        Snapshot windows repeat every ``snapshot_period_s`` for
-        ``snapshot_stall_s``; every master thread entering processing
-        during a window waits until the window closes (no packet is
-        processed during a snapshot).
-        """
-        period = self.costs.snapshot_period_s
-        stall = self.costs.snapshot_stall_s
-        phase = (self.sim.now - self._snapshot_offset[index]) % period
-        if phase < stall:
-            yield self.sim.timeout(stall - phase)
-        return
-
-    def _ol_worker(self, index: int, thread_id: int):
+    def _log_out(self, index: int, thread_id: int, packet: Packet):
         """Output logger: release data only after its PAL arrived."""
-        queue = self.ol_servers[index].nic.queues[thread_id]
-        ol = self.ol_servers[index].name
+        yield self._touch(packet, LOGGER_CYCLES)
         tracker = self.trackers[index][thread_id]
-        is_last = index == len(self.middleboxes) - 1
-        try:
-            while True:
-                packet = yield queue.get()
-                yield self.sim.timeout(self._logger_cost(packet))
-                if packet.kind == "pal":
-                    freed = tracker.pal_arrived(packet.meta["pal_for"])
-                    if freed is not None:
-                        self._ol_forward(index, is_last, ol, freed)
-                    continue
-                if packet.meta.pop("no_pal", None) or tracker.data_arrived(packet):
-                    self._ol_forward(index, is_last, ol, packet)
-        except (Interrupt, CancelledError):
-            return
-
-    def _ol_forward(self, index: int, is_last: bool, ol: str,
-                    packet: Packet) -> None:
-        if is_last:
-            self.released += 1
-            self.deliver(packet)
-        else:
-            self.net.send(ol, self.il_servers[index + 1].name, packet)
+        if packet.kind == "pal":
+            return tracker.pal_arrived(packet.meta["pal_for"])
+        if packet.meta.pop("no_pal", None) or tracker.data_arrived(packet):
+            return packet

@@ -9,20 +9,20 @@ FTC is compared against in every figure.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 from ..core.costs import CostModel, DEFAULT_COSTS
-from ..core.depvec import ReplicationState
-from ..core.runtime import MiddleboxRuntime
 from ..middlebox.base import DROP, Middlebox
 from ..net.packet import Packet
 from ..net.topology import Network
-from ..sim import CancelledError, Interrupt, Process, RandomStreams, Simulator
+from ..sim import Simulator
+from .base import BaselineChain
 
 __all__ = ["NFChain"]
 
 
-class NFChain:
+class NFChain(BaselineChain):
     """A plain service function chain without fault tolerance."""
 
     def __init__(self, sim: Simulator, middleboxes: Sequence[Middlebox],
@@ -30,78 +30,22 @@ class NFChain:
                  costs: CostModel = DEFAULT_COSTS,
                  net: Optional[Network] = None, n_threads: int = 8,
                  seed: int = 0, name: str = "nf"):
-        if not middleboxes:
-            raise ValueError("a chain needs at least one middlebox")
-        self.sim = sim
-        self.middleboxes = list(middleboxes)
-        self.deliver = deliver
-        self.costs = costs
-        self.n_threads = n_threads
-        self.name = name
-        self.streams = RandomStreams(seed)
-        self.net = net or Network(sim, hop_delay_s=costs.hop_delay_s,
-                                  bandwidth_bps=costs.bandwidth_bps)
-        self.servers = []
-        self.runtimes: List[MiddleboxRuntime] = []
-        for index, mbox in enumerate(middleboxes):
-            server = self.net.add_server(
-                f"{name}-s{index}", n_cores=n_threads, cpu_hz=costs.cpu_hz,
-                nic_pps=costs.nic_pps, nic_queues=n_threads,
-                nic_queue_depth=costs.nic_queue_depth)
-            self.servers.append(server)
-            state = ReplicationState(mbox.name, costs.n_partitions)
-            self.runtimes.append(MiddleboxRuntime(
-                sim, mbox, state, costs=costs, streams=self.streams,
-                replicate=False))
-        for index in range(len(middleboxes) - 1):
-            self.net.connect(self.servers[index].name,
-                             self.servers[index + 1].name)
-        self.workers: List[Process] = []
-        self.released = 0
-        self.packets_in = 0
-
-    def start(self) -> None:
-        for index, server in enumerate(self.servers):
-            for tid, queue in enumerate(server.nic.queues):
-                self.workers.append(self.sim.process(
-                    self._worker(index, tid, queue),
-                    name=f"{self.name}-s{index}/w{tid}"))
-
-    def stop(self) -> None:
-        for worker in self.workers:
-            if worker.is_alive:
-                worker.interrupt("stopped")
-        self.workers = []
-
-    def ingress(self, packet: Packet) -> None:
-        if packet.created_at == 0.0:
-            packet.created_at = self.sim.now
-        self.packets_in += 1
-        self.net.deliver_external(self.servers[0].name, packet)
+        super().__init__(sim, middleboxes, deliver, costs, net, n_threads,
+                         seed, name)
+        self.runtimes = []
+        for index, mbox in enumerate(self.middleboxes):
+            server = self._server(f"s{index}")
+            self.runtimes.append(self._runtime(mbox))
+            self.stages.append((server, partial(self._step, index)))
+        for (a, _), (b, _) in zip(self.stages, self.stages[1:]):
+            self.net.connect(a.name, b.name)
 
     def store_of(self, index: int):
         return self.runtimes[index].state.store
 
-    def total_released(self) -> int:
-        return self.released
-
-    def _worker(self, index: int, thread_id: int, queue):
-        runtime = self.runtimes[index]
-        is_last = index == len(self.middleboxes) - 1
-        try:
-            while True:
-                packet = yield queue.get()
-                wire = self.costs.per_wire_byte_cycles * packet.wire_size
-                yield self.sim.timeout(self.costs.cycles_to_seconds(wire))
-                verdict, _log = yield from runtime.process(packet, thread_id)
-                if verdict is DROP:
-                    continue
-                out = verdict if isinstance(verdict, Packet) else packet
-                if is_last:
-                    self.released += 1
-                    self.deliver(out)
-                else:
-                    self.net.send(self.servers[index].name,
-                                  self.servers[index + 1].name, out)
-        except (Interrupt, CancelledError):
-            return
+    def _step(self, index: int, thread_id: int, packet: Packet):
+        yield self._touch(packet)
+        verdict, _log = yield from self.runtimes[index].process(
+            packet, thread_id)
+        if verdict is not DROP:
+            return verdict if isinstance(verdict, Packet) else packet

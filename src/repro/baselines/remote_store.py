@@ -10,15 +10,17 @@ ablations, not for any specific figure.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, List, Optional, Sequence
 
 from ..core.costs import CostModel, DEFAULT_COSTS
 from ..middlebox.base import DROP, Middlebox
 from ..net.packet import Packet
 from ..net.topology import Network
-from ..sim import CancelledError, Interrupt, Process, RandomStreams, Simulator
+from ..sim import Simulator
 from ..stm.store import StateStore
 from ..stm.transaction import TransactionContext
+from .base import BaselineChain
 
 __all__ = ["RemoteStoreChain"]
 
@@ -26,7 +28,7 @@ __all__ = ["RemoteStoreChain"]
 STORE_OP_CYCLES = 400.0
 
 
-class RemoteStoreChain:
+class RemoteStoreChain(BaselineChain):
     """Stateless middleboxes + a replicated remote state store."""
 
     def __init__(self, sim: Simulator, middleboxes: Sequence[Middlebox],
@@ -34,97 +36,37 @@ class RemoteStoreChain:
                  costs: CostModel = DEFAULT_COSTS,
                  net: Optional[Network] = None, n_threads: int = 8,
                  seed: int = 0, name: str = "rstore"):
-        if not middleboxes:
-            raise ValueError("a chain needs at least one middlebox")
-        self.sim = sim
-        self.middleboxes = list(middleboxes)
-        self.deliver = deliver
-        self.costs = costs
-        self.n_threads = n_threads
-        self.name = name
-        self.streams = RandomStreams(seed)
-        self.net = net or Network(sim, hop_delay_s=costs.hop_delay_s,
-                                  bandwidth_bps=costs.bandwidth_bps)
-        self.servers = []
+        super().__init__(sim, middleboxes, deliver, costs, net, n_threads,
+                         seed, name)
         self.stores: List[StateStore] = []
-        for index, mbox in enumerate(middleboxes):
-            server = self.net.add_server(
-                f"{name}-s{index}", n_cores=n_threads, cpu_hz=costs.cpu_hz,
-                nic_pps=costs.nic_pps, nic_queues=n_threads,
-                nic_queue_depth=costs.nic_queue_depth)
-            self.servers.append(server)
+        for index, mbox in enumerate(self.middleboxes):
+            server = self._server(f"s{index}")
             self.stores.append(StateStore(mbox.name))
-        self.datastore = self.net.add_server(f"{name}-ds", n_cores=n_threads,
-                                             cpu_hz=costs.cpu_hz,
-                                             nic_pps=costs.nic_pps)
-        for index in range(len(middleboxes) - 1):
-            self.net.connect(self.servers[index].name,
-                             self.servers[index + 1].name)
-        for server in self.servers:
+            self.stages.append((server, partial(self._step, index)))
+        self.datastore = self._server("ds")
+        servers = [server for server, _ in self.stages]
+        for a, b in zip(servers, servers[1:]):
+            self.net.connect(a.name, b.name)
+        for server in servers:
             self.net.connect(server.name, self.datastore.name)
             self.net.connect(self.datastore.name, server.name)
-        self.workers: List[Process] = []
-        self.released = 0
-        self.packets_in = 0
         self.store_round_trips = 0
 
-    def start(self) -> None:
-        for index, server in enumerate(self.servers):
-            for tid, queue in enumerate(server.nic.queues):
-                self.workers.append(self.sim.process(
-                    self._worker(index, tid, queue)))
-
-    def stop(self) -> None:
-        for worker in self.workers:
-            if worker.is_alive:
-                worker.interrupt("stopped")
-        self.workers = []
-
-    def ingress(self, packet: Packet) -> None:
-        if packet.created_at == 0.0:
-            packet.created_at = self.sim.now
-        self.packets_in += 1
-        self.net.deliver_external(self.servers[0].name, packet)
-
-    def total_released(self) -> int:
-        return self.released
-
-    def store_of(self, index: int):
-        return self.stores[index]
-
-    def _worker(self, index: int, thread_id: int, queue):
-        mbox = self.middleboxes[index]
+    def _step(self, index: int, thread_id: int, packet: Packet):
         store = self.stores[index]
-        server = self.servers[index].name
-        is_last = index == len(self.middleboxes) - 1
-        try:
-            while True:
-                packet = yield queue.get()
-                processing = (self.costs.processing_cycles +
-                              self.costs.per_wire_byte_cycles * packet.wire_size)
-                yield self.sim.timeout(
-                    self.costs.cycles_to_seconds(processing))
-                ctx = TransactionContext(store, flow=packet.flow,
-                                         thread_id=thread_id, now=self.sim.now)
-                verdict = mbox.process(packet, ctx)
-                operations = len(ctx.reads) + len(ctx.writes)
-                for _ in range(operations):
-                    # Each state access is a synchronous round trip to
-                    # the datastore; writes are acked before release.
-                    self.store_round_trips += 1
-                    yield self.net.control_call(
-                        server, self.datastore.name,
-                        lambda: None, payload_bytes=64, response_bytes=64)
-                    yield self.sim.timeout(self.costs.cycles_to_seconds(
-                        STORE_OP_CYCLES))
-                store.apply_many(ctx.writes)
-                if verdict is DROP:
-                    continue
-                out = verdict if isinstance(verdict, Packet) else packet
-                if is_last:
-                    self.released += 1
-                    self.deliver(out)
-                else:
-                    self.net.send(server, self.servers[index + 1].name, out)
-        except (Interrupt, CancelledError):
-            return
+        yield self._touch(packet, self.costs.processing_cycles)
+        ctx = TransactionContext(store, flow=packet.flow,
+                                 thread_id=thread_id, now=self.sim.now)
+        verdict = self.middleboxes[index].process(packet, ctx)
+        for _ in range(len(ctx.reads) + len(ctx.writes)):
+            # Each state access is a synchronous round trip to the
+            # datastore; writes are acked before release.
+            self.store_round_trips += 1
+            yield self.net.control_call(
+                self.stages[index][0].name, self.datastore.name,
+                lambda: None, payload_bytes=64, response_bytes=64)
+            yield self.sim.timeout(self.costs.cycles_to_seconds(
+                STORE_OP_CYCLES))
+        store.apply_many(ctx.writes)
+        if verdict is not DROP:
+            return verdict if isinstance(verdict, Packet) else packet

@@ -310,8 +310,6 @@ def _print_run_summary(args, out) -> None:
     print(f"\n{args.system.upper()} chain: "
           f"{' -> '.join(m.name for m in middleboxes)}")
     if getattr(args, "impair_data", None):
-        spec = _parse_impairment(args.impair_data, "repro run")
-        print(f"data impairment: {spec.describe()}")
         stats = system.net.data_impairment_stats()
         print(f"  links: {stats['dropped']} dropped, "
               f"{stats['duplicated']} duplicated, "

@@ -41,10 +41,6 @@ class DependencyVector:
     def __init__(self, n_partitions: int):
         self.seq: List[int] = [0] * n_partitions
 
-    @property
-    def n_partitions(self) -> int:
-        return len(self.seq)
-
     def stamp(self, partitions: Iterable[int]) -> Dict[int, int]:
         """Record a transaction touching ``partitions``.
 

@@ -39,6 +39,8 @@ _PROVENANCE = [
     ("htm_commit_cycles", "{:.0f} cy", "§3.2 hybrid TM extension"),
     ("lock_wakeup_cycles", "{:.0f} cy",
      "adaptive-mutex handoff under light contention (Fig 6 dips)"),
+    ("lock_spin_threshold", "{:.0f} waiters",
+     "derived: this many queued spinners skip the handoff wakeup"),
     ("n_partitions", "{:.0f}", "§4.2: exceeds the 8-core count"),
     ("propagation_timeout_s", "{:.0e} s", "§5.1 forwarder timer (chosen)"),
     ("ftmb_pal_crit_cycles", "{:.0f} cy",
@@ -47,6 +49,15 @@ _PROVENANCE = [
      "FTMB PAL assembly/transmit (fits Fig 7's 1-thread ratio)"),
     ("snapshot_stall_s", "{:.0e} s", "§7.4: 6 ms artificial delay"),
     ("snapshot_period_s", "{:.0e} s", "§7.4: every 50 ms"),
+    ("log_header_bytes", "{:.0f} B", "derived: piggyback log header"),
+    ("depvec_entry_bytes", "{:.0f} B",
+     "derived: 2 B partition index + 4 B seqno"),
+    ("key_bytes", "{:.0f} B", "derived: a 5-tuple-sized key"),
+    ("commit_header_bytes", "{:.0f} B", "derived: commit vector header"),
+    ("message_header_bytes", "{:.0f} B",
+     "derived: IP option + message framing"),
+    ("hop_header_bytes", "{:.0f} B",
+     "derived: 3 B seq + 1 B back-distance + 4 B checksum"),
 ]
 
 

@@ -210,8 +210,8 @@ class FlightRecorder:
                       indent=1)
         return path
 
-    def trip(self, reason: str, telemetry=None,
-             t: Optional[float] = None) -> Optional[str]:
+    def trip(self, reason: str, telemetry=None, *,
+             t: float) -> Optional[str]:
         """An anomaly fired (invariant violation, unrecoverable error).
 
         Records a ``flight/trip`` event, and writes the auto-dump on the
@@ -220,20 +220,12 @@ class FlightRecorder:
         Returns the dump path when one was written.
         """
         self.trips.append(reason)
-        self.record("flight", "trip",
-                    t=self._last_t() if t is None else t,
-                    detail=reason, chain="ctrl")
+        self.record("flight", "trip", t=t, detail=reason, chain="ctrl")
         if self.autodump_path is not None and self._dump_written is None:
             self._dump_written = self.dump_json(
                 self.autodump_path, reason=reason, telemetry=telemetry)
             return self._dump_written
         return None
-
-    def _last_t(self) -> float:
-        """Timestamp for recorder-originated events: the newest seen."""
-        if len(self._events) > self._head:
-            return self._events[-1].t
-        return 0.0
 
     def __repr__(self):
         return (f"<FlightRecorder {len(self)}/{self.capacity} events, "

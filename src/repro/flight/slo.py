@@ -64,10 +64,6 @@ class SLOBreach:
     observed: float
     t: float
 
-    def as_dict(self) -> Dict:
-        return {"objective": str(self.objective),
-                "observed": self.observed, "t_s": self.t}
-
     def __str__(self):
         return (f"[{self.t * 1e3:.3f}ms] SLO breach: "
                 f"{self.objective} (observed {self.observed:g})")
@@ -171,9 +167,6 @@ class SLOWatchdog:
         for listener in self.listeners:
             listener(new)
         return new
-
-    def as_dicts(self) -> List[Dict]:
-        return [breach.as_dict() for breach in self.breaches]
 
     @property
     def ok(self) -> bool:

@@ -112,12 +112,7 @@ class TrafficGenerator:
         self._streams = streams or RandomStreams(0)
         self.sent = 0
         self._stopped = False
-        self._process = sim.process(self._run(), name=name)
-
-    @property
-    def done(self):
-        """Event fired when the generator finishes (count exhausted/stop)."""
-        return self._process
+        sim.process(self._run(), name=name)
 
     def stop(self) -> None:
         self._stopped = True
@@ -342,11 +337,7 @@ class WorkloadGenerator:
         self.sent = 0
         self.sent_by_class = [0] * spec.n_classes
         self._stopped = False
-        self._process = sim.process(self._run(), name=name)
-
-    @property
-    def done(self):
-        return self._process
+        sim.process(self._run(), name=name)
 
     def stop(self) -> None:
         self._stopped = True

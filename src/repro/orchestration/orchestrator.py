@@ -79,10 +79,6 @@ class FailureEvent:
     recovery_attempts: int = 0
 
     @property
-    def recovery_s(self) -> float:
-        return self.report.total_s if self.report else float("inf")
-
-    @property
     def recovered(self) -> bool:
         return self.report is not None and self.error is None
 

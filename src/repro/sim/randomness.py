@@ -45,6 +45,3 @@ class RandomStreams:
 
     def choice(self, name: str, options):
         return self.stream(name).choice(options)
-
-    def randint(self, name: str, low: int, high: int) -> int:
-        return self.stream(name).randint(low, high)

@@ -43,10 +43,6 @@ class _Waiter(Event):
         self.resource = resource
         self.item = item
 
-    @property
-    def cancelled(self) -> bool:
-        return self.triggered and not self._ok
-
     def cancel(self) -> None:
         """Withdraw this wait; the waiting process sees CancelledError."""
         if self.triggered:

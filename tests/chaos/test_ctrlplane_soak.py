@@ -18,16 +18,20 @@ from repro.chaos import (
     FaultSpec,
     InvariantAuditor,
     ORCH_FAULT_KINDS,
+    Scenario,
     ShadowOracle,
+    Step,
     chaos_scenario,
     ctrlplane_scenario,
     run,
 )
+from repro.chaos.scenario import monitors
 from repro.chaos.soak import CTRLPLANE_ELECTION, SOAK_COSTS
 from repro.core import FTCChain
 from repro.middlebox import ch_n
 from repro.orchestration import OrchestratorEnsemble
 from repro.sim import Simulator
+from repro.telemetry import Telemetry
 
 
 def run_ctrlplane_schedule(**params):
@@ -115,6 +119,25 @@ class TestScriptedScenarios:
         assert ensemble.gate.fenced_commands > 0
         assert any(event.recovered for event in ensemble.history)
         assert len(ensemble.leaders_with_valid_lease()) <= 1
+
+    def test_leader_paused_within_its_lease_resumes_leading(self):
+        """A leader frozen for less than its 6 ms lease finds no
+        successor: it resumes at its own epoch and still fails over a
+        later chain crash."""
+        telemetry = Telemetry()
+        out = run(Scenario(
+            chain=monitors(3), duration_s=30e-3, rate_pps=2e4,
+            orchestrators=3,
+            faults=(FaultSpec(kind="stale-leader-resume", at_s=8e-3,
+                              duration_s=1e-3),),
+            steps=(Step(15e-3, crash=1, expect="recovered"),)),
+            telemetry=telemetry)
+        election = [event["kind"] for event in telemetry.timeline.as_dicts()
+                    if event["component"] == "election"]
+        assert election == ["elected", "leader-resumed"]
+        assert out.ensemble.max_epoch == 1
+        assert [event.recovered for event in out.failures] == [True]
+        assert out.violations == []
 
 
 @pytest.mark.soak_ctrlplane

@@ -42,6 +42,13 @@ class TestRun:
         out = capsys.readouterr().out
         assert "recovered position 1" in out
 
+    def test_impair_data_is_echoed_once(self, capsys):
+        assert main(["run", "--rate", "1e5", "--duration", "0.002",
+                     "--threads", "2", "--impair-data", "drop=0.02"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines.count("data impairment: drop=0.02") == 1
+        assert sum(line.startswith("  links: ") for line in lines) == 1
+
     def test_fail_at_requires_ftc(self, capsys):
         code = main(["run", "--chain", "monitor", "--system", "nf",
                      "--rate", "5e5", "--duration", "0.002",
