@@ -58,23 +58,16 @@ def balanced_flows(n_flows: int, n_queues: int,
 
 
 class FlowPool:
-    """A pool of flows with a selection policy."""
+    """A pool of flows, drawn round-robin."""
 
-    def __init__(self, flows: Sequence[FlowKey], policy: str = "round-robin",
-                 streams: Optional[RandomStreams] = None):
+    def __init__(self, flows: Sequence[FlowKey]):
         if not flows:
             raise ValueError("flow pool cannot be empty")
-        if policy not in ("round-robin", "uniform"):
-            raise ValueError(f"unknown flow selection policy {policy!r}")
         self.flows = list(flows)
-        self.policy = policy
         self._cycle = itertools.cycle(self.flows)
-        self._streams = streams or RandomStreams(0)
 
     def next_flow(self) -> FlowKey:
-        if self.policy == "round-robin":
-            return next(self._cycle)
-        return self._streams.choice("flowpool", self.flows)
+        return next(self._cycle)
 
 
 class TrafficGenerator:
@@ -104,7 +97,7 @@ class TrafficGenerator:
         self.sim = sim
         self.sink = sink
         self.rate_pps = rate_pps
-        self.pool = FlowPool(flows, streams=streams)
+        self.pool = FlowPool(flows)
         self.packet_size = packet_size
         self.arrivals = arrivals
         self.count = count

@@ -42,6 +42,3 @@ class RandomStreams:
                       minimum: float = 0.0) -> float:
         """Gaussian draw clamped below at ``minimum`` (for jittered costs)."""
         return max(minimum, self.stream(name).gauss(mean, stdev))
-
-    def choice(self, name: str, options):
-        return self.stream(name).choice(options)

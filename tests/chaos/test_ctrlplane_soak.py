@@ -72,6 +72,28 @@ class TestOrchFaultSpecs:
                       duration_s=6e-3)])
         assert [f.kind for f in plan.faults] == list(ORCH_FAULT_KINDS)
 
+    def test_describe_names_the_leader_or_a_member(self):
+        """``member`` None targets the acting leader; a windowed kind
+        states its window; a kind given a phase reads as armed."""
+        specs = [
+            FaultSpec(kind="orch-crash", at_s=1e-3),
+            FaultSpec(kind="orch-crash", at_s=1e-3, member=0,
+                      phase="fetching"),
+            FaultSpec(kind="orch-partition", at_s=2e-3, duration_s=4e-3),
+            FaultSpec(kind="orch-partition", at_s=2e-3, member=1,
+                      duration_s=4e-3),
+            FaultSpec(kind="stale-leader-resume", at_s=3e-3,
+                      duration_s=6e-3),
+            FaultSpec(kind="stale-leader-resume", at_s=3e-3, member=2,
+                      duration_s=6e-3)]
+        assert [spec.describe() for spec in specs] == [
+            "orch-crash leader 1.00ms",
+            "orch-crash m0 (armed @ 1.00ms)",
+            "orch-partition leader for 4.00ms 2.00ms",
+            "orch-partition m1 for 4.00ms 2.00ms",
+            "stale-leader-resume leader for 6.00ms 3.00ms",
+            "stale-leader-resume m2 for 6.00ms 3.00ms"]
+
     def test_injector_requires_ensemble_for_orch_kinds(self):
         sim, chain, _, _ = _harness()
         plan = FaultPlan([FaultSpec(kind="orch-crash", at_s=1e-3)])

@@ -1,5 +1,7 @@
 """SLO watchdog: spec grammar, windowed evaluation, breach plumbing."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.flight import (
@@ -143,3 +145,28 @@ class TestRunProbes:
         assert {"detection_s", "recovery_s", "retransmit_rate"} <= set(probes)
         assert probes["detection_s"]() is None
         assert probes["retransmit_rate"]() == pytest.approx(0.03)
+
+    def test_recovery_is_the_slowest_finished_recovery(self):
+        """``recovery_s`` reads None until a recovery report exists
+        (a detected failure still recovering has none), then the
+        largest ``report.total_s`` so far."""
+        class FakeOrch:
+            history = []
+
+        class FakeEgress:
+            pass
+
+        orchestrator = FakeOrch()
+        recovery_s = run_probes(FakeEgress(),
+                                orchestrator=orchestrator)["recovery_s"]
+        assert recovery_s() is None
+        orchestrator.history.append(SimpleNamespace(report=None))
+        assert recovery_s() is None
+        orchestrator.history.append(
+            SimpleNamespace(report=SimpleNamespace(total_s=4e-3)))
+        orchestrator.history.append(
+            SimpleNamespace(report=SimpleNamespace(total_s=1e-3)))
+        assert recovery_s() == 4e-3
+        orchestrator.history.append(
+            SimpleNamespace(report=SimpleNamespace(total_s=9e-3)))
+        assert recovery_s() == 9e-3
