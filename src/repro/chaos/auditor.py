@@ -57,10 +57,6 @@ class InvariantViolation:
     at_s: float
     context: Optional[Dict[str, Any]] = None
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {"invariant": self.invariant, "detail": self.detail,
-                "at_s": self.at_s, "context": dict(self.context or {})}
-
     def __str__(self):
         base = f"[{self.at_s * 1e3:.3f}ms] {self.invariant}: {self.detail}"
         if self.context:

@@ -25,9 +25,8 @@ __getattr__, __dir__, __all__ = surface(__name__, {
         "CommitVector", "PiggybackLog", "PiggybackMessage", "value_bytes",
     ),
     "reconfig": (
-        "ChainConfig", "ClassifierRule", "ClassifierSet", "RECONFIG_KINDS",
-        "RECONFIG_PHASES", "ReconfigError", "ReconfigOp", "ReconfigReport",
-        "apply_reconfig",
+        "ClassifierRule", "ClassifierSet", "RECONFIG_KINDS", "RECONFIG_PHASES",
+        "ReconfigError", "ReconfigOp", "ReconfigReport", "apply_reconfig",
     ),
     "recovery": (
         "RECOVERY_PHASES", "RecoveryError", "RecoveryReport",

@@ -214,13 +214,6 @@ class FTCChain:
             raise ValueError("the head has no predecessor in its group")
         return group[where - 1]
 
-    def successor_in_group(self, mbox_index: int, position: int) -> int:
-        group = self.group_positions(mbox_index)
-        where = group.index(position)
-        if where == len(group) - 1:
-            raise ValueError("the tail has no successor in its group")
-        return group[where + 1]
-
     def mbox_index(self, mbox_name: str) -> int:
         for index, mbox in enumerate(self.middleboxes):
             if mbox.name == mbox_name:
@@ -515,18 +508,6 @@ class FTCChain:
         self.config_version = version
         self._stamp_config = True
         self.forwarder.config_epoch = version
-
-    def current_config(self):
-        """An immutable snapshot of the live configuration."""
-        from .reconfig import ChainConfig
-        return ChainConfig(
-            version=self.config_version,
-            route=tuple(self.route),
-            middleboxes=tuple(m.name for m in self.middleboxes),
-            classifier_version=(0 if self.classifier is None
-                                else self.classifier.version),
-            groups=tuple((mbox.name, tuple(self.group_positions(index)))
-                         for index, mbox in enumerate(self.middleboxes)))
 
     # -- statistics -------------------------------------------------------------------
 

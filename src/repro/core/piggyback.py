@@ -209,9 +209,6 @@ class PiggybackMessage:
         self.commits[commit.mbox] = commit
         self._bytes += commit.byte_size(self.costs)
 
-    def commit_for(self, mbox: str) -> Optional[CommitVector]:
-        return self.commits.get(mbox)
-
     @property
     def n_logs(self) -> int:
         return sum(len(logs) for logs in self.logs.values())

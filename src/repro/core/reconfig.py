@@ -49,7 +49,7 @@ from .recovery import _install_state
 from .replica import Replica
 
 __all__ = ["ReconfigError", "ReconfigOp", "ReconfigReport", "ReconfigHold",
-           "ClassifierRule", "ClassifierSet", "ChainConfig",
+           "ClassifierRule", "ClassifierSet",
            "apply_reconfig", "RECONFIG_KINDS", "RECONFIG_PHASES"]
 
 #: Operation kinds (each is one two-phase apply).
@@ -129,17 +129,6 @@ class ClassifierSet:
             if rule.matches(flow):
                 return rule.action == "allow"
         return self.default == "allow"
-
-
-@dataclass(frozen=True)
-class ChainConfig:
-    """An immutable snapshot of one chain configuration version."""
-
-    version: int
-    route: Tuple[str, ...]
-    middleboxes: Tuple[str, ...]
-    classifier_version: int
-    groups: Tuple[Tuple[str, Tuple[int, ...]], ...]
 
 
 # -- operations ---------------------------------------------------------------

@@ -129,9 +129,9 @@ class MiddleboxRuntime:
         result = yield from self.manager.run(
             partial(middlebox.process, packet),
             (processing + self.extra_critical_cycles) / cpu_hz,
-            packet.flow, thread_id, None,
-            partial(self._on_commit, pid), self._commit_hold,
-            locking / cpu_hz, costs.htm_commit_cycles / cpu_hz, pid)
+            packet.flow, thread_id, partial(self._on_commit, pid),
+            self._commit_hold, locking / cpu_hz,
+            costs.htm_commit_cycles / cpu_hz, pid)
         counters.locking += (costs.htm_commit_cycles
                              if result.used_htm else locking)
 

@@ -15,9 +15,7 @@ PR 5's observability subsystem (PROTOCOL.md §10):
 from .._lazy import surface
 
 __getattr__, __dir__, __all__ = surface(__name__, {
-    "recorder": (
-        "DUMP_VERSION", "FLIGHT_COMPONENTS", "FlightEvent", "FlightRecorder",
-    ),
+    "recorder": ("DUMP_VERSION", "FlightEvent", "FlightRecorder"),
     "explain": (
         "explain_epoch", "explain_packet", "explain_recovery", "load_dump",
         "walk_back",

@@ -39,15 +39,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
-__all__ = ["FlightEvent", "FlightRecorder", "FLIGHT_COMPONENTS",
-           "DUMP_VERSION"]
-
-#: Components an event may come from (PROTOCOL.md §10, §11, §12).
-FLIGHT_COMPONENTS = ("stm", "piggyback", "buffer", "channel", "recovery",
-                     "fencing", "orch", "election", "journal", "slo",
-                     "chaos", "flight", "reconfig",
-                     # Overload layer (§12): drop sites + actuators.
-                     "nic", "link", "net", "admission", "brownout")
+__all__ = ["FlightEvent", "FlightRecorder", "DUMP_VERSION"]
 
 #: Schema version stamped into every dump (2: no ``timeline`` section;
 #: timeline events are ring events, PROTOCOL.md §10.2).
@@ -169,10 +161,6 @@ class FlightRecorder:
             epoch=epoch, depvec=dict(depvec) if depvec else None,
             parent_ref=parent_ref, detail=detail))
         return ref
-
-    def chain_cursor(self, chain: str) -> Optional[int]:
-        """The ref of the last event recorded on ``chain``, if any."""
-        return self._cursors.get(chain)
 
     def set_context(self, **fields: Any) -> None:
         """Merge run-identifying fields (seed, chain config) into dumps."""

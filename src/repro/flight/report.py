@@ -10,7 +10,7 @@ a flight-ring summary with any trips that fired.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 __all__ = ["render_report"]
 
@@ -30,8 +30,7 @@ def _fmt(value) -> str:
 
 
 def render_report(title: str, config: Dict, egress=None, telemetry=None,
-                  watchdog=None, flight=None,
-                  notes: Optional[List[str]] = None) -> str:
+                  watchdog=None, flight=None) -> str:
     """Render the full markdown run report."""
     lines: List[str] = [f"# {title}", ""]
 
@@ -134,10 +133,6 @@ def render_report(title: str, config: Dict, egress=None, telemetry=None,
                 ["component", "events"],
                 [[name, str(count)]
                  for name, count in sorted(by_component.items())]))
-        lines.append("")
-
-    for note in notes or []:
-        lines.append(note)
         lines.append("")
 
     while lines and lines[-1] == "":

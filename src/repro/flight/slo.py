@@ -101,15 +101,13 @@ class SLOWatchdog:
 
     def __init__(self, sim, objectives: List[SLOObjective],
                  probes: Dict[str, Callable[[], Optional[float]]],
-                 telemetry=None, interval_s: float = DEFAULT_EVAL_INTERVAL_S,
-                 until_s: Optional[float] = None):
+                 telemetry=None, interval_s: float = DEFAULT_EVAL_INTERVAL_S):
         from ..telemetry import NULL_TELEMETRY
         self.sim = sim
         self.objectives = list(objectives)
         self.probes = dict(probes)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.interval_s = interval_s
-        self.until_s = until_s
         self.breaches: List[SLOBreach] = []
         #: Actuator hook (PROTOCOL.md §12.3): each callable receives
         #: the list of breaches every evaluation produced -- an empty
@@ -140,8 +138,7 @@ class SLOWatchdog:
         if self._stopped:
             return
         self.evaluate()
-        if self.until_s is None or self.sim.now + self.interval_s <= self.until_s:
-            self.sim.schedule_callback(self.interval_s, self._tick)
+        self.sim.schedule_callback(self.interval_s, self._tick)
 
     def evaluate(self) -> List[SLOBreach]:
         """One evaluation pass; returns the breaches it produced."""

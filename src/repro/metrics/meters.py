@@ -1,15 +1,16 @@
 """Measurement instruments: throughput meters and latency samplers.
 
 These play the role of the paper's pktgen (throughput) and MoonGen
-(latency) measurement sides.  Following §7.1's methodology, throughput
-is reported as the mean of per-interval maxima over a measurement
-window, and latency as the average of samples in an interval.
+(latency) measurement sides.  The figures read throughput as
+``count / window``: the packets released in the measurement window
+over its length.  Latency is the sample mean or a percentile of the
+per-packet one-way latencies in that window.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from ..net.packet import Packet
 from ..sim import Simulator
@@ -21,13 +22,11 @@ __all__ = ["ThroughputMeter", "LatencySampler", "EgressRecorder"]
 class ThroughputMeter:
     """Counts packets and reports rates over virtual-time windows."""
 
-    def __init__(self, sim: Simulator, name: str = "tput"):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.name = name
         self.count = 0
         self.bytes = 0
         self._window_start: Optional[float] = None
-        self._marks: List[Tuple[float, int]] = []
 
     def record(self, packet: Packet) -> None:
         if self._window_start is None:
@@ -40,13 +39,6 @@ class ThroughputMeter:
         self._window_start = self.sim.now
         self.count = 0
         self.bytes = 0
-        # Stale marks would make interval_rates_pps() span the warm-up
-        # boundary (and go negative once count resets).
-        self._marks.clear()
-
-    def mark(self) -> None:
-        """Record an intermediate (time, count) sample."""
-        self._marks.append((self.sim.now, self.count))
 
     @property
     def elapsed(self) -> float:
@@ -68,21 +60,12 @@ class ThroughputMeter:
             return 0.0
         return self.bytes * 8.0 / self.elapsed / 1e9
 
-    def interval_rates_pps(self) -> List[float]:
-        """Rates between consecutive marks (for max-of-intervals reporting)."""
-        rates = []
-        for (t0, c0), (t1, c1) in zip(self._marks, self._marks[1:]):
-            if t1 > t0:
-                rates.append((c1 - c0) / (t1 - t0))
-        return rates
-
 
 class LatencySampler:
     """Collects per-packet one-way latency samples at chain egress."""
 
-    def __init__(self, sim: Simulator, name: str = "latency"):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.name = name
         self.samples = array("d")
         self._accept_after = 0.0
 
@@ -123,22 +106,18 @@ class EgressRecorder:
     latency-sampled, and optionally retained for content checks.
     """
 
-    def __init__(self, sim: Simulator, keep_packets: bool = False,
-                 name: str = "egress"):
+    def __init__(self, sim: Simulator, keep_packets: bool = False):
         self.sim = sim
-        self.name = name
-        self.throughput = ThroughputMeter(sim, name=f"{name}/tput")
-        self.latency = LatencySampler(sim, name=f"{name}/lat")
+        self.throughput = ThroughputMeter(sim)
+        self.latency = LatencySampler(sim)
         self.keep_packets = keep_packets
         self.packets: List[Packet] = []
-        self.by_flow: Dict = {}
 
     def __call__(self, packet: Packet) -> None:
         self.throughput.record(packet)
         self.latency.record(packet)
         if self.keep_packets:
             self.packets.append(packet)
-        self.by_flow[packet.flow] = self.by_flow.get(packet.flow, 0) + 1
 
     @property
     def count(self) -> int:

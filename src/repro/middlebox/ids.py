@@ -43,11 +43,6 @@ class PortCountIDS(Middlebox):
             return DROP
         return PASS
 
-    def alerts(self, store) -> list:
-        """Ports currently flagged in a state store."""
-        return sorted(port for port in self.watched_ports
-                      if store.get(("alert", port)))
-
     def describe(self) -> str:
         return (f"PortCountIDS: shared counters on "
                 f"{sorted(self.watched_ports)}, alert at "

@@ -51,12 +51,6 @@ class FlowChurnGenerator:
     def stop(self) -> None:
         self._stopped = True
 
-    @property
-    def offered_pps(self) -> float:
-        """Long-run average offered load."""
-        return (self.flow_arrival_rate * self.flow_lifetime_s *
-                self.per_flow_pps)
-
     def _arrivals(self):
         while not self._stopped:
             yield self.sim.timeout(self.streams.exponential(

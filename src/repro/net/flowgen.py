@@ -212,13 +212,6 @@ class WorkloadSpec:
                 rate *= flash.multiplier
         return rate
 
-    def peak_rate(self) -> float:
-        """Upper bound on :meth:`rate_at` over all time."""
-        rate = self.base_pps * (1.0 + self.diurnal_amplitude)
-        for flash in self.flashes:
-            rate *= flash.multiplier
-        return rate
-
     @classmethod
     def parse(cls, text: str) -> "WorkloadSpec":
         """Parse ``key=value`` pairs, e.g.

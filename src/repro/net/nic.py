@@ -88,18 +88,6 @@ class NIC:
         else:
             self._drop(packet)
 
-    def deliver_direct(self, packet: Packet, queue_index: int) -> None:
-        """Bypass RSS (used by steering elements that pick a queue)."""
-        delay = self._engine.admission_delay(packet)
-
-        def enqueue():
-            if self.queues[queue_index].try_put(packet):
-                self.rx_packets += 1
-            else:
-                self._drop(packet)
-
-        self.sim.schedule_callback(delay, enqueue)
-
     @property
     def engine_backlog(self) -> float:
         """Seconds of packets queued at the packet engine."""

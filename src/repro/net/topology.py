@@ -196,14 +196,6 @@ class Network:
         self._links[key] = link
         return link
 
-    def connect_all(self) -> None:
-        """Full mesh (the paper's servers share ToR switches)."""
-        names = list(self.servers)
-        for src in names:
-            for dst in names:
-                if src != dst:
-                    self.connect(src, dst)
-
     # -- data plane -----------------------------------------------------------
 
     def link(self, src: str, dst: str) -> Link:

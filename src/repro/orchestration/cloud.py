@@ -10,7 +10,7 @@ bandwidth.  Within one region the LAN numbers apply.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..net.topology import Network
 from ..sim import Simulator
@@ -52,13 +52,11 @@ def savi_rtt_matrix() -> Dict[str, Dict[str, float]]:
 class CloudNetwork(Network):
     """A Network whose control plane crosses WAN region boundaries."""
 
-    def __init__(self, sim: Simulator,
-                 rtt_matrix: Optional[Dict[str, Dict[str, float]]] = None,
-                 wan_bandwidth_bps: float = 1e9,
+    def __init__(self, sim: Simulator, wan_bandwidth_bps: float = 1e9,
                  rtt_jitter_frac: float = 0.15,
                  seed: int = 0, **kwargs):
         super().__init__(sim, **kwargs)
-        self.rtt_matrix = rtt_matrix or savi_rtt_matrix()
+        self.rtt_matrix = savi_rtt_matrix()
         self.control_bandwidth_bps = wan_bandwidth_bps
         self.rtt_jitter_frac = rtt_jitter_frac
         from ..sim import RandomStreams

@@ -54,8 +54,6 @@ class ElectionConfig:
     #: actual delay is ``uniform(1.0, 2.0) * candidacy_base_s`` from the
     #: member's own seeded stream, staggering candidates.
     candidacy_base_s: float = 3e-3
-    #: Retry policy for vote/renew RPCs.
-    retry: RetryPolicy = ELECTION_RETRY
 
 
 class ElectionMember:
@@ -328,7 +326,7 @@ class ElectionMember:
         result = yield from reliable_call(
             self.net, self.server_name, peer.server_name,
             lambda: peer.handle_vote(epoch, self.index),
-            policy=self.config.retry, payload_bytes=64, response_bytes=64)
+            policy=ELECTION_RETRY, payload_bytes=64, response_bytes=64)
         if not result.ok or result.value is None:
             return False
         verdict, seen = result.value
@@ -399,7 +397,7 @@ class ElectionMember:
         result = yield from reliable_call(
             self.net, self.server_name, peer.server_name,
             lambda: peer.handle_renew(epoch, self.index),
-            policy=self.config.retry, payload_bytes=64, response_bytes=64)
+            policy=ELECTION_RETRY, payload_bytes=64, response_bytes=64)
         if not result.ok or result.value is None:
             return "silent"
         verdict, seen = result.value

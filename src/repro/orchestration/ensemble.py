@@ -31,7 +31,7 @@ from ..core.chain import FTCChain
 from ..core.fencing import EpochGate, StaleEpochError
 from ..net.retry import reliable_call
 from ..sim import CancelledError, Interrupt, Simulator
-from .election import ElectionConfig, ElectionMember
+from .election import ELECTION_RETRY, ElectionConfig, ElectionMember
 from .journal import CommandJournal, JournalEntry
 from .orchestrator import FailureEvent, Orchestrator
 
@@ -119,7 +119,7 @@ class EnsembleMember(ElectionMember):
         result = yield from reliable_call(
             self.net, self.server_name, peer.server_name,
             lambda: peer.accept_entry(entry),
-            policy=self.config.retry, payload_bytes=128, response_bytes=64)
+            policy=ELECTION_RETRY, payload_bytes=128, response_bytes=64)
         if not result.ok or result.value is None:
             return "silent"
         return result.value
@@ -175,7 +175,7 @@ class EnsembleMember(ElectionMember):
         result = yield from reliable_call(
             self.net, self.server_name, peer.server_name,
             lambda: peer.journal.entries(),
-            policy=self.config.retry, payload_bytes=64, response_bytes=512)
+            policy=ELECTION_RETRY, payload_bytes=64, response_bytes=512)
         return result.value if result.ok else None
 
     def _on_deposed(self, reason: str) -> None:

@@ -63,6 +63,9 @@ SPAWN_TIME_S = 0.3e-3
 #: Installing updated flow rules at the affected switches.
 REROUTE_DELAY_S = 0.5e-3
 
+#: Recovery passes a failure may take before the orchestrator abandons it.
+MAX_RECOVERY_ATTEMPTS = 20
+
 
 @dataclass
 class FailureEvent:
@@ -91,8 +94,6 @@ class Orchestrator:
                  misses_allowed: int = 2,
                  region: Optional[str] = None,
                  heartbeat_retry: Optional[RetryPolicy] = None,
-                 recovery_retry: Optional[RetryPolicy] = None,
-                 max_recovery_attempts: int = 20,
                  corroborate_suspects: bool = False,
                  name: str = "orchestrator", telemetry=None):
         self.sim = sim
@@ -123,8 +124,7 @@ class Orchestrator:
         self.heartbeat_retry = heartbeat_retry or RetryPolicy(
             timeout_s=heartbeat_interval_s * 0.4, max_attempts=2,
             backoff_base_s=0.0, jitter_frac=0.0)
-        self.recovery_retry = recovery_retry or RetryPolicy()
-        self.max_recovery_attempts = max_recovery_attempts
+        self.recovery_retry = RetryPolicy()
         #: PROTOCOL.md §8: before declaring a suspect failed, ask a
         #: *witness* (another alive position) to probe it over its own
         #: path with the patient recovery policy.  Distinguishes a
@@ -583,7 +583,7 @@ class Orchestrator:
                     yield from self._abandon(positions, exc)
                     return
                 except RecoveryError as exc:
-                    if attempts >= self.max_recovery_attempts:
+                    if attempts >= MAX_RECOVERY_ATTEMPTS:
                         yield from self._abandon(positions, exc)
                         return
                     # A source died (or the control plane is impaired)

@@ -110,7 +110,6 @@ def _cmd_profile(args) -> int:
                           profiler=profiler, telemetry=telemetry,
                           on_start=on_start)
     packets = result.get("released", 0)
-    profiler.publish(telemetry.registry)
     print(f"[profile] {args.scenario}: released {packets} "
           f"(offered {result.get('offered', 0)}), "
           f"{samplers[0].samples if samplers else 0} counter samples")

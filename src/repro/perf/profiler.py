@@ -23,7 +23,6 @@ Design constraints, in order:
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict
 
 #: The stage taxonomy (PROTOCOL.md §13.1), read from the routing table:
@@ -65,13 +64,6 @@ class StageProfiler:
                     self.calls[stage] / packets, 4)
             out[stage] = entry
         return out
-
-    def publish(self, registry) -> None:
-        """Register ``perf/<stage>/calls`` in a :class:`MetricRegistry`,
-        read from the counts, for every stage counted so far."""
-        for stage in self.report():
-            registry.counter(f"perf/{stage}/calls",
-                             partial(self.calls.get, stage))
 
     def __repr__(self):
         return (f"<StageProfiler stages={len(self.calls)} "

@@ -73,10 +73,6 @@ class Store:
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def is_full(self) -> bool:
-        return len(self.items) >= self.capacity
-
     def put(self, item: Any) -> _Waiter:
         event = _Waiter(self.sim, self, item)
         self._putters.append(event)

@@ -87,11 +87,10 @@ class TransactionContext:
     """
 
     __slots__ = ("_store", "reads", "writes", "access_order", "flow",
-                 "thread_id", "now", "extras", "authoritative")
+                 "thread_id", "now", "authoritative")
 
     def __init__(self, store: StateStore, flow=None, thread_id: int = 0,
-                 now: float = 0.0, extras: Optional[Dict[str, Any]] = None,
-                 authoritative: bool = True):
+                 now: float = 0.0, authoritative: bool = True):
         self._store = store
         #: False during the STM's record-phase probe; middleboxes should
         #: only bump statistics counters on authoritative executions.
@@ -102,7 +101,6 @@ class TransactionContext:
         self.flow = flow
         self.thread_id = thread_id
         self.now = now
-        self.extras = extras or {}
 
     def _touch(self, key: Hashable) -> None:
         if key not in self.reads and key not in self.writes:
@@ -160,10 +158,6 @@ class TransactionResult:
     def wrote(self) -> bool:
         return bool(self.writes)
 
-    @property
-    def read_only(self) -> bool:
-        return not self.writes
-
     def __repr__(self):
         return (f"<TxResult writes={len(self.writes)} reads={len(self.read_keys)} "
                 f"partitions={sorted(self.partitions)} retries={self.retries}>")
@@ -207,7 +201,6 @@ class TransactionManager:
 
     def run(self, body: Callable[[TransactionContext], Any],
             hold_time: float = 0.0, flow=None, thread_id: int = 0,
-            extras: Optional[Dict[str, Any]] = None,
             on_commit: Optional[Callable[[TransactionContext, FrozenSet[int]], Any]] = None,
             commit_hold_fn: Optional[Callable[[TransactionContext], float]] = None,
             lock_overhead_s: float = 0.0, htm_overhead_s: float = 0.0,
@@ -248,7 +241,7 @@ class TransactionManager:
             try:
                 # Record phase: discover the access set without locks.
                 probe = TransactionContext(store, flow, thread_id, sim.now,
-                                           extras, False)
+                                           False)
                 body(probe)
                 for key in probe.access_order:
                     needed.add(partition_of(key))
@@ -289,8 +282,7 @@ class TransactionManager:
                 # Authoritative execution under mutual exclusion.  The
                 # live context is ours alone: the result (and on_commit's
                 # log) may keep its dicts without copying them.
-                live = TransactionContext(store, flow, thread_id, sim.now,
-                                          extras)
+                live = TransactionContext(store, flow, thread_id, sim.now)
                 value = body(live)
                 live_partitions = self.partitions.partitions_of(
                     live.access_order)

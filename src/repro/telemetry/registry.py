@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Tuple
 
+from ..metrics.stats import percentile
+
 __all__ = ["Histogram", "MetricRegistry"]
 
 #: Samples a histogram retains for percentile estimation (ring buffer).
@@ -107,16 +109,7 @@ class Histogram:
         """Estimated percentile over the retained reservoir."""
         if not self._reservoir:
             return math.nan
-        ordered = sorted(v for _, v in self._reservoir)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (q / 100.0) * (len(ordered) - 1)
-        low = int(math.floor(rank))
-        high = int(math.ceil(rank))
-        if low == high:
-            return ordered[low]
-        frac = rank - low
-        return ordered[low] * (1 - frac) + ordered[high] * frac
+        return percentile([v for _, v in self._reservoir], q)
 
     def summary(self) -> Dict[str, float]:
         return {

@@ -65,22 +65,13 @@ class TimelineAttempt:
     """One pass through ``recover_positions``, parsed from events."""
 
     positions: Tuple[int, ...]
-    started_at: float
     phases: Dict[str, float] = field(default_factory=dict)
     committed: bool = False
-    ended_at: Optional[float] = None
 
     @property
     def total_s(self) -> float:
         """Sum of the per-phase durations (== RecoveryReport.total_s)."""
         return sum(self.phases.values())
-
-    @property
-    def span_s(self) -> Optional[float]:
-        """Wall span initializing -> committed (None while in flight)."""
-        if self.ended_at is None:
-            return None
-        return self.ended_at - self.started_at
 
 
 class RecoveryTimeline:
@@ -112,8 +103,7 @@ class RecoveryTimeline:
             if event.component != "recovery":
                 continue
             if event.kind == "initializing":
-                current = TimelineAttempt(positions=event.positions,
-                                          started_at=event.t)
+                current = TimelineAttempt(positions=event.positions)
                 attempts.append(current)
                 marks = {"initializing": event.t}
             elif current is None:
@@ -132,7 +122,6 @@ class RecoveryTimeline:
                 current.phases["rerouting"] = \
                     event.t - marks.get("rerouting", event.t)
                 current.committed = True
-                current.ended_at = event.t
                 current = None
         return attempts
 
@@ -140,12 +129,6 @@ class RecoveryTimeline:
         return [a for a in self.attempts() if a.committed]
 
     # -- export / rendering ------------------------------------------------------
-
-    def as_dicts(self) -> List[Dict]:
-        """JSON-friendly structured report (fig13 / soak consumption)."""
-        return [{"t_s": e.t, "component": e.component, "kind": e.kind,
-                 "positions": list(e.positions), "epoch": e.epoch,
-                 "detail": e.detail} for e in self.events]
 
     def chrome_events(self) -> List[Dict]:
         """The timeline as instants on the control-plane track (tid 9998)."""

@@ -38,7 +38,7 @@ class TestViolationContext:
         assert "schedule=3" in text
         assert "chain_length=4" in text
         assert "f=2" in text
-        assert violation.as_dict()["context"]["seed"] == 70001
+        assert violation.context["seed"] == 70001
 
     def test_context_free_violation_renders_bare(self):
         violation = InvariantViolation(

@@ -154,8 +154,8 @@ class TestScriptedScenarios:
                               duration_s=1e-3),),
             steps=(Step(15e-3, crash=1, expect="recovered"),)),
             telemetry=telemetry)
-        election = [event["kind"] for event in telemetry.timeline.as_dicts()
-                    if event["component"] == "election"]
+        election = [event.kind for event in telemetry.timeline.events
+                    if event.component == "election"]
         assert election == ["elected", "leader-resumed"]
         assert out.ensemble.max_epoch == 1
         assert [event.recovered for event in out.failures] == [True]

@@ -163,7 +163,7 @@ class TestBoundedStore:
                         put += 1
                     else:
                         refused += 1
-                        assert store.is_full
+                        assert len(store) == capacity
                 elif store.try_get() is not None:
                     taken += 1
                 assert len(store) <= capacity

@@ -276,8 +276,5 @@ class TestValidation:
         assert chain.group_positions(4) == [4, 0, 1]
         assert chain.tail_position(4) == 1
         assert chain.predecessor_in_group(4, 0) == 4
-        assert chain.successor_in_group(4, 4) == 0
         with pytest.raises(ValueError):
             chain.predecessor_in_group(4, 4)  # the head
-        with pytest.raises(ValueError):
-            chain.successor_in_group(4, 1)  # the tail

@@ -54,15 +54,15 @@ class TestForwarder:
         fwd.absorb_feedback(_msg(commits=[CommitVector("m", {0: 3})]))
         first = PiggybackMessage(COSTS)
         fwd.attach(first)
-        assert first.commit_for("m").entries == {0: 3}
+        assert first.commits["m"].entries == {0: 3}
         second = PiggybackMessage(COSTS)
         fwd.attach(second)
-        assert second.commit_for("m") is None  # not dirty anymore
+        assert "m" not in second.commits  # not dirty anymore
         # A stale (lower) commit does not re-dirty.
         fwd.absorb_feedback(_msg(commits=[CommitVector("m", {0: 2})]))
         third = PiggybackMessage(COSTS)
         fwd.attach(third)
-        assert third.commit_for("m") is None
+        assert "m" not in third.commits
         fwd.stop()
 
     def test_propagating_timer_fires_when_idle_with_pending(self):

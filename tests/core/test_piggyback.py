@@ -135,8 +135,8 @@ class TestPiggybackMessage:
         msg = PiggybackMessage()
         msg.set_commit(CommitVector("m", {0: 1}))
         msg.set_commit(CommitVector("m", {0: 2}))
-        assert msg.commit_for("m").entries == {0: 2}
-        assert msg.commit_for("other") is None
+        assert msg.commits["m"].entries == {0: 2}
+        assert "other" not in msg.commits
 
     def test_byte_size_accumulates(self):
         msg = PiggybackMessage()

@@ -208,14 +208,6 @@ class TestConfigVersioning:
         assert [c.epoch for c in switches] == sorted(c.epoch
                                                      for c in switches)
 
-    def test_current_config_snapshots_version_and_route(self):
-        sim, chain, _ = _build_chain(impaired=False)
-        before = chain.current_config()
-        chain.apply_config(1)
-        after = chain.current_config()
-        assert before.version == 0 and after.version == 1
-        assert after.route == tuple(chain.route)
-
 
 class TestJournalOpenReconfigs:
     def _entry(self, seq, step, positions=(1,), detail="op=migrate position=1"):

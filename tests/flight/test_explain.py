@@ -104,7 +104,7 @@ class TestExplainRecovery:
             self, crash_run):
         dump, telemetry = crash_run
         ctrl, truncated = walk_back(
-            dump, telemetry.flight.chain_cursor("ctrl"))
+            dump, telemetry.flight._cursors["ctrl"])
         assert truncated == -1
         twins = [e for e in ctrl
                  if (e["component"], e["kind"]) in TIMELINE_EVENT_KINDS]

@@ -113,7 +113,6 @@ class TestThroughputMeter:
             for _ in range(1000):
                 meter.record(_pkt(size=1250))
             yield sim.timeout(1e-3)
-            meter.mark()
 
         meter.start_window()
         sim.process(feed(sim))
@@ -122,27 +121,6 @@ class TestThroughputMeter:
         assert meter.rate_gbps() == pytest.approx(
             1000 * 1250 * 8 / meter.elapsed / 1e9)
 
-    def test_interval_rates(self):
-        sim = Simulator()
-        meter = ThroughputMeter(sim)
-
-        def feed(sim):
-            meter.mark()
-            for _ in range(10):
-                meter.record(_pkt())
-            yield sim.timeout(1e-3)
-            meter.mark()
-            for _ in range(30):
-                meter.record(_pkt())
-            yield sim.timeout(1e-3)
-            meter.mark()
-
-        sim.process(feed(sim))
-        sim.run()
-        rates = meter.interval_rates_pps()
-        assert len(rates) == 2
-        assert rates[0] == pytest.approx(10e3)
-        assert rates[1] == pytest.approx(30e3)
 
 
 class TestLatencySampler:
@@ -192,14 +170,6 @@ class TestEgressRecorder:
         assert len(egress.packets) == 2
         assert len(egress.latency) == 2
 
-    def test_by_flow_counts(self):
-        sim = Simulator()
-        egress = EgressRecorder(sim)
-        flow = FlowKey(1, 2, 3, 4)
-        for _ in range(3):
-            egress(Packet(flow=flow))
-        assert egress.by_flow[flow] == 3
-
 
 class TestFormatting:
     def test_format_table_alignment(self):
@@ -232,17 +202,13 @@ class TestWarmupWindowReset:
         meter = ThroughputMeter(sim)
 
         def feed(sim):
-            meter.mark()
             for _ in range(40):
                 meter.record(_pkt(size=1500))
             yield sim.timeout(1e-3)
-            meter.mark()
             meter.start_window()
-            meter.mark()
             for _ in range(10):
                 meter.record(_pkt(size=100))
             yield sim.timeout(1e-3)
-            meter.mark()
 
         sim.process(feed(sim))
         sim.run()
@@ -253,15 +219,6 @@ class TestWarmupWindowReset:
         assert meter.bytes == 10 * 100
         assert meter.rate_gbps() == pytest.approx(
             10 * 100 * 8 / 1e-3 / 1e9)
-
-    def test_marks_cleared(self):
-        meter = self._fed_meter()
-        rates = meter.interval_rates_pps()
-        # Only the post-window interval survives; a stale pre-window
-        # mark would yield a bogus (here negative) warm-up rate.
-        assert len(rates) == 1
-        assert rates[0] == pytest.approx(10e3)
-        assert all(r >= 0 for r in rates)
 
 
 class TestPercentileEdges:

@@ -44,7 +44,9 @@ class TestFlowChurn:
     def test_offered_load_estimate(self):
         gen, packets = self._run(until=0.1)
         measured = len(packets) / 0.1
-        assert measured == pytest.approx(gen.offered_pps, rel=0.35)
+        # Long-run offered load: arrivals x lifetime x per-flow rate.
+        offered = gen.flow_arrival_rate * gen.flow_lifetime_s * gen.per_flow_pps
+        assert measured == pytest.approx(offered, rel=0.35)
 
     def test_reproducible_by_seed(self):
         _, first = self._run(seed=3)

@@ -126,15 +126,6 @@ class TestNIC:
         assert len(consumed) + nic.depth(0) + nic.rx_dropped == 25
         assert nic.rx_dropped < 15  # consumer freed space
 
-    def test_deliver_direct_bypasses_rss(self):
-        sim = Simulator()
-        nic = NIC(sim, n_queues=4)
-        pkt = _pkt()
-        target = (nic.queue_for(pkt) + 1) % 4  # deliberately not RSS's pick
-        nic.deliver_direct(pkt, target)
-        sim.run()
-        assert nic.depth(target) == 1
-
     def test_depth_total(self):
         sim = Simulator()
         nic = NIC(sim, n_queues=2, pps_capacity=1e9)

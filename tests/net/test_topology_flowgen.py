@@ -17,7 +17,8 @@ def _two_server_net(sim):
     net = Network(sim)
     net.add_server("a")
     net.add_server("b")
-    net.connect_all()
+    net.connect("a", "b")
+    net.connect("b", "a")
     return net
 
 

@@ -7,12 +7,7 @@ from repro.middlebox import ch_n
 from repro.net import TrafficGenerator, balanced_flows
 from repro.perf import STAGES, StageProfiler
 from repro.sim import RandomStreams, Simulator
-from repro.telemetry import (
-    MetricRegistry,
-    NULL_TELEMETRY,
-    NullTelemetry,
-    Telemetry,
-)
+from repro.telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry
 
 NULL_PROFILER = NULL_TELEMETRY.profiler
 
@@ -59,14 +54,6 @@ class TestReport:
         assert prof.report(packets=100)["stm/commit"] == {
             "calls": 1, "calls_per_packet": 0.01}
 
-    def test_publish_mirrors_into_registry(self):
-        registry = MetricRegistry()
-        self._sample().publish(registry)
-        snap = registry.snapshot()
-        assert snap["perf/stm/commit/calls"] == 1
-        assert set(snap) == {f"perf/{stage}/calls" for stage in (
-            "stm/commit", "engine/dispatch", "buffer/hold", "custom/stage")}
-
 
 class TestNullProfiler:
     def test_singleton_is_disabled(self):
@@ -75,20 +62,24 @@ class TestNullProfiler:
         assert StageProfiler.enabled is True
 
     def test_all_hooks_are_noops(self):
-        NULL_PROFILER.count("stm/commit")
-        NULL_PROFILER.count("depvec/merge", n=3)
-        assert NULL_PROFILER.report() == {}
-        assert NULL_PROFILER.report(packets=5) == {}
+        def never_read():
+            raise AssertionError("a dropped registration was read")
+
+        assert NULL_PROFILER.emit("stm", "commit", t=0.0, n=3) is None
+        assert NULL_PROFILER.counter("stm/commits", never_read) is None
+        assert NULL_PROFILER.gauge("stm/held", never_read) is None
+        assert NULL_PROFILER.histogram("stm/wait_s") is NULL_PROFILER
+        assert NULL_PROFILER.trip("anything") is None
 
     def test_no_instance_state(self):
         assert NullTelemetry.__slots__ == ()
 
     def test_shared_aggregates_are_read_only(self):
         # One object serves every disabled component of every run: a
-        # stray write must fail, not leak counts into the next run.
-        assert dict(NULL_PROFILER.calls) == {}
-        with pytest.raises(TypeError):
-            NULL_PROFILER.calls["stm/commit"] = 1
+        # stray write must fail, not leak state into the next run.
+        assert NULL_PROFILER.trips == ()
+        with pytest.raises(AttributeError):
+            NULL_PROFILER.trips = ["tripped"]
 
 
 class _CountingOffProfiler:

@@ -268,7 +268,7 @@ class TestRateLimiter:
 
 class _AlwaysDispatchStore(Store):
     def try_put(self, item):
-        if self.is_full:
+        if len(self.items) >= self.capacity:
             return False
         self.items.append(item)
         self._dispatch()

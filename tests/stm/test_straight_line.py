@@ -265,7 +265,7 @@ class TestResultAfterCommit:
         assert result.read_keys == {"seen"}
         assert set(result.writes) == {"count", "gone"}
         assert result.writes["count"] == 8
-        assert result.wrote and not result.read_only
+        assert result.wrote
         assert result.partitions == manager.partitions.partitions_of(
             ["seen", "count", "gone"])
         assert manager.store.get("count") == 99

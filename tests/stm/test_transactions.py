@@ -42,7 +42,7 @@ class TestBasicSemantics:
             return ctx.read("k")
 
         result = run_tx(sim, manager, body)
-        assert result.read_only
+        assert not result.wrote
         assert result.value == 5
         assert result.read_keys == {"k"}
 

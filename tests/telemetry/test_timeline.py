@@ -45,7 +45,6 @@ class TestAttemptParsing:
         assert attempt.phases["state_recovery"] == pytest.approx(2e-3)
         assert attempt.phases["rerouting"] == pytest.approx(0.5e-3)
         assert attempt.total_s == pytest.approx(3.5e-3)
-        assert attempt.span_s == pytest.approx(3.5e-3)
 
     def test_aborted_attempt_not_committed(self):
         timeline = RecoveryTimeline()
@@ -55,7 +54,6 @@ class TestAttemptParsing:
         attempts = timeline.attempts()
         assert len(attempts) == 1
         assert not attempts[0].committed
-        assert attempts[0].span_s is None
         assert timeline.committed_attempts() == []
 
     def test_reconfig_commit_is_not_a_recovery_attempt(self):
@@ -96,19 +94,11 @@ class TestEmit:
         assert len(telemetry.flight) == 0
 
     def test_null_emit_records_nothing(self):
-        NULL_TELEMETRY.emit("orch", "confirmed", [1], t=1.0)
-        assert NULL_TELEMETRY.timeline.events == ()
+        assert NULL_TELEMETRY.emit("orch", "confirmed", [1], t=1.0) is None
+        assert not hasattr(NULL_TELEMETRY.timeline, "__dict__")
 
 
 class TestExport:
-    def test_as_dicts(self):
-        timeline = RecoveryTimeline()
-        timeline.record("orch", "confirmed", [1], detail="x", t=2e-3)
-        (event,) = timeline.as_dicts()
-        assert event == {"t_s": 2e-3, "component": "orch",
-                         "kind": "confirmed", "positions": [1],
-                         "epoch": None, "detail": "x"}
-
     def test_chrome_events_valid(self):
         timeline = RecoveryTimeline()
         _record_attempt(timeline)
@@ -127,7 +117,5 @@ class TestExport:
 
     def test_null_timeline(self):
         null_timeline = NULL_TELEMETRY.timeline
+        assert null_timeline is NULL_TELEMETRY
         assert not null_timeline.enabled
-        assert null_timeline.events == ()
-        assert null_timeline.attempts() == []
-        assert null_timeline.render() == ""

@@ -83,7 +83,9 @@ class TestExport:
         assert any("id" in p for p in validate_chrome_trace(missing_id))
 
     def test_null_tracer_exports_empty(self):
+        # Nothing is traced with telemetry off: a run exports only an
+        # enabled bundle's tracer, so the null one has nothing to export.
         assert not NULL_TRACER.enabled
-        assert not NULL_TRACER.wants(0)
-        assert NULL_TRACER.events == ()
-        assert NULL_TRACER.export()["traceEvents"] == []
+        assert not hasattr(NULL_TRACER, "export")
+        assert not hasattr(NULL_TRACER, "events")
+

@@ -1,10 +1,26 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
 from repro.cli import main
+from repro.middlebox import available, create
+
+#: The function column of ``repro run``'s middlebox table, per kind.
+DESCRIBED = {
+    "firewall": "Firewall: stateless, 0 rules",
+    "gen": "Gen: write per packet, state size 64 B",
+    "ids": "PortCountIDS: shared counters on [22, 23, 3389], alert at 1000",
+    "loadbalancer": "LoadBalancer: sticky flows over 2 backends",
+    "mazunat": "MazuNAT: reads per packet, writes per flow (shared table)",
+    "monitor": "Monitor: read+write per packet, sharing level 1/8 threads",
+    "policer": "TokenBucketPolicer: per-flow 10000 pps, burst 100",
+    "simplenat": "SimpleNAT: reads per packet, writes per flow",
+    "stateful-firewall": "StatefulFirewall: per-flow connection tracking, "
+                         "30.0s idle timeout",
+}
 
 
 class TestList:
@@ -54,6 +70,15 @@ class TestRun:
                      "--rate", "5e5", "--duration", "0.002",
                      "--threads", "2", "--fail-at", "0.001"])
         assert code == 2
+
+    @pytest.mark.parametrize("kind", available())
+    def test_function_column_is_describe(self, kind, capsys):
+        assert main(["run", "--chain", kind, "--rate", "1e5",
+                     "--duration", "0.001", "--threads", "2"]) == 0
+        (row,) = [re.split(r"\s{2,}", line.strip())
+                  for line in capsys.readouterr().out.splitlines()
+                  if line.startswith(f"{kind}0 ")]
+        assert row[1] == create(kind).describe() == DESCRIBED[kind]
 
     def test_unknown_middlebox_kind(self):
         with pytest.raises(ValueError):

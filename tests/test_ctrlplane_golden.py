@@ -105,7 +105,9 @@ def snapshot(scenario) -> dict:
                        r.aborted, r.resumed, r.prepare_s, r.drain_s,
                        r.transfer_s, r.switch_s, r.total_s, r.held_packets,
                        r.detail] for r in out.reconfigs],
-        "timeline": telemetry.timeline.as_dicts(),
+        "timeline": [{"t_s": e.t, "component": e.component, "kind": e.kind,
+                      "positions": list(e.positions), "epoch": e.epoch,
+                      "detail": e.detail} for e in telemetry.timeline.events],
         "flight_sha256": _sha256(flight.dump(telemetry=telemetry)),
         "trace_sha256": _sha256(telemetry.export_chrome()),
         "violations": [str(v) for v in out.violations],

@@ -98,7 +98,7 @@ PARENT_SURFACE = {
         "repro.core.piggyback":
             "CommitVector PiggybackLog PiggybackMessage value_bytes",
         "repro.core.reconfig":
-            "ChainConfig ClassifierRule ClassifierSet RECONFIG_KINDS "
+            "ClassifierRule ClassifierSet RECONFIG_KINDS "
             "RECONFIG_PHASES ReconfigError ReconfigOp ReconfigReport "
             "apply_reconfig",
         "repro.core.recovery":
@@ -138,7 +138,7 @@ PARENT_SURFACE = {
     },
     "repro.flight": {
         "repro.flight.recorder":
-            "DUMP_VERSION FLIGHT_COMPONENTS FlightEvent FlightRecorder",
+            "DUMP_VERSION FlightEvent FlightRecorder",
         "repro.flight.explain":
             "explain_epoch explain_packet explain_recovery load_dump "
             "walk_back",
