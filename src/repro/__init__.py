@@ -12,7 +12,7 @@ The package implements the FTC protocol and everything it runs on:
   paper's Table 1 functions (MazuNAT, SimpleNAT, Monitor, Gen, Firewall).
 * :mod:`repro.core` -- FTC itself: piggyback logs, dependency vectors,
   in-chain replication, forwarder/buffer, failure recovery.
-* :mod:`repro.baselines` -- NF, FTMB, FTMB+Snapshot, remote state store.
+* :mod:`repro.baselines` -- NF, FTMB, FTMB+Snapshot.
 * :mod:`repro.orchestration` -- orchestrator, heartbeat failure
   detection, multi-region cloud model, placement.
 * :mod:`repro.chaos` -- fault-injection plans, the chaos monkey,

@@ -30,7 +30,7 @@ __getattr__, __dir__, __all__ = surface(__name__, {
     ),
     "scenario": ("CHECKS", "Monkey", "Run", "Scenario", "Step", "run"),
     "soak": (
-        "OverloadSpec", "SoakResult", "chaos_scenario", "ctrlplane_scenario",
+        "SoakResult", "chaos_scenario", "ctrlplane_scenario",
         "impaired_scenario", "overload_scenario", "reconfig_scenario",
         "run_soak",
     ),

@@ -120,7 +120,7 @@ class Scenario:
     #: The middleboxes, in chain order, as :func:`mbox` data.
     chain: Tuple[Tuple, ...]
     duration_s: float
-    #: ``ftc | nf | ftmb | ftmb+snapshot | remote-store`` (``build_system``).
+    #: ``ftc | nf | ftmb | ftmb+snapshot`` (``build_system``).
     system: str = "ftc"
     f: int = 1
     seed: int = 0

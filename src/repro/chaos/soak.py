@@ -32,7 +32,7 @@ from .scenario import (CTRLPLANE_ELECTION, Monkey, Run, Scenario, Step, mbox,
 
 __all__ = ["SoakResult", "run_soak", "chaos_scenario", "impaired_scenario",
            "ctrlplane_scenario", "reconfig_scenario", "overload_scenario",
-           "CTRLPLANE_ELECTION", "OverloadSpec", "OVERLOAD_COSTS"]
+           "describe_overload", "CTRLPLANE_ELECTION", "OVERLOAD_COSTS"]
 
 #: Deterministic cost model: chaos schedules must be a pure function of
 #: the seed, so processing-time jitter is turned off.
@@ -43,114 +43,26 @@ SOAK_COSTS = CostModel(cycle_jitter_frac=0.0)
 #: without needing millions of simulated packets per schedule.
 OVERLOAD_COSTS = SOAK_COSTS.with_overrides(cpu_hz=1e7)
 
+#: The overload soak's fixed shape (PROTOCOL.md §12), relative to the
+#: chain's sustainable capacity under :data:`OVERLOAD_COSTS`.  The
+#: workload idles at ``OVERLOAD_BASE`` of capacity until a flash crowd
+#: multiplies it by ``OVERLOAD_FLASH`` (peak ``0.6 * 8 = 4.8x``, past the
+#: 4x bar) over a window given as fractions of the schedule; admission
+#: budgets ``OVERLOAD_BUDGET`` of capacity -- above 1.0, so the flash
+#: really overloads the data plane and brownout has work to do; the run
+#: must still deliver ``OVERLOAD_FLOOR`` of capacity end to end, and
+#: brownout acts on p99 latency above ``OVERLOAD_P99_US``.
+OVERLOAD_CAPACITY_PPS = 20e3
+OVERLOAD_BASE = 0.6
+OVERLOAD_BUDGET = 1.25
+OVERLOAD_FLASH = 8.0
+OVERLOAD_FLASH_START = 0.25
+OVERLOAD_FLASH_DURATION = 0.3
+OVERLOAD_FLOOR = 0.25
+OVERLOAD_P99_US = 800.0
+
 #: Audit cadence while the schedule runs.
 AUDIT_INTERVAL_S = 2e-3
-
-
-@dataclass(frozen=True)
-class OverloadSpec:
-    """Parameters of one flash-crowd overload schedule (PROTOCOL.md §12).
-
-    Everything is expressed relative to ``sustainable_pps``, the
-    chain's measured capacity under :data:`OVERLOAD_COSTS`, so one
-    number recalibrates the whole scenario:
-
-    * the workload idles at ``base_frac`` of capacity, then a scripted
-      flash crowd multiplies it by ``flash_factor`` (default peak =
-      ``0.6 * 8 = 4.8x`` capacity -- comfortably past the 4x bar);
-    * admission budgets ``budget_frac`` of capacity -- deliberately
-      *above* 1.0 so the flash genuinely overloads the data plane and
-      brownout has something to do;
-    * the run must still deliver ``goodput_floor_frac`` of capacity
-      averaged end to end, and p99 latency is the SLO brownout acts on.
-    """
-
-    sustainable_pps: float = 20e3
-    base_frac: float = 0.6
-    budget_frac: float = 1.25
-    flash_factor: float = 8.0
-    flash_start_frac: float = 0.25
-    flash_duration_frac: float = 0.3
-    goodput_floor_frac: float = 0.25
-    p99_limit_us: float = 800.0
-    crash: bool = False
-    orchestrators: int = 1
-
-    def __post_init__(self):
-        if self.sustainable_pps <= 0:
-            raise ValueError("sustainable_pps must be positive")
-        if not 0.0 < self.base_frac <= 1.0:
-            raise ValueError("base_frac must be in (0, 1]")
-        if self.budget_frac <= 0:
-            raise ValueError("budget_frac must be positive")
-        if self.flash_factor < 1.0:
-            raise ValueError("flash_factor must be >= 1")
-        if not 0.0 <= self.flash_start_frac < 1.0:
-            raise ValueError("flash_start_frac must be in [0, 1)")
-        if not 0.0 < self.flash_duration_frac <= 1.0 - self.flash_start_frac:
-            raise ValueError("flash window must fit inside the schedule")
-        if not 0.0 <= self.goodput_floor_frac < 1.0:
-            raise ValueError("goodput_floor_frac must be in [0, 1)")
-        if self.p99_limit_us <= 0:
-            raise ValueError("p99_limit_us must be positive")
-        if self.orchestrators < 1:
-            raise ValueError("orchestrators must be >= 1")
-
-    @property
-    def peak_factor(self) -> float:
-        """Peak offered load as a multiple of sustainable capacity."""
-        return self.base_frac * self.flash_factor
-
-    @classmethod
-    def parse(cls, text: str) -> "OverloadSpec":
-        """Parse ``key=value`` pairs (CLI ``--overload``), e.g.
-        ``over=8,base=0.6,budget=1.25,floor=0.25,crash=1,orch=3``.
-
-        Keys: ``sustain`` (pps), ``base``/``budget``/``floor``
-        (fractions of capacity), ``over`` (flash multiplier),
-        ``start``/``dur`` (flash window, fractions of the schedule),
-        ``p99`` (us), ``crash`` (0/1), ``orch`` (ensemble size).
-        """
-        keymap = {"sustain": ("sustainable_pps", float),
-                  "base": ("base_frac", float),
-                  "budget": ("budget_frac", float),
-                  "over": ("flash_factor", float),
-                  "start": ("flash_start_frac", float),
-                  "dur": ("flash_duration_frac", float),
-                  "floor": ("goodput_floor_frac", float),
-                  "p99": ("p99_limit_us", float),
-                  "crash": ("crash", lambda v: bool(int(v))),
-                  "orch": ("orchestrators", int)}
-        kwargs: dict = {}
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise ValueError(f"expected key=value, got {part!r}")
-            key, _, value = part.partition("=")
-            key = key.strip().lower()
-            if key not in keymap:
-                raise ValueError(f"unknown overload key {key!r} "
-                                 f"(known: {', '.join(sorted(keymap))})")
-            field_name, convert = keymap[key]
-            try:
-                kwargs[field_name] = convert(value)
-            except ValueError as exc:
-                raise ValueError(
-                    f"bad value for {key!r}: {value!r}") from exc
-        return cls(**kwargs)
-
-    def describe(self) -> str:
-        parts = [f"sustain={self.sustainable_pps:g}pps",
-                 f"peak={self.peak_factor:g}x",
-                 f"budget={self.budget_frac:g}x",
-                 f"floor={self.goodput_floor_frac:g}x"]
-        if self.crash:
-            parts.append("crash=mid-flash")
-        if self.orchestrators > 1:
-            parts.append(f"orch={self.orchestrators}")
-        return " ".join(parts)
 
 
 @dataclass
@@ -381,62 +293,75 @@ def reconfig_scenario(seed: int, chain_length: int = 3, f: int = 1,
         context=(("schedule", index),))
 
 
+def describe_overload(crashes: bool = False, orchestrators: int = 1) -> str:
+    """The overload soak in one line, e.g. ``sustain=20000pps peak=4.8x
+    budget=1.25x floor=0.25x crash=mid-flash orch=3``."""
+    parts = [f"sustain={OVERLOAD_CAPACITY_PPS:g}pps",
+             f"peak={OVERLOAD_BASE * OVERLOAD_FLASH:g}x",
+             f"budget={OVERLOAD_BUDGET:g}x",
+             f"floor={OVERLOAD_FLOOR:g}x"]
+    if crashes:
+        parts.append("crash=mid-flash")
+    if orchestrators > 1:
+        parts.append(f"orch={orchestrators}")
+    return " ".join(parts)
+
+
 def overload_scenario(seed: int, chain_length: int = 3, f: int = 1,
-                      spec: Optional[OverloadSpec] = None,
+                      crashes: bool = False, orchestrators: int = 1,
                       duration_s: float = 120e-3,
                       heartbeat_interval_s: float = 1e-3,
                       index: int = 0) -> Scenario:
     """One flash-crowd overload schedule (PROTOCOL.md §12).
 
     The full overload stack is wired: a heavy-tailed prioritized
-    workload whose scripted flash crowd exceeds sustainable capacity by
-    ``spec.peak_factor`` (default 4.8x); admission control gating the
-    ingress against a backpressure bus spanning every bounded queue;
-    an SLO watchdog on windowed p99 latency driving a brownout
-    controller that throttles admission, coarsens sampling, and batches
-    feedback until pressure clears.
+    workload whose scripted flash crowd exceeds sustainable capacity
+    4.8x; admission control gating the ingress against a backpressure
+    bus spanning every bounded queue; an SLO watchdog on windowed p99
+    latency driving a brownout controller that throttles admission,
+    coarsens sampling, and batches feedback until pressure clears.
 
     The auditor proves the §12 invariants throughout (zero in-chain
     drops, queues within bounds, shed conservation and ordering,
     brownout journal 1:1) on top of §4/§5, and the schedule checks
-    end-to-end outcomes: goodput stays above the configured floor,
-    every admitted packet egresses exactly once (no-crash variant), and
-    brownout has fully exited at quiescence -- the drain lets it walk
-    its de-escalation ladder (4 clean ticks per level at the coarsened
+    end-to-end outcomes: goodput stays above the floor, every admitted
+    packet egresses exactly once (no-crash variant), and brownout has
+    fully exited at quiescence -- the drain lets it walk its
+    de-escalation ladder (4 clean ticks per level at the coarsened
     sampling interval).
 
-    ``spec.crash=True`` crashes a seed-drawn position mid-flash --
+    ``crashes=True`` crashes a seed-drawn position mid-flash --
     overload handling and failure recovery must coexist (the admitted
     == released assertion is waived; invariants are not).
-    ``spec.orchestrators > 1`` replaces the orchestrator with a
+    ``orchestrators > 1`` replaces the orchestrator with a
     leader-elected ensemble and journals every brownout transition
     through its write-ahead quorum journal.
     """
-    spec = spec or OverloadSpec()
-    flash = FlashCrowd(at_s=duration_s * spec.flash_start_frac,
-                       duration_s=duration_s * spec.flash_duration_frac,
-                       multiplier=spec.flash_factor)
+    flash = FlashCrowd(at_s=duration_s * OVERLOAD_FLASH_START,
+                       duration_s=duration_s * OVERLOAD_FLASH_DURATION,
+                       multiplier=OVERLOAD_FLASH)
     faults = ()
-    if spec.crash:
+    if crashes:
         faults = (FaultSpec(
             kind="crash", at_s=flash.at_s + flash.duration_s / 2,
             position=RandomStreams(seed).stream("overload-soak").randrange(
                 max(chain_length, f + 1))),)
     return Scenario(
         chain=monitors(chain_length), f=f, seed=seed, costs=OVERLOAD_COSTS,
-        duration_s=duration_s, orchestrators=spec.orchestrators,
+        duration_s=duration_s, orchestrators=orchestrators,
         heartbeat_interval_s=heartbeat_interval_s,
         workload=WorkloadSpec(
-            base_pps=spec.base_frac * spec.sustainable_pps,
+            base_pps=OVERLOAD_BASE * OVERLOAD_CAPACITY_PPS,
             flashes=(flash,), n_flows=32, n_classes=3),
-        admission_pps=spec.budget_frac * spec.sustainable_pps,
-        slo_p99_us=spec.p99_limit_us, faults=faults,
+        admission_pps=OVERLOAD_BUDGET * OVERLOAD_CAPACITY_PPS,
+        slo_p99_us=OVERLOAD_P99_US, faults=faults,
         audit_every_s=AUDIT_INTERVAL_S,
         checks=(("goodput-floor", "egress-duplicate")
-                + (() if spec.crash else ("egress-loss",))),
-        goodput_floor_pps=spec.goodput_floor_frac * spec.sustainable_pps,
+                + (() if crashes else ("egress-loss",))),
+        goodput_floor_pps=OVERLOAD_FLOOR * OVERLOAD_CAPACITY_PPS,
         drain_s=160e-3,
-        context=(("schedule", index), ("overload", spec.describe())))
+        context=(("schedule", index),
+                 ("overload", describe_overload(crashes, orchestrators))))
 
 
 def run_soak(scenarios: Sequence[Scenario], *, telemetry: bool = False,

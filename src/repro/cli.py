@@ -38,6 +38,9 @@ _EXPERIMENTS = ["table2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
                 "fig11", "fig12", "fig13", "ablations", "calibration",
                 "lossy", "ctrlplane", "reconfig", "overload"]
 
+#: The compared systems ``--system`` accepts (``build_system``).
+_SYSTEMS = ["nf", "ftc", "ftmb", "ftmb+snapshot"]
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -51,8 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def _chain_options(cmd):
         cmd.add_argument("--chain", default="monitor,monitor",
                          help="comma-separated middlebox kinds (see 'list')")
-        cmd.add_argument("--system", default="ftc",
-                         help="nf | ftc | ftmb | ftmb+snapshot | remote-store")
+        cmd.add_argument("--system", default="ftc", type=str.lower,
+                         choices=_SYSTEMS, help="compared system")
         cmd.add_argument("--rate", type=float, default=1e6,
                          help="offered load in packets/second")
         cmd.add_argument("--duration", type=float, default=0.01,
@@ -153,19 +156,15 @@ def _build_parser() -> argparse.ArgumentParser:
                             "remove) under traffic + lossy links and "
                             "audits zero-loss in-order egress "
                             "(PROTOCOL.md §11)")
-    chaos.add_argument("--reconfig-crashes", action="store_true",
-                       dest="reconfig_crashes",
-                       help="with --reconfig: also crash a replica "
-                            "mid-drain (zero-loss waived; every other "
-                            "invariant still audited)")
-    chaos.add_argument("--overload", nargs="?", const="", default=None,
-                       metavar="SPEC",
+    chaos.add_argument("--overload", action="store_true",
                        help="soak the overload stack instead: each "
-                            "schedule drives a flash-crowd workload "
+                            "schedule drives a flash crowd past capacity "
                             "through admission control + backpressure + "
-                            "brownout and audits the §12 invariants; "
-                            "SPEC tunes it, e.g. over=8,base=0.6,"
-                            "budget=1.25,floor=0.25,crash=1,orch=3")
+                            "brownout and audits the §12 invariants")
+    chaos.add_argument("--crashes", action="store_true",
+                       help="with --reconfig or --overload: also crash a "
+                            "replica mid-drain or mid-flash (zero-loss "
+                            "waived; every other invariant still audited)")
     chaos.add_argument("--flight", nargs="?", const="flight-dumps",
                        default=None, metavar="DIR",
                        help="record a flight log per schedule; an invariant "
@@ -211,7 +210,7 @@ def _cmd_list() -> int:
     print("middlebox kinds:")
     for kind in available():
         print(f"  {kind}")
-    print("\nsystems: nf, ftc, ftmb, ftmb+snapshot, remote-store")
+    print("\nsystems:", ", ".join(_SYSTEMS))
     print("\nexperiments:", ", ".join(_EXPERIMENTS))
     return 0
 
@@ -497,26 +496,21 @@ def _parse_int_list(text: str, option: str) -> List[int]:
 
 
 def _cmd_chaos(args) -> int:
-    from dataclasses import replace
     from functools import partial
 
-    from .chaos import (OverloadSpec, chaos_scenario, ctrlplane_scenario,
+    from .chaos import (chaos_scenario, ctrlplane_scenario,
                         impaired_scenario, overload_scenario,
                         reconfig_scenario, run_soak)
+    from .chaos.soak import describe_overload
     from .metrics import format_table
 
-    overload = impair = None
-    if args.overload is not None:
-        try:
-            overload = OverloadSpec.parse(args.overload)
-        except ValueError as err:
-            raise SystemExit(f"repro chaos: bad --overload: {err}")
+    impair = None
     if args.impair_data:
         impair = _parse_impairment(args.impair_data, "repro chaos")
     grid = [(n, f) for n in _parse_int_list(args.lengths, "--lengths")
             for f in _parse_int_list(args.f_values, "--f-values")]
     # A flag takes effect or is an error, never silently ignored.
-    modes = [flag for flag, on in (("--overload", overload),
+    modes = [flag for flag, on in (("--overload", args.overload),
                                    ("--reconfig", args.reconfig),
                                    ("--impair-data", impair)) if on]
     mode = modes[0] if modes else None
@@ -530,12 +524,13 @@ def _cmd_chaos(args) -> int:
              "--orch-faults needs --orchestrators >= 2 (no ensemble)"),
             (impair and orch > 1,
              "--impair-data and --orchestrators are separate soak modes"),
-            (args.reconfig_crashes and not args.reconfig,
-             "--reconfig-crashes needs --reconfig"),
+            (args.crashes and mode not in ("--reconfig", "--overload"),
+             "--crashes needs --reconfig or --overload"),
             (mode and (args.faults is not None or args.orch_faults),
              f"--faults and --orch-faults tune the monkey; {mode} has none"),
-            (overload and args.rate is not None,
-             "--rate has no effect under --overload (SPEC sets the load)"),
+            (args.overload and args.rate is not None,
+             "--rate has no effect under --overload (the soak sets the "
+             "load)"),
             (floor and args.duration is not None and args.duration < floor,
              f"{mode} needs --duration >= {floor}")]:
         if broken:
@@ -544,13 +539,12 @@ def _cmd_chaos(args) -> int:
     given = {name: value for name, value in (
         ("max_faults", args.faults), ("duration_s", args.duration),
         ("rate_pps", args.rate)) if value is not None}
-    if overload is not None:
-        if orch > 1 and overload.orchestrators == 1:
-            overload = replace(overload, orchestrators=orch)
-        kind = partial(overload_scenario, spec=overload)
-        print(f"overload soak: {overload.describe()}")
+    if args.overload:
+        kind = partial(overload_scenario, crashes=args.crashes,
+                       orchestrators=orch)
+        print(f"overload soak: {describe_overload(args.crashes, orch)}")
     elif args.reconfig:
-        kind = partial(reconfig_scenario, crashes=args.reconfig_crashes,
+        kind = partial(reconfig_scenario, crashes=args.crashes,
                        orchestrators=orch)
     elif impair is not None:
         kind = partial(impaired_scenario, **{
@@ -572,11 +566,12 @@ def _cmd_chaos(args) -> int:
         sc, stats = out.scenario, out.chain.channel_stats()
         extra = (f"{stats.get('retransmissions', 0)} retransmitted, "
                  if impair else "")
-        if overload is not None:
+        # An overload line names its ensemble in the soak's header.
+        if args.overload:
             extra += (f"{out.admission.shed} shed, "
                       f"{len(out.brownout.transitions)} brownout, "
                       f"{out.oracle.released / sc.duration_s:.0f}pps, ")
-        if orch > 1:
+        elif orch > 1:
             extra += (f"{len(out.ensemble.election_log)} elections, "
                       f"{out.ensemble.gate.fenced_commands} fenced, ")
         print(f"  schedule {dict(sc.context)['schedule']:3d} "

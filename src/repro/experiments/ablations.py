@@ -9,7 +9,7 @@ Three of the paper's design arguments, isolated:
   for a chain of n middleboxes at replication factor f+1.
 * **State piggybacking vs separate replication messages** (§3.2):
   separate messages consume NIC packet-engine slots exactly like
-  FTMB's PALs; the remote-store design adds round trips on top.
+  FTMB's PALs.
 """
 
 from __future__ import annotations
@@ -66,18 +66,14 @@ def run_piggybacking(n_threads: int = 8, seed: int = 0) -> ExperimentResult:
     chain = (mbox("monitor", name="mon", sharing_level=1,
                   n_threads=n_threads),)
     for label, kind in (("FTC (piggybacked)", "ftc"),
-                        ("Separate messages (FTMB-style)", "ftmb"),
-                        ("Remote state store", "remote-store")):
+                        ("Separate messages (FTMB-style)", "ftmb")):
         mpps = measure(saturation_throughput(
             kind, chain, threads=n_threads,
             seed=seed)).throughput.rate_mpps()
         latency = measure(latency_under_load(
-            kind, chain, rate_pps=2e6 if kind != "remote-store" else 2e5,
-            threads=n_threads, seed=seed)).latency.mean_us()
+            kind, chain, rate_pps=2e6, threads=n_threads,
+            seed=seed)).latency.mean_us()
         result.add(label, round(mpps, 2), round(latency, 1))
-    result.notes.append(
-        "Remote store latency measured at 0.2 Mpps (it saturates far "
-        "below 2 Mpps); its throughput is RTT-bound per state access.")
     return result
 
 

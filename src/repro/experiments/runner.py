@@ -54,10 +54,6 @@ class ExperimentResult:
     def add(self, *row) -> None:
         self.rows.append(row)
 
-    def column(self, name: str) -> List:
-        index = self.headers.index(name)
-        return [row[index] for row in self.rows]
-
     def render(self) -> str:
         text = format_table(self.headers, self.rows, title=self.experiment)
         if self.notes:

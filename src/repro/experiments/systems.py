@@ -39,10 +39,7 @@ def build_system(kind: str, sim: Simulator, middleboxes: Sequence[Middlebox],
                   seed=seed, net=net)
     if normalized == "nf":
         return baselines.NFChain(sim, middleboxes, **common)
-    if normalized in ("ftmb", "ftmb+snapshot", "ftmb+snap"):
+    if normalized in ("ftmb", "ftmb+snapshot"):
         return baselines.FTMBChain(sim, middleboxes,
                                    snapshots=normalized != "ftmb", **common)
-    if normalized in ("remote-store", "statelessnf"):
-        return baselines.RemoteStoreChain(sim, middleboxes, **common)
-    raise ValueError(f"unknown system {kind!r}; options: "
-                     f"{SYSTEMS + ['remote-store']}")
+    raise ValueError(f"unknown system {kind!r}; options: {SYSTEMS}")

@@ -4,8 +4,6 @@ from .._lazy import surface
 
 __getattr__, __dir__, __all__ = surface(__name__, {
     "meters": ("EgressRecorder", "LatencySampler", "ThroughputMeter"),
-    "reporting": ("format_series", "format_table"),
-    "stats": (
-        "cdf_points", "confidence_interval95", "mean", "percentile", "stdev",
-    ),
+    "reporting": ("format_table",),
+    "stats": ("confidence_interval95", "mean", "percentile", "stdev"),
 })

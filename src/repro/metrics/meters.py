@@ -14,7 +14,7 @@ from typing import List, Optional
 
 from ..net.packet import Packet
 from ..sim import Simulator
-from .stats import cdf_points, mean, percentile
+from .stats import mean, percentile
 
 __all__ = ["ThroughputMeter", "LatencySampler", "EgressRecorder"]
 
@@ -92,11 +92,6 @@ class LatencySampler:
         if not self.samples:
             return float("nan")
         return percentile(self.samples, q) * 1e6
-
-    def cdf_us(self, n_points: int = 100):
-        if not self.samples:
-            return []
-        return [(v * 1e6, frac) for v, frac in cdf_points(self.samples, n_points)]
 
 
 class EgressRecorder:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-__all__ = ["format_table", "format_series"]
+__all__ = ["format_table"]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence],
@@ -30,17 +30,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence],
     for row in rows:
         lines.append("  ".join(_fmt(cell).ljust(w)
                                for cell, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def format_series(name: str, xs: Sequence, ys: Sequence,
-                  x_label: str = "x", y_label: str = "y") -> str:
-    """Render one figure series as aligned x/y pairs."""
-    if len(xs) != len(ys):
-        raise ValueError("series length mismatch")
-    lines = [f"{name}  ({x_label} -> {y_label})"]
-    for x, y in zip(xs, ys):
-        lines.append(f"  {_fmt(x):>10}  {_fmt(y):>12}")
     return "\n".join(lines)
 
 

@@ -7,9 +7,9 @@ without numpy; the benchmark harness may still use numpy for speed.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
-__all__ = ["mean", "stdev", "percentile", "cdf_points", "confidence_interval95"]
+__all__ = ["mean", "stdev", "percentile", "confidence_interval95"]
 
 
 def mean(samples: Sequence[float]) -> float:
@@ -46,26 +46,6 @@ def percentile(samples: Sequence[float], q: float) -> float:
     # of 5e-324 round to zero), and a percentile must stay in range.
     value = ordered[low] * (1 - frac) + ordered[high] * frac
     return min(max(value, ordered[low]), ordered[high])
-
-
-def cdf_points(samples: Sequence[float],
-               n_points: int = 100) -> List[Tuple[float, float]]:
-    """(value, cumulative fraction) pairs for plotting a CDF."""
-    if not samples:
-        raise ValueError("cdf of empty sample set")
-    if n_points < 1:
-        raise ValueError(f"cdf needs n_points >= 1, got {n_points}")
-    ordered = sorted(samples)
-    total = len(ordered)
-    if n_points >= total:
-        return [(value, (i + 1) / total) for i, value in enumerate(ordered)]
-    if n_points == 1:
-        return [(ordered[-1], 1.0)]
-    points = []
-    for j in range(n_points):
-        idx = round(j * (total - 1) / (n_points - 1))
-        points.append((ordered[idx], (idx + 1) / total))
-    return points
 
 
 def confidence_interval95(samples: Sequence[float]) -> Tuple[float, float]:

@@ -8,5 +8,5 @@ __getattr__, __dir__, __all__ = surface(__name__, {
         "PRIORITY_URGENT", "Process", "SimulationError", "Simulator", "Timeout",
     ),
     "randomness": ("RandomStreams",),
-    "resources": ("CancelledError", "RateLimiter", "Resource", "Store"),
+    "resources": ("CancelledError", "RateLimiter", "Store"),
 })

@@ -138,10 +138,6 @@ class Event:
         self.sim._schedule(self, delay=delay)
         return self
 
-    def defuse(self) -> None:
-        """Mark a failed event as handled out-of-band."""
-        self._defused = True
-
     def cancel(self) -> None:
         """Withdraw a pending or in-flight event.
 
@@ -427,10 +423,6 @@ class Simulator:
         return event
 
     # -- execution -----------------------------------------------------------
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process exactly one event (cancelled events are discarded)."""

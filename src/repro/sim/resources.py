@@ -1,10 +1,8 @@
 """Queueing resources for the simulation engine.
 
-Three primitives cover every shared resource in the reproduction:
+Two primitives cover every shared resource in the reproduction:
 
 * :class:`Store` -- a FIFO buffer of items (packet queues, mailboxes).
-* :class:`Resource` -- a counted resource with request/release
-  semantics (CPU cores, lock-free slots).
 * :class:`RateLimiter` -- a deterministic serial server that spaces
   items by a service interval (NIC pps caps, link byte rates).
 
@@ -19,7 +17,7 @@ from typing import Any, Callable, Deque, Optional
 
 from .engine import Event, SimulationError, Simulator
 
-__all__ = ["Store", "Resource", "RateLimiter", "CancelledError"]
+__all__ = ["Store", "RateLimiter", "CancelledError"]
 
 
 class CancelledError(Exception):
@@ -131,43 +129,6 @@ class Store:
                     continue
                 getter.succeed(self.items.popleft())
                 progressed = True
-
-
-class Resource:
-    """A counted resource (e.g. CPU cores) with FIFO request queue."""
-
-    def __init__(self, sim: Simulator, capacity: int = 1, name: str = "resource"):
-        if capacity < 1:
-            raise SimulationError("resource capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self.users: list = []
-        self._waiters: Deque[_Waiter] = deque()
-
-    @property
-    def count(self) -> int:
-        return len(self.users)
-
-    def request(self, owner: Any = None) -> _Waiter:
-        event = _Waiter(self.sim, self, owner)
-        self._waiters.append(event)
-        self._dispatch()
-        return event
-
-    def release(self, request: _Waiter) -> None:
-        if request not in self.users:
-            raise SimulationError("releasing a request that does not hold the resource")
-        self.users.remove(request)
-        self._dispatch()
-
-    def _dispatch(self) -> None:
-        while self._waiters and len(self.users) < self.capacity:
-            waiter = self._waiters.popleft()
-            if waiter.triggered or waiter._cancelled:
-                continue
-            self.users.append(waiter)
-            waiter.succeed()
 
 
 class RateLimiter:

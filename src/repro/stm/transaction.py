@@ -127,13 +127,6 @@ class TransactionContext:
         self._touch(key)
         self.writes[key] = TOMBSTONE
 
-    def contains(self, key: Hashable) -> bool:
-        self._touch(key)
-        self.reads.add(key)
-        if key in self.writes:
-            return self.writes[key] is not TOMBSTONE
-        return key in self._store
-
 
 class TransactionResult:
     """Outcome of a committed packet transaction."""

@@ -1,8 +1,8 @@
-"""Tests for the NF, FTMB(+Snapshot), and remote-store baselines."""
+"""Tests for the NF and FTMB(+Snapshot) baselines."""
 
 import pytest
 
-from repro.baselines import FTMBChain, NFChain, RemoteStoreChain
+from repro.baselines import FTMBChain, NFChain
 from repro.core.costs import CostModel
 from repro.metrics import EgressRecorder
 from repro.middlebox import Firewall, Monitor, ch_n
@@ -137,23 +137,3 @@ class TestFTMBChain:
 
         assert tput(4) < 0.9 * tput(1)
 
-
-class TestRemoteStoreChain:
-    def test_delivers_all_packets(self):
-        _, chain, egress = run_chain(RemoteStoreChain, ch_n(2, n_threads=2),
-                                     rate=2e4, count=100, run_for=0.1)
-        assert chain.total_released() == 100
-
-    def test_round_trip_per_state_access(self):
-        _, chain, _ = run_chain(RemoteStoreChain, ch_n(1, n_threads=2),
-                                rate=2e4, count=100, run_for=0.1)
-        # Monitor: one read + one write key per packet = 2 ops.
-        assert chain.store_round_trips == 200
-
-    def test_far_slower_than_nf(self):
-        """§2.2: external state stores cost a round trip per access."""
-        _, _, nf = run_chain(NFChain, ch_n(1, n_threads=2),
-                             rate=2e4, count=100, run_for=0.1)
-        _, _, rs = run_chain(RemoteStoreChain, ch_n(1, n_threads=2),
-                             rate=2e4, count=100, run_for=0.1)
-        assert rs.latency.mean_us() > 2 * nf.latency.mean_us()

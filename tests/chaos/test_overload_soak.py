@@ -15,11 +15,11 @@ from repro.chaos import (
     OVERLOAD_FAULT_KINDS,
     FaultPlan,
     FaultSpec,
-    OverloadSpec,
     overload_scenario,
     run,
     run_soak,
 )
+from repro.chaos.soak import OVERLOAD_BASE, OVERLOAD_BUDGET, OVERLOAD_FLASH
 
 
 def run_overload_schedule(**params):
@@ -28,30 +28,8 @@ def run_overload_schedule(**params):
 
 class TestOverloadSpec:
     def test_defaults_exceed_four_x(self):
-        spec = OverloadSpec()
-        assert spec.peak_factor >= 4.0
-        assert spec.budget_frac > 1.0   # flash genuinely overloads
-
-    def test_parse_round_trip(self):
-        spec = OverloadSpec.parse(
-            "sustain=1e4, base=0.5, budget=1.5, over=10, start=0.2, "
-            "dur=0.3, floor=0.3, p99=500, crash=1, orch=3")
-        assert spec.sustainable_pps == 1e4
-        assert spec.peak_factor == pytest.approx(5.0)
-        assert spec.crash and spec.orchestrators == 3
-        assert "peak=5x" in spec.describe()
-        assert "crash=mid-flash" in spec.describe()
-
-    @pytest.mark.parametrize("text,match", [
-        ("base", "key=value"),
-        ("warp=9", "unknown overload key"),
-        ("over=loud", "bad value"),
-        ("base=2.0", "base_frac"),
-        ("start=0.9,dur=0.5", "flash window"),
-    ])
-    def test_parse_errors(self, text, match):
-        with pytest.raises(ValueError, match=match):
-            OverloadSpec.parse(text)
+        assert OVERLOAD_BASE * OVERLOAD_FLASH >= 4.0
+        assert OVERLOAD_BUDGET > 1.0   # flash genuinely overloads
 
     def test_overload_fault_kinds_registered(self):
         assert {"flash-crowd", "slow-middlebox", "queue-pressure"} <= set(
@@ -86,15 +64,13 @@ class TestOverloadSoak:
     def test_flash_crowd_with_crash(self):
         """Overload + middlebox crash mid-flash: failover under
         pressure still loses nothing inside the chain."""
-        spec = OverloadSpec(crash=True)
-        result = run_overload_schedule(seed=7, spec=spec)
+        result = run_overload_schedule(seed=7, crashes=True)
         assert result.violations == []
         assert len(result.failures) >= 1
         assert any(event.recovered for event in result.failures)
 
     def test_replicated_control_plane_journals_brownout(self):
-        spec = OverloadSpec(orchestrators=3)
-        result = run_overload_schedule(seed=11, spec=spec)
+        result = run_overload_schedule(seed=11, orchestrators=3)
         assert result.violations == []
         assert len(result.brownout.transitions) >= 2
 

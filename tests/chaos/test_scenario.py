@@ -6,7 +6,6 @@ import dataclasses
 import pytest
 
 from repro.chaos import (
-    OverloadSpec,
     Scenario,
     Step,
     chaos_scenario,
@@ -51,7 +50,7 @@ NAMED = {
     **{f"reconfig/{name}": lambda op=op: reconfig.point(op, 30e-3, 0)
        for name, op in reconfig.OPS},
     **{f"overload/{load}x":
-       lambda load=load: overload.point(load, 30e-3, 0, OverloadSpec())
+       lambda load=load: overload.point(load, 30e-3, 0)
        for load in (1.0, 4.0)},
     **{f"saturation/{system}": lambda system=system: saturation_throughput(
         system, monitors(2, n_threads=2), threads=2, **_WINDOW)
@@ -64,7 +63,7 @@ NAMED = {
         flows=16, htm=True, **_WINDOW),
     **{f"latency/{system}": lambda system=system: latency_under_load(
         system, monitors(2, n_threads=1), rate_pps=5e5, threads=1, **_WINDOW)
-       for system in ("nf", "ftc", "ftmb", "remote-store")},
+       for system in ("nf", "ftc", "ftmb")},
     "cli/run": lambda: cli("run", "--chain", "firewall,monitor,simplenat",
                            "--duration", "0.004", "--threads", "2"),
     "cli/fail-at": lambda: cli("run", "--rate", "2e5", "--duration", "0.008",
@@ -127,7 +126,7 @@ _FTC_ONLY_VALUES = {
 def test_a_non_ftc_scenario_rejects_each_ftc_only_field(name):
     given = {name: _FTC_ONLY_VALUES[name]}
     Scenario(chain=monitors(2), duration_s=1e-3, **given)
-    for system in ("nf", "ftmb", "ftmb+snapshot", "remote-store"):
+    for system in ("nf", "ftmb", "ftmb+snapshot"):
         with pytest.raises(ValueError, match=f"{name} need system ftc"):
             Scenario(system=system, chain=monitors(2), duration_s=1e-3,
                      **given)

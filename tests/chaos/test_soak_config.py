@@ -3,7 +3,7 @@ and the error names the flags involved, in flag wording."""
 
 import pytest
 
-from repro.chaos import OverloadSpec, overload_scenario, run_soak
+from repro.chaos import overload_scenario, run_soak
 from repro.cli import main
 
 #: id, the flags, the flags the error names.
@@ -15,8 +15,9 @@ REJECTED = [
      ["--impair-data", "--orchestrators"]),
     ("reconfig+impair_data", ["--reconfig", "--impair-data", "drop=0.05"],
      ["--reconfig", "--impair-data"]),
-    ("reconfig_crashes", ["--reconfig-crashes"],
-     ["--reconfig-crashes", "--reconfig"]),
+    ("crashes", ["--crashes"], ["--crashes", "--reconfig", "--overload"]),
+    ("impair_data+crashes", ["--impair-data", "drop=0.05", "--crashes"],
+     ["--crashes", "--reconfig", "--overload"]),
     ("overload+impair_data", ["--overload", "--impair-data", "drop=0.05"],
      ["--overload", "--impair-data"]),
     ("overload+reconfig", ["--overload", "--reconfig"],
@@ -63,11 +64,7 @@ def test_overload_honours_orchestrators_through_the_api(capsys):
                  "--orchestrators", "3"]) == 0
     printed = capsys.readouterr().out
     soak = run_soak([overload_scenario(
-        seed=0, chain_length=3, f=1, spec=OverloadSpec(orchestrators=3))])
+        seed=0, chain_length=3, f=1, orchestrators=3)])
     assert soak.ok, soak.summary()
     assert len(soak.runs[0].ensemble.election_log) > 0
     assert "orch=3" in printed and soak.summary() in printed
-    # An explicit ensemble size in the spec wins over the soak-wide one.
-    assert main(["chaos", "--schedules", "0", "--overload", "orch=5",
-                 "--orchestrators", "3"]) == 0
-    assert "orch=5" in capsys.readouterr().out

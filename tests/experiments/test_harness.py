@@ -12,11 +12,11 @@ from repro.sim import Simulator
 
 
 class TestExperimentResult:
-    def test_add_and_column(self):
+    def test_add_appends_rows(self):
         result = ExperimentResult("X", headers=["a", "b"])
         result.add(1, 2)
         result.add(3, 4)
-        assert result.column("b") == [2, 4]
+        assert result.rows == [(1, 2), (3, 4)]
 
     def test_render_includes_title_and_notes(self):
         result = ExperimentResult("Title", headers=["a"])
@@ -27,8 +27,7 @@ class TestExperimentResult:
 
 
 class TestBuildSystem:
-    @pytest.mark.parametrize("kind", ["nf", "FTC", "ftmb", "FTMB+Snapshot",
-                                      "remote-store"])
+    @pytest.mark.parametrize("kind", ["nf", "FTC", "ftmb", "FTMB+Snapshot"])
     def test_known_kinds(self, kind):
         sim = Simulator()
         system = build_system(kind, sim, ch_n(2, n_threads=2),

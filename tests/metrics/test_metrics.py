@@ -7,9 +7,7 @@ from repro.metrics import (
     EgressRecorder,
     LatencySampler,
     ThroughputMeter,
-    cdf_points,
     confidence_interval95,
-    format_series,
     format_table,
     mean,
     percentile,
@@ -55,18 +53,6 @@ class TestStats:
     def test_percentile_within_data_range(self, data):
         for q in (0, 25, 50, 75, 100):
             assert min(data) <= percentile(data, q) <= max(data)
-
-    def test_cdf_points_monotone(self):
-        points = cdf_points([3, 1, 2, 5, 4], n_points=5)
-        values = [v for v, _ in points]
-        fracs = [f for _, f in points]
-        assert values == sorted(values)
-        assert fracs[-1] == 1.0
-        assert all(0 < f <= 1 for f in fracs)
-
-    def test_cdf_subsampling(self):
-        points = cdf_points(list(range(1000)), n_points=10)
-        assert len(points) == 10
 
     def test_confidence_interval(self):
         center, half = confidence_interval95([10.0] * 20)
@@ -152,14 +138,6 @@ class TestLatencySampler:
         sim.run()
         assert len(sampler) == 1
 
-    def test_cdf_in_microseconds(self):
-        sim = Simulator()
-        sampler = LatencySampler(sim)
-        sampler.samples = [1e-6, 2e-6, 3e-6]
-        points = sampler.cdf_us()
-        assert points[-1] == (3.0, 1.0)
-
-
 class TestEgressRecorder:
     def test_combines_meters(self):
         sim = Simulator()
@@ -182,17 +160,6 @@ class TestFormatting:
     def test_format_table_row_width_check(self):
         with pytest.raises(ValueError):
             format_table(["a"], [[1, 2]])
-
-    def test_format_series(self):
-        text = format_series("s", [1, 2], [10.5, 20.25],
-                             x_label="x", y_label="y")
-        assert "s" in text
-        assert "10.5" in text
-
-    def test_format_series_length_mismatch(self):
-        with pytest.raises(ValueError):
-            format_series("s", [1], [1, 2])
-
 
 class TestWarmupWindowReset:
     """start_window must forget *everything* about warm-up traffic."""
@@ -232,19 +199,6 @@ class TestPercentileEdges:
         assert percentile(data, 100) == 9.0
 
 
-class TestCdfEdges:
-    def test_n_points_one(self):
-        points = cdf_points(list(range(10)), n_points=1)
-        assert points == [(9, 1.0)]
-
-    def test_n_points_zero_rejected(self):
-        with pytest.raises(ValueError):
-            cdf_points([1.0, 2.0], n_points=0)
-
-    def test_single_sample(self):
-        assert cdf_points([7.0], n_points=5) == [(7.0, 1.0)]
-
-
 class TestEmptySamplerGuards:
     def test_mean_and_percentile_nan(self):
         import math
@@ -253,8 +207,3 @@ class TestEmptySamplerGuards:
         sampler = LatencySampler(sim)
         assert math.isnan(sampler.mean_us())
         assert math.isnan(sampler.percentile_us(99))
-
-    def test_cdf_empty(self):
-        sim = Simulator()
-        sampler = LatencySampler(sim)
-        assert sampler.cdf_us() == []

@@ -302,17 +302,6 @@ def test_schedule_callback_runs_at_time():
     assert hits == [2.5]
 
 
-def test_peek_reports_next_event_time():
-    sim = Simulator()
-    sim.timeout(7)
-    assert sim.peek() == 7.0
-
-
-def test_peek_empty_queue_is_inf():
-    sim = Simulator()
-    assert sim.peek() == float("inf")
-
-
 def test_step_without_events_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):

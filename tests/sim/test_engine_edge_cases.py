@@ -10,7 +10,7 @@ class TestFailurePlumbing:
         sim = Simulator()
         event = sim.event()
         event.fail(ValueError("handled elsewhere"))
-        event.defuse()
+        event._defused = True  # handled out of band
         sim.run()  # no raise
 
     def test_condition_failure_propagates_to_waiter(self):

@@ -1,9 +1,9 @@
-"""Unit tests for Store, Resource, and RateLimiter."""
+"""Unit tests for Store and RateLimiter."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import (CancelledError, Interrupt, RateLimiter, Resource,
+from repro.sim import (CancelledError, Interrupt, RateLimiter,
                        SimulationError, Simulator, Store)
 from repro.sim.resources import _Waiter
 
@@ -135,60 +135,6 @@ class TestStore:
         sim = Simulator()
         with pytest.raises(SimulationError):
             Store(sim, capacity=0)
-
-
-class TestResource:
-    def test_capacity_limits_concurrency(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=2)
-        active_log = []
-
-        def worker(sim, tag):
-            req = res.request()
-            yield req
-            active_log.append((tag, "start", sim.now, res.count))
-            yield sim.timeout(10)
-            res.release(req)
-
-        for tag in range(4):
-            sim.process(worker(sim, tag))
-        sim.run()
-        starts = [entry[2] for entry in active_log]
-        assert starts == [0, 0, 10, 10]
-        assert all(entry[3] <= 2 for entry in active_log)
-
-    def test_release_unowned_rejected(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        fake = res.request()
-        sim.run()
-        res.release(fake)
-        with pytest.raises(SimulationError):
-            res.release(fake)
-
-    def test_cancel_waiting_request(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        held = res.request()
-        sim.run()
-        assert held.triggered
-
-        waiting = res.request()
-        waiting.cancel()
-        outcomes = []
-
-        def proc(sim):
-            try:
-                yield waiting
-            except CancelledError:
-                outcomes.append("cancelled")
-
-        sim.process(proc(sim))
-        sim.run()
-        assert outcomes == ["cancelled"]
-        # Releasing must not grant to the cancelled waiter.
-        res.release(held)
-        assert res.count == 0
 
 
 class TestRateLimiter:

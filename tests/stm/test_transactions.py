@@ -65,23 +65,12 @@ class TestBasicSemantics:
 
         def body(ctx):
             ctx.delete("k")
-            return ctx.contains("k")
+            return ctx.read("k", "absent")
 
         result = run_tx(sim, manager, body)
-        assert result.value is False
+        assert result.value == "absent"
         assert "k" not in manager.store
         assert result.wrote  # deletion must appear in the piggyback log
-
-    def test_contains_on_store_value(self):
-        sim = Simulator()
-        manager = _manager(sim)
-        manager.store.apply("present", 0)
-
-        def body(ctx):
-            return (ctx.contains("present"), ctx.contains("absent"))
-
-        result = run_tx(sim, manager, body)
-        assert result.value == (True, False)
 
     def test_hold_time_elapses(self):
         sim = Simulator()

@@ -80,6 +80,18 @@ class TestRun:
                   if line.startswith(f"{kind}0 ")]
         assert row[1] == create(kind).describe() == DESCRIBED[kind]
 
+    @pytest.mark.parametrize("system", ["bogus", "remote-store"])
+    def test_unknown_system_is_a_usage_error(self, system, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--system", system, "--duration", "0.001"])
+        assert err.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_system_is_case_insensitive(self, capsys):
+        assert main(["run", "--system", "NF", "--rate", "1e5",
+                     "--duration", "0.001", "--threads", "2"]) == 0
+        assert "NF chain" in capsys.readouterr().out
+
     def test_unknown_middlebox_kind(self):
         with pytest.raises(ValueError):
             main(["run", "--chain", "nonexistent", "--system", "ftc",

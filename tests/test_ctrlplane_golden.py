@@ -39,7 +39,6 @@ def _scenarios() -> dict:
     from repro.chaos.plan import FaultSpec
     from repro.chaos.soak import (
         SOAK_COSTS,
-        OverloadSpec,
         ctrlplane_scenario,
         overload_scenario,
         reconfig_scenario,
@@ -51,7 +50,7 @@ def _scenarios() -> dict:
         "reconfig-orch3": reconfig_scenario(0, orchestrators=3),
         "reconfig-crashes": reconfig_scenario(0, crashes=True),
         "overload-crash-orch3": overload_scenario(
-            0, spec=OverloadSpec.parse("crash=1,orch=3")),
+            0, crashes=True, orchestrators=3),
         # Two members of one f=1 group crash together: the leader
         # journals ``abandoned`` and the chain degrades.
         "abandoned-ch3": Scenario(

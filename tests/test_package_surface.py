@@ -38,7 +38,7 @@ PARENT_SURFACE = {
             "AllOf AnyOf Event Interrupt PRIORITY_NORMAL PRIORITY_URGENT "
             "Process SimulationError Simulator Timeout",
         "repro.sim.randomness": "RandomStreams",
-        "repro.sim.resources": "CancelledError RateLimiter Resource Store",
+        "repro.sim.resources": "CancelledError RateLimiter Store",
     },
     "repro.stm": {
         "repro.stm.locks": "LockStats PartitionLock TransactionWounded",
@@ -80,9 +80,8 @@ PARENT_SURFACE = {
     "repro.metrics": {
         "repro.metrics.meters":
             "EgressRecorder LatencySampler ThroughputMeter",
-        "repro.metrics.reporting": "format_series format_table",
-        "repro.metrics.stats":
-            "cdf_points confidence_interval95 mean percentile stdev",
+        "repro.metrics.reporting": "format_table",
+        "repro.metrics.stats": "confidence_interval95 mean percentile stdev",
     },
     "repro.core": {
         "repro.core.admission":
@@ -132,7 +131,7 @@ PARENT_SURFACE = {
             "RECONFIG_FAULT_KINDS",
         "repro.chaos.scenario": "CHECKS Monkey Run Scenario Step run",
         "repro.chaos.soak":
-            "OverloadSpec SoakResult chaos_scenario ctrlplane_scenario "
+            "SoakResult chaos_scenario ctrlplane_scenario "
             "impaired_scenario overload_scenario reconfig_scenario "
             "run_soak",
     },
@@ -163,7 +162,6 @@ PARENT_SURFACE = {
     "repro.baselines": {
         "repro.baselines.ftmb": "FTMBChain",
         "repro.baselines.nf": "NFChain",
-        "repro.baselines.remote_store": "RemoteStoreChain",
     },
     "repro.experiments": {
         "repro.experiments.ablations": "",
