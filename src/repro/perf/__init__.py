@@ -1,19 +1,15 @@
 """Counted performance observability (PROTOCOL.md §13).
 
-Three layers, used together by ``repro perf``:
-
 * :mod:`.profiler` -- :class:`StageProfiler`, per-stage call counts for
   the hot path;
-* :mod:`.scenarios` / :mod:`.bench` -- the scenario benchmark suite
-  emitting schema-versioned ``BENCH_<scenario>.json`` reports of exact
-  counts;
-* :mod:`.compare` -- the exact gate CI runs against committed
-  baselines.
+* :mod:`.scenarios` -- six scenarios where per-packet work differs
+  structurally; the data-path golden pins their counts;
+* :mod:`.counters` -- queue-depth counter tracks for a Chrome trace;
+* :mod:`.cli` -- ``repro perf profile``.
 
 Host time is not measured here: ftcbench times the chain from outside.
-Nothing is imported until a name is read: ``compare`` (the CI gate)
-loads without the simulator, and a run with profiling off never loads
-:mod:`.profiler` either (stages are counted through the enabled
+Nothing is imported until a name is read, so a run with profiling off
+never loads :mod:`.profiler` (stages are counted through the enabled
 telemetry bundle only).
 """
 
@@ -21,6 +17,4 @@ from .._lazy import surface
 
 __getattr__, __dir__, __all__ = surface(__name__, {
     "profiler": ("STAGES", "StageProfiler"),
-    "compare": ("compare_dirs", "compare_reports", "load_reports",
-                "render_markdown"),
 })

@@ -1,4 +1,4 @@
-"""The scenario benchmark suite (PROTOCOL.md §13.2).
+"""Perfscope's six scenarios (PROTOCOL.md §13.2).
 
 Each scenario is a :class:`~repro.chaos.scenario.Scenario` -- the same
 kind of FTC chain the protocol tests exercise, a fixed-seed workload
@@ -21,8 +21,8 @@ Every run carries a :class:`~repro.chaos.ShadowOracle` on its egress
 and ends with the quiescent invariant audit and its steps'
 post-conditions; a run that is not clean raises instead of returning a
 result, so a speedup that breaks an invariant cannot post a number.
-There is no *scheduled* audit: an audit is an engine event and stage
-call counts are gated exactly (§13.3).
+There is no *scheduled* audit: an audit is an engine event, and the
+data-path golden pins every scenario's events and stage calls exactly.
 
 A ``profiler``, when given, is installed on both the simulator
 (``engine/dispatch``) and the chain's telemetry bundle (every other
@@ -30,7 +30,8 @@ stage), so per-stage counts come from the same run as the results.
 
 Determinism: for a given (scenario, seed, quick) the outcome --
 offered, released, events and per-stage call counts -- is exactly
-reproducible.
+reproducible; ``tests/test_datapath_golden.py`` pins it for quick mode,
+seed 0.
 """
 
 from __future__ import annotations
@@ -86,34 +87,6 @@ def scenario_names():
     return list(SCENARIOS)
 
 
-def _config(sc: Scenario) -> Dict:
-    """The BENCH report's ``config`` block, read off the scenario."""
-    config: Dict = {"chain": f"ch{len(sc.chain)}", "f": sc.f}
-    if sc.workload is None:
-        config["rate_pps"] = sc.rate_pps
-    else:
-        config["base_pps"] = sc.workload.base_pps
-    config["duration_s"] = sc.duration_s
-    if sc.reliable_links:
-        config["reliable_links"] = True
-    if sc.impair is not None:
-        config["impairment"] = "drop={:g},dup={:g},reorder={:g}," \
-                               "corrupt={:g}".format(*sc.impair)
-    if sc.orchestrators:
-        config["orchestrators"] = sc.orchestrators
-    for step in sc.steps:
-        if step.op is None:
-            config["fail_position"] = step.crash
-            config["t_fail_s"] = step.at_s
-        else:
-            config["op"] = (f"{step.op.kind}@{step.op.position}->"
-                            f"{step.op.n_threads}threads")
-    if sc.workload is not None:
-        config["flash_multiplier"] = sc.workload.flashes[0].multiplier
-        config["admission_pps"] = sc.admission_pps
-    return config
-
-
 def run_scenario(name: str, seed: int = 0, quick: bool = False,
                  profiler=None, telemetry=None, on_start=None) -> Dict:
     """Run one scenario; returns its result dict.
@@ -132,7 +105,6 @@ def run_scenario(name: str, seed: int = 0, quick: bool = False,
     out = run(sc, telemetry=telemetry, profiler=profiler,
               on_start=on_start).checked()
     result = {
-        "config": _config(sc),
         "offered": out.generator.sent,
         "released": out.egress.count,
         "events": out.sim._eid,

@@ -1,7 +1,8 @@
-"""Bench suite: schema, determinism, and the zero-perturbation pledge."""
+"""Perfscope's scenarios: registry, determinism, the zero-perturbation
+pledge and the audited run (their exact counts are data-path golden
+cases, ``tests/test_datapath_golden.py``)."""
 
 import dataclasses
-import json
 import time
 
 import pytest
@@ -9,12 +10,6 @@ import pytest
 from repro.chaos import run
 from repro.core import FTCChain
 from repro.perf import StageProfiler
-from repro.perf.bench import (
-    SCHEMA_VERSION,
-    bench_scenario,
-    env_metadata,
-    write_report,
-)
 from repro.perf.scenarios import (
     QUICK_DURATION_S,
     RATE_PPS,
@@ -52,45 +47,6 @@ class TestDeterminism:
         profiled = run_scenario("baseline", seed=1, quick=True,
                                 profiler=StageProfiler())
         assert plain == profiled
-
-
-class TestBenchScenario:
-    @pytest.fixture(scope="class")
-    def report(self):
-        return bench_scenario("baseline", seed=0, quick=True)
-
-    def test_schema_fields(self, report):
-        assert report["schema_version"] == SCHEMA_VERSION
-        assert report["scenario"] == "baseline"
-        for key in ("python", "platform", "git_sha", "seed", "quick"):
-            assert key in report["env"]
-        results = report["results"]
-        assert results["released"] > 0
-        assert results["events"] > results["released"]
-        assert "config" not in results
-
-    def test_stage_breakdown_present(self, report):
-        stages = report["stages"]
-        assert "engine/dispatch" in stages
-        assert "stm/commit" in stages
-        entry = stages["stm/commit"]
-        assert set(entry) == {"calls", "calls_per_packet"}
-        assert entry["calls"] > 0
-
-    def test_report_is_json_serializable(self, report):
-        json.dumps(report)
-
-    def test_write_report_filename(self, report, tmp_path):
-        path = write_report(report, str(tmp_path))
-        assert path.endswith("BENCH_baseline.json")
-        assert json.load(open(path))["scenario"] == "baseline"
-
-
-class TestEnvMetadata:
-    def test_carries_seed_and_quick(self):
-        env = env_metadata(seed=7, quick=True)
-        assert env["seed"] == 7 and env["quick"] is True
-        assert env["implementation"] == "CPython"
 
 
 class TestScenarioShapes:

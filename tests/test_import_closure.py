@@ -123,8 +123,6 @@ ENTRY_POINTS = {
     "`from repro.sim import Simulator`": "from repro.sim import Simulator",
     "ftcbench `WORKLOAD_SYMBOLS` (`setup_s`)": WORKLOAD_SYMBOLS,
     "`FTCChain` + `Simulator` + `ch_n` + generator + recorder": BARE_CHAIN,
-    "`from repro.perf import compare_dirs` (CI gate)":
-        "from repro.perf import compare_dirs",
     "`python -m repro --help`": _cli("--help"),
 }
 
@@ -152,7 +150,7 @@ def test_importing_the_simulator_loads_the_simulator():
 OFF_THE_BENCHMARK_PATH = (
     [f"repro.chaos.{m}" for m in ("soak", "scenario", "plan", "monkey")]
     + [f"repro.flight.{m}" for m in ("explain", "report", "slo")]
-    + [f"repro.perf.{m}" for m in ("compare", "bench", "scenarios", "cli")]
+    + [f"repro.perf.{m}" for m in ("scenarios", "cli")]
     + [f"repro.orchestration.{m}" for m in ("brownout", "cloud", "placement")]
     + ["repro.experiments", "repro.baselines", "repro.cli"])
 
@@ -197,11 +195,9 @@ def test_nothing_is_first_imported_inside_a_failover_run():
 def test_commands_that_need_no_simulator_do_not_compile_it(tmp_path):
     dump = tmp_path / "flight.json"
     dump.write_text(json.dumps({"version": 1, "events": [], "trips": []}))
-    baselines = str(ROOT / "benchmarks" / "baselines")
     for argv in (("--help",), ("report", "--help"),
                  ("explain", str(dump), "--epoch", "1"),
-                 ("perf", "compare", "--baseline-dir", baselines,
-                  "--current-dir", baselines)):
+                 ("perf", "profile", "--help")):
         got = closure(_cli(*argv))
         assert "repro.cli" in got["modules"]
         assert _under(["repro.sim", "repro.stm", "repro.net", "repro.core"],

@@ -147,8 +147,6 @@ PARENT_SURFACE = {
     },
     "repro.perf": {
         "repro.perf.profiler": "STAGES StageProfiler",
-        "repro.perf.compare":
-            "compare_dirs compare_reports load_reports render_markdown",
     },
     "repro.telemetry": {
         "repro.telemetry.registry": "Histogram MetricRegistry",
