@@ -31,7 +31,7 @@ from ..experiments.systems import build_system
 from ..flight.slo import SLOObjective, SLOWatchdog
 from ..metrics.meters import EgressRecorder
 from ..metrics.stats import percentile
-from ..middlebox.registry import create
+from ..middlebox.registry import available, create
 from ..net import TrafficGenerator, balanced_flows
 from ..net.flowgen import WorkloadGenerator, WorkloadSpec
 from ..orchestration import (
@@ -182,6 +182,7 @@ class Scenario:
         if ftc_fields and not self.ftc:
             raise ValueError(f"{', '.join(ftc_fields)} need system ftc "
                              f"(got {self.system})")
+        positions = range(max(len(self.chain), self.f + 1))
         for step in self.steps:
             actions = [step.crash, step.op, step.recover]
             expects = (("committed", "terminal") if step.op is not None
@@ -193,6 +194,20 @@ class Scenario:
             if step.recover is not None and self.orchestrators:
                 raise ValueError(f"{step}: recover steps need "
                                  "orchestrators=0")
+            if {step.crash, step.recover} - {None, *positions}:
+                raise ValueError(f"{step}: the chain has positions "
+                                 f"0..{len(positions) - 1}")
+        kinds = available()
+        for kind, _ in self.chain:
+            if kind not in kinds:
+                raise ValueError(f"unknown middlebox kind {kind!r}; "
+                                 f"available: {kinds}")
+        if self.threads < 1 or self.flows < 1:
+            raise ValueError(f"threads and flows must be >= 1 (got "
+                             f"{self.threads} and {self.flows})")
+        if self.workload is None and not self.rate_pps > 0:
+            raise ValueError(f"rate must be > 0 packets/second without a "
+                             f"workload (got {self.rate_pps:g})")
 
 
 @dataclass
