@@ -19,8 +19,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..middlebox.base import Middlebox
 from ..net.channel import DATA_RETRY_POLICY, ReliableChannel
 from ..net.packet import Packet
+from ..net.retry import call_with_deadline
 from ..net.topology import Network
-from ..sim import AnyOf, RandomStreams, RateLimiter, Simulator
+from ..sim import RandomStreams, RateLimiter, Simulator
 from ..telemetry import NULL_TELEMETRY
 from .buffer import Buffer
 from .costs import CostModel, DEFAULT_COSTS
@@ -416,16 +417,10 @@ class FTCChain:
             state = pred_replica.states.get(mbox_name)
             return state.unpruned_logs() if state is not None else []
 
-        call = self.net.control_call(
-            self.route[position], self.route[pred], handler,
-            response_bytes=4096)
-        deadline = self.sim.timeout(CONTROL_TIMEOUT_S)
-        yield AnyOf(self.sim, [call, deadline])
-        if call.processed and call.ok:
-            deadline.cancel()
-            return call.value or []
-        call.cancel()
-        return []
+        _, logs = yield from call_with_deadline(
+            self.net, self.route[position], self.route[pred], handler,
+            CONTROL_TIMEOUT_S, response_bytes=4096)
+        return logs or []
 
     # -- failure injection --------------------------------------------------------------
 

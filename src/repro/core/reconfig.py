@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..sim import AnyOf
+from ..net.retry import call_with_deadline
 from .fencing import StaleConfigError
 from .recovery import _install_state
 from .replica import Replica
@@ -370,16 +370,13 @@ def _fetch_state(chain, report: ReconfigReport, state, mbox_name: str,
                     3.0 * response_bytes * 8.0 / chain.costs.bandwidth_bps)
     exports = []
     for dst_name in dst_names:
-        call = chain.net.control_call(dst_name, src_name, state.export_state,
-                                      response_bytes=response_bytes)
-        deadline = chain.sim.timeout(timeout_s)
-        yield AnyOf(chain.sim, [call, deadline])
-        if not (call.processed and call.ok):
-            call.cancel()
+        ok, export = yield from call_with_deadline(
+            chain.net, dst_name, src_name, state.export_state, timeout_s,
+            response_bytes=response_bytes)
+        if not ok:
             raise ReconfigError(
                 f"state transfer of {mbox_name} from {src_name} timed out")
-        deadline.cancel()
-        exports.append(call.value)
+        exports.append(export)
         report.bytes_transferred += size
     return exports
 

@@ -22,7 +22,8 @@ from typing import Any, Callable
 
 from ..sim import AnyOf
 
-__all__ = ["RetryPolicy", "CallResult", "reliable_call", "DEFAULT_RETRY_POLICY"]
+__all__ = ["RetryPolicy", "CallResult", "call_with_deadline", "reliable_call",
+           "DEFAULT_RETRY_POLICY"]
 
 
 @dataclass(frozen=True)
@@ -72,15 +73,33 @@ class CallResult:
         return max(0, self.attempts - 1)
 
 
+def call_with_deadline(net, src: str, dst: str,
+                       handler: Callable[[], object], deadline_s: float,
+                       payload_bytes: int = 256, response_bytes: int = 256):
+    """Generator (use with ``yield from``): one control call raced
+    against a deadline; ``(True, value)``, or ``(False, None)`` when the
+    deadline fires first.  The losing event is cancelled, so neither a
+    stale deadline nor a late response fires into the void."""
+    sim = net.sim
+    call = net.control_call(src, dst, handler, payload_bytes=payload_bytes,
+                            response_bytes=response_bytes)
+    deadline = sim.timeout(deadline_s)
+    yield AnyOf(sim, [call, deadline])
+    if call.processed and call.ok:
+        deadline.cancel()
+        return True, call.value
+    call.cancel()
+    return False, None
+
+
 def reliable_call(net, src: str, dst: str, handler: Callable[[], object],
                   policy: RetryPolicy = DEFAULT_RETRY_POLICY,
                   payload_bytes: int = 256, response_bytes: int = 256,
                   rng=None):
     """Generator (use with ``yield from``): a control call that retries.
 
-    Each attempt races the RPC against an RTT-aware deadline; the
-    losing event is cancelled so neither a stale deadline nor a late
-    response fires into the void.  Returns a :class:`CallResult` --
+    Each attempt is a :func:`call_with_deadline` with an RTT-aware
+    deadline.  Returns a :class:`CallResult` --
     ``ok=False`` after ``max_attempts`` timeouts, so a dead peer or a
     fully partitioned control plane costs bounded time, never a hang.
     """
@@ -88,18 +107,14 @@ def reliable_call(net, src: str, dst: str, handler: Callable[[], object],
     transfer = (payload_bytes + response_bytes) * 8.0 / net.control_bandwidth_bps
     for attempt in range(1, policy.max_attempts + 1):
         rtt = net.control_rtt(src, dst)
-        call = net.control_call(src, dst, handler,
-                                payload_bytes=payload_bytes,
-                                response_bytes=response_bytes)
-        deadline = sim.timeout(policy.deadline_s(rtt, transfer))
-        yield AnyOf(sim, [call, deadline])
-        if call.processed and call.ok:
-            deadline.cancel()
+        ok, value = yield from call_with_deadline(
+            net, src, dst, handler, policy.deadline_s(rtt, transfer),
+            payload_bytes, response_bytes)
+        if ok:
             if attempt > 1:
                 net.control_retries += attempt - 1
                 net.meter("net/control_retries", "control_retries")
-            return CallResult(ok=True, value=call.value, attempts=attempt)
-        call.cancel()
+            return CallResult(ok=True, value=value, attempts=attempt)
         if attempt < policy.max_attempts:
             yield sim.timeout(policy.backoff_s(attempt, rng))
     net.control_retries += policy.max_attempts - 1

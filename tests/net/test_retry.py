@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.net import Network, RetryPolicy, reliable_call
+from repro.net.retry import call_with_deadline
 from repro.sim import Simulator
 
 
@@ -51,6 +52,38 @@ class TestRetryPolicy:
         policy = RetryPolicy(timeout_s=2e-3, rtt_multiplier=3.0)
         assert policy.deadline_s(0.0, 0.0) == pytest.approx(2e-3)
         assert policy.deadline_s(49.5e-3, 0.0) == pytest.approx(148.5e-3)
+
+
+class TestCallWithDeadline:
+    """One attempt, no retry and no counters: what the retained-log
+    fetch and the reconfiguration state transfer use."""
+
+    def _race(self, fail_peer):
+        sim = Simulator()
+        net = make_net(sim)
+        if fail_peer:
+            net.servers["b"].fail()
+        box = []
+
+        def caller():
+            box.append((yield from call_with_deadline(
+                net, "a", "b", lambda: 42, 1e-3)))
+            box.append(sim.now)
+
+        sim.process(caller())
+        sim.run(until=1.0)
+        return box, net
+
+    def test_answered_call_returns_its_value(self):
+        (outcome, at), net = self._race(fail_peer=False)
+        assert outcome == (True, 42) and at < 1e-3
+        assert net.control_retries == net.control_timeouts == 0
+
+    def test_silence_returns_at_the_deadline(self):
+        (outcome, at), net = self._race(fail_peer=True)
+        assert outcome == (False, None)
+        assert at == pytest.approx(1e-3)
+        assert net.control_retries == net.control_timeouts == 0
 
 
 class TestReliableCall:
