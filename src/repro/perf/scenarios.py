@@ -63,10 +63,12 @@ SCENARIOS: Dict[str, Callable[[int, float], Scenario]] = {
         chain=monitors(2), seed=seed, duration_s=d, rate_pps=RATE_PPS / 2,
         reliable_links=True, impair=(0.02, 0.01, 0.01, 0.005),
         drain_s=30e-3),
-    # Recovery runway: detection + election-held lease + respawn.
+    # The soaks' 1 ms heartbeat commits the recovery 3.84 ms after the
+    # crash, inside even the quick window, so packets cross the
+    # recovered chain.  Drain: detection + election-held lease + respawn.
     "ctrlplane-failover": lambda seed, d: Scenario(
         chain=monitors(3), seed=seed, duration_s=d, rate_pps=5e4,
-        orchestrators=3,
+        orchestrators=3, heartbeat_interval_s=1e-3,
         steps=(Step(d * 0.4, crash=1, expect="recovered"),), drain_s=50e-3),
     "reconfig-under-traffic": lambda seed, d: Scenario(
         chain=monitors(3), seed=seed, duration_s=d, rate_pps=RATE_PPS / 2,
