@@ -3,9 +3,10 @@
 Three layers (see PROTOCOL.md, "Failure model & chaos testing"):
 
 - **Injection**: one vocabulary of :class:`FaultSpec` kinds, whose
-  registry names each kind's handler, text and target rule.
-  :class:`FaultInjector` applies every fault -- scripted ones and those
-  the randomized :class:`ChaosMonkey` samples on a seeded stream.
+  registry names each kind's handler, text and target rule.  A run's
+  one :class:`FaultInjector` applies every fault -- scripted ones and
+  those the randomized :class:`ChaosMonkey` samples into it on a
+  seeded stream.
 - **Hardened paths under test**: ``repro.net.retry`` and the
   re-entrant recovery in ``repro.orchestration`` (exercised, not
   defined, here).
@@ -24,7 +25,7 @@ __getattr__, __dir__, __all__ = surface(__name__, {
         "CTRLPLANE_KIND_WEIGHTS", "ChaosMonkey", "DEFAULT_KIND_WEIGHTS",
     ),
     "plan": (
-        "FAULT_KINDS", "FaultInjector", "FaultPlan", "FaultSpec",
+        "FAULT_KINDS", "FaultInjector", "FaultSpec",
         "IMPAIRED_DELIVERY", "ORCH_FAULT_KINDS", "OVERLOAD_FAULT_KINDS",
         "RECONFIG_FAULT_KINDS",
     ),

@@ -2,12 +2,12 @@
 
 A :class:`ChaosMonkey` is a simulation process that samples
 :class:`~repro.chaos.plan.FaultSpec`\\ s -- exponentially-spaced
-arrival times, weighted fault kinds, uniformly-chosen targets -- and
-hands each to its :class:`~repro.chaos.plan.FaultInjector`, the only
-code that applies a fault.  Every draw comes from the chain's
-``chaos-monkey`` stream, in a fixed order per arrival (interval, then
-kind, then target), so a schedule is a pure function of its seed --
-any soak failure reproduces exactly from ``--seed``.
+arrival times, weighted fault kinds, uniformly-chosen targets -- into
+the run's one :class:`~repro.chaos.plan.FaultInjector`, the only code
+that applies a fault; it builds none of its own.  Every draw comes
+from the chain's ``chaos-monkey`` stream, in a fixed order per arrival
+(interval, then kind, then target), so a schedule is a pure function
+of its seed -- any soak failure reproduces exactly from ``--seed``.
 
 Crash victims are drawn only among positions
 :meth:`FTCChain.safe_to_fail` allows, keeping every replication group
@@ -19,12 +19,10 @@ stream, when the next recovery reaches its fetching phase.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
-from ..core.chain import FTCChain
-from ..orchestration.orchestrator import Orchestrator
 from ..sim import CancelledError, Interrupt
-from .plan import _SAMPLER_STREAM, FaultInjector, FaultPlan, FaultSpec
+from .plan import FaultInjector, FaultSpec
 
 __all__ = ["ChaosMonkey", "DEFAULT_KIND_WEIGHTS"]
 
@@ -32,7 +30,8 @@ __all__ = ["ChaosMonkey", "DEFAULT_KIND_WEIGHTS"]
 #: the ``orch-*`` control-plane kinds are not in the default mix:
 #: adding a kind would shift every draw and break seed-compatibility
 #: with existing soak schedules -- opt in via ``kind_weights`` (the
-#: impaired and control-plane soak modes do).
+#: control-plane soak does; the impaired soak schedules one
+#: ``impair-data`` :class:`FaultSpec` instead of sampling).
 DEFAULT_KIND_WEIGHTS: Dict[str, float] = {
     "crash": 0.6,
     "crash-during-recovery": 0.2,
@@ -59,7 +58,6 @@ _SAMPLED: Dict[str, dict] = {
     "orch-crash": dict(restart_after_s=15e-3),
     "orch-partition": dict(duration_s=8e-3),
     "stale-leader-resume": dict(duration_s=12e-3),
-    "flash-crowd": dict(duration_s=6e-3),
     "slow-middlebox": dict(duration_s=6e-3),
     "queue-pressure": dict(duration_s=6e-3),
 }
@@ -68,41 +66,32 @@ _SAMPLED: Dict[str, dict] = {
 class ChaosMonkey:
     """A process sampling random (but seed-reproducible) faults.
 
-    ``ensemble`` is the target of the ``orch-*`` kinds (usually also
-    passed as ``orchestrator`` -- it mirrors the facade).  A weighted
-    kind the monkey cannot sample, or whose target it lacks, is a
+    It targets what ``injector`` targets: its chain, its orchestrator
+    and, for the ``orch-*`` kinds, its ensemble.  A weighted kind the
+    monkey cannot sample, or whose target it lacks, is a
     ``ValueError`` here rather than an arrival that injects nothing.
+    Sampling stops once ``injector`` has recorded ``max_faults``
+    faults, scripted ones included.
     """
 
-    def __init__(self, chain: FTCChain, orchestrator: Orchestrator,
+    def __init__(self, injector: FaultInjector,
                  mean_interval_s: float = 10e-3,
                  kind_weights: Optional[Dict[str, float]] = None,
                  max_faults: Optional[int] = None,
-                 start_after_s: float = 0.0,
-                 ensemble=None):
-        self.chain = chain
-        self.orchestrator = orchestrator
-        self.ensemble = ensemble
+                 start_after_s: float = 0.0):
+        self.injector = injector
+        self.chain = injector.chain
         self.mean_interval_s = mean_interval_s
         self.kind_weights = dict(kind_weights or DEFAULT_KIND_WEIGHTS)
         self.max_faults = max_faults
         self.start_after_s = start_after_s
-        self.rng = chain.streams.stream(_SAMPLER_STREAM)
-        self._injector = FaultInjector(chain, orchestrator, FaultPlan(),
-                                       seed=chain.streams.seed,
-                                       ensemble=ensemble)
+        self.rng = injector._rng
         for kind in self.kind_weights:
             if kind not in _SAMPLED:
                 raise ValueError(f"the chaos monkey cannot sample {kind!r} "
                                  f"faults (it samples {', '.join(_SAMPLED)})")
-            self._injector._check(
-                kind, armed=kind == "crash-during-recovery")
+            injector._check(kind, armed=kind == "crash-during-recovery")
         self._process = None
-
-    @property
-    def injected(self) -> List[Tuple[float, str]]:
-        """(fire time, description) per injected fault."""
-        return self._injector.injected
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -135,13 +124,14 @@ class ChaosMonkey:
         soak cannot distinguish from a livelock, so the monkey keeps
         the ensemble electable by construction.
         """
-        candidates = [m for m in self.ensemble.members
+        ensemble = self.injector.ensemble
+        candidates = [m for m in ensemble.members
                       if not m.crashed and not m.paused]
         if not candidates:
             return None
         if require_quorum:
-            majority = self.ensemble.members[0].majority
-            if self.ensemble.alive_members - 1 < majority:
+            majority = ensemble.members[0].majority
+            if ensemble.alive_members - 1 < majority:
                 return None
         return candidates[self.rng.randrange(len(candidates))]
 
@@ -149,12 +139,12 @@ class ChaosMonkey:
         """This arrival's spec of ``kind``, or None when it has no target."""
         fields = dict(_SAMPLED[kind], kind=kind, at_s=self.chain.sim.now)
         if kind == "crash":
-            fields["position"] = self._injector._victim(
-                self.orchestrator.recovering_positions)
+            fields["position"] = self.injector._victim(
+                self.injector.orchestrator.recovering_positions)
             if fields["position"] is None:
                 return None  # every further crash would exceed some f
         elif kind == "crash-during-recovery":
-            if self._injector._armed["recovery"]:
+            if self.injector._armed["recovery"]:
                 return None  # one armed crash at a time
         elif kind in ("orch-crash", "orch-partition"):
             member = self._pick_member(require_quorum=kind == "orch-crash")
@@ -172,10 +162,11 @@ class ChaosMonkey:
         try:
             if self.start_after_s > 0:
                 yield sim.timeout(self.start_after_s)
-            while self.max_faults is None or len(self.injected) < self.max_faults:
+            injected = self.injector.injected
+            while self.max_faults is None or len(injected) < self.max_faults:
                 yield sim.timeout(self.rng.expovariate(1.0 / self.mean_interval_s))
                 spec = self._sample(self._pick_kind())
                 if spec is not None:
-                    self._injector._apply(spec)
+                    self.injector._apply(spec)
         except (Interrupt, CancelledError):
             return

@@ -5,25 +5,25 @@ time, crash a position the moment recovery reaches a given phase,
 impair the control plane for a window.  One registry (``_KINDS``)
 gives each of the :data:`FAULT_KINDS` its handler, its ``describe()``
 text and its target rule, and :class:`FaultInjector` is the only code
-that applies a fault: scripted plans (a :class:`FaultPlan`, or
-``Scenario.faults``) and the randomized
-:class:`~repro.chaos.monkey.ChaosMonkey`, which samples specs and hands
-them over, both go through it.  Every injection is recorded with its
-firing time, and on the timeline as ``chaos/fault-injected``, so a
-failing soak schedule can be replayed exactly from its seed (see
-PROTOCOL.md, "Failure model & chaos testing").
+that applies a fault: a run builds one, and both the scripted specs
+(``Scenario.faults``) and the randomized
+:class:`~repro.chaos.monkey.ChaosMonkey`, which samples specs into it,
+go through it.  Every injection is recorded with its firing time, in
+one list, and on the timeline as ``chaos/fault-injected``, so a failing
+soak schedule can be replayed exactly from its seed (see PROTOCOL.md,
+"Failure model & chaos testing").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..core.chain import FTCChain
 from ..orchestration.orchestrator import Orchestrator
 
-__all__ = ["FaultSpec", "FaultPlan", "FaultInjector", "FAULT_KINDS",
+__all__ = ["FaultSpec", "FaultInjector", "FAULT_KINDS",
            "IMPAIRED_DELIVERY", "RECONFIG_FAULT_KINDS",
            "OVERLOAD_FAULT_KINDS"]
 
@@ -44,10 +44,11 @@ ORCH_FAULT_KINDS = ("orch-crash", "orch-partition", "stale-leader-resume")
 RECONFIG_FAULT_KINDS = ("crash-during-reconfig", "leader-failover-mid-switch",
                         "reconfig-during-recovery")
 
-#: Overload fault kinds (PROTOCOL.md §12): multiply the workload
-#: generator's rate for a window, slow one middlebox's per-packet
-#: cycle cost, or squeeze the egress buffer's held-set bound.
-OVERLOAD_FAULT_KINDS = ("flash-crowd", "slow-middlebox", "queue-pressure")
+#: Overload fault kinds (PROTOCOL.md §12): slow one middlebox's
+#: per-packet cycle cost, or squeeze the egress buffer's held-set bound,
+#: for a window.  A flash crowd is workload, not a fault:
+#: ``WorkloadSpec.flashes``.
+OVERLOAD_FAULT_KINDS = ("slow-middlebox", "queue-pressure")
 
 #: The stream victims are drawn from, by the monkey and by the injector
 #: for a ``crash-during-recovery`` spec without a position.
@@ -151,8 +152,8 @@ class _Kind(NamedTuple):
     text: Callable[[FaultSpec], str]
     #: What it acts on: ``position`` (a chain position, range-checked),
     #: ``middlebox`` (a middlebox index, range-checked), ``member`` (an
-    #: ensemble member: needs an ensemble), ``workload`` (needs a
-    #: workload generator), or None (the network or the buffer).
+    #: ensemble member: needs an ensemble), or None (the network or the
+    #: buffer).
     target: Optional[str]
     #: The orchestrator hook list an armed spec waits on.
     hook: Optional[str] = None
@@ -193,7 +194,6 @@ _KINDS: Dict[str, _Kind] = {
         "_request_reconfig", lambda s: (f"request {s.operation!r} at "
                                         f"recovery phase {s.phase!r}"),
         None, "recovery"),
-    "flash-crowd": _Kind("_flash_crowd", _overload_text, "workload"),
     "slow-middlebox": _Kind("_slow_middlebox", _overload_text, "middlebox"),
     "queue-pressure": _Kind("_queue_pressure", _overload_text, None),
 }
@@ -207,41 +207,25 @@ _DEFAULT_PHASE = {"crash-during-reconfig": "draining",
                   "reconfig-during-recovery": "fetching"}
 
 
-@dataclass
-class FaultPlan:
-    """An ordered, deterministic fault schedule."""
-
-    faults: List[FaultSpec] = field(default_factory=list)
-
-    def describe(self) -> List[str]:
-        return [spec.describe() for spec in sorted(self.faults,
-                                                   key=lambda s: s.at_s)]
-
-
 class FaultInjector:
     """Applies :class:`FaultSpec`\\ s to a chain + orchestrator.
 
-    :meth:`start` checks every spec of ``plan`` against its kind's
+    :meth:`start` checks every one of ``specs`` against its kind's
     target rule and schedules it; the monkey hands its sampled specs
     to ``_apply`` directly.  A spec waiting on a phase stays armed
     until it fires: a recovery-phase spec until it finds its target, a
     reconfiguration-phase spec only until its first matching phase.
+    The network's impairment streams are seeded from the chain's.
     """
 
     def __init__(self, chain: FTCChain, orchestrator: Optional[Orchestrator],
-                 plan: FaultPlan, seed: int = 0, ensemble=None,
-                 workload=None):
+                 specs: Iterable[FaultSpec] = (), ensemble=None):
         self.chain = chain
         self.orchestrator = orchestrator
-        self.plan = plan
-        #: Seeds the network's impairment streams.
-        self.seed = seed
+        self.specs = tuple(specs)
         #: The :class:`~repro.orchestration.ensemble.OrchestratorEnsemble`
         #: the ``orch-*`` fault kinds act on.
         self.ensemble = ensemble
-        #: The :class:`~repro.net.flowgen.WorkloadGenerator` the
-        #: ``flash-crowd`` fault kind boosts.
-        self.workload = workload
         self._rng = chain.streams.stream(_SAMPLER_STREAM)
         #: (fire time, human-readable description) per executed fault.
         self.injected: List[Tuple[float, str]] = []
@@ -252,10 +236,10 @@ class FaultInjector:
                        for hook in self._armed}
 
     def start(self) -> None:
-        for spec in self.plan.faults:
+        for spec in self.specs:
             self._check(spec.kind, spec.position, _armed(spec))
         sim = self.chain.sim
-        for spec in self.plan.faults:
+        for spec in self.specs:
             sim.schedule_callback(
                 max(0.0, spec.at_s - sim.now),
                 lambda spec=spec: self._apply(spec))
@@ -267,9 +251,6 @@ class FaultInjector:
         rule = _KINDS[kind]
         if rule.target == "member" and self.ensemble is None:
             raise ValueError(f"{kind} faults need an orchestrator ensemble")
-        if rule.target == "workload" and self.workload is None:
-            raise ValueError(
-                f"{kind} faults need a workload generator target")
         if armed and self.orchestrator is None:
             raise ValueError(f"{kind} faults need an orchestrator (its "
                              f"{rule.hook} hooks carry the phase signal)")
@@ -341,14 +322,14 @@ class FaultInjector:
             drop_rate=spec.drop_rate, dup_rate=spec.dup_rate,
             extra_delay_s=spec.extra_delay_s,
             delay_jitter_s=spec.delay_jitter_s,
-            duration_s=spec.duration_s, seed=self.seed)
+            duration_s=spec.duration_s, seed=self.chain.streams.seed)
         self._record(_KINDS[spec.kind].text(spec))
 
     def _impair_data(self, spec: FaultSpec) -> None:
         self.chain.net.impair_data(
             drop_rate=spec.drop_rate, dup_rate=spec.dup_rate,
             reorder_rate=spec.reorder_rate, corrupt_rate=spec.corrupt_rate,
-            duration_s=spec.duration_s, seed=self.seed)
+            duration_s=spec.duration_s, seed=self.chain.streams.seed)
         self._record(_KINDS[spec.kind].text(spec))
 
     def _member(self, spec: FaultSpec):
@@ -406,16 +387,6 @@ class FaultInjector:
         self.orchestrator.request_reconfig(op)
         self._record(f"reconfig {spec.operation!r} requested during "
                      f"recovery phase {phase!r} of {positions}")
-
-    def _flash_crowd(self, spec: FaultSpec) -> None:
-        workload = self.workload
-        workload.boost *= spec.factor
-
-        def subside():
-            workload.boost /= spec.factor
-
-        self.chain.sim.schedule_callback(spec.duration_s, subside)
-        self._record(_KINDS[spec.kind].text(spec))
 
     def _slow_middlebox(self, spec: FaultSpec) -> None:
         mbox = self.chain.middleboxes[spec.position or 0]

@@ -47,7 +47,7 @@ from ..sim import RandomStreams, Simulator
 from ..telemetry import Telemetry
 from .auditor import InvariantAuditor, InvariantViolation, ShadowOracle
 from .monkey import ChaosMonkey
-from .plan import IMPAIRED_DELIVERY, FaultInjector, FaultPlan, FaultSpec
+from .plan import IMPAIRED_DELIVERY, FaultInjector, FaultSpec
 
 __all__ = ["Scenario", "Step", "Monkey", "Run", "run", "CHECKS",
            "CTRLPLANE_ELECTION", "FTC_ONLY", "ORACLE_CHECKS", "mbox",
@@ -96,8 +96,11 @@ class Step:
 
 @dataclass(frozen=True)
 class Monkey:
-    """:class:`ChaosMonkey` parameters (it starts 10% into the run)."""
+    """:class:`ChaosMonkey` parameters (it starts 10% into the run and
+    samples into the run's one injector)."""
 
+    #: The monkey stops once the run has injected this many faults,
+    #: scripted ones included.
     max_faults: int
     mean_interval_s: float
     #: ``(kind, weight)`` pairs (default: the monkey's own mix).
@@ -448,21 +451,23 @@ def run(scenario: Scenario, telemetry=None, profiler=None,
               admission=admission, brownout=brownout)
 
     # -- arm ------------------------------------------------------------------
+    # One injector applies every fault of the run: the scripted specs,
+    # the steps' crashes, the whole-window impairment and the monkey's.
     monkey = auditor = injector = None
-    if sc.monkey is not None:
-        monkey = ChaosMonkey(
-            chain, control, ensemble=ensemble,
-            mean_interval_s=sc.monkey.mean_interval_s,
-            max_faults=sc.monkey.max_faults,
-            start_after_s=sc.duration_s * 0.1,
-            kind_weights=sc.monkey.kind_weights)
-        monkey.start()
     if sc.ftc:
         auditor = InvariantAuditor(
             chain, oracle=oracle, orchestrator=control, brownout=brownout,
             context={"seed": sc.seed, **dict(sc.context)})
-        injector = FaultInjector(chain, control, FaultPlan(list(sc.faults)),
-                                 seed=sc.seed, ensemble=ensemble)
+        injector = FaultInjector(chain, control, sc.faults,
+                                 ensemble=ensemble)
+    if sc.monkey is not None:
+        monkey = ChaosMonkey(
+            injector, mean_interval_s=sc.monkey.mean_interval_s,
+            max_faults=sc.monkey.max_faults,
+            start_after_s=sc.duration_s * 0.1,
+            kind_weights=sc.monkey.kind_weights)
+        monkey.start()
+    if injector is not None:
         injector.start()
     if sc.impair is not None:
         drop, dup, reorder, corrupt = sc.impair
@@ -539,10 +544,8 @@ def run(scenario: Scenario, telemetry=None, profiler=None,
     if control is not None:
         out.failures = control.history
         out.reconfigs = list(control.reconfig_history)
-    if monkey is not None:
-        out.faults += monkey.injected
     if injector is not None:
-        out.faults += injector.injected
+        out.faults = injector.injected
     found = ([(name, CHECKS[name](out)) for name in sc.checks]
              + _step_violations(out))
     out.violations = ([] if auditor is None else list(auditor.violations)) + [

@@ -312,7 +312,7 @@ def overload_scenario(seed: int, chain_length: int = 3, f: int = 1,
                       duration_s: float = 120e-3,
                       heartbeat_interval_s: float = 1e-3,
                       index: int = 0) -> Scenario:
-    """One flash-crowd overload schedule (PROTOCOL.md §12).
+    """One flash crowd overload schedule (PROTOCOL.md §12).
 
     The full overload stack is wired: a heavy-tailed prioritized
     workload whose scripted flash crowd exceeds sustainable capacity

@@ -26,12 +26,15 @@ keeping fig5/fig13 byte-identical.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from ..telemetry import NULL_TELEMETRY
 
 __all__ = ["TokenBucket", "AdmissionControl", "BackpressureBus",
            "PressureSource"]
+
+#: Backpressure level at which the gate sheds every class.
+HIGH_WATERMARK = 0.85
 
 
 class TokenBucket:
@@ -62,10 +65,6 @@ class TokenBucket:
         """Change the refill rate; tokens accrued so far are kept."""
         self.refill(now)
         self.rate_pps = max(rate_pps, 1e-9)
-
-    def available(self, now: float) -> float:
-        self.refill(now)
-        return self.tokens
 
     def take(self, now: float, floor: float = 0.0) -> bool:
         """Take one token iff at least ``1 + floor`` are available."""
@@ -133,30 +132,21 @@ class BackpressureBus:
             return 0.0
         return max(source.level() for source in self.sources)
 
-    def snapshot(self) -> Dict[str, Dict[str, float]]:
-        """Current occupancy/bound/peak per source (for reports)."""
-        out: Dict[str, Dict[str, float]] = {}
-        for source in self.sources:
-            out[source.name] = {"occupancy": source.occupancy(),
-                                "bound": source.bound,
-                                "bound_peak": source.bound_peak,
-                                "peak": source.peak}
-        return out
-
 
 class AdmissionControl:
     """Priority token-bucket gate at the chain ingress.
 
     Args:
         sim: the simulator (for virtual time and flight timestamps).
-        rate_pps: sustained admission rate (the chain's budget).
-        burst: bucket depth in tokens (default: 2 ms of ``rate_pps``).
+        rate_pps: sustained admission rate (the chain's budget); the
+            bucket holds 2 ms of it, and at least 16 tokens.
         n_classes: priority classes; class ``n_classes - 1`` is most
             important and unstamped packets default to it (control
             traffic must never be shed below data).
         bus: optional :class:`BackpressureBus`; when its level reaches
-            ``high_watermark`` the gate sheds *everything* -- the hard
-            stop that keeps every bounded queue strictly within bounds.
+            :data:`HIGH_WATERMARK` the gate sheds *everything* -- the
+            hard stop that keeps every bounded queue strictly within
+            bounds.
         telemetry: metric registry + flight recorder bundle.
 
     Shed ordering: class ``c`` admits only while the bucket holds more
@@ -166,24 +156,18 @@ class AdmissionControl:
     ``tighten()`` scales the refill rate down.
     """
 
-    def __init__(self, sim, rate_pps: float, burst: Optional[float] = None,
-                 n_classes: int = 3, bus: Optional[BackpressureBus] = None,
-                 high_watermark: float = 0.85, telemetry=None,
-                 name: str = "admission"):
+    def __init__(self, sim, rate_pps: float, n_classes: int = 3,
+                 bus: Optional[BackpressureBus] = None, telemetry=None):
         if rate_pps <= 0:
             raise ValueError("rate_pps must be positive")
         if n_classes < 1:
             raise ValueError("n_classes must be >= 1")
-        if not 0.0 < high_watermark <= 1.0:
-            raise ValueError("high_watermark must be in (0, 1]")
         self.sim = sim
-        self.name = name
         self.base_rate_pps = rate_pps
         self.n_classes = n_classes
         self.bus = bus
-        self.high_watermark = high_watermark
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        burst = burst if burst is not None else max(16.0, rate_pps * 2e-3)
+        burst = max(16.0, rate_pps * 2e-3)
         self.bucket = TokenBucket(rate_pps, burst)
         #: Reserve floors: class c only drains the bucket down to
         #: reserve[c].  Monotone decreasing => strict shed ordering.
@@ -199,10 +183,9 @@ class AdmissionControl:
         self.offered_by_class = [0] * n_classes
         self.admitted_by_class = [0] * n_classes
         self.shed_by_class = [0] * n_classes
-        self.shed_backpressure = 0
         registry = self.telemetry.registry
-        registry.counter(f"{name}/admitted", lambda: self.admitted)
-        registry.counter(f"drops/{name}", lambda: self.shed)
+        registry.counter("admission/admitted", lambda: self.admitted)
+        registry.counter("drops/admission", lambda: self.shed)
 
     @property
     def shed(self) -> int:
@@ -226,7 +209,7 @@ class AdmissionControl:
         self.offered += 1
         self.offered_by_class[cls] += 1
         pressure = self.bus.level() if self.bus is not None else 0.0
-        if pressure >= self.high_watermark:
+        if pressure >= HIGH_WATERMARK:
             # Hard stop: some queue downstream is nearly full.  Shed
             # every class -- admitting anything risks an in-chain drop,
             # which is the one thing this gate exists to prevent.
@@ -246,16 +229,7 @@ class AdmissionControl:
 
     def _shed(self, packet, cls: int, now: float, reason: str) -> bool:
         self.shed_by_class[cls] += 1
-        if reason.startswith("backpressure"):
-            self.shed_backpressure += 1
         if self.telemetry.enabled:
             self.telemetry.emit("admission", "shed", t=now, pid=packet.pid,
                                 cls=cls, reason=reason)
         return False
-
-    def stats(self) -> Dict[str, object]:
-        return {"offered": self.offered, "admitted": self.admitted,
-                "shed": self.shed,
-                "shed_by_class": list(self.shed_by_class),
-                "shed_backpressure": self.shed_backpressure,
-                "scale": self.scale}

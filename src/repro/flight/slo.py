@@ -97,17 +97,18 @@ def parse_slo_spec(text: str) -> List[SLOObjective]:
 
 
 class SLOWatchdog:
-    """Evaluates objectives on a fixed virtual-time cadence."""
+    """Evaluates objectives every ``interval_s`` of virtual time
+    (:data:`DEFAULT_EVAL_INTERVAL_S`; brownout stretches it)."""
 
     def __init__(self, sim, objectives: List[SLOObjective],
                  probes: Dict[str, Callable[[], Optional[float]]],
-                 telemetry=None, interval_s: float = DEFAULT_EVAL_INTERVAL_S):
+                 telemetry=None):
         from ..telemetry import NULL_TELEMETRY
         self.sim = sim
         self.objectives = list(objectives)
         self.probes = dict(probes)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.interval_s = interval_s
+        self.interval_s = DEFAULT_EVAL_INTERVAL_S
         self.breaches: List[SLOBreach] = []
         #: Actuator hook (PROTOCOL.md §12.3): each callable receives
         #: the list of breaches every evaluation produced -- an empty
@@ -115,9 +116,7 @@ class SLOWatchdog:
         #: see just as much as the breaches themselves.
         self.listeners: List[Callable[[List[SLOBreach]], None]] = []
         self.evaluations = 0
-        #: Last observed value per indicator (the report's "worst" column
-        #: tracks extremes separately below).
-        self.last: Dict[str, float] = {}
+        #: Worst observed value per indicator (the report's column).
         self.worst: Dict[str, float] = {}
         registry = self.telemetry.registry
         registry.counter("slo/breaches", lambda: len(self.breaches))
@@ -149,7 +148,6 @@ class SLOWatchdog:
             value = self.probes[objective.indicator]()
             if value is None:
                 continue
-            self.last[objective.indicator] = value
             worst = self.worst.get(objective.indicator)
             if worst is None or (value > worst if objective.op == "<="
                                  else value < worst):

@@ -136,7 +136,7 @@ class TrafficGenerator:
 
 @dataclass(frozen=True)
 class FlashCrowd:
-    """One scripted flash-crowd window: the offered load is multiplied
+    """One scripted flash crowd window: the offered load is multiplied
     by ``multiplier`` for ``duration_s`` starting at ``at_s``."""
 
     at_s: float
@@ -317,9 +317,6 @@ class WorkloadGenerator:
             acc += w / total
             self._cumulative.append(acc)
         self._cumulative[-1] = 1.0
-        #: Flash-crowd multiplier applied on top of the spec (chaos
-        #: faults dial this up and back down; 1.0 = inert).
-        self.boost = 1.0
         self.sent = 0
         self.sent_by_class = [0] * spec.n_classes
         self._stopped = False
@@ -338,7 +335,7 @@ class WorkloadGenerator:
                    self.spec.n_flows - 1)
 
     def _interarrival(self) -> float:
-        rate = self.spec.rate_at(self.sim.now) * self.boost
+        rate = self.spec.rate_at(self.sim.now)
         mean = 1.0 / rate
         if self.spec.arrivals == "poisson":
             return self._streams.exponential(f"{self.name}/arrivals", mean)

@@ -4,8 +4,7 @@ from .._lazy import surface
 
 __getattr__, __dir__, __all__ = surface(__name__, {
     "brownout": (
-        "BROWNOUT_STEPS", "BrownoutController", "BrownoutPolicy",
-        "BrownoutTransition",
+        "BROWNOUT_STEPS", "BrownoutController", "BrownoutTransition",
     ),
     "cloud": ("CloudNetwork", "SAVI_REGIONS", "savi_rtt_matrix"),
     "election": ("ElectionConfig", "ElectionMember"),

@@ -5,9 +5,9 @@ import re
 import pytest
 
 from repro.chaos import (
+    FAULT_KINDS,
     ChaosMonkey,
     FaultInjector,
-    FaultPlan,
     FaultSpec,
     InvariantAuditor,
     Scenario,
@@ -16,7 +16,7 @@ from repro.chaos import (
     run,
     run_soak,
 )
-from repro.chaos.scenario import monitors
+from repro.chaos.scenario import Monkey, monitors
 from repro.core import FTCChain
 from repro.core.costs import CostModel
 from repro.middlebox import ch_n
@@ -49,14 +49,14 @@ class TestFaultPlan:
             FaultSpec(kind="crash-during-recovery", position=1)  # needs phase
 
     def test_builder_and_describe(self):
-        plan = FaultPlan([
+        specs = [
             FaultSpec(kind="crash", at_s=2e-3, position=1),
             FaultSpec(kind="impair-control", at_s=1e-3, drop_rate=0.5,
                       duration_s=1e-3),
             FaultSpec(kind="crash-during-recovery", position=2,
-                      phase="fetching")])
-        assert len(plan.faults) == 3
-        lines = plan.describe()
+                      phase="fetching")]
+        assert len(specs) == 3
+        lines = [spec.describe() for spec in specs]
         assert any("crash p1" in line for line in lines)
         assert any("impair" in line for line in lines)
         assert any("fetching" in line for line in lines)
@@ -64,9 +64,9 @@ class TestFaultPlan:
     def test_scripted_crashes_fire_at_time(self):
         sim = Simulator()
         chain = build_chain(sim)
-        plan = FaultPlan([FaultSpec(kind="crash", at_s=2e-3, position=1),
-                          FaultSpec(kind="crash", at_s=2e-3, position=2)])
-        injector = FaultInjector(chain, None, plan)
+        injector = FaultInjector(chain, None, [
+            FaultSpec(kind="crash", at_s=2e-3, position=1),
+            FaultSpec(kind="crash", at_s=2e-3, position=2)])
         injector.start()
         sim.run(until=5e-3)
         assert chain.server_at(1).failed
@@ -76,9 +76,9 @@ class TestFaultPlan:
     def test_scripted_impairment_applies_and_expires(self):
         sim = Simulator()
         chain = build_chain(sim)
-        plan = FaultPlan([FaultSpec(kind="impair-control", at_s=1e-3,
-                                    drop_rate=1.0, duration_s=2e-3)])
-        FaultInjector(chain, None, plan).start()
+        FaultInjector(chain, None, [FaultSpec(
+            kind="impair-control", at_s=1e-3, drop_rate=1.0,
+            duration_s=2e-3)]).start()
         sim.run(until=2e-3)
         assert chain.net._impairment is not None
         assert chain.net._impairment.active(sim.now)
@@ -92,18 +92,17 @@ class TestInjectorTargets:
     def test_out_of_range_crash_position_rejected_at_start(self):
         sim = Simulator()
         chain = build_chain(sim)
-        plan = FaultPlan([FaultSpec(kind="crash", at_s=1e-3, position=7)])
+        specs = [FaultSpec(kind="crash", at_s=1e-3, position=7)]
         with pytest.raises(ValueError, match="out of range"):
-            FaultInjector(chain, None, plan).start()
+            FaultInjector(chain, None, specs).start()
 
     def test_out_of_range_slow_middlebox_rejected_at_start(self):
         sim = Simulator()
         chain = build_chain(sim)
-        plan = FaultPlan([FaultSpec(kind="slow-middlebox", at_s=1e-3,
-                                    position=chain.n_mboxes,
-                                    duration_s=1e-3)])
+        specs = [FaultSpec(kind="slow-middlebox", at_s=1e-3,
+                           position=chain.n_mboxes, duration_s=1e-3)]
         with pytest.raises(ValueError, match="out of range"):
-            FaultInjector(chain, None, plan).start()
+            FaultInjector(chain, None, specs).start()
 
     def test_crash_during_recovery_without_position_draws_a_safe_victim(self):
         out = run(Scenario(
@@ -123,27 +122,58 @@ class TestInjectorTargets:
 class TestMonkeyTargets:
     """A weighted kind the monkey cannot target fails at construction."""
 
-    def _chain_and_orchestrator(self):
+    def _injector(self):
         sim = Simulator()
         chain = build_chain(sim)
-        return chain, Orchestrator(sim, chain)
+        return FaultInjector(chain, Orchestrator(sim, chain))
 
-    def test_flash_crowd_without_workload_rejected(self):
-        chain, orch = self._chain_and_orchestrator()
-        with pytest.raises(ValueError, match="workload"):
-            ChaosMonkey(chain, orch, kind_weights={"crash": 1.0,
-                                                   "flash-crowd": 1.0})
+    def test_flash_crowd_is_not_a_fault_kind(self):
+        """A flash crowd is workload (``WorkloadSpec.flashes``)."""
+        assert "flash-crowd" not in FAULT_KINDS
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultSpec(kind="flash-crowd", duration_s=1e-3)
+        with pytest.raises(ValueError, match="cannot sample"):
+            ChaosMonkey(self._injector(), kind_weights={"crash": 1.0,
+                                                        "flash-crowd": 1.0})
 
     def test_orch_kind_without_ensemble_rejected(self):
-        chain, orch = self._chain_and_orchestrator()
         with pytest.raises(ValueError, match="ensemble"):
-            ChaosMonkey(chain, orch, kind_weights={"orch-partition": 1.0})
+            ChaosMonkey(self._injector(),
+                        kind_weights={"orch-partition": 1.0})
 
     def test_kind_the_monkey_cannot_sample_rejected(self):
-        chain, orch = self._chain_and_orchestrator()
         with pytest.raises(ValueError, match="cannot sample"):
-            ChaosMonkey(chain, orch,
+            ChaosMonkey(self._injector(),
                         kind_weights={"crash-during-reconfig": 1.0})
+
+
+class TestOneInjector:
+    def test_monkey_and_scripted_faults_report_in_time_order(
+            self, monkeypatch):
+        """The monkey samples into the run's one injector, so a scripted
+        fault firing before the monkey starts (10% of the run) is
+        reported first, and every fault lands in one list."""
+        built = []
+        init = FaultInjector.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FaultInjector, "__init__", counting_init)
+        out = run(Scenario(
+            chain=monitors(3), f=1, seed=4, costs=COSTS, duration_s=40e-3,
+            drain_s=20e-3, rate_pps=2e4, orchestrators=1,
+            heartbeat_interval_s=1e-3, quiescent=False,
+            monkey=Monkey(4, 4e-3),
+            faults=(FaultSpec(kind="crash", at_s=2e-3, position=1),)))
+        assert len(built) == 1
+        assert out.faults is built[0].injected
+        times = [when for when, _ in out.faults]
+        assert out.faults[0] == (2e-3, "crash p1")
+        assert len(out.faults) > 1                  # the monkey's too
+        assert min(times[1:]) >= out.scenario.duration_s * 0.1
+        assert times == sorted(times)
 
 
 class TestAuditor:

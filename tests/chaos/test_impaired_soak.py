@@ -10,7 +10,6 @@ failover -- and the whole run must be a pure function of its seed.
 import pytest
 
 from repro.chaos import (
-    FaultPlan,
     FaultSpec,
     IMPAIRED_DELIVERY,
     impaired_scenario,
@@ -43,10 +42,10 @@ class TestFaultSpecValidation:
             FaultSpec(kind=IMPAIRED_DELIVERY, corrupt_rate=-0.1)
 
     def test_plan_builder(self):
-        plan = FaultPlan([FaultSpec(kind=IMPAIRED_DELIVERY, at_s=2e-3,
-                                    duration_s=5e-3, **RATES)])
-        assert plan.faults[0].kind == IMPAIRED_DELIVERY
-        assert plan.faults[0].duration_s == 5e-3
+        specs = (FaultSpec(kind=IMPAIRED_DELIVERY, at_s=2e-3,
+                           duration_s=5e-3, **RATES),)
+        assert specs[0].kind == IMPAIRED_DELIVERY
+        assert specs[0].duration_s == 5e-3
 
 
 @pytest.mark.soak_impaired

@@ -13,7 +13,6 @@ import pytest
 
 from repro.chaos import (
     OVERLOAD_FAULT_KINDS,
-    FaultPlan,
     FaultSpec,
     overload_scenario,
     run,
@@ -32,9 +31,10 @@ class TestOverloadSpec:
         assert OVERLOAD_BUDGET > 1.0   # flash genuinely overloads
 
     def test_overload_fault_kinds_registered(self):
-        assert {"flash-crowd", "slow-middlebox", "queue-pressure"} <= set(
-            OVERLOAD_FAULT_KINDS)
-        spec = FaultSpec(kind="flash-crowd", at_s=1e-3, duration_s=2e-3,
+        # A flash crowd is the workload's (``WorkloadSpec.flashes``).
+        assert set(OVERLOAD_FAULT_KINDS) == {"slow-middlebox",
+                                             "queue-pressure"}
+        spec = FaultSpec(kind="slow-middlebox", at_s=1e-3, duration_s=2e-3,
                          factor=6.0)
         assert "x6" in spec.describe()
         with pytest.raises(ValueError, match="duration_s"):
@@ -42,9 +42,9 @@ class TestOverloadSpec:
         with pytest.raises(ValueError, match="factor"):
             FaultSpec(kind="queue-pressure", at_s=1e-3, duration_s=2e-3,
                       factor=0.5)
-        plan = FaultPlan([FaultSpec(kind="queue-pressure", at_s=1e-3,
-                                    duration_s=2e-3, factor=16.0)])
-        assert plan.faults[0].kind == "queue-pressure"
+        spec = FaultSpec(kind="queue-pressure", at_s=1e-3,
+                         duration_s=2e-3, factor=16.0)
+        assert spec.kind == "queue-pressure"
 
 
 @pytest.mark.soak_overload

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from repro.core.admission import (
+    HIGH_WATERMARK,
     AdmissionControl,
     BackpressureBus,
     PressureSource,
@@ -92,7 +93,8 @@ class TestTokenBucket:
         bucket = TokenBucket(rate_pps=1000, burst=8)
         bucket.take(0.0)
         bucket.set_rate(1.0, now=1e-3)  # refills 1 token first
-        assert bucket.available(1e-3) == pytest.approx(8.0)
+        bucket.refill(1e-3)
+        assert bucket.tokens == pytest.approx(8.0)
         # From here on refill is glacial: next token takes ~1 s.
         for _ in range(8):
             assert bucket.take(1e-3)
@@ -129,16 +131,16 @@ class TestBackpressureBus:
         assert source.level() == 1.0
         assert source.peak == 6
         assert source.bound_peak == 8
-        snap = BackpressureBus().snapshot()
-        assert snap == {}
+        assert BackpressureBus().sources == []
 
-    def test_snapshot_reports_all_sources(self):
+    def test_sources_report_occupancy_bound_and_peak(self):
         bus = BackpressureBus()
         bus.add("q", lambda: 3, 10).level()
-        snap = bus.snapshot()
-        assert snap["q"]["occupancy"] == 3
-        assert snap["q"]["bound"] == 10
-        assert snap["q"]["peak"] == 3
+        (source,) = bus.sources
+        assert source.name == "q"
+        assert source.occupancy() == 3
+        assert source.bound == 10
+        assert source.peak == 3
 
 
 # -- bounded queues --------------------------------------------------------
@@ -185,8 +187,7 @@ class TestAdmissionControl:
             _gate(rate=0)
         with pytest.raises(ValueError, match="n_classes"):
             _gate(n_classes=0)
-        with pytest.raises(ValueError, match="high_watermark"):
-            _gate(high_watermark=1.5)
+        assert 0.0 < HIGH_WATERMARK <= 1.0
 
     def test_floors_monotone_decreasing(self):
         gate = _gate(n_classes=5)
@@ -214,7 +215,8 @@ class TestAdmissionControl:
             clock.now += gap_s
             # Pointwise ordering: the set of classes that *would* admit
             # right now must be upward-closed in priority.
-            would = [gate.bucket.available(clock.now) >= 1.0 + gate.reserve[c]
+            gate.bucket.refill(clock.now)
+            would = [gate.bucket.tokens >= 1.0 + gate.reserve[c]
                      for c in range(3)]
             for lower, upper in zip(would, would[1:]):
                 assert upper or not lower
@@ -243,8 +245,9 @@ class TestAdmissionControl:
         for cls in range(3):
             assert not gate.offer(_Pkt(prio=cls))
         assert gate.admitted == 0
-        assert gate.shed_backpressure == 3
-        assert gate.stats()["shed_backpressure"] == 3
+        # All three shed at the hard stop, before touching the bucket.
+        assert gate.shed_by_class == [1, 1, 1]
+        assert gate.bucket.tokens == gate.bucket.burst
 
     def test_pressure_inflates_floors_low_class_starves(self):
         bus = BackpressureBus()
@@ -265,7 +268,8 @@ class TestAdmissionControl:
             pass
         gate.set_scale(0.5)
         clock.now = 2e-3  # 5e3 pps * 2 ms = 10 tokens (half rate)
-        assert gate.bucket.available(clock.now) == pytest.approx(10.0)
+        gate.bucket.refill(clock.now)
+        assert gate.bucket.tokens == pytest.approx(10.0)
         gate.set_scale(1.0)
         assert gate.scale == 1.0
         assert gate.bucket.rate_pps == pytest.approx(1e4)

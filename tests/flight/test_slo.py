@@ -11,6 +11,7 @@ from repro.flight import (
     parse_slo_spec,
     run_probes,
 )
+from repro.flight.slo import DEFAULT_EVAL_INTERVAL_S
 from repro.sim import Simulator
 from repro.telemetry import Telemetry
 
@@ -42,13 +43,15 @@ class TestSpecGrammar:
 
 class TestWatchdog:
     def _watchdog(self, values, telemetry=None):
-        """A watchdog over a scripted probe: pops one value per tick."""
+        """A watchdog over a scripted probe: pops one value per tick
+        (every 2 ms, the default cadence)."""
         sim = Simulator()
         feed = list(values)
         probes = {"lat": lambda: feed.pop(0) if feed else None}
         watchdog = SLOWatchdog(
             sim, [SLOObjective("lat", "<=", 100.0)], probes,
-            telemetry=telemetry, interval_s=1e-3)
+            telemetry=telemetry)
+        assert watchdog.interval_s == DEFAULT_EVAL_INTERVAL_S == 2e-3
         return sim, watchdog
 
     def test_breaches_are_recorded_with_worst_value(self):
@@ -57,7 +60,8 @@ class TestWatchdog:
         sim.run(until=10e-3)
         assert len(watchdog.breaches) == 2
         assert watchdog.worst["lat"] == 150.0
-        assert watchdog.last["lat"] == 80.0
+        # The last value, 80, was observed and met the objective.
+        assert [b.observed for b in watchdog.breaches] == [150.0, 120.0]
         assert not watchdog.ok
         first = watchdog.breaches[0]
         assert first.observed == 150.0
@@ -66,7 +70,7 @@ class TestWatchdog:
     def test_none_probe_values_are_skipped(self):
         sim, watchdog = self._watchdog([])
         watchdog.start()
-        sim.run(until=5e-3)
+        sim.run(until=9e-3)
         assert watchdog.evaluations >= 4
         assert watchdog.breaches == []
         assert watchdog.ok
@@ -76,7 +80,7 @@ class TestWatchdog:
         telemetry = Telemetry(flight=flight)
         sim, watchdog = self._watchdog([500.0], telemetry=telemetry)
         watchdog.start()
-        sim.run(until=2e-3)
+        sim.run(until=3e-3)
         kinds = [(e.component, e.kind) for e in flight.events]
         assert ("slo", "breach") in kinds
         rows = {name: value for name, _, value, *_ in

@@ -139,15 +139,3 @@ class TestWorkloadGenerator:
         inside = sum(1 for p in out if 5e-3 <= p.created_at < 10e-3)
         outside = sum(1 for p in out if p.created_at < 5e-3)
         assert inside > 4 * max(1, outside)
-
-    def test_boost_knob_scales_rate(self):
-        sim = Simulator()
-        out = []
-        spec = WorkloadSpec(base_pps=5e3, arrivals="deterministic")
-        gen = WorkloadGenerator(sim, out.append, spec,
-                                streams=RandomStreams(0))
-        sim.run(until=10e-3)
-        before = len(out)
-        gen.boost = 4.0   # what the chaos flash-crowd fault dials up
-        sim.run(until=20e-3)
-        assert len(out) - before > 3 * before

@@ -1,7 +1,7 @@
 """Hardened recovery path: failures during recovery, control-plane
 retries, graceful degradation (the §5.2 robustness envelope)."""
 
-from repro.chaos import FaultInjector, FaultPlan, FaultSpec
+from repro.chaos import FaultInjector, FaultSpec
 from repro.core import FTCChain, RECOVERY_PHASES
 from repro.core.costs import CostModel
 from repro.metrics import EgressRecorder
@@ -77,11 +77,11 @@ class TestFailureDuringRecovery:
             sim, regions=["core", "remote", "neighbor", "core"], n=4, f=2)
         TrafficGenerator(sim, chain.ingress, rate_pps=1e5,
                          flows=balanced_flows(8, 2))
-        plan = FaultPlan([
+        specs = [
             FaultSpec(kind="crash", at_s=0.01, position=1),
             FaultSpec(kind="crash-during-recovery", position=3,
-                      phase="fetching")])
-        injector = FaultInjector(chain, orch, plan)
+                      phase="fetching")]
+        injector = FaultInjector(chain, orch, specs)
         injector.start()
         heartbeats_at_crash = []
         orch.recovery_hooks.append(
@@ -111,11 +111,11 @@ class TestFailureDuringRecovery:
             sim, regions=["core", "remote", "neighbor", "core"], n=4, f=2)
         gen = TrafficGenerator(sim, chain.ingress, rate_pps=1e5,
                                flows=balanced_flows(8, 2))
-        plan = FaultPlan([
+        specs = [
             FaultSpec(kind="crash", at_s=0.01, position=1),
             FaultSpec(kind="crash-during-recovery", position=3,
-                      phase="fetching")])
-        FaultInjector(chain, orch, plan).start()
+                      phase="fetching")]
+        FaultInjector(chain, orch, specs).start()
         sim.run(until=0.55)
         released_mid = chain.total_released()
         sim.run(until=0.7)
@@ -130,9 +130,9 @@ class TestSimultaneousFailures:
         chain, orch, _ = _setup(sim, n=4, f=2)
         TrafficGenerator(sim, chain.ingress, rate_pps=1e5,
                          flows=balanced_flows(8, 2))
-        plan = FaultPlan([FaultSpec(kind="crash", at_s=0.01, position=0),
-                          FaultSpec(kind="crash", at_s=0.01, position=2)])
-        FaultInjector(chain, orch, plan).start()
+        specs = [FaultSpec(kind="crash", at_s=0.01, position=0),
+                 FaultSpec(kind="crash", at_s=0.01, position=2)]
+        FaultInjector(chain, orch, specs).start()
         sim.run(until=0.15)
         assert len(orch.history) == 1
         event = orch.history[0]
@@ -152,9 +152,9 @@ class TestGracefulDegradation:
         TrafficGenerator(sim, chain.ingress, rate_pps=1e5,
                          flows=balanced_flows(8, 2))
         # Positions 1 and 2 are both in monitor2's group: unrecoverable.
-        plan = FaultPlan([FaultSpec(kind="crash", at_s=0.01, position=1),
-                          FaultSpec(kind="crash", at_s=0.01, position=2)])
-        FaultInjector(chain, orch, plan).start()
+        specs = [FaultSpec(kind="crash", at_s=0.01, position=1),
+                 FaultSpec(kind="crash", at_s=0.01, position=2)]
+        FaultInjector(chain, orch, specs).start()
         sim.run(until=0.1)
 
         assert chain.degraded
@@ -174,9 +174,9 @@ class TestGracefulDegradation:
         chain, orch, egress = _setup(sim, n=3, f=1)
         gen = TrafficGenerator(sim, chain.ingress, rate_pps=1e5,
                                flows=balanced_flows(8, 2))
-        plan = FaultPlan([FaultSpec(kind="crash", at_s=0.02, position=1),
-                          FaultSpec(kind="crash", at_s=0.02, position=2)])
-        FaultInjector(chain, orch, plan).start()
+        specs = [FaultSpec(kind="crash", at_s=0.02, position=1),
+                 FaultSpec(kind="crash", at_s=0.02, position=2)]
+        FaultInjector(chain, orch, specs).start()
         sim.run(until=0.1)
         gen.stop()
         sim.run(until=0.11)

@@ -1,7 +1,9 @@
 """Fault-schedule golden: what every fault path injects, against a record.
 
-Faults reach a chain two ways: the :class:`~repro.chaos.ChaosMonkey`
-samples them on the ``chaos-monkey`` stream, and a scripted
+Every fault reaches a chain through the run's one
+:class:`~repro.chaos.plan.FaultInjector`: the
+:class:`~repro.chaos.ChaosMonkey` samples specs into it on the
+``chaos-monkey`` stream, and a scripted
 :class:`~repro.chaos.plan.FaultSpec` fires at its time or phase.  This
 test pins, for short monkey soaks (Ch-2..4, f = 1..2, seeds 0..3), two
 control-plane soaks, one monkey drawing every other samplable kind, and
@@ -81,36 +83,6 @@ def _scripted(kind: str):
     return Scenario(**{**common, **cases[kind]})
 
 
-def _flash_crowd() -> dict:
-    """``flash-crowd`` needs a workload target, which a Scenario does
-    not hand its injector: built from public constructors instead."""
-    from repro.chaos import FaultInjector, FaultPlan, FaultSpec, ShadowOracle
-    from repro.chaos.soak import SOAK_COSTS
-    from repro.core import FTCChain
-    from repro.middlebox import ch_n
-    from repro.net.flowgen import WorkloadGenerator, WorkloadSpec
-    from repro.sim import RandomStreams, Simulator
-
-    sim = Simulator()
-    oracle = ShadowOracle()
-    chain = FTCChain(sim, ch_n(3, n_threads=2), f=1, deliver=oracle,
-                     costs=SOAK_COSTS, n_threads=2, seed=0)
-    chain.start()
-    workload = WorkloadGenerator(
-        sim, chain.ingress, WorkloadSpec(base_pps=2e4, n_flows=16),
-        n_queues=2, streams=RandomStreams(0))
-    injector = FaultInjector(
-        chain, None, FaultPlan([FaultSpec(
-            kind="flash-crowd", at_s=5e-3, factor=4.0, duration_s=6e-3)]),
-        workload=workload)
-    injector.start()
-    sim.run(until=30e-3)
-    workload.stop()
-    sim.run(until=40e-3)
-    return {"faults": [list(fault) for fault in injector.injected],
-            "released": oracle.released, "detected": 0, "recovered": 0}
-
-
 def _cases() -> dict:
     from repro.chaos import Scenario
     from repro.chaos.plan import FAULT_KINDS
@@ -144,8 +116,7 @@ def _cases() -> dict:
                                 ("slow-middlebox", 0.3),
                                 ("queue-pressure", 0.2))))
     for kind in FAULT_KINDS:
-        if kind != "flash-crowd":
-            cases[f"scripted-{kind}"] = _scripted(kind)
+        cases[f"scripted-{kind}"] = _scripted(kind)
     return cases
 
 
@@ -161,7 +132,6 @@ def child() -> dict:
             "detected": len(done.failures),
             "recovered": sum(1 for e in done.failures if e.recovered),
         }
-    out["scripted-flash-crowd"] = _flash_crowd()
     return out
 
 
@@ -189,7 +159,8 @@ def test_runs_match_the_committed_golden(current, golden):
 def test_every_fault_kind_has_a_scripted_case(golden):
     from repro.chaos.plan import FAULT_KINDS
 
-    assert {f"scripted-{kind}" for kind in FAULT_KINDS} <= set(golden)
+    scripted = {name for name in golden if name.startswith("scripted-")}
+    assert scripted == {f"scripted-{kind}" for kind in FAULT_KINDS}
 
 
 def test_every_scripted_case_injects(golden):

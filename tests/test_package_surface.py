@@ -108,8 +108,7 @@ PARENT_SURFACE = {
     },
     "repro.orchestration": {
         "repro.orchestration.brownout":
-            "BROWNOUT_STEPS BrownoutController BrownoutPolicy "
-            "BrownoutTransition",
+            "BROWNOUT_STEPS BrownoutController BrownoutTransition",
         "repro.orchestration.cloud":
             "CloudNetwork SAVI_REGIONS savi_rtt_matrix",
         "repro.orchestration.election": "ElectionConfig ElectionMember",
@@ -126,7 +125,7 @@ PARENT_SURFACE = {
         "repro.chaos.monkey":
             "CTRLPLANE_KIND_WEIGHTS ChaosMonkey DEFAULT_KIND_WEIGHTS",
         "repro.chaos.plan":
-            "FAULT_KINDS FaultInjector FaultPlan FaultSpec "
+            "FAULT_KINDS FaultInjector FaultSpec "
             "IMPAIRED_DELIVERY ORCH_FAULT_KINDS OVERLOAD_FAULT_KINDS "
             "RECONFIG_FAULT_KINDS",
         "repro.chaos.scenario": "CHECKS Monkey Run Scenario Step run",
