@@ -250,6 +250,11 @@ class ReplicationState:
         """(store contents, MAX vector, retained logs) for a new replica."""
         return self.store.snapshot(), dict(self.max), list(self.retained)
 
+    def export_bytes(self, costs) -> int:
+        """Wire size of :meth:`export_state` (store plus retained logs)."""
+        return self.store.state_bytes() + sum(
+            log.byte_size(costs) for log in self.retained)
+
     def import_state(self, contents, max_vector, retained) -> None:
         self.store.load(contents)
         self.max = dict(max_vector)

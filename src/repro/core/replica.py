@@ -25,12 +25,9 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, List, Optional
 
-from ..middlebox.base import DROP, Middlebox
+from ..middlebox.base import DROP
 from ..net.packet import Packet
-from ..sim import (CancelledError, Interrupt, Process, RandomStreams,
-                   Simulator, Timeout)
-from ..telemetry import NULL_TELEMETRY
-from .costs import CostModel, DEFAULT_COSTS
+from ..sim import CancelledError, Interrupt, Process, Timeout
 from .depvec import ReplicationState
 from .forwarder import _PROPAGATING_FLOW, _PROPAGATING_SIZE
 from .piggyback import PiggybackMessage
@@ -48,19 +45,17 @@ RETRANSMIT_CHECK_S = 100e-6
 class Replica:
     """One chain position's data plane on one server."""
 
-    def __init__(self, sim: Simulator, chain, position: int, server,
-                 middlebox: Optional[Middlebox],
-                 costs: CostModel = DEFAULT_COSTS,
-                 streams: Optional[RandomStreams] = None,
-                 use_htm: bool = False):
-        self.sim = sim
+    def __init__(self, chain, position: int, server):
+        self.sim = sim = chain.sim
         self.chain = chain
         self.position = position
         self.server = server
-        self.middlebox = middlebox
-        self.costs = costs
-        self.streams = streams or RandomStreams(0)
-        self.telemetry = getattr(chain, "telemetry", None) or NULL_TELEMETRY
+        #: The position's middlebox; ``None`` at a §5.1 extension.
+        self.middlebox = middlebox = (chain.middleboxes[position]
+                                      if position < chain.n_mboxes else None)
+        self.costs = costs = chain.costs
+        self.streams = chain.streams
+        self.telemetry = chain.telemetry
         registry = self.telemetry.registry
         registry.histogram("piggyback/bytes")
 
@@ -88,7 +83,7 @@ class Replica:
         if middlebox is not None:
             self.runtime = MiddleboxRuntime(
                 sim, middlebox, self.states[middlebox.name],
-                costs=costs, streams=self.streams, use_htm=use_htm,
+                costs=costs, streams=self.streams, use_htm=chain.use_htm,
                 telemetry=self.telemetry)
 
         self.workers: List[Process] = []
@@ -117,6 +112,14 @@ class Replica:
             self._watchdog.interrupt("stopped")
         self.workers = []
         self._watchdog = None
+
+    def install_state(self, mbox_name: str, exported) -> None:
+        """Load one exported state (§5.2); at the middlebox's head, also
+        restore the dependency vector by setting it to the retrieved MAX."""
+        state = self.states[mbox_name]
+        state.import_state(*exported)
+        if self.runtime is not None and mbox_name == self.middlebox.name:
+            self.runtime.depvec.load(state.max)
 
     # -- ingestion helpers -----------------------------------------------------
 

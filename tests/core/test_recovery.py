@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import FTCChain, UnrecoverableError, recover_positions
 from repro.core.costs import CostModel
+from repro.core.reconfig import ReconfigOp, apply_reconfig
 from repro.metrics import EgressRecorder
 from repro.middlebox import MazuNAT, Monitor, ch_n
 from repro.net import TrafficGenerator, balanced_flows
@@ -143,6 +144,41 @@ class TestSingleFailure:
         # All packets of one original flow map to exactly one port:
         # count distinct ports <= number of flows.
         assert len(by_flow) <= 8
+
+
+class TestReplacementSizing:
+    def test_recovery_keeps_a_rescaled_positions_thread_count(self):
+        """The replacement is sized like the instance it replaces: a
+        position rescaled to 4 threads must not recover with the
+        chain's default 2."""
+        sim = Simulator()
+        chain, _ = build(sim, ch_n(3, n_threads=2))
+        gen = TrafficGenerator(sim, chain.ingress, rate_pps=2e5,
+                               flows=balanced_flows(8, 2))
+        reports = []
+        released = []
+
+        def drive(sim):
+            yield sim.timeout(0.005)
+            reports.append((yield from apply_reconfig(
+                chain, ReconfigOp(kind="rescale", position=1, n_threads=4))))
+            assert len(chain.server_at(1).nic.queues) == 4
+            chain.fail_position(1)
+            reports.append((yield sim.process(
+                recover_positions(chain, [1]))))
+            released.append(chain.total_released())
+
+        sim.process(drive(sim))
+        sim.run(until=0.025)
+        gen.stop()
+        sim.run(until=0.03)
+        assert len(reports) == 2 and reports[0].committed
+        server = chain.server_at(1)
+        assert not server.failed
+        assert len(server.nic.queues) == server.n_cores == 4
+        assert chain.middleboxes[1].n_threads == 4
+        assert chain.n_threads == 2
+        assert chain.total_released() > released[0]  # traffic resumed
 
 
 class TestExtensionAndWrapFailures:
